@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -26,18 +25,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BOUND = 2
 EXIT_IO = 3
-
-
-def thread_cap() -> int:
-    """POLYROUTE_THREADS caps internal parallelism (the pipeline is currently
-    sequential, so any positive cap is honoured trivially)."""
-    raw = os.environ.get("POLYROUTE_THREADS")
-    if raw is None:
-        return 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("POLYROUTE_THREADS must be >= 1")
-    return cap
 
 
 def convex_hull_mesh(points: np.ndarray) -> poly.TriangulatedPolytope:
@@ -121,7 +108,6 @@ def cmd_validate(args) -> int:
         "euler": mesh.n - mesh.num_edges + mesh.num_faces,
         "diameter": metrics.mesh_diameter,
         "theta_m_face": metrics.theta_m,
-        "theta_m_vertex_fan": metrics.theta_m_vertex_fan,
         "surface_area": mesh.surface_area(),
     }
     if args.eps is not None:
@@ -285,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except (OSError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

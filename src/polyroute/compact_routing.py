@@ -17,16 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Plane, Tolerance, DEFAULT_TOL
-from .patching import PatchDecomposition
-from .polytope import TriangulatedPolytope
 from .spanner import SpannerGraph
 
 __all__ = [
     "Disconnected",
     "NodeLabel",
     "LandmarkScheme",
-    "MarkedVertexInfo",
     "tz_preprocess",
     "tz_next_hop",
     "tz_route_nodes",
@@ -79,14 +75,6 @@ class LandmarkScheme:
         total += len(self.to_landmark_next.get(node, ()))
         total += len(self.landmark_full_next.get(node, ()))
         return total
-
-
-@dataclass
-class MarkedVertexInfo:
-    steiner: int
-    edge: tuple[int, int]
-    lift: np.ndarray
-    marked: tuple[int, int]
 
 
 def tz_preprocess(graph: SpannerGraph, seed: int | None = None) -> LandmarkScheme:
@@ -242,51 +230,30 @@ def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkSch
 
 
 def materialize_plane_entries(
-    scheme: LandmarkScheme,
-    graph: SpannerGraph,
-    decomp: PatchDecomposition,
-    P: TriangulatedPolytope,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[dict[tuple[int, int], tuple[int, Plane | None]], dict[int, MarkedVertexInfo]]:
-    """For every next-hop pair stored anywhere in the scheme, precompute the
-    guiding plane: orthogonal to the sketch face carrying the spanner edge
-    and containing both endpoints' lifted points. Also collect the marked
-    vertices serving each Steiner node."""
+    scheme: LandmarkScheme, graph: SpannerGraph,
+) -> dict[tuple[int, int], int]:
+    """The sketch face of every next-hop pair stored anywhere in the scheme,
+    keyed (min, max): the face of the spanner edge joining the pair. A leg
+    along the hop runs in that face; its guiding plane is orthogonal to the
+    face and is built where the leg starts, so no plane is stored."""
     edge_face: dict[tuple[int, int], int] = {}
     for (u, v, _w, f) in graph.edges:
         edge_face.setdefault((min(u, v), max(u, v)), f)
-    snap = tol.snap(P.diameter())
 
     used: set[tuple[int, int]] = set()
-    for x, table in scheme.exact_next.items():
-        used.update((x, w) for w in table.values())
-    for x, table in scheme.to_landmark_next.items():
-        used.update((x, w) for w in table.values())
-    for ell, table in scheme.landmark_full_next.items():
-        used.update((ell, w) for w in table.values())
+    for group in (scheme.exact_next, scheme.to_landmark_next, scheme.landmark_full_next):
+        for x, table in group.items():
+            used.update((x, w) for w in table.values())
 
-    planes: dict[tuple[int, int], tuple[int, Plane | None]] = {}
+    faces: dict[tuple[int, int], int] = {}
     for x, w in used:
         key = (min(x, w), max(x, w))
-        if key in planes:
+        if key in faces:
             continue
         face = edge_face.get(key)
         if face is None:
             # next hops are graph neighbours; every pair has a face
             common = set(graph.nodes[x].patches) & set(graph.nodes[w].patches)
             face = min(common) if common else min(graph.nodes[x].patches)
-        a = graph.nodes[key[0]].lift3d
-        b = graph.nodes[key[1]].lift3d
-        if float(np.linalg.norm(b - a)) <= snap:
-            planes[key] = (face, None)
-            continue
-        gamma = decomp.patches[face].gamma
-        planes[key] = (face, Plane.through_points_orthogonal_to(a, b, gamma.normal))
-
-    marked: dict[int, MarkedVertexInfo] = {}
-    for n in graph.nodes:
-        if n.kind == "steiner":
-            marked[n.id] = MarkedVertexInfo(
-                steiner=n.id, edge=n.edge_of_p, lift=n.lift3d, marked=n.marked,
-            )
-    return planes, marked
+        faces[key] = face
+    return faces

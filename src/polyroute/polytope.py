@@ -2,8 +2,8 @@
 
 The accepted input is a closed, consistently oriented triangle mesh whose
 vertices all lie on the inner side of every face plane (within tolerance).
-Adjacency indices (edge -> faces, cyclic vertex fans, opposite faces) are
-built once at load time; the structure is immutable afterwards.
+Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) are built
+once at load time; the structure is immutable afterwards.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, Plane, Tolerance, corner_angle
+from .geometry import DEFAULT_TOL, Tolerance, corner_angle
 
 __all__ = [
     "PolytopeError",
@@ -65,7 +65,6 @@ class TriangulatedPolytope:
     edge_adjacency: dict = field(default_factory=dict)
     vertex_fan: dict = field(default_factory=dict)
     neighbors: dict = field(default_factory=dict)
-    opposite_face: np.ndarray | None = None
     face_normals: np.ndarray | None = None
     face_offsets: np.ndarray | None = None
     tol: Tolerance = DEFAULT_TOL
@@ -89,9 +88,6 @@ class TriangulatedPolytope:
     def edge_length(self, u: int, v: int) -> float:
         return float(np.linalg.norm(self.vertices[u] - self.vertices[v]))
 
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def diameter(self) -> float:
         # max pairwise distance, cached; fine at the mesh sizes this targets
         if self._diameter is None:
@@ -105,14 +101,6 @@ class TriangulatedPolytope:
         cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         return float(0.5 * np.linalg.norm(cross, axis=1).sum())
 
-    def face_plane(self, f: int) -> Plane:
-        i, j, k = self.faces[f]
-        return Plane(self.vertices[i], self.vertices[j] - self.vertices[i],
-                     self.vertices[k] - self.vertices[i])
-
-    def faces_of_vertex(self, v: int) -> list[int]:
-        return self.vertex_fan[v]
-
     def other_face(self, f: int, u: int, v: int) -> int:
         a, b = self.edge_adjacency[(min(u, v), max(u, v))]
         return b if a == f else a
@@ -123,7 +111,6 @@ class PolytopeMetrics:
     theta_m: float
     mesh_diameter: float
     n: int
-    theta_m_vertex_fan: float = float("nan")
 
 
 def load_off(text: str | bytes, tol: Tolerance = DEFAULT_TOL) -> TriangulatedPolytope:
@@ -241,15 +228,6 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
         nbrs[v].add(u)
     P.neighbors = {v: sorted(s) for v, s in nbrs.items()}
 
-    # face across the edge opposite corner k of each face
-    opp = np.empty((len(P.faces), 3), dtype=np.int64)
-    for fi, f in enumerate(P.faces):
-        for k in range(3):
-            u, v = int(f[(k + 1) % 3]), int(f[(k + 2) % 3])
-            a, b = P.edge_adjacency[(min(u, v), max(u, v))]
-            opp[fi, k] = b if a == fi else a
-    P.opposite_face = opp
-
     P.vertex_fan = {v: _fan_around(P, v) for v in range(P.n)}
 
     normals = np.cross(
@@ -320,26 +298,12 @@ def dual_graph(P: TriangulatedPolytope) -> list[list[int]]:
 
 
 def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
-    """theta_m = half the minimum corner angle over all faces.
-
-    The vertex-fan reading (consecutive edges around each vertex) coincides
-    with the per-face reading on a closed triangulated surface; both values
-    are reported so `validate` can expose them side by side.
-    """
+    """theta_m = half the minimum corner angle over all faces. On a closed
+    triangulated surface every corner is also a consecutive edge pair of some
+    vertex fan, so this is the vertex-fan reading as well."""
     min_angle = math.inf
     for f in P.faces:
         pts = P.vertices[f]
         for k in range(3):
             min_angle = min(min_angle, corner_angle(pts, k, P.tol))
-    fan_min = math.inf
-    for v in range(P.n):
-        for fi in P.vertex_fan[v]:
-            f = P.faces[fi]
-            k = int(np.where(f == v)[0][0])
-            fan_min = min(fan_min, corner_angle(P.vertices[f], k, P.tol))
-    return PolytopeMetrics(
-        theta_m=0.5 * min_angle,
-        mesh_diameter=P.diameter(),
-        n=P.n,
-        theta_m_vertex_fan=0.5 * fan_min,
-    )
+    return PolytopeMetrics(theta_m=0.5 * min_angle, mesh_diameter=P.diameter(), n=P.n)

@@ -13,14 +13,13 @@ as degenerate events and never silently truncate a route.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Plane, Tolerance, DEFAULT_TOL
+from .geometry import Plane
 from .compact_routing import NodeLabel, tz_next_hop
-from .tables import EntryKind, RoutingSystem
+from .tables import RoutingSystem
 
 __all__ = [
     "RoutingError",
@@ -86,7 +85,6 @@ class PacketHeader:
     dest_label: NodeLabel
     pseudo: Target | None = None
     plane: Plane | None = None
-    prev_vertex: int = -1
     tz_word: str = "local"
     hop_count: int = 0
     # tracer state; carried with the packet so forwarding stays one-pass
@@ -156,8 +154,7 @@ def _node_target(system: RoutingSystem, node_id: int) -> Target:
 
 
 def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
-             target: Target, gamma_normal: np.ndarray,
-             stored_plane: Plane | None = None) -> None:
+             target: Target, gamma_normal: np.ndarray) -> None:
     P = system.P
     header.pseudo = target
     header.gamma_normal = gamma_normal
@@ -166,12 +163,9 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
         header.plane = None
         header.sig = None
     else:
-        plane = stored_plane
-        if plane is None or abs(float(plane.signed_distance(P.vertices[v]))) > snap:
-            # anchor the guiding plane at the forwarding vertex itself
-            plane = Plane.through_points_orthogonal_to(
-                P.vertices[v], target.point, gamma_normal
-            )
+        # the guiding plane runs from the forwarding vertex to the aim point,
+        # orthogonal to the sketch face the leg runs in
+        plane = Plane.through_points_orthogonal_to(P.vertices[v], target.point, gamma_normal)
         header.plane = plane
         header.sig = plane.signed_distance(P.vertices)
     header.front = None
@@ -214,8 +208,7 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             _set_leg(v, header, system,
                      Target("vertex", P.vertices[entry.dest], (entry.dest,),
                             vertex=entry.dest),
-                     system.patch_gamma(int(system.decomp.owner_of_vertex[v])).normal,
-                     stored_plane=entry.plane)
+                     system.patch_gamma(int(system.decomp.owner_of_vertex[v])).normal)
             nxt = None
         else:
             t = header.dest_vertex
@@ -224,17 +217,18 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
                 entry = table.entries[("v", t)]
                 header.tz_word = "local"
                 _set_leg(v, header, system,
-                         Target("vertex", P.vertices[t], (t,), vertex=t),
-                         system.patch_gamma(owner).normal, stored_plane=entry.plane)
+                         Target("vertex", P.vertices[entry.dest], (entry.dest,),
+                                vertex=entry.dest),
+                         system.patch_gamma(owner).normal)
                 nxt = None
             elif label.patch == owner:
                 rep_vertex = system.graph.nodes[label.node].vertex
                 entry = table.entries[("v", rep_vertex)]
                 header.tz_word = "local"
                 _set_leg(v, header, system,
-                         Target("vertex", P.vertices[rep_vertex], (rep_vertex,),
-                                vertex=rep_vertex, node=label.node),
-                         system.patch_gamma(owner).normal, stored_plane=entry.plane)
+                         Target("vertex", P.vertices[entry.dest], (entry.dest,),
+                                vertex=entry.dest, node=label.node),
+                         system.patch_gamma(owner).normal)
                 nxt = None
             else:
                 nxt = _consult_node(table.g_node, v, label, header, system)
@@ -253,8 +247,9 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
                   system: RoutingSystem):
     """Spanner-level decision at the node owned by (or relayed through) v.
 
-    Same-face targets are routed by a direct plane entry (their scheme
-    entries are pruned); anything else takes the compact-routing next hop.
+    Same-face targets get a direct leg (their scheme entries are pruned);
+    anything else takes the compact-routing next hop, in the sketch face
+    that the derived hop-face map gives the pair.
     Returns v to signal an immediate re-switch, None when a leg was set.
     """
     node = system.graph.nodes[node_id]
@@ -268,7 +263,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         return None
     w = tz_next_hop(system.scheme, node_id, target_node)
     key = (min(node_id, w), max(node_id, w))
-    face, stored = system.gedge_planes.get(key, (min(node.patches), None))
+    face = system.hop_faces.get(key, min(node.patches))
     header.tz_word = "global"
     tgt = _node_target(system, w)
     snap = system.P.tol.snap(system.P.diameter())
@@ -276,8 +271,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
-    _set_leg(v, header, system, tgt, system.patch_gamma(face).normal,
-             stored_plane=stored)
+    _set_leg(v, header, system, tgt, system.patch_gamma(face).normal)
     return None
 
 
@@ -484,7 +478,6 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
                 case = "PseudoSwitch"
             elif header.hop_count == 0:
                 case = "FirstHop"
-        header.prev_vertex = current
         header.hop_count += 1
         return nxt, case
 

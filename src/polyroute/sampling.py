@@ -60,15 +60,6 @@ class RepresentativeAssignment:
     members: dict[int, list[int]] = field(default_factory=dict)
     patch_reps: dict[int, list[int]] = field(default_factory=dict)
 
-    def is_representative(self, v: int) -> bool:
-        return self.rep_of.get(v) == v
-
-    def rep_of_cell(self, patch: int, cell: int) -> int | None:
-        for r in self.patch_reps.get(patch, []):
-            if self.cell_of[r] == (patch, cell):
-                return r
-        return None
-
 
 def build_grid(projection: Projection, eps: float) -> Grid:
     """Square grid over the bounding rectangle of the projected points with

@@ -108,9 +108,6 @@ class SpannerGraph:
             adj[v].append((u, w))
         self.adjacency = adj
 
-    def face_subgraph(self, pid: int) -> list[tuple[int, int, float]]:
-        return [(u, v, w) for (u, v, w, f) in self.edges if f == pid]
-
 
 def build_theta_graph(
     points: np.ndarray, eps: float, node_ids: list[int] | None = None,

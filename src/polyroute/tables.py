@@ -1,15 +1,19 @@
 """Per-vertex routing tables on the polytope and their serialization.
 
-Table kinds: a non-representative vertex holds exactly one entry (the plane
-toward its representative); a representative holds one plane entry per cell
-member and per same-patch representative, plus its compact-routing tables
-over the spanner (stored once in the shared scheme and attributed to the
-representative, or to both marked vertices for a Steiner node); marked
-vertices hold relay entries for the Steiner nodes on their edge.
+Table kinds: a non-representative vertex holds exactly one entry (toward its
+representative); a representative holds one entry per cell member and per
+same-patch representative, plus its compact-routing tables over the spanner
+(stored once in the shared scheme and attributed to the representative, or
+to both marked vertices for a Steiner node); marked vertices hold relay
+entries for the Steiner nodes on their edge. An entry is just (kind, dest):
+the router builds each leg's guiding plane at the forwarding vertex.
 
 The .prt byte format is self-contained (mesh included): magic PRT1, version,
-little-endian length-prefixed sections, CRC32 trailer. Planes are serialized
-as an anchor plus two direction points.
+little-endian length-prefixed sections, CRC32 trailer. It stores only what
+cannot be derived: meta, mesh, patches (planes as anchor, dir1, dir2),
+assignment, spanner nodes and edges, and the landmark scheme. `deserialize`
+rebuilds theta_m, the hop faces and the vertex tables through the same tail
+as `preprocess_mesh`, so a loaded system equals the built one.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, fr
 from .patching import (
     Patch,
     PatchDecomposition,
-    Sketch,
     build_sketch,
     compute_patches,
     project_patch,
@@ -35,7 +38,6 @@ from .sampling import RepresentativeAssignment, build_grid, select_representativ
 from .spanner import DisconnectedSpanner, SpannerGraph, SpannerNode, build_spanner
 from .compact_routing import (
     LandmarkScheme,
-    MarkedVertexInfo,
     NodeLabel,
     materialize_plane_entries,
     prune_intra_face,
@@ -59,7 +61,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 1
+VERSION = 2
 
 
 class SerializationError(ValueError):
@@ -82,24 +84,19 @@ class EntryKind(Enum):
     TO_MY_REP = 0
     REP_TO_MEMBER = 1
     REP_TO_REP_SAME_PATCH = 2
-    GLOBAL = 3
-    MARKED_RELAY = 4
+    MARKED_RELAY = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingEntry:
     kind: EntryKind
     dest: int
-    plane: Plane | None
-    next_pseudo: int | None
 
 
 @dataclass
 class RoutingTable:
     vertex: int
     entries: dict = field(default_factory=dict)
-    neighbour_map: dict = field(default_factory=dict)
-    opposite_face_map: dict = field(default_factory=dict)
     g_node: int = -1
 
     def local_entry_count(self) -> int:
@@ -118,15 +115,11 @@ class RoutingSystem:
     assignment: RepresentativeAssignment | None = None
     graph: SpannerGraph | None = None
     scheme: LandmarkScheme | None = None
-    gedge_planes: dict = field(default_factory=dict)
-    marked_info: dict = field(default_factory=dict)
+    hop_faces: dict = field(default_factory=dict)  # (min, max) node pair -> sketch face
     tables: dict = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return self.P is None
-
-    def rep_of(self, v: int) -> int:
-        return self.assignment.rep_of[v]
 
     def label_of_vertex(self, t: int) -> tuple[int, NodeLabel]:
         rep = self.assignment.rep_of[t]
@@ -169,58 +162,31 @@ def build_tables(
     decomp: PatchDecomposition,
     assignment: RepresentativeAssignment,
     graph: SpannerGraph,
-    marked_info: dict[int, MarkedVertexInfo],
-    tol: Tolerance = DEFAULT_TOL,
 ) -> dict[int, RoutingTable]:
-    marked_map: dict[int, list[int]] = {}
-    for info in marked_info.values():
-        for x in sorted(set(info.marked)):
-            marked_map.setdefault(x, []).append(info.steiner)
+    relays: dict[int, list[int]] = {}
+    for node in graph.nodes:
+        if node.kind == "steiner":
+            for x in sorted(set(node.marked)):
+                relays.setdefault(x, []).append(node.id)
 
     tables: dict[int, RoutingTable] = {}
     for v in range(P.n):
-        owner = int(decomp.owner_of_vertex[v])
-        gamma = decomp.patches[owner].gamma
         entries: dict = {}
         r = assignment.rep_of[v]
         if r != v:
-            entries[("v", r)] = RoutingEntry(
-                EntryKind.TO_MY_REP, r,
-                Plane.through_points_orthogonal_to(P.vertices[v], P.vertices[r], gamma.normal),
-                r,
-            )
+            entries[("v", r)] = RoutingEntry(EntryKind.TO_MY_REP, r)
         else:
             for m in assignment.members.get(v, ()):
-                if m == v:
-                    continue
-                entries[("v", m)] = RoutingEntry(
-                    EntryKind.REP_TO_MEMBER, m,
-                    Plane.through_points_orthogonal_to(P.vertices[v], P.vertices[m], gamma.normal),
-                    m,
-                )
+                if m != v:
+                    entries[("v", m)] = RoutingEntry(EntryKind.REP_TO_MEMBER, m)
+            owner = int(decomp.owner_of_vertex[v])
             for r2 in assignment.patch_reps.get(owner, ()):
-                if r2 == v:
-                    continue
-                entries[("v", r2)] = RoutingEntry(
-                    EntryKind.REP_TO_REP_SAME_PATCH, r2,
-                    Plane.through_points_orthogonal_to(P.vertices[v], P.vertices[r2], gamma.normal),
-                    r2,
-                )
-        for s in marked_map.get(v, ()):
-            entries[("s", s)] = RoutingEntry(EntryKind.MARKED_RELAY, s, None, None)
-
-        fan = P.vertex_fan[v]
-        opposite = {}
-        for fi in fan:
-            k = int(np.where(P.faces[fi] == v)[0][0])
-            opposite[fi] = int(P.opposite_face[fi, k])
-        tables[v] = RoutingTable(
-            vertex=v,
-            entries=entries,
-            neighbour_map={w: graph.node_of_vertex.get(w, -1) for w in P.neighbors[v]},
-            opposite_face_map=opposite,
-            g_node=graph.node_of_vertex.get(v, -1),
-        )
+                if r2 != v:
+                    entries[("v", r2)] = RoutingEntry(EntryKind.REP_TO_REP_SAME_PATCH, r2)
+        for s in relays.get(v, ()):
+            entries[("s", s)] = RoutingEntry(EntryKind.MARKED_RELAY, s)
+        tables[v] = RoutingTable(vertex=v, entries=entries,
+                                 g_node=graph.node_of_vertex.get(v, -1))
     return tables
 
 
@@ -257,12 +223,18 @@ def preprocess_mesh(
             pid, cell = assignment.cell_of[n.vertex]
             scheme.labels[n.id] = NodeLabel(n.id, scheme.home[n.id], pid, cell)
     scheme = prune_intra_face(scheme, graph)
-    gedge_planes, marked_info = materialize_plane_entries(scheme, graph, decomp, P, tol)
-    tables = build_tables(P, decomp, assignment, graph, marked_info, tol)
+    return _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme)
+
+
+def _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
+    """The tail shared by `preprocess_mesh` and `deserialize`: derive the
+    sketch face of every scheme next hop and the per-vertex tables from the
+    stored data, so a loaded system equals the built one by construction."""
     return RoutingSystem(
         P=P, eps=eps, delta=delta, metrics=metrics, decomp=decomp,
         assignment=assignment, graph=graph, scheme=scheme,
-        gedge_planes=gedge_planes, marked_info=marked_info, tables=tables,
+        hop_faces=materialize_plane_entries(scheme, graph),
+        tables=build_tables(P, decomp, assignment, graph),
     )
 
 
@@ -276,8 +248,6 @@ _SEC_ASSIGN = 4
 _SEC_NODES = 5
 _SEC_EDGES = 6
 _SEC_SCHEME = 7
-_SEC_PLANES = 8
-_SEC_VTABLES = 9
 
 
 class _Writer:
@@ -296,14 +266,10 @@ class _Writer:
     def i64s(self, arr):
         self.buf += np.ascontiguousarray(arr, dtype="<i8").tobytes()
 
-    def plane(self, p: Plane | None):
-        if p is None:
-            self.u8(0)
-            return
-        self.u8(1)
+    def plane(self, p: Plane):
         self.f64s(p.anchor)
-        self.f64s(p.anchor + p.dir1)
-        self.f64s(p.anchor + p.dir2)
+        self.f64s(p.dir1)
+        self.f64s(p.dir2)
 
 
 class _Reader:
@@ -330,13 +296,8 @@ class _Reader:
     def i64s(self, count) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<i8").astype(np.int64)
 
-    def plane(self) -> Plane | None:
-        if self.u8() == 0:
-            return None
-        anchor = self.f64s(3)
-        p1 = self.f64s(3)
-        p2 = self.f64s(3)
-        return Plane(anchor, p1 - anchor, p2 - anchor)
+    def plane(self) -> Plane:
+        return Plane(self.f64s(3), self.f64s(3), self.f64s(3))
 
 
 def serialize(system: RoutingSystem) -> bytes:
@@ -350,8 +311,6 @@ def serialize(system: RoutingSystem) -> bytes:
         sections.append((_SEC_NODES, _write_nodes(system.graph)))
         sections.append((_SEC_EDGES, _write_edges(system.graph)))
         sections.append((_SEC_SCHEME, _write_scheme(system.scheme)))
-        sections.append((_SEC_PLANES, _write_planes(system.gedge_planes)))
-        sections.append((_SEC_VTABLES, _write_vtables(system.tables, system.P.n)))
     head = _Writer()
     head.buf += MAGIC
     head.u16(VERSION)
@@ -488,41 +447,13 @@ def _write_scheme(s: LandmarkScheme) -> bytes:
     return bytes(w.buf)
 
 
-def _write_planes(planes: dict) -> bytes:
-    w = _Writer()
-    w.u32(len(planes))
-    for (u, v) in sorted(planes):
-        face, plane = planes[(u, v)]
-        w.u32(u); w.u32(v); w.i64(face)
-        w.plane(plane)
-    return bytes(w.buf)
-
-
-def _write_vtables(tables: dict[int, RoutingTable], n: int) -> bytes:
-    w = _Writer()
-    w.u32(n)
-    for v in range(n):
-        t = tables[v]
-        w.i64(t.g_node)
-        w.u32(len(t.entries))
-        for key in sorted(t.entries, key=lambda k: (k[0], k[1])):
-            e = t.entries[key]
-            w.u8(e.kind.value)
-            w.i64(e.dest)
-            w.plane(e.plane)
-            w.i64(e.next_pseudo if e.next_pseudo is not None else -1)
-        _write_intmap(w, t.neighbour_map)
-        _write_intmap(w, t.opposite_face_map)
-    return bytes(w.buf)
-
-
 def _read_intmap(r: _Reader) -> dict[int, int]:
     return {r.i64(): r.i64() for _ in range(r.u32())}
 
 
 def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     for tag in (_SEC_META, _SEC_MESH, _SEC_PATCHES, _SEC_ASSIGN, _SEC_NODES,
-                _SEC_EDGES, _SEC_SCHEME, _SEC_PLANES, _SEC_VTABLES):
+                _SEC_EDGES, _SEC_SCHEME):
         if tag not in payloads:
             raise TruncatedStream(f"missing section {tag}")
     r = payloads[_SEC_META]
@@ -643,41 +574,8 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         landmark_full_next=groups[2], labels=labels, pruned=pruned,
     )
 
-    r = payloads[_SEC_PLANES]
-    gedge_planes = {}
-    for _ in range(r.u32()):
-        u, v = r.u32(), r.u32()
-        face = r.i64()
-        gedge_planes[(u, v)] = (int(face), r.plane())
-
-    r = payloads[_SEC_VTABLES]
-    tn = r.u32()
-    tables = {}
-    for v in range(tn):
-        g_node = r.i64()
-        entries = {}
-        for _ in range(r.u32()):
-            kind = EntryKind(r.u8())
-            dest = r.i64()
-            plane = r.plane()
-            nxt = r.i64()
-            key = ("s", dest) if kind is EntryKind.MARKED_RELAY else ("v", dest)
-            entries[key] = RoutingEntry(kind, dest, plane, None if nxt < 0 else nxt)
-        neighbour_map = _read_intmap(r)
-        opposite = _read_intmap(r)
-        tables[v] = RoutingTable(v, entries, neighbour_map, opposite, g_node)
-
-    marked_info = {
-        nd.id: MarkedVertexInfo(nd.id, nd.edge_of_p, nd.lift3d, nd.marked)
-        for nd in nodes if nd.kind == "steiner"
-    }
-    metrics = compute_theta_m(P)
-    graph.connected = True
-    return RoutingSystem(
-        P=P, eps=eps, delta=delta, metrics=metrics, decomp=decomp,
-        assignment=assignment, graph=graph, scheme=scheme,
-        gedge_planes=gedge_planes, marked_info=marked_info, tables=tables,
-    )
+    return _derive_rest(P, eps, delta, compute_theta_m(P), decomp, assignment,
+                        graph, scheme)
 
 
 def to_json(system: RoutingSystem) -> str:
@@ -696,6 +594,8 @@ def to_json(system: RoutingSystem) -> str:
                 "id": p.id,
                 "rep_face": p.rep_face,
                 "anchor": p.gamma.anchor.tolist(),
+                "dir1": p.gamma.dir1.tolist(),
+                "dir2": p.gamma.dir2.tolist(),
                 "normal": p.gamma.normal.tolist(),
             }
             for p in system.decomp.patches
@@ -714,19 +614,8 @@ def to_json(system: RoutingSystem) -> str:
         "tables": {
             str(v): {
                 "g_node": t.g_node,
-                "entries": [
-                    {
-                        "kind": e.kind.name,
-                        "dest": e.dest,
-                        "next": e.next_pseudo,
-                        "plane": None if e.plane is None else {
-                            "anchor": e.plane.anchor.tolist(),
-                            "p1": (e.plane.anchor + e.plane.dir1).tolist(),
-                            "p2": (e.plane.anchor + e.plane.dir2).tolist(),
-                        },
-                    }
-                    for e in t.entries.values()
-                ],
+                "entries": [{"kind": e.kind.name, "dest": e.dest}
+                            for e in t.entries.values()],
             }
             for v, t in sorted(system.tables.items())
         },

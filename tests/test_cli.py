@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -43,9 +44,12 @@ def test_gen_sphere_too_small_errors(capsys):
 
 
 def test_validate_reports_both_theta_readings(tetra_off, capsys):
+    # the per-face reading equals the vertex-fan reading (pi/6 on the regular
+    # tetrahedron), so validate reports the one value
     assert main(["validate", tetra_off, "--eps", "0.5", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["theta_m_face"] == pytest.approx(doc["theta_m_vertex_fan"])
+    assert doc["theta_m_face"] == pytest.approx(math.pi / 6)
+    assert "theta_m_vertex_fan" not in doc
     assert doc["patches"] == 4
     assert "max_normal_cone_width" in doc
 
@@ -145,9 +149,3 @@ def test_console_script_smoke(tmp_path):
     assert out.returncode == 0
     assert out.stdout.startswith("OFF\n6 8 12")
 
-
-def test_thread_cap_env(monkeypatch, tetra_off, capsys):
-    monkeypatch.setenv("POLYROUTE_THREADS", "2")
-    assert main(["validate", tetra_off]) == EXIT_OK
-    monkeypatch.setenv("POLYROUTE_THREADS", "0")
-    assert main(["validate", tetra_off]) == EXIT_VALIDATION

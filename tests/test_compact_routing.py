@@ -174,19 +174,23 @@ def test_total_entries_scaling(sphere50_system, sphere100):
     assert sys100.scheme.entry_count() <= 4.0 * c * n_nodes ** 1.5
 
 
-def test_materialized_planes_orthogonal_and_containing(tetra_system):
-    system = tetra_system
-    tol = 1e-9 * system.P.diameter()
-    assert system.gedge_planes
-    for (u, v), (face, plane) in system.gedge_planes.items():
-        if plane is None:
-            continue
-        gamma = system.patch_gamma(face)
-        # orthogonal: the face normal lies inside the stored plane
-        assert abs(float(plane.normal @ gamma.normal)) <= 1e-9
-        for node_id in (u, v):
-            lift = system.graph.nodes[node_id].lift3d
-            assert abs(float(plane.signed_distance(lift))) <= tol
+def test_hop_faces_are_edge_faces(sphere50_system):
+    # every next hop stored in the scheme has the face of its spanner edge,
+    # a sketch face both endpoints lie on
+    system = sphere50_system
+    g, scheme = system.graph, system.scheme
+    edge_faces = {}
+    for u, v, _w, f in g.edges:
+        edge_faces.setdefault((min(u, v), max(u, v)), f)
+    hops = {(min(x, w), max(x, w))
+            for group in (scheme.exact_next, scheme.to_landmark_next,
+                          scheme.landmark_full_next)
+            for x, table in group.items() for w in table.values()}
+    assert hops and set(system.hop_faces) == hops
+    for (u, v), face in system.hop_faces.items():
+        assert face == edge_faces[(u, v)]
+        assert face in g.nodes[u].patches and face in g.nodes[v].patches
+    assert materialize_plane_entries(scheme, g) == system.hop_faces
 
 
 def test_label_bit_length_scaling(sphere50_system):

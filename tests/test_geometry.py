@@ -13,6 +13,7 @@ from polyroute.geometry import (
     Plane,
     Tolerance,
     corner_angle,
+    cross3,
     segment_plane_intersect,
     unfold_across_edge,
 )
@@ -59,6 +60,20 @@ def test_corner_angle_near_collinear_rejected():
     tri = np.array([[0.0, 0, 0], [1, 0, 0], [2, tol.eps_abs / 10, 0]])
     with pytest.raises(DegenerateFace):
         corner_angle(tri, 0)
+
+
+def test_cross3_matches_np_cross_bitwise():
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** rng.integers(-8, 9, size=(2000, 2))
+    a = rng.normal(size=(2000, 3)) * scales[:, :1]
+    b = rng.normal(size=(2000, 3)) * scales[:, 1:]
+    a[:100] = rng.integers(-2, 3, size=(100, 3))  # exact zeros and signed zeros
+    b[:100] = -a[:100]
+    for x, y in zip(a, b):
+        got = cross3(x, y)
+        want = np.cross(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_unfold_coplanar_is_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
+from polyroute.geometry import corner_angle
 from polyroute.polytope import (
     NonConvex,
     NonTriangular,
@@ -120,8 +121,15 @@ def test_theta_m_octa(octa):
 
 
 def test_theta_m_readings_agree(sphere50):
+    # the per-face reading equals the vertex-fan reading, taken here from the
+    # corner of each face at every vertex of its fan
     metrics = compute_theta_m(sphere50)
-    assert metrics.theta_m == pytest.approx(metrics.theta_m_vertex_fan)
+    fan_min = min(
+        corner_angle(sphere50.vertices[sphere50.faces[fi]],
+                     int(np.where(sphere50.faces[fi] == v)[0][0]))
+        for v in range(sphere50.n) for fi in sphere50.vertex_fan[v]
+    )
+    assert metrics.theta_m == 0.5 * fan_min
     assert metrics.theta_m <= math.pi / 6 + 1e-12
 
 

@@ -57,6 +57,36 @@ def test_make_packet_rejects_unknown(sphere50_system):
         make_packet(0, 5000, sphere50_system)
 
 
+def _assert_plane_guides_leg(system, header, v):
+    # the installed plane holds the forwarding vertex and the aim point, and
+    # contains the normal of the sketch face the leg runs in
+    if header.plane is None:  # the aim point coincides with v
+        assert np.linalg.norm(header.pseudo.point - system.P.vertices[v]) < 1e-9
+        return
+    tol = 1e-9 * system.P.diameter()
+    assert abs(float(header.plane.signed_distance(system.P.vertices[v]))) <= tol
+    assert abs(float(header.plane.signed_distance(header.pseudo.point))) <= tol
+    assert abs(float(header.plane.normal @ header.gamma_normal)) <= 1e-9
+
+
+def test_installed_planes_contain_vertex_and_aim(sphere50_system):
+    system = sphere50_system
+    legs = 0
+    for s, t in random_pairs(system.P.n, 150, seed=8):
+        header = make_packet(s, t, system)
+        _assert_plane_guides_leg(system, header, s)
+        current = s
+        while current != t:
+            before = len(header.legs)
+            nxt, _case = step(current, header, system)
+            if len(header.legs) != before:
+                assert header.legs[-1]["source"] == current
+                _assert_plane_guides_leg(system, header, current)
+                legs += 1
+            current = nxt
+    assert legs > 100
+
+
 def test_tetra_all_pairs_single_hop(tetra_system):
     for s, t in itertools.permutations(range(4), 2):
         trace = route(s, t, tetra_system)
