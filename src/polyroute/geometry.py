@@ -184,23 +184,26 @@ def segment_plane_intersect(
 
 
 def corner_angle(face: np.ndarray, at: int, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Interior angle of a triangle at vertex index `at`, in radians."""
+    """Interior angle of a triangle at vertex index `at`, in radians.
+
+    Python-float arithmetic with each sum written out left to right;
+    `polytope.compute_theta_m` repeats it column-wise over all faces and
+    relies on getting the same bits."""
     pts = np.asarray(face, dtype=np.float64)
     if pts.shape != (3, 3):
         raise GeometryError("face must consist of exactly 3 points")
-    p = pts[at % 3]
-    q = pts[(at + 1) % 3]
-    r = pts[(at + 2) % 3]
-    e1 = q - p
-    e2 = r - p
-    n1 = float(np.linalg.norm(e1))
-    n2 = float(np.linalg.norm(e2))
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = pts[[at % 3, (at + 1) % 3, (at + 2) % 3]].tolist()
+    a0, a1, a2 = q0 - p0, q1 - p1, q2 - p2
+    b0, b1, b2 = r0 - p0, r1 - p1, r2 - p2
+    n1 = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    n2 = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
     if n1 <= tol.eps_abs or n2 <= tol.eps_abs:
         raise DegenerateFace("face has a near-zero edge")
-    sin_area = float(np.linalg.norm(cross3(e1, e2))) / (n1 * n2)
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    sin_area = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / (n1 * n2)
     if sin_area <= tol.eps_abs:
         raise DegenerateFace("face is near-collinear")
-    cosang = float(np.dot(e1, e2)) / (n1 * n2)
+    cosang = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 

@@ -3,7 +3,10 @@
 The accepted input is a closed, consistently oriented triangle mesh whose
 vertices all lie on the inner side of every face plane (within tolerance).
 Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) are built
-once at load time; the structure is immutable afterwards.
+once at load time, in time linear in the face count; the structure is
+immutable afterwards. The two all-pairs passes (convexity against every face
+plane, and the diameter) run over fixed blocks of rows, so no step holds
+more than O(n + F) memory per block.
 """
 from __future__ import annotations
 
@@ -14,7 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, Tolerance, corner_angle
+from .geometry import DEFAULT_TOL, DegenerateFace, Tolerance
+
+_BLOCK = 64  # rows per block in the pairwise passes of diameter() and _check_convex
 
 __all__ = [
     "PolytopeError",
@@ -89,11 +94,21 @@ class TriangulatedPolytope:
         return float(np.linalg.norm(self.vertices[u] - self.vertices[v]))
 
     def diameter(self) -> float:
-        # max pairwise distance, cached; fine at the mesh sizes this targets
+        """Max pairwise vertex distance, cached. Each block of rows is set
+        only against the vertices from its own first row on (d2 is
+        symmetric), so memory stays O(_BLOCK * n); d2 is summed per
+        coordinate left to right, as a sum over the last axis of an
+        n x n x 3 array of squared differences sums it."""
         if self._diameter is None:
-            v = self.vertices
-            d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-            self._diameter = float(np.sqrt(d2.max()))
+            x, y, z = (self.vertices[:, k].copy() for k in range(3))
+            best = 0.0
+            for i in range(0, len(x), _BLOCK):
+                j = i + _BLOCK
+                d2 = (x[i:j, None] - x[None, i:]) ** 2
+                d2 += (y[i:j, None] - y[None, i:]) ** 2
+                d2 += (z[i:j, None] - z[None, i:]) ** 2
+                best = max(best, float(d2.max()))
+            self._diameter = math.sqrt(best)
         return self._diameter
 
     def surface_area(self) -> float:
@@ -189,9 +204,8 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray,
 
 def _orient_outward(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     directed = set()
-    for f in faces:
-        for k in range(3):
-            e = (int(f[k]), int(f[(k + 1) % 3]))
+    for a, b, c in faces.tolist():
+        for e in ((a, b), (b, c), (c, a)):
             if e in directed:
                 raise ParseError("inconsistent face orientation (repeated half-edge)")
             directed.add(e)
@@ -207,11 +221,11 @@ def _orient_outward(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def _build_adjacency(P: TriangulatedPolytope) -> None:
+    faces = P.faces.tolist()
     edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, f in enumerate(P.faces):
-        for k in range(3):
-            u, v = int(f[k]), int(f[(k + 1) % 3])
-            key = (min(u, v), max(u, v))
+    for fi, (a, b, c) in enumerate(faces):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
             edge_faces.setdefault(key, []).append(fi)
     for key, fl in edge_faces.items():
         if len(fl) != 2:
@@ -228,7 +242,7 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
         nbrs[v].add(u)
     P.neighbors = {v: sorted(s) for v, s in nbrs.items()}
 
-    P.vertex_fan = {v: _fan_around(P, v) for v in range(P.n)}
+    P.vertex_fan = _vertex_fans(P, faces)
 
     normals = np.cross(
         P.vertices[P.faces[:, 1]] - P.vertices[P.faces[:, 0]],
@@ -241,37 +255,52 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
     P.face_offsets = np.einsum("ij,ij->i", P.face_normals, P.vertices[P.faces[:, 0]])
 
 
-def _fan_around(P: TriangulatedPolytope, v: int) -> list[int]:
-    start = None
-    for fi, f in enumerate(P.faces):
-        if v in f:
-            start = fi
-            break
-    if start is None:
-        raise NotClosed(f"vertex {v} is not referenced by any face")
-    fan = [start]
-    current = start
-    while True:
-        f = P.faces[current]
-        k = int(np.where(f == v)[0][0])
-        nxt_vertex = int(f[(k + 1) % 3])  # walk across the radial edge (v, next)
-        nxt = P.other_face(current, v, nxt_vertex)
-        if nxt == start:
-            break
-        if nxt in fan:
+def _vertex_fans(P: TriangulatedPolytope, faces: list[list[int]]) -> dict[int, list[int]]:
+    """The faces around each vertex in walking order, from its lowest-index
+    face. One pass over the faces finds every start face and counts each
+    vertex's faces; each walk crosses the radial edge (v, next) until it is
+    back at the start. With every half-edge present once and reversed once
+    (checked before), the walk is a cycle, so a fan that misses some of the
+    vertex's faces marks a non-manifold vertex (two cones meeting there)."""
+    start = [-1] * P.n
+    count = [0] * P.n
+    for fi, f in enumerate(faces):
+        for v in f:
+            if start[v] < 0:
+                start[v] = fi
+            count[v] += 1
+    fans = {}
+    for v in range(P.n):
+        if start[v] < 0:
+            raise NotClosed(f"vertex {v} is not referenced by any face")
+        fan = [start[v]]
+        current = start[v]
+        while True:
+            f = faces[current]
+            nxt = P.other_face(current, v, f[(f.index(v) + 1) % 3])
+            if nxt == start[v]:
+                break
+            fan.append(nxt)
+            current = nxt
+        if len(fan) != count[v]:
             raise NotClosed(f"non-manifold fan at vertex {v}")
-        fan.append(nxt)
-        current = nxt
-    return fan
+        fans[v] = fan
+    return fans
 
 
 def _check_convex(P: TriangulatedPolytope) -> None:
+    # vertex-to-plane distances over blocks of vertex rows, O(_BLOCK * F)
+    # memory; col_max[f] is the largest distance of any vertex to face f
     scale = float(np.abs(P.vertices).max())
     thr = P.tol.eps_abs + P.tol.eps_rel * scale * 100.0
-    dists = P.vertices @ P.face_normals.T - P.face_offsets[None, :]
-    worst = float(dists.max())
+    col_max = np.full(P.num_faces, -np.inf)
+    for i in range(0, P.n, _BLOCK):
+        dists = P.vertices[i:i + _BLOCK] @ P.face_normals.T
+        dists -= P.face_offsets
+        np.maximum(col_max, dists.max(axis=0), out=col_max)
+    worst = float(col_max.max())
     if worst > thr:
-        fi = int(np.argmax(dists.max(axis=0)))
+        fi = int(np.argmax(col_max))
         raise NonConvex(
             f"vertex lies {worst:.3e} outside the plane of face {fi} (threshold {thr:.3e})"
         )
@@ -300,10 +329,29 @@ def dual_graph(P: TriangulatedPolytope) -> list[list[int]]:
 def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
     """theta_m = half the minimum corner angle over all faces. On a closed
     triangulated surface every corner is also a consecutive edge pair of some
-    vertex fan, so this is the vertex-fan reading as well."""
-    min_angle = math.inf
-    for f in P.faces:
-        pts = P.vertices[f]
-        for k in range(3):
-            min_angle = min(min_angle, corner_angle(pts, k, P.tol))
+    vertex fan, so this is the vertex-fan reading as well.
+
+    The corners are computed column-wise over all faces with the arithmetic
+    of `geometry.corner_angle`, term for term, so every cosine matches that
+    function's bit for bit; acos is decreasing, so the smallest angle is the
+    acos of the largest cosine."""
+    V = P.vertices
+    eps = P.tol.eps_abs
+    max_cos = -1.0
+    for k in range(3):
+        p = V[P.faces[:, k]]
+        e1 = V[P.faces[:, (k + 1) % 3]] - p
+        e2 = V[P.faces[:, (k + 2) % 3]] - p
+        a0, a1, a2 = e1[:, 0], e1[:, 1], e1[:, 2]
+        b0, b1, b2 = e2[:, 0], e2[:, 1], e2[:, 2]
+        n1 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+        n2 = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+        if ((n1 <= eps) | (n2 <= eps)).any():
+            raise DegenerateFace("face has a near-zero edge")
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        if (np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / (n1 * n2) <= eps).any():
+            raise DegenerateFace("face is near-collinear")
+        cos = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
+        max_cos = max(max_cos, float(cos.max()))
+    min_angle = math.acos(min(1.0, max_cos))
     return PolytopeMetrics(theta_m=0.5 * min_angle, mesh_diameter=P.diameter(), n=P.n)

@@ -249,6 +249,18 @@ _SEC_NODES = 5
 _SEC_EDGES = 6
 _SEC_SCHEME = 7
 
+# fixed-size records, packed little-endian; each section writes and reads its
+# records as one array of these
+_REP_REC = np.dtype([("vertex", "<i8"), ("point", "<f8", (2,))])
+_NODE_REC = np.dtype([
+    ("kind", "u1"), ("vertex", "<i8"), ("patch_a", "<u4"), ("patch_b", "<i8"),
+    ("point3d", "<f8", (3,)), ("lift3d", "<f8", (3,)),
+    ("edge_of_p", "<i8", (2,)), ("marked", "<i8", (2,)),
+])
+_EDGE_REC = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
+_HOME_REC = np.dtype([("node", "<i8"), ("home", "<i8"), ("dist", "<f8")])
+_LABEL_REC = np.dtype([(name, "<i8") for name in ("key", "node", "home", "patch", "cell")])
+
 
 class _Writer:
     def __init__(self):
@@ -271,6 +283,10 @@ class _Writer:
         self.f64s(p.dir1)
         self.f64s(p.dir2)
 
+    def records(self, dtype: np.dtype, rows: list[tuple]):
+        self.u32(len(rows))
+        self.buf += np.array(rows, dtype=dtype).tobytes()
+
 
 class _Reader:
     def __init__(self, buf: bytes):
@@ -287,7 +303,6 @@ class _Reader:
     def u8(self): return struct.unpack("<B", self.take(1))[0]
     def u16(self): return struct.unpack("<H", self.take(2))[0]
     def u32(self): return struct.unpack("<I", self.take(4))[0]
-    def i64(self): return struct.unpack("<q", self.take(8))[0]
     def f64(self): return struct.unpack("<d", self.take(8))[0]
 
     def f64s(self, count) -> np.ndarray:
@@ -298,6 +313,11 @@ class _Reader:
 
     def plane(self) -> Plane:
         return Plane(self.f64s(3), self.f64s(3), self.f64s(3))
+
+    def records(self, dtype: np.dtype) -> np.ndarray:
+        """A u32 count, then that many records, as one structured array."""
+        count = self.u32()
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
 
 
 def serialize(system: RoutingSystem) -> bytes:
@@ -385,70 +405,57 @@ def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
     cell_arr = np.array([a.cell_of[v][1] for v in range(n)], dtype=np.int64)
     w.i64s(rep_arr)
     w.i64s(cell_arr)
-    w.u32(len(a.reps))
-    for r in a.reps:
-        w.i64(r)
-        w.f64s(a.rep_point[r])
+    w.records(_REP_REC, [(r, a.rep_point[r]) for r in a.reps])
     return bytes(w.buf)
 
 
 def _write_nodes(g: SpannerGraph) -> bytes:
     w = _Writer()
-    w.u32(len(g.nodes))
-    for nd in g.nodes:
-        w.u8(0 if nd.kind == "rep" else 1)
-        w.i64(nd.vertex if nd.vertex is not None else -1)
-        w.u32(nd.patches[0])
-        w.i64(nd.patches[1] if len(nd.patches) > 1 else -1)
-        w.f64s(nd.point3d)
-        w.f64s(nd.lift3d)
-        e = nd.edge_of_p or (-1, -1)
-        w.i64(e[0]); w.i64(e[1])
-        m = nd.marked or (-1, -1)
-        w.i64(m[0]); w.i64(m[1])
+    w.records(_NODE_REC, [
+        (0 if nd.kind == "rep" else 1,
+         nd.vertex if nd.vertex is not None else -1,
+         nd.patches[0],
+         nd.patches[1] if len(nd.patches) > 1 else -1,
+         nd.point3d, nd.lift3d,
+         nd.edge_of_p or (-1, -1),
+         nd.marked or (-1, -1))
+        for nd in g.nodes
+    ])
     return bytes(w.buf)
 
 
 def _write_edges(g: SpannerGraph) -> bytes:
     w = _Writer()
-    w.u32(len(g.edges))
-    for u, v, wt, f in g.edges:
-        w.u32(u); w.u32(v); w.f64(wt); w.u32(f)
+    w.records(_EDGE_REC, g.edges)
     return bytes(w.buf)
-
-
-def _write_intmap(w: _Writer, m: dict[int, int]) -> None:
-    w.u32(len(m))
-    for k in sorted(m):
-        w.i64(k)
-        w.i64(m[k])
 
 
 def _write_scheme(s: LandmarkScheme) -> bytes:
     w = _Writer()
     w.u8(1 if s.pruned else 0)
     w.u32(len(s.landmarks))
-    for ell in s.landmarks:
-        w.i64(ell)
-    w.u32(len(s.home))
-    for u in sorted(s.home):
-        w.i64(u)
-        w.i64(s.home[u])
-        w.f64(s.dist_to_set[u])
+    w.i64s(s.landmarks)
+    w.records(_HOME_REC, [(u, s.home[u], s.dist_to_set[u]) for u in sorted(s.home)])
     for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
         w.u32(len(group))
         for u in sorted(group):
+            m = group[u]
             w.i64(u)
-            _write_intmap(w, group[u])
-    w.u32(len(s.labels))
-    for u in sorted(s.labels):
-        lb = s.labels[u]
-        w.i64(u); w.i64(lb.node); w.i64(lb.home); w.i64(lb.patch); w.i64(lb.cell)
+            w.u32(len(m))
+            w.i64s([x for k in sorted(m) for x in (k, m[k])])
+    w.records(_LABEL_REC, [(u, lb.node, lb.home, lb.patch, lb.cell)
+                           for u, lb in sorted(s.labels.items())])
     return bytes(w.buf)
 
 
-def _read_intmap(r: _Reader) -> dict[int, int]:
-    return {r.i64(): r.i64() for _ in range(r.u32())}
+def _read_intmap_group(r: _Reader) -> dict[int, dict[int, int]]:
+    """Per node: its id, a u32 size and that many (key, next hop) i64 pairs."""
+    group = {}
+    for _ in range(r.u32()):
+        u, size = struct.unpack("<qI", r.take(12))
+        flat = struct.unpack(f"<{2 * size}q", r.take(16 * size))
+        group[u] = dict(zip(flat[::2], flat[1::2]))
+    return group
 
 
 def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
@@ -482,62 +489,52 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         ))
     patch_of_face = r.i64s(nf)
     owner = r.i64s(n)
-    for fi, pid in enumerate(patch_of_face):
+    for fi, (pid, f) in enumerate(zip(patch_of_face.tolist(), faces.tolist())):
         patches[pid].faces.append(fi)
-        patches[pid].vertices.update(int(x) for x in faces[fi])
+        patches[pid].vertices.update(f)
     decomp = PatchDecomposition(patches, patch_of_face, owner, pdelta)
 
     r = payloads[_SEC_ASSIGN]
     an = r.u32()
-    rep_arr = r.i64s(an)
-    cell_arr = r.i64s(an)
-    nreps = r.u32()
-    reps = []
-    rep_point = {}
-    for _ in range(nreps):
-        rv = r.i64()
-        reps.append(rv)
-        rep_point[rv] = r.f64s(2)
+    rep_list = r.i64s(an).tolist()
+    cell_list = r.i64s(an).tolist()
+    owner_list = owner.tolist()
+    rec = r.records(_REP_REC)
+    reps = rec["vertex"].tolist()
+    rep_point = dict(zip(reps, rec["point"].astype(np.float64)))
     members: dict[int, list[int]] = {}
-    for v in range(an):
-        members.setdefault(int(rep_arr[v]), []).append(v)
+    for v, rv in enumerate(rep_list):
+        members.setdefault(rv, []).append(v)
     patch_reps: dict[int, list[int]] = {}
     for rv in reps:
-        patch_reps.setdefault(int(owner[rv]), []).append(rv)
+        patch_reps.setdefault(owner_list[rv], []).append(rv)
     assignment = RepresentativeAssignment(
         reps=reps,
-        rep_of={v: int(rep_arr[v]) for v in range(an)},
-        cell_of={v: (int(owner[v]), int(cell_arr[v])) for v in range(an)},
+        rep_of=dict(enumerate(rep_list)),
+        cell_of={v: (owner_list[v], cell_list[v]) for v in range(an)},
         rep_point=rep_point,
         members=members,
         patch_reps=patch_reps,
     )
 
-    r = payloads[_SEC_NODES]
-    ncount = r.u32()
+    rec = payloads[_SEC_NODES].records(_NODE_REC)
     nodes = []
-    for nid in range(ncount):
-        kind = "rep" if r.u8() == 0 else "steiner"
-        vertex = r.i64()
-        pa = r.u32()
-        pb = r.i64()
-        point3d = r.f64s(3)
-        lift3d = r.f64s(3)
-        eu, ev = r.i64(), r.i64()
-        mx, my = r.i64(), r.i64()
-        patches_t = (pa,) if pb < 0 else (pa, int(pb))
+    columns = [rec[name].tolist() for name in
+               ("kind", "vertex", "patch_a", "patch_b", "edge_of_p", "marked")]
+    columns += [rec["point3d"].astype(np.float64), rec["lift3d"].astype(np.float64)]
+    for nid, (kind, vertex, pa, pb, (eu, ev), (mx, my), point3d, lift3d) in enumerate(
+            zip(*columns)):
+        patches_t = (pa,) if pb < 0 else (pa, pb)
         nodes.append(SpannerNode(
-            id=nid, kind=kind, patches=patches_t,
+            id=nid, kind="rep" if kind == 0 else "steiner", patches=patches_t,
             pos2d={pid: decomp.patches[pid].to_2d(point3d) for pid in patches_t},
             point3d=point3d, lift3d=lift3d,
-            vertex=None if vertex < 0 else int(vertex),
-            edge_of_p=None if eu < 0 else (int(eu), int(ev)),
-            marked=None if mx < 0 else (int(mx), int(my)),
+            vertex=None if vertex < 0 else vertex,
+            edge_of_p=None if eu < 0 else (eu, ev),
+            marked=None if mx < 0 else (mx, my),
         ))
 
-    r = payloads[_SEC_EDGES]
-    ecount = r.u32()
-    edges = [(r.u32(), r.u32(), r.f64(), r.u32()) for _ in range(ecount)]
+    edges = payloads[_SEC_EDGES].records(_EDGE_REC).tolist()
     per_face: dict[int, list[int]] = {}
     for nd in nodes:
         for pid in nd.patches:
@@ -550,24 +547,13 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
 
     r = payloads[_SEC_SCHEME]
     pruned = r.u8() == 1
-    landmarks = [r.i64() for _ in range(r.u32())]
-    home = {}
-    dist_to_set = {}
-    for _ in range(r.u32()):
-        u = r.i64()
-        home[u] = r.i64()
-        dist_to_set[u] = r.f64()
-    groups = []
-    for _ in range(3):
-        group = {}
-        for _j in range(r.u32()):
-            u = r.i64()
-            group[u] = _read_intmap(r)
-        groups.append(group)
-    labels = {}
-    for _ in range(r.u32()):
-        u = r.i64()
-        labels[u] = NodeLabel(r.i64(), r.i64(), r.i64(), r.i64())
+    landmarks = r.i64s(r.u32()).tolist()
+    rec = r.records(_HOME_REC)
+    home_nodes = rec["node"].tolist()
+    home = dict(zip(home_nodes, rec["home"].tolist()))
+    dist_to_set = dict(zip(home_nodes, rec["dist"].tolist()))
+    groups = [_read_intmap_group(r) for _ in range(3)]
+    labels = {key: NodeLabel(*rest) for key, *rest in r.records(_LABEL_REC).tolist()}
     scheme = LandmarkScheme(
         landmarks=landmarks, home=home, dist_to_set=dist_to_set,
         exact_next=groups[0], to_landmark_next=groups[1],

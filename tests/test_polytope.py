@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
-from polyroute.geometry import corner_angle
+from polyroute.geometry import DegenerateFace, corner_angle
 from polyroute.polytope import (
     NonConvex,
     NonTriangular,
     NotClosed,
     compute_theta_m,
     dual_graph,
+    from_arrays,
     load_off,
     save_off,
 )
@@ -166,3 +168,103 @@ def test_vertex_fans_are_cyclic(sphere50):
         fan = sphere50.vertex_fan[v]
         assert len(fan) == len(set(fan))
         assert len(fan) == len(sphere50.neighbors[v])
+
+
+@pytest.fixture(scope="module")
+def hulls300():
+    return [generate_mesh("sphere", 300, seed) for seed in range(5)]
+
+
+def _reference_fans(P):
+    # the O(n * F) construction: scan all faces for the vertex's first face,
+    # then walk across the radial edge (v, next) back to it
+    faces = P.faces.tolist()
+    fans = {}
+    for v in range(P.n):
+        start = next(fi for fi, f in enumerate(faces) if v in f)
+        fan = [start]
+        while True:
+            f = faces[fan[-1]]
+            nxt = P.other_face(fan[-1], v, f[(f.index(v) + 1) % 3])
+            if nxt == start:
+                break
+            assert nxt not in fan
+            fan.append(nxt)
+        fans[v] = fan
+    return fans
+
+
+def test_vertex_fans_match_reference_scan(tetra, cube, octa, sphere50, hulls300):
+    for P in [tetra, cube, octa, sphere50, *hulls300]:
+        assert list(P.vertex_fan.items()) == list(_reference_fans(P).items())
+
+
+def test_unreferenced_vertex_rejected():
+    # the tetrahedron on vertices 1-4 plus an inner vertex 0 that no face uses
+    text = """OFF
+5 4 6
+0.1 0.1 0.1
+1 1 1
+1 -1 -1
+-1 1 -1
+-1 -1 1
+3 1 2 3
+3 1 4 2
+3 1 3 4
+3 2 4 3
+"""
+    with pytest.raises(NotClosed):
+        load_off(text)
+
+
+def test_non_manifold_vertex_rejected(octa):
+    # a second octahedron on copies of the first's equator, sharing only its
+    # two apexes: every edge bounds two faces and the Euler characteristic is
+    # 2, but each apex has two separate fans of four faces
+    apexes = [int(np.argmax(octa.vertices[:, 2])), int(np.argmin(octa.vertices[:, 2]))]
+    copy_of = {v: v if v in apexes else octa.n + v for v in range(octa.n)}
+    verts = np.vstack([octa.vertices, octa.vertices])
+    faces = np.vstack([octa.faces, [[copy_of[v] for v in f] for f in octa.faces.tolist()]])
+    keep = [v for v in range(2 * octa.n) if v - octa.n not in apexes]
+    remap = {old: new for new, old in enumerate(keep)}
+    faces = np.array([[remap[v] for v in f] for f in faces.tolist()])
+    with pytest.raises(NotClosed, match="non-manifold"):
+        from_arrays(verts[keep], faces)
+
+
+def test_theta_m_is_half_the_smallest_corner_angle(tetra, cube, octa, sphere50, hulls300):
+    for P in [tetra, cube, octa, sphere50, *hulls300]:
+        smallest = min(corner_angle(P.vertices[f], k) for f in P.faces for k in range(3))
+        assert compute_theta_m(P).theta_m == 0.5 * smallest
+
+
+def test_theta_m_rejects_sliver_face():
+    # d sits 1e-10 off the middle of edge ab: a valid tetrahedron whose face
+    # abd has a corner angle too flat to measure
+    verts = np.array([[0.0, 0, 0], [100.0, 0, 0], [50.0, 1e-10, 0], [50.0, 50, 50]])
+    P = from_arrays(verts, np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]))
+    with pytest.raises(DegenerateFace):
+        corner_angle(verts[[0, 1, 2]], 2)
+    with pytest.raises(DegenerateFace):
+        compute_theta_m(P)
+
+
+def test_diameter_matches_all_pairs(sphere50, hulls300):
+    for P in [sphere50, *hulls300]:
+        v = P.vertices
+        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+        assert P.diameter() == float(np.sqrt(d2.max()))
+
+
+def test_large_mesh_load_memory_is_bounded():
+    # an n x n x 3 or n x F temporary at n=6400 alone would be 0.7-1 GB
+    hull = generate_mesh("sphere", 6400, 0)
+    tracemalloc.start()
+    try:
+        P = from_arrays(hull.vertices, hull.faces)
+        compute_theta_m(P)
+        P.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6

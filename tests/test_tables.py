@@ -132,6 +132,58 @@ def test_truncated_rejected(tetra_system):
         deserialize(blob[:10])
 
 
+def _sections(blob: bytes) -> list[tuple[int, bytes]]:
+    import struct
+
+    (count,) = struct.unpack_from("<I", blob, 8)
+    pos, out = 12, []
+    for _ in range(count):
+        tag, length = struct.unpack_from("<BQ", blob, pos)
+        out.append((tag, blob[pos + 9:pos + 9 + length]))
+        pos += 9 + length
+    return out
+
+
+def _container(sections: list[tuple[int, bytes]]) -> bytes:
+    # a well-formed file around the given payloads: lengths and CRC agree
+    import struct
+    import zlib
+
+    out = bytearray(b"PRT1" + struct.pack("<HHI", 2, 0, len(sections)))
+    for tag, payload in sections:
+        out += struct.pack("<BQ", tag, len(payload)) + payload
+    return bytes(out + struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("tag", [5, 6, 7], ids=["nodes", "edges", "scheme"])
+def test_truncated_section_rejected(sphere50_system, tag):
+    sections = _sections(serialize(sphere50_system))
+    assert _container(sections) == serialize(sphere50_system)
+    payload = dict(sections)[tag]
+    for cut in sorted({0, 3, 5, *range(9, len(payload), max(1, len(payload) // 40))}):
+        short = [(t, p[:cut] if t == tag else p) for t, p in sections]
+        with pytest.raises(TruncatedStream):
+            deserialize(_container(short))
+
+
+def test_loaded_json_and_int_keys(sphere50_system):
+    import json
+
+    loaded = deserialize(serialize(sphere50_system))
+    doc = json.loads(to_json(loaded))
+    assert doc["landmarks"] == sphere50_system.scheme.landmarks
+    s = loaded.scheme
+    assert all(type(x) is int for x in s.landmarks)
+    assert all(type(u) is int and type(h) is int for u, h in s.home.items())
+    assert all(type(d) is float for d in s.dist_to_set.values())
+    for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
+        for u, m in group.items():
+            assert type(u) is int
+            assert all(type(k) is int and type(w) is int for k, w in m.items())
+    for u, lb in s.labels.items():
+        assert {type(x) for x in (u, lb.node, lb.home, lb.patch, lb.cell)} == {int}
+
+
 def _with_version(blob: bytes, version: int) -> bytes:
     import struct
     import zlib
