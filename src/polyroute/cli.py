@@ -31,18 +31,15 @@ def convex_hull_mesh(points: np.ndarray) -> poly.TriangulatedPolytope:
     """Triangulated convex hull with outward-oriented faces."""
     points = np.asarray(points, dtype=np.float64)
     hull = ConvexHull(points)
-    used = sorted(set(hull.vertices))
-    remap = {old: new for new, old in enumerate(used)}
+    used = np.unique(hull.vertices)
+    remap = np.empty(len(points), dtype=np.int64)
+    remap[used] = np.arange(len(used))
     verts = points[used]
-    center = verts.mean(axis=0)
-    faces = []
-    for simplex in hull.simplices:
-        tri = [remap[int(i)] for i in simplex]
-        a, b, c = (verts[tri[0]], verts[tri[1]], verts[tri[2]])
-        if float(np.cross(b - a, c - a) @ (a - center)) < 0:
-            tri = [tri[0], tri[2], tri[1]]
-        faces.append(tri)
-    return poly.from_arrays(verts, np.asarray(faces, dtype=np.int64))
+    faces = remap[hull.simplices]
+    a, b, c = (verts[faces[:, k]] for k in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a - verts.mean(axis=0)) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    return poly.from_arrays(verts, faces)
 
 
 def generate_mesh(shape: str, n: int = 0, seed: int = 0) -> poly.TriangulatedPolytope:

@@ -229,31 +229,10 @@ def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkSch
     return scheme
 
 
-def materialize_plane_entries(
-    scheme: LandmarkScheme, graph: SpannerGraph,
-) -> dict[tuple[int, int], int]:
-    """The sketch face of every next-hop pair stored anywhere in the scheme,
-    keyed (min, max): the face of the spanner edge joining the pair. A leg
-    along the hop runs in that face; its guiding plane is orthogonal to the
-    face and is built where the leg starts, so no plane is stored."""
-    edge_face: dict[tuple[int, int], int] = {}
-    for (u, v, _w, f) in graph.edges:
-        edge_face.setdefault((min(u, v), max(u, v)), f)
-
-    used: set[tuple[int, int]] = set()
-    for group in (scheme.exact_next, scheme.to_landmark_next, scheme.landmark_full_next):
-        for x, table in group.items():
-            used.update((x, w) for w in table.values())
-
-    faces: dict[tuple[int, int], int] = {}
-    for x, w in used:
-        key = (min(x, w), max(x, w))
-        if key in faces:
-            continue
-        face = edge_face.get(key)
-        if face is None:
-            # next hops are graph neighbours; every pair has a face
-            common = set(graph.nodes[x].patches) & set(graph.nodes[w].patches)
-            face = min(common) if common else min(graph.nodes[x].patches)
-        faces[key] = face
-    return faces
+def materialize_plane_entries(graph: SpannerGraph) -> dict[tuple[int, int], int]:
+    """The sketch face of every spanner edge, keyed (min, max) node pair:
+    the face of the pair's first edge. Every next hop stored in the scheme
+    is a spanner neighbour, so this covers them all. A leg along the hop runs
+    in that face; its guiding plane is orthogonal to the face and is built
+    where the leg starts, so no plane is stored."""
+    return graph.edge_faces

@@ -7,6 +7,14 @@ a representative is empty of same-face representatives but its extension
 faces. Steiner nodes sit on a boundary edge shared by exactly two sketch
 faces and participate in both faces' Theta-graphs, which is what stitches
 the per-face spanners into one global graph.
+
+A cone's extension is traced by a breadth-first search over the sketch
+faces, each unfolded into the start face's plane. The 2D map that unfolds a
+face depends only on the search path from the start face, so each start
+face keeps one unfolding tree (`_Unfolded`): a node per path, holding the
+composed map and the face's polygon, bounding circle and representatives
+already unfolded. Every cone of every representative of that face walks
+and grows the same tree, so each composition is paid for once.
 """
 from __future__ import annotations
 
@@ -50,11 +58,19 @@ class ConeFan:
     boundary_tol: float = 1e-12
 
     def index_of(self, angle: float) -> int:
-        a = angle % (2.0 * math.pi)
-        raw = int(a // self.width) % self.count
-        if a - raw * self.width <= self.boundary_tol:
-            raw = (raw - 1) % self.count
-        return raw
+        return self.indices_of((angle,))[0]
+
+    def indices_of(self, angles) -> list[int]:
+        """`index_of` over a sequence of angles, in one loop."""
+        two_pi, width, count, tol = 2.0 * math.pi, self.width, self.count, self.boundary_tol
+        out = []
+        for angle in angles:
+            a = angle % two_pi
+            raw = int(a // width) % count
+            if a - raw * width <= tol:
+                raw = (raw - 1) % count
+            out.append(raw)
+        return out
 
     def bisector(self, k: int) -> float:
         return (k + 0.5) * self.width
@@ -91,22 +107,28 @@ class SpannerGraph:
     adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     node_of_vertex: dict[int, int] = field(default_factory=dict)
     connected: bool = True
+    # (min, max) node pair -> face of the pair's first edge
+    edge_faces: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
     def build_adjacency(self) -> None:
+        """Fill `adjacency` and `edge_faces` in one pass over the edges. A
+        pair recurs when both faces of a Steiner node hold it; its first
+        edge gives its weight and its face."""
         adj: dict[int, list[tuple[int, float]]] = {n.id: [] for n in self.nodes}
-        seen: set[tuple[int, int]] = set()
-        for u, v, w, _f in self.edges:
-            key = (min(u, v), max(u, v))
-            if key in seen:
+        faces: dict[tuple[int, int], int] = {}
+        for u, v, w, f in self.edges:
+            key = (u, v) if u < v else (v, u)
+            if key in faces:
                 continue
-            seen.add(key)
+            faces[key] = f
             adj[u].append((v, w))
             adj[v].append((u, w))
         self.adjacency = adj
+        self.edge_faces = faces
 
 
 def build_theta_graph(
@@ -124,43 +146,56 @@ def build_theta_graph(
     if k <= 1:
         return []
     fan = cone_fan(eps)
+    bisectors = [fan.bisector(c) for c in range(fan.count)]
+    cos = math.cos
     edges: dict[tuple[int, int], float] = {}
     for i in range(k):
         rel = pts - pts[i]
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)
-        scale = float(dist.max())
-        snap = tol.snap(scale)
+        dist_arr = np.hypot(rel[:, 0], rel[:, 1])
+        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
+        snap = tol.snap(float(dist_arr.max()))
+        dist = dist_arr.tolist()
         best: dict[int, tuple[float, int, int]] = {}
-        for j in range(k):
-            if j == i or dist[j] <= snap:
+        for j, (d, a, c) in enumerate(zip(dist, ang, fan.indices_of(ang))):
+            if j == i or d <= snap:
                 continue
-            c = fan.index_of(float(ang[j]))
-            proj = dist[j] * math.cos(float(ang[j]) - fan.bisector(c))
-            cand = (proj, node_ids[j], j)
-            if c not in best or cand < best[c]:
+            cand = (d * cos(a - bisectors[c]), node_ids[j], j)
+            held = best.get(c)
+            if held is None or cand < held:
                 best[c] = cand
         for _proj, j_id, j in best.values():
             a, b = node_ids[i], j_id
             key = (min(a, b), max(a, b))
-            edges.setdefault(key, float(dist[j]))
+            edges.setdefault(key, dist[j])
     return [(a, b, w) for (a, b), w in sorted(edges.items())]
 
 
 # ---------------------------------------------------------------------------
 # extended-cone tracing over the unfolded sketch
+#
+# Everything from here to the end of the Steiner lift must give the bits the
+# plain numpy formulation gave: the spanner, and so the `.prt` bytes, depend
+# on every comparison below. Small BLAS-backed products (`@`, `np.dot`,
+# `np.linalg.norm`) do not round like left-to-right float arithmetic, so each
+# one is kept as it is, or computed once and reused where its inputs repeat.
+# Only elementwise expressions (subtract, multiply, divide, compare) run over
+# Python floats, with the same terms in the same order.
 
 
 @dataclass
 class _FaceMaps:
-    """Per sketch face: polygon, per-edge neighbour, and the 2D rigid map
-    carrying the neighbour's frame into this face's frame after unfolding."""
+    """Per sketch face: polygon, per-edge neighbour, and `hops`: per edge
+    with a neighbour face, in edge order, that face and the 2D rigid map
+    carrying its frame into this face's frame after unfolding. `edges`
+    holds, per polygon edge, its start point and edge vector (as arrays and
+    as floats) and the edge vector's squared length."""
 
     poly: np.ndarray
     neighbors: np.ndarray
-    edge_to_neighbor: dict[int, tuple[int, np.ndarray, np.ndarray]]
+    hops: list[tuple[int, np.ndarray, np.ndarray]]
     center: np.ndarray = None
     radius: float = 0.0
+    edges: list = field(default_factory=list)
 
 
 def _build_face_maps(
@@ -170,7 +205,7 @@ def _build_face_maps(
     maps: dict[int, _FaceMaps] = {}
     for f in sketch.faces:
         patch = decomp.patches[f.patch_id]
-        edge_maps: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        hops: list[tuple[int, np.ndarray, np.ndarray]] = []
         poly3 = f.polygon3d(patch)
         kk = len(f.polygon2d)
         for k in range(kk):
@@ -184,71 +219,129 @@ def _build_face_maps(
             cols = rigid.rotation @ np.stack([nb_patch.frame_u, nb_patch.frame_v], axis=1)
             m2 = np.stack([patch.frame_u, patch.frame_v]) @ cols
             t2 = patch.to_2d(rigid.apply(nb_patch.frame_origin))
-            edge_maps[k] = (j, m2, t2)
+            hops.append((j, m2, t2))
         center = f.polygon2d.mean(axis=0)
         radius = float(np.linalg.norm(f.polygon2d - center, axis=1).max())
-        maps[f.patch_id] = _FaceMaps(f.polygon2d, f.neighbor_patch, edge_maps,
-                                     center=center, radius=radius)
+        edges = []
+        for k in range(kk):
+            a = f.polygon2d[k]
+            seg = f.polygon2d[(k + 1) % kk] - a
+            edges.append((a, seg, a.tolist(), seg.tolist(), float(seg @ seg)))
+        maps[f.patch_id] = _FaceMaps(f.polygon2d, f.neighbor_patch, hops,
+                                     center=center, radius=radius, edges=edges)
     return maps
 
 
-def _wedge_dirs(fan: ConeFan, c: int) -> tuple[np.ndarray, np.ndarray]:
+class _Unfolded:
+    """A node of a start face's unfolding tree: the sketch face `pid` reached
+    from the start face along one BFS path, with the composed 2D rigid map
+    (m2, t2) carrying its frame into the start face's frame. The map depends
+    on the path alone, not on the apex or the cone, so all cones of all
+    representatives of a start face share one tree. A node keeps what the
+    cone tests read, unfolded and as Python floats: its bounding-circle
+    centre, and from their first use on, its polygon and its representatives
+    (empty at the root). Child i, across the face's i-th hop, is unfolded on
+    first use."""
+
+    __slots__ = ("fm", "pid", "m2", "t2", "center", "poly", "reps", "children")
+
+    def __init__(self, fm: _FaceMaps, pid: int, m2: np.ndarray, t2: np.ndarray,
+                 center: tuple[float, float] = (0.0, 0.0)) -> None:
+        self.fm = fm
+        self.pid = pid
+        self.m2 = m2
+        self.t2 = t2
+        self.center = center
+        self.poly: tuple[list[float], list[float]] | None = None
+        self.reps: list | None = None
+        self.children: list[_Unfolded | None] = [None] * len(fm.hops)
+
+    def unfold(self, i: int, face_maps: dict[int, _FaceMaps]) -> _Unfolded:
+        nb, em, et = self.fm.hops[i]
+        nm = self.m2 @ em
+        nt = self.m2 @ et + self.t2
+        fm = face_maps[nb]
+        node = self.children[i] = _Unfolded(
+            fm, nb, nm, nt, center=tuple((nm @ fm.center + nt).tolist()))
+        return node
+
+    def unfold_poly(self) -> tuple[list[float], list[float]]:
+        unfolded = self.fm.poly @ self.m2.T + self.t2
+        self.poly = (unfolded[:, 0].tolist(), unfolded[:, 1].tolist())
+        return self.poly
+
+    def unfold_reps(self, reps2d: dict[int, np.ndarray]) -> list:
+        pts = reps2d.get(self.pid)
+        self.reps = (pts @ self.m2.T + self.t2).tolist() if pts is not None and len(pts) else []
+        return self.reps
+
+
+def _unfolding_root(fm: _FaceMaps, pid: int) -> _Unfolded:
+    root = _Unfolded(fm, pid, np.eye(2), np.zeros(2))
+    root.reps = []  # the search is for the reps of other faces
+    return root
+
+
+def _wedge_dirs(fan: ConeFan, c: int) -> tuple[tuple[float, float], tuple[float, float]]:
     lo, hi = fan.bounds(c)
-    return (
-        np.array([math.cos(lo), math.sin(lo)]),
-        np.array([math.cos(hi), math.sin(hi)]),
-    )
+    return (math.cos(lo), math.sin(lo)), (math.cos(hi), math.sin(hi))
 
 
-def _points_in_open_wedge(
-    pts: np.ndarray, apex: np.ndarray, d1: np.ndarray, d2: np.ndarray, snap: float
-) -> np.ndarray:
-    rel = pts - apex
-    c1 = d1[0] * rel[:, 1] - d1[1] * rel[:, 0]  # left of lower ray
-    c2 = d2[0] * rel[:, 1] - d2[1] * rel[:, 0]  # right of upper ray
-    far = np.hypot(rel[:, 0], rel[:, 1]) > snap
-    return (c1 > snap) & (c2 < -snap) & far
+def _reps_in_open_wedge(reps: list, apex, d1, d2, snap: float) -> bool:
+    """Whether any point lies in the open wedge (more than snap inside both
+    rays and farther than snap from the apex)."""
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    for x, y in reps:
+        rx, ry = x - ax, y - ay
+        if (d1x * ry - d1y * rx > snap and d2x * ry - d2y * rx < -snap
+                and float(np.hypot(rx, ry)) > snap):
+            return True
+    return False
 
 
-def _polygon_meets_wedge(
-    poly: np.ndarray, apex: np.ndarray, d1: np.ndarray, d2: np.ndarray, snap: float
-) -> bool:
-    pts = poly
-    for d, sgn in ((d1, 1.0), (d2, -1.0)):
-        vals = sgn * (d[0] * (pts[:, 1] - apex[1]) - d[1] * (pts[:, 0] - apex[0]))
-        keep: list[np.ndarray] = []
-        k = len(pts)
-        for i in range(k):
-            j = (i + 1) % k
-            vi, vj = float(vals[i]), float(vals[j])
-            if vi >= -snap:
-                keep.append(pts[i])
-            if (vi > snap and vj < -snap) or (vi < -snap and vj > snap):
-                t = vi / (vi - vj)
-                keep.append(pts[i] + t * (pts[j] - pts[i]))
-        if len(keep) == 0:
-            return False
-        pts = np.asarray(keep)
-        vals = None
-    return True
+def _polygon_meets_wedge(poly: tuple[list[float], list[float]], apex, d1, d2,
+                         snap: float) -> bool:
+    """Whether a convex polygon, given as its x and its y coordinates, meets
+    the closed wedge at `apex` between the rays `d1` and `d2`, widened by
+    snap. The polygon is clipped to the left of d1, Sutherland-Hodgman
+    style, and the wedge is met iff a clipped point lies right of d2."""
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    xs, ys = poly
+    vals = [d1x * (y - ay) - d1y * (x - ax) for x, y in zip(xs, ys)]
+    k = len(xs)
+    for i in range(k):
+        j = i + 1 if i + 1 < k else 0
+        vi, vj = vals[i], vals[j]
+        if vi >= -snap:
+            x, y = xs[i], ys[i]
+            if d2x * (y - ay) - d2y * (x - ax) <= snap:
+                return True
+        if (vi > snap and vj < -snap) or (vi < -snap and vj > snap):
+            t = vi / (vi - vj)
+            xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
+            x, y = xi + t * (xj - xi), yi + t * (yj - yi)
+            if d2x * (y - ay) - d2y * (x - ax) <= snap:
+                return True
+    return False
 
 
 def _nearest_boundary_point_in_wedge(
-    poly: np.ndarray, apex: np.ndarray, d1: np.ndarray, d2: np.ndarray, snap: float
+    edges: list, apex: np.ndarray, d1, d2, snap: float
 ) -> tuple[np.ndarray, int] | None:
     """Closest point to the apex on the polygon boundary restricted to the
-    closed wedge; returns (point, edge index) or None."""
+    closed wedge; `edges` is the face's `_FaceMaps.edges`. Returns (point,
+    edge index) or None."""
     best: tuple[float, np.ndarray, int] | None = None
-    k = len(poly)
-    for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
-        seg = b - a
+    ax, ay = apex.tolist()
+    for i, (a, seg, (a0, a1), (s0, s1), denom) in enumerate(edges):
         t0, t1 = 0.0, 1.0
         ok = True
-        for d, sgn in ((d1, 1.0), (d2, -1.0)):
+        for (dx, dy), sgn in ((d1, 1.0), (d2, -1.0)):
             # sgn * cross(d, s(t) - apex) >= 0
-            c0 = sgn * (d[0] * (a[1] - apex[1]) - d[1] * (a[0] - apex[0]))
-            dc = sgn * (d[0] * seg[1] - d[1] * seg[0])
+            c0 = sgn * (dx * (a1 - ay) - dy * (a0 - ax))
+            dc = sgn * (dx * s1 - dy * s0)
             if abs(dc) <= 1e-300:
                 if c0 < -snap:
                     ok = False
@@ -264,7 +357,6 @@ def _nearest_boundary_point_in_wedge(
         # closest point of the clipped subsegment to the apex; when the apex
         # itself lies on the subsegment (corner apex), fall back to the
         # interval endpoints so a degenerate zero-length relay is never made
-        denom = float(seg @ seg)
         t_star = 0.0 if denom <= 1e-300 else float((apex - a) @ seg) / denom
         t_star = min(max(t_star, t0), t1)
         for t in (t_star, t0, t1):
@@ -278,44 +370,39 @@ def _nearest_boundary_point_in_wedge(
 
 
 def _extended_cone_hits_rep(
-    start_pid: int,
-    apex: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
+    root: _Unfolded,
+    apex: tuple[float, float],
+    d1: tuple[float, float],
+    d2: tuple[float, float],
     face_maps: dict[int, _FaceMaps],
     reps2d: dict[int, np.ndarray],
     snap: float,
 ) -> bool:
     """BFS over sketch faces, unfolding each onto the start face's plane, and
     report whether the open cone contains a representative projection of any
-    other face. Each face is visited at most once per cone."""
-    ident = (np.eye(2), np.zeros(2))
-    visited = {start_pid}
-    queue: deque[tuple[int, np.ndarray, np.ndarray]] = deque([(start_pid, *ident)])
+    other face. Each face is visited at most once per cone; the unfolded
+    faces come from (and grow) the start face's unfolding tree `root`."""
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    visited = {root.pid}
+    queue: deque[_Unfolded] = deque([root])
     while queue:
-        pid, m2, t2 = queue.popleft()
-        fm = face_maps[pid]
-        if pid != start_pid:
-            pts = reps2d.get(pid)
-            if pts is not None and len(pts):
-                unfolded = pts @ m2.T + t2
-                if _points_in_open_wedge(unfolded, apex, d1, d2, snap).any():
-                    return True
-        for k, (nb, em, et) in fm.edge_to_neighbor.items():
+        node = queue.popleft()
+        reps = node.reps if node.reps is not None else node.unfold_reps(reps2d)
+        if reps and _reps_in_open_wedge(reps, apex, d1, d2, snap):
+            return True
+        for i, (nb, _em, _et) in enumerate(node.fm.hops):
             if nb in visited:
                 continue
-            nm = m2 @ em
-            nt = m2 @ et + t2
-            nbm = face_maps[nb]
+            child = node.children[i] or node.unfold(i, face_maps)
             # bounding-circle reject before the exact polygon clip
-            c = nm @ nbm.center + nt - apex
-            if (d1[0] * c[1] - d1[1] * c[0] < -nbm.radius
-                    or d2[0] * c[1] - d2[1] * c[0] > nbm.radius):
+            cx, cy = child.center[0] - ax, child.center[1] - ay
+            radius = child.fm.radius
+            if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
                 continue
-            nb_poly = nbm.poly @ nm.T + nt
-            if _polygon_meets_wedge(nb_poly, apex, d1, d2, snap):
+            if _polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2, snap):
                 visited.add(nb)
-                queue.append((nb, nm, nt))
+                queue.append(child)
     return False
 
 
@@ -335,12 +422,14 @@ def place_steiner_points(
     cones: a cone with no same-face rep in its relative interior whose
     extension reaches another face's rep gets a Steiner node at the nearest
     boundary point of the face inside the cone, shared with the abutting
-    face."""
+    face. The cones of all reps of a face trace one shared unfolding tree."""
     fan = cone_fan(eps)
+    wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     diam = P.diameter()
     snap = tol.snap(diam)
     face_maps = _build_face_maps(decomp, sketch)
-    by_pid = {f.patch_id: f for f in sketch.faces}
+    trees: dict[int, _Unfolded] = {}
+    lifter = _SteinerLift(P, decomp, tol)
 
     nodes: list[SpannerNode] = []
     for r in assignment.reps:
@@ -365,41 +454,49 @@ def place_steiner_points(
 
     steiner_key: dict[tuple[int, int, int, int, int], int] = {}
     # nodes already registered per face, to refuse coincident duplicates
-    occupied_pos: dict[int, list[np.ndarray]] = {}
+    occupied_pos: dict[int, list[tuple[float, float, np.ndarray]]] = {}
     for n in nodes:
         for pid in n.patches:
-            occupied_pos.setdefault(pid, []).append(n.pos2d[pid])
-    for node in [n for n in nodes if n.kind == "rep"]:
+            occupied_pos.setdefault(pid, []).append((*n.pos2d[pid].tolist(), n.pos2d[pid]))
+    rep_nodes = [n for n in nodes if n.kind == "rep"]
+    last_rep = {n.patches[0]: n.id for n in rep_nodes}
+    for node in rep_nodes:
         pid = node.patches[0]
         if not have_other_reps.get(pid, False):
             continue
-        face = by_pid[pid]
+        fm = face_maps[pid]
         apex = node.pos2d[pid]
+        apex_xy = tuple(apex.tolist())
+        root = trees.get(pid) or _unfolding_root(fm, pid)
+        # a face's tree is kept only until its last rep's cones are traced
+        if node.id == last_rep[pid]:
+            trees.pop(pid, None)
+        else:
+            trees[pid] = root
         others = reps2d[pid]
         rel = others - apex
         dist = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)
+        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
         occupied = set()
-        for d, a in zip(dist, ang):
+        for d, a, lo_k in zip(dist.tolist(), ang, fan.indices_of(ang)):
             if d <= snap:
                 continue
-            lo_k = fan.index_of(float(a))
             # relative-interior test: discount points sitting on a bounding ray
-            frac = (float(a) - lo_k * fan.width) % (2.0 * math.pi)
+            frac = (a - lo_k * fan.width) % (2.0 * math.pi)
             on_ray = min(frac, fan.width - frac) * d <= snap
             if not on_ray:
                 occupied.add(lo_k)
         for c in range(fan.count):
             if c in occupied:
                 continue
-            d1, d2 = _wedge_dirs(fan, c)
-            if not _extended_cone_hits_rep(pid, apex, d1, d2, face_maps, reps2d, snap):
+            d1, d2 = wedges[c]
+            if not _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps2d, snap):
                 continue
-            found = _nearest_boundary_point_in_wedge(face.polygon2d, apex, d1, d2, snap)
+            found = _nearest_boundary_point_in_wedge(fm.edges, apex, d1, d2, snap)
             if found is None:
                 continue
             q2, edge_idx = found
-            nb = int(face.neighbor_patch[edge_idx])
+            nb = int(fm.neighbors[edge_idx])
             if nb == NO_NEIGHBOR:
                 continue
             patch = decomp.patches[pid]
@@ -410,15 +507,11 @@ def place_steiner_points(
             if key in steiner_key:
                 continue
             q2_nb = decomp.patches[nb].to_2d(q3)
-            crowded = any(
-                float(np.linalg.norm(q - p)) <= 4.0 * snap
-                for q, side in ((q2, pid), (q2_nb, nb))
-                for p in occupied_pos.get(side, ())
-            )
-            if crowded:
+            if (_crowded(q2, occupied_pos.get(pid, ()), snap)
+                    or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
                 # an existing node already sits there and serves as the relay
                 continue
-            lift, edge_of_p, marked = _lift_steiner(P, q3, patch.gamma.normal, tol)
+            lift, edge_of_p, marked = lifter.lift(q3, pid)
             sn = SpannerNode(
                 id=len(nodes), kind="steiner", patches=(pid, nb),
                 pos2d={pid: q2, nb: q2_nb},
@@ -426,38 +519,81 @@ def place_steiner_points(
             )
             steiner_key[key] = sn.id
             nodes.append(sn)
-            occupied_pos.setdefault(pid, []).append(q2)
-            occupied_pos.setdefault(nb, []).append(q2_nb)
+            occupied_pos.setdefault(pid, []).append((*q2.tolist(), q2))
+            occupied_pos.setdefault(nb, []).append((*q2_nb.tolist(), q2_nb))
     return nodes
 
 
-def _lift_steiner(
-    P: TriangulatedPolytope, point: np.ndarray, inward: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
-    """Map a sketch-boundary point back onto the polytope: cast a ray along
-    the reversed projection direction, then snap to the nearest point of the
-    nearest edge of the face that was hit."""
-    snap = tol.snap(P.diameter())
-    denom = P.face_normals @ inward
-    numer = P.face_normals @ point - P.face_offsets
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
-        finite = np.isfinite(ts)
-        qs = point[None, :] - np.where(finite, ts, 0.0)[:, None] * inward[None, :]
-    tri = P.vertices[P.faces]  # (F, 3, 3)
-    inside = finite.copy()
-    for k in range(3):
-        u = tri[:, k]
-        v = tri[:, (k + 1) % 3]
-        side = np.einsum("ij,ij->i", np.cross(v - u, qs - u), P.face_normals)
-        inside &= side >= -snap * np.maximum(1.0, np.linalg.norm(v - u, axis=1))
-    ok = inside & np.isfinite(ts) & (ts >= -snap)
-    if not ok.any():
-        # ray missed (heavily truncated sketch); fall back to a global search
-        return _nearest_edge_point(P, point, range(P.num_faces))
-    fi = int(np.flatnonzero(ok)[np.argmin(ts[ok])])
-    return _nearest_edge_point(P, qs[fi], [fi])
+def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
+    """Whether a registered node lies within 4*snap of q. The box test only
+    skips points whose norm is certainly above 4*snap; the rest take the
+    norm test unchanged."""
+    box = 4.0 * snap * (1.0 + 1e-9)
+    qx, qy = q.tolist()
+    return any(
+        float(np.linalg.norm(q - p)) <= 4.0 * snap
+        for px, py, p in occupied
+        if abs(qx - px) <= box and abs(qy - py) <= box
+    )
+
+
+class _SteinerLift:
+    """Maps sketch-boundary points back onto the polytope: cast a ray along
+    the reversed projection direction (the inward normal of the point's
+    patch) against all faces, then snap to the nearest point of the nearest
+    edge of the face that was hit. What does not depend on the point (the
+    triangle corners, edge vectors and inside thresholds, and per patch the
+    face-normal products with the ray direction) is computed once; the
+    arrays are kept as contiguous columns."""
+
+    def __init__(self, P: TriangulatedPolytope, decomp: PatchDecomposition,
+                 tol: Tolerance = DEFAULT_TOL) -> None:
+        self.P = P
+        self.decomp = decomp
+        self.snap = tol.snap(P.diameter())
+        tri = P.vertices[P.faces]  # (F, 3, 3)
+        self.sides = []
+        for k in range(3):
+            u = tri[:, k]
+            e = tri[:, (k + 1) % 3] - u
+            thr = -self.snap * np.maximum(1.0, np.linalg.norm(e, axis=1))
+            self.sides.append((u.T.copy(), e.T.copy(), thr))
+        self._cross = np.empty((P.num_faces, 3))
+        self._denom: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def lift(
+        self, point: np.ndarray, pid: int,
+    ) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
+        P, snap = self.P, self.snap
+        inward = self.decomp.patches[pid].gamma.normal
+        if pid not in self._denom:
+            denom = P.face_normals @ inward
+            self._denom[pid] = (denom, np.abs(denom) > 1e-15)
+        denom, hit = self._denom[pid]
+        numer = P.face_normals @ point - P.face_offsets
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = np.where(hit, numer / denom, np.inf)
+            finite = np.isfinite(ts)
+            t = np.where(finite, ts, 0.0)
+            q = [point[c] - t * inward[c] for c in range(3)]  # ray hits, per coordinate
+        inside = finite.copy()
+        cross = self._cross
+        for (u0, u1, u2), (e0, e1, e2), thr in self.sides:
+            w0, w1, w2 = q[0] - u0, q[1] - u1, q[2] - u2
+            # np.cross(e, w), term for term as np.cross computes it
+            np.multiply(e1, w2, out=cross[:, 0])
+            cross[:, 0] -= e2 * w1
+            np.multiply(e2, w0, out=cross[:, 1])
+            cross[:, 1] -= e0 * w2
+            np.multiply(e0, w1, out=cross[:, 2])
+            cross[:, 2] -= e1 * w0
+            inside &= np.einsum("ij,ij->i", cross, P.face_normals) >= thr
+        ok = inside & (ts >= -snap)
+        if not ok.any():
+            # ray missed (heavily truncated sketch); fall back to a global search
+            return _nearest_edge_point(P, point, range(P.num_faces))
+        fi = int(np.flatnonzero(ok)[np.argmin(ts[ok])])
+        return _nearest_edge_point(P, np.array([q[0][fi], q[1][fi], q[2][fi]]), [fi])
 
 
 def _nearest_edge_point(

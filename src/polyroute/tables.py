@@ -228,12 +228,13 @@ def preprocess_mesh(
 
 def _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
     """The tail shared by `preprocess_mesh` and `deserialize`: derive the
-    sketch face of every scheme next hop and the per-vertex tables from the
-    stored data, so a loaded system equals the built one by construction."""
+    sketch face of every spanner edge (so of every scheme next hop) and the
+    per-vertex tables from the stored data, so a loaded system equals the
+    built one by construction."""
     return RoutingSystem(
         P=P, eps=eps, delta=delta, metrics=metrics, decomp=decomp,
         assignment=assignment, graph=graph, scheme=scheme,
-        hop_faces=materialize_plane_entries(scheme, graph),
+        hop_faces=materialize_plane_entries(graph),
         tables=build_tables(P, decomp, assignment, graph),
     )
 

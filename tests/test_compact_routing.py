@@ -175,8 +175,8 @@ def test_total_entries_scaling(sphere50_system, sphere100):
 
 
 def test_hop_faces_are_edge_faces(sphere50_system):
-    # every next hop stored in the scheme has the face of its spanner edge,
-    # a sketch face both endpoints lie on
+    # every next hop stored in the scheme is a key of the hop faces, and its
+    # face is its spanner edge's face, a sketch face both endpoints lie on
     system = sphere50_system
     g, scheme = system.graph, system.scheme
     edge_faces = {}
@@ -186,11 +186,12 @@ def test_hop_faces_are_edge_faces(sphere50_system):
             for group in (scheme.exact_next, scheme.to_landmark_next,
                           scheme.landmark_full_next)
             for x, table in group.items() for w in table.values()}
-    assert hops and set(system.hop_faces) == hops
-    for (u, v), face in system.hop_faces.items():
-        assert face == edge_faces[(u, v)]
-        assert face in g.nodes[u].patches and face in g.nodes[v].patches
-    assert materialize_plane_entries(scheme, g) == system.hop_faces
+    assert hops
+    for key in hops:
+        face = system.hop_faces[key]
+        assert face == edge_faces[key]
+        assert face in g.nodes[key[0]].patches and face in g.nodes[key[1]].patches
+    assert materialize_plane_entries(g) == system.hop_faces == edge_faces
 
 
 def test_label_bit_length_scaling(sphere50_system):

@@ -2,13 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
+from polyroute.geometry import DEFAULT_TOL
 from polyroute.patching import compute_patches, build_sketch, project_patch
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
+    _SteinerLift,
+    _build_face_maps,
+    _extended_cone_hits_rep,
+    _nearest_edge_point,
+    _polygon_meets_wedge,
+    _unfolding_root,
+    _wedge_dirs,
     assemble_global_spanner,
     build_spanner,
     build_theta_graph,
@@ -187,3 +197,131 @@ def test_dump_spanner_format(tetra_system):
         parts = l.split()
         assert len(parts) == 5
         assert float(parts[3]) > 0
+
+
+# ---------------------------------------------------------------------------
+# the fast spanner construction gives the bits of the plain numpy formulation
+
+
+def _numpy_polygon_meets_wedge(poly, apex, d1, d2, snap):
+    # the array formulation the float version replaced
+    pts = poly
+    for d, sgn in ((d1, 1.0), (d2, -1.0)):
+        vals = sgn * (d[0] * (pts[:, 1] - apex[1]) - d[1] * (pts[:, 0] - apex[0]))
+        keep = []
+        k = len(pts)
+        for i in range(k):
+            j = (i + 1) % k
+            vi, vj = float(vals[i]), float(vals[j])
+            if vi >= -snap:
+                keep.append(pts[i])
+            if (vi > snap and vj < -snap) or (vi < -snap and vj > snap):
+                t = vi / (vi - vj)
+                keep.append(pts[i] + t * (pts[j] - pts[i]))
+        if len(keep) == 0:
+            return False
+        pts = np.asarray(keep)
+    return True
+
+
+coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    center=st.tuples(coord, coord),
+    radius=st.floats(1e-3, 5.0),
+    turns=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=9, unique=True),
+    apex=st.tuples(coord, coord),
+    eps=st.sampled_from([math.pi / 2, 0.8, 0.3]),
+    cone=st.integers(0, 100),
+    on_ray=st.sampled_from([None, 0, 1]),
+    back=st.floats(0.0, 20.0),
+    snap=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_polygon_meets_wedge_matches_numpy(center, radius, turns, apex, eps, cone,
+                                           on_ray, back, snap):
+    angles = sorted(2.0 * math.pi * t for t in turns)
+    poly = np.array([[center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)]
+                     for a in angles])
+    fan = cone_fan(eps)
+    d1, d2 = _wedge_dirs(fan, cone % fan.count)
+    if on_ray is not None:
+        # put the apex behind a polygon vertex along the lower ray; with the
+        # axis-aligned rays of the quarter-turn fan the vertex lies exactly
+        # on the ray
+        vx, vy = poly[on_ray]
+        apex = (vx - back * d1[0], vy - back * d1[1])
+    fast = _polygon_meets_wedge((poly[:, 0].tolist(), poly[:, 1].tolist()), apex, d1, d2, snap)
+    slow = _numpy_polygon_meets_wedge(poly, np.array(apex), np.array(d1), np.array(d2), snap)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("mesh_seed, n", [(None, 50), (5, 200)])
+def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
+    # one tree shared by every (rep, cone) of a face answers as a tree built
+    # afresh for each cone
+    mesh = sphere50 if mesh_seed is None else generate_mesh("sphere", n, mesh_seed)
+    eps = 0.3
+    decomp, sketch, assignment = _stage(mesh, eps)
+    face_maps = _build_face_maps(decomp, sketch)
+    reps2d = {pid: np.stack([assignment.rep_point[r] for r in rs]) if rs else np.zeros((0, 2))
+              for pid, rs in assignment.patch_reps.items()}
+    snap = DEFAULT_TOL.snap(mesh.diameter())
+    fan = cone_fan(eps)
+    shared = {}
+    hits = 0
+    for r in assignment.reps:
+        pid = int(decomp.owner_of_vertex[r])
+        apex = tuple(assignment.rep_point[r].tolist())
+        root = shared.setdefault(pid, _unfolding_root(face_maps[pid], pid))
+        for c in range(fan.count):
+            d1, d2 = _wedge_dirs(fan, c)
+            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps2d, snap)
+            fresh = _extended_cone_hits_rep(_unfolding_root(face_maps[pid], pid), apex,
+                                            d1, d2, face_maps, reps2d, snap)
+            assert got == fresh
+            hits += got
+    assert hits > 0
+
+
+def _all_faces_lift(P, point, inward, tol=DEFAULT_TOL):
+    # the lift with every array rebuilt per call and np.cross in one piece
+    snap = tol.snap(P.diameter())
+    denom = P.face_normals @ inward
+    numer = P.face_normals @ point - P.face_offsets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
+        finite = np.isfinite(ts)
+        qs = point[None, :] - np.where(finite, ts, 0.0)[:, None] * inward[None, :]
+    tri = P.vertices[P.faces]
+    inside = finite.copy()
+    for k in range(3):
+        u = tri[:, k]
+        v = tri[:, (k + 1) % 3]
+        side = np.einsum("ij,ij->i", np.cross(v - u, qs - u), P.face_normals)
+        inside &= side >= -snap * np.maximum(1.0, np.linalg.norm(v - u, axis=1))
+    ok = inside & np.isfinite(ts) & (ts >= -snap)
+    if not ok.any():
+        return _nearest_edge_point(P, point, range(P.num_faces))
+    fi = int(np.flatnonzero(ok)[np.argmin(ts[ok])])
+    return _nearest_edge_point(P, qs[fi], [fi])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_steiner_lift_matches_all_faces_lift(seed):
+    mesh = generate_mesh("sphere", 100, seed)
+    decomp, sketch, assignment = _stage(mesh, 0.4)
+    nodes = place_steiner_points(mesh, decomp, sketch, assignment, 0.4)
+    steiner = [n for n in nodes if n.kind == "steiner"]
+    assert steiner
+    lifter = _SteinerLift(mesh, decomp)
+    for n in steiner:
+        pid = n.patches[0]
+        lift, edge_of_p, marked = _all_faces_lift(
+            mesh, n.point3d, decomp.patches[pid].gamma.normal)
+        assert lift.tobytes() == n.lift3d.tobytes()
+        assert (edge_of_p, marked) == (n.edge_of_p, n.marked)
+        again, edge_again, marked_again = lifter.lift(n.point3d, pid)
+        assert again.tobytes() == lift.tobytes()
+        assert (edge_again, marked_again) == (edge_of_p, marked)
