@@ -4,7 +4,7 @@ Preprocess a mesh once (patch partition, sketch, grid sampling, Theta-graph
 spanner, compact routing tables), then route packets between vertices with
 purely local forwarding decisions; every hop traverses one polytope edge.
 """
-from .geometry import Plane, Tolerance
+from .geometry import Plane
 from .polytope import (
     TriangulatedPolytope,
     PolytopeMetrics,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Plane",
-    "Tolerance",
     "TriangulatedPolytope",
     "PolytopeMetrics",
     "load_off",

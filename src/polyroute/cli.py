@@ -103,7 +103,7 @@ def cmd_validate(args) -> int:
         "faces": mesh.num_faces,
         "edges": mesh.num_edges,
         "euler": mesh.n - mesh.num_edges + mesh.num_faces,
-        "diameter": metrics.mesh_diameter,
+        "diameter": mesh.diameter(),
         "theta_m_face": metrics.theta_m,
         "surface_area": mesh.surface_area(),
     }

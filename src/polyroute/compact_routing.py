@@ -213,18 +213,14 @@ def tz_route_nodes(scheme: LandmarkScheme, s: int, t: int,
 
 def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkScheme:
     """Drop table entries whose source and target nodes share a sketch face;
-    those pairs are routed by direct plane entries on the polytope instead."""
-    patch_sets = {n.id: set(n.patches) for n in graph.nodes}
-
-    def share(u: int, v: int) -> bool:
-        return bool(patch_sets[u] & patch_sets[v])
-
-    for x, table in scheme.exact_next.items():
-        for t in [t for t in table if share(x, t)]:
-            del table[t]
-    for ell, table in scheme.landmark_full_next.items():
-        for t in [t for t in table if share(ell, t)]:
-            del table[t]
+    those pairs are routed by direct plane entries on the polytope instead.
+    The nodes that share a face with x are those listed under x's faces in
+    `graph.per_face_nodes`, so each table is visited once per such node."""
+    for group in (scheme.exact_next, scheme.landmark_full_next):
+        for x, table in group.items():
+            for pid in graph.nodes[x].patches:
+                for t in graph.per_face_nodes[pid]:
+                    table.pop(t, None)
     scheme.pruned = True
     return scheme
 

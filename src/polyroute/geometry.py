@@ -1,34 +1,26 @@
-"""Tolerance-based 3D/2D primitives: planes, segment-plane intersection,
-corner angles, and rigid unfolding of faces across shared edges.
+"""3D/2D primitives: planes, corner angles, and the rigid rotation that
+unfolds one plane onto another about a shared edge.
 
-All points and vectors are numpy float64 arrays of shape (3,). Predicates
-use a symmetric absolute+relative tolerance; snapping to an endpoint takes
-priority over reporting an interior intersection so the router's case
-analysis stays deterministic.
+All points and vectors are numpy float64 arrays of shape (3,). Coincidence
+tests use one snap rule: at length scale s two things coincide when they
+are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "GeometryError",
-    "DegenerateSegment",
     "DegenerateFace",
-    "NotAdjacent",
-    "Tolerance",
+    "SNAP_EPS",
+    "snap",
     "Plane",
     "cross3",
-    "HitKind",
-    "SegmentPlaneHit",
-    "segment_plane_intersect",
     "corner_angle",
     "RigidMap",
-    "unfold_across_edge",
     "plane_frame",
 ]
 
@@ -37,30 +29,18 @@ class GeometryError(ValueError):
     pass
 
 
-class DegenerateSegment(GeometryError):
-    pass
-
-
 class DegenerateFace(GeometryError):
     pass
 
 
-class NotAdjacent(GeometryError):
-    pass
+SNAP_EPS = 1e-9  # the absolute snap distance, and the snap distance per unit of scale
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute + relative snap distances. Thresholds are eps_abs + eps_rel*scale."""
-
-    eps_abs: float = 1e-9
-    eps_rel: float = 1e-9
-
-    def snap(self, scale: float = 1.0) -> float:
-        return self.eps_abs + self.eps_rel * abs(scale)
-
-
-DEFAULT_TOL = Tolerance()
+def snap(scale: float) -> float:
+    """Snap distance at length scale `scale`, summed as SNAP_EPS plus
+    SNAP_EPS * |scale| in that order: spanner nodes, routes and `.prt`
+    bytes depend on its last bit."""
+    return SNAP_EPS + SNAP_EPS * abs(scale)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,9 +52,9 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
-def _unit(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def _unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
-    if n <= tol.eps_abs:
+    if n <= SNAP_EPS:
         raise GeometryError("cannot normalize near-zero vector")
     return v / n
 
@@ -96,7 +76,7 @@ class Plane:
         n = cross3(d1, d2)
         norm = float(np.linalg.norm(n))
         scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)), 1.0)
-        if norm <= DEFAULT_TOL.snap(scale * scale):
+        if norm <= snap(scale * scale):
             raise GeometryError("plane direction vectors are near-parallel")
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "dir1", d1)
@@ -120,7 +100,7 @@ class Plane:
         b = np.asarray(b, dtype=np.float64)
         d1 = b - a
         n = np.asarray(base_normal, dtype=np.float64)
-        if np.linalg.norm(cross3(d1, n)) <= DEFAULT_TOL.snap(np.linalg.norm(d1)):
+        if np.linalg.norm(cross3(d1, n)) <= snap(np.linalg.norm(d1)):
             # a->b runs along the base normal; any orthogonal companion works
             return cls.from_normal(a, _unit(cross3(n, _perp_seed(n))))
         return cls(a, d1, n)
@@ -141,49 +121,7 @@ def _perp_seed(n: np.ndarray) -> np.ndarray:
     return cross3(n, seed)
 
 
-class HitKind(Enum):
-    NO_HIT = "no_hit"
-    INTERIOR = "interior"
-    AT_ENDPOINT = "at_endpoint"
-
-
-@dataclass(frozen=True)
-class SegmentPlaneHit:
-    kind: HitKind
-    point: Optional[np.ndarray] = None
-    u: Optional[float] = None
-    endpoint: Optional[str] = None  # 'a' or 'b'
-
-
-def segment_plane_intersect(
-    a: np.ndarray, b: np.ndarray, h: Plane, tol: Tolerance = DEFAULT_TOL
-) -> SegmentPlaneHit:
-    """Intersect segment ab with plane h.
-
-    Endpoint snapping wins over interior hits: an endpoint whose distance to
-    h is within tol of the segment length is reported as AT_ENDPOINT.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    length = float(np.linalg.norm(b - a))
-    if length <= tol.snap(max(np.linalg.norm(a), np.linalg.norm(b))):
-        raise DegenerateSegment("segment endpoints coincide within tolerance")
-    sa = float(h.signed_distance(a))
-    sb = float(h.signed_distance(b))
-    snap = tol.snap(length)
-    a_on = abs(sa) <= snap
-    b_on = abs(sb) <= snap
-    if a_on:
-        return SegmentPlaneHit(HitKind.AT_ENDPOINT, point=a.copy(), u=0.0, endpoint="a")
-    if b_on:
-        return SegmentPlaneHit(HitKind.AT_ENDPOINT, point=b.copy(), u=1.0, endpoint="b")
-    if sa * sb >= 0.0:
-        return SegmentPlaneHit(HitKind.NO_HIT)
-    u = sa / (sa - sb)
-    return SegmentPlaneHit(HitKind.INTERIOR, point=a + u * (b - a), u=u)
-
-
-def corner_angle(face: np.ndarray, at: int, tol: Tolerance = DEFAULT_TOL) -> float:
+def corner_angle(face: np.ndarray, at: int) -> float:
     """Interior angle of a triangle at vertex index `at`, in radians.
 
     Python-float arithmetic with each sum written out left to right;
@@ -197,11 +135,11 @@ def corner_angle(face: np.ndarray, at: int, tol: Tolerance = DEFAULT_TOL) -> flo
     b0, b1, b2 = r0 - p0, r1 - p1, r2 - p2
     n1 = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
     n2 = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-    if n1 <= tol.eps_abs or n2 <= tol.eps_abs:
+    if n1 <= SNAP_EPS or n2 <= SNAP_EPS:
         raise DegenerateFace("face has a near-zero edge")
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     sin_area = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / (n1 * n2)
-    if sin_area <= tol.eps_abs:
+    if sin_area <= SNAP_EPS:
         raise DegenerateFace("face is near-collinear")
     cosang = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
     return math.acos(min(1.0, max(-1.0, cosang)))
@@ -213,10 +151,6 @@ class RigidMap:
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    @classmethod
-    def identity(cls) -> "RigidMap":
-        return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -237,42 +171,6 @@ def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
-def unfold_across_edge(
-    f: np.ndarray, g: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> RigidMap:
-    """Rigid map taking the plane of triangle g onto the plane of triangle f,
-    fixing their shared edge pointwise (images of f and g end up on opposite
-    sides of that edge)."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    scale = max(np.abs(f).max(), np.abs(g).max(), 1.0)
-    snap = tol.snap(scale)
-    shared_f = []
-    shared_g = []
-    for i in range(3):
-        for j in range(3):
-            if np.linalg.norm(f[i] - g[j]) <= snap:
-                shared_f.append(i)
-                shared_g.append(j)
-    if len(shared_f) != 2:
-        raise NotAdjacent("triangles do not share exactly one edge")
-    e0, e1 = f[shared_f[0]], f[shared_f[1]]
-    nf = _triangle_normal(f, tol)
-    ng = _triangle_normal(g, tol)
-    axis = _unit(e1 - e0)
-    far_f = f[({0, 1, 2} - set(shared_f)).pop()]
-    far_g = g[({0, 1, 2} - set(shared_g)).pop()]
-    # vertex winding does not fix a surface orientation; pick the rotation
-    # that lands g on the far side of the shared edge from f
-    side_f = float(np.cross(axis, far_f - e0) @ nf)
-    for n_src in (ng, -ng):
-        rm = unfold_rotation(nf, n_src, e0, e1)
-        side_g = float(np.cross(axis, rm.apply(far_g) - e0) @ nf)
-        if side_g * side_f <= 0.0:
-            return rm
-    return rm
-
-
 def unfold_rotation(
     n_target: np.ndarray, n_source: np.ndarray, edge_p0: np.ndarray, edge_p1: np.ndarray
 ) -> RigidMap:
@@ -286,14 +184,6 @@ def unfold_rotation(
     rot = _rotation_about_axis(axis, angle)
     p0 = np.asarray(edge_p0, dtype=np.float64)
     return RigidMap(rot, p0 - rot @ p0)
-
-
-def _triangle_normal(pts: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    norm = float(np.linalg.norm(n))
-    if norm <= tol.eps_abs:
-        raise DegenerateFace("triangle is degenerate")
-    return n / norm
 
 
 def plane_frame(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Plane, Tolerance, DEFAULT_TOL, plane_frame
+from . import geometry
+from .geometry import SNAP_EPS, Plane, plane_frame
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
 
 # square-edge sentinel for sketch faces truncated by the working bounding box
 NO_NEIGHBOR = -1
+# half side of that working square, in mesh diameters
+_SKETCH_BOUND = 32.0
 
 
 class UnboundedSketch(ValueError):
@@ -102,10 +105,10 @@ class Sketch:
     faces: list[SketchFace]
     truncated: bool
 
-    def contains(self, points: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         scale = float(np.abs(pts).max()) if pts.size else 1.0
-        slack = tol.snap(scale) * 100.0
+        slack = geometry.snap(scale) * 100.0
         return (pts @ self.normals.T <= self.offsets[None, :] + slack).all(axis=1)
 
 
@@ -236,25 +239,19 @@ def _dedup_polygon(
     return np.asarray(keep_pts), np.asarray(keep_own, dtype=np.int64)
 
 
-def build_sketch(
-    P: TriangulatedPolytope,
-    decomp: PatchDecomposition,
-    bound_factor: float = 32.0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Sketch:
+def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
     """Intersect the patches' supporting half-spaces and return the face of
     the result lying on each supporting plane, as an in-plane polygon.
 
     With fewer than four patches the intersection is unbounded; affected
-    faces are truncated by a working square of side ~bound_factor times the
-    mesh diameter and flagged.
+    faces are truncated by a working square of half side _SKETCH_BOUND
+    times the mesh diameter and flagged.
     """
     m = decomp.count
     normals = np.stack([p.gamma.normal for p in decomp.patches])
     offsets = np.array([p.gamma.offset() for p in decomp.patches])
-    diam = P.diameter()
-    half = bound_factor * max(diam, 1e-12)
-    snap = tol.snap(diam)
+    half = _SKETCH_BOUND * max(P.diameter(), 1e-12)
+    snap = P.snap
 
     faces: list[SketchFace] = []
     any_truncated = False
@@ -272,7 +269,7 @@ def build_sketch(
             nj = normals[j]
             a2 = np.array([float(nj @ u), float(nj @ v)])
             c2 = offsets[j] - float(nj @ o)
-            if np.linalg.norm(a2) <= tol.eps_abs:
+            if np.linalg.norm(a2) <= SNAP_EPS:
                 # plane j parallel to this one; either redundant or empty
                 if -c2 > snap:
                     poly = np.zeros((0, 2))

@@ -1,7 +1,8 @@
 """Ingestion, validation, and indexing of a triangulated convex polytope.
 
 The accepted input is a closed, consistently oriented triangle mesh whose
-vertices all lie on the inner side of every face plane (within tolerance).
+vertices all lie on the inner side of every face plane, up to a slack of
+1e-9 + 1e-7 * max|coordinate|.
 Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) are built
 once at load time, in time linear in the face count; the structure is
 immutable afterwards. The two all-pairs passes (convexity against every face
@@ -17,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, DegenerateFace, Tolerance
+from . import geometry
+from .geometry import SNAP_EPS, DegenerateFace
 
 _BLOCK = 64  # rows per block in the pairwise passes of diameter() and _check_convex
 
@@ -72,7 +74,6 @@ class TriangulatedPolytope:
     neighbors: dict = field(default_factory=dict)
     face_normals: np.ndarray | None = None
     face_offsets: np.ndarray | None = None
-    tol: Tolerance = DEFAULT_TOL
     _diameter: float | None = field(default=None, repr=False)
 
     @property
@@ -111,6 +112,12 @@ class TriangulatedPolytope:
             self._diameter = math.sqrt(best)
         return self._diameter
 
+    @property
+    def snap(self) -> float:
+        """The mesh-scale snap distance, `geometry.snap` of the diameter:
+        every coincidence test at the scale of the whole mesh uses it."""
+        return geometry.snap(self.diameter())
+
     def surface_area(self) -> float:
         v = self.vertices[self.faces]
         cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
@@ -124,11 +131,9 @@ class TriangulatedPolytope:
 @dataclass(frozen=True)
 class PolytopeMetrics:
     theta_m: float
-    mesh_diameter: float
-    n: int
 
 
-def load_off(text: str | bytes, tol: Tolerance = DEFAULT_TOL) -> TriangulatedPolytope:
+def load_off(text: str | bytes) -> TriangulatedPolytope:
     """Parse and validate an OFF mesh; raises on malformed or non-convex input."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -177,7 +182,7 @@ def load_off(text: str | bytes, tol: Tolerance = DEFAULT_TOL) -> TriangulatedPol
         if len(set(idx)) != 3:
             raise ParseError(f"face {i} repeats a vertex")
         faces[i] = idx
-    return from_arrays(verts, faces, tol=tol)
+    return from_arrays(verts, faces)
 
 
 def _tokenize_off(text: str) -> list[str]:
@@ -188,15 +193,14 @@ def _tokenize_off(text: str) -> list[str]:
     return tokens
 
 
-def from_arrays(vertices: np.ndarray, faces: np.ndarray,
-                tol: Tolerance = DEFAULT_TOL) -> TriangulatedPolytope:
+def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope:
     """Validate raw vertex/face arrays and build the adjacency indices."""
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise NonTriangular("faces array must be (F, 3)")
     faces = _orient_outward(vertices, faces)
-    P = TriangulatedPolytope(vertices=vertices, faces=faces, tol=tol)
+    P = TriangulatedPolytope(vertices=vertices, faces=faces)
     _build_adjacency(P)
     _check_convex(P)
     return P
@@ -249,7 +253,7 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
         P.vertices[P.faces[:, 2]] - P.vertices[P.faces[:, 0]],
     )
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    if (norms <= P.tol.eps_abs).any():
+    if (norms <= SNAP_EPS).any():
         raise ParseError("degenerate (zero-area) face")
     P.face_normals = normals / norms
     P.face_offsets = np.einsum("ij,ij->i", P.face_normals, P.vertices[P.faces[:, 0]])
@@ -292,7 +296,7 @@ def _check_convex(P: TriangulatedPolytope) -> None:
     # vertex-to-plane distances over blocks of vertex rows, O(_BLOCK * F)
     # memory; col_max[f] is the largest distance of any vertex to face f
     scale = float(np.abs(P.vertices).max())
-    thr = P.tol.eps_abs + P.tol.eps_rel * scale * 100.0
+    thr = SNAP_EPS + SNAP_EPS * scale * 100.0
     col_max = np.full(P.num_faces, -np.inf)
     for i in range(0, P.n, _BLOCK):
         dists = P.vertices[i:i + _BLOCK] @ P.face_normals.T
@@ -336,7 +340,7 @@ def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
     function's bit for bit; acos is decreasing, so the smallest angle is the
     acos of the largest cosine."""
     V = P.vertices
-    eps = P.tol.eps_abs
+    eps = SNAP_EPS
     max_cos = -1.0
     for k in range(3):
         p = V[P.faces[:, k]]
@@ -354,4 +358,4 @@ def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
         cos = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
         max_cos = max(max_cos, float(cos.max()))
     min_angle = math.acos(min(1.0, max_cos))
-    return PolytopeMetrics(theta_m=0.5 * min_angle, mesh_diameter=P.diameter(), n=P.n)
+    return PolytopeMetrics(theta_m=0.5 * min_angle)

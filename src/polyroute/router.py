@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .geometry import Plane
 from .compact_routing import NodeLabel, tz_next_hop
 from .tables import RoutingSystem
@@ -158,8 +159,7 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
     P = system.P
     header.pseudo = target
     header.gamma_normal = gamma_normal
-    snap = P.tol.snap(P.diameter())
-    if float(np.linalg.norm(target.point - P.vertices[v])) <= snap:
+    if float(np.linalg.norm(target.point - P.vertices[v])) <= P.snap:
         header.plane = None
         header.sig = None
     else:
@@ -266,8 +266,8 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     face = system.hop_faces.get(key, min(node.patches))
     header.tz_word = "global"
     tgt = _node_target(system, w)
-    snap = system.P.tol.snap(system.P.diameter())
-    if float(np.linalg.norm(tgt.point - system.P.vertices[v])) <= snap and v in tgt.arrival:
+    P = system.P
+    if float(np.linalg.norm(tgt.point - P.vertices[v])) <= P.snap and v in tgt.arrival:
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
@@ -290,7 +290,7 @@ def _cross_point(P, header, u: int, v: int) -> tuple[np.ndarray, int]:
     a, b = P.vertices[u], P.vertices[v]
     t = su / (su - sv)
     q = a + t * (b - a)
-    snap = P.tol.snap(float(np.linalg.norm(b - a)))
+    snap = geometry.snap(float(np.linalg.norm(b - a)))
     if float(np.linalg.norm(q - a)) <= snap:
         return q, u
     if float(np.linalg.norm(q - b)) <= snap:
@@ -499,7 +499,7 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         # degenerate leg (target collapses onto the source); greedy it
         header.fallback = True
         header.fallback_seen.add(current)
-    snap = P.tol.snap(P.diameter())
+    snap = P.snap
     while not header.fallback:
         if header.front is None or (
             isinstance(header.front, _VertexFront) and header.front.vertex == current

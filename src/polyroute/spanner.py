@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Tolerance, DEFAULT_TOL, unfold_rotation
+from . import geometry
+from .geometry import unfold_rotation
 from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -47,6 +48,10 @@ class DisconnectedSpanner(RuntimeError):
     pass
 
 
+# an angle at most this far past a cone's lower bounding ray lies on that ray
+_CONE_BOUNDARY = 1e-12
+
+
 @dataclass(frozen=True)
 class ConeFan:
     """Equal-angle cones partitioning the plane around an apex; cone k spans
@@ -55,19 +60,18 @@ class ConeFan:
 
     count: int
     width: float
-    boundary_tol: float = 1e-12
 
     def index_of(self, angle: float) -> int:
         return self.indices_of((angle,))[0]
 
     def indices_of(self, angles) -> list[int]:
         """`index_of` over a sequence of angles, in one loop."""
-        two_pi, width, count, tol = 2.0 * math.pi, self.width, self.count, self.boundary_tol
+        two_pi, width, count = 2.0 * math.pi, self.width, self.count
         out = []
         for angle in angles:
             a = angle % two_pi
             raw = int(a // width) % count
-            if a - raw * width <= tol:
+            if a - raw * width <= _CONE_BOUNDARY:
                 raw = (raw - 1) % count
             out.append(raw)
         return out
@@ -133,7 +137,6 @@ class SpannerGraph:
 
 def build_theta_graph(
     points: np.ndarray, eps: float, node_ids: list[int] | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[tuple[int, int, float]]:
     """Theta-graph edges over 2D points: per node and per nonempty cone, one
     edge to the point whose projection on the cone bisector is nearest the
@@ -153,7 +156,7 @@ def build_theta_graph(
         rel = pts - pts[i]
         dist_arr = np.hypot(rel[:, 0], rel[:, 1])
         ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
-        snap = tol.snap(float(dist_arr.max()))
+        snap = geometry.snap(float(dist_arr.max()))
         dist = dist_arr.tolist()
         best: dict[int, tuple[float, int, int]] = {}
         for j, (d, a, c) in enumerate(zip(dist, ang, fan.indices_of(ang))):
@@ -416,7 +419,6 @@ def place_steiner_points(
     sketch: Sketch,
     assignment: RepresentativeAssignment,
     eps: float,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[SpannerNode]:
     """Create rep nodes for every representative vertex, then walk each rep's
     cones: a cone with no same-face rep in its relative interior whose
@@ -425,11 +427,10 @@ def place_steiner_points(
     face. The cones of all reps of a face trace one shared unfolding tree."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
-    diam = P.diameter()
-    snap = tol.snap(diam)
+    snap = P.snap
     face_maps = _build_face_maps(decomp, sketch)
     trees: dict[int, _Unfolded] = {}
-    lifter = _SteinerLift(P, decomp, tol)
+    lifter = _SteinerLift(P, decomp)
 
     nodes: list[SpannerNode] = []
     for r in assignment.reps:
@@ -546,11 +547,10 @@ class _SteinerLift:
     face-normal products with the ray direction) is computed once; the
     arrays are kept as contiguous columns."""
 
-    def __init__(self, P: TriangulatedPolytope, decomp: PatchDecomposition,
-                 tol: Tolerance = DEFAULT_TOL) -> None:
+    def __init__(self, P: TriangulatedPolytope, decomp: PatchDecomposition) -> None:
         self.P = P
         self.decomp = decomp
-        self.snap = tol.snap(P.diameter())
+        self.snap = P.snap
         tri = P.vertices[P.faces]  # (F, 3, 3)
         self.sides = []
         for k in range(3):
@@ -599,7 +599,7 @@ class _SteinerLift:
 def _nearest_edge_point(
     P: TriangulatedPolytope, q: np.ndarray, face_ids,
 ) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
-    snap = P.tol.snap(P.diameter())
+    snap = P.snap
     best = None
     for fi in face_ids:
         f = P.faces[fi]
@@ -625,9 +625,7 @@ def _nearest_edge_point(
     return w, edge, marked
 
 
-def assemble_global_spanner(
-    nodes: list[SpannerNode], eps: float, tol: Tolerance = DEFAULT_TOL,
-) -> SpannerGraph:
+def assemble_global_spanner(nodes: list[SpannerNode], eps: float) -> SpannerGraph:
     """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph."""
     per_face: dict[int, list[int]] = {}
     for n in nodes:
@@ -639,7 +637,7 @@ def assemble_global_spanner(
         if len(ids) < 2:
             continue
         pts = np.stack([nodes[i].pos2d[pid] for i in ids])
-        for a, b, w in build_theta_graph(pts, eps, node_ids=ids, tol=tol):
+        for a, b, w in build_theta_graph(pts, eps, node_ids=ids):
             # a pair may recur on the abutting face; keep both copies so each
             # per-face subgraph stays a complete Theta-graph
             edges.append((a, b, w, pid))
@@ -674,10 +672,9 @@ def build_spanner(
     sketch: Sketch,
     assignment: RepresentativeAssignment,
     eps: float,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SpannerGraph:
-    nodes = place_steiner_points(P, decomp, sketch, assignment, eps, tol)
-    return assemble_global_spanner(nodes, eps, tol)
+    nodes = place_steiner_points(P, decomp, sketch, assignment, eps)
+    return assemble_global_spanner(nodes, eps)
 
 
 def dump_spanner(g: SpannerGraph) -> str:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Plane, Tolerance, DEFAULT_TOL, plane_frame
+from .geometry import Plane, plane_frame
 from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, from_arrays
 from .patching import (
     Patch,
@@ -195,7 +195,6 @@ def preprocess_mesh(
     eps: float,
     delta: float | None = None,
     landmark_seed: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> RoutingSystem:
     """Run the full preprocessing pipeline and return the routing system."""
     if not (0.0 < eps < 1.0):
@@ -204,11 +203,11 @@ def preprocess_mesh(
         delta = eps
     metrics = compute_theta_m(P)
     decomp = compute_patches(P, delta)
-    sketch = build_sketch(P, decomp, tol=tol)
+    sketch = build_sketch(P, decomp)
     projections = {p.id: project_patch(P, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
-    graph = build_spanner(P, decomp, sketch, assignment, eps, tol)
+    graph = build_spanner(P, decomp, sketch, assignment, eps)
     if not graph.connected:
         hint = (
             "larger" if decomp.count * 2 > P.n else "smaller"

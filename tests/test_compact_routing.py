@@ -162,6 +162,24 @@ def test_prune_same_face_entries():
         assert t in scheme.exact_next[x]
 
 
+def test_prune_matches_shared_patch_rule(sphere50_system):
+    # Steiner nodes lie on two sketch faces; the prune drops exactly the
+    # entries whose two nodes share a face, as a patch-set intersection does
+    g = sphere50_system.graph
+    assert any(len(n.patches) == 2 for n in g.nodes)
+    scheme = tz_preprocess(g)
+
+    def share(x, t):
+        return bool(set(g.nodes[x].patches) & set(g.nodes[t].patches))
+
+    want = [{x: {t: hop for t, hop in table.items() if not share(x, t)}
+             for x, table in group.items()}
+            for group in (scheme.exact_next, scheme.landmark_full_next)]
+    assert want != [scheme.exact_next, scheme.landmark_full_next]
+    prune_intra_face(scheme, g)
+    assert [scheme.exact_next, scheme.landmark_full_next] == want
+
+
 def test_total_entries_scaling(sphere50_system, sphere100):
     from polyroute.tables import preprocess_mesh
 

@@ -6,42 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyroute.geometry import (
+    SNAP_EPS,
     DegenerateFace,
-    DegenerateSegment,
-    HitKind,
-    NotAdjacent,
-    Plane,
-    Tolerance,
     corner_angle,
     cross3,
-    segment_plane_intersect,
-    unfold_across_edge,
+    unfold_rotation,
 )
-
-Z0 = Plane(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-
-
-def test_segment_crosses_plane_at_midpoint():
-    hit = segment_plane_intersect(np.array([0.0, 0, -1]), np.array([0.0, 0, 1]), Z0)
-    assert hit.kind is HitKind.INTERIOR
-    assert hit.u == pytest.approx(0.5)
-    assert np.allclose(hit.point, [0, 0, 0])
-
-
-def test_segment_parallel_above_plane_misses():
-    hit = segment_plane_intersect(np.array([0.0, 0, 1]), np.array([1.0, 0, 1]), Z0)
-    assert hit.kind is HitKind.NO_HIT
-
-
-def test_segment_endpoint_on_plane_snaps():
-    hit = segment_plane_intersect(np.array([0.0, 0, 0]), np.array([1.0, 1, 1]), Z0)
-    assert hit.kind is HitKind.AT_ENDPOINT
-    assert hit.endpoint == "a"
-
-
-def test_degenerate_segment_rejected():
-    with pytest.raises(DegenerateSegment):
-        segment_plane_intersect(np.zeros(3), np.full(3, 1e-14), Z0)
 
 
 def test_corner_angles_equilateral():
@@ -56,8 +26,7 @@ def test_corner_angle_right_isoceles():
 
 
 def test_corner_angle_near_collinear_rejected():
-    tol = Tolerance()
-    tri = np.array([[0.0, 0, 0], [1, 0, 0], [2, tol.eps_abs / 10, 0]])
+    tri = np.array([[0.0, 0, 0], [1, 0, 0], [2, SNAP_EPS / 10, 0]])
     with pytest.raises(DegenerateFace):
         corner_angle(tri, 0)
 
@@ -77,17 +46,18 @@ def test_cross3_matches_np_cross_bitwise():
 
 
 def test_unfold_coplanar_is_identity():
-    f = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     g = np.array([[1.0, 0, 0], [1, 1, 0], [0, 1, 0]])
-    rm = unfold_across_edge(f, g)
+    up = np.array([0.0, 0, 1])
+    rm = unfold_rotation(up, up, g[0], g[1])
     assert np.allclose(rm.apply(g), g, atol=1e-12)
 
 
 def test_unfold_cube_halves():
-    # halves of two unit-square cube faces sharing the edge (1,0,0)-(1,1,0)
-    f = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0]])
-    g = np.array([[1.0, 0, 0], [1, 1, 0], [1, 0, 1]])
-    rm = unfold_across_edge(f, g)
+    # the bottom face z=0 and the side face x=1 of the unit cube share the
+    # edge (1,0,0)-(1,1,0); unfolding the side face by its outward normal
+    # lays it flat beyond that edge
+    rm = unfold_rotation(np.array([0.0, 0, -1]), np.array([1.0, 0, 0]),
+                         np.array([1.0, 0, 0]), np.array([1.0, 1, 0]))
     image = rm.apply(np.array([1.0, 0, 1]))
     assert np.allclose(image, [2, 0, 0], atol=1e-12)
     # edge fixed pointwise
@@ -95,27 +65,8 @@ def test_unfold_cube_halves():
     assert np.allclose(rm.apply(np.array([1.0, 1, 0])), [1, 1, 0], atol=1e-12)
 
 
-def test_unfold_same_face_rejected():
-    f = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    with pytest.raises(NotAdjacent):
-        unfold_across_edge(f, f)
-
-
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)
 points = st.tuples(coords, coords, coords).map(np.array)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=points, b=points, anchor=points, n1=points, n2=points)
-def test_interior_hits_lie_on_plane(a, b, anchor, n1, n2):
-    if np.linalg.norm(b - a) < 1e-6 or np.linalg.norm(np.cross(n1, n2)) < 1e-6:
-        return
-    h = Plane(anchor, n1, n2)
-    tol = Tolerance()
-    hit = segment_plane_intersect(a, b, h, tol)
-    if hit.kind is HitKind.INTERIOR:
-        assert abs(h.signed_distance(hit.point)) <= tol.snap(np.linalg.norm(b - a))
-        assert 0.0 < hit.u < 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,16 +83,19 @@ def test_unfold_is_isometry(f, apex):
     g = np.stack([f[1], f[0], apex])
     if np.linalg.norm(np.cross(g[1] - g[0], g[2] - g[0])) < 1e-3:
         return
-    rm = unfold_across_edge(f, g)
+    nf = np.cross(f[1] - f[0], f[2] - f[0])
+    nf /= np.linalg.norm(nf)
+    ng = np.cross(g[1] - g[0], g[2] - g[0])
+    ng /= np.linalg.norm(ng)
+    rm = unfold_rotation(nf, ng, f[0], f[1])
     img = rm.apply(g)
     for i in range(3):
         for j in range(i + 1, 3):
             d0 = np.linalg.norm(g[i] - g[j])
             d1 = np.linalg.norm(img[i] - img[j])
             assert d1 == pytest.approx(d0, rel=1e-9, abs=1e-9)
-    # image is coplanar with f
-    nf = np.cross(f[1] - f[0], f[2] - f[0])
-    nf /= np.linalg.norm(nf)
+    # the shared edge is fixed pointwise and the image is coplanar with f
+    assert np.allclose(img[:2], g[:2], rtol=0.0, atol=1e-9)
     assert abs(float((img[2] - f[0]) @ nf)) < 1e-6
 
 

@@ -8,7 +8,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
-from polyroute.geometry import DEFAULT_TOL
 from polyroute.patching import compute_patches, build_sketch, project_patch
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
@@ -267,7 +266,7 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     face_maps = _build_face_maps(decomp, sketch)
     reps2d = {pid: np.stack([assignment.rep_point[r] for r in rs]) if rs else np.zeros((0, 2))
               for pid, rs in assignment.patch_reps.items()}
-    snap = DEFAULT_TOL.snap(mesh.diameter())
+    snap = mesh.snap
     fan = cone_fan(eps)
     shared = {}
     hits = 0
@@ -285,9 +284,9 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     assert hits > 0
 
 
-def _all_faces_lift(P, point, inward, tol=DEFAULT_TOL):
+def _all_faces_lift(P, point, inward):
     # the lift with every array rebuilt per call and np.cross in one piece
-    snap = tol.snap(P.diameter())
+    snap = P.snap
     denom = P.face_normals @ inward
     numer = P.face_normals @ point - P.face_offsets
     with np.errstate(divide="ignore", invalid="ignore"):

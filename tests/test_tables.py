@@ -84,6 +84,7 @@ def test_loaded_system_equals_built(sphere50_system):
     loaded = deserialize(serialize(built))
     assert loaded.tables == built.tables
     assert loaded.hop_faces == built.hop_faces
+    assert loaded.P.snap.hex() == built.P.snap.hex()
     for p, q in zip(loaded.decomp.patches, built.decomp.patches):
         for attr in ("anchor", "dir1", "dir2", "normal"):
             assert np.array_equal(getattr(p.gamma, attr), getattr(q.gamma, attr))
