@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import polytope as poly
+from .geometry import dot
 from .oracle import build_subdivision_graph, estimate_D, stretch_sweep
 from .patching import build_sketch, compute_patches
 from .router import HopLimitExceeded, RoutingError, route
@@ -113,9 +114,10 @@ def cmd_validate(args) -> int:
         sketch = build_sketch(mesh, decomp)
         report["delta"] = delta
         report["patches"] = decomp.count
-        report["max_normal_cone_width"] = max(
-            p.normal_cone_width for p in decomp.patches
-        )
+        # the widest angle between a face normal and its patch's normal
+        gammas = np.stack([p.gamma.normal for p in decomp.patches])[decomp.patch_of_face]
+        cosines = np.clip(dot(mesh.face_normals, gammas), -1.0, 1.0)
+        report["max_normal_cone_width"] = float(np.arccos(cosines).max())
         report["sketch_truncated"] = sketch.truncated
     if args.json:
         print(json.dumps(report, indent=2))

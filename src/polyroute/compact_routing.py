@@ -59,10 +59,6 @@ class LandmarkScheme:
     to_landmark_next: dict[int, dict[int, int]]
     landmark_full_next: dict[int, dict[int, int]]
     labels: dict[int, NodeLabel] = field(default_factory=dict)
-    pruned: bool = False
-
-    def is_landmark(self, node: int) -> bool:
-        return node in self.landmark_full_next
 
     def entry_count(self) -> int:
         total = sum(len(m) for m in self.exact_next.values())
@@ -221,7 +217,6 @@ def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkSch
             for pid in graph.nodes[x].patches:
                 for t in graph.per_face_nodes[pid]:
                     table.pop(t, None)
-    scheme.pruned = True
     return scheme
 
 

@@ -1,9 +1,18 @@
-"""3D/2D primitives: planes, corner angles, and the rigid rotation that
-unfolds one plane onto another about a shared edge.
+"""3D/2D primitives: the dot/norm/cross kernel, planes, corner angles, and
+the rigid rotation that unfolds one plane onto another about a shared edge.
 
 All points and vectors are numpy float64 arrays of shape (3,). Coincidence
 tests use one snap rule: at length scale s two things coincide when they
 are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
+
+Every dot product, norm and cross product of the system (outside the
+reference oracle, the mesh generator and the convexity check on load) is
+computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic summed left to right, over
+Python floats for one vector or over numpy columns for a batch. Elementwise
+float arithmetic rounds the same in both, so one row, any subset of rows
+and the whole batch give the same bits, whatever the BLAS library or its
+thread count. Forwarding decisions are sign tests of such values, so
+routes and `.prt` bytes depend on it.
 """
 from __future__ import annotations
 
@@ -17,8 +26,11 @@ __all__ = [
     "DegenerateFace",
     "SNAP_EPS",
     "snap",
+    "dot",
+    "norm",
+    "cross",
+    "transform",
     "Plane",
-    "cross3",
     "corner_angle",
     "RigidMap",
     "plane_frame",
@@ -43,20 +55,51 @@ def snap(scale: float) -> float:
     return SNAP_EPS + SNAP_EPS * abs(scale)
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors over Python floats; the same terms in
-    the same order as np.cross, so the result matches it bit for bit at a
-    fraction of its per-call cost."""
-    a0, a1, a2 = np.asarray(a, dtype=np.float64).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+def _parts(v):
+    """The components of a kernel argument: a 1-D array's as Python floats,
+    those of an (..., k) array as k arrays (one per coordinate); a tuple or
+    list of components (floats or arrays) is taken as it is."""
+    if isinstance(v, np.ndarray):
+        return v.tolist() if v.ndim == 1 else [v[..., k] for k in range(v.shape[-1])]
+    return v
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+def dot(a, b):
+    """Dot product of 2- or 3-vectors, a0*b0 + a1*b1 (+ a2*b2) left to right.
+    Either argument may be one vector or a batch of them; the result is a
+    float, or an array over the batch."""
+    a, b = _parts(a), _parts(b)
+    if len(a) == 2:
+        return a[0] * b[0] + a[1] * b[1]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def norm(a):
+    """Euclidean length, the square root of `dot(a, a)`."""
+    sq = dot(a, a)
+    return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+
+
+def cross(a, b):
+    """Cross product of 3-vectors, as the tuple of its three components
+    (floats, or arrays over a batch); the terms are np.cross's."""
+    (a0, a1, a2), (b0, b1, b2) = _parts(a), _parts(b)
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def transform(m, points) -> np.ndarray:
+    """points @ m.T for the rows of a small matrix m (any sequence of 2- or
+    3-vectors), each output coordinate one `dot`: a vector for one point,
+    an (n, len(m)) array for a batch."""
+    out = [dot(points, row) for row in m]
+    return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
+
+
+def _unit(v) -> np.ndarray:
+    n = norm(v)
     if n <= SNAP_EPS:
         raise GeometryError("cannot normalize near-zero vector")
-    return v / n
+    return np.asarray(v, dtype=np.float64) / n
 
 
 @dataclass(frozen=True)
@@ -73,21 +116,21 @@ class Plane:
         a = np.asarray(self.anchor, dtype=np.float64)
         d1 = np.asarray(self.dir1, dtype=np.float64)
         d2 = np.asarray(self.dir2, dtype=np.float64)
-        n = cross3(d1, d2)
-        norm = float(np.linalg.norm(n))
-        scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)), 1.0)
-        if norm <= snap(scale * scale):
+        n = np.array(cross(d1, d2))
+        length = norm(n)
+        scale = max(norm(d1), norm(d2), 1.0)
+        if length <= snap(scale * scale):
             raise GeometryError("plane direction vectors are near-parallel")
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "dir1", d1)
         object.__setattr__(self, "dir2", d2)
-        object.__setattr__(self, "normal", n / norm)
+        object.__setattr__(self, "normal", n / length)
 
     @classmethod
     def from_normal(cls, anchor: np.ndarray, normal: np.ndarray) -> "Plane":
         n = _unit(np.asarray(normal, dtype=np.float64))
         d1 = _unit(_perp_seed(n))
-        d2 = cross3(n, d1)
+        d2 = np.array(cross(n, d1))
         return cls(np.asarray(anchor, dtype=np.float64), d1, d2)
 
     @classmethod
@@ -100,17 +143,18 @@ class Plane:
         b = np.asarray(b, dtype=np.float64)
         d1 = b - a
         n = np.asarray(base_normal, dtype=np.float64)
-        if np.linalg.norm(cross3(d1, n)) <= snap(np.linalg.norm(d1)):
+        if norm(cross(d1, n)) <= snap(norm(d1)):
             # a->b runs along the base normal; any orthogonal companion works
-            return cls.from_normal(a, _unit(cross3(n, _perp_seed(n))))
+            return cls.from_normal(a, _unit(cross(n, _perp_seed(n))))
         return cls(a, d1, n)
 
     def offset(self) -> float:
-        return float(np.dot(self.normal, self.anchor))
+        return dot(self.normal, self.anchor)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.normal - self.offset()
+    def signed_distance(self, points: np.ndarray) -> np.ndarray | float:
+        """Signed distance of one point (a float) or of each row of an
+        (n, 3) array; a row's value has the same bits either way."""
+        return dot(np.asarray(points, dtype=np.float64), self.normal) - self.offset()
 
 
 def _perp_seed(n: np.ndarray) -> np.ndarray:
@@ -118,30 +162,25 @@ def _perp_seed(n: np.ndarray) -> np.ndarray:
     k = int(np.argmin(np.abs(n)))
     seed = np.zeros(3)
     seed[k] = 1.0
-    return cross3(n, seed)
+    return np.array(cross(n, seed))
 
 
 def corner_angle(face: np.ndarray, at: int) -> float:
     """Interior angle of a triangle at vertex index `at`, in radians.
 
-    Python-float arithmetic with each sum written out left to right;
-    `polytope.compute_theta_m` repeats it column-wise over all faces and
-    relies on getting the same bits."""
+    `polytope.compute_theta_m` makes the same kernel calls over the columns
+    of all faces, so its cosines have this function's bits."""
     pts = np.asarray(face, dtype=np.float64)
     if pts.shape != (3, 3):
         raise GeometryError("face must consist of exactly 3 points")
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = pts[[at % 3, (at + 1) % 3, (at + 2) % 3]].tolist()
-    a0, a1, a2 = q0 - p0, q1 - p1, q2 - p2
-    b0, b1, b2 = r0 - p0, r1 - p1, r2 - p2
-    n1 = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-    n2 = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+    p, q, r = pts[[at % 3, (at + 1) % 3, (at + 2) % 3]]
+    a, b = q - p, r - p
+    n1, n2 = norm(a), norm(b)
     if n1 <= SNAP_EPS or n2 <= SNAP_EPS:
         raise DegenerateFace("face has a near-zero edge")
-    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    sin_area = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / (n1 * n2)
-    if sin_area <= SNAP_EPS:
+    if norm(cross(a, b)) / (n1 * n2) <= SNAP_EPS:
         raise DegenerateFace("face is near-collinear")
-    cosang = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
+    cosang = dot(a, b) / (n1 * n2)
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 
@@ -153,8 +192,7 @@ class RigidMap:
     translation: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        return transform(self.rotation, np.asarray(points, dtype=np.float64)) + self.translation
 
 
 def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -180,14 +218,14 @@ def unfold_rotation(
     axis = _unit(np.asarray(edge_p1, dtype=np.float64) - np.asarray(edge_p0, dtype=np.float64))
     ns = np.asarray(n_source, dtype=np.float64)
     nt = np.asarray(n_target, dtype=np.float64)
-    angle = math.atan2(float(np.dot(np.cross(ns, nt), axis)), float(np.dot(ns, nt)))
+    angle = math.atan2(dot(cross(ns, nt), axis), dot(ns, nt))
     rot = _rotation_about_axis(axis, angle)
     p0 = np.asarray(edge_p0, dtype=np.float64)
-    return RigidMap(rot, p0 - rot @ p0)
+    return RigidMap(rot, p0 - transform(rot, p0))
 
 
 def plane_frame(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal in-plane basis (origin, u, v) with u x v = plane normal."""
     u = _unit(plane.dir1)
-    v = np.cross(plane.normal, u)
+    v = np.array(cross(plane.normal, u))
     return plane.anchor, u, v

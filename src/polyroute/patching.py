@@ -5,9 +5,12 @@ projections onto the supporting planes.
 A patch is grown by breadth-first traversal of the face-adjacency graph; a
 face joins while the patch's normal-angle ranges against the +x and +z axes
 both stay within delta (the pairwise condition, tracked as a running
-min/max per axis). The sketch face of each patch is computed explicitly by
-clipping a large in-plane square against every other patch's half-space,
-which also yields the abutting-patch label of every boundary edge.
+min/max per axis). Everything else about a patch (its plane, frame and
+vertex set, and which patch owns each vertex) is derived from the face
+assignment and the seed faces by `build_decomposition`. The sketch face of
+each patch is computed explicitly by clipping a large in-plane square
+against every other patch's half-space, which also yields the
+abutting-patch label of every boundary edge.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .geometry import SNAP_EPS, Plane, plane_frame
+from .geometry import SNAP_EPS, Plane, dot, norm, plane_frame, transform
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "SketchFace",
     "Sketch",
     "compute_patches",
+    "build_decomposition",
     "build_sketch",
     "project_patch",
 ]
@@ -50,22 +53,19 @@ class Patch:
     rep_face: int
     gamma: Plane
     vertices: set[int]
-    frame_origin: np.ndarray = field(default=None, repr=False)
-    frame_u: np.ndarray = field(default=None, repr=False)
-    frame_v: np.ndarray = field(default=None, repr=False)
-    normal_cone_width: float = 0.0
+    frame_origin: np.ndarray = field(repr=False)
+    frame_u: np.ndarray = field(repr=False)
+    frame_v: np.ndarray = field(repr=False)
 
     def to_2d(self, points: np.ndarray) -> np.ndarray:
+        """Frame coordinates of one point or of each row of an (n, 3) array;
+        a row gets the same bits either way."""
         rel = np.asarray(points, dtype=np.float64) - self.frame_origin
-        return np.stack([rel @ self.frame_u, rel @ self.frame_v], axis=-1)
+        return transform((self.frame_u, self.frame_v), rel)
 
     def to_3d(self, uv: np.ndarray) -> np.ndarray:
-        uv = np.asarray(uv, dtype=np.float64)
-        return (
-            self.frame_origin
-            + np.outer(uv[..., 0].ravel(), self.frame_u).reshape(uv.shape[:-1] + (3,))
-            + np.outer(uv[..., 1].ravel(), self.frame_v).reshape(uv.shape[:-1] + (3,))
-        )
+        axes = np.stack([self.frame_u, self.frame_v], axis=1)
+        return self.frame_origin + transform(axes, np.asarray(uv, dtype=np.float64))
 
 
 @dataclass
@@ -100,16 +100,8 @@ class SketchFace:
 
 @dataclass
 class Sketch:
-    normals: np.ndarray  # (m, 3) outward unit normals, one per patch
-    offsets: np.ndarray  # (m,) with half-space n.x <= b
     faces: list[SketchFace]
     truncated: bool
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        scale = float(np.abs(pts).max()) if pts.size else 1.0
-        slack = geometry.snap(scale) * 100.0
-        return (pts @ self.normals.T <= self.offsets[None, :] + slack).all(axis=1)
 
 
 def _normal_axis_angles(P: TriangulatedPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -130,14 +122,14 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
     theta_x, theta_z = _normal_axis_angles(P)
     adj = dual_graph(P)
     assigned = np.full(P.num_faces, -1, dtype=np.int64)
-    patches: list[Patch] = []
+    seeds: list[int] = []
     for seed in range(P.num_faces):
         if assigned[seed] >= 0:
             continue
-        pid = len(patches)
+        pid = len(seeds)
+        seeds.append(seed)
         lo_x = hi_x = theta_x[seed]
         lo_z = hi_z = theta_z[seed]
-        members = [seed]
         assigned[seed] = pid
         queue = deque([seed])
         while queue:
@@ -150,34 +142,40 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
                 if nhx - nlx <= delta and nhz - nlz <= delta:
                     lo_x, hi_x, lo_z, hi_z = nlx, nhx, nlz, nhz
                     assigned[nb] = pid
-                    members.append(nb)
                     queue.append(nb)
-        patches.append(_make_patch(P, pid, members, seed))
+    return build_decomposition(P, assigned, seeds, delta)
 
+
+def build_decomposition(
+    P: TriangulatedPolytope, patch_of_face: np.ndarray, rep_faces: list[int], delta: float
+) -> PatchDecomposition:
+    """The decomposition with the given patch id per face and representative
+    face per patch; `compute_patches` and `.prt` loading both end here. Each
+    patch's plane runs through its representative face, and a vertex is
+    owned by the lowest patch id among its faces."""
+    faces = [[] for _ in rep_faces]
+    verts = [set() for _ in rep_faces]
+    corners = P.faces.tolist()
+    for fi, pid in enumerate(patch_of_face.tolist()):
+        faces[pid].append(fi)
+        verts[pid].update(corners[fi])
+    patches = [_make_patch(P, pid, seed, faces[pid], verts[pid])
+               for pid, seed in enumerate(rep_faces)]
     owner = np.full(P.n, np.iinfo(np.int64).max, dtype=np.int64)
-    for fi, pid in enumerate(assigned):
-        for v in P.faces[fi]:
-            owner[v] = min(owner[v], pid)
+    np.minimum.at(owner, P.faces.ravel(), np.repeat(patch_of_face, 3))
     return PatchDecomposition(
-        patches=patches, patch_of_face=assigned, owner_of_vertex=owner, delta=delta
+        patches=patches, patch_of_face=patch_of_face, owner_of_vertex=owner, delta=delta
     )
 
 
-def _make_patch(P: TriangulatedPolytope, pid: int, members: list[int], seed: int) -> Patch:
-    f = P.faces[seed]
-    gamma = Plane(
-        P.vertices[f[0]], P.vertices[f[1]] - P.vertices[f[0]],
-        P.vertices[f[2]] - P.vertices[f[0]],
-    )
+def _make_patch(P: TriangulatedPolytope, pid: int, seed: int, faces: list[int],
+                vertices: set[int]) -> Patch:
+    a, b, c = P.vertices[P.faces[seed]]
+    gamma = Plane(a, b - a, c - a)
     origin, u, v = plane_frame(gamma)
-    verts: set[int] = set()
-    for fi in members:
-        verts.update(int(x) for x in P.faces[fi])
-    cosines = np.clip(P.face_normals[members] @ gamma.normal, -1.0, 1.0)
-    width = float(np.arccos(cosines).max())
     return Patch(
-        id=pid, faces=sorted(members), rep_face=seed, gamma=gamma, vertices=verts,
-        frame_origin=origin, frame_u=u, frame_v=v, normal_cone_width=width,
+        id=pid, faces=faces, rep_face=seed, gamma=gamma, vertices=vertices,
+        frame_origin=origin, frame_u=u, frame_v=v,
     )
 
 
@@ -194,7 +192,7 @@ def _clip_halfplane(
     k = len(poly)
     if k == 0:
         return poly, owners
-    vals = poly @ a - c
+    vals = dot(poly, a) - c
     if (vals <= snap).all():
         return poly, owners
     out_pts: list[np.ndarray] = []
@@ -226,12 +224,12 @@ def _dedup_polygon(
     keep_pts: list[np.ndarray] = []
     keep_own: list[int] = []
     for p, o in zip(pts, own):
-        if keep_pts and np.linalg.norm(p - keep_pts[-1]) <= snap:
+        if keep_pts and norm(p - keep_pts[-1]) <= snap:
             keep_own[-1] = o  # zero-length edge collapses; keep outgoing owner
             continue
         keep_pts.append(p)
         keep_own.append(o)
-    if len(keep_pts) > 1 and np.linalg.norm(keep_pts[0] - keep_pts[-1]) <= snap:
+    if len(keep_pts) > 1 and norm(keep_pts[0] - keep_pts[-1]) <= snap:
         keep_pts.pop()
         keep_own.pop()
     if len(keep_pts) < 3:
@@ -247,9 +245,7 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
     faces are truncated by a working square of half side _SKETCH_BOUND
     times the mesh diameter and flagged.
     """
-    m = decomp.count
-    normals = np.stack([p.gamma.normal for p in decomp.patches])
-    offsets = np.array([p.gamma.offset() for p in decomp.patches])
+    offsets = [p.gamma.offset() for p in decomp.patches]
     half = _SKETCH_BOUND * max(P.diameter(), 1e-12)
     snap = P.snap
 
@@ -263,13 +259,13 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
         poly = square
         owners = np.full(4, NO_NEIGHBOR, dtype=np.int64)
         o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
-        for j in range(m):
+        for j, other in enumerate(decomp.patches):
             if j == patch.id:
                 continue
-            nj = normals[j]
-            a2 = np.array([float(nj @ u), float(nj @ v)])
-            c2 = offsets[j] - float(nj @ o)
-            if np.linalg.norm(a2) <= SNAP_EPS:
+            nj = other.gamma.normal
+            a2 = (dot(nj, u), dot(nj, v))
+            c2 = offsets[j] - dot(nj, o)
+            if norm(a2) <= SNAP_EPS:
                 # plane j parallel to this one; either redundant or empty
                 if -c2 > snap:
                     poly = np.zeros((0, 2))
@@ -286,7 +282,7 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
         truncated = bool((owners == NO_NEIGHBOR).any())
         any_truncated |= truncated
         faces.append(SketchFace(patch.id, poly, owners, truncated))
-    return Sketch(normals=normals, offsets=offsets, faces=faces, truncated=any_truncated)
+    return Sketch(faces=faces, truncated=any_truncated)
 
 
 def project_patch(P: TriangulatedPolytope, patch: Patch) -> Projection:
@@ -294,7 +290,7 @@ def project_patch(P: TriangulatedPolytope, patch: Patch) -> Projection:
     expressed in the patch's 2D frame."""
     ids = sorted(patch.vertices)
     pts = P.vertices[ids]
-    dist = pts @ patch.gamma.normal - patch.gamma.offset()
+    dist = patch.gamma.signed_distance(pts)
     foot = pts - dist[:, None] * patch.gamma.normal[None, :]
     uv = patch.to_2d(foot)
     return Projection(

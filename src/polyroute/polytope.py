@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import geometry
-from .geometry import SNAP_EPS, DegenerateFace
+from .geometry import SNAP_EPS, DegenerateFace, cross, dot, norm
 
 _BLOCK = 64  # rows per block in the pairwise passes of diameter() and _check_convex
 
@@ -92,23 +92,19 @@ class TriangulatedPolytope:
         return self.edge_adjacency.keys()
 
     def edge_length(self, u: int, v: int) -> float:
-        return float(np.linalg.norm(self.vertices[u] - self.vertices[v]))
+        return norm(self.vertices[u] - self.vertices[v])
 
     def diameter(self) -> float:
         """Max pairwise vertex distance, cached. Each block of rows is set
         only against the vertices from its own first row on (d2 is
-        symmetric), so memory stays O(_BLOCK * n); d2 is summed per
-        coordinate left to right, as a sum over the last axis of an
-        n x n x 3 array of squared differences sums it."""
+        symmetric), so memory stays O(_BLOCK * n); d2 is the kernel's
+        `dot` of each difference with itself, over contiguous columns."""
         if self._diameter is None:
-            x, y, z = (self.vertices[:, k].copy() for k in range(3))
+            cols = [self.vertices[:, k].copy() for k in range(3)]
             best = 0.0
-            for i in range(0, len(x), _BLOCK):
-                j = i + _BLOCK
-                d2 = (x[i:j, None] - x[None, i:]) ** 2
-                d2 += (y[i:j, None] - y[None, i:]) ** 2
-                d2 += (z[i:j, None] - z[None, i:]) ** 2
-                best = max(best, float(d2.max()))
+            for i in range(0, self.n, _BLOCK):
+                d = [c[i:i + _BLOCK, None] - c[None, i:] for c in cols]
+                best = max(best, float(dot(d, d).max()))
             self._diameter = math.sqrt(best)
         return self._diameter
 
@@ -120,8 +116,7 @@ class TriangulatedPolytope:
 
     def surface_area(self) -> float:
         v = self.vertices[self.faces]
-        cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        return float(0.5 * np.linalg.norm(cross, axis=1).sum())
+        return float(0.5 * norm(cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])).sum())
 
     def other_face(self, f: int, u: int, v: int) -> int:
         a, b = self.edge_adjacency[(min(u, v), max(u, v))]
@@ -218,7 +213,7 @@ def _orient_outward(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
             raise NotClosed(f"edge ({u}, {v}) is not shared by two faces")
     # signed volume decides global orientation; all-inward meshes are flipped
     v = vertices[faces]
-    vol = float(np.einsum("ij,ij->i", np.cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) / 6.0
+    vol = float(dot(cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) / 6.0
     if vol < 0:
         faces = faces[:, ::-1].copy()
     return faces
@@ -248,15 +243,13 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
 
     P.vertex_fan = _vertex_fans(P, faces)
 
-    normals = np.cross(
-        P.vertices[P.faces[:, 1]] - P.vertices[P.faces[:, 0]],
-        P.vertices[P.faces[:, 2]] - P.vertices[P.faces[:, 0]],
-    )
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    first = P.vertices[P.faces[:, 0]]
+    normals = cross(P.vertices[P.faces[:, 1]] - first, P.vertices[P.faces[:, 2]] - first)
+    norms = norm(normals)
     if (norms <= SNAP_EPS).any():
         raise ParseError("degenerate (zero-area) face")
-    P.face_normals = normals / norms
-    P.face_offsets = np.einsum("ij,ij->i", P.face_normals, P.vertices[P.faces[:, 0]])
+    P.face_normals = np.stack(normals, axis=1) / norms[:, None]
+    P.face_offsets = dot(P.face_normals, first)
 
 
 def _vertex_fans(P: TriangulatedPolytope, faces: list[list[int]]) -> dict[int, list[int]]:
@@ -294,7 +287,9 @@ def _vertex_fans(P: TriangulatedPolytope, faces: list[list[int]]) -> dict[int, l
 
 def _check_convex(P: TriangulatedPolytope) -> None:
     # vertex-to-plane distances over blocks of vertex rows, O(_BLOCK * F)
-    # memory; col_max[f] is the largest distance of any vertex to face f
+    # memory; col_max[f] is the largest distance of any vertex to face f.
+    # The one BLAS product left in the system: it only decides accept or
+    # reject, and the kernel's elementwise form costs 2-3x as much here.
     scale = float(np.abs(P.vertices).max())
     thr = SNAP_EPS + SNAP_EPS * scale * 100.0
     col_max = np.full(P.num_faces, -np.inf)
@@ -335,10 +330,10 @@ def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
     triangulated surface every corner is also a consecutive edge pair of some
     vertex fan, so this is the vertex-fan reading as well.
 
-    The corners are computed column-wise over all faces with the arithmetic
-    of `geometry.corner_angle`, term for term, so every cosine matches that
-    function's bit for bit; acos is decreasing, so the smallest angle is the
-    acos of the largest cosine."""
+    The corners are computed over all faces at once with the kernel calls
+    of `geometry.corner_angle`, so every cosine has that function's bits;
+    acos is decreasing, so the smallest angle is the acos of the largest
+    cosine."""
     V = P.vertices
     eps = SNAP_EPS
     max_cos = -1.0
@@ -346,16 +341,12 @@ def compute_theta_m(P: TriangulatedPolytope) -> PolytopeMetrics:
         p = V[P.faces[:, k]]
         e1 = V[P.faces[:, (k + 1) % 3]] - p
         e2 = V[P.faces[:, (k + 2) % 3]] - p
-        a0, a1, a2 = e1[:, 0], e1[:, 1], e1[:, 2]
-        b0, b1, b2 = e2[:, 0], e2[:, 1], e2[:, 2]
-        n1 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-        n2 = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+        n1, n2 = norm(e1), norm(e2)
         if ((n1 <= eps) | (n2 <= eps)).any():
             raise DegenerateFace("face has a near-zero edge")
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        if (np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / (n1 * n2) <= eps).any():
+        if (norm(cross(e1, e2)) / (n1 * n2) <= eps).any():
             raise DegenerateFace("face is near-collinear")
-        cos = (a0 * b0 + a1 * b1 + a2 * b2) / (n1 * n2)
+        cos = dot(e1, e2) / (n1 * n2)
         max_cos = max(max_cos, float(cos.max()))
     min_angle = math.acos(min(1.0, max_cos))
     return PolytopeMetrics(theta_m=0.5 * min_angle)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import Plane
+from .geometry import Plane, dot, norm
 from .compact_routing import NodeLabel, tz_next_hop
 from .tables import RoutingSystem
 
@@ -159,7 +159,7 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
     P = system.P
     header.pseudo = target
     header.gamma_normal = gamma_normal
-    if float(np.linalg.norm(target.point - P.vertices[v])) <= P.snap:
+    if norm(target.point - P.vertices[v]) <= P.snap:
         header.plane = None
         header.sig = None
     else:
@@ -267,7 +267,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     header.tz_word = "global"
     tgt = _node_target(system, w)
     P = system.P
-    if float(np.linalg.norm(tgt.point - P.vertices[v])) <= P.snap and v in tgt.arrival:
+    if norm(tgt.point - P.vertices[v]) <= P.snap and v in tgt.arrival:
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
@@ -290,10 +290,10 @@ def _cross_point(P, header, u: int, v: int) -> tuple[np.ndarray, int]:
     a, b = P.vertices[u], P.vertices[v]
     t = su / (su - sv)
     q = a + t * (b - a)
-    snap = geometry.snap(float(np.linalg.norm(b - a)))
-    if float(np.linalg.norm(q - a)) <= snap:
+    snap = geometry.snap(norm(b - a))
+    if norm(q - a) <= snap:
         return q, u
-    if float(np.linalg.norm(q - b)) <= snap:
+    if norm(q - b) <= snap:
         return q, v
     return q, -1
 
@@ -422,13 +422,13 @@ def _start_trace(P, header, current: int, snap: float):
     if not cands:
         return None
     goal = header.pseudo.point - P.vertices[current]
-    gn = float(np.linalg.norm(goal))
+    gn = norm(goal)
     goal = goal / gn if gn > 0 else goal
 
     def score(cand):
         d = cand[0]
-        nn = float(np.linalg.norm(d))
-        return float(d @ goal) / nn if nn > 0 else -2.0
+        nn = norm(d)
+        return dot(d, goal) / nn if nn > 0 else -2.0
 
     best = max(cands, key=score)
     if best[2] == "run":
@@ -444,7 +444,7 @@ def _greedy_step(P, header, current: int):
     goal = header.pseudo.point
     ranked = sorted(
         P.neighbors[current],
-        key=lambda w: (float(np.linalg.norm(P.vertices[w] - goal)), w),
+        key=lambda w: (norm(P.vertices[w] - goal), w),
     )
     for w in ranked:
         if w not in header.fallback_seen:
@@ -491,7 +491,7 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
             return finish(arrival_adjacent[0], "General")
         best = min(
             arrival_adjacent,
-            key=lambda w: (float(np.linalg.norm(P.vertices[w] - target.point)), w),
+            key=lambda w: (norm(P.vertices[w] - target.point), w),
         )
         return finish(best, "General")
 

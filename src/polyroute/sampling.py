@@ -30,10 +30,6 @@ class Grid:
     rows: int
     cols: int
 
-    @property
-    def cell_count(self) -> int:
-        return self.rows * self.cols
-
     def cell_of(self, p: np.ndarray) -> int:
         col = self._axis_index(float(p[0]) - float(self.origin[0]), self.cell_w, self.cols)
         row = self._axis_index(float(p[1]) - float(self.origin[1]), self.cell_h, self.rows)

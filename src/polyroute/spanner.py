@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import unfold_rotation
+from .geometry import cross, dot, norm, transform, unfold_rotation
 from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -175,28 +175,21 @@ def build_theta_graph(
 
 # ---------------------------------------------------------------------------
 # extended-cone tracing over the unfolded sketch
-#
-# Everything from here to the end of the Steiner lift must give the bits the
-# plain numpy formulation gave: the spanner, and so the `.prt` bytes, depend
-# on every comparison below. Small BLAS-backed products (`@`, `np.dot`,
-# `np.linalg.norm`) do not round like left-to-right float arithmetic, so each
-# one is kept as it is, or computed once and reused where its inputs repeat.
-# Only elementwise expressions (subtract, multiply, divide, compare) run over
-# Python floats, with the same terms in the same order.
 
 
 @dataclass
 class _FaceMaps:
     """Per sketch face: polygon, per-edge neighbour, and `hops`: per edge
     with a neighbour face, in edge order, that face and the 2D rigid map
-    carrying its frame into this face's frame after unfolding. `edges`
-    holds, per polygon edge, its start point and edge vector (as arrays and
-    as floats) and the edge vector's squared length."""
+    (matrix rows, translation) carrying its frame into this face's frame
+    after unfolding. `edges` holds, per polygon edge, its start point and
+    edge vector and the edge vector's squared length. Maps, points and
+    vectors other than `poly` are tuples of Python floats."""
 
     poly: np.ndarray
     neighbors: np.ndarray
-    hops: list[tuple[int, np.ndarray, np.ndarray]]
-    center: np.ndarray = None
+    hops: list[tuple[int, tuple, tuple]]
+    center: tuple[float, float] = (0.0, 0.0)
     radius: float = 0.0
     edges: list = field(default_factory=list)
 
@@ -208,7 +201,7 @@ def _build_face_maps(
     maps: dict[int, _FaceMaps] = {}
     for f in sketch.faces:
         patch = decomp.patches[f.patch_id]
-        hops: list[tuple[int, np.ndarray, np.ndarray]] = []
+        hops: list[tuple[int, tuple, tuple]] = []
         poly3 = f.polygon3d(patch)
         kk = len(f.polygon2d)
         for k in range(kk):
@@ -218,18 +211,21 @@ def _build_face_maps(
             nb_patch = decomp.patches[j]
             A, B = poly3[k], poly3[(k + 1) % kk]
             rigid = unfold_rotation(patch.gamma.normal, nb_patch.gamma.normal, A, B)
-            # express the composite (unfold then change frame) as 2D affine
-            cols = rigid.rotation @ np.stack([nb_patch.frame_u, nb_patch.frame_v], axis=1)
-            m2 = np.stack([patch.frame_u, patch.frame_v]) @ cols
-            t2 = patch.to_2d(rigid.apply(nb_patch.frame_origin))
+            # express the composite (unfold then change frame) as 2D affine:
+            # column j of m2 is the rotated j-th frame axis of the neighbour
+            turned = transform(rigid.rotation, np.stack([nb_patch.frame_u, nb_patch.frame_v]))
+            m2 = tuple(tuple(transform(turned, axis).tolist())
+                       for axis in (patch.frame_u, patch.frame_v))
+            t2 = tuple(patch.to_2d(rigid.apply(nb_patch.frame_origin)).tolist())
             hops.append((j, m2, t2))
-        center = f.polygon2d.mean(axis=0)
-        radius = float(np.linalg.norm(f.polygon2d - center, axis=1).max())
+        center = tuple(f.polygon2d.mean(axis=0).tolist())
+        radius = float(norm(f.polygon2d - center).max())
         edges = []
+        corners = f.polygon2d.tolist()
         for k in range(kk):
-            a = f.polygon2d[k]
-            seg = f.polygon2d[(k + 1) % kk] - a
-            edges.append((a, seg, a.tolist(), seg.tolist(), float(seg @ seg)))
+            (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
+            seg = (b0 - a0, b1 - a1)
+            edges.append(((a0, a1), seg, dot(seg, seg)))
         maps[f.patch_id] = _FaceMaps(f.polygon2d, f.neighbor_patch, hops,
                                      center=center, radius=radius, edges=edges)
     return maps
@@ -248,7 +244,7 @@ class _Unfolded:
 
     __slots__ = ("fm", "pid", "m2", "t2", "center", "poly", "reps", "children")
 
-    def __init__(self, fm: _FaceMaps, pid: int, m2: np.ndarray, t2: np.ndarray,
+    def __init__(self, fm: _FaceMaps, pid: int, m2: tuple, t2: tuple[float, float],
                  center: tuple[float, float] = (0.0, 0.0)) -> None:
         self.fm = fm
         self.pid = pid
@@ -261,26 +257,37 @@ class _Unfolded:
 
     def unfold(self, i: int, face_maps: dict[int, _FaceMaps]) -> _Unfolded:
         nb, em, et = self.fm.hops[i]
-        nm = self.m2 @ em
-        nt = self.m2 @ et + self.t2
+        cols = tuple(zip(*em))
+        nm = tuple(tuple(dot(row, col) for col in cols) for row in self.m2)  # m2 @ em
+        nt = self._map(et)
         fm = face_maps[nb]
         node = self.children[i] = _Unfolded(
-            fm, nb, nm, nt, center=tuple((nm @ fm.center + nt).tolist()))
+            fm, nb, nm, nt, center=tuple(dot(row, fm.center) + t for row, t in zip(nm, nt)))
         return node
 
+    def _map(self, pts):
+        """This node's map applied to one point (a float pair) or to the rows
+        of an (n, 2) array (a pair of coordinate arrays)."""
+        (r0, r1), (t0, t1) = self.m2, self.t2
+        return dot(pts, r0) + t0, dot(pts, r1) + t1
+
     def unfold_poly(self) -> tuple[list[float], list[float]]:
-        unfolded = self.fm.poly @ self.m2.T + self.t2
-        self.poly = (unfolded[:, 0].tolist(), unfolded[:, 1].tolist())
+        xs, ys = self._map(self.fm.poly)
+        self.poly = (xs.tolist(), ys.tolist())
         return self.poly
 
     def unfold_reps(self, reps2d: dict[int, np.ndarray]) -> list:
         pts = reps2d.get(self.pid)
-        self.reps = (pts @ self.m2.T + self.t2).tolist() if pts is not None and len(pts) else []
+        if pts is None or not len(pts):
+            self.reps = []
+        else:
+            xs, ys = self._map(pts)
+            self.reps = list(zip(xs.tolist(), ys.tolist()))
         return self.reps
 
 
 def _unfolding_root(fm: _FaceMaps, pid: int) -> _Unfolded:
-    root = _Unfolded(fm, pid, np.eye(2), np.zeros(2))
+    root = _Unfolded(fm, pid, ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
     root.reps = []  # the search is for the reps of other faces
     return root
 
@@ -331,14 +338,14 @@ def _polygon_meets_wedge(poly: tuple[list[float], list[float]], apex, d1, d2,
 
 
 def _nearest_boundary_point_in_wedge(
-    edges: list, apex: np.ndarray, d1, d2, snap: float
+    edges: list, apex: tuple[float, float], d1, d2, snap: float
 ) -> tuple[np.ndarray, int] | None:
     """Closest point to the apex on the polygon boundary restricted to the
     closed wedge; `edges` is the face's `_FaceMaps.edges`. Returns (point,
     edge index) or None."""
-    best: tuple[float, np.ndarray, int] | None = None
-    ax, ay = apex.tolist()
-    for i, (a, seg, (a0, a1), (s0, s1), denom) in enumerate(edges):
+    best: tuple[float, tuple[float, float], int] | None = None
+    ax, ay = apex
+    for i, ((a0, a1), (s0, s1), denom) in enumerate(edges):
         t0, t1 = 0.0, 1.0
         ok = True
         for (dx, dy), sgn in ((d1, 1.0), (d2, -1.0)):
@@ -360,16 +367,16 @@ def _nearest_boundary_point_in_wedge(
         # closest point of the clipped subsegment to the apex; when the apex
         # itself lies on the subsegment (corner apex), fall back to the
         # interval endpoints so a degenerate zero-length relay is never made
-        t_star = 0.0 if denom <= 1e-300 else float((apex - a) @ seg) / denom
+        t_star = 0.0 if denom <= 1e-300 else dot((ax - a0, ay - a1), (s0, s1)) / denom
         t_star = min(max(t_star, t0), t1)
         for t in (t_star, t0, t1):
-            q = a + t * seg
-            dist = float(np.linalg.norm(q - apex))
+            q = (a0 + t * s0, a1 + t * s1)
+            dist = norm((q[0] - ax, q[1] - ay))
             if dist > snap and (best is None or dist < best[0]):
                 best = (dist, q, i)
     if best is None:
         return None
-    return best[1], best[2]
+    return np.array(best[1]), best[2]
 
 
 def _extended_cone_hits_rep(
@@ -455,10 +462,10 @@ def place_steiner_points(
 
     steiner_key: dict[tuple[int, int, int, int, int], int] = {}
     # nodes already registered per face, to refuse coincident duplicates
-    occupied_pos: dict[int, list[tuple[float, float, np.ndarray]]] = {}
+    occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for n in nodes:
         for pid in n.patches:
-            occupied_pos.setdefault(pid, []).append((*n.pos2d[pid].tolist(), n.pos2d[pid]))
+            occupied_pos.setdefault(pid, []).append(tuple(n.pos2d[pid].tolist()))
     rep_nodes = [n for n in nodes if n.kind == "rep"]
     last_rep = {n.patches[0]: n.id for n in rep_nodes}
     for node in rep_nodes:
@@ -493,7 +500,7 @@ def place_steiner_points(
             d1, d2 = wedges[c]
             if not _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps2d, snap):
                 continue
-            found = _nearest_boundary_point_in_wedge(fm.edges, apex, d1, d2, snap)
+            found = _nearest_boundary_point_in_wedge(fm.edges, apex_xy, d1, d2, snap)
             if found is None:
                 continue
             q2, edge_idx = found
@@ -520,20 +527,19 @@ def place_steiner_points(
             )
             steiner_key[key] = sn.id
             nodes.append(sn)
-            occupied_pos.setdefault(pid, []).append((*q2.tolist(), q2))
-            occupied_pos.setdefault(nb, []).append((*q2_nb.tolist(), q2_nb))
+            occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
+            occupied_pos.setdefault(nb, []).append(tuple(q2_nb.tolist()))
     return nodes
 
 
 def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
     """Whether a registered node lies within 4*snap of q. The box test only
-    skips points whose norm is certainly above 4*snap; the rest take the
-    norm test unchanged."""
+    skips points whose distance is certainly above 4*snap."""
     box = 4.0 * snap * (1.0 + 1e-9)
     qx, qy = q.tolist()
     return any(
-        float(np.linalg.norm(q - p)) <= 4.0 * snap
-        for px, py, p in occupied
+        norm((qx - px, qy - py)) <= 4.0 * snap
+        for px, py in occupied
         if abs(qx - px) <= box and abs(qy - py) <= box
     )
 
@@ -551,14 +557,14 @@ class _SteinerLift:
         self.P = P
         self.decomp = decomp
         self.snap = P.snap
+        self.normals = tuple(P.face_normals.T.copy())
         tri = P.vertices[P.faces]  # (F, 3, 3)
         self.sides = []
         for k in range(3):
             u = tri[:, k]
             e = tri[:, (k + 1) % 3] - u
-            thr = -self.snap * np.maximum(1.0, np.linalg.norm(e, axis=1))
-            self.sides.append((u.T.copy(), e.T.copy(), thr))
-        self._cross = np.empty((P.num_faces, 3))
+            thr = -self.snap * np.maximum(1.0, norm(e))
+            self.sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
         self._denom: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def lift(
@@ -567,27 +573,19 @@ class _SteinerLift:
         P, snap = self.P, self.snap
         inward = self.decomp.patches[pid].gamma.normal
         if pid not in self._denom:
-            denom = P.face_normals @ inward
+            denom = dot(self.normals, inward)
             self._denom[pid] = (denom, np.abs(denom) > 1e-15)
         denom, hit = self._denom[pid]
-        numer = P.face_normals @ point - P.face_offsets
+        numer = dot(self.normals, point) - P.face_offsets
         with np.errstate(divide="ignore", invalid="ignore"):
             ts = np.where(hit, numer / denom, np.inf)
             finite = np.isfinite(ts)
             t = np.where(finite, ts, 0.0)
             q = [point[c] - t * inward[c] for c in range(3)]  # ray hits, per coordinate
         inside = finite.copy()
-        cross = self._cross
-        for (u0, u1, u2), (e0, e1, e2), thr in self.sides:
-            w0, w1, w2 = q[0] - u0, q[1] - u1, q[2] - u2
-            # np.cross(e, w), term for term as np.cross computes it
-            np.multiply(e1, w2, out=cross[:, 0])
-            cross[:, 0] -= e2 * w1
-            np.multiply(e2, w0, out=cross[:, 1])
-            cross[:, 1] -= e0 * w2
-            np.multiply(e0, w1, out=cross[:, 2])
-            cross[:, 2] -= e1 * w0
-            inside &= np.einsum("ij,ij->i", cross, P.face_normals) >= thr
+        for u, e, thr in self.sides:
+            w = (q[0] - u[0], q[1] - u[1], q[2] - u[2])
+            inside &= dot(cross(e, w), self.normals) >= thr
         ok = inside & (ts >= -snap)
         if not ok.any():
             # ray missed (heavily truncated sketch); fall back to a global search
@@ -602,23 +600,23 @@ def _nearest_edge_point(
     snap = P.snap
     best = None
     for fi in face_ids:
-        f = P.faces[fi]
+        f = P.faces[fi].tolist()
         for k in range(3):
-            u, v = int(f[k]), int(f[(k + 1) % 3])
+            u, v = f[k], f[(k + 1) % 3]
             a, b = P.vertices[u], P.vertices[v]
             seg = b - a
-            denom = float(seg @ seg)
-            t = 0.0 if denom <= 1e-300 else float((q - a) @ seg) / denom
+            denom = dot(seg, seg)
+            t = 0.0 if denom <= 1e-300 else dot(q - a, seg) / denom
             t = min(max(t, 0.0), 1.0)
             w = a + t * seg
-            d = float(np.linalg.norm(w - q))
+            d = norm(w - q)
             if best is None or d < best[0]:
                 best = (d, w, (min(u, v), max(u, v)), t)
     _d, w, edge, t = best
     a, b = P.vertices[edge[0]], P.vertices[edge[1]]
-    if np.linalg.norm(w - a) <= snap:
+    if norm(w - a) <= snap:
         marked = (edge[0], edge[0])
-    elif np.linalg.norm(w - b) <= snap:
+    elif norm(w - b) <= snap:
         marked = (edge[1], edge[1])
     else:
         marked = edge

@@ -10,10 +10,12 @@ the router builds each leg's guiding plane at the forwarding vertex.
 
 The .prt byte format is self-contained (mesh included): magic PRT1, version,
 little-endian length-prefixed sections, CRC32 trailer. It stores only what
-cannot be derived: meta, mesh, patches (planes as anchor, dir1, dir2),
-assignment, spanner nodes and edges, and the landmark scheme. `deserialize`
-rebuilds theta_m, the hop faces and the vertex tables through the same tail
-as `preprocess_mesh`, so a loaded system equals the built one.
+cannot be derived: meta, mesh, patches (the representative face of each and
+the patch of each face), assignment, spanner nodes and edges, and the
+landmark scheme. `deserialize` rebuilds the patch planes, frames and vertex
+owners through `patching.build_decomposition`, and theta_m, the hop faces
+and the vertex tables through the same tail as `preprocess_mesh`, so a
+loaded system equals the built one.
 """
 from __future__ import annotations
 
@@ -25,11 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Plane, plane_frame
+from .geometry import Plane
 from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, from_arrays
 from .patching import (
-    Patch,
     PatchDecomposition,
+    build_decomposition,
     build_sketch,
     compute_patches,
     project_patch,
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 2
+VERSION = 3
 
 
 class SerializationError(ValueError):
@@ -278,11 +280,6 @@ class _Writer:
     def i64s(self, arr):
         self.buf += np.ascontiguousarray(arr, dtype="<i8").tobytes()
 
-    def plane(self, p: Plane):
-        self.f64s(p.anchor)
-        self.f64s(p.dir1)
-        self.f64s(p.dir2)
-
     def records(self, dtype: np.dtype, rows: list[tuple]):
         self.u32(len(rows))
         self.buf += np.array(rows, dtype=dtype).tobytes()
@@ -310,9 +307,6 @@ class _Reader:
 
     def i64s(self, count) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<i8").astype(np.int64)
-
-    def plane(self) -> Plane:
-        return Plane(self.f64s(3), self.f64s(3), self.f64s(3))
 
     def records(self, dtype: np.dtype) -> np.ndarray:
         """A u32 count, then that many records, as one structured array."""
@@ -387,14 +381,10 @@ def _write_mesh(P: TriangulatedPolytope) -> bytes:
 
 def _write_patches(decomp: PatchDecomposition) -> bytes:
     w = _Writer()
-    w.f64(decomp.delta)
     w.u32(decomp.count)
     for p in decomp.patches:
         w.u32(p.rep_face)
-        w.plane(p.gamma)
-        w.f64(p.normal_cone_width)
     w.i64s(decomp.patch_of_face)
-    w.i64s(decomp.owner_of_vertex)
     return bytes(w.buf)
 
 
@@ -432,7 +422,6 @@ def _write_edges(g: SpannerGraph) -> bytes:
 
 def _write_scheme(s: LandmarkScheme) -> bytes:
     w = _Writer()
-    w.u8(1 if s.pruned else 0)
     w.u32(len(s.landmarks))
     w.i64s(s.landmarks)
     w.records(_HOME_REC, [(u, s.home[u], s.dist_to_set[u]) for u in sorted(s.home)])
@@ -475,30 +464,14 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     P = from_arrays(verts, faces)
 
     r = payloads[_SEC_PATCHES]
-    pdelta = r.f64()
-    pcount = r.u32()
-    patches = []
-    for pid in range(pcount):
-        rep_face = r.u32()
-        gamma = r.plane()
-        width = r.f64()
-        origin, u, vv = plane_frame(gamma)
-        patches.append(Patch(
-            id=pid, faces=[], rep_face=rep_face, gamma=gamma, vertices=set(),
-            frame_origin=origin, frame_u=u, frame_v=vv, normal_cone_width=width,
-        ))
-    patch_of_face = r.i64s(nf)
-    owner = r.i64s(n)
-    for fi, (pid, f) in enumerate(zip(patch_of_face.tolist(), faces.tolist())):
-        patches[pid].faces.append(fi)
-        patches[pid].vertices.update(f)
-    decomp = PatchDecomposition(patches, patch_of_face, owner, pdelta)
+    rep_faces = [r.u32() for _ in range(r.u32())]
+    decomp = build_decomposition(P, r.i64s(nf), rep_faces, delta)
 
     r = payloads[_SEC_ASSIGN]
     an = r.u32()
     rep_list = r.i64s(an).tolist()
     cell_list = r.i64s(an).tolist()
-    owner_list = owner.tolist()
+    owner_list = decomp.owner_of_vertex.tolist()
     rec = r.records(_REP_REC)
     reps = rec["vertex"].tolist()
     rep_point = dict(zip(reps, rec["point"].astype(np.float64)))
@@ -521,13 +494,13 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     nodes = []
     columns = [rec[name].tolist() for name in
                ("kind", "vertex", "patch_a", "patch_b", "edge_of_p", "marked")]
-    columns += [rec["point3d"].astype(np.float64), rec["lift3d"].astype(np.float64)]
+    points = rec["point3d"].astype(np.float64)
+    columns += [points, rec["lift3d"].astype(np.float64)]
     for nid, (kind, vertex, pa, pb, (eu, ev), (mx, my), point3d, lift3d) in enumerate(
             zip(*columns)):
-        patches_t = (pa,) if pb < 0 else (pa, pb)
         nodes.append(SpannerNode(
-            id=nid, kind="rep" if kind == 0 else "steiner", patches=patches_t,
-            pos2d={pid: decomp.patches[pid].to_2d(point3d) for pid in patches_t},
+            id=nid, kind="rep" if kind == 0 else "steiner",
+            patches=(pa,) if pb < 0 else (pa, pb), pos2d={},
             point3d=point3d, lift3d=lift3d,
             vertex=None if vertex < 0 else vertex,
             edge_of_p=None if eu < 0 else (eu, ev),
@@ -539,6 +512,10 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     for nd in nodes:
         for pid in nd.patches:
             per_face.setdefault(pid, []).append(nd.id)
+    # one to_2d call per face; each row gets the bits of a call on it alone
+    for pid, ids in per_face.items():
+        for nid, uv in zip(ids, decomp.patches[pid].to_2d(points[ids])):
+            nodes[nid].pos2d[pid] = uv
     graph = SpannerGraph(
         nodes=nodes, edges=edges, per_face_nodes=per_face,
         node_of_vertex={nd.vertex: nd.id for nd in nodes if nd.kind == "rep"},
@@ -546,7 +523,6 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     graph.build_adjacency()
 
     r = payloads[_SEC_SCHEME]
-    pruned = r.u8() == 1
     landmarks = r.i64s(r.u32()).tolist()
     rec = r.records(_HOME_REC)
     home_nodes = rec["node"].tolist()
@@ -557,7 +533,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     scheme = LandmarkScheme(
         landmarks=landmarks, home=home, dist_to_set=dist_to_set,
         exact_next=groups[0], to_landmark_next=groups[1],
-        landmark_full_next=groups[2], labels=labels, pruned=pruned,
+        landmark_full_next=groups[2], labels=labels,
     )
 
     return _derive_rest(P, eps, delta, compute_theta_m(P), decomp, assignment,

@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polyroute.geometry import (
     SNAP_EPS,
     DegenerateFace,
+    GeometryError,
+    Plane,
     corner_angle,
-    cross3,
+    cross,
+    dot,
+    norm,
+    plane_frame,
     unfold_rotation,
 )
+from polyroute.patching import Patch
 
 
 def test_corner_angles_equilateral():
@@ -31,18 +38,55 @@ def test_corner_angle_near_collinear_rejected():
         corner_angle(tri, 0)
 
 
-def test_cross3_matches_np_cross_bitwise():
+def test_cross_matches_np_cross_bitwise():
     rng = np.random.default_rng(7)
     scales = 10.0 ** rng.integers(-8, 9, size=(2000, 2))
     a = rng.normal(size=(2000, 3)) * scales[:, :1]
     b = rng.normal(size=(2000, 3)) * scales[:, 1:]
     a[:100] = rng.integers(-2, 3, size=(100, 3))  # exact zeros and signed zeros
     b[:100] = -a[:100]
-    for x, y in zip(a, b):
-        got = cross3(x, y)
-        want = np.cross(x, y)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    want = np.cross(a, b)
+    assert np.stack(cross(a, b), axis=1).tobytes() == want.tobytes()
+    for x, y, w in zip(a, b, want):
+        assert np.array(cross(x, y)).tobytes() == w.tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=finite),
+    other=hnp.arrays(np.float64, (3,), elements=finite),
+    corners=hnp.arrays(np.float64, (3, 3), elements=finite),
+    data=st.data(),
+)
+def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
+    # the kernel, Patch.to_2d and Plane.signed_distance give each row the
+    # same bits alone, in any subset of rows and in the whole batch
+    try:
+        plane = Plane(corners[0], corners[1] - corners[0], corners[2] - corners[0])
+        origin, u, v = plane_frame(plane)
+    except GeometryError:
+        assume(False)
+    patch = Patch(id=0, faces=[], rep_face=0, gamma=plane, vertices=set(),
+                  frame_origin=origin, frame_u=u, frame_v=v)
+
+    def evaluate(x):
+        return [dot(x, other), norm(x), np.stack(np.broadcast_arrays(*cross(x, other)), axis=-1),
+                patch.to_2d(x), plane.signed_distance(x)]
+
+    full = evaluate(rows)
+    subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True))
+    for got, want in zip(evaluate(rows[subset]), full):
+        assert _bits(got) == _bits(want[subset])
+    for i in range(len(rows)):
+        for got, want in zip(evaluate(rows[i]), full):
+            assert _bits(got) == _bits(want[i])
 
 
 def test_unfold_coplanar_is_identity():

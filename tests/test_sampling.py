@@ -34,7 +34,7 @@ def test_random_points_unique_cells():
     assert (grid.rows, grid.cols) == (4, 4)
     for i in range(100):
         cell = grid.cell_of(pts[i])
-        assert 0 <= cell < grid.cell_count
+        assert 0 <= cell < grid.rows * grid.cols
 
 
 def test_boundary_tie_goes_lower():

@@ -8,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
+from polyroute.geometry import cross, dot, norm
 from polyroute.patching import compute_patches, build_sketch, project_patch
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
@@ -285,10 +286,10 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
 
 
 def _all_faces_lift(P, point, inward):
-    # the lift with every array rebuilt per call and np.cross in one piece
+    # the lift with every array rebuilt per call, over (F, 3) arrays
     snap = P.snap
-    denom = P.face_normals @ inward
-    numer = P.face_normals @ point - P.face_offsets
+    denom = dot(P.face_normals, inward)
+    numer = dot(P.face_normals, point) - P.face_offsets
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
         finite = np.isfinite(ts)
@@ -298,8 +299,8 @@ def _all_faces_lift(P, point, inward):
     for k in range(3):
         u = tri[:, k]
         v = tri[:, (k + 1) % 3]
-        side = np.einsum("ij,ij->i", np.cross(v - u, qs - u), P.face_normals)
-        inside &= side >= -snap * np.maximum(1.0, np.linalg.norm(v - u, axis=1))
+        side = dot(np.stack(cross(v - u, qs - u), axis=1), P.face_normals)
+        inside &= side >= -snap * np.maximum(1.0, norm(v - u))
     ok = inside & np.isfinite(ts) & (ts >= -snap)
     if not ok.any():
         return _nearest_edge_point(P, point, range(P.num_faces))

@@ -85,7 +85,9 @@ def test_loaded_system_equals_built(sphere50_system):
     assert loaded.tables == built.tables
     assert loaded.hop_faces == built.hop_faces
     assert loaded.P.snap.hex() == built.P.snap.hex()
+    assert np.array_equal(loaded.decomp.owner_of_vertex, built.decomp.owner_of_vertex)
     for p, q in zip(loaded.decomp.patches, built.decomp.patches):
+        assert (p.faces, p.rep_face, p.vertices) == (q.faces, q.rep_face, q.vertices)
         for attr in ("anchor", "dir1", "dir2", "normal"):
             assert np.array_equal(getattr(p.gamma, attr), getattr(q.gamma, attr))
     n = built.P.n
@@ -150,7 +152,7 @@ def _container(sections: list[tuple[int, bytes]]) -> bytes:
     import struct
     import zlib
 
-    out = bytearray(b"PRT1" + struct.pack("<HHI", 2, 0, len(sections)))
+    out = bytearray(b"PRT1" + struct.pack("<HHI", 3, 0, len(sections)))
     for tag, payload in sections:
         out += struct.pack("<BQ", tag, len(payload)) + payload
     return bytes(out + struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF))
@@ -195,31 +197,17 @@ def _with_version(blob: bytes, version: int) -> bytes:
     return bytes(out)
 
 
-def test_plane_record_is_lossless():
-    # anchor + dir stored as a point loses the last bits of dir on most inputs
-    from polyroute.geometry import Plane
-    from polyroute.tables import _Reader, _Writer
-
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        anchor, d1, d2 = rng.normal(size=(3, 3)) * rng.uniform(0.1, 100.0)
-        plane = Plane(anchor, d1, d2)
-        w = _Writer()
-        w.plane(plane)
-        again = _Reader(bytes(w.buf)).plane()
-        for attr in ("anchor", "dir1", "dir2", "normal"):
-            assert np.array_equal(getattr(again, attr), getattr(plane, attr))
-
-
 def test_version_mismatch_rejected(tetra_system):
     with pytest.raises(FormatVersionMismatch):
         deserialize(_with_version(serialize(tetra_system), 999))
 
 
-def test_version_1_rejected(tetra_system):
-    # version 1 stored guiding planes and vertex tables; it has no reader
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_rejected(tetra_system, version):
+    # version 1 stored guiding planes and vertex tables, version 2 the patch
+    # planes and vertex owners; neither has a reader
     with pytest.raises(FormatVersionMismatch):
-        deserialize(_with_version(serialize(tetra_system), 1))
+        deserialize(_with_version(serialize(tetra_system), version))
 
 
 def test_json_mirror(tetra_system):
