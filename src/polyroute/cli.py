@@ -130,9 +130,7 @@ def cmd_validate(args) -> int:
 def cmd_preprocess(args) -> int:
     mesh = _load_mesh(args.mesh)
     t0 = time.perf_counter()
-    system = preprocess_mesh(
-        mesh, args.eps, delta=args.delta, landmark_seed=args.seed
-    )
+    system = preprocess_mesh(mesh, args.eps, delta=args.delta)
     wall = time.perf_counter() - t0
     blob = serialize(system)
     out = args.out or "tables.prt"
@@ -146,7 +144,6 @@ def cmd_preprocess(args) -> int:
         "table_bytes": len(blob),
         "D_hat": estimate_D(mesh, args.eps),
         "wall_time_s": round(wall, 4),
-        "landmark_seed": args.seed,
         "out": out,
     })
     if args.json_tables:
@@ -162,7 +159,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_route(args) -> int:
     system = _load_tables(args.tables)
-    trace = route(args.src, args.dst, system, hop_multiplier=args.hop_mult)
+    trace = route(args.src, args.dst, system)
     if args.trace:
         sys.stdout.write(trace.to_csv())
     result = {
@@ -237,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float)
-    p.add_argument("--seed", type=int, default=None,
-                   help="randomize landmark selection (default: deterministic)")
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.add_argument("--json-tables", help="write a JSON mirror of the tables")
@@ -252,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", action="store_true")
     r.add_argument("--oracle", action="store_true")
     r.add_argument("--subdiv", type=int, default=16)
-    r.add_argument("--hop-mult", type=float, default=4.0)
     r.add_argument("--json", action="store_true")
     r.set_defaults(func=cmd_route)
 

@@ -12,7 +12,6 @@ landmark, so the walk never stalls and its length is at most
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +72,9 @@ class LandmarkScheme:
         return total
 
 
-def tz_preprocess(graph: SpannerGraph, seed: int | None = None) -> LandmarkScheme:
-    """Build the landmark scheme on a connected spanner graph.
-
-    Landmarks default to the ceil(sqrt(N)) highest-degree nodes (ties by id);
-    a seed switches to seeded random selection for experiments.
-    """
+def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
+    """Build the landmark scheme on a connected spanner graph. The landmarks
+    are the ceil(sqrt(N)) highest-degree nodes (ties by id)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as csdijkstra
 
@@ -96,12 +92,8 @@ def tz_preprocess(graph: SpannerGraph, seed: int | None = None) -> LandmarkSchem
         raise Disconnected("spanner graph is disconnected")
 
     k = math.ceil(math.sqrt(N))
-    if seed is None:
-        ranked = sorted(nodes, key=lambda u: (-len(adj.get(u, ())), u))
-        landmarks = sorted(ranked[:k])
-    else:
-        rng = random.Random(seed)
-        landmarks = sorted(rng.sample(nodes, k))
+    ranked = sorted(nodes, key=lambda u: (-len(adj.get(u, ())), u))
+    landmarks = sorted(ranked[:k])
 
     uniq = {}
     for u, v, w, _f in graph.edges:

@@ -29,6 +29,7 @@ __all__ = [
     "dot",
     "norm",
     "cross",
+    "sub",
     "transform",
     "Plane",
     "corner_angle",
@@ -85,6 +86,12 @@ def cross(a, b):
     (floats, or arrays over a batch); the terms are np.cross's."""
     (a0, a1, a2), (b0, b1, b2) = _parts(a), _parts(b)
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def sub(a, b) -> tuple[float, float, float]:
+    """The difference a - b of two 3-vectors given as rows of floats, as a
+    tuple; each component rounds as numpy's elementwise subtraction does."""
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
 
 
 def transform(m, points) -> np.ndarray:

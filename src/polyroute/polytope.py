@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import geometry
-from .geometry import SNAP_EPS, DegenerateFace, cross, dot, norm
+from .geometry import SNAP_EPS, DegenerateFace, cross, dot, norm, sub
 
 _BLOCK = 64  # rows per block in the pairwise passes of diameter() and _check_convex
 
@@ -64,7 +64,8 @@ class TriangulatedPolytope:
 
     faces are index triples with consistent outward (counterclockwise as seen
     from outside) orientation. edge_adjacency maps each undirected edge
-    (u, v) with u < v to the pair of incident face indices.
+    (u, v) with u < v to the pair of incident face indices. vertex_rows and
+    face_rows are vertices and faces as Python lists, for per-hop arithmetic.
     """
 
     vertices: np.ndarray
@@ -72,6 +73,8 @@ class TriangulatedPolytope:
     edge_adjacency: dict = field(default_factory=dict)
     vertex_fan: dict = field(default_factory=dict)
     neighbors: dict = field(default_factory=dict)
+    vertex_rows: list = field(default_factory=list)
+    face_rows: list = field(default_factory=list)
     face_normals: np.ndarray | None = None
     face_offsets: np.ndarray | None = None
     _diameter: float | None = field(default=None, repr=False)
@@ -92,7 +95,7 @@ class TriangulatedPolytope:
         return self.edge_adjacency.keys()
 
     def edge_length(self, u: int, v: int) -> float:
-        return norm(self.vertices[u] - self.vertices[v])
+        return norm(sub(self.vertex_rows[u], self.vertex_rows[v]))
 
     def diameter(self) -> float:
         """Max pairwise vertex distance, cached. Each block of rows is set
@@ -220,7 +223,8 @@ def _orient_outward(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def _build_adjacency(P: TriangulatedPolytope) -> None:
-    faces = P.faces.tolist()
+    faces = P.face_rows = P.faces.tolist()
+    P.vertex_rows = P.vertices.tolist()
     edge_faces: dict[tuple[int, int], list[int]] = {}
     for fi, (a, b, c) in enumerate(faces):
         for u, v in ((a, b), (b, c), (c, a)):

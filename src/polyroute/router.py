@@ -4,12 +4,17 @@ A route is a chain of legs. Each leg steers toward a pseudo-destination (a
 representative, a cell member, or the marked edge of a Steiner relay) along
 the curve cut into the surface by the leg's guiding plane; every hop moves
 across exactly one mesh edge. The tracer follows the curve by sign tests of
-per-vertex plane distances, with endpoint snapping so vertex hits are
-deterministic, and carries the last crossing in the packet so the exit face
-never has to be re-derived from scratch. If the trace degenerates (grazing
-planes), the leg is re-aimed through the current vertex once per incident
-and, failing that, finished by distance-greedy hops; both paths are recorded
-as degenerate events and never silently truncate a route.
+plane distances, with endpoint snapping so vertex hits are deterministic,
+and carries the last crossing in the packet so the exit face never has to
+be re-derived from scratch. If the trace degenerates (grazing planes), the
+leg is re-aimed through the current vertex once per incident and, failing
+that, finished by distance-greedy hops; both paths are recorded as
+degenerate events and never silently truncate a route.
+
+The header holds O(1) words besides the trace (`legs`, `events`) and the
+greedy fallback's visited set. The leg plane is kept as a unit normal and
+offset and evaluated, with the `geometry` kernel over the mesh's float rows,
+only at the vertices the tracer reads: the bits of `Plane.signed_distance`.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import Plane, dot, norm
+from .geometry import Plane, dot, norm, sub
 from .compact_routing import NodeLabel, tz_next_hop
 from .tables import RoutingSystem
 
@@ -35,6 +40,8 @@ __all__ = [
     "step",
     "route",
 ]
+
+HOP_LIMIT_PER_VERTEX = 4  # a route fails after max(4, 4 * n) hops
 
 
 class RoutingError(RuntimeError):
@@ -60,7 +67,7 @@ class NoExitFace(RoutingError):
 @dataclass
 class Target:
     kind: str  # 'vertex' | 'steiner'
-    point: np.ndarray  # aim point: vertex position or lifted Steiner point
+    point: list[float]  # aim point: vertex position or lifted Steiner point
     arrival: tuple[int, ...]  # vertices that complete the leg
     vertex: int = -1  # vertex-kind target
     node: int = -1  # spanner node the leg heads for (-1 for plain cell legs)
@@ -69,7 +76,6 @@ class Target:
 @dataclass
 class _EdgeFront:
     other: int  # crossing edge is (current, other)
-    point: np.ndarray
     face: int  # face the curve continues into
 
 
@@ -85,13 +91,12 @@ class PacketHeader:
     dest_vertex: int
     dest_label: NodeLabel
     pseudo: Target | None = None
-    plane: Plane | None = None
+    plane: tuple | None = None  # ((n0, n1, n2), offset) of the leg plane
     tz_word: str = "local"
     hop_count: int = 0
     # tracer state; carried with the packet so forwarding stays one-pass
     front: object | None = None
     gamma_normal: np.ndarray | None = None
-    sig: np.ndarray | None = None
     fallback: bool = False
     fallback_seen: set = field(default_factory=set)
     reaim_count: int = 0
@@ -145,11 +150,11 @@ def _node_target(system: RoutingSystem, node_id: int) -> Target:
     node = system.graph.nodes[node_id]
     if node.kind == "rep":
         return Target(
-            kind="vertex", point=system.P.vertices[node.vertex],
+            kind="vertex", point=system.P.vertex_rows[node.vertex],
             arrival=(node.vertex,), vertex=node.vertex, node=node_id,
         )
     return Target(
-        kind="steiner", point=node.lift3d,
+        kind="steiner", point=node.lift3d.tolist(),
         arrival=tuple(sorted(set(node.marked))), node=node_id,
     )
 
@@ -159,26 +164,34 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
     P = system.P
     header.pseudo = target
     header.gamma_normal = gamma_normal
-    if norm(target.point - P.vertices[v]) <= P.snap:
-        header.plane = None
-        header.sig = None
+    if norm(sub(target.point, P.vertex_rows[v])) <= P.snap:
+        _install_plane(header, None)
     else:
-        # the guiding plane runs from the forwarding vertex to the aim point,
-        # orthogonal to the sketch face the leg runs in
-        plane = Plane.through_points_orthogonal_to(P.vertices[v], target.point, gamma_normal)
-        header.plane = plane
-        header.sig = plane.signed_distance(P.vertices)
-    header.front = None
+        _aim(v, header, P)
     header.fallback = False
     header.fallback_seen = set()
     header.legs.append({
         "start_hop": header.hop_count,
         "source": v,
-        "target_point": target.point.copy(),
+        "target_point": np.array(target.point),
         "target_vertex": target.vertex,
         "kind": target.kind,
         "tz": header.tz_word,
     })
+
+
+def _aim(v: int, header: PacketHeader, P) -> None:
+    """Install the guiding plane from vertex v to the aim point, orthogonal
+    to the sketch face the leg runs in."""
+    _install_plane(header, Plane.through_points_orthogonal_to(
+        P.vertices[v], header.pseudo.point, header.gamma_normal))
+
+
+def _install_plane(header: PacketHeader, plane: Plane | None) -> None:
+    """Put a leg plane (or None) in the header as its unit normal and offset
+    in floats, once per plane, and restart the trace."""
+    header.plane = None if plane is None else (tuple(plane.normal.tolist()), plane.offset())
+    header.front = None
 
 
 def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
@@ -206,7 +219,7 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             entry = table.entries[("v", system.assignment.rep_of[v])]
             header.tz_word = "local"
             _set_leg(v, header, system,
-                     Target("vertex", P.vertices[entry.dest], (entry.dest,),
+                     Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
                             vertex=entry.dest),
                      system.patch_gamma(int(system.decomp.owner_of_vertex[v])).normal)
             nxt = None
@@ -217,7 +230,7 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
                 entry = table.entries[("v", t)]
                 header.tz_word = "local"
                 _set_leg(v, header, system,
-                         Target("vertex", P.vertices[entry.dest], (entry.dest,),
+                         Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
                                 vertex=entry.dest),
                          system.patch_gamma(owner).normal)
                 nxt = None
@@ -226,7 +239,7 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
                 entry = table.entries[("v", rep_vertex)]
                 header.tz_word = "local"
                 _set_leg(v, header, system,
-                         Target("vertex", P.vertices[entry.dest], (entry.dest,),
+                         Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
                                 vertex=entry.dest, node=label.node),
                          system.patch_gamma(owner).normal)
                 nxt = None
@@ -267,7 +280,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     header.tz_word = "global"
     tgt = _node_target(system, w)
     P = system.P
-    if norm(tgt.point - P.vertices[v]) <= P.snap and v in tgt.arrival:
+    if norm(sub(tgt.point, P.vertex_rows[v])) <= P.snap and v in tgt.arrival:
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
@@ -279,38 +292,40 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
 # the per-hop tracer
 
 
-def _sig_of(header: PacketHeader, v: int) -> float:
-    return float(header.sig[v])
+def _sig_of(P, header: PacketHeader, v: int) -> float:
+    """Signed distance of vertex v to the leg plane."""
+    normal, offset = header.plane
+    return dot(P.vertex_rows[v], normal) - offset
 
 
-def _cross_point(P, header, u: int, v: int) -> tuple[np.ndarray, int]:
+def _cross_point(P, header, u: int, v: int) -> tuple[tuple[float, float, float], int]:
     """Crossing of the guiding plane with edge (u, v); returns the point and
     the endpoint index (u or v) if the crossing snaps to one, else -1."""
-    su, sv = _sig_of(header, u), _sig_of(header, v)
-    a, b = P.vertices[u], P.vertices[v]
+    su, sv = _sig_of(P, header, u), _sig_of(P, header, v)
+    a, b = P.vertex_rows[u], P.vertex_rows[v]
     t = su / (su - sv)
-    q = a + t * (b - a)
-    snap = geometry.snap(norm(b - a))
-    if norm(q - a) <= snap:
+    q = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
+    snap = geometry.snap(norm(sub(b, a)))
+    if norm(sub(q, a)) <= snap:
         return q, u
-    if norm(q - b) <= snap:
+    if norm(sub(q, b)) <= snap:
         return q, v
     return q, -1
 
 
 def _third_vertex(P, face: int, u: int, v: int) -> int:
-    for x in P.faces[face]:
+    for x in P.face_rows[face]:
         if x != u and x != v:
-            return int(x)
+            return x
     raise NoExitFace(f"face {face} lacks a third vertex distinct from {u},{v}")
 
 
 def _tie_order(P, face: int, w: int) -> tuple[int, int]:
     """(p2, p3) = successor and predecessor of w in the face's stored cyclic
     order; the distance tie in the look-ahead falls to p3."""
-    f = P.faces[face]
-    k = int(np.where(f == w)[0][0])
-    return int(f[(k + 1) % 3]), int(f[(k + 2) % 3])
+    f = P.face_rows[face]
+    k = f.index(w)
+    return f[(k + 1) % 3], f[(k + 2) % 3]
 
 
 def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int, snap: float):
@@ -327,19 +342,16 @@ def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int, snap: float
         move = p2 if d2 < d3 else p3
         return move, "TieBreak", _VertexFront(c, f3, move)
 
-    sc = _sig_of(header, c)
+    sc = _sig_of(P, header, c)
     if abs(sc) <= snap:
         return tie()
-    if sc * _sig_of(header, a1) < 0:
-        near, far = a1, a2
-    else:
-        near, far = a2, a1
-    qq, hit = _cross_point(P, header, near, c)
+    near = a1 if sc * _sig_of(P, header, a1) < 0 else a2
+    _q, hit = _cross_point(P, header, near, c)
     if hit == near:
         return near, "VertexHit", _VertexFront(near, exit_face, w)
     if hit == c:
         return tie()
-    return near, "General", _EdgeFront(c, qq, P.other_face(f3, near, c))
+    return near, "General", _EdgeFront(c, P.other_face(f3, near, c))
 
 
 def _trace_edge_front(P, header, current: int, snap: float):
@@ -350,17 +362,18 @@ def _trace_edge_front(P, header, current: int, snap: float):
     u = front.other
     face = front.face
     for _ in range(len(P.vertex_fan[current]) + 4):
-        if current not in P.faces[face] or u not in P.faces[face]:
+        fa = P.face_rows[face]
+        if current not in fa or u not in fa:
             return None
         z = _third_vertex(P, face, current, u)
-        sz = _sig_of(header, z)
+        sz = _sig_of(P, header, z)
         if abs(sz) <= snap:
             return z, "VertexHit", _VertexFront(z, face, current)
-        su = _sig_of(header, u)
-        sw = _sig_of(header, current)
+        su = _sig_of(P, header, u)
+        sw = _sig_of(P, header, current)
         if sz * su < 0.0:
             # exits through the edge opposite to current
-            q, hit = _cross_point(P, header, u, z)
+            _q, hit = _cross_point(P, header, u, z)
             if hit == u:
                 return u, "VertexHit", _VertexFront(u, face, current)
             if hit == z:
@@ -368,7 +381,7 @@ def _trace_edge_front(P, header, current: int, snap: float):
             return _look_ahead(P, header, current, face, u, z, snap)
         if sz * sw < 0.0:
             # crosses the radial edge (current, z); march around the fan
-            q, hit = _cross_point(P, header, current, z)
+            _q, hit = _cross_point(P, header, current, z)
             if hit == z:
                 return z, "VertexHit", _VertexFront(z, face, current)
             if hit == current:
@@ -386,16 +399,14 @@ def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: in
     crossing inside an incident face or a run along an incident edge."""
     cands = []
     seen_runs = set()
-    pos = P.vertices
+    pos = P.vertex_rows
     for f in P.vertex_fan[at]:
-        fa = P.faces[f]
-        others = [int(x) for x in fa if x != at]
-        b, c = others
-        sb, sc = _sig_of(header, b), _sig_of(header, c)
+        b, c = [x for x in P.face_rows[f] if x != at]
+        sb, sc = _sig_of(P, header, b), _sig_of(P, header, c)
         for vtx, sv in ((b, sb), (c, sc)):
             if abs(sv) <= snap and vtx != exclude_vertex and vtx not in seen_runs:
                 seen_runs.add(vtx)
-                cands.append((pos[vtx] - pos[at], vtx, "run", f))
+                cands.append((sub(pos[vtx], pos[at]), vtx, "run", f))
         if f == exclude_face:
             continue
         if abs(sb) > snap and abs(sc) > snap and sb * sc < 0.0:
@@ -403,9 +414,9 @@ def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: in
             if hit >= 0:
                 if hit != exclude_vertex and hit not in seen_runs:
                     seen_runs.add(hit)
-                    cands.append((pos[hit] - pos[at], hit, "run", f))
+                    cands.append((sub(pos[hit], pos[at]), hit, "run", f))
                 continue
-            cands.append((q - pos[at], -1, "cross", f, b, c, q))
+            cands.append((sub(q, pos[at]), -1, "cross", f, b, c))
     return cands
 
 
@@ -421,9 +432,9 @@ def _start_trace(P, header, current: int, snap: float):
     cands = _branch_candidates(P, header, current, exclude_face, exclude_vertex, snap)
     if not cands:
         return None
-    goal = header.pseudo.point - P.vertices[current]
+    goal = sub(header.pseudo.point, P.vertex_rows[current])
     gn = norm(goal)
-    goal = goal / gn if gn > 0 else goal
+    goal = tuple(g / gn for g in goal) if gn > 0 else goal
 
     def score(cand):
         d = cand[0]
@@ -434,7 +445,7 @@ def _start_trace(P, header, current: int, snap: float):
     if best[2] == "run":
         vtx, f = best[1], best[3]
         return vtx, "VertexHit", _VertexFront(vtx, f, current)
-    _d, _v, _k, f, b, c, _q = best
+    _d, _v, _k, f, b, c = best
     return _look_ahead(P, header, current, f, b, c, snap)
 
 
@@ -444,7 +455,7 @@ def _greedy_step(P, header, current: int):
     goal = header.pseudo.point
     ranked = sorted(
         P.neighbors[current],
-        key=lambda w: (norm(P.vertices[w] - goal), w),
+        key=lambda w: (norm(sub(P.vertex_rows[w], goal)), w),
     )
     for w in ranked:
         if w not in header.fallback_seen:
@@ -491,7 +502,7 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
             return finish(arrival_adjacent[0], "General")
         best = min(
             arrival_adjacent,
-            key=lambda w: (norm(P.vertices[w] - target.point), w),
+            key=lambda w: (norm(sub(P.vertex_rows[w], target.point)), w),
         )
         return finish(best, "General")
 
@@ -517,12 +528,7 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         if header.reaim_count < 8:
             header.reaim_count += 1
             header.events.append(f"reaim@{current}")
-            plane = Plane.through_points_orthogonal_to(
-                P.vertices[current], target.point, header.gamma_normal
-            )
-            header.plane = plane
-            header.sig = plane.signed_distance(P.vertices)
-            header.front = None
+            _aim(current, header, P)
             continue
         header.fallback = True
         header.fallback_seen.add(current)
@@ -530,17 +536,12 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
     return finish(_greedy_step(P, header, current), "General")
 
 
-def route(
-    s: int,
-    t: int,
-    system: RoutingSystem,
-    hop_multiplier: float = 4.0,
-) -> RouteTrace:
+def route(s: int, t: int, system: RoutingSystem) -> RouteTrace:
     """Simulate local forwarding from s to t; every consecutive pair in the
     returned trace is an edge of the polytope."""
     P = system.P
     header = make_packet(s, t, system)
-    limit = max(4, int(hop_multiplier * P.n))
+    limit = max(4, HOP_LIMIT_PER_VERTEX * P.n)
     vertices = [s]
     cases: list[str] = []
     lengths: list[float] = []

@@ -196,7 +196,6 @@ def preprocess_mesh(
     P: TriangulatedPolytope,
     eps: float,
     delta: float | None = None,
-    landmark_seed: int | None = None,
 ) -> RoutingSystem:
     """Run the full preprocessing pipeline and return the routing system."""
     if not (0.0 < eps < 1.0):
@@ -218,7 +217,7 @@ def preprocess_mesh(
             f"global spanner is disconnected ({decomp.count} patches over "
             f"{P.n} vertices); retry with a {hint} epsilon"
         )
-    scheme = tz_preprocess(graph, seed=landmark_seed)
+    scheme = tz_preprocess(graph)
     for n in graph.nodes:
         if n.kind == "rep":
             pid, cell = assignment.cell_of[n.vertex]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polyroute.geometry import (
     unfold_rotation,
 )
 from polyroute.patching import Patch
+from polyroute.router import PacketHeader, _install_plane, _sig_of
 
 
 def test_corner_angles_equilateral():
@@ -87,6 +89,11 @@ def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
     for i in range(len(rows)):
         for got, want in zip(evaluate(rows[i]), full):
             assert _bits(got) == _bits(want[i])
+    # the router's leg plane, evaluated one float row at a time
+    header = PacketHeader(dest_vertex=0, dest_label=None)
+    _install_plane(header, plane)
+    mesh = SimpleNamespace(vertex_rows=rows.tolist())
+    assert _bits([_sig_of(mesh, header, i) for i in range(len(rows))]) == _bits(full[-1])
 
 
 def test_unfold_coplanar_is_identity():

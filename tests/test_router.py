@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyroute import router
 from polyroute.cli import generate_mesh
-from polyroute.geometry import Plane
+from polyroute.geometry import Plane, dot
 from polyroute.oracle import build_subdivision_graph, oracle_slack
 from polyroute.router import (
     HopLimitExceeded,
@@ -15,6 +17,7 @@ from polyroute.router import (
     Target,
     TrivialRoute,
     UnknownVertex,
+    _install_plane,
     make_packet,
     route,
     step,
@@ -64,9 +67,10 @@ def _assert_plane_guides_leg(system, header, v):
         assert np.linalg.norm(header.pseudo.point - system.P.vertices[v]) < 1e-9
         return
     tol = 1e-9 * system.P.diameter()
-    assert abs(float(header.plane.signed_distance(system.P.vertices[v]))) <= tol
-    assert abs(float(header.plane.signed_distance(header.pseudo.point))) <= tol
-    assert abs(float(header.plane.normal @ header.gamma_normal)) <= 1e-9
+    normal, offset = header.plane
+    assert abs(dot(system.P.vertex_rows[v], normal) - offset) <= tol
+    assert abs(dot(header.pseudo.point, normal) - offset) <= tol
+    assert abs(dot(normal, header.gamma_normal)) <= 1e-9
 
 
 def test_installed_planes_contain_vertex_and_aim(sphere50_system):
@@ -109,11 +113,10 @@ def _hand_header(system, t, plane, aim_point=None):
     _vid_, label = system.label_of_vertex(t)
     header = PacketHeader(dest_vertex=t, dest_label=label)
     header.switch_budget = 100
-    point = system.P.vertices[t] if aim_point is None else np.asarray(aim_point, float)
+    point = system.P.vertex_rows[t] if aim_point is None else [float(x) for x in aim_point]
     header.pseudo = Target(kind="vertex", point=point, arrival=(t,), vertex=t)
-    header.plane = plane
     header.gamma_normal = plane.normal
-    header.sig = plane.signed_distance(system.P.vertices)
+    _install_plane(header, plane)
     return header
 
 
@@ -168,7 +171,7 @@ def test_locality_and_termination_random_hull():
             assert (min(a, b), max(a, b)) in mesh.edge_adjacency
 
 
-def test_hop_limit_raises(sphere50_system):
+def test_hop_limit_raises(sphere50_system, monkeypatch):
     pairs = random_pairs(50, 100, seed=1)
     long_pair = None
     for s, t in pairs:
@@ -176,8 +179,9 @@ def test_hop_limit_raises(sphere50_system):
             long_pair = (s, t)
             break
     assert long_pair is not None
+    monkeypatch.setattr(router, "HOP_LIMIT_PER_VERTEX", 0)  # the limit is then 4 hops
     with pytest.raises(HopLimitExceeded):
-        route(*long_pair, sphere50_system, hop_multiplier=4.0 / 50.0)
+        route(*long_pair, sphere50_system)
 
 
 def test_zigzag_leg_bound(sphere50_system):
@@ -287,3 +291,72 @@ def test_route_deterministic(sphere50_system):
         t2 = route(s, t, sphere50_system)
         assert t1.vertices == t2.vertices
         assert t1.cases == t2.cases
+
+
+def _header_numbers(value) -> int:
+    """The numbers a header value holds: 1 per scalar, the size of an array,
+    the lengths of containers and the fields of records, recursively."""
+    if value is None:
+        return 0
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return sum(_header_numbers(x) for x in value)
+    if dataclasses.is_dataclass(value):
+        return sum(_header_numbers(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return 1
+
+
+HEADER_WORDS = 27  # the widest header seen on both meshes below
+
+
+@pytest.fixture(scope="module")
+def hull600_system():
+    return preprocess_mesh(generate_mesh("sphere", 600, 0), 0.8)
+
+
+@pytest.mark.parametrize("which", ["sphere50_system", "hull600_system"])
+def test_header_words_do_not_grow_with_n(which, request):
+    # every field but the trace records `legs` and `events` is O(1) words,
+    # with one bound for n = 50 and n = 600
+    system = request.getfixturevalue(which)
+    widest = 0
+    for s, t in random_pairs(system.P.n, 100, seed=4):
+        header = make_packet(s, t, system)
+        current = s
+        while current != t:
+            current, _case = step(current, header, system)
+            assert not header.fallback_seen
+            widest = max(widest, sum(
+                _header_numbers(getattr(header, f.name)) for f in dataclasses.fields(header)
+                if f.name not in ("legs", "events")))
+    assert widest == HEADER_WORDS
+
+
+def test_tracer_reads_only_the_fan_and_one_face_beyond(sphere50_system, monkeypatch):
+    # the leg plane is evaluated at vertices of faces of the current vertex's
+    # fan, or of faces that share an edge with one of them (the look-ahead)
+    mesh = sphere50_system.P
+    reads = []
+    sig_of = router._sig_of
+
+    def recording(P, header, v):
+        reads.append(v)
+        return sig_of(P, header, v)
+
+    monkeypatch.setattr(router, "_sig_of", recording)
+    steps = 0
+    for s, t in random_pairs(mesh.n, 100, seed=6):
+        header = make_packet(s, t, sphere50_system)
+        current = s
+        while current != t:
+            reads.clear()
+            nxt, _case = step(current, header, sphere50_system)
+            fan = mesh.vertex_fan[current]
+            beyond = {mesh.other_face(f, *edge) for f in fan
+                      for edge in itertools.combinations(mesh.face_rows[f], 2)}
+            allowed = {v for f in set(fan) | beyond for v in mesh.face_rows[f]}
+            assert set(reads) <= allowed, (s, t, current)
+            steps += bool(reads)
+            current = nxt
+    assert steps > 40
