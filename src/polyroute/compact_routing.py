@@ -12,7 +12,7 @@ landmark, so the walk never stalls and its length is at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,9 @@ class NodeLabel:
 class LandmarkScheme:
     landmarks: list[int]
     home: dict[int, int]
-    dist_to_set: dict[int, float]
     exact_next: dict[int, dict[int, int]]
     to_landmark_next: dict[int, dict[int, int]]
     landmark_full_next: dict[int, dict[int, int]]
-    labels: dict[int, NodeLabel] = field(default_factory=dict)
 
     def entry_count(self) -> int:
         total = sum(len(m) for m in self.exact_next.values())
@@ -81,13 +79,11 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     nodes = [n.id for n in graph.nodes]
     N = len(nodes)
     if N == 0:
-        return LandmarkScheme([], {}, {}, {}, {}, {})
+        return LandmarkScheme([], {}, {}, {}, {})
     adj = graph.adjacency
     if N == 1:
         only = nodes[0]
-        return LandmarkScheme([only], {only: only}, {only: 0.0},
-                              {only: {}}, {only: {}}, {only: {}},
-                              labels=_make_labels(graph, {only: only}))
+        return LandmarkScheme([only], {only: only}, {only: {}}, {only: {}}, {only: {}})
     if not graph.connected:
         raise Disconnected("spanner graph is disconnected")
 
@@ -140,31 +136,21 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     return LandmarkScheme(
         landmarks=landmarks,
         home=home,
-        dist_to_set={u: float(set_dist[u]) for u in nodes},
         exact_next=exact_next,
         to_landmark_next=to_landmark_next,
         landmark_full_next=landmark_full_next,
-        labels=_make_labels(graph, home),
     )
 
 
-def _make_labels(graph: SpannerGraph, home: dict[int, int]) -> dict[int, NodeLabel]:
-    labels = {}
-    for n in graph.nodes:
-        labels[n.id] = NodeLabel(node=n.id, home=home[n.id],
-                                 patch=min(n.patches), cell=-1)
-    return labels
-
-
 def tz_next_hop(scheme: LandmarkScheme, current: int, target: int) -> int:
-    """Stateless next-hop rule; target must carry its home landmark in
-    scheme.labels (it does for every node of the preprocessed graph)."""
+    """Stateless next-hop rule toward target's home landmark,
+    `scheme.home[target]`."""
     if target == current:
         return current
     ex = scheme.exact_next.get(current)
     if ex is not None and target in ex:
         return ex[target]
-    home = scheme.labels[target].home
+    home = scheme.home[target]
     if current == home:
         # descent from the target's home landmark: every subsequent node is
         # strictly closer to the target than its landmark distance, so exact

@@ -5,9 +5,9 @@ projections onto the supporting planes.
 A patch is grown by breadth-first traversal of the face-adjacency graph; a
 face joins while the patch's normal-angle ranges against the +x and +z axes
 both stay within delta (the pairwise condition, tracked as a running
-min/max per axis). Everything else about a patch (its plane, frame and
-vertex set, and which patch owns each vertex) is derived from the face
-assignment and the seed faces by `build_decomposition`. The sketch face of
+min/max per axis). Everything else about a patch (its seed face, plane,
+frame and vertex set, and which patch owns each vertex) is derived from the
+face assignment alone by `build_decomposition`. The sketch face of
 each patch is computed explicitly by clipping a large in-plane square
 against every other patch's half-space, which also yields the
 abutting-patch label of every boundary edge.
@@ -114,20 +114,19 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
     """Greedy BFS partition of the faces into delta-patches.
 
     Deterministic: each patch is seeded at the lowest-index unassigned face
-    and neighbours are visited in sorted order. The seed face doubles as the
-    patch's representative face.
+    and neighbours are visited in sorted order, so each seed is the lowest
+    face id of its patch; it doubles as the patch's representative face.
     """
     if not (0.0 < delta <= math.pi):
         raise ValueError("delta must lie in (0, pi]")
     theta_x, theta_z = _normal_axis_angles(P)
     adj = dual_graph(P)
     assigned = np.full(P.num_faces, -1, dtype=np.int64)
-    seeds: list[int] = []
+    pid = -1
     for seed in range(P.num_faces):
         if assigned[seed] >= 0:
             continue
-        pid = len(seeds)
-        seeds.append(seed)
+        pid += 1
         lo_x = hi_x = theta_x[seed]
         lo_z = hi_z = theta_z[seed]
         assigned[seed] = pid
@@ -143,24 +142,26 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
                     lo_x, hi_x, lo_z, hi_z = nlx, nhx, nlz, nhz
                     assigned[nb] = pid
                     queue.append(nb)
-    return build_decomposition(P, assigned, seeds, delta)
+    return build_decomposition(P, assigned, delta)
 
 
 def build_decomposition(
-    P: TriangulatedPolytope, patch_of_face: np.ndarray, rep_faces: list[int], delta: float
+    P: TriangulatedPolytope, patch_of_face: np.ndarray, delta: float
 ) -> PatchDecomposition:
-    """The decomposition with the given patch id per face and representative
-    face per patch; `compute_patches` and `.prt` loading both end here. Each
-    patch's plane runs through its representative face, and a vertex is
-    owned by the lowest patch id among its faces."""
-    faces = [[] for _ in rep_faces]
-    verts = [set() for _ in rep_faces]
+    """The decomposition with the given patch id per face; `compute_patches`
+    and `.prt` loading both end here. Patch ids run from 0 to the largest
+    id, and every one must have a face. A patch's representative face is its
+    lowest face id, and its plane runs through that face; a vertex is owned
+    by the lowest patch id among its faces."""
+    count = int(patch_of_face.max()) + 1
+    faces = [[] for _ in range(count)]
+    verts = [set() for _ in range(count)]
     corners = P.faces.tolist()
     for fi, pid in enumerate(patch_of_face.tolist()):
         faces[pid].append(fi)
         verts[pid].update(corners[fi])
-    patches = [_make_patch(P, pid, seed, faces[pid], verts[pid])
-               for pid, seed in enumerate(rep_faces)]
+    patches = [_make_patch(P, pid, faces[pid][0], faces[pid], verts[pid])
+               for pid in range(count)]
     owner = np.full(P.n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(owner, P.faces.ravel(), np.repeat(patch_of_face, 3))
     return PatchDecomposition(

@@ -139,20 +139,21 @@ def make_packet(s: int, t: int, system: RoutingSystem) -> PacketHeader:
         raise UnknownVertex(f"vertex out of range: s={s}, t={t}")
     if s == t:
         raise TrivialRoute("source equals destination")
-    _vid, label = system.label_of_vertex(t)
-    header = PacketHeader(dest_vertex=t, dest_label=label)
+    header = PacketHeader(dest_vertex=t, dest_label=system.label_of_vertex(t))
     header.switch_budget = 8 * (system.graph.num_nodes + 4)
     _pseudo_switch(s, header, system)
     return header
 
 
+def _vertex_target(P, vertex: int, node: int = -1) -> Target:
+    return Target(kind="vertex", point=P.vertex_rows[vertex], arrival=(vertex,),
+                  vertex=vertex, node=node)
+
+
 def _node_target(system: RoutingSystem, node_id: int) -> Target:
     node = system.graph.nodes[node_id]
     if node.kind == "rep":
-        return Target(
-            kind="vertex", point=system.P.vertex_rows[node.vertex],
-            arrival=(node.vertex,), vertex=node.vertex, node=node_id,
-        )
+        return _vertex_target(system.P, node.vertex, node_id)
     return Target(
         kind="steiner", point=node.lift3d.tolist(),
         arrival=tuple(sorted(set(node.marked))), node=node_id,
@@ -197,8 +198,7 @@ def _install_plane(header: PacketHeader, plane: Plane | None) -> None:
 def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
     """Consult the tables at v and install the next leg (possibly several
     times in a row when legs collapse to the current vertex)."""
-    P = system.P
-    scheme = system.scheme
+    a = system.assignment
     while True:
         header.switch_budget -= 1
         if header.switch_budget < 0:
@@ -215,36 +215,25 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             # Steiner node whose edge this vertex bounds
             s_node = prev_target.node
             nxt = _consult_node(s_node, v, label, header, system)
-        elif system.assignment.rep_of[v] != v:
-            entry = table.entries[("v", system.assignment.rep_of[v])]
-            header.tz_word = "local"
-            _set_leg(v, header, system,
-                     Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
-                            vertex=entry.dest),
-                     system.patch_gamma(int(system.decomp.owner_of_vertex[v])).normal)
-            nxt = None
         else:
-            t = header.dest_vertex
+            # a local leg in v's own patch: to v's representative, from a
+            # representative to its cell member t, or to t's representative
             owner = int(system.decomp.owner_of_vertex[v])
-            if system.assignment.rep_of[t] == v:
-                entry = table.entries[("v", t)]
-                header.tz_word = "local"
-                _set_leg(v, header, system,
-                         Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
-                                vertex=entry.dest),
-                         system.patch_gamma(owner).normal)
-                nxt = None
+            dest, node = -1, -1
+            if a.rep_of[v] != v:
+                dest = a.rep_of[v]
+            elif a.rep_of[header.dest_vertex] == v:
+                dest = header.dest_vertex
             elif label.patch == owner:
-                rep_vertex = system.graph.nodes[label.node].vertex
-                entry = table.entries[("v", rep_vertex)]
-                header.tz_word = "local"
-                _set_leg(v, header, system,
-                         Target("vertex", P.vertex_rows[entry.dest], (entry.dest,),
-                                vertex=entry.dest, node=label.node),
-                         system.patch_gamma(owner).normal)
-                nxt = None
-            else:
+                dest, node = system.graph.nodes[label.node].vertex, label.node
+            if dest < 0:
                 nxt = _consult_node(table.g_node, v, label, header, system)
+            else:
+                entry = table.entries[("v", dest)]
+                header.tz_word = "local"
+                _set_leg(v, header, system, _vertex_target(system.P, entry.dest, node),
+                         system.decomp.patches[owner].gamma.normal)
+                nxt = None
         if nxt is not None:
             continue
         # a leg that already terminates here collapses into another switch
@@ -272,7 +261,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         face = min(shared) if shared else min(node.patches)
         header.tz_word = "local"
         _set_leg(v, header, system, _node_target(system, target_node),
-                 system.patch_gamma(face).normal)
+                 system.decomp.patches[face].gamma.normal)
         return None
     w = tz_next_hop(system.scheme, node_id, target_node)
     key = (min(node_id, w), max(node_id, w))
@@ -284,7 +273,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
-    _set_leg(v, header, system, tgt, system.patch_gamma(face).normal)
+    _set_leg(v, header, system, tgt, system.decomp.patches[face].gamma.normal)
     return None
 
 

@@ -38,6 +38,8 @@ __all__ = [
     "cone_fan",
     "build_theta_graph",
     "place_steiner_points",
+    "rep_nodes",
+    "spanner_graph",
     "assemble_global_spanner",
     "build_spanner",
     "dump_spanner",
@@ -95,12 +97,9 @@ class SpannerNode:
     id: int
     kind: str  # 'rep' | 'steiner'
     patches: tuple[int, ...]
-    pos2d: dict[int, np.ndarray]  # per-patch coordinates in that patch frame
-    point3d: np.ndarray  # position on the sketch surface
-    lift3d: np.ndarray  # corresponding point on the polytope surface
+    lift3d: np.ndarray  # the node's point on the polytope surface
     vertex: int | None = None  # rep: the represented vertex of P
-    edge_of_p: tuple[int, int] | None = None  # steiner: mesh edge carrying the lift
-    marked: tuple[int, int] | None = None  # steiner: marked vertices of that edge
+    marked: tuple[int, int] | None = None  # steiner: marked vertices of its lift's edge
 
 
 @dataclass
@@ -426,12 +425,16 @@ def place_steiner_points(
     sketch: Sketch,
     assignment: RepresentativeAssignment,
     eps: float,
-) -> list[SpannerNode]:
+) -> tuple[list[SpannerNode], list[dict[int, np.ndarray]]]:
     """Create rep nodes for every representative vertex, then walk each rep's
     cones: a cone with no same-face rep in its relative interior whose
     extension reaches another face's rep gets a Steiner node at the nearest
     boundary point of the face inside the cone, shared with the abutting
-    face. The cones of all reps of a face trace one shared unfolding tree."""
+    face. The cones of all reps of a face trace one shared unfolding tree.
+
+    Rep nodes come first, with ids in the order of `assignment.reps`. Returns
+    the nodes and, per node id, its 2D position in the frame of each of its
+    patches; the positions are needed only to build the Theta-graphs."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
@@ -439,18 +442,8 @@ def place_steiner_points(
     trees: dict[int, _Unfolded] = {}
     lifter = _SteinerLift(P, decomp)
 
-    nodes: list[SpannerNode] = []
-    for r in assignment.reps:
-        pid = int(decomp.owner_of_vertex[r])
-        patch = decomp.patches[pid]
-        p2 = assignment.rep_point[r]
-        p3 = patch.to_3d(p2)
-        nodes.append(
-            SpannerNode(
-                id=len(nodes), kind="rep", patches=(pid,), pos2d={pid: p2},
-                point3d=p3, lift3d=P.vertices[r].copy(), vertex=r,
-            )
-        )
+    nodes = rep_nodes(P, decomp, assignment.reps)
+    positions = [{n.patches[0]: assignment.rep_point[n.vertex]} for n in nodes]
     reps2d = {
         pid: np.stack([assignment.rep_point[r] for r in rs]) if rs else np.zeros((0, 2))
         for pid, rs in assignment.patch_reps.items()
@@ -463,17 +456,17 @@ def place_steiner_points(
     steiner_key: dict[tuple[int, int, int, int, int], int] = {}
     # nodes already registered per face, to refuse coincident duplicates
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
-    for n in nodes:
-        for pid in n.patches:
-            occupied_pos.setdefault(pid, []).append(tuple(n.pos2d[pid].tolist()))
-    rep_nodes = [n for n in nodes if n.kind == "rep"]
-    last_rep = {n.patches[0]: n.id for n in rep_nodes}
-    for node in rep_nodes:
+    for pos in positions:
+        for pid, uv in pos.items():
+            occupied_pos.setdefault(pid, []).append(tuple(uv.tolist()))
+    reps = list(nodes)  # Steiner nodes are appended to `nodes` below
+    last_rep = {n.patches[0]: n.id for n in reps}
+    for node in reps:
         pid = node.patches[0]
         if not have_other_reps.get(pid, False):
             continue
         fm = face_maps[pid]
-        apex = node.pos2d[pid]
+        apex = positions[node.id][pid]
         apex_xy = tuple(apex.tolist())
         root = trees.get(pid) or _unfolding_root(fm, pid)
         # a face's tree is kept only until its last rep's cones are traced
@@ -519,17 +512,27 @@ def place_steiner_points(
                     or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
                 # an existing node already sits there and serves as the relay
                 continue
-            lift, edge_of_p, marked = lifter.lift(q3, pid)
-            sn = SpannerNode(
-                id=len(nodes), kind="steiner", patches=(pid, nb),
-                pos2d={pid: q2, nb: q2_nb},
-                point3d=q3, lift3d=lift, edge_of_p=edge_of_p, marked=marked,
-            )
+            lift, marked = lifter.lift(q3, pid)
+            sn = SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
+                             lift3d=lift, marked=marked)
             steiner_key[key] = sn.id
             nodes.append(sn)
+            positions.append({pid: q2, nb: q2_nb})
             occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
             occupied_pos.setdefault(nb, []).append(tuple(q2_nb.tolist()))
-    return nodes
+    return nodes, positions
+
+
+def rep_nodes(P: TriangulatedPolytope, decomp: PatchDecomposition,
+              reps: list[int]) -> list[SpannerNode]:
+    """The rep nodes, ids 0.. in the order of `reps`: each lies on its
+    vertex's owning patch and lifts to the vertex itself. Construction and
+    `.prt` loading both build them here."""
+    return [
+        SpannerNode(id=i, kind="rep", patches=(int(decomp.owner_of_vertex[r]),),
+                    lift3d=P.vertices[r].copy(), vertex=r)
+        for i, r in enumerate(reps)
+    ]
 
 
 def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
@@ -567,9 +570,7 @@ class _SteinerLift:
             self.sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
         self._denom: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def lift(
-        self, point: np.ndarray, pid: int,
-    ) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
+    def lift(self, point: np.ndarray, pid: int) -> tuple[np.ndarray, tuple[int, int]]:
         P, snap = self.P, self.snap
         inward = self.decomp.patches[pid].gamma.normal
         if pid not in self._denom:
@@ -596,7 +597,10 @@ class _SteinerLift:
 
 def _nearest_edge_point(
     P: TriangulatedPolytope, q: np.ndarray, face_ids,
-) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """The nearest point to q on an edge of the given faces, and the marked
+    vertices of that edge: the endpoint the point snaps to, twice, or else
+    both endpoints."""
     snap = P.snap
     best = None
     for fi in face_ids:
@@ -620,32 +624,49 @@ def _nearest_edge_point(
         marked = (edge[1], edge[1])
     else:
         marked = edge
-    return w, edge, marked
+    return w, marked
 
 
-def assemble_global_spanner(nodes: list[SpannerNode], eps: float) -> SpannerGraph:
-    """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph."""
+def _nodes_by_face(nodes: list[SpannerNode]) -> dict[int, list[int]]:
+    """The ids of the nodes on each sketch face, ascending."""
     per_face: dict[int, list[int]] = {}
     for n in nodes:
         for pid in n.patches:
             per_face.setdefault(pid, []).append(n.id)
+    return per_face
+
+
+def spanner_graph(nodes: list[SpannerNode],
+                  edges: list[tuple[int, int, float, int]]) -> SpannerGraph:
+    """The graph of the given nodes and edges with its per-face, per-vertex
+    and adjacency indices; construction and `.prt` loading both end here."""
+    g = SpannerGraph(
+        nodes=nodes,
+        edges=edges,
+        per_face_nodes=_nodes_by_face(nodes),
+        node_of_vertex={n.vertex: n.id for n in nodes if n.kind == "rep"},
+    )
+    g.build_adjacency()
+    return g
+
+
+def assemble_global_spanner(nodes: list[SpannerNode],
+                            positions: list[dict[int, np.ndarray]],
+                            eps: float) -> SpannerGraph:
+    """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph;
+    `positions` is the second result of `place_steiner_points`."""
+    per_face = _nodes_by_face(nodes)
     edges: list[tuple[int, int, float, int]] = []
     for pid in sorted(per_face):
         ids = per_face[pid]
         if len(ids) < 2:
             continue
-        pts = np.stack([nodes[i].pos2d[pid] for i in ids])
+        pts = np.stack([positions[i][pid] for i in ids])
         for a, b, w in build_theta_graph(pts, eps, node_ids=ids):
             # a pair may recur on the abutting face; keep both copies so each
             # per-face subgraph stays a complete Theta-graph
             edges.append((a, b, w, pid))
-    g = SpannerGraph(
-        nodes=nodes,
-        edges=edges,
-        per_face_nodes=per_face,
-        node_of_vertex={n.vertex: n.id for n in nodes if n.kind == "rep"},
-    )
-    g.build_adjacency()
+    g = spanner_graph(nodes, edges)
     g.connected = _is_connected(g)
     return g
 
@@ -671,19 +692,16 @@ def build_spanner(
     assignment: RepresentativeAssignment,
     eps: float,
 ) -> SpannerGraph:
-    nodes = place_steiner_points(P, decomp, sketch, assignment, eps)
-    return assemble_global_spanner(nodes, eps)
+    nodes, positions = place_steiner_points(P, decomp, sketch, assignment, eps)
+    return assemble_global_spanner(nodes, positions, eps)
 
 
 def dump_spanner(g: SpannerGraph) -> str:
     """Edge-list debug dump: node table then weighted edges."""
-    lines = ["# node id kind x y z lift_x lift_y lift_z"]
+    lines = ["# node id kind lift_x lift_y lift_z"]
     for n in g.nodes:
-        p, q = n.point3d, n.lift3d
-        lines.append(
-            f"node {n.id} {n.kind} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
-            f"{q[0]:.9g} {q[1]:.9g} {q[2]:.9g}"
-        )
+        q = n.lift3d
+        lines.append(f"node {n.id} {n.kind} {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}")
     lines.append("# edge u v weight face")
     for u, v, w, f in g.edges:
         lines.append(f"edge {u} {v} {w:.9g} {f}")

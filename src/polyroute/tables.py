@@ -10,12 +10,19 @@ the router builds each leg's guiding plane at the forwarding vertex.
 
 The .prt byte format is self-contained (mesh included): magic PRT1, version,
 little-endian length-prefixed sections, CRC32 trailer. It stores only what
-cannot be derived: meta, mesh, patches (the representative face of each and
-the patch of each face), assignment, spanner nodes and edges, and the
-landmark scheme. `deserialize` rebuilds the patch planes, frames and vertex
-owners through `patching.build_decomposition`, and theta_m, the hop faces
-and the vertex tables through the same tail as `preprocess_mesh`, so a
-loaded system equals the built one.
+cannot be derived: meta (eps, delta), mesh, the patch of each face, the
+representative assignment, the Steiner nodes (their two patches, lift and
+marked vertices), the spanner edges, and the landmark scheme (landmarks, the
+home landmark of each node, next-hop maps). `deserialize` rebuilds the
+patches (seed face, plane, frame, vertices) and vertex owners through
+`patching.build_decomposition`, the rep nodes through
+`spanner.rep_nodes` and the graph's indices through `spanner.spanner_graph`,
+and theta_m, the hop faces and the vertex tables through the same tail as
+`preprocess_mesh`, so a loaded system equals the built one. Ids in a file
+whose checksum holds are still checked against the counts they index and
+refused with `IdOutOfRange`. The 2D node positions in each patch frame are
+construction-local and not kept; node labels are built per packet from the
+stored homes.
 """
 from __future__ import annotations
 
@@ -27,7 +34,6 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Plane
 from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, from_arrays
 from .patching import (
     PatchDecomposition,
@@ -37,7 +43,14 @@ from .patching import (
     project_patch,
 )
 from .sampling import RepresentativeAssignment, build_grid, select_representatives
-from .spanner import DisconnectedSpanner, SpannerGraph, SpannerNode, build_spanner
+from .spanner import (
+    DisconnectedSpanner,
+    SpannerGraph,
+    SpannerNode,
+    build_spanner,
+    rep_nodes,
+    spanner_graph,
+)
 from .compact_routing import (
     LandmarkScheme,
     NodeLabel,
@@ -51,6 +64,7 @@ __all__ = [
     "FormatVersionMismatch",
     "ChecksumMismatch",
     "TruncatedStream",
+    "IdOutOfRange",
     "EntryKind",
     "RoutingEntry",
     "RoutingTable",
@@ -63,7 +77,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 3
+VERSION = 4
 
 
 class SerializationError(ValueError):
@@ -80,6 +94,10 @@ class ChecksumMismatch(SerializationError):
 
 class TruncatedStream(SerializationError):
     pass
+
+
+class IdOutOfRange(SerializationError):
+    """A stored id is not below the count of what it indexes."""
 
 
 class EntryKind(Enum):
@@ -123,13 +141,11 @@ class RoutingSystem:
     def is_empty(self) -> bool:
         return self.P is None
 
-    def label_of_vertex(self, t: int) -> tuple[int, NodeLabel]:
-        rep = self.assignment.rep_of[t]
-        node = self.graph.node_of_vertex[rep]
-        return t, self.scheme.labels[node]
-
-    def patch_gamma(self, pid: int) -> Plane:
-        return self.decomp.patches[pid].gamma
+    def label_of_vertex(self, t: int) -> NodeLabel:
+        """The label a packet for t carries: t's representative node, that
+        node's home landmark, and t's patch and grid cell."""
+        node = self.graph.node_of_vertex[self.assignment.rep_of[t]]
+        return NodeLabel(node, self.scheme.home[node], *self.assignment.cell_of[t])
 
     def total_entries(self) -> int:
         """Entry count for the amortized-size law: local plane entries plus
@@ -217,12 +233,7 @@ def preprocess_mesh(
             f"global spanner is disconnected ({decomp.count} patches over "
             f"{P.n} vertices); retry with a {hint} epsilon"
         )
-    scheme = tz_preprocess(graph)
-    for n in graph.nodes:
-        if n.kind == "rep":
-            pid, cell = assignment.cell_of[n.vertex]
-            scheme.labels[n.id] = NodeLabel(n.id, scheme.home[n.id], pid, cell)
-    scheme = prune_intra_face(scheme, graph)
+    scheme = prune_intra_face(tz_preprocess(graph), graph)
     return _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme)
 
 
@@ -253,14 +264,11 @@ _SEC_SCHEME = 7
 # fixed-size records, packed little-endian; each section writes and reads its
 # records as one array of these
 _REP_REC = np.dtype([("vertex", "<i8"), ("point", "<f8", (2,))])
+# Steiner nodes only; rep nodes are rebuilt from the assignment
 _NODE_REC = np.dtype([
-    ("kind", "u1"), ("vertex", "<i8"), ("patch_a", "<u4"), ("patch_b", "<i8"),
-    ("point3d", "<f8", (3,)), ("lift3d", "<f8", (3,)),
-    ("edge_of_p", "<i8", (2,)), ("marked", "<i8", (2,)),
+    ("patch_a", "<u4"), ("patch_b", "<u4"), ("lift3d", "<f8", (3,)), ("marked", "<u4", (2,)),
 ])
 _EDGE_REC = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
-_HOME_REC = np.dtype([("node", "<i8"), ("home", "<i8"), ("dist", "<f8")])
-_LABEL_REC = np.dtype([(name, "<i8") for name in ("key", "node", "home", "patch", "cell")])
 
 
 class _Writer:
@@ -380,16 +388,12 @@ def _write_mesh(P: TriangulatedPolytope) -> bytes:
 
 def _write_patches(decomp: PatchDecomposition) -> bytes:
     w = _Writer()
-    w.u32(decomp.count)
-    for p in decomp.patches:
-        w.u32(p.rep_face)
     w.i64s(decomp.patch_of_face)
     return bytes(w.buf)
 
 
 def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
     w = _Writer()
-    w.u32(n)
     rep_arr = np.array([a.rep_of[v] for v in range(n)], dtype=np.int64)
     cell_arr = np.array([a.cell_of[v][1] for v in range(n)], dtype=np.int64)
     w.i64s(rep_arr)
@@ -400,16 +404,8 @@ def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
 
 def _write_nodes(g: SpannerGraph) -> bytes:
     w = _Writer()
-    w.records(_NODE_REC, [
-        (0 if nd.kind == "rep" else 1,
-         nd.vertex if nd.vertex is not None else -1,
-         nd.patches[0],
-         nd.patches[1] if len(nd.patches) > 1 else -1,
-         nd.point3d, nd.lift3d,
-         nd.edge_of_p or (-1, -1),
-         nd.marked or (-1, -1))
-        for nd in g.nodes
-    ])
+    w.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
+                          for nd in g.nodes if nd.kind == "steiner"])
     return bytes(w.buf)
 
 
@@ -420,10 +416,12 @@ def _write_edges(g: SpannerGraph) -> bytes:
 
 
 def _write_scheme(s: LandmarkScheme) -> bytes:
+    """Landmarks, the home landmark of every node id in order, then the
+    three next-hop groups."""
     w = _Writer()
     w.u32(len(s.landmarks))
     w.i64s(s.landmarks)
-    w.records(_HOME_REC, [(u, s.home[u], s.dist_to_set[u]) for u in sorted(s.home)])
+    w.i64s([s.home[u] for u in range(len(s.home))])
     for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
         w.u32(len(group))
         for u in sorted(group):
@@ -431,18 +429,27 @@ def _write_scheme(s: LandmarkScheme) -> bytes:
             w.i64(u)
             w.u32(len(m))
             w.i64s([x for k in sorted(m) for x in (k, m[k])])
-    w.records(_LABEL_REC, [(u, lb.node, lb.home, lb.patch, lb.cell)
-                           for u, lb in sorted(s.labels.items())])
     return bytes(w.buf)
 
 
-def _read_intmap_group(r: _Reader) -> dict[int, dict[int, int]]:
-    """Per node: its id, a u32 size and that many (key, next hop) i64 pairs."""
-    group = {}
+def _check_ids(ids, count: int, what: str) -> None:
+    """Refuse any id outside [0, count)."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= count):
+        raise IdOutOfRange(f"{what} id out of range [0, {count})")
+
+
+def _read_intmap_group(r: _Reader, count: int) -> dict[int, dict[int, int]]:
+    """Per node: its id, a u32 size and that many (key, next hop) i64 pairs;
+    every one of these is a node id below `count`."""
+    group, pairs = {}, []
     for _ in range(r.u32()):
         u, size = struct.unpack("<qI", r.take(12))
-        flat = struct.unpack(f"<{2 * size}q", r.take(16 * size))
+        pairs.append(r.take(16 * size))
+        flat = struct.unpack(f"<{2 * size}q", pairs[-1])
         group[u] = dict(zip(flat[::2], flat[1::2]))
+    _check_ids(list(group), count, "scheme node")
+    _check_ids(np.frombuffer(b"".join(pairs), dtype="<i8"), count, "scheme node")
     return group
 
 
@@ -460,79 +467,66 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     nf = r.u32()
     verts = r.f64s(3 * n).reshape(n, 3)
     faces = r.i64s(3 * nf).reshape(nf, 3)
+    _check_ids(faces, n, "mesh vertex")
     P = from_arrays(verts, faces)
 
-    r = payloads[_SEC_PATCHES]
-    rep_faces = [r.u32() for _ in range(r.u32())]
-    decomp = build_decomposition(P, r.i64s(nf), rep_faces, delta)
+    patch_of_face = payloads[_SEC_PATCHES].i64s(nf)
+    present = np.unique(patch_of_face)
+    if not len(present) or present[0] != 0 or present[-1] != len(present) - 1:
+        raise IdOutOfRange("patch ids must run from 0 up, each with a face")
+    decomp = build_decomposition(P, patch_of_face, delta)
 
     r = payloads[_SEC_ASSIGN]
-    an = r.u32()
-    rep_list = r.i64s(an).tolist()
-    cell_list = r.i64s(an).tolist()
-    owner_list = decomp.owner_of_vertex.tolist()
+    rep_of = r.i64s(n)
+    cell_list = r.i64s(n).tolist()
     rec = r.records(_REP_REC)
+    _check_ids(rep_of, n, "rep_of vertex")
+    _check_ids(rec["vertex"], n, "representative vertex")
+    rep_list = rep_of.tolist()
+    owner_list = decomp.owner_of_vertex.tolist()
     reps = rec["vertex"].tolist()
     rep_point = dict(zip(reps, rec["point"].astype(np.float64)))
     members: dict[int, list[int]] = {}
     for v, rv in enumerate(rep_list):
         members.setdefault(rv, []).append(v)
-    patch_reps: dict[int, list[int]] = {}
-    for rv in reps:
-        patch_reps.setdefault(owner_list[rv], []).append(rv)
+    # every patch, its reps in cell order, as `select_representatives` lists them
+    patch_reps: dict[int, list[int]] = {pid: [] for pid in range(decomp.count)}
+    for rv in sorted(reps, key=cell_list.__getitem__):
+        patch_reps[owner_list[rv]].append(rv)
     assignment = RepresentativeAssignment(
         reps=reps,
         rep_of=dict(enumerate(rep_list)),
-        cell_of={v: (owner_list[v], cell_list[v]) for v in range(an)},
+        cell_of={v: (owner_list[v], cell_list[v]) for v in range(n)},
         rep_point=rep_point,
         members=members,
         patch_reps=patch_reps,
     )
 
+    # rep nodes first, as `place_steiner_points` numbers them, then Steiner
+    nodes = rep_nodes(P, decomp, reps)
     rec = payloads[_SEC_NODES].records(_NODE_REC)
-    nodes = []
-    columns = [rec[name].tolist() for name in
-               ("kind", "vertex", "patch_a", "patch_b", "edge_of_p", "marked")]
-    points = rec["point3d"].astype(np.float64)
-    columns += [points, rec["lift3d"].astype(np.float64)]
-    for nid, (kind, vertex, pa, pb, (eu, ev), (mx, my), point3d, lift3d) in enumerate(
-            zip(*columns)):
-        nodes.append(SpannerNode(
-            id=nid, kind="rep" if kind == 0 else "steiner",
-            patches=(pa,) if pb < 0 else (pa, pb), pos2d={},
-            point3d=point3d, lift3d=lift3d,
-            vertex=None if vertex < 0 else vertex,
-            edge_of_p=None if eu < 0 else (eu, ev),
-            marked=None if mx < 0 else (mx, my),
-        ))
-
-    edges = payloads[_SEC_EDGES].records(_EDGE_REC).tolist()
-    per_face: dict[int, list[int]] = {}
-    for nd in nodes:
-        for pid in nd.patches:
-            per_face.setdefault(pid, []).append(nd.id)
-    # one to_2d call per face; each row gets the bits of a call on it alone
-    for pid, ids in per_face.items():
-        for nid, uv in zip(ids, decomp.patches[pid].to_2d(points[ids])):
-            nodes[nid].pos2d[pid] = uv
-    graph = SpannerGraph(
-        nodes=nodes, edges=edges, per_face_nodes=per_face,
-        node_of_vertex={nd.vertex: nd.id for nd in nodes if nd.kind == "rep"},
-    )
-    graph.build_adjacency()
+    for name, count in (("patch_a", decomp.count), ("patch_b", decomp.count), ("marked", n)):
+        _check_ids(rec[name], count, f"Steiner node {name}")
+    for pa, pb, lift3d, (mx, my) in zip(rec["patch_a"].tolist(), rec["patch_b"].tolist(),
+                                         rec["lift3d"].astype(np.float64),
+                                         rec["marked"].tolist()):
+        nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pa, pb),
+                                 lift3d=lift3d, marked=(mx, my)))
+    rec = payloads[_SEC_EDGES].records(_EDGE_REC)
+    for name, count in (("u", len(nodes)), ("v", len(nodes)), ("face", decomp.count)):
+        _check_ids(rec[name], count, f"edge {name}")
+    graph = spanner_graph(nodes, rec.tolist())
 
     r = payloads[_SEC_SCHEME]
-    landmarks = r.i64s(r.u32()).tolist()
-    rec = r.records(_HOME_REC)
-    home_nodes = rec["node"].tolist()
-    home = dict(zip(home_nodes, rec["home"].tolist()))
-    dist_to_set = dict(zip(home_nodes, rec["dist"].tolist()))
-    groups = [_read_intmap_group(r) for _ in range(3)]
-    labels = {key: NodeLabel(*rest) for key, *rest in r.records(_LABEL_REC).tolist()}
+    landmarks = r.i64s(r.u32())
+    homes = r.i64s(len(nodes))
+    _check_ids(landmarks, len(nodes), "landmark")
+    _check_ids(homes, len(nodes), "home landmark")
+    home = dict(enumerate(homes.tolist()))
+    groups = [_read_intmap_group(r, len(nodes)) for _ in range(3)]
     scheme = LandmarkScheme(
-        landmarks=landmarks, home=home, dist_to_set=dist_to_set,
-        exact_next=groups[0], to_landmark_next=groups[1],
-        landmark_full_next=groups[2], labels=labels,
+        landmarks=landmarks.tolist(), home=home, exact_next=groups[0],
+        to_landmark_next=groups[1], landmark_full_next=groups[2],
     )
 
     return _derive_rest(P, eps, delta, compute_theta_m(P), decomp, assignment,
@@ -540,7 +534,9 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
 
 
 def to_json(system: RoutingSystem) -> str:
-    """Human-readable mirror of the binary format, for debugging."""
+    """A human-readable view of a system, for debugging. It is not a mirror of
+    the binary format: beside stored data it emits derived tables, each
+    patch's representative face and plane, and the rep nodes."""
     if system.is_empty():
         return json.dumps({"empty": True})
     doc = {

@@ -58,3 +58,17 @@ def random_pairs(n, count, seed=0):
         if a != b:
             pairs.append((a, b))
     return pairs
+
+
+def routed_graph_positions(system):
+    """The 2D position of every spanner node in each of its patch frames,
+    from a re-run of the Steiner placement on the system's own stages. The
+    re-run must yield the edges of the graph that routing uses."""
+    from polyroute.patching import build_sketch
+    from polyroute.spanner import assemble_global_spanner, place_steiner_points
+
+    sketch = build_sketch(system.P, system.decomp)
+    nodes, positions = place_steiner_points(system.P, system.decomp, sketch,
+                                            system.assignment, system.eps)
+    assert assemble_global_spanner(nodes, positions, system.eps).edges == system.graph.edges
+    return positions

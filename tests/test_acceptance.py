@@ -26,7 +26,7 @@ from polyroute.tables import (
     serialize,
 )
 
-from conftest import random_pairs
+from conftest import random_pairs, routed_graph_positions
 
 SWEEP_NS = (50, 100, 300)
 SWEEP_EPS = (0.2, 0.4)
@@ -146,6 +146,7 @@ def test_criterion_4_theta_spanner_stretch(sweep_systems):
     pairs = 0
     for (n, eps), system in sweep_systems.items():
         g = system.graph
+        positions = routed_graph_positions(system)
         bound = 1.0 / (math.cos(eps) - math.sin(eps))
         for pid, ids in g.per_face_nodes.items():
             if len(ids) < 2:
@@ -159,7 +160,7 @@ def test_criterion_4_theta_spanner_stretch(sweep_systems):
                 csr_matrix((wts, (rows, cols)), shape=(len(ids), len(ids))),
                 directed=False,
             )
-            pts = np.stack([g.nodes[i].pos2d[pid] for i in ids])
+            pts = np.stack([positions[i][pid] for i in ids])
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     euclid = float(np.linalg.norm(pts[a] - pts[b]))

@@ -23,8 +23,7 @@ def synthetic_graph(num_nodes, edges, patch_of=None):
         patch_of = {i: i for i in range(num_nodes)}
     nodes = [
         SpannerNode(
-            id=i, kind="rep", patches=(patch_of[i],), pos2d={},
-            point3d=np.zeros(3), lift3d=np.zeros(3), vertex=i,
+            id=i, kind="rep", patches=(patch_of[i],), lift3d=np.zeros(3), vertex=i,
         )
         for i in range(num_nodes)
     ]
@@ -115,9 +114,10 @@ def test_ball_members_closer_than_landmark():
     g = synthetic_graph(21, edges)
     scheme = tz_preprocess(g)
     dist = graph_distances(g)
+    dist_to_set = dist[scheme.landmarks].min(axis=0)
     for x, table in scheme.exact_next.items():
         for t in table:
-            assert dist[x, t] < scheme.dist_to_set[t]
+            assert dist[x, t] < dist_to_set[t]
 
 
 def test_prune_same_face_entries():
@@ -204,8 +204,9 @@ def test_hop_faces_are_edge_faces(sphere50_system):
 def test_label_bit_length_scaling(sphere50_system):
     system = sphere50_system
     g = system.graph
-    n_cells = max(lb.cell for lb in system.scheme.labels.values()) + 2
-    for lb in system.scheme.labels.values():
+    labels = [system.label_of_vertex(t) for t in range(system.P.n)]
+    n_cells = max(lb.cell for lb in labels) + 2
+    for lb in labels:
         bits = lb.bit_length(g.num_nodes, len(system.scheme.landmarks),
                              system.decomp.count, n_cells)
         cap = math.log2(min(system.P.n, 1.0 / system.eps)) + 1

@@ -15,7 +15,7 @@ from polyroute.tables import serialize
 
 from conftest import random_pairs
 
-PRT_SHA256 = "ae27c31c18638d86e0df549cc26fb4cff7e2be7ed63081bfd94b509769ed90ac"
+PRT_SHA256 = "435addf28cf80862d1b9b3561e8e9a22347c24e866ac98d60bc283a8765fea45"
 ROUTES_SHA256 = "5b8735e7c056069093463ab18752ccccf93a1c7e056ba1ae5cfea4278d734ea4"
 
 

@@ -110,8 +110,7 @@ def test_octa_antipodal_two_hops(octa_system):
 
 
 def _hand_header(system, t, plane, aim_point=None):
-    _vid_, label = system.label_of_vertex(t)
-    header = PacketHeader(dest_vertex=t, dest_label=label)
+    header = PacketHeader(dest_vertex=t, dest_label=system.label_of_vertex(t))
     header.switch_budget = 100
     point = system.P.vertex_rows[t] if aim_point is None else [float(x) for x in aim_point]
     header.pseudo = Target(kind="vertex", point=point, arrival=(t,), vertex=t)
@@ -235,7 +234,7 @@ def test_plane_adherence(sphere50_system):
             owner = int(system.decomp.owner_of_vertex[a])
             plane = Plane.through_points_orthogonal_to(
                 mesh.vertices[a], target_pt,
-                system.patch_gamma(owner).normal,
+                system.decomp.patches[owner].gamma.normal,
             )
             sig = plane.signed_distance(mesh.vertices)
             for v in trace.vertices[lo:hi]:

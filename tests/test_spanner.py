@@ -27,6 +27,8 @@ from polyroute.spanner import (
     place_steiner_points,
 )
 
+from conftest import routed_graph_positions
+
 
 def _stage(mesh, eps, delta=None):
     decomp = compute_patches(mesh, delta if delta is not None else eps)
@@ -91,7 +93,7 @@ def test_tetra_steiner_relays_between_rep_faces(tetra):
     # sampling needs eps in (0,1]; the quarter-turn cone angle is a separate
     # knob of the placement step
     decomp, sketch, assignment = _stage(tetra, 0.9, delta=0.01)
-    nodes = place_steiner_points(tetra, decomp, sketch, assignment, math.pi / 2)
+    nodes, _positions = place_steiner_points(tetra, decomp, sketch, assignment, math.pi / 2)
     steiner = [n for n in nodes if n.kind == "steiner"]
     assert steiner, "abutting faces with representatives need relays"
     rep_patches = {pid for pid, rs in assignment.patch_reps.items() if rs}
@@ -99,15 +101,14 @@ def test_tetra_steiner_relays_between_rep_faces(tetra):
     assert any(set(s.patches) >= rep_patches for s in steiner)
     for s in steiner:
         assert s.marked is not None
-        assert s.edge_of_p is not None
 
 
 def test_single_patch_no_steiner(tetra):
     decomp, sketch, assignment = _stage(tetra, 0.5, delta=math.pi)
     assert decomp.count == 1
-    nodes = place_steiner_points(tetra, decomp, sketch, assignment, 0.5)
+    nodes, positions = place_steiner_points(tetra, decomp, sketch, assignment, 0.5)
     assert all(n.kind == "rep" for n in nodes)
-    g = assemble_global_spanner(nodes, 0.5)
+    g = assemble_global_spanner(nodes, positions, 0.5)
     assert g.connected
     assert all(f == 0 for (_u, _v, _w, f) in g.edges)
 
@@ -119,7 +120,7 @@ def test_empty_extension_no_steiner(octa):
     assignment.reps = lone
     assignment.patch_reps = {pid: [r for r in rs if r in lone]
                              for pid, rs in assignment.patch_reps.items()}
-    nodes = place_steiner_points(octa, decomp, sketch, assignment, 0.5)
+    nodes, _positions = place_steiner_points(octa, decomp, sketch, assignment, 0.5)
     assert all(n.kind == "rep" for n in nodes)
 
 
@@ -155,6 +156,7 @@ def test_edges_stay_within_one_face(sphere50_system):
 def test_per_face_theta_stretch(sphere50_system):
     eps = sphere50_system.eps
     g = sphere50_system.graph
+    positions = routed_graph_positions(sphere50_system)
     bound = 1.0 / (math.cos(eps) - math.sin(eps))
     for pid, ids in g.per_face_nodes.items():
         if len(ids) < 2:
@@ -162,7 +164,7 @@ def test_per_face_theta_stretch(sphere50_system):
         local = {nid: k for k, nid in enumerate(ids)}
         edges = [(local[u], local[v], w) for u, v, w, f in g.edges if f == pid]
         dist = _graph_distances(edges, len(ids))
-        pts = np.stack([g.nodes[i].pos2d[pid] for i in ids])
+        pts = np.stack([positions[i][pid] for i in ids])
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 euclid = float(np.linalg.norm(pts[a] - pts[b]))
@@ -193,6 +195,10 @@ def test_dump_spanner_format(tetra_system):
     edges = [l for l in lines if l.startswith("edge ")]
     assert len(nodes) == tetra_system.graph.num_nodes
     assert len(edges) == len(tetra_system.graph.edges)
+    for l, node in zip(nodes, tetra_system.graph.nodes):
+        parts = l.split()
+        assert parts[:3] == ["node", str(node.id), node.kind]
+        assert [float(x) for x in parts[3:]] == pytest.approx(node.lift3d.tolist())
     for l in edges:
         parts = l.split()
         assert len(parts) == 5
@@ -312,16 +318,17 @@ def _all_faces_lift(P, point, inward):
 def test_steiner_lift_matches_all_faces_lift(seed):
     mesh = generate_mesh("sphere", 100, seed)
     decomp, sketch, assignment = _stage(mesh, 0.4)
-    nodes = place_steiner_points(mesh, decomp, sketch, assignment, 0.4)
+    nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, 0.4)
     steiner = [n for n in nodes if n.kind == "steiner"]
     assert steiner
     lifter = _SteinerLift(mesh, decomp)
     for n in steiner:
         pid = n.patches[0]
-        lift, edge_of_p, marked = _all_faces_lift(
-            mesh, n.point3d, decomp.patches[pid].gamma.normal)
+        # the sketch point the build lifted, by the build's own call
+        q3 = decomp.patches[pid].to_3d(positions[n.id][pid])
+        lift, marked = _all_faces_lift(mesh, q3, decomp.patches[pid].gamma.normal)
         assert lift.tobytes() == n.lift3d.tobytes()
-        assert (edge_of_p, marked) == (n.edge_of_p, n.marked)
-        again, edge_again, marked_again = lifter.lift(n.point3d, pid)
+        assert marked == n.marked
+        again, marked_again = lifter.lift(q3, pid)
         assert again.tobytes() == lift.tobytes()
-        assert (edge_again, marked_again) == (edge_of_p, marked)
+        assert marked_again == marked

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
+from polyroute import tables
 from polyroute.tables import (
     ChecksumMismatch,
     EntryKind,
     FormatVersionMismatch,
+    IdOutOfRange,
     RoutingSystem,
     SerializationError,
     TruncatedStream,
@@ -77,13 +79,44 @@ def test_roundtrip_bit_exact(sphere50_system):
     assert serialize(system2) == blob
 
 
+def _same_bits(a, b) -> bool:
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
 def test_loaded_system_equals_built(sphere50_system):
+    from dataclasses import fields
+
     from polyroute.router import route
+    from polyroute.spanner import SpannerNode
 
     built = sphere50_system
     loaded = deserialize(serialize(built))
     assert loaded.tables == built.tables
     assert loaded.hop_faces == built.hop_faces
+    assert len(loaded.graph.nodes) == len(built.graph.nodes)
+    for p, q in zip(loaded.graph.nodes, built.graph.nodes):
+        for f in fields(SpannerNode):
+            assert _same_bits(getattr(p, f.name), getattr(q, f.name)), (p.id, f.name)
+    assert loaded.graph.edges == built.graph.edges
+    assert loaded.graph.per_face_nodes == built.graph.per_face_nodes
+    assert loaded.graph.node_of_vertex == built.graph.node_of_vertex
+    la, ba = loaded.assignment, built.assignment
+    assert (la.reps, la.rep_of, la.cell_of, la.members, la.patch_reps) == (
+        ba.reps, ba.rep_of, ba.cell_of, ba.members, ba.patch_reps)
+    assert la.rep_point.keys() == ba.rep_point.keys()
+    assert all(_same_bits(la.rep_point[r], ba.rep_point[r]) for r in ba.reps)
+    ls, bs = loaded.scheme, built.scheme
+    assert (ls.landmarks, ls.home, ls.exact_next, ls.to_landmark_next,
+            ls.landmark_full_next) == (bs.landmarks, bs.home, bs.exact_next,
+                                       bs.to_landmark_next, bs.landmark_full_next)
+    assert all(loaded.label_of_vertex(t) == built.label_of_vertex(t)
+               for t in range(built.P.n))
+    assert to_json(loaded) == to_json(built)
     assert loaded.P.snap.hex() == built.P.snap.hex()
     assert np.array_equal(loaded.decomp.owner_of_vertex, built.decomp.owner_of_vertex)
     for p, q in zip(loaded.decomp.patches, built.decomp.patches):
@@ -152,13 +185,14 @@ def _container(sections: list[tuple[int, bytes]]) -> bytes:
     import struct
     import zlib
 
-    out = bytearray(b"PRT1" + struct.pack("<HHI", 3, 0, len(sections)))
+    out = bytearray(b"PRT1" + struct.pack("<HHI", tables.VERSION, 0, len(sections)))
     for tag, payload in sections:
         out += struct.pack("<BQ", tag, len(payload)) + payload
     return bytes(out + struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF))
 
 
-@pytest.mark.parametrize("tag", [5, 6, 7], ids=["nodes", "edges", "scheme"])
+@pytest.mark.parametrize("tag", [3, 4, 5, 6, 7],
+                         ids=["patches", "assignment", "nodes", "edges", "scheme"])
 def test_truncated_section_rejected(sphere50_system, tag):
     sections = _sections(serialize(sphere50_system))
     assert _container(sections) == serialize(sphere50_system)
@@ -167,6 +201,44 @@ def test_truncated_section_rejected(sphere50_system, tag):
         short = [(t, p[:cut] if t == tag else p) for t, p in sections]
         with pytest.raises(TruncatedStream):
             deserialize(_container(short))
+
+
+# (section, struct format, byte offset, bad value) from the system's n
+# vertices, f faces, k patches, N spanner nodes and L landmarks; each makes
+# one stored id point past what it indexes
+_BAD_IDS = {
+    "mesh_face_vertex": lambda n, f, k, N, L: (2, "<q", 8 + 24 * n, n),
+    "patch_gap": lambda n, f, k, N, L: (3, "<q", 0, k + 1),
+    "patch_negative": lambda n, f, k, N, L: (3, "<q", 8 * (f - 1), -1),
+    "rep_of": lambda n, f, k, N, L: (4, "<q", 0, n),
+    "rep_record": lambda n, f, k, N, L: (4, "<q", 16 * n + 4, n),
+    "node_patch": lambda n, f, k, N, L: (5, "<I", 8, k),
+    "marked": lambda n, f, k, N, L: (5, "<I", 40, n),
+    "edge_endpoint": lambda n, f, k, N, L: (6, "<I", 4, 10 ** 6),
+    "edge_node_count": lambda n, f, k, N, L: (6, "<I", 8, N),
+    "edge_face": lambda n, f, k, N, L: (6, "<I", 20, k),
+    "landmark": lambda n, f, k, N, L: (7, "<q", 4, N),
+    "home": lambda n, f, k, N, L: (7, "<q", 4 + 8 * L, N),
+    "scheme_node": lambda n, f, k, N, L: (7, "<q", 8 + 8 * L + 8 * N, N),
+    # the last next hop of the last landmark's full map
+    "next_hop": lambda n, f, k, N, L: (7, "<q", -8, 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_IDS))
+def test_out_of_range_ids_rejected(sphere50_system, case):
+    import struct
+
+    system = sphere50_system
+    tag, fmt, offset, value = _BAD_IDS[case](system.P.n, system.P.num_faces,
+                                             system.decomp.count, system.graph.num_nodes,
+                                             len(system.scheme.landmarks))
+    sections = _sections(serialize(system))
+    payload = bytearray(dict(sections)[tag])
+    struct.pack_into(fmt, payload, offset, value)
+    bad = _container([(t, bytes(payload) if t == tag else p) for t, p in sections])
+    with pytest.raises(IdOutOfRange):
+        deserialize(bad)
 
 
 def test_loaded_json_and_int_keys(sphere50_system):
@@ -178,13 +250,13 @@ def test_loaded_json_and_int_keys(sphere50_system):
     s = loaded.scheme
     assert all(type(x) is int for x in s.landmarks)
     assert all(type(u) is int and type(h) is int for u, h in s.home.items())
-    assert all(type(d) is float for d in s.dist_to_set.values())
     for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
         for u, m in group.items():
             assert type(u) is int
             assert all(type(k) is int and type(w) is int for k, w in m.items())
-    for u, lb in s.labels.items():
-        assert {type(x) for x in (u, lb.node, lb.home, lb.patch, lb.cell)} == {int}
+    for t in range(loaded.P.n):
+        lb = loaded.label_of_vertex(t)
+        assert {type(x) for x in (lb.node, lb.home, lb.patch, lb.cell)} == {int}
 
 
 def _with_version(blob: bytes, version: int) -> bytes:
@@ -202,10 +274,11 @@ def test_version_mismatch_rejected(tetra_system):
         deserialize(_with_version(serialize(tetra_system), 999))
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_version_1_rejected(tetra_system, version):
     # version 1 stored guiding planes and vertex tables, version 2 the patch
-    # planes and vertex owners; neither has a reader
+    # planes and vertex owners, version 3 rep nodes, 2D node positions,
+    # labels and patch seed faces; none has a reader
     with pytest.raises(FormatVersionMismatch):
         deserialize(_with_version(serialize(tetra_system), version))
 
