@@ -68,8 +68,11 @@ def _parts(v):
 def dot(a, b):
     """Dot product of 2- or 3-vectors, a0*b0 + a1*b1 (+ a2*b2) left to right.
     Either argument may be one vector or a batch of them; the result is a
-    float, or an array over the batch."""
-    a, b = _parts(a), _parts(b)
+    float, or an array over the batch. Float rows and tuples skip `_parts`."""
+    if isinstance(a, np.ndarray):
+        a = _parts(a)
+    if isinstance(b, np.ndarray):
+        b = _parts(b)
     if len(a) == 2:
         return a[0] * b[0] + a[1] * b[1]
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

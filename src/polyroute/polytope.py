@@ -3,15 +3,16 @@
 The accepted input is a closed, consistently oriented triangle mesh whose
 vertices all lie on the inner side of every face plane, up to a slack of
 1e-9 + 1e-7 * max|coordinate|.
-Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) are built
-once at load time, in time linear in the face count; the structure is
-immutable afterwards. The two all-pairs passes (convexity against every face
-plane, and the diameter) run over fixed blocks of rows, so no step holds
-more than O(n + F) memory per block.
+Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) and the
+edge-length table are built once at load time, in time linear in the face
+count; the structure is immutable afterwards. The two all-pairs passes
+(convexity against every face plane, and the diameter) run over fixed blocks
+of rows, so no step holds more than O(n + F) memory per block.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import geometry
-from .geometry import SNAP_EPS, DegenerateFace, cross, dot, norm, sub
+from .geometry import SNAP_EPS, DegenerateFace, cross, dot, norm
 
 _BLOCK = 64  # rows per block in the pairwise passes of diameter() and _check_convex
 
@@ -65,7 +66,9 @@ class TriangulatedPolytope:
     faces are index triples with consistent outward (counterclockwise as seen
     from outside) orientation. edge_adjacency maps each undirected edge
     (u, v) with u < v to the pair of incident face indices. vertex_rows and
-    face_rows are vertices and faces as Python lists, for per-hop arithmetic.
+    face_rows are vertices and faces as Python lists, and edge_lengths maps
+    each edge_adjacency key to the edge's length as a float, for per-hop
+    arithmetic.
     """
 
     vertices: np.ndarray
@@ -75,9 +78,11 @@ class TriangulatedPolytope:
     neighbors: dict = field(default_factory=dict)
     vertex_rows: list = field(default_factory=list)
     face_rows: list = field(default_factory=list)
+    edge_lengths: dict = field(default_factory=dict)
     face_normals: np.ndarray | None = None
     face_offsets: np.ndarray | None = None
     _diameter: float | None = field(default=None, repr=False)
+    _snap: float | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -95,7 +100,7 @@ class TriangulatedPolytope:
         return self.edge_adjacency.keys()
 
     def edge_length(self, u: int, v: int) -> float:
-        return norm(sub(self.vertex_rows[u], self.vertex_rows[v]))
+        return self.edge_lengths[(u, v) if u < v else (v, u)]
 
     def diameter(self) -> float:
         """Max pairwise vertex distance, cached. Each block of rows is set
@@ -114,8 +119,11 @@ class TriangulatedPolytope:
     @property
     def snap(self) -> float:
         """The mesh-scale snap distance, `geometry.snap` of the diameter:
-        every coincidence test at the scale of the whole mesh uses it."""
-        return geometry.snap(self.diameter())
+        every coincidence test at the scale of the whole mesh uses it.
+        Cached with the diameter."""
+        if self._snap is None:
+            self._snap = geometry.snap(self.diameter())
+        return self._snap
 
     def surface_area(self) -> float:
         v = self.vertices[self.faces]
@@ -234,6 +242,7 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
         if len(fl) != 2:
             raise NotClosed(f"edge {key} bounds {len(fl)} faces")
     P.edge_adjacency = {k: (fl[0], fl[1]) for k, fl in edge_faces.items()}
+    P.edge_lengths = _edge_lengths(P)
 
     euler = P.n - len(P.edge_adjacency) + len(P.faces)
     if euler != 2:
@@ -254,6 +263,19 @@ def _build_adjacency(P: TriangulatedPolytope) -> None:
         raise ParseError("degenerate (zero-area) face")
     P.face_normals = np.stack(normals, axis=1) / norms[:, None]
     P.face_offsets = dot(P.face_normals, first)
+
+
+def _edge_lengths(P: TriangulatedPolytope) -> dict[tuple[int, int], float]:
+    """The length of every edge: `norm` over the columns of all edges at
+    once, which has the bits of `norm(sub(vertex_rows[u], vertex_rows[v]))`
+    either way round (a - b is exactly -(b - a), and the kernel's sums do
+    not depend on the batch)."""
+    keys = P.edge_adjacency
+    ends = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                       count=2 * len(keys)).reshape(-1, 2)
+    V = P.vertices
+    lengths = norm([V[ends[:, 0], k] - V[ends[:, 1], k] for k in range(3)])
+    return dict(zip(keys, lengths.tolist()))
 
 
 def _vertex_fans(P: TriangulatedPolytope, faces: list[list[int]]) -> dict[int, list[int]]:

@@ -12,9 +12,14 @@ that, finished by distance-greedy hops; both paths are recorded as
 degenerate events and never silently truncate a route.
 
 The header holds O(1) words besides the trace (`legs`, `events`) and the
-greedy fallback's visited set. The leg plane is kept as a unit normal and
-offset and evaluated, with the `geometry` kernel over the mesh's float rows,
-only at the vertices the tracer reads: the bits of `Plane.signed_distance`.
+greedy fallback's visited set. The per-hop arithmetic runs on Python floats
+with the `geometry` kernel, never on numpy arrays. Each leg plane is built
+from the mesh's float rows as a unit normal and offset with the bits of
+`Plane.through_points_orthogonal_to`; it is evaluated only at the vertices
+the tracer reads (the bits of `Plane.signed_distance`), and each of those
+distances once per step: crossings and look-aheads take the values their
+callers hold. Edge lengths, for crossing snaps, ties and the trace, come
+from the mesh's one edge-length table.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import Plane, dot, norm, sub
+from .geometry import GeometryError, Plane, cross, dot, norm, sub
 from .compact_routing import NodeLabel, tz_next_hop
 from .tables import RoutingSystem
 
@@ -154,10 +159,8 @@ def _node_target(system: RoutingSystem, node_id: int) -> Target:
     node = system.graph.nodes[node_id]
     if node.kind == "rep":
         return _vertex_target(system.P, node.vertex, node_id)
-    return Target(
-        kind="steiner", point=node.lift3d.tolist(),
-        arrival=tuple(sorted(set(node.marked))), node=node_id,
-    )
+    point, arrival = system.node_aims[node_id]
+    return Target(kind="steiner", point=point, arrival=arrival, node=node_id)
 
 
 def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
@@ -183,15 +186,38 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
 
 def _aim(v: int, header: PacketHeader, P) -> None:
     """Install the guiding plane from vertex v to the aim point, orthogonal
-    to the sketch face the leg runs in."""
-    _install_plane(header, Plane.through_points_orthogonal_to(
-        P.vertices[v], header.pseudo.point, header.gamma_normal))
+    to the sketch face the leg runs in, and restart the trace."""
+    header.plane = _leg_plane(P.vertex_rows[v], header.pseudo.point, header.gamma_normal)
+    header.front = None
+
+
+def _leg_plane(a, b, n) -> tuple[tuple[float, float, float], float]:
+    """Unit normal and offset of `Plane.through_points_orthogonal_to(a, b, n)`
+    from float rows: the same kernel terms in the same order (cross, norm,
+    one division per component, then the offset's dot), so the same bits and
+    the same near-parallel GeometryError. A leg along n is rare and builds
+    that Plane."""
+    d1 = sub(b, a)
+    c = cross(d1, n)
+    length = norm(c)
+    d1_norm = norm(d1)
+    if length <= geometry.snap(d1_norm):
+        return _plane_words(Plane.through_points_orthogonal_to(a, b, n))
+    scale = max(d1_norm, norm(n), 1.0)
+    if length <= geometry.snap(scale * scale):
+        raise GeometryError("plane direction vectors are near-parallel")
+    normal = (c[0] / length, c[1] / length, c[2] / length)
+    return normal, dot(normal, a)
+
+
+def _plane_words(plane: Plane) -> tuple[tuple[float, float, float], float]:
+    return tuple(plane.normal.tolist()), plane.offset()
 
 
 def _install_plane(header: PacketHeader, plane: Plane | None) -> None:
     """Put a leg plane (or None) in the header as its unit normal and offset
-    in floats, once per plane, and restart the trace."""
-    header.plane = None if plane is None else (tuple(plane.normal.tolist()), plane.offset())
+    in floats, and restart the trace."""
+    header.plane = None if plane is None else _plane_words(plane)
     header.front = None
 
 
@@ -287,14 +313,15 @@ def _sig_of(P, header: PacketHeader, v: int) -> float:
     return dot(P.vertex_rows[v], normal) - offset
 
 
-def _cross_point(P, header, u: int, v: int) -> tuple[tuple[float, float, float], int]:
-    """Crossing of the guiding plane with edge (u, v); returns the point and
-    the endpoint index (u or v) if the crossing snaps to one, else -1."""
-    su, sv = _sig_of(P, header, u), _sig_of(P, header, v)
+def _cross_point(P, u: int, v: int, su: float,
+                 sv: float) -> tuple[tuple[float, float, float], int]:
+    """Crossing of the guiding plane with edge (u, v), whose endpoints lie at
+    plane distances su and sv; returns the point and the endpoint index (u
+    or v) if the crossing snaps to one, else -1."""
     a, b = P.vertex_rows[u], P.vertex_rows[v]
     t = su / (su - sv)
     q = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
-    snap = geometry.snap(norm(sub(b, a)))
+    snap = geometry.snap(P.edge_length(u, v))
     if norm(sub(q, a)) <= snap:
         return q, u
     if norm(sub(q, b)) <= snap:
@@ -317,10 +344,12 @@ def _tie_order(P, face: int, w: int) -> tuple[int, int]:
     return f[(k + 1) % 3], f[(k + 2) % 3]
 
 
-def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int, snap: float):
-    """The curve leaves w's fan through edge (a1, a2) of exit_face. Decide
-    between the edge endpoints by where the curve continues in the face
-    beyond; a hit on that face's far vertex falls to the distance tie rule."""
+def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int,
+                s1: float, s2: float, snap: float):
+    """The curve leaves w's fan through edge (a1, a2) of exit_face, whose
+    endpoints lie at plane distances s1 and s2. Decide between the edge
+    endpoints by where the curve continues in the face beyond; a hit on
+    that face's far vertex falls to the distance tie rule."""
     f3 = P.other_face(exit_face, a1, a2)
     c = _third_vertex(P, f3, a1, a2)
 
@@ -334,8 +363,8 @@ def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int, snap: float
     sc = _sig_of(P, header, c)
     if abs(sc) <= snap:
         return tie()
-    near = a1 if sc * _sig_of(P, header, a1) < 0 else a2
-    _q, hit = _cross_point(P, header, near, c)
+    near, sn = (a1, s1) if sc * s1 < 0 else (a2, s2)
+    _q, hit = _cross_point(P, near, c, sn, sc)
     if hit == near:
         return near, "VertexHit", _VertexFront(near, exit_face, w)
     if hit == c:
@@ -350,6 +379,8 @@ def _trace_edge_front(P, header, current: int, snap: float):
     front: _EdgeFront = header.front
     u = front.other
     face = front.face
+    sw = _sig_of(P, header, current)
+    su = _sig_of(P, header, u)
     for _ in range(len(P.vertex_fan[current]) + 4):
         fa = P.face_rows[face]
         if current not in fa or u not in fa:
@@ -358,25 +389,23 @@ def _trace_edge_front(P, header, current: int, snap: float):
         sz = _sig_of(P, header, z)
         if abs(sz) <= snap:
             return z, "VertexHit", _VertexFront(z, face, current)
-        su = _sig_of(P, header, u)
-        sw = _sig_of(P, header, current)
         if sz * su < 0.0:
             # exits through the edge opposite to current
-            _q, hit = _cross_point(P, header, u, z)
+            _q, hit = _cross_point(P, u, z, su, sz)
             if hit == u:
                 return u, "VertexHit", _VertexFront(u, face, current)
             if hit == z:
                 return z, "VertexHit", _VertexFront(z, face, current)
-            return _look_ahead(P, header, current, face, u, z, snap)
+            return _look_ahead(P, header, current, face, u, z, su, sz, snap)
         if sz * sw < 0.0:
             # crosses the radial edge (current, z); march around the fan
-            _q, hit = _cross_point(P, header, current, z)
+            _q, hit = _cross_point(P, current, z, sw, sz)
             if hit == z:
                 return z, "VertexHit", _VertexFront(z, face, current)
             if hit == current:
                 return None
             face = P.other_face(face, current, z)
-            u = z
+            u, su = z, sz
             continue
         return None
     return None
@@ -389,9 +418,10 @@ def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: in
     cands = []
     seen_runs = set()
     pos = P.vertex_rows
+    sig = {w: _sig_of(P, header, w) for w in P.neighbors[at]}
     for f in P.vertex_fan[at]:
         b, c = [x for x in P.face_rows[f] if x != at]
-        sb, sc = _sig_of(P, header, b), _sig_of(P, header, c)
+        sb, sc = sig[b], sig[c]
         for vtx, sv in ((b, sb), (c, sc)):
             if abs(sv) <= snap and vtx != exclude_vertex and vtx not in seen_runs:
                 seen_runs.add(vtx)
@@ -399,13 +429,13 @@ def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: in
         if f == exclude_face:
             continue
         if abs(sb) > snap and abs(sc) > snap and sb * sc < 0.0:
-            q, hit = _cross_point(P, header, b, c)
+            q, hit = _cross_point(P, b, c, sb, sc)
             if hit >= 0:
                 if hit != exclude_vertex and hit not in seen_runs:
                     seen_runs.add(hit)
                     cands.append((sub(pos[hit], pos[at]), hit, "run", f))
                 continue
-            cands.append((sub(q, pos[at]), -1, "cross", f, b, c))
+            cands.append((sub(q, pos[at]), -1, "cross", f, b, c, sb, sc))
     return cands
 
 
@@ -434,8 +464,8 @@ def _start_trace(P, header, current: int, snap: float):
     if best[2] == "run":
         vtx, f = best[1], best[3]
         return vtx, "VertexHit", _VertexFront(vtx, f, current)
-    _d, _v, _k, f, b, c = best
-    return _look_ahead(P, header, current, f, b, c, snap)
+    _d, _v, _k, f, b, c, sb, sc = best
+    return _look_ahead(P, header, current, f, b, c, sb, sc, snap)
 
 
 def _greedy_step(P, header, current: int):

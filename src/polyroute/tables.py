@@ -20,9 +20,10 @@ patches (seed face, plane, frame, vertices) and vertex owners through
 and theta_m, the hop faces and the vertex tables through the same tail as
 `preprocess_mesh`, so a loaded system equals the built one. Ids in a file
 whose checksum holds are still checked against the counts they index and
-refused with `IdOutOfRange`. The 2D node positions in each patch frame are
-construction-local and not kept; node labels are built per packet from the
-stored homes.
+refused with `IdOutOfRange`, and the representative assignment is checked
+against itself and refused with `InconsistentAssignment`. The 2D node
+positions in each patch frame are construction-local and not kept; node
+labels are built per packet from the stored homes.
 """
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ __all__ = [
     "ChecksumMismatch",
     "TruncatedStream",
     "IdOutOfRange",
+    "InconsistentAssignment",
     "EntryKind",
     "RoutingEntry",
     "RoutingTable",
@@ -98,6 +100,10 @@ class TruncatedStream(SerializationError):
 
 class IdOutOfRange(SerializationError):
     """A stored id is not below the count of what it indexes."""
+
+
+class InconsistentAssignment(SerializationError):
+    """The stored representative assignment contradicts itself."""
 
 
 class EntryKind(Enum):
@@ -136,6 +142,9 @@ class RoutingSystem:
     graph: SpannerGraph | None = None
     scheme: LandmarkScheme | None = None
     hop_faces: dict = field(default_factory=dict)  # (min, max) node pair -> sketch face
+    # per Steiner node id: its aim point as a float row and its marked
+    # vertices, ascending (None for rep nodes, which aim at their vertex)
+    node_aims: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
 
     def is_empty(self) -> bool:
@@ -239,13 +248,17 @@ def preprocess_mesh(
 
 def _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
     """The tail shared by `preprocess_mesh` and `deserialize`: derive the
-    sketch face of every spanner edge (so of every scheme next hop) and the
-    per-vertex tables from the stored data, so a loaded system equals the
-    built one by construction."""
+    sketch face of every spanner edge (so of every scheme next hop), the
+    Steiner nodes' aim points and arrival vertices, and the per-vertex
+    tables from the stored data, so a loaded system equals the built one by
+    construction."""
     return RoutingSystem(
         P=P, eps=eps, delta=delta, metrics=metrics, decomp=decomp,
         assignment=assignment, graph=graph, scheme=scheme,
         hop_faces=materialize_plane_entries(graph),
+        node_aims=[None if nd.kind == "rep"
+                   else (nd.lift3d.tolist(), tuple(sorted(set(nd.marked))))
+                   for nd in graph.nodes],
         tables=build_tables(P, decomp, assignment, graph),
     )
 
@@ -439,6 +452,24 @@ def _check_ids(ids, count: int, what: str) -> None:
         raise IdOutOfRange(f"{what} id out of range [0, {count})")
 
 
+def _check_assignment(reps: list[int], rep_list: list[int], owner_list: list[int]) -> None:
+    """Refuse an assignment whose `rep_of` names a vertex that is not a
+    distinct stored representative, a representative that is not its own,
+    or one outside its members' patch."""
+    rep_set = set(reps)
+    if len(rep_set) != len(reps):
+        raise InconsistentAssignment("a representative is stored twice")
+    for v, rv in enumerate(rep_list):
+        if rv not in rep_set:
+            raise InconsistentAssignment(f"rep_of[{v}] = {rv} is not a representative")
+        if owner_list[rv] != owner_list[v]:
+            raise InconsistentAssignment(
+                f"representative {rv} of vertex {v} lies outside the vertex's patch")
+    for r in reps:
+        if rep_list[r] != r:
+            raise InconsistentAssignment(f"representative {r} is not its own representative")
+
+
 def _read_intmap_group(r: _Reader, count: int) -> dict[int, dict[int, int]]:
     """Per node: its id, a u32 size and that many (key, next hop) i64 pairs;
     every one of these is a node id below `count`."""
@@ -485,6 +516,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     rep_list = rep_of.tolist()
     owner_list = decomp.owner_of_vertex.tolist()
     reps = rec["vertex"].tolist()
+    _check_assignment(reps, rep_list, owner_list)
     rep_point = dict(zip(reps, rec["point"].astype(np.float64)))
     members: dict[int, list[int]] = {}
     for v, rv in enumerate(rep_list):

@@ -1,22 +1,26 @@
 """Golden digests of sphere50 (`gen sphere --n 50 --seed 0`, eps 0.3): its
-`.prt` bytes and the traces of 300 seeded routes.
+`.prt` bytes and the traces of 300 seeded routes; and of the traces of 200
+seeded routes on hull600 (`gen sphere --n 600 --seed 1`, eps 0.8), whose
+legs are longer, so they cover longer fan walks and look-aheads.
 
 Routes and `.prt` bytes are meant to stay bit-identical across refactors.
 Only a declared re-baseline (a versioned `.prt` bump or a deliberate change
 of the arithmetic, recorded with its reasons and new digests in CHANGES.md)
-may update the two constants below.
+may update the constants below.
 """
 import hashlib
 
 import numpy as np
 
+from polyroute.cli import generate_mesh
 from polyroute.router import RoutingError, route
-from polyroute.tables import serialize
+from polyroute.tables import preprocess_mesh, serialize
 
 from conftest import random_pairs
 
 PRT_SHA256 = "435addf28cf80862d1b9b3561e8e9a22347c24e866ac98d60bc283a8765fea45"
 ROUTES_SHA256 = "5b8735e7c056069093463ab18752ccccf93a1c7e056ba1ae5cfea4278d734ea4"
+HULL600_ROUTES_SHA256 = "e817a428242fe1c500d6e9446d5fa2e745216d2cb03118133512b88cfbc6a6cc"
 
 
 def _route_record(system, s, t) -> str:
@@ -36,8 +40,17 @@ def test_sphere50_prt_digest(sphere50_system):
     assert hashlib.sha256(serialize(sphere50_system)).hexdigest() == PRT_SHA256
 
 
-def test_sphere50_route_digest(sphere50_system):
+def _routes_digest(system, count: int) -> str:
     digest = hashlib.sha256()
-    for s, t in random_pairs(sphere50_system.P.n, 300, seed=0):
-        digest.update((_route_record(sphere50_system, s, t) + "\n").encode())
-    assert digest.hexdigest() == ROUTES_SHA256
+    for s, t in random_pairs(system.P.n, count, seed=0):
+        digest.update((_route_record(system, s, t) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_sphere50_route_digest(sphere50_system):
+    assert _routes_digest(sphere50_system, 300) == ROUTES_SHA256
+
+
+def test_hull600_route_digest():
+    system = preprocess_mesh(generate_mesh("sphere", 600, 1), 0.8)
+    assert _routes_digest(system, 200) == HULL600_ROUTES_SHA256

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
-from polyroute.geometry import DegenerateFace, corner_angle
+from polyroute.geometry import DegenerateFace, corner_angle, norm, sub
 from polyroute.polytope import (
     NonConvex,
     NonTriangular,
@@ -254,6 +254,18 @@ def test_diameter_matches_all_pairs(sphere50, hulls300):
         v = P.vertices
         d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
         assert P.diameter() == float(np.sqrt(d2.max()))
+
+
+def test_edge_length_table_has_kernel_bits(sphere50):
+    # the table is built over the columns of all edges at once; each entry,
+    # read in either order, has the bits of the per-edge kernel call
+    for P in (sphere50, generate_mesh("sphere", 600, 0)):
+        rows = P.vertex_rows
+        for u, v in P.edges():
+            want = norm(sub(rows[u], rows[v])).hex()
+            assert P.edge_length(u, v).hex() == want
+            assert P.edge_length(v, u).hex() == norm(sub(rows[v], rows[u])).hex() == want
+        assert P.edge_lengths.keys() == P.edge_adjacency.keys()
 
 
 def test_large_mesh_load_memory_is_bounded():

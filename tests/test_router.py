@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyroute import router
 from polyroute.cli import generate_mesh
-from polyroute.geometry import Plane, dot
+from polyroute.geometry import GeometryError, Plane, cross, dot, norm
 from polyroute.oracle import build_subdivision_graph, oracle_slack
 from polyroute.router import (
     HopLimitExceeded,
@@ -18,6 +18,7 @@ from polyroute.router import (
     TrivialRoute,
     UnknownVertex,
     _install_plane,
+    _leg_plane,
     make_packet,
     route,
     step,
@@ -359,3 +360,70 @@ def test_tracer_reads_only_the_fan_and_one_face_beyond(sphere50_system, monkeypa
             steps += bool(reads)
             current = nxt
     assert steps > 40
+
+
+unit_vectors = st.tuples(*[st.floats(-1, 1, allow_nan=False) for _ in range(3)]).filter(
+    lambda v: norm(v) > 1e-3).map(lambda v: tuple(x / norm(v) for x in v))
+# an along-normal leg (b - a parallel to n) and a near-parallel one (b - a
+# 1e3 long and 1e-5 off n: above the along-normal snap, below the plane's)
+_ALONG = ((0.3, -0.2, 0.1), (0.3, -0.2, 4.1), (0.0, 0.0, 1.0))
+_NEAR = ((0.0, 0.0, 0.0), (1e-5, 0.0, 1e3), (0.0, 0.0, 1.0))
+
+
+def _plane_outcome(fn, *args):
+    try:
+        normal, offset = fn(*args)
+    except GeometryError:
+        return "GeometryError"
+    return [float(x).hex() for x in normal], float(offset).hex()
+
+
+def _numpy_plane(a, b, n):
+    plane = Plane.through_points_orthogonal_to(np.array(a), np.array(b), np.array(n))
+    return plane.normal, plane.offset()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.tuples(*[st.floats(-100, 100, allow_nan=False) for _ in range(3)]),
+    n=unit_vectors,
+    w=unit_vectors,
+    t=st.floats(-1e4, 1e4, allow_nan=False),
+    e=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-2, 1.0]),
+)
+@example(a=_ALONG[0], n=_ALONG[2], w=(1.0, 0.0, 0.0), t=4.0, e=0.0)
+@example(a=_NEAR[0], n=_NEAR[2], w=(1.0, 0.0, 0.0), t=1e3, e=1e-5)
+def test_leg_plane_has_plane_bits(a, n, w, t, e):
+    # the router's float leg plane is Plane.through_points_orthogonal_to's
+    # normal and offset, bit for bit, and raises where it raises; b runs
+    # from a along n and then e off it, to reach both rare branches
+    b = tuple(ai + t * ni + e * wi for ai, ni, wi in zip(a, n, w))
+    assert _plane_outcome(_leg_plane, a, b, n) == _plane_outcome(_numpy_plane, a, b, n)
+
+
+def test_leg_plane_rare_branches(monkeypatch):
+    built = []
+    through = Plane.through_points_orthogonal_to
+    monkeypatch.setattr(Plane, "through_points_orthogonal_to",
+                        lambda *args: built.append(args) or through(*args))
+    normal, offset = _leg_plane(*_ALONG)
+    assert len(built) == 1 and abs(dot(normal, _ALONG[2])) <= 1e-12
+    assert norm(cross(np.subtract(_NEAR[1], _NEAR[0]), _NEAR[2])) > 1e-6
+    with pytest.raises(GeometryError, match="near-parallel"):
+        _leg_plane(*_NEAR)
+    _leg_plane((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.0, 0.0, 1.0))
+    assert len(built) == 1
+
+
+def test_routing_constructs_no_plane(sphere50_system, monkeypatch):
+    # the per-leg path works on float rows; a numpy Plane built per leg or
+    # per hop would show here
+    constructed = []
+    post_init = Plane.__post_init__
+    monkeypatch.setattr(Plane, "__post_init__",
+                        lambda self: constructed.append(1) or post_init(self))
+    legs = 0
+    for s, t in random_pairs(sphere50_system.P.n, 300, seed=0):
+        legs += len(route(s, t, sphere50_system).legs)
+    assert legs > 300
+    assert not constructed

@@ -8,6 +8,7 @@ from polyroute.tables import (
     EntryKind,
     FormatVersionMismatch,
     IdOutOfRange,
+    InconsistentAssignment,
     RoutingSystem,
     SerializationError,
     TruncatedStream,
@@ -238,6 +239,42 @@ def test_out_of_range_ids_rejected(sphere50_system, case):
     struct.pack_into(fmt, payload, offset, value)
     bad = _container([(t, bytes(payload) if t == tag else p) for t, p in sections])
     with pytest.raises(IdOutOfRange):
+        deserialize(bad)
+
+
+def _assignment_edits(system) -> dict[str, tuple[int, int]]:
+    """(byte offset in the assignment section, new i64 value) per case."""
+    a, owner = system.assignment, system.decomp.owner_of_vertex
+    n = system.P.n
+    assert a.rep_of[10] != 10 and 10 not in a.reps
+    # a rep that points at another rep of its own patch
+    r, r2 = next((r, r2) for r in a.reps for r2 in a.reps
+                 if r2 != r and owner[r2] == owner[r])
+    # a vertex that points at a rep of another patch
+    v, far = next((v, r) for v in range(n) for r in a.reps if owner[r] != owner[v])
+    return {
+        "rep_of_not_a_rep": (8 * 10, 10),
+        "rep_not_its_own": (8 * r, r2),
+        "rep_outside_patch": (8 * v, far),
+        # the second representative record names the first one again
+        "rep_stored_twice": (16 * n + 4 + 24, a.reps[0]),
+    }
+
+
+@pytest.mark.parametrize("case", ["rep_of_not_a_rep", "rep_not_its_own",
+                                  "rep_outside_patch", "rep_stored_twice"])
+def test_inconsistent_assignment_rejected(sphere50_system, case):
+    # ids in range and a valid CRC, but rep_of contradicts the stored reps:
+    # such a file once loaded and then failed in route() with a RuntimeError
+    # or a KeyError
+    import struct
+
+    offset, value = _assignment_edits(sphere50_system)[case]
+    sections = _sections(serialize(sphere50_system))
+    payload = bytearray(dict(sections)[4])
+    struct.pack_into("<q", payload, offset, value)
+    bad = _container([(t, bytes(payload) if t == 4 else p) for t, p in sections])
+    with pytest.raises(InconsistentAssignment):
         deserialize(bad)
 
 
