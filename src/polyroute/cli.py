@@ -109,10 +109,8 @@ def cmd_validate(args) -> int:
         "surface_area": mesh.surface_area(),
     }
     if args.eps is not None:
-        delta = args.delta if args.delta is not None else args.eps
-        decomp = compute_patches(mesh, delta)
+        decomp = compute_patches(mesh, args.eps)
         sketch = build_sketch(mesh, decomp)
-        report["delta"] = delta
         report["patches"] = decomp.count
         # the widest angle between a face normal and its patch's normal
         gammas = np.stack([p.gamma.normal for p in decomp.patches])[decomp.patch_of_face]
@@ -130,7 +128,7 @@ def cmd_validate(args) -> int:
 def cmd_preprocess(args) -> int:
     mesh = _load_mesh(args.mesh)
     t0 = time.perf_counter()
-    system = preprocess_mesh(mesh, args.eps, delta=args.delta)
+    system = preprocess_mesh(mesh, args.eps)
     wall = time.perf_counter() - t0
     blob = serialize(system)
     out = args.out or "tables.prt"
@@ -226,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="validate a mesh and report metrics")
     v.add_argument("mesh")
     v.add_argument("--eps", type=float)
-    v.add_argument("--delta", type=float)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("preprocess", help="build routing tables")
     p.add_argument("mesh")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.add_argument("--json-tables", help="write a JSON mirror of the tables")

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spanner import SpannerGraph
+from .spanner import DisconnectedSpanner, SpannerGraph
 
 __all__ = [
-    "Disconnected",
     "NodeLabel",
     "LandmarkScheme",
     "tz_preprocess",
@@ -28,10 +27,6 @@ __all__ = [
     "prune_intra_face",
     "materialize_plane_entries",
 ]
-
-
-class Disconnected(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,8 @@ class LandmarkScheme:
 
 def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     """Build the landmark scheme on a connected spanner graph. The landmarks
-    are the ceil(sqrt(N)) highest-degree nodes (ties by id)."""
+    are the ceil(sqrt(N)) highest-degree nodes (ties by id); a graph with a
+    node out of reach raises `DisconnectedSpanner`."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as csdijkstra
 
@@ -80,27 +76,22 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     N = len(nodes)
     if N == 0:
         return LandmarkScheme([], {}, {}, {}, {})
-    adj = graph.adjacency
     if N == 1:
         only = nodes[0]
         return LandmarkScheme([only], {only: only}, {only: {}}, {only: {}}, {only: {}})
-    if not graph.connected:
-        raise Disconnected("spanner graph is disconnected")
 
+    us = [u for u, _v, _w, _f in graph.edges]
+    vs = [v for _u, v, _w, _f in graph.edges]
+    wts = [w for _u, _v, w, _f in graph.edges] * 2
+    mat = csr_matrix((wts, (us + vs, vs + us)), shape=(N, N))
     k = math.ceil(math.sqrt(N))
-    ranked = sorted(nodes, key=lambda u: (-len(adj.get(u, ())), u))
+    degree = np.diff(mat.indptr).tolist()
+    ranked = sorted(nodes, key=lambda u: (-degree[u], u))
     landmarks = sorted(ranked[:k])
 
-    uniq = {}
-    for u, v, w, _f in graph.edges:
-        uniq.setdefault((min(u, v), max(u, v)), w)
-    rows = [u for (u, v) in uniq] + [v for (u, v) in uniq]
-    cols = [v for (u, v) in uniq] + [u for (u, v) in uniq]
-    wts = list(uniq.values()) * 2
-    mat = csr_matrix((wts, (rows, cols)), shape=(N, N))
     dist, pred = csdijkstra(mat, directed=False, return_predecessors=True)
     if not np.isfinite(dist).all():
-        raise Disconnected("spanner graph is disconnected")
+        raise DisconnectedSpanner("spanner graph is disconnected")
 
     lm = np.asarray(landmarks)
     d_lm = dist[lm]  # (k, N)
@@ -199,9 +190,9 @@ def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkSch
 
 
 def materialize_plane_entries(graph: SpannerGraph) -> dict[tuple[int, int], int]:
-    """The sketch face of every spanner edge, keyed (min, max) node pair:
-    the face of the pair's first edge. Every next hop stored in the scheme
-    is a spanner neighbour, so this covers them all. A leg along the hop runs
-    in that face; its guiding plane is orthogonal to the face and is built
-    where the leg starts, so no plane is stored."""
-    return graph.edge_faces
+    """The sketch face of every spanner edge, keyed by its (u, v) node pair,
+    u < v. Every next hop stored in the scheme is a spanner neighbour, so
+    this covers them all. A leg along the hop runs in that face; its guiding
+    plane is orthogonal to the face and is built where the leg starts, so no
+    plane is stored."""
+    return {(u, v): f for u, v, _w, f in graph.edges}

@@ -73,7 +73,6 @@ class PatchDecomposition:
     patches: list[Patch]
     patch_of_face: np.ndarray
     owner_of_vertex: np.ndarray
-    delta: float
 
     @property
     def count(self) -> int:
@@ -142,12 +141,10 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
                     lo_x, hi_x, lo_z, hi_z = nlx, nhx, nlz, nhz
                     assigned[nb] = pid
                     queue.append(nb)
-    return build_decomposition(P, assigned, delta)
+    return build_decomposition(P, assigned)
 
 
-def build_decomposition(
-    P: TriangulatedPolytope, patch_of_face: np.ndarray, delta: float
-) -> PatchDecomposition:
+def build_decomposition(P: TriangulatedPolytope, patch_of_face: np.ndarray) -> PatchDecomposition:
     """The decomposition with the given patch id per face; `compute_patches`
     and `.prt` loading both end here. Patch ids run from 0 to the largest
     id, and every one must have a face. A patch's representative face is its
@@ -164,9 +161,7 @@ def build_decomposition(
                for pid in range(count)]
     owner = np.full(P.n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(owner, P.faces.ravel(), np.repeat(patch_of_face, 3))
-    return PatchDecomposition(
-        patches=patches, patch_of_face=patch_of_face, owner_of_vertex=owner, delta=delta
-    )
+    return PatchDecomposition(patches=patches, patch_of_face=patch_of_face, owner_of_vertex=owner)
 
 
 def _make_patch(P: TriangulatedPolytope, pid: int, seed: int, faces: list[int],

@@ -169,7 +169,8 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
     header.pseudo = target
     header.gamma_normal = gamma_normal
     if norm(sub(target.point, P.vertex_rows[v])) <= P.snap:
-        _install_plane(header, None)
+        header.plane = None
+        header.front = None
     else:
         _aim(v, header, P)
     header.fallback = False
@@ -177,7 +178,7 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
     header.legs.append({
         "start_hop": header.hop_count,
         "source": v,
-        "target_point": np.array(target.point),
+        "target_point": target.point,
         "target_vertex": target.vertex,
         "kind": target.kind,
         "tz": header.tz_word,
@@ -212,13 +213,6 @@ def _leg_plane(a, b, n) -> tuple[tuple[float, float, float], float]:
 
 def _plane_words(plane: Plane) -> tuple[tuple[float, float, float], float]:
     return tuple(plane.normal.tolist()), plane.offset()
-
-
-def _install_plane(header: PacketHeader, plane: Plane | None) -> None:
-    """Put a leg plane (or None) in the header as its unit normal and offset
-    in floats, and restart the trace."""
-    header.plane = None if plane is None else _plane_words(plane)
-    header.front = None
 
 
 def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
@@ -487,16 +481,13 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
     """One forwarding decision; returns the next vertex (always a mesh
     neighbour of `current`) and the case label for the trace."""
     P = system.P
-    switched = False
-    guard = 0
-    while header.pseudo is None or (
+    # a switch never ends at a vertex (other than the destination) that
+    # completes the new leg, so one switch settles the pseudo-destination
+    switched = header.pseudo is None or (
         current != header.dest_vertex and current in header.pseudo.arrival
-    ):
+    )
+    if switched:
         _pseudo_switch(current, header, system)
-        switched = True
-        guard += 1
-        if guard > 4:
-            break
     if current == header.dest_vertex:
         raise RoutingError("step called at the destination")
 

@@ -52,7 +52,6 @@ class RepresentativeAssignment:
     reps: list[int]
     rep_of: dict[int, int]
     cell_of: dict[int, tuple[int, int]]
-    rep_point: dict[int, np.ndarray]
     members: dict[int, list[int]] = field(default_factory=dict)
     patch_reps: dict[int, list[int]] = field(default_factory=dict)
 
@@ -91,7 +90,6 @@ def select_representatives(
     representative; every other vertex of the cell points at it."""
     rep_of: dict[int, int] = {}
     cell_of: dict[int, tuple[int, int]] = {}
-    rep_point: dict[int, np.ndarray] = {}
     members: dict[int, list[int]] = {}
     patch_reps: dict[int, list[int]] = {}
 
@@ -110,17 +108,15 @@ def select_representatives(
             vs = buckets[cell]
             rep = min(vs)
             reps_here.append(rep)
-            rep_point[rep] = proj.uv[rep]
             members[rep] = vs
             for v in vs:
                 rep_of[v] = rep
         patch_reps[pid] = reps_here
 
     return RepresentativeAssignment(
-        reps=sorted(rep_point),
+        reps=sorted(members),
         rep_of=rep_of,
         cell_of=cell_of,
-        rep_point=rep_point,
         members=members,
         patch_reps=patch_reps,
     )

@@ -6,7 +6,10 @@ a representative is empty of same-face representatives but its extension
 (planar unfolding across sketch faces) does contain representatives of other
 faces. Steiner nodes sit on a boundary edge shared by exactly two sketch
 faces and participate in both faces' Theta-graphs, which is what stitches
-the per-face spanners into one global graph.
+the per-face spanners into one global graph. That graph holds each node pair
+once, as (u, v, weight, face) with u < v, from the lowest face whose
+Theta-graph has the pair; the compact routing scheme runs on it and a hop's
+face is its edge's face.
 
 A cone's extension is traced by a breadth-first search over the sketch
 faces, each unfolded into the start face's plane. The 2D map that unfolds a
@@ -23,10 +26,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import geometry
 from .geometry import cross, dot, norm, transform, unfold_rotation
-from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
+from .patching import NO_NEIGHBOR, PatchDecomposition, Projection, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
 
@@ -105,33 +110,16 @@ class SpannerNode:
 @dataclass
 class SpannerGraph:
     nodes: list[SpannerNode]
-    edges: list[tuple[int, int, float, int]]  # (u, v, weight, face)
+    # (u, v, weight, face) with u < v, one per node pair; the face is the
+    # lowest sketch face whose Theta-graph holds the pair
+    edges: list[tuple[int, int, float, int]]
     per_face_nodes: dict[int, list[int]]
-    adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     node_of_vertex: dict[int, int] = field(default_factory=dict)
     connected: bool = True
-    # (min, max) node pair -> face of the pair's first edge
-    edge_faces: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def build_adjacency(self) -> None:
-        """Fill `adjacency` and `edge_faces` in one pass over the edges. A
-        pair recurs when both faces of a Steiner node hold it; its first
-        edge gives its weight and its face."""
-        adj: dict[int, list[tuple[int, float]]] = {n.id: [] for n in self.nodes}
-        faces: dict[tuple[int, int], int] = {}
-        for u, v, w, f in self.edges:
-            key = (u, v) if u < v else (v, u)
-            if key in faces:
-                continue
-            faces[key] = f
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.adjacency = adj
-        self.edge_faces = faces
 
 
 def build_theta_graph(
@@ -424,6 +412,7 @@ def place_steiner_points(
     decomp: PatchDecomposition,
     sketch: Sketch,
     assignment: RepresentativeAssignment,
+    projections: dict[int, Projection],
     eps: float,
 ) -> tuple[list[SpannerNode], list[dict[int, np.ndarray]]]:
     """Create rep nodes for every representative vertex, then walk each rep's
@@ -432,9 +421,10 @@ def place_steiner_points(
     boundary point of the face inside the cone, shared with the abutting
     face. The cones of all reps of a face trace one shared unfolding tree.
 
-    Rep nodes come first, with ids in the order of `assignment.reps`. Returns
-    the nodes and, per node id, its 2D position in the frame of each of its
-    patches; the positions are needed only to build the Theta-graphs."""
+    Rep nodes come first, with ids in the order of `assignment.reps`; a rep
+    sits at its vertex's projection in its patch. Returns the nodes and, per
+    node id, its 2D position in the frame of each of its patches; the
+    positions are needed only to build the Theta-graphs."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
@@ -443,9 +433,9 @@ def place_steiner_points(
     lifter = _SteinerLift(P, decomp)
 
     nodes = rep_nodes(P, decomp, assignment.reps)
-    positions = [{n.patches[0]: assignment.rep_point[n.vertex]} for n in nodes]
+    positions = [{n.patches[0]: projections[n.patches[0]].uv[n.vertex]} for n in nodes]
     reps2d = {
-        pid: np.stack([assignment.rep_point[r] for r in rs]) if rs else np.zeros((0, 2))
+        pid: np.stack([projections[pid].uv[r] for r in rs]) if rs else np.zeros((0, 2))
         for pid, rs in assignment.patch_reps.items()
     }
     have_other_reps = {
@@ -453,7 +443,6 @@ def place_steiner_points(
         for pid in reps2d
     }
 
-    steiner_key: dict[tuple[int, int, int, int, int], int] = {}
     # nodes already registered per face, to refuse coincident duplicates
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for pos in positions:
@@ -502,11 +491,6 @@ def place_steiner_points(
                 continue
             patch = decomp.patches[pid]
             q3 = patch.to_3d(q2)
-            key = (min(pid, nb), max(pid, nb)) + tuple(
-                int(round(x / max(snap, 1e-12))) for x in q3
-            )
-            if key in steiner_key:
-                continue
             q2_nb = decomp.patches[nb].to_2d(q3)
             if (_crowded(q2, occupied_pos.get(pid, ()), snap)
                     or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
@@ -515,7 +499,6 @@ def place_steiner_points(
             lift, marked = lifter.lift(q3, pid)
             sn = SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
                              lift3d=lift, marked=marked)
-            steiner_key[key] = sn.id
             nodes.append(sn)
             positions.append({pid: q2, nb: q2_nb})
             occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
@@ -638,51 +621,38 @@ def _nodes_by_face(nodes: list[SpannerNode]) -> dict[int, list[int]]:
 
 def spanner_graph(nodes: list[SpannerNode],
                   edges: list[tuple[int, int, float, int]]) -> SpannerGraph:
-    """The graph of the given nodes and edges with its per-face, per-vertex
-    and adjacency indices; construction and `.prt` loading both end here."""
-    g = SpannerGraph(
+    """The graph of the given nodes and edges with its per-face and
+    per-vertex indices; construction and `.prt` loading both end here."""
+    return SpannerGraph(
         nodes=nodes,
         edges=edges,
         per_face_nodes=_nodes_by_face(nodes),
         node_of_vertex={n.vertex: n.id for n in nodes if n.kind == "rep"},
     )
-    g.build_adjacency()
-    return g
 
 
 def assemble_global_spanner(nodes: list[SpannerNode],
                             positions: list[dict[int, np.ndarray]],
                             eps: float) -> SpannerGraph:
     """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph;
-    `positions` is the second result of `place_steiner_points`."""
+    `positions` is the second result of `place_steiner_points`. A pair that
+    two faces' Theta-graphs both hold (both its nodes lie on both faces) is
+    kept once, from the lower face."""
     per_face = _nodes_by_face(nodes)
-    edges: list[tuple[int, int, float, int]] = []
+    edges: dict[tuple[int, int], tuple[int, int, float, int]] = {}
     for pid in sorted(per_face):
         ids = per_face[pid]
         if len(ids) < 2:
             continue
         pts = np.stack([positions[i][pid] for i in ids])
         for a, b, w in build_theta_graph(pts, eps, node_ids=ids):
-            # a pair may recur on the abutting face; keep both copies so each
-            # per-face subgraph stays a complete Theta-graph
-            edges.append((a, b, w, pid))
-    g = spanner_graph(nodes, edges)
-    g.connected = _is_connected(g)
+            edges.setdefault((a, b), (a, b, w, pid))
+    g = spanner_graph(nodes, list(edges.values()))
+    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    links = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                       shape=(len(nodes), len(nodes)))
+    g.connected = connected_components(links, directed=False)[0] <= 1
     return g
-
-
-def _is_connected(g: SpannerGraph) -> bool:
-    if not g.nodes:
-        return True
-    seen = {g.nodes[0].id}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for v, _w in g.adjacency.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(g.nodes)
 
 
 def build_spanner(
@@ -690,9 +660,10 @@ def build_spanner(
     decomp: PatchDecomposition,
     sketch: Sketch,
     assignment: RepresentativeAssignment,
+    projections: dict[int, Projection],
     eps: float,
 ) -> SpannerGraph:
-    nodes, positions = place_steiner_points(P, decomp, sketch, assignment, eps)
+    nodes, positions = place_steiner_points(P, decomp, sketch, assignment, projections, eps)
     return assemble_global_spanner(nodes, positions, eps)
 
 

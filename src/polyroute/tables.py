@@ -8,22 +8,25 @@ to both marked vertices for a Steiner node); marked vertices hold relay
 entries for the Steiner nodes on their edge. An entry is just (kind, dest):
 the router builds each leg's guiding plane at the forwarding vertex.
 
-The .prt byte format is self-contained (mesh included): magic PRT1, version,
-little-endian length-prefixed sections, CRC32 trailer. It stores only what
-cannot be derived: meta (eps, delta), mesh, the patch of each face, the
-representative assignment, the Steiner nodes (their two patches, lift and
-marked vertices), the spanner edges, and the landmark scheme (landmarks, the
-home landmark of each node, next-hop maps). `deserialize` rebuilds the
-patches (seed face, plane, frame, vertices) and vertex owners through
-`patching.build_decomposition`, the rep nodes through
+The .prt byte format (version 5) is self-contained (mesh included): magic
+PRT1, version, little-endian length-prefixed sections, CRC32 trailer. It
+stores only what cannot be derived: meta (eps), mesh, the patch of each
+face, the representative assignment (each vertex's representative and grid
+cell), the Steiner nodes (their two patches, lift and marked vertices), the
+spanner edges (each node pair once, u < v, with its weight and face), and
+the landmark scheme (landmarks, the home landmark of each node, next-hop
+maps). `deserialize` rebuilds the patches (seed face, plane, frame,
+vertices) and vertex owners through `patching.build_decomposition`, the
+representatives as the distinct `rep_of` values, the rep nodes through
 `spanner.rep_nodes` and the graph's indices through `spanner.spanner_graph`,
 and theta_m, the hop faces and the vertex tables through the same tail as
 `preprocess_mesh`, so a loaded system equals the built one. Ids in a file
 whose checksum holds are still checked against the counts they index and
-refused with `IdOutOfRange`, and the representative assignment is checked
-against itself and refused with `InconsistentAssignment`. The 2D node
-positions in each patch frame are construction-local and not kept; node
-labels are built per packet from the stored homes.
+refused with `IdOutOfRange`, the representative assignment is checked
+against itself and refused with `InconsistentAssignment`, and an edge stored
+reversed or twice is refused with `NonCanonicalEdge`. The 2D node positions
+in each patch frame are construction-local and not kept; node labels are
+built per packet from the stored homes.
 """
 from __future__ import annotations
 
@@ -67,6 +70,7 @@ __all__ = [
     "TruncatedStream",
     "IdOutOfRange",
     "InconsistentAssignment",
+    "NonCanonicalEdge",
     "EntryKind",
     "RoutingEntry",
     "RoutingTable",
@@ -79,7 +83,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 4
+VERSION = 5
 
 
 class SerializationError(ValueError):
@@ -104,6 +108,10 @@ class IdOutOfRange(SerializationError):
 
 class InconsistentAssignment(SerializationError):
     """The stored representative assignment contradicts itself."""
+
+
+class NonCanonicalEdge(SerializationError):
+    """A spanner edge is stored with u >= v, or its node pair twice."""
 
 
 class EntryKind(Enum):
@@ -135,7 +143,6 @@ class RoutingSystem:
 
     P: TriangulatedPolytope | None = None
     eps: float = 0.0
-    delta: float = 0.0
     metrics: PolytopeMetrics | None = None
     decomp: PatchDecomposition | None = None
     assignment: RepresentativeAssignment | None = None
@@ -173,7 +180,6 @@ class RoutingSystem:
             "n": self.P.n,
             "faces": self.P.num_faces,
             "epsilon": self.eps,
-            "delta": self.delta,
             "patches": self.decomp.count,
             "representatives": len(self.assignment.reps),
             "spanner_nodes": g.num_nodes,
@@ -217,23 +223,19 @@ def build_tables(
     return tables
 
 
-def preprocess_mesh(
-    P: TriangulatedPolytope,
-    eps: float,
-    delta: float | None = None,
-) -> RoutingSystem:
-    """Run the full preprocessing pipeline and return the routing system."""
+def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
+    """Run the full preprocessing pipeline and return the routing system;
+    eps is both the patches' normal-angle spread and the sampling and cone
+    parameter."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if delta is None:
-        delta = eps
     metrics = compute_theta_m(P)
-    decomp = compute_patches(P, delta)
+    decomp = compute_patches(P, eps)
     sketch = build_sketch(P, decomp)
     projections = {p.id: project_patch(P, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
-    graph = build_spanner(P, decomp, sketch, assignment, eps)
+    graph = build_spanner(P, decomp, sketch, assignment, projections, eps)
     if not graph.connected:
         hint = (
             "larger" if decomp.count * 2 > P.n else "smaller"
@@ -243,17 +245,17 @@ def preprocess_mesh(
             f"{P.n} vertices); retry with a {hint} epsilon"
         )
     scheme = prune_intra_face(tz_preprocess(graph), graph)
-    return _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme)
+    return _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
 
 
-def _derive_rest(P, eps, delta, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
+def _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
     """The tail shared by `preprocess_mesh` and `deserialize`: derive the
     sketch face of every spanner edge (so of every scheme next hop), the
     Steiner nodes' aim points and arrival vertices, and the per-vertex
     tables from the stored data, so a loaded system equals the built one by
     construction."""
     return RoutingSystem(
-        P=P, eps=eps, delta=delta, metrics=metrics, decomp=decomp,
+        P=P, eps=eps, metrics=metrics, decomp=decomp,
         assignment=assignment, graph=graph, scheme=scheme,
         hop_faces=materialize_plane_entries(graph),
         node_aims=[None if nd.kind == "rep"
@@ -276,7 +278,6 @@ _SEC_SCHEME = 7
 
 # fixed-size records, packed little-endian; each section writes and reads its
 # records as one array of these
-_REP_REC = np.dtype([("vertex", "<i8"), ("point", "<f8", (2,))])
 # Steiner nodes only; rep nodes are rebuilt from the assignment
 _NODE_REC = np.dtype([
     ("patch_a", "<u4"), ("patch_b", "<u4"), ("lift3d", "<f8", (3,)), ("marked", "<u4", (2,)),
@@ -386,7 +387,6 @@ def deserialize(data: bytes) -> RoutingSystem:
 def _write_meta(system: RoutingSystem) -> bytes:
     w = _Writer()
     w.f64(system.eps)
-    w.f64(system.delta)
     return bytes(w.buf)
 
 
@@ -411,7 +411,6 @@ def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
     cell_arr = np.array([a.cell_of[v][1] for v in range(n)], dtype=np.int64)
     w.i64s(rep_arr)
     w.i64s(cell_arr)
-    w.records(_REP_REC, [(r, a.rep_point[r]) for r in a.reps])
     return bytes(w.buf)
 
 
@@ -452,22 +451,16 @@ def _check_ids(ids, count: int, what: str) -> None:
         raise IdOutOfRange(f"{what} id out of range [0, {count})")
 
 
-def _check_assignment(reps: list[int], rep_list: list[int], owner_list: list[int]) -> None:
-    """Refuse an assignment whose `rep_of` names a vertex that is not a
-    distinct stored representative, a representative that is not its own,
-    or one outside its members' patch."""
-    rep_set = set(reps)
-    if len(rep_set) != len(reps):
-        raise InconsistentAssignment("a representative is stored twice")
+def _check_assignment(rep_list: list[int], owner_list: list[int]) -> None:
+    """Refuse an assignment whose `rep_of` names a vertex that is not its
+    own representative, or one outside the vertex's patch."""
     for v, rv in enumerate(rep_list):
-        if rv not in rep_set:
-            raise InconsistentAssignment(f"rep_of[{v}] = {rv} is not a representative")
+        if rep_list[rv] != rv:
+            raise InconsistentAssignment(
+                f"rep_of[{v}] = {rv} is not its own representative")
         if owner_list[rv] != owner_list[v]:
             raise InconsistentAssignment(
                 f"representative {rv} of vertex {v} lies outside the vertex's patch")
-    for r in reps:
-        if rep_list[r] != r:
-            raise InconsistentAssignment(f"representative {r} is not its own representative")
 
 
 def _read_intmap_group(r: _Reader, count: int) -> dict[int, dict[int, int]]:
@@ -491,7 +484,6 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
             raise TruncatedStream(f"missing section {tag}")
     r = payloads[_SEC_META]
     eps = r.f64()
-    delta = r.f64()
 
     r = payloads[_SEC_MESH]
     n = r.u32()
@@ -505,19 +497,16 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     present = np.unique(patch_of_face)
     if not len(present) or present[0] != 0 or present[-1] != len(present) - 1:
         raise IdOutOfRange("patch ids must run from 0 up, each with a face")
-    decomp = build_decomposition(P, patch_of_face, delta)
+    decomp = build_decomposition(P, patch_of_face)
 
     r = payloads[_SEC_ASSIGN]
     rep_of = r.i64s(n)
     cell_list = r.i64s(n).tolist()
-    rec = r.records(_REP_REC)
     _check_ids(rep_of, n, "rep_of vertex")
-    _check_ids(rec["vertex"], n, "representative vertex")
     rep_list = rep_of.tolist()
     owner_list = decomp.owner_of_vertex.tolist()
-    reps = rec["vertex"].tolist()
-    _check_assignment(reps, rep_list, owner_list)
-    rep_point = dict(zip(reps, rec["point"].astype(np.float64)))
+    _check_assignment(rep_list, owner_list)
+    reps = sorted(set(rep_list))
     members: dict[int, list[int]] = {}
     for v, rv in enumerate(rep_list):
         members.setdefault(rv, []).append(v)
@@ -529,7 +518,6 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         reps=reps,
         rep_of=dict(enumerate(rep_list)),
         cell_of={v: (owner_list[v], cell_list[v]) for v in range(n)},
-        rep_point=rep_point,
         members=members,
         patch_reps=patch_reps,
     )
@@ -547,6 +535,9 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     rec = payloads[_SEC_EDGES].records(_EDGE_REC)
     for name, count in (("u", len(nodes)), ("v", len(nodes)), ("face", decomp.count)):
         _check_ids(rec[name], count, f"edge {name}")
+    u, v = rec["u"].astype(np.int64), rec["v"].astype(np.int64)
+    if (u >= v).any() or len(np.unique(u * len(nodes) + v)) != len(u):
+        raise NonCanonicalEdge("an edge is stored reversed or more than once")
     graph = spanner_graph(nodes, rec.tolist())
 
     r = payloads[_SEC_SCHEME]
@@ -561,8 +552,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         to_landmark_next=groups[1], landmark_full_next=groups[2],
     )
 
-    return _derive_rest(P, eps, delta, compute_theta_m(P), decomp, assignment,
-                        graph, scheme)
+    return _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
 
 
 def to_json(system: RoutingSystem) -> str:
@@ -573,7 +563,6 @@ def to_json(system: RoutingSystem) -> str:
         return json.dumps({"empty": True})
     doc = {
         "epsilon": system.eps,
-        "delta": system.delta,
         "mesh": {
             "vertices": system.P.vertices.tolist(),
             "faces": system.P.faces.tolist(),

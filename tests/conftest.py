@@ -64,11 +64,12 @@ def routed_graph_positions(system):
     """The 2D position of every spanner node in each of its patch frames,
     from a re-run of the Steiner placement on the system's own stages. The
     re-run must yield the edges of the graph that routing uses."""
-    from polyroute.patching import build_sketch
+    from polyroute.patching import build_sketch, project_patch
     from polyroute.spanner import assemble_global_spanner, place_steiner_points
 
     sketch = build_sketch(system.P, system.decomp)
+    projections = {p.id: project_patch(system.P, p) for p in system.decomp.patches}
     nodes, positions = place_steiner_points(system.P, system.decomp, sketch,
-                                            system.assignment, system.eps)
+                                            system.assignment, projections, system.eps)
     assert assemble_global_spanner(nodes, positions, system.eps).edges == system.graph.edges
     return positions

@@ -19,6 +19,7 @@ from polyroute.oracle import (
 )
 from polyroute.patching import compute_patches
 from polyroute.router import route
+from polyroute.spanner import build_theta_graph
 from polyroute.tables import (
     RoutingSystem,
     deserialize,
@@ -151,8 +152,9 @@ def test_criterion_4_theta_spanner_stretch(sweep_systems):
         for pid, ids in g.per_face_nodes.items():
             if len(ids) < 2:
                 continue
-            local = {nid: k for k, nid in enumerate(ids)}
-            edges = [(local[u], local[v], w) for u, v, w, f in g.edges if f == pid]
+            # the face's own Theta-graph, rebuilt from the placement's positions
+            pts = np.stack([positions[i][pid] for i in ids])
+            edges = build_theta_graph(pts, eps)
             rows = [u for u, v, w in edges] + [v for u, v, w in edges]
             cols = [v for u, v, w in edges] + [u for u, v, w in edges]
             wts = [w for u, v, w in edges] * 2
@@ -160,7 +162,6 @@ def test_criterion_4_theta_spanner_stretch(sweep_systems):
                 csr_matrix((wts, (rows, cols)), shape=(len(ids), len(ids))),
                 directed=False,
             )
-            pts = np.stack([positions[i][pid] for i in ids])
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     euclid = float(np.linalg.norm(pts[a] - pts[b]))
@@ -243,7 +244,7 @@ def test_criterion_7_patch_flattening(sweep_systems, oracle16, oracle_mu):
             break
         graph = oracle16[n]
         mu = oracle_mu[n]
-        delta = system.delta
+        delta = system.eps
         decomp = system.decomp
         from polyroute.patching import project_patch
 

@@ -7,18 +7,18 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute.compact_routing import (
-    Disconnected,
     materialize_plane_entries,
     prune_intra_face,
     tz_next_hop,
     tz_preprocess,
     tz_route_nodes,
 )
-from polyroute.spanner import SpannerGraph, SpannerNode
+from polyroute.spanner import DisconnectedSpanner, SpannerNode, spanner_graph
 
 
 def synthetic_graph(num_nodes, edges, patch_of=None):
-    """Abstract weighted graph dressed as a spanner graph for scheme tests."""
+    """Abstract weighted graph dressed as a spanner graph for scheme tests:
+    each node pair once, as (min, max), with the weight of its first edge."""
     if patch_of is None:
         patch_of = {i: i for i in range(num_nodes)}
     nodes = [
@@ -27,14 +27,11 @@ def synthetic_graph(num_nodes, edges, patch_of=None):
         )
         for i in range(num_nodes)
     ]
-    tagged = [(u, v, float(w), patch_of[u]) for (u, v, w) in edges]
-    per_face = {}
-    for n in nodes:
-        per_face.setdefault(n.patches[0], []).append(n.id)
-    g = SpannerGraph(nodes=nodes, edges=tagged, per_face_nodes=per_face,
-                     node_of_vertex={n.vertex: n.id for n in nodes})
-    g.build_adjacency()
-    return g
+    tagged = {}
+    for u, v, w in edges:
+        a, b = min(u, v), max(u, v)
+        tagged.setdefault((a, b), (a, b, float(w), patch_of[u]))
+    return spanner_graph(nodes, list(tagged.values()))
 
 
 def graph_distances(g):
@@ -103,9 +100,9 @@ def test_weighted_random_graph_stretch():
 
 
 def test_disconnected_rejected():
+    # two components, {0, 1} and {2, 3}
     g = synthetic_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    g.connected = False
-    with pytest.raises(Disconnected):
+    with pytest.raises(DisconnectedSpanner):
         tz_preprocess(g)
 
 
@@ -186,9 +183,7 @@ def test_hop_faces_are_edge_faces(sphere50_system):
     # face is its spanner edge's face, a sketch face both endpoints lie on
     system = sphere50_system
     g, scheme = system.graph, system.scheme
-    edge_faces = {}
-    for u, v, _w, f in g.edges:
-        edge_faces.setdefault((min(u, v), max(u, v)), f)
+    edge_faces = {(u, v): f for u, v, _w, f in g.edges}
     hops = {(min(x, w), max(x, w))
             for group in (scheme.exact_next, scheme.to_landmark_next,
                           scheme.landmark_full_next)
@@ -216,7 +211,10 @@ def test_label_bit_length_scaling(sphere50_system):
 def test_next_hops_are_neighbours(sphere50_system):
     g = sphere50_system.graph
     scheme = sphere50_system.scheme
-    nbrs = {u: {v for v, _w in g.adjacency[u]} for u in range(g.num_nodes)}
+    nbrs = {u: set() for u in range(g.num_nodes)}
+    for u, v, _w, _f in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     for x, table in scheme.exact_next.items():
         for t, hop in table.items():
             assert hop in nbrs[x]

@@ -20,7 +20,7 @@ from polyroute.geometry import (
     unfold_rotation,
 )
 from polyroute.patching import Patch
-from polyroute.router import PacketHeader, _install_plane, _sig_of
+from polyroute.router import PacketHeader, _plane_words, _sig_of
 
 
 def test_corner_angles_equilateral():
@@ -91,7 +91,7 @@ def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
             assert _bits(got) == _bits(want[i])
     # the router's leg plane, evaluated one float row at a time
     header = PacketHeader(dest_vertex=0, dest_label=None)
-    _install_plane(header, plane)
+    header.plane = _plane_words(plane)
     mesh = SimpleNamespace(vertex_rows=rows.tolist())
     assert _bits([_sig_of(mesh, header, i) for i in range(len(rows))]) == _bits(full[-1])
 

@@ -17,8 +17,8 @@ from polyroute.router import (
     Target,
     TrivialRoute,
     UnknownVertex,
-    _install_plane,
     _leg_plane,
+    _plane_words,
     make_packet,
     route,
     step,
@@ -116,7 +116,7 @@ def _hand_header(system, t, plane, aim_point=None):
     point = system.P.vertex_rows[t] if aim_point is None else [float(x) for x in aim_point]
     header.pseudo = Target(kind="vertex", point=point, arrival=(t,), vertex=t)
     header.gamma_normal = plane.normal
-    _install_plane(header, plane)
+    header.plane = _plane_words(plane)
     return header
 
 
@@ -191,7 +191,7 @@ def test_zigzag_leg_bound(sphere50_system):
     graph = build_subdivision_graph(mesh, 8)
     pairs = random_pairs(mesh.n, 60, seed=3)
     mu = oracle_slack(mesh, pairs, 8, base_graph=graph, sample=16)
-    factor = (1 + 2 * system.delta) * (1 + mu) / math.sin(system.metrics.theta_m)
+    factor = (1 + 2 * system.eps) * (1 + mu) / math.sin(system.metrics.theta_m)
     checked = 0
     for s, t in pairs:
         trace = route(s, t, system)

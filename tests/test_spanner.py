@@ -36,7 +36,7 @@ def _stage(mesh, eps, delta=None):
     projections = {p.id: project_patch(mesh, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
-    return decomp, sketch, assignment
+    return decomp, sketch, assignment, projections
 
 
 def _graph_distances(edges, n):
@@ -92,8 +92,9 @@ def test_theta_stretch_random_nodes():
 def test_tetra_steiner_relays_between_rep_faces(tetra):
     # sampling needs eps in (0,1]; the quarter-turn cone angle is a separate
     # knob of the placement step
-    decomp, sketch, assignment = _stage(tetra, 0.9, delta=0.01)
-    nodes, _positions = place_steiner_points(tetra, decomp, sketch, assignment, math.pi / 2)
+    decomp, sketch, assignment, projections = _stage(tetra, 0.9, delta=0.01)
+    nodes, _positions = place_steiner_points(tetra, decomp, sketch, assignment, projections,
+                                             math.pi / 2)
     steiner = [n for n in nodes if n.kind == "steiner"]
     assert steiner, "abutting faces with representatives need relays"
     rep_patches = {pid for pid, rs in assignment.patch_reps.items() if rs}
@@ -104,9 +105,9 @@ def test_tetra_steiner_relays_between_rep_faces(tetra):
 
 
 def test_single_patch_no_steiner(tetra):
-    decomp, sketch, assignment = _stage(tetra, 0.5, delta=math.pi)
+    decomp, sketch, assignment, projections = _stage(tetra, 0.5, delta=math.pi)
     assert decomp.count == 1
-    nodes, positions = place_steiner_points(tetra, decomp, sketch, assignment, 0.5)
+    nodes, positions = place_steiner_points(tetra, decomp, sketch, assignment, projections, 0.5)
     assert all(n.kind == "rep" for n in nodes)
     g = assemble_global_spanner(nodes, positions, 0.5)
     assert g.connected
@@ -115,18 +116,17 @@ def test_single_patch_no_steiner(tetra):
 
 def test_empty_extension_no_steiner(octa):
     # single rep in the whole mesh: no other-face reps for any cone to find
-    decomp, sketch, assignment = _stage(octa, 0.99, delta=0.01)
+    decomp, sketch, assignment, projections = _stage(octa, 0.99, delta=0.01)
     lone = assignment.reps[:1]
     assignment.reps = lone
     assignment.patch_reps = {pid: [r for r in rs if r in lone]
                              for pid, rs in assignment.patch_reps.items()}
-    nodes, _positions = place_steiner_points(octa, decomp, sketch, assignment, 0.5)
+    nodes, _positions = place_steiner_points(octa, decomp, sketch, assignment, projections, 0.5)
     assert all(n.kind == "rep" for n in nodes)
 
 
 def test_assemble_tetra_connected(tetra):
-    decomp, sketch, assignment = _stage(tetra, 0.5)
-    g = build_spanner(tetra, decomp, sketch, assignment, 0.5)
+    g = build_spanner(tetra, *_stage(tetra, 0.5), 0.5)
     assert g.connected
     # a path rep -> steiner -> rep exists between abutting rep faces
     dist = _graph_distances([(u, v, w) for u, v, w, _f in g.edges], g.num_nodes)
@@ -153,7 +153,28 @@ def test_edges_stay_within_one_face(sphere50_system):
         assert w > 0
 
 
+def test_edges_are_lowest_face_union_of_theta_graphs(sphere50_system):
+    # each node pair once, u < v, with the weight and face of the lowest
+    # face whose Theta-graph holds it; faces ascending, pairs ascending
+    system = sphere50_system
+    g = system.graph
+    positions = routed_graph_positions(system)
+    want = {}
+    recurring = 0
+    for pid in sorted(g.per_face_nodes):
+        ids = g.per_face_nodes[pid]
+        pts = np.stack([positions[i][pid] for i in ids])
+        for u, v, w in build_theta_graph(pts, system.eps, node_ids=ids):
+            recurring += (u, v) in want
+            want.setdefault((u, v), (u, v, w, pid))
+    assert recurring, "no pair lies on two faces; the case is not exercised"
+    assert g.edges == list(want.values())
+    assert all(u < v for u, v, _w, _f in g.edges)
+    assert len({(u, v) for u, v, _w, _f in g.edges}) == len(g.edges)
+
+
 def test_per_face_theta_stretch(sphere50_system):
+    # each face's own Theta-graph, rebuilt from the placement's positions
     eps = sphere50_system.eps
     g = sphere50_system.graph
     positions = routed_graph_positions(sphere50_system)
@@ -161,10 +182,8 @@ def test_per_face_theta_stretch(sphere50_system):
     for pid, ids in g.per_face_nodes.items():
         if len(ids) < 2:
             continue
-        local = {nid: k for k, nid in enumerate(ids)}
-        edges = [(local[u], local[v], w) for u, v, w, f in g.edges if f == pid]
-        dist = _graph_distances(edges, len(ids))
         pts = np.stack([positions[i][pid] for i in ids])
+        dist = _graph_distances(build_theta_graph(pts, eps), len(ids))
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 euclid = float(np.linalg.norm(pts[a] - pts[b]))
@@ -175,15 +194,13 @@ def test_node_edge_count_scaling():
     c_nodes = c_edges = 0.0
     fit = generate_mesh("sphere", 150, 0)
     for eps in (0.3, 0.45):
-        decomp, sketch, assignment = _stage(fit, eps)
-        g = build_spanner(fit, decomp, sketch, assignment, eps)
+        g = build_spanner(fit, *_stage(fit, eps), eps)
         c_nodes = max(c_nodes, g.num_nodes / min(fit.n, 1.0 / eps ** 3))
         c_edges = max(c_edges, len(g.edges) / min(fit.n / eps, 1.0 / eps ** 4))
     for seed in (1, 2):
         mesh = generate_mesh("sphere", 120, seed)
         for eps in (0.35,):
-            decomp, sketch, assignment = _stage(mesh, eps)
-            g = build_spanner(mesh, decomp, sketch, assignment, eps)
+            g = build_spanner(mesh, *_stage(mesh, eps), eps)
             assert g.num_nodes <= 2.0 * c_nodes * min(mesh.n, 1.0 / eps ** 3)
             assert len(g.edges) <= 2.0 * c_edges * min(mesh.n / eps, 1.0 / eps ** 4)
 
@@ -269,9 +286,9 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     # afresh for each cone
     mesh = sphere50 if mesh_seed is None else generate_mesh("sphere", n, mesh_seed)
     eps = 0.3
-    decomp, sketch, assignment = _stage(mesh, eps)
+    decomp, sketch, assignment, projections = _stage(mesh, eps)
     face_maps = _build_face_maps(decomp, sketch)
-    reps2d = {pid: np.stack([assignment.rep_point[r] for r in rs]) if rs else np.zeros((0, 2))
+    reps2d = {pid: np.stack([projections[pid].uv[r] for r in rs]) if rs else np.zeros((0, 2))
               for pid, rs in assignment.patch_reps.items()}
     snap = mesh.snap
     fan = cone_fan(eps)
@@ -279,7 +296,7 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     hits = 0
     for r in assignment.reps:
         pid = int(decomp.owner_of_vertex[r])
-        apex = tuple(assignment.rep_point[r].tolist())
+        apex = tuple(projections[pid].uv[r].tolist())
         root = shared.setdefault(pid, _unfolding_root(face_maps[pid], pid))
         for c in range(fan.count):
             d1, d2 = _wedge_dirs(fan, c)
@@ -317,8 +334,8 @@ def _all_faces_lift(P, point, inward):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_steiner_lift_matches_all_faces_lift(seed):
     mesh = generate_mesh("sphere", 100, seed)
-    decomp, sketch, assignment = _stage(mesh, 0.4)
-    nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, 0.4)
+    decomp, sketch, assignment, projections = _stage(mesh, 0.4)
+    nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, 0.4)
     steiner = [n for n in nodes if n.kind == "steiner"]
     assert steiner
     lifter = _SteinerLift(mesh, decomp)

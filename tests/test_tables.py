@@ -9,6 +9,7 @@ from polyroute.tables import (
     FormatVersionMismatch,
     IdOutOfRange,
     InconsistentAssignment,
+    NonCanonicalEdge,
     RoutingSystem,
     SerializationError,
     TruncatedStream,
@@ -109,8 +110,6 @@ def test_loaded_system_equals_built(sphere50_system):
     la, ba = loaded.assignment, built.assignment
     assert (la.reps, la.rep_of, la.cell_of, la.members, la.patch_reps) == (
         ba.reps, ba.rep_of, ba.cell_of, ba.members, ba.patch_reps)
-    assert la.rep_point.keys() == ba.rep_point.keys()
-    assert all(_same_bits(la.rep_point[r], ba.rep_point[r]) for r in ba.reps)
     ls, bs = loaded.scheme, built.scheme
     assert (ls.landmarks, ls.home, ls.exact_next, ls.to_landmark_next,
             ls.landmark_full_next) == (bs.landmarks, bs.home, bs.exact_next,
@@ -212,7 +211,6 @@ _BAD_IDS = {
     "patch_gap": lambda n, f, k, N, L: (3, "<q", 0, k + 1),
     "patch_negative": lambda n, f, k, N, L: (3, "<q", 8 * (f - 1), -1),
     "rep_of": lambda n, f, k, N, L: (4, "<q", 0, n),
-    "rep_record": lambda n, f, k, N, L: (4, "<q", 16 * n + 4, n),
     "node_patch": lambda n, f, k, N, L: (5, "<I", 8, k),
     "marked": lambda n, f, k, N, L: (5, "<I", 40, n),
     "edge_endpoint": lambda n, f, k, N, L: (6, "<I", 4, 10 ** 6),
@@ -246,27 +244,27 @@ def _assignment_edits(system) -> dict[str, tuple[int, int]]:
     """(byte offset in the assignment section, new i64 value) per case."""
     a, owner = system.assignment, system.decomp.owner_of_vertex
     n = system.P.n
-    assert a.rep_of[10] != 10 and 10 not in a.reps
-    # a rep that points at another rep of its own patch
+    # a vertex that points at another vertex that is not a representative
+    v, w = [x for x in range(n) if a.rep_of[x] != x][:2]
+    # a rep with other members that points at another rep of its own patch,
+    # so its members' rep is no longer its own rep
     r, r2 = next((r, r2) for r in a.reps for r2 in a.reps
-                 if r2 != r and owner[r2] == owner[r])
+                 if r2 != r and owner[r2] == owner[r] and len(a.members[r]) > 1)
     # a vertex that points at a rep of another patch
-    v, far = next((v, r) for v in range(n) for r in a.reps if owner[r] != owner[v])
+    x, far = next((x, r) for x in range(n) for r in a.reps if owner[r] != owner[x])
     return {
-        "rep_of_not_a_rep": (8 * 10, 10),
+        "rep_of_not_a_rep": (8 * v, w),
         "rep_not_its_own": (8 * r, r2),
-        "rep_outside_patch": (8 * v, far),
-        # the second representative record names the first one again
-        "rep_stored_twice": (16 * n + 4 + 24, a.reps[0]),
+        "rep_outside_patch": (8 * x, far),
     }
 
 
 @pytest.mark.parametrize("case", ["rep_of_not_a_rep", "rep_not_its_own",
-                                  "rep_outside_patch", "rep_stored_twice"])
+                                  "rep_outside_patch"])
 def test_inconsistent_assignment_rejected(sphere50_system, case):
-    # ids in range and a valid CRC, but rep_of contradicts the stored reps:
-    # such a file once loaded and then failed in route() with a RuntimeError
-    # or a KeyError
+    # ids in range and a valid CRC, but rep_of contradicts itself: such a
+    # file once loaded and then failed in route() with a RuntimeError or a
+    # KeyError
     import struct
 
     offset, value = _assignment_edits(sphere50_system)[case]
@@ -296,6 +294,22 @@ def test_loaded_json_and_int_keys(sphere50_system):
         assert {type(x) for x in (lb.node, lb.home, lb.patch, lb.cell)} == {int}
 
 
+@pytest.mark.parametrize("case", ["reversed", "repeated"])
+def test_non_canonical_edges_rejected(sphere50_system, case):
+    # ids in range and a valid CRC, but the first edge is stored as (v, u),
+    # or the second edge repeats the first one's pair
+    sections = _sections(serialize(sphere50_system))
+    payload = dict(sections)[6]
+    rec = np.frombuffer(payload, dtype=tables._EDGE_REC, offset=4).copy()
+    if case == "reversed":
+        rec[0]["u"], rec[0]["v"] = rec[0]["v"], rec[0]["u"]
+    else:
+        rec[1] = rec[0]
+    bad = payload[:4] + rec.tobytes()
+    with pytest.raises(NonCanonicalEdge):
+        deserialize(_container([(t, bad if t == 6 else p) for t, p in sections]))
+
+
 def _with_version(blob: bytes, version: int) -> bytes:
     import struct
     import zlib
@@ -311,11 +325,13 @@ def test_version_mismatch_rejected(tetra_system):
         deserialize(_with_version(serialize(tetra_system), 999))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_version_1_rejected(tetra_system, version):
     # version 1 stored guiding planes and vertex tables, version 2 the patch
     # planes and vertex owners, version 3 rep nodes, 2D node positions,
-    # labels and patch seed faces; none has a reader
+    # labels and patch seed faces, version 4 a pair's edge once per face
+    # that holds it, the representatives, their projections and delta; none
+    # has a reader
     with pytest.raises(FormatVersionMismatch):
         deserialize(_with_version(serialize(tetra_system), version))
 
