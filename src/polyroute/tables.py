@@ -15,18 +15,20 @@ face, the representative assignment (each vertex's representative and grid
 cell), the Steiner nodes (their two patches, lift and marked vertices), the
 spanner edges (each node pair once, u < v, with its weight and face), and
 the landmark scheme (landmarks, the home landmark of each node, next-hop
-maps). `deserialize` rebuilds the patches (seed face, plane, frame,
-vertices) and vertex owners through `patching.build_decomposition`, the
-representatives as the distinct `rep_of` values, the rep nodes through
-`spanner.rep_nodes` and the graph's indices through `spanner.spanner_graph`,
-and theta_m, the hop faces and the vertex tables through the same tail as
-`preprocess_mesh`, so a loaded system equals the built one. Ids in a file
-whose checksum holds are still checked against the counts they index and
-refused with `IdOutOfRange`, the representative assignment is checked
-against itself and refused with `InconsistentAssignment`, and an edge stored
-reversed or twice is refused with `NonCanonicalEdge`. The 2D node positions
-in each patch frame are construction-local and not kept; node labels are
-built per packet from the stored homes.
+maps); the one exception is the representative count, kept as a check.
+`deserialize` rebuilds the patches (seed face, plane, frame, vertices) and
+vertex owners through `patching.build_decomposition`, the representatives
+as the distinct `rep_of` values, the rep nodes through `spanner.rep_nodes`
+and the graph's indices through `spanner.spanner_graph`, and theta_m, the
+hop faces and the vertex tables through the same tail as `preprocess_mesh`,
+so a loaded system equals the built one. Ids in a file whose checksum holds
+are still checked against the counts they index and refused with
+`IdOutOfRange`; the representative assignment is checked against itself
+and against the stored count, since every later node id depends on it, and
+refused with `InconsistentAssignment`; an edge stored reversed or twice is
+refused with `NonCanonicalEdge`. The 2D node positions in each patch frame
+are construction-local and not kept; node labels are built per packet from
+the stored homes.
 """
 from __future__ import annotations
 
@@ -411,6 +413,7 @@ def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
     cell_arr = np.array([a.cell_of[v][1] for v in range(n)], dtype=np.int64)
     w.i64s(rep_arr)
     w.i64s(cell_arr)
+    w.u32(len(a.reps))
     return bytes(w.buf)
 
 
@@ -507,6 +510,10 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     owner_list = decomp.owner_of_vertex.tolist()
     _check_assignment(rep_list, owner_list)
     reps = sorted(set(rep_list))
+    # every later node id counts the reps before it, so a rep_of that agrees
+    # with itself but adds or drops a rep would misread the sections below
+    if len(reps) != r.u32():
+        raise InconsistentAssignment("rep_of names a different number of representatives")
     members: dict[int, list[int]] = {}
     for v, rv in enumerate(rep_list):
         members.setdefault(rv, []).append(v)

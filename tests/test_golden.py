@@ -18,7 +18,7 @@ from polyroute.tables import preprocess_mesh, serialize
 
 from conftest import random_pairs
 
-PRT_SHA256 = "1c5cc41c5ccbf4c8e0b631971166ec9312bff2e0334a5ca7f3a52d9de9db3bd4"
+PRT_SHA256 = "00256bd36995f266ae4e5391ccec70132a73506f2374680b19f1a78fd8587f61"
 ROUTES_SHA256 = "5b8735e7c056069093463ab18752ccccf93a1c7e056ba1ae5cfea4278d734ea4"
 HULL600_ROUTES_SHA256 = "e817a428242fe1c500d6e9446d5fa2e745216d2cb03118133512b88cfbc6a6cc"
 

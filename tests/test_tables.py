@@ -244,27 +244,36 @@ def _assignment_edits(system) -> dict[str, tuple[int, int]]:
     """(byte offset in the assignment section, new i64 value) per case."""
     a, owner = system.assignment, system.decomp.owner_of_vertex
     n = system.P.n
+    assert a.rep_of[10] != 10 and 10 not in a.reps
     # a vertex that points at another vertex that is not a representative
     v, w = [x for x in range(n) if a.rep_of[x] != x][:2]
     # a rep with other members that points at another rep of its own patch,
     # so its members' rep is no longer its own rep
     r, r2 = next((r, r2) for r in a.reps for r2 in a.reps
                  if r2 != r and owner[r2] == owner[r] and len(a.members[r]) > 1)
+    # a rep that is its only member and points at another rep of its own
+    # patch: rep_of agrees with itself but names one rep fewer
+    lone, r3 = next((r, r2) for r in a.reps for r2 in a.reps
+                    if r2 != r and owner[r2] == owner[r] and a.members[r] == [r])
     # a vertex that points at a rep of another patch
     x, far = next((x, r) for x in range(n) for r in a.reps if owner[r] != owner[x])
     return {
+        # a non-rep made its own rep: rep_of agrees with itself but names one
+        # rep more
+        "non_rep_made_rep": (8 * 10, 10),
         "rep_of_not_a_rep": (8 * v, w),
         "rep_not_its_own": (8 * r, r2),
+        "lone_rep_dropped": (8 * lone, r3),
         "rep_outside_patch": (8 * x, far),
     }
 
 
-@pytest.mark.parametrize("case", ["rep_of_not_a_rep", "rep_not_its_own",
-                                  "rep_outside_patch"])
+@pytest.mark.parametrize("case", ["non_rep_made_rep", "rep_of_not_a_rep", "rep_not_its_own",
+                                  "lone_rep_dropped", "rep_outside_patch"])
 def test_inconsistent_assignment_rejected(sphere50_system, case):
-    # ids in range and a valid CRC, but rep_of contradicts itself: such a
-    # file once loaded and then failed in route() with a RuntimeError or a
-    # KeyError
+    # ids in range and a valid CRC, but rep_of contradicts itself or the
+    # stored rep count: such a file once loaded and then failed in route()
+    # with a RuntimeError or a KeyError, or would shift every later node id
     import struct
 
     offset, value = _assignment_edits(sphere50_system)[case]
