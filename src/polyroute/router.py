@@ -271,7 +271,8 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
 
     Same-face targets get a direct leg (their scheme entries are pruned);
     anything else takes the compact-routing next hop, in the sketch face
-    that the derived hop-face map gives the pair.
+    of its spanner edge (every scheme next hop is one, and a loaded file
+    whose balls name another hop is refused).
     Returns v to signal an immediate re-switch, None when a leg was set.
     """
     node = system.graph.nodes[node_id]
@@ -285,7 +286,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         return None
     w = tz_next_hop(system.scheme, node_id, target_node)
     key = (min(node_id, w), max(node_id, w))
-    face = system.hop_faces.get(key, min(node.patches))
+    face = system.hop_faces[key]
     header.tz_word = "global"
     tgt = _node_target(system, w)
     P = system.P

@@ -8,27 +8,24 @@ to both marked vertices for a Steiner node); marked vertices hold relay
 entries for the Steiner nodes on their edge. An entry is just (kind, dest):
 the router builds each leg's guiding plane at the forwarding vertex.
 
-The .prt byte format (version 5) is self-contained (mesh included): magic
-PRT1, version, little-endian length-prefixed sections, CRC32 trailer. It
-stores only what cannot be derived: meta (eps), mesh, the patch of each
-face, the representative assignment (each vertex's representative and grid
-cell), the Steiner nodes (their two patches, lift and marked vertices), the
-spanner edges (each node pair once, u < v, with its weight and face), and
-the landmark scheme (landmarks, the home landmark of each node, next-hop
-maps); the one exception is the representative count, kept as a check.
-`deserialize` rebuilds the patches (seed face, plane, frame, vertices) and
-vertex owners through `patching.build_decomposition`, the representatives
-as the distinct `rep_of` values, the rep nodes through `spanner.rep_nodes`
-and the graph's indices through `spanner.spanner_graph`, and theta_m, the
-hop faces and the vertex tables through the same tail as `preprocess_mesh`,
-so a loaded system equals the built one. Ids in a file whose checksum holds
-are still checked against the counts they index and refused with
-`IdOutOfRange`; the representative assignment is checked against itself
-and against the stored count, since every later node id depends on it, and
-refused with `InconsistentAssignment`; an edge stored reversed or twice is
-refused with `NonCanonicalEdge`. The 2D node positions in each patch frame
-are construction-local and not kept; node labels are built per packet from
-the stored homes.
+The .prt format (version 6; magic PRT1, little-endian length-prefixed
+sections, CRC32 trailer, u32 ids) stores only what cannot be derived: eps,
+the mesh, each face's patch, each vertex's representative and grid cell,
+the Steiner nodes, the spanner edges (each pair once, u < v, with weight
+and face) and the scheme's balls as (x, t, next) records sorted by (x, t);
+the representative count is kept as a check. `deserialize` derives the
+rest with the calls the build uses (`build_decomposition`, `rep_nodes`,
+`spanner_graph`, `landmark_trees` for the landmarks, homes and both tree
+directions, then the tail of `preprocess_mesh`), so a loaded system equals
+the built one. A file whose checksum holds is still refused with
+`IdOutOfRange` for an id past what it indexes, `InconsistentAssignment` for
+a `rep_of` that contradicts itself or the count, `NonCanonicalEdge` for an
+edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
+the spanner disconnected, `NonCanonicalBall` for ball records out of
+(x, t) order, repeated or with x == t, `NonSpannerHop` for a ball next hop
+off the spanner (so every scheme next hop is a spanner edge), and
+`MalformedSection` for bytes past a section's last record or after the
+last section, or an unknown or repeated tag. Versions 1 to 5 are refused with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -60,8 +57,11 @@ from .spanner import (
 from .compact_routing import (
     LandmarkScheme,
     NodeLabel,
+    landmark_trees,
     materialize_plane_entries,
+    prune_first_hops,
     prune_intra_face,
+    spanner_csr,
     tz_preprocess,
 )
 
@@ -73,6 +73,9 @@ __all__ = [
     "IdOutOfRange",
     "InconsistentAssignment",
     "NonCanonicalEdge",
+    "NonCanonicalBall",
+    "NonSpannerHop",
+    "MalformedSection",
     "EntryKind",
     "RoutingEntry",
     "RoutingTable",
@@ -85,7 +88,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 5
+VERSION = 6
 
 
 class SerializationError(ValueError):
@@ -114,6 +117,19 @@ class InconsistentAssignment(SerializationError):
 
 class NonCanonicalEdge(SerializationError):
     """A spanner edge is stored with u >= v, or its node pair twice."""
+
+
+class NonCanonicalBall(SerializationError):
+    """A ball record is out of (x, t) order, repeated, or has x == t."""
+
+
+class NonSpannerHop(SerializationError):
+    """A ball's next hop is not a spanner neighbour of its node."""
+
+
+class MalformedSection(SerializationError):
+    """Bytes past a section's last record or after the last section, or an
+    unknown or repeated section tag."""
 
 
 class EntryKind(Enum):
@@ -277,6 +293,8 @@ _SEC_ASSIGN = 4
 _SEC_NODES = 5
 _SEC_EDGES = 6
 _SEC_SCHEME = 7
+_SECTIONS = (_SEC_META, _SEC_MESH, _SEC_PATCHES, _SEC_ASSIGN, _SEC_NODES, _SEC_EDGES,
+             _SEC_SCHEME)
 
 # fixed-size records, packed little-endian; each section writes and reads its
 # records as one array of these
@@ -285,6 +303,8 @@ _NODE_REC = np.dtype([
     ("patch_a", "<u4"), ("patch_b", "<u4"), ("lift3d", "<f8", (3,)), ("marked", "<u4", (2,)),
 ])
 _EDGE_REC = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
+# node x holds an exact entry for target t, with its next hop
+_BALL_REC = np.dtype([("x", "<u4"), ("t", "<u4"), ("next", "<u4")])
 
 
 class _Writer:
@@ -294,14 +314,13 @@ class _Writer:
     def u8(self, x): self.buf += struct.pack("<B", x)
     def u16(self, x): self.buf += struct.pack("<H", x)
     def u32(self, x): self.buf += struct.pack("<I", x)
-    def i64(self, x): self.buf += struct.pack("<q", x)
     def f64(self, x): self.buf += struct.pack("<d", float(x))
 
     def f64s(self, arr):
         self.buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
-    def i64s(self, arr):
-        self.buf += np.ascontiguousarray(arr, dtype="<i8").tobytes()
+    def u32s(self, arr):
+        self.buf += np.ascontiguousarray(arr, dtype="<u4").tobytes()
 
     def records(self, dtype: np.dtype, rows: list[tuple]):
         self.u32(len(rows))
@@ -328,8 +347,8 @@ class _Reader:
     def f64s(self, count) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
-    def i64s(self, count) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<i8").astype(np.int64)
+    def u32s(self, count) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count), dtype="<u4").astype(np.int64)
 
     def records(self, dtype: np.dtype) -> np.ndarray:
         """A u32 count, then that many records, as one structured array."""
@@ -339,15 +358,7 @@ class _Reader:
 
 def serialize(system: RoutingSystem) -> bytes:
     """Serialize to the .prt byte format; an empty system is a bare header."""
-    sections: list[tuple[int, bytes]] = []
-    if not system.is_empty():
-        sections.append((_SEC_META, _write_meta(system)))
-        sections.append((_SEC_MESH, _write_mesh(system.P)))
-        sections.append((_SEC_PATCHES, _write_patches(system.decomp)))
-        sections.append((_SEC_ASSIGN, _write_assignment(system.assignment, system.P.n)))
-        sections.append((_SEC_NODES, _write_nodes(system.graph)))
-        sections.append((_SEC_EDGES, _write_edges(system.graph)))
-        sections.append((_SEC_SCHEME, _write_scheme(system.scheme)))
+    sections = [] if system.is_empty() else _write_sections(system)
     head = _Writer()
     head.buf += MAGIC
     head.u16(VERSION)
@@ -379,72 +390,38 @@ def deserialize(data: bytes) -> RoutingSystem:
     payloads: dict[int, _Reader] = {}
     for _ in range(nsec):
         tag = r.u8()
+        if tag not in _SECTIONS or tag in payloads:
+            raise MalformedSection(f"unknown or repeated section tag {tag}")
         (length,) = struct.unpack("<Q", r.take(8))
         payloads[tag] = _Reader(r.take(length))
+    if r.pos != len(r.buf):
+        raise MalformedSection("bytes after the last section")
     if not payloads:
         return RoutingSystem()
     return _reassemble(payloads)
 
 
-def _write_meta(system: RoutingSystem) -> bytes:
-    w = _Writer()
-    w.f64(system.eps)
-    return bytes(w.buf)
-
-
-def _write_mesh(P: TriangulatedPolytope) -> bytes:
-    w = _Writer()
-    w.u32(P.n)
-    w.u32(P.num_faces)
-    w.f64s(P.vertices)
-    w.i64s(P.faces)
-    return bytes(w.buf)
-
-
-def _write_patches(decomp: PatchDecomposition) -> bytes:
-    w = _Writer()
-    w.i64s(decomp.patch_of_face)
-    return bytes(w.buf)
-
-
-def _write_assignment(a: RepresentativeAssignment, n: int) -> bytes:
-    w = _Writer()
-    rep_arr = np.array([a.rep_of[v] for v in range(n)], dtype=np.int64)
-    cell_arr = np.array([a.cell_of[v][1] for v in range(n)], dtype=np.int64)
-    w.i64s(rep_arr)
-    w.i64s(cell_arr)
-    w.u32(len(a.reps))
-    return bytes(w.buf)
-
-
-def _write_nodes(g: SpannerGraph) -> bytes:
-    w = _Writer()
-    w.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
-                          for nd in g.nodes if nd.kind == "steiner"])
-    return bytes(w.buf)
-
-
-def _write_edges(g: SpannerGraph) -> bytes:
-    w = _Writer()
-    w.records(_EDGE_REC, g.edges)
-    return bytes(w.buf)
-
-
-def _write_scheme(s: LandmarkScheme) -> bytes:
-    """Landmarks, the home landmark of every node id in order, then the
-    three next-hop groups."""
-    w = _Writer()
-    w.u32(len(s.landmarks))
-    w.i64s(s.landmarks)
-    w.i64s([s.home[u] for u in range(len(s.home))])
-    for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
-        w.u32(len(group))
-        for u in sorted(group):
-            m = group[u]
-            w.i64(u)
-            w.u32(len(m))
-            w.i64s([x for k in sorted(m) for x in (k, m[k])])
-    return bytes(w.buf)
+def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
+    """Each section's payload under its tag, in `_SECTIONS` order; the balls
+    go as (x, t, next) records sorted by (x, t)."""
+    P, a, g, balls = system.P, system.assignment, system.graph, system.scheme.exact_next
+    writers = [_Writer() for _ in _SECTIONS]
+    meta, mesh, patches, assign, nodes, edges, scheme = writers
+    meta.f64(system.eps)
+    mesh.u32(P.n)
+    mesh.u32(P.num_faces)
+    mesh.f64s(P.vertices)
+    mesh.u32s(P.faces)
+    patches.u32s(system.decomp.patch_of_face)
+    assign.u32s([a.rep_of[v] for v in range(P.n)])
+    assign.u32s([a.cell_of[v][1] for v in range(P.n)])
+    assign.u32(len(a.reps))
+    nodes.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
+                              for nd in g.nodes if nd.kind == "steiner"])
+    edges.records(_EDGE_REC, g.edges)
+    scheme.records(_BALL_REC, [(x, t, balls[x][t]) for x in sorted(balls)
+                               for t in sorted(balls[x])])
+    return [(tag, bytes(w.buf)) for tag, w in zip(_SECTIONS, writers)]
 
 
 def _check_ids(ids, count: int, what: str) -> None:
@@ -466,23 +443,8 @@ def _check_assignment(rep_list: list[int], owner_list: list[int]) -> None:
                 f"representative {rv} of vertex {v} lies outside the vertex's patch")
 
 
-def _read_intmap_group(r: _Reader, count: int) -> dict[int, dict[int, int]]:
-    """Per node: its id, a u32 size and that many (key, next hop) i64 pairs;
-    every one of these is a node id below `count`."""
-    group, pairs = {}, []
-    for _ in range(r.u32()):
-        u, size = struct.unpack("<qI", r.take(12))
-        pairs.append(r.take(16 * size))
-        flat = struct.unpack(f"<{2 * size}q", pairs[-1])
-        group[u] = dict(zip(flat[::2], flat[1::2]))
-    _check_ids(list(group), count, "scheme node")
-    _check_ids(np.frombuffer(b"".join(pairs), dtype="<i8"), count, "scheme node")
-    return group
-
-
 def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
-    for tag in (_SEC_META, _SEC_MESH, _SEC_PATCHES, _SEC_ASSIGN, _SEC_NODES,
-                _SEC_EDGES, _SEC_SCHEME):
+    for tag in _SECTIONS:
         if tag not in payloads:
             raise TruncatedStream(f"missing section {tag}")
     r = payloads[_SEC_META]
@@ -492,19 +454,19 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     n = r.u32()
     nf = r.u32()
     verts = r.f64s(3 * n).reshape(n, 3)
-    faces = r.i64s(3 * nf).reshape(nf, 3)
+    faces = r.u32s(3 * nf).reshape(nf, 3)
     _check_ids(faces, n, "mesh vertex")
     P = from_arrays(verts, faces)
 
-    patch_of_face = payloads[_SEC_PATCHES].i64s(nf)
+    patch_of_face = payloads[_SEC_PATCHES].u32s(nf)
     present = np.unique(patch_of_face)
     if not len(present) or present[0] != 0 or present[-1] != len(present) - 1:
         raise IdOutOfRange("patch ids must run from 0 up, each with a face")
     decomp = build_decomposition(P, patch_of_face)
 
     r = payloads[_SEC_ASSIGN]
-    rep_of = r.i64s(n)
-    cell_list = r.i64s(n).tolist()
+    rep_of = r.u32s(n)
+    cell_list = r.u32s(n).tolist()
     _check_ids(rep_of, n, "rep_of vertex")
     rep_list = rep_of.tolist()
     owner_list = decomp.owner_of_vertex.tolist()
@@ -539,25 +501,36 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
                                          rec["marked"].tolist()):
         nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pa, pb),
                                  lift3d=lift3d, marked=(mx, my)))
+    N = len(nodes)
     rec = payloads[_SEC_EDGES].records(_EDGE_REC)
-    for name, count in (("u", len(nodes)), ("v", len(nodes)), ("face", decomp.count)):
+    for name, count in (("u", N), ("v", N), ("face", decomp.count)):
         _check_ids(rec[name], count, f"edge {name}")
     u, v = rec["u"].astype(np.int64), rec["v"].astype(np.int64)
-    if (u >= v).any() or len(np.unique(u * len(nodes) + v)) != len(u):
+    edge_keys = np.sort(u * N + v)
+    if (u >= v).any() or (np.diff(edge_keys) == 0).any():
         raise NonCanonicalEdge("an edge is stored reversed or more than once")
     graph = spanner_graph(nodes, rec.tolist())
+    # the landmark half; a spanner the edges leave disconnected is refused here
+    trees = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
 
-    r = payloads[_SEC_SCHEME]
-    landmarks = r.i64s(r.u32())
-    homes = r.i64s(len(nodes))
-    _check_ids(landmarks, len(nodes), "landmark")
-    _check_ids(homes, len(nodes), "home landmark")
-    home = dict(enumerate(homes.tolist()))
-    groups = [_read_intmap_group(r, len(nodes)) for _ in range(3)]
-    scheme = LandmarkScheme(
-        landmarks=landmarks.tolist(), home=home, exact_next=groups[0],
-        to_landmark_next=groups[1], landmark_full_next=groups[2],
-    )
+    ball = payloads[_SEC_SCHEME].records(_BALL_REC)
+    for name in ("x", "t", "next"):
+        _check_ids(ball[name], N, f"ball {name}")
+    x, t, hop = (ball[name].astype(np.int64) for name in ("x", "t", "next"))
+    if (np.diff(x * N + t) <= 0).any() or (x == t).any():
+        raise NonCanonicalBall("a ball record is out of (x, t) order, repeated, or x == t")
+    pair = np.minimum(x, hop) * N + np.maximum(x, hop)
+    at = np.minimum(np.searchsorted(edge_keys, pair), len(edge_keys) - 1)
+    if len(pair) and (edge_keys[at] != pair).any():
+        raise NonSpannerHop("a ball's next hop is not a spanner neighbour of its node")
+    for tag, r in payloads.items():
+        if r.pos != len(r.buf):
+            raise MalformedSection(f"section {tag} holds bytes past its last record")
+    cut = np.searchsorted(x, np.arange(N + 1)).tolist()
+    t, hop = t.tolist(), hop.tolist()
+    exact_next = {node: dict(zip(t[cut[node]:cut[node + 1]], hop[cut[node]:cut[node + 1]]))
+                  for node in range(N)}
+    scheme = prune_first_hops(LandmarkScheme(*trees, exact_next=exact_next), graph)
 
     return _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
 

@@ -7,8 +7,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute.compact_routing import (
+    landmark_trees,
     materialize_plane_entries,
     prune_intra_face,
+    spanner_csr,
     tz_next_hop,
     tz_preprocess,
     tz_route_nodes,
@@ -52,6 +54,65 @@ def walk_length(g, walk):
     return sum(wdict[(walk[i], walk[i + 1])] for i in range(len(walk) - 1))
 
 
+def reference_scheme(g):
+    """The scheme as the build computed it before `landmark_trees`: one
+    all-pairs search, then a walk per landmark in order of distance for the
+    next hop toward it and its first hop toward every node, as dicts keyed
+    by node id. Returns (landmarks, home, exact_next, to_landmark_next,
+    landmark_full_next), the balls and full maps not yet pruned."""
+    nodes = list(range(g.num_nodes))
+    N = len(nodes)
+    us = [u for u, _v, _w, _f in g.edges]
+    vs = [v for _u, v, _w, _f in g.edges]
+    wts = [w for _u, _v, w, _f in g.edges] * 2
+    mat = csr_matrix((wts, (us + vs, vs + us)), shape=(N, N))
+    k = math.ceil(math.sqrt(N))
+    degree = np.diff(mat.indptr).tolist()
+    landmarks = sorted(sorted(nodes, key=lambda u: (-degree[u], u))[:k])
+    dist, pred = dijkstra(mat, directed=False, return_predecessors=True)
+    lm = np.asarray(landmarks)
+    set_dist = dist[lm].min(axis=0)
+    home = {u: int(lm[dist[lm].argmin(axis=0)[u]]) for u in nodes}
+    to_landmark_next = {u: {} for u in nodes}
+    landmark_full_next = {}
+    for ell in landmarks:
+        first = np.full(N, -1, dtype=np.int64)
+        first[ell] = ell
+        for u in np.argsort(dist[ell], kind="stable").tolist():
+            if u == ell:
+                continue
+            p = int(pred[ell, u])
+            to_landmark_next[u][ell] = p
+            first[u] = u if p == ell else first[p]
+        landmark_full_next[ell] = {u: int(first[u]) for u in nodes if u != ell}
+    exact_next = {u: {} for u in nodes}
+    inside = dist < set_dist[None, :]
+    np.fill_diagonal(inside, False)
+    for x, t in zip(*np.nonzero(inside)):
+        exact_next[int(x)][int(t)] = int(pred[t, x])
+    return landmarks, home, exact_next, to_landmark_next, landmark_full_next
+
+
+def share_face(g, x, t):
+    return bool(set(g.nodes[x].patches) & set(g.nodes[t].patches))
+
+
+def assert_matches_reference(g):
+    """The derived landmark half and the balls equal the reference's."""
+    scheme = tz_preprocess(g)
+    landmarks, home, exact_next, to_landmark_next, full_next = reference_scheme(g)
+    N = g.num_nodes
+    assert scheme.landmarks == landmarks
+    assert scheme.home == [home[u] for u in range(N)]
+    assert scheme.exact_next == exact_next
+    assert {u: {ell: scheme.to_landmark[ell][u] for ell in landmarks if ell != u}
+            for u in range(N)} == to_landmark_next
+    assert all(scheme.to_landmark[ell][ell] == -1 for ell in landmarks)
+    assert {ell: {t: hop for t, hop in enumerate(scheme.first_hop[ell]) if hop >= 0}
+            for ell in landmarks} == full_next
+    assert all(scheme.first_hop[ell][ell] == -1 for ell in landmarks)
+
+
 def check_stretch_exhaustive(g, limit=3.0):
     scheme = tz_preprocess(g)
     dist = graph_distances(g)
@@ -74,8 +135,10 @@ def test_single_node_graph():
 
 def test_path_graph_stretch():
     edges = [(i, i + 1, 1.0) for i in range(8)]
-    worst = check_stretch_exhaustive(synthetic_graph(9, edges))
+    g = synthetic_graph(9, edges)
+    worst = check_stretch_exhaustive(g)
     assert worst <= 3.0
+    assert_matches_reference(g)  # equal distances: ties for home and trees
 
 
 def test_star_graph_exact():
@@ -96,7 +159,31 @@ def test_weighted_random_graph_stretch():
     for u, v in extra:
         if u != v and (u, v) not in {(a, b) for a, b, _ in edges}:
             edges.append((u, v, float(rng.uniform(0.2, 3.0))))
-    check_stretch_exhaustive(synthetic_graph(n, edges))
+    g = synthetic_graph(n, edges)
+    check_stretch_exhaustive(g)
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("n, eps, seed", [(50, 0.3, 0), (100, 0.4, 5), (200, 0.3, 0)],
+                         ids=["sphere50", "hull100", "fine200_size"])
+def test_landmark_half_matches_all_pairs_reference(n, eps, seed):
+    # the derived half rests on scipy's predecessor ties in a search from
+    # each landmark matching those of the all-pairs search
+    from polyroute.cli import generate_mesh
+    from polyroute.tables import preprocess_mesh
+
+    system = preprocess_mesh(generate_mesh("sphere", n, seed), eps)
+    g = system.graph
+    assert_matches_reference(g)
+    # the built scheme is the reference's, pruned
+    _landmarks, _home, exact_next, _to_landmark, full_next = reference_scheme(g)
+    assert system.scheme.exact_next == {
+        x: {t: hop for t, hop in table.items() if not share_face(g, x, t)}
+        for x, table in exact_next.items()}
+    assert {ell: {t: hop for t, hop in enumerate(row) if hop >= 0}
+            for ell, row in system.scheme.first_hop.items()} == {
+        ell: {t: hop for t, hop in table.items() if not share_face(g, ell, t)}
+        for ell, table in full_next.items()}
 
 
 def test_disconnected_rejected():
@@ -104,6 +191,8 @@ def test_disconnected_rejected():
     g = synthetic_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedSpanner):
         tz_preprocess(g)
+    with pytest.raises(DisconnectedSpanner):
+        landmark_trees(g, spanner_csr(4, [0, 2], [1, 3], [1.0, 1.0]))
 
 
 def test_ball_members_closer_than_landmark():
@@ -140,9 +229,9 @@ def test_prune_same_face_entries():
     assert same_face_entries()
     prune_intra_face(scheme, g)
     assert same_face_entries() == []
-    for ell, table in scheme.landmark_full_next.items():
-        for t in table:
-            assert not (set(g.nodes[ell].patches) & set(g.nodes[t].patches))
+    for ell, row in scheme.first_hop.items():
+        for t, hop in enumerate(row):
+            assert (hop < 0) == share_face(g, ell, t)
     # cross-face entries survive the prune
     for x, t in cross_before:
         assert t in scheme.exact_next[x]
@@ -155,15 +244,17 @@ def test_prune_matches_shared_patch_rule(sphere50_system):
     assert any(len(n.patches) == 2 for n in g.nodes)
     scheme = tz_preprocess(g)
 
-    def share(x, t):
-        return bool(set(g.nodes[x].patches) & set(g.nodes[t].patches))
-
-    want = [{x: {t: hop for t, hop in table.items() if not share(x, t)}
-             for x, table in group.items()}
-            for group in (scheme.exact_next, scheme.landmark_full_next)]
-    assert want != [scheme.exact_next, scheme.landmark_full_next]
+    want = [{x: {t: hop for t, hop in table.items() if not share_face(g, x, t)}
+             for x, table in scheme.exact_next.items()},
+            {ell: [-1 if share_face(g, ell, t) else hop for t, hop in enumerate(row)]
+             for ell, row in scheme.first_hop.items()}]
+    assert want[0] != scheme.exact_next and want[1] != scheme.first_hop
     prune_intra_face(scheme, g)
-    assert [scheme.exact_next, scheme.landmark_full_next] == want
+    assert [scheme.exact_next, scheme.first_hop] == want
+    # after the prune: no first hop toward a node that shares a face with
+    # the landmark, one toward every other node
+    for ell, row in scheme.first_hop.items():
+        assert [hop < 0 for hop in row] == [share_face(g, ell, t) for t in range(g.num_nodes)]
 
 
 def test_total_entries_scaling(sphere50_system, sphere100):
@@ -184,10 +275,7 @@ def test_hop_faces_are_edge_faces(sphere50_system):
     system = sphere50_system
     g, scheme = system.graph, system.scheme
     edge_faces = {(u, v): f for u, v, _w, f in g.edges}
-    hops = {(min(x, w), max(x, w))
-            for group in (scheme.exact_next, scheme.to_landmark_next,
-                          scheme.landmark_full_next)
-            for x, table in group.items() for w in table.values()}
+    hops = {(min(x, w), max(x, w)) for x, w in scheme_hops(scheme)}
     assert hops
     for key in hops:
         face = system.hop_faces[key]
@@ -208,6 +296,16 @@ def test_label_bit_length_scaling(sphere50_system):
         assert bits <= 16 * cap * cap
 
 
+def scheme_hops(scheme):
+    """Every (node, next hop) pair the scheme holds: ball entries, hops
+    toward each landmark, and first hops from each landmark."""
+    hops = [(x, w) for x, table in scheme.exact_next.items() for w in table.values()]
+    for ell in scheme.landmarks:
+        hops += [(x, w) for x, w in enumerate(scheme.to_landmark[ell]) if x != ell]
+        hops += [(ell, w) for w in scheme.first_hop[ell] if w >= 0]
+    return hops
+
+
 def test_next_hops_are_neighbours(sphere50_system):
     g = sphere50_system.graph
     scheme = sphere50_system.scheme
@@ -215,12 +313,14 @@ def test_next_hops_are_neighbours(sphere50_system):
     for u, v, _w, _f in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    for x, table in scheme.exact_next.items():
-        for t, hop in table.items():
-            assert hop in nbrs[x]
-    for x, table in scheme.to_landmark_next.items():
-        for _ell, hop in table.items():
-            assert hop in nbrs[x]
-    for ell, table in scheme.landmark_full_next.items():
-        for _t, hop in table.items():
-            assert hop in nbrs[ell]
+    hops = scheme_hops(scheme)
+    assert len(hops) == scheme.entry_count()
+    for x, hop in hops:
+        assert hop in nbrs[x]
+
+
+def test_entry_counts_pinned(sphere50_system):
+    # the counts of the scheme when all its entries were stored as maps:
+    # deriving the landmark half as rows must not change what is counted
+    assert sphere50_system.scheme.entry_count() == 10179
+    assert sphere50_system.total_entries() == 19984

@@ -9,7 +9,10 @@ from polyroute.tables import (
     FormatVersionMismatch,
     IdOutOfRange,
     InconsistentAssignment,
+    MalformedSection,
+    NonCanonicalBall,
     NonCanonicalEdge,
+    NonSpannerHop,
     RoutingSystem,
     SerializationError,
     TruncatedStream,
@@ -111,9 +114,8 @@ def test_loaded_system_equals_built(sphere50_system):
     assert (la.reps, la.rep_of, la.cell_of, la.members, la.patch_reps) == (
         ba.reps, ba.rep_of, ba.cell_of, ba.members, ba.patch_reps)
     ls, bs = loaded.scheme, built.scheme
-    assert (ls.landmarks, ls.home, ls.exact_next, ls.to_landmark_next,
-            ls.landmark_full_next) == (bs.landmarks, bs.home, bs.exact_next,
-                                       bs.to_landmark_next, bs.landmark_full_next)
+    assert (ls.landmarks, ls.home, ls.to_landmark, ls.first_hop, ls.exact_next) == (
+        bs.landmarks, bs.home, bs.to_landmark, bs.first_hop, bs.exact_next)
     assert all(loaded.label_of_vertex(t) == built.label_of_vertex(t)
                for t in range(built.P.n))
     assert to_json(loaded) == to_json(built)
@@ -204,23 +206,24 @@ def test_truncated_section_rejected(sphere50_system, tag):
 
 
 # (section, struct format, byte offset, bad value) from the system's n
-# vertices, f faces, k patches, N spanner nodes and L landmarks; each makes
-# one stored id point past what it indexes
+# vertices, f faces, k patches and N spanner nodes; each makes one stored id
+# point past what it indexes
 _BAD_IDS = {
-    "mesh_face_vertex": lambda n, f, k, N, L: (2, "<q", 8 + 24 * n, n),
-    "patch_gap": lambda n, f, k, N, L: (3, "<q", 0, k + 1),
-    "patch_negative": lambda n, f, k, N, L: (3, "<q", 8 * (f - 1), -1),
-    "rep_of": lambda n, f, k, N, L: (4, "<q", 0, n),
-    "node_patch": lambda n, f, k, N, L: (5, "<I", 8, k),
-    "marked": lambda n, f, k, N, L: (5, "<I", 40, n),
-    "edge_endpoint": lambda n, f, k, N, L: (6, "<I", 4, 10 ** 6),
-    "edge_node_count": lambda n, f, k, N, L: (6, "<I", 8, N),
-    "edge_face": lambda n, f, k, N, L: (6, "<I", 20, k),
-    "landmark": lambda n, f, k, N, L: (7, "<q", 4, N),
-    "home": lambda n, f, k, N, L: (7, "<q", 4 + 8 * L, N),
-    "scheme_node": lambda n, f, k, N, L: (7, "<q", 8 + 8 * L + 8 * N, N),
-    # the last next hop of the last landmark's full map
-    "next_hop": lambda n, f, k, N, L: (7, "<q", -8, 10 ** 6),
+    "mesh_face_vertex": lambda n, f, k, N: (2, "<I", 8 + 24 * n, n),
+    "patch_gap": lambda n, f, k, N: (3, "<I", 0, k + 1),
+    # a writer's -1 reads back as the largest u32
+    "patch_negative": lambda n, f, k, N: (3, "<i", 4 * (f - 1), -1),
+    "rep_of": lambda n, f, k, N: (4, "<I", 0, n),
+    "node_patch": lambda n, f, k, N: (5, "<I", 8, k),
+    "marked": lambda n, f, k, N: (5, "<I", 40, n),
+    "edge_endpoint": lambda n, f, k, N: (6, "<I", 4, 10 ** 6),
+    "edge_node_count": lambda n, f, k, N: (6, "<I", 8, N),
+    "edge_face": lambda n, f, k, N: (6, "<I", 20, k),
+    # the node of the first ball record, the target of the second
+    "scheme_node": lambda n, f, k, N: (7, "<I", 4, N),
+    "ball_target": lambda n, f, k, N: (7, "<I", 20, N),
+    # the next hop of the last ball record
+    "next_hop": lambda n, f, k, N: (7, "<I", -4, 10 ** 6),
 }
 
 
@@ -230,8 +233,7 @@ def test_out_of_range_ids_rejected(sphere50_system, case):
 
     system = sphere50_system
     tag, fmt, offset, value = _BAD_IDS[case](system.P.n, system.P.num_faces,
-                                             system.decomp.count, system.graph.num_nodes,
-                                             len(system.scheme.landmarks))
+                                             system.decomp.count, system.graph.num_nodes)
     sections = _sections(serialize(system))
     payload = bytearray(dict(sections)[tag])
     struct.pack_into(fmt, payload, offset, value)
@@ -241,7 +243,7 @@ def test_out_of_range_ids_rejected(sphere50_system, case):
 
 
 def _assignment_edits(system) -> dict[str, tuple[int, int]]:
-    """(byte offset in the assignment section, new i64 value) per case."""
+    """(byte offset in the assignment section, new u32 value) per case."""
     a, owner = system.assignment, system.decomp.owner_of_vertex
     n = system.P.n
     assert a.rep_of[10] != 10 and 10 not in a.reps
@@ -260,11 +262,11 @@ def _assignment_edits(system) -> dict[str, tuple[int, int]]:
     return {
         # a non-rep made its own rep: rep_of agrees with itself but names one
         # rep more
-        "non_rep_made_rep": (8 * 10, 10),
-        "rep_of_not_a_rep": (8 * v, w),
-        "rep_not_its_own": (8 * r, r2),
-        "lone_rep_dropped": (8 * lone, r3),
-        "rep_outside_patch": (8 * x, far),
+        "non_rep_made_rep": (4 * 10, 10),
+        "rep_of_not_a_rep": (4 * v, w),
+        "rep_not_its_own": (4 * r, r2),
+        "lone_rep_dropped": (4 * lone, r3),
+        "rep_outside_patch": (4 * x, far),
     }
 
 
@@ -279,7 +281,7 @@ def test_inconsistent_assignment_rejected(sphere50_system, case):
     offset, value = _assignment_edits(sphere50_system)[case]
     sections = _sections(serialize(sphere50_system))
     payload = bytearray(dict(sections)[4])
-    struct.pack_into("<q", payload, offset, value)
+    struct.pack_into("<I", payload, offset, value)
     bad = _container([(t, bytes(payload) if t == 4 else p) for t, p in sections])
     with pytest.raises(InconsistentAssignment):
         deserialize(bad)
@@ -293,11 +295,13 @@ def test_loaded_json_and_int_keys(sphere50_system):
     assert doc["landmarks"] == sphere50_system.scheme.landmarks
     s = loaded.scheme
     assert all(type(x) is int for x in s.landmarks)
-    assert all(type(u) is int and type(h) is int for u, h in s.home.items())
-    for group in (s.exact_next, s.to_landmark_next, s.landmark_full_next):
-        for u, m in group.items():
-            assert type(u) is int
-            assert all(type(k) is int and type(w) is int for k, w in m.items())
+    assert all(type(h) is int for h in s.home)
+    for rows in (s.to_landmark, s.first_hop):
+        assert list(rows) == s.landmarks
+        assert all(type(w) is int for row in rows.values() for w in row)
+    for u, m in s.exact_next.items():
+        assert type(u) is int
+        assert all(type(k) is int and type(w) is int for k, w in m.items())
     for t in range(loaded.P.n):
         lb = loaded.label_of_vertex(t)
         assert {type(x) for x in (lb.node, lb.home, lb.patch, lb.cell)} == {int}
@@ -319,6 +323,80 @@ def test_non_canonical_edges_rejected(sphere50_system, case):
         deserialize(_container([(t, bad if t == 6 else p) for t, p in sections]))
 
 
+@pytest.mark.parametrize("tag", [1, 2, 3, 4, 5, 6, 7],
+                         ids=["meta", "mesh", "patches", "assignment", "nodes", "edges",
+                              "scheme"])
+def test_section_with_trailing_bytes_rejected(sphere50_system, tag):
+    # a valid CRC, but one byte past the section's last record
+    sections = _sections(serialize(sphere50_system))
+    with pytest.raises(MalformedSection):
+        deserialize(_container([(t, p + b"\0" if t == tag else p) for t, p in sections]))
+
+
+@pytest.mark.parametrize("case", ["unknown_tag", "repeated_tag", "after_last"])
+def test_extra_section_data_rejected(sphere50_system, case):
+    # a valid CRC, but a section under an unknown tag, a second edge
+    # section, or one byte after the last section
+    import struct
+    import zlib
+
+    sections = _sections(serialize(sphere50_system))
+    if case == "after_last":
+        body = _container(sections)[:-4] + b"\0"
+        bad = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    else:
+        bad = _container(sections + [(8, b"") if case == "unknown_tag" else sections[5]])
+    with pytest.raises(MalformedSection):
+        deserialize(bad)
+
+
+def _balls(system) -> np.ndarray:
+    sections = dict(_sections(serialize(system)))
+    return np.frombuffer(sections[7], dtype=tables._BALL_REC, offset=4).copy()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("unsorted", NonCanonicalBall), ("repeated", NonCanonicalBall),
+    ("own_target", NonCanonicalBall), ("not_a_neighbour", NonSpannerHop)])
+def test_bad_ball_records_rejected(sphere50_system, case, error):
+    # ids in range and a valid CRC, but the ball records are out of order,
+    # name a node's own id as its target, or a next hop off the spanner
+    g = sphere50_system.graph
+    rec = _balls(sphere50_system)
+    x = int(rec[0]["x"])
+    assert rec[0]["t"] != x and rec[1]["x"] == x
+    if case == "unsorted":
+        rec[[0, 1]] = rec[[1, 0]]
+    elif case == "repeated":
+        rec[1] = rec[0]
+    elif case == "own_target":
+        assert rec[0]["t"] > x  # so the records stay in order
+        rec[0]["t"] = x
+    else:
+        nbrs = {v for u, v, _w, _f in g.edges if u == x} | {
+            u for u, v, _w, _f in g.edges if v == x}
+        rec[0]["next"] = min(set(range(g.num_nodes)) - nbrs - {x})
+    sections = _sections(serialize(sphere50_system))
+    payload = dict(sections)[7][:4] + rec.tobytes()
+    with pytest.raises(error):
+        deserialize(_container([(t, payload if t == 7 else p) for t, p in sections]))
+
+
+def test_disconnected_edge_section_rejected(sphere50_system):
+    # every edge of one node stripped and the CRC recomputed: the landmark
+    # half cannot be derived, and the file once loaded on its stored tables
+    from polyroute.spanner import DisconnectedSpanner
+
+    sections = _sections(serialize(sphere50_system))
+    rec = np.frombuffer(dict(sections)[6], dtype=tables._EDGE_REC, offset=4)
+    node = int(rec[0]["u"])
+    kept = rec[(rec["u"] != node) & (rec["v"] != node)]
+    assert 0 < len(kept) < len(rec)
+    payload = np.uint32(len(kept)).tobytes() + kept.tobytes()
+    with pytest.raises(DisconnectedSpanner):
+        deserialize(_container([(t, payload if t == 6 else p) for t, p in sections]))
+
+
 def _with_version(blob: bytes, version: int) -> bytes:
     import struct
     import zlib
@@ -334,13 +412,14 @@ def test_version_mismatch_rejected(tetra_system):
         deserialize(_with_version(serialize(tetra_system), 999))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_version_1_rejected(tetra_system, version):
     # version 1 stored guiding planes and vertex tables, version 2 the patch
     # planes and vertex owners, version 3 rep nodes, 2D node positions,
     # labels and patch seed faces, version 4 a pair's edge once per face
-    # that holds it, the representatives, their projections and delta; none
-    # has a reader
+    # that holds it, the representatives, their projections and delta,
+    # version 5 the landmarks, homes and landmark next-hop maps and its ids
+    # as i64; none has a reader
     with pytest.raises(FormatVersionMismatch):
         deserialize(_with_version(serialize(tetra_system), version))
 
