@@ -4,6 +4,13 @@ balls), and each landmark's shortest-path tree, read both ways: the next hop
 toward it from every node and its first hop toward every node. The trees
 depend only on the graph, so they are derived wherever the graph is.
 
+The ball rule: x holds an exact entry for t iff d(x, t) < r(t), t's least
+landmark distance, where d(a, b) is the float that a Dijkstra search from a
+computes; the next hop is x's predecessor in t's tree. `tz_preprocess`
+builds the balls from cut-off searches of at most `_BLOCK` sources each, so
+no stage holds an N x N array, and they equal an all-pairs search's bit for
+bit.
+
 A packet for target t moves by three rules evaluated at the current node x:
 exact entry for t if x is inside t's ball, first-hop lookup if x is t's
 home landmark, otherwise one hop toward t's home landmark. Ball membership is
@@ -75,6 +82,9 @@ class LandmarkScheme:
         return total - 1 + len(row) - row.count(-1)
 
 
+_BLOCK = 64  # sources per cut-off search, so a search returns at most 64 x N values
+
+
 def spanner_csr(num_nodes: int, u, v, w):
     """The symmetric weighted adjacency matrix of the spanner edges, given as
     arrays of endpoints and weights in edge order."""
@@ -94,7 +104,8 @@ def landmark_trees(graph: SpannerGraph, mat) -> tuple:
     `mat` (see `spanner_csr`): the ceil(sqrt(N)) highest-degree nodes as
     landmarks (ties by id), each node's nearest landmark as its home (ties to
     the smallest id), and each landmark's shortest-path tree read both ways
-    (the `to_landmark` and `first_hop` rows). Build and load both call this,
+    (the `to_landmark` and `first_hop` rows), followed by the landmarks'
+    distance rows (k x N, in landmark order). Build and load both call this,
     so a loaded scheme equals the built one. A node out of reach raises
     `DisconnectedSpanner`."""
     from scipy.sparse.csgraph import dijkstra
@@ -119,27 +130,81 @@ def landmark_trees(graph: SpannerGraph, mat) -> tuple:
     first[rows, lm] = -1
     landmarks = lm.tolist()
     return (landmarks, home.tolist(), dict(zip(landmarks, pred.tolist())),
-            dict(zip(landmarks, first.tolist())))
+            dict(zip(landmarks, first.tolist())), dist)
 
 
 def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     """Build the landmark scheme on a connected spanner graph: the landmark
     half from `landmark_trees`, and the balls, where x holds an exact entry
-    for t iff d(x, t) < d(A, t), its next hop x's predecessor in the tree
-    rooted at t."""
+    for t iff d(x, t) < r(t) = min over landmarks A of d(A, t), its next hop
+    x's predecessor in the tree rooted at t. Here d(a, b) is the float
+    distance that a Dijkstra search from a computes, so d(x, t) may differ
+    from d(t, x) in the last bits; the rule reads d(x, t).
+
+    No search runs from every source. The targets, in order of r, are
+    searched from in blocks of `_BLOCK`, each search cut off at the block's
+    largest r*(1 + band), band = 4*N*eps_mach. t's row gives d(t, x) and the
+    next hops: x is in the ball if d(t, x)*(1 + band) < r(t), out of it if
+    d(t, x) > r(t)*(1 + band) (past the cut-off included), and otherwise
+    borderline, decided by d(x, t): read from x's row of `landmark_trees`
+    for a landmark x, else from a cut-off search from x.
+
+    The band is safe. Rounding is monotone and the weights are nonnegative,
+    so by induction along any x -> t path Q the computed d(x, t) is at most
+    S(Q), the float sum of Q's weights from x onward; and d(x, t) is S(P)
+    for its own tree path P. A left-to-right sum of k <= N - 1 nonnegative
+    terms is within a factor 1 +- gamma of its exact value, gamma =
+    (N-2)u / (1 - (N-2)u), u = eps_mach / 2 (no underflow). With D the
+    exact distance and Q a shortest simple path, D(1 - gamma) <= d(x, t) <=
+    S(Q) <= D(1 + gamma), and so for d(t, x); so each of the two is at most
+    (1 + gamma) / (1 - gamma) <= 1 + 3Nu times the other (N < 2^40). Both
+    tests round their product twice, which leaves a factor of at least
+    (1 + 8Nu)(1 - u)^2 >= 1 + 5Nu: a sure x has d(x, t) < r(t), a sure-out
+    x has d(x, t) > r(t). A search cut off at a limit gives each node within
+    it the full search's distance, since every relaxation it skips exceeds
+    the limit."""
     from scipy.sparse.csgraph import dijkstra
 
     N = graph.num_nodes
     rec = np.array(graph.edges, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8"), ("f", "i8")])
     mat = spanner_csr(N, rec["u"], rec["v"], rec["w"])
-    landmarks, home, to_landmark, first_hop = landmark_trees(graph, mat)
-    dist, pred = dijkstra(mat, directed=False, return_predecessors=True)
-    inside = dist < dist[landmarks].min(axis=0)[None, :]
-    np.fill_diagonal(inside, False)
-    xs, ts = np.nonzero(inside)
-    exact_next: dict[int, dict[int, int]] = {x: {} for x in range(N)}
-    for x, t, hop in zip(xs.tolist(), ts.tolist(), pred[ts, xs].tolist()):
-        exact_next[x][t] = hop
+    landmarks, home, to_landmark, first_hop, lm_dist = landmark_trees(graph, mat)
+    r = lm_dist.min(axis=0)
+    scale = 1.0 + 4 * N * np.finfo(float).eps
+    hi = r * scale
+    # a target at distance 0 from a landmark has an empty ball
+    targets = np.argsort(r, kind="stable")
+    targets = targets[r[targets] > 0]
+    found = [np.empty((4, 0), np.int64)]  # rows: x, t, next hop, sure
+    for lo in range(0, len(targets), _BLOCK):
+        block = targets[lo:lo + _BLOCK]
+        dist, pred = dijkstra(mat, directed=True, indices=block, limit=hi[block].max(),
+                              return_predecessors=True)
+        dist[np.arange(len(block)), block] = np.inf  # t holds no entry for itself
+        inside = dist * scale < r[block, None]
+        i, x = np.nonzero(inside | (dist <= hi[block, None]))
+        found.append(np.stack([x, block[i], pred[i, x], inside[i, x]]))
+    x, t, hop, keep = np.concatenate(found, axis=1)
+    keep = keep.astype(bool)
+    # the borderline pairs, decided by d(x, t) from x's side
+    bx, bt = x[~keep], t[~keep]
+    d = np.empty(len(bx))
+    row = np.full(N, -1)
+    row[landmarks] = np.arange(len(landmarks))
+    on_lm = row[bx] >= 0
+    d[on_lm] = lm_dist[row[bx[on_lm]], bt[on_lm]]
+    sources = np.unique(bx[~on_lm])
+    for lo in range(0, len(sources), _BLOCK):
+        block = sources[lo:lo + _BLOCK]
+        sel = np.isin(bx, block)
+        dist = dijkstra(mat, directed=True, indices=block, limit=r[bt[sel]].max())
+        d[sel] = dist[np.searchsorted(block, bx[sel]), bt[sel]]
+    keep[~keep] = d < r[bt]
+    x, t, hop = x[keep], t[keep], hop[keep]
+    order = np.lexsort((t, x))
+    exact_next: dict[int, dict[int, int]] = {node: {} for node in range(N)}
+    for a, b, c in zip(x[order].tolist(), t[order].tolist(), hop[order].tolist()):
+        exact_next[a][b] = c
     return LandmarkScheme(landmarks, home, to_landmark, first_hop, exact_next)
 
 

@@ -203,6 +203,7 @@ class RoutingSystem:
             "spanner_nodes": g.num_nodes,
             "spanner_edges": len(g.edges),
             "landmarks": len(self.scheme.landmarks),
+            "ball_entries": sum(map(len, self.scheme.exact_next.values())),
             "table_entries": self.total_entries(),
             "theta_m": self.metrics.theta_m,
         }
@@ -511,7 +512,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         raise NonCanonicalEdge("an edge is stored reversed or more than once")
     graph = spanner_graph(nodes, rec.tolist())
     # the landmark half; a spanner the edges leave disconnected is refused here
-    trees = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
+    *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
 
     ball = payloads[_SEC_SCHEME].records(_BALL_REC)
     for name in ("x", "t", "next"):

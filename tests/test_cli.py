@@ -8,6 +8,7 @@ import pytest
 
 from polyroute.cli import EXIT_BOUND, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from polyroute.polytope import load_off
+from polyroute.tables import deserialize
 
 
 @pytest.fixture()
@@ -79,10 +80,14 @@ def test_preprocess_cube_six_patches(tmp_path, capsys):
     off = tmp_path / "cube.off"
     main(["gen", "cube", "--out", str(off)])
     capsys.readouterr()
-    rc = main(["preprocess", str(off), "--eps", "0.5", "--out",
-               str(tmp_path / "c.prt"), "--json"])
+    prt = tmp_path / "c.prt"
+    rc = main(["preprocess", str(off), "--eps", "0.5", "--out", str(prt), "--json"])
     assert rc == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["patches"] == 6
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["patches"] == 6
+    # the ball records the `.prt` stores, after the intra-face prune
+    balls = deserialize(prt.read_bytes()).scheme.exact_next
+    assert doc["ball_entries"] == sum(map(len, balls.values())) > 0
 
 
 def test_route_trace(tetra_prt, capsys):

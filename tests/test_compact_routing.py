@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from polyroute import compact_routing
 from polyroute.compact_routing import (
     landmark_trees,
     materialize_plane_entries,
@@ -55,11 +59,11 @@ def walk_length(g, walk):
 
 
 def reference_scheme(g):
-    """The scheme as the build computed it before `landmark_trees`: one
-    all-pairs search, then a walk per landmark in order of distance for the
-    next hop toward it and its first hop toward every node, as dicts keyed
-    by node id. Returns (landmarks, home, exact_next, to_landmark_next,
-    landmark_full_next), the balls and full maps not yet pruned."""
+    """The scheme from one all-pairs search: the balls by their rule, and
+    per landmark the next hop toward it and its first hop toward every node
+    read off its tree, as dicts keyed by node id. Returns (landmarks, home,
+    exact_next, to_landmark_next, landmark_full_next), the balls and full
+    maps not yet pruned."""
     nodes = list(range(g.num_nodes))
     N = len(nodes)
     us = [u for u, _v, _w, _f in g.edges]
@@ -76,15 +80,19 @@ def reference_scheme(g):
     to_landmark_next = {u: {} for u in nodes}
     landmark_full_next = {}
     for ell in landmarks:
-        first = np.full(N, -1, dtype=np.int64)
-        first[ell] = ell
-        for u in np.argsort(dist[ell], kind="stable").tolist():
+        up = pred[ell].tolist()
+        landmark_full_next[ell] = {}
+        for u in nodes:
             if u == ell:
                 continue
-            p = int(pred[ell, u])
-            to_landmark_next[u][ell] = p
-            first[u] = u if p == ell else first[p]
-        landmark_full_next[ell] = {u: int(first[u]) for u in nodes if u != ell}
+            to_landmark_next[u][ell] = up[u]
+            # the first hop is u's ancestor just below ell; walking up the
+            # tree, not down it in order of distance, also holds where a
+            # weight vanishes in the sum and a child ties its parent
+            first = u
+            while up[first] != ell:
+                first = up[first]
+            landmark_full_next[ell][u] = first
     exact_next = {u: {} for u in nodes}
     inside = dist < set_dist[None, :]
     np.fill_diagonal(inside, False)
@@ -184,6 +192,120 @@ def test_landmark_half_matches_all_pairs_reference(n, eps, seed):
             for ell, row in system.scheme.first_hop.items()} == {
         ell: {t: hop for t, hop in table.items() if not share_face(g, ell, t)}
         for ell, table in full_next.items()}
+
+
+def with_hubs(core_nodes, edges, anchor, hubs, leaves=3):
+    """Append a chain of hubs, each with `leaves` leaves, hanging 10 away
+    from node `anchor`, so that the landmarks (the highest degrees) fall on
+    the hubs and on whichever core nodes have more neighbours than 2."""
+    edges, n, prev = list(edges), core_nodes, anchor
+    for _ in range(hubs):
+        hub, n = n, n + 1
+        edges.append((prev, hub, 10.0))
+        for _ in range(leaves):
+            edges.append((hub, n, 1.0))
+            n += 1
+        prev = hub
+    return synthetic_graph(n, edges)
+
+
+def record_searches(monkeypatch):
+    """Record every Dijkstra search run from here on as (sources, whether it
+    returns predecessors, distances returned); the searches from members of
+    borderline pairs are those without predecessors."""
+    searches, real = [], scipy.sparse.csgraph.dijkstra
+
+    def search(*args, **kwargs):
+        out = real(*args, **kwargs)
+        dist = out[0] if isinstance(out, tuple) else out
+        searches.append((np.asarray(kwargs.get("indices")).tolist(),
+                         bool(kwargs.get("return_predecessors")), dist.size))
+        return out
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", search)
+    return searches
+
+
+def member_searches(searches):
+    return [node for sources, with_pred, _size in searches if not with_pred for node in sources]
+
+
+def test_balls_read_the_last_bit_from_the_member_side(monkeypatch):
+    # t = 0. Landmark x = 3 lies on the path t-b-a-x with weights 1, 1e-16,
+    # 1e-16: summed from x the tiny weights add up and round 1 up an ulp,
+    # summed from t they vanish. Node y = 6 lies on t-c-e-y with the same
+    # weights the other way round.
+    t, x, y = 0, 3, 6
+    core = [(0, 1, 1.0), (1, 2, 1e-16), (2, 3, 1e-16),
+            (0, 4, 1e-16), (4, 5, 1e-16), (5, 6, 1.0),
+            (3, 7, 1.0), (3, 8, 1.0), (3, 9, 1.0)]
+    g = with_hubs(10, core, x, hubs=5)
+    d = graph_distances(g)
+    scheme = tz_preprocess(g)
+    assert x in scheme.landmarks and scheme.home[t] == x
+    assert not (set(range(7)) - {x}) & set(scheme.landmarks)
+    r = d[scheme.landmarks, t].min()
+    assert r == d[x, t] == 1.0 + 2 ** -52 and d[t, x] == 1.0
+    assert d[y, t] == 1.0 and d[t, y] == r
+    # x is at r, so outside t's ball though t's search puts it nearer; y is
+    # inside though t's search puts it at r: both are resolved from their
+    # own side, y by a search from y
+    searches = record_searches(monkeypatch)
+    scheme = tz_preprocess(g)
+    assert t not in scheme.exact_next[x]
+    assert scheme.exact_next[y][t] == 5
+    assert y in member_searches(searches) and x not in member_searches(searches)
+    assert_matches_reference(g)
+
+
+def test_balls_with_exact_ties_search_from_the_member(monkeypatch):
+    # integer weights: the landmark ell = 0 and the plain node x = 4 are
+    # both 2 from t = 2 on the path ell-p-t-q-x, so x ties r(t) exactly
+    ell, t, x = 0, 2, 4
+    core = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+            (0, 5, 1.0), (0, 6, 1.0), (0, 7, 1.0)]
+    g = with_hubs(8, core, ell, hubs=4)
+    scheme = tz_preprocess(g)
+    assert ell in scheme.landmarks and x not in scheme.landmarks
+    assert scheme.home[t] == ell
+    searches = record_searches(monkeypatch)
+    scheme = tz_preprocess(g)
+    assert t not in scheme.exact_next[x]
+    assert scheme.exact_next[1][t] == t and scheme.exact_next[3][t] == t
+    assert x in member_searches(searches)
+    assert_matches_reference(g)
+
+
+_WEIGHTS = st.one_of(st.sampled_from([1e-16, 1e-8, 0.5, 1.0, 2.0, 10.0]),
+                     st.floats(-16.0, 1.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_balls_match_reference_on_random_graphs(data):
+    # a random spanning tree plus random chords, weights from 1e-16 to 10:
+    # ties, last-bit asymmetries and landmarks at exactly r(t) all occur
+    n = data.draw(st.integers(2, 60), label="n")
+    edges = [(i, data.draw(st.integers(0, i - 1)), data.draw(_WEIGHTS)) for i in range(1, n)]
+    edges += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS),
+                                max_size=2 * n), label="chords")
+    assert_matches_reference(synthetic_graph(n, [e for e in edges if e[0] != e[1]]))
+
+
+def test_ball_searches_stay_within_a_block(monkeypatch):
+    # no N x N array: every Dijkstra search of the build runs from given
+    # sources and returns at most _BLOCK rows of N distances
+    from polyroute.cli import generate_mesh
+    from polyroute.tables import preprocess_mesh
+
+    mesh = generate_mesh("sphere", 200, 0)
+    searches = record_searches(monkeypatch)
+    system = preprocess_mesh(mesh, 0.3)
+    N, block = system.graph.num_nodes, compact_routing._BLOCK
+    assert len(searches) > 2
+    for sources, _with_pred, size in searches:
+        assert isinstance(sources, list) and 0 < len(sources) <= block
+        assert size == len(sources) * N <= block * N
 
 
 def test_disconnected_rejected():
