@@ -188,7 +188,7 @@ def cmd_bench(args) -> int:
         s, t = int(rng.integers(n)), int(rng.integers(n))
         if s != t:
             pairs.append((s, t))
-    report = stretch_sweep(system.P, system, pairs, m=args.subdiv)
+    report = stretch_sweep(system, pairs, m=args.subdiv)
     csv_text = report.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

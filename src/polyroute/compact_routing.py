@@ -32,6 +32,7 @@ __all__ = [
     "LandmarkScheme",
     "spanner_csr",
     "landmark_trees",
+    "ball_maps",
     "tz_preprocess",
     "tz_next_hop",
     "tz_route_nodes",
@@ -202,10 +203,17 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     keep[~keep] = d < r[bt]
     x, t, hop = x[keep], t[keep], hop[keep]
     order = np.lexsort((t, x))
-    exact_next: dict[int, dict[int, int]] = {node: {} for node in range(N)}
-    for a, b, c in zip(x[order].tolist(), t[order].tolist(), hop[order].tolist()):
-        exact_next[a][b] = c
-    return LandmarkScheme(landmarks, home, to_landmark, first_hop, exact_next)
+    return LandmarkScheme(landmarks, home, to_landmark, first_hop,
+                          ball_maps(N, x[order], t[order], hop[order]))
+
+
+def ball_maps(num_nodes: int, x, t, hop) -> dict[int, dict[int, int]]:
+    """Per node x, its ball as a map target -> next hop, from the arrays of
+    (x, t, next hop) records sorted by (x, t); build and load both end here."""
+    cut = np.searchsorted(x, np.arange(num_nodes + 1)).tolist()
+    t, hop = t.tolist(), hop.tolist()
+    return {node: dict(zip(t[cut[node]:cut[node + 1]], hop[cut[node]:cut[node + 1]]))
+            for node in range(num_nodes)}
 
 
 def tz_next_hop(scheme: LandmarkScheme, current: int, target: int) -> int:
@@ -231,11 +239,9 @@ def tz_next_hop(scheme: LandmarkScheme, current: int, target: int) -> int:
     return hop
 
 
-def tz_route_nodes(scheme: LandmarkScheme, s: int, t: int,
-                   max_hops: int | None = None) -> list[int]:
+def tz_route_nodes(scheme: LandmarkScheme, s: int, t: int) -> list[int]:
     """Simulate the scheme walk from node s to node t on the graph."""
-    if max_hops is None:
-        max_hops = 4 * max(len(scheme.home), 1)
+    max_hops = 4 * max(len(scheme.home), 1)
     walk = [s]
     cur = s
     while cur != t:

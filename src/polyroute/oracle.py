@@ -119,14 +119,11 @@ def build_subdivision_graph(P: TriangulatedPolytope, m: int) -> SubdivisionGraph
     return SubdivisionGraph(P=P, m=m, points=pts, matrix=matrix)
 
 
-def subdivided_geodesic(P: TriangulatedPolytope, s: int, t: int, m: int,
-                        graph: SubdivisionGraph | None = None) -> float:
+def subdivided_geodesic(P: TriangulatedPolytope, s: int, t: int, m: int) -> float:
     """Approximate geodesic distance from above; non-increasing in m."""
     if s == t:
         return 0.0
-    if graph is None or graph.m != m:
-        graph = build_subdivision_graph(P, m)
-    return graph.distance(s, t)
+    return build_subdivision_graph(P, m).distance(s, t)
 
 
 def estimate_D(P: TriangulatedPolytope, eps: float) -> float:
@@ -206,30 +203,23 @@ def oracle_slack(P: TriangulatedPolytope, pairs: list[tuple[int, int]], m: int,
     return max(worst, 0.0)
 
 
-def stretch_sweep(
-    P: TriangulatedPolytope,
-    system: RoutingSystem,
-    pairs: list[tuple[int, int]],
-    m: int = 16,
-    slack_sample: int = 32,
-    routes: dict | None = None,
-) -> StretchReport:
-    """Route every pair, compare against the subdivided geodesic, and check
-    the analytic bound (8+eps)/sin(theta_m) * (D_hat + d) * (1 + mu)."""
+def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],
+                  m: int = 16) -> StretchReport:
+    """Route every pair on the system's polytope, compare against the
+    subdivided geodesic, and check the analytic bound
+    (8+eps)/sin(theta_m) * (D_hat + d) * (1 + mu)."""
     from .router import route as _route
 
+    P = system.P
     graph = build_subdivision_graph(P, m)
-    mu = oracle_slack(P, pairs, m, base_graph=graph, sample=slack_sample)
+    mu = oracle_slack(P, pairs, m, base_graph=graph)
     eps = system.eps
     theta_m = system.metrics.theta_m
     d_hat = estimate_D(P, eps)
     factor = (8.0 + eps) / math.sin(theta_m)
     rows = []
     for i, (s, t) in enumerate(pairs):
-        if routes is not None and (s, t) in routes:
-            trace = routes[(s, t)]
-        else:
-            trace = _route(s, t, system)
+        trace = _route(s, t, system)
         oracle_len = graph.distance(s, t)
         euclid = float(np.linalg.norm(P.vertices[s] - P.vertices[t]))
         bound = factor * (d_hat + oracle_len) * (1.0 + mu)

@@ -9,13 +9,14 @@ polytope ends up with exactly one representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .patching import PatchDecomposition, Projection
 
-__all__ = ["Grid", "RepresentativeAssignment", "build_grid", "select_representatives"]
+__all__ = ["Grid", "RepresentativeAssignment", "assemble_assignment", "build_grid",
+           "select_representatives"]
 
 # relative slack for "exactly on a cell boundary"; ties go to the lower index
 _BOUNDARY_REL = 1e-12
@@ -52,8 +53,8 @@ class RepresentativeAssignment:
     reps: list[int]
     rep_of: dict[int, int]
     cell_of: dict[int, tuple[int, int]]
-    members: dict[int, list[int]] = field(default_factory=dict)
-    patch_reps: dict[int, list[int]] = field(default_factory=dict)
+    members: dict[int, list[int]]
+    patch_reps: dict[int, list[int]]
 
 
 def build_grid(projection: Projection, eps: float) -> Grid:
@@ -86,37 +87,37 @@ def select_representatives(
     projections: dict[int, Projection],
     decomp: PatchDecomposition,
 ) -> RepresentativeAssignment:
-    """Pick the lowest-index vertex of every nonempty grid cell as its
-    representative; every other vertex of the cell points at it."""
+    """Put every vertex in its grid cell of its owning patch; the reps and
+    the rest follow from the cells (`assemble_assignment`)."""
+    owner = decomp.owner_of_vertex.tolist()
+    cell = [0] * len(owner)
+    for pid, proj in projections.items():
+        for v, uv in proj.uv.items():
+            if owner[v] == pid:
+                cell[v] = grids[pid].cell_of(uv)
+    return assemble_assignment(cell, owner, decomp.count)
+
+
+def assemble_assignment(cell: list[int], owner: list[int],
+                        num_patches: int) -> RepresentativeAssignment:
+    """The assignment from each vertex's grid cell and owning patch: the
+    lowest-index vertex of each (patch, cell) is its representative, and
+    every patch lists its reps in cell order. Build and load both end here,
+    so a loaded assignment equals the built one."""
+    rep_at: dict[tuple[int, int], int] = {}
     rep_of: dict[int, int] = {}
-    cell_of: dict[int, tuple[int, int]] = {}
     members: dict[int, list[int]] = {}
-    patch_reps: dict[int, list[int]] = {}
-
-    for pid in sorted(grids):
-        grid = grids[pid]
-        proj = projections[pid]
-        buckets: dict[int, list[int]] = {}
-        for v in sorted(proj.uv):
-            if decomp.owner_of_vertex[v] != pid:
-                continue
-            cell = grid.cell_of(proj.uv[v])
-            buckets.setdefault(cell, []).append(v)
-            cell_of[v] = (pid, cell)
-        reps_here: list[int] = []
-        for cell in sorted(buckets):
-            vs = buckets[cell]
-            rep = min(vs)
-            reps_here.append(rep)
-            members[rep] = vs
-            for v in vs:
-                rep_of[v] = rep
-        patch_reps[pid] = reps_here
-
+    for v, key in enumerate(zip(owner, cell)):
+        rep = rep_at.setdefault(key, v)
+        rep_of[v] = rep
+        members.setdefault(rep, []).append(v)
+    patch_reps: dict[int, list[int]] = {pid: [] for pid in range(num_patches)}
+    for (pid, _cell), rep in sorted(rep_at.items()):
+        patch_reps[pid].append(rep)
     return RepresentativeAssignment(
         reps=sorted(members),
         rep_of=rep_of,
-        cell_of=cell_of,
+        cell_of=dict(enumerate(zip(owner, cell))),
         members=members,
         patch_reps=patch_reps,
     )

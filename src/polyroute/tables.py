@@ -8,24 +8,27 @@ to both marked vertices for a Steiner node); marked vertices hold relay
 entries for the Steiner nodes on their edge. An entry is just (kind, dest):
 the router builds each leg's guiding plane at the forwarding vertex.
 
-The .prt format (version 6; magic PRT1, little-endian length-prefixed
+The .prt format (version 7; magic PRT1, little-endian length-prefixed
 sections, CRC32 trailer, u32 ids) stores only what cannot be derived: eps,
-the mesh, each face's patch, each vertex's representative and grid cell,
-the Steiner nodes, the spanner edges (each pair once, u < v, with weight
-and face) and the scheme's balls as (x, t, next) records sorted by (x, t);
-the representative count is kept as a check. `deserialize` derives the
-rest with the calls the build uses (`build_decomposition`, `rep_nodes`,
-`spanner_graph`, `landmark_trees` for the landmarks, homes and both tree
-directions, then the tail of `preprocess_mesh`), so a loaded system equals
-the built one. A file whose checksum holds is still refused with
-`IdOutOfRange` for an id past what it indexes, `InconsistentAssignment` for
-a `rep_of` that contradicts itself or the count, `NonCanonicalEdge` for an
-edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
-the spanner disconnected, `NonCanonicalBall` for ball records out of
-(x, t) order, repeated or with x == t, `NonSpannerHop` for a ball next hop
-off the spanner (so every scheme next hop is a spanner edge), and
+the mesh, each face's patch, each vertex's grid cell, the Steiner nodes,
+the spanner edges (each pair once, u < v, with weight and face) and the
+scheme's balls as (x, t, next) records sorted by (x, t); the
+representative count is kept as a check. `deserialize` derives the rest
+with the calls the build uses (`build_decomposition`,
+`assemble_assignment` for the reps, each the lowest vertex of its (patch,
+cell), `rep_nodes`, `spanner_graph`, `landmark_trees` for the landmarks,
+homes and both tree directions, `ball_maps`, then the tail of
+`preprocess_mesh`), so a loaded system equals the built one. A file whose
+checksum holds is still refused with `IdOutOfRange` for an id past what it
+indexes, `InconsistentAssignment` for cells that name a different number
+of reps than the count, `NonCanonicalEdge` for an edge stored reversed or
+twice, `DisconnectedSpanner` for edges that leave the spanner
+disconnected, `NonCanonicalBall` for ball records out of (x, t) order,
+repeated or with x == t, `NonSpannerHop` for a ball next hop off the
+spanner (so every scheme next hop is a spanner edge), and
 `MalformedSection` for bytes past a section's last record or after the
-last section, or an unknown or repeated tag. Versions 1 to 5 are refused with `FormatVersionMismatch`.
+last section, or an unknown or repeated tag. Versions 1 to 6 are refused
+with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -45,7 +48,8 @@ from .patching import (
     compute_patches,
     project_patch,
 )
-from .sampling import RepresentativeAssignment, build_grid, select_representatives
+from .sampling import (RepresentativeAssignment, assemble_assignment, build_grid,
+                       select_representatives)
 from .spanner import (
     DisconnectedSpanner,
     SpannerGraph,
@@ -57,6 +61,7 @@ from .spanner import (
 from .compact_routing import (
     LandmarkScheme,
     NodeLabel,
+    ball_maps,
     landmark_trees,
     materialize_plane_entries,
     prune_first_hops,
@@ -88,7 +93,7 @@ __all__ = [
 ]
 
 MAGIC = b"PRT1"
-VERSION = 6
+VERSION = 7
 
 
 class SerializationError(ValueError):
@@ -414,7 +419,6 @@ def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
     mesh.f64s(P.vertices)
     mesh.u32s(P.faces)
     patches.u32s(system.decomp.patch_of_face)
-    assign.u32s([a.rep_of[v] for v in range(P.n)])
     assign.u32s([a.cell_of[v][1] for v in range(P.n)])
     assign.u32(len(a.reps))
     nodes.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
@@ -430,18 +434,6 @@ def _check_ids(ids, count: int, what: str) -> None:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= count):
         raise IdOutOfRange(f"{what} id out of range [0, {count})")
-
-
-def _check_assignment(rep_list: list[int], owner_list: list[int]) -> None:
-    """Refuse an assignment whose `rep_of` names a vertex that is not its
-    own representative, or one outside the vertex's patch."""
-    for v, rv in enumerate(rep_list):
-        if rep_list[rv] != rv:
-            raise InconsistentAssignment(
-                f"rep_of[{v}] = {rv} is not its own representative")
-        if owner_list[rv] != owner_list[v]:
-            raise InconsistentAssignment(
-                f"representative {rv} of vertex {v} lies outside the vertex's patch")
 
 
 def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
@@ -466,34 +458,15 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     decomp = build_decomposition(P, patch_of_face)
 
     r = payloads[_SEC_ASSIGN]
-    rep_of = r.u32s(n)
-    cell_list = r.u32s(n).tolist()
-    _check_ids(rep_of, n, "rep_of vertex")
-    rep_list = rep_of.tolist()
-    owner_list = decomp.owner_of_vertex.tolist()
-    _check_assignment(rep_list, owner_list)
-    reps = sorted(set(rep_list))
-    # every later node id counts the reps before it, so a rep_of that agrees
-    # with itself but adds or drops a rep would misread the sections below
-    if len(reps) != r.u32():
-        raise InconsistentAssignment("rep_of names a different number of representatives")
-    members: dict[int, list[int]] = {}
-    for v, rv in enumerate(rep_list):
-        members.setdefault(rv, []).append(v)
-    # every patch, its reps in cell order, as `select_representatives` lists them
-    patch_reps: dict[int, list[int]] = {pid: [] for pid in range(decomp.count)}
-    for rv in sorted(reps, key=cell_list.__getitem__):
-        patch_reps[owner_list[rv]].append(rv)
-    assignment = RepresentativeAssignment(
-        reps=reps,
-        rep_of=dict(enumerate(rep_list)),
-        cell_of={v: (owner_list[v], cell_list[v]) for v in range(n)},
-        members=members,
-        patch_reps=patch_reps,
-    )
+    assignment = assemble_assignment(r.u32s(n).tolist(), decomp.owner_of_vertex.tolist(),
+                                     decomp.count)
+    # every later node id counts the reps before it, so a cell edit that adds
+    # or drops a rep would misread the sections below
+    if len(assignment.reps) != r.u32():
+        raise InconsistentAssignment("the cells name a different number of representatives")
 
     # rep nodes first, as `place_steiner_points` numbers them, then Steiner
-    nodes = rep_nodes(P, decomp, reps)
+    nodes = rep_nodes(P, decomp, assignment.reps)
     rec = payloads[_SEC_NODES].records(_NODE_REC)
     for name, count in (("patch_a", decomp.count), ("patch_b", decomp.count), ("marked", n)):
         _check_ids(rec[name], count, f"Steiner node {name}")
@@ -527,11 +500,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     for tag, r in payloads.items():
         if r.pos != len(r.buf):
             raise MalformedSection(f"section {tag} holds bytes past its last record")
-    cut = np.searchsorted(x, np.arange(N + 1)).tolist()
-    t, hop = t.tolist(), hop.tolist()
-    exact_next = {node: dict(zip(t[cut[node]:cut[node + 1]], hop[cut[node]:cut[node + 1]]))
-                  for node in range(N)}
-    scheme = prune_first_hops(LandmarkScheme(*trees, exact_next=exact_next), graph)
+    scheme = prune_first_hops(LandmarkScheme(*trees, exact_next=ball_maps(N, x, t, hop)), graph)
 
     return _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
 

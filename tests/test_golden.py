@@ -18,7 +18,7 @@ from polyroute.tables import preprocess_mesh, serialize
 
 from conftest import random_pairs
 
-PRT_SHA256 = "50efe55442e1cfa10f4d1a3cf03f49e5319a6aa57eac4e418e8d1f2dd2bce1d4"
+PRT_SHA256 = "4e06e3db83178e6f09e3799bc9d7f69ce9e8fba2531556cb8be86ced564062c5"
 ROUTES_SHA256 = "5b8735e7c056069093463ab18752ccccf93a1c7e056ba1ae5cfea4278d734ea4"
 HULL600_ROUTES_SHA256 = "e817a428242fe1c500d6e9446d5fa2e745216d2cb03118133512b88cfbc6a6cc"
 

@@ -86,7 +86,7 @@ def test_sandwich_and_monotonicity(sphere50):
 
 def test_stretch_sweep_tetra_all_pairs(tetra_system):
     pairs = list(itertools.permutations(range(4), 2))
-    report = stretch_sweep(tetra_system.P, tetra_system, pairs, m=8)
+    report = stretch_sweep(tetra_system, pairs, m=8)
     assert len(report.rows) == len(pairs)
     for row in report.rows:
         assert row.ratio == pytest.approx(1.0)
@@ -97,7 +97,7 @@ def test_stretch_sweep_octa_antipodal(octa_system):
     mesh = octa_system.P
     s = int(np.argmax(mesh.vertices[:, 0]))
     t = int(np.argmin(mesh.vertices[:, 0]))
-    report = stretch_sweep(mesh, octa_system, [(s, t)], m=16)
+    report = stretch_sweep(octa_system, [(s, t)], m=16)
     row = report.rows[0]
     assert row.route_len == pytest.approx(2 * math.sqrt(2))
     assert row.oracle_len < 2 * math.sqrt(2)
@@ -107,14 +107,14 @@ def test_stretch_sweep_octa_antipodal(octa_system):
 
 def test_stretch_sweep_sphere_no_violations(sphere50_system):
     pairs = random_pairs(50, 60, seed=11)
-    report = stretch_sweep(sphere50_system.P, sphere50_system, pairs, m=8)
+    report = stretch_sweep(sphere50_system, pairs, m=8)
     assert report.violations == []
     assert report.mu >= 0.0
 
 
 def test_report_csv_shape(sphere50_system):
     pairs = random_pairs(50, 5, seed=0)
-    report = stretch_sweep(sphere50_system.P, sphere50_system, pairs, m=4)
+    report = stretch_sweep(sphere50_system, pairs, m=4)
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "pair_id,s,t,route_len,oracle_len,euclid,bound,ratio"
     assert len(lines) == 6

@@ -213,7 +213,6 @@ _BAD_IDS = {
     "patch_gap": lambda n, f, k, N: (3, "<I", 0, k + 1),
     # a writer's -1 reads back as the largest u32
     "patch_negative": lambda n, f, k, N: (3, "<i", 4 * (f - 1), -1),
-    "rep_of": lambda n, f, k, N: (4, "<I", 0, n),
     "node_patch": lambda n, f, k, N: (5, "<I", 8, k),
     "marked": lambda n, f, k, N: (5, "<I", 40, n),
     "edge_endpoint": lambda n, f, k, N: (6, "<I", 4, 10 ** 6),
@@ -242,49 +241,53 @@ def test_out_of_range_ids_rejected(sphere50_system, case):
         deserialize(bad)
 
 
-def _assignment_edits(system) -> dict[str, tuple[int, int]]:
-    """(byte offset in the assignment section, new u32 value) per case."""
-    a, owner = system.assignment, system.decomp.owner_of_vertex
-    n = system.P.n
-    assert a.rep_of[10] != 10 and 10 not in a.reps
-    # a vertex that points at another vertex that is not a representative
-    v, w = [x for x in range(n) if a.rep_of[x] != x][:2]
-    # a rep with other members that points at another rep of its own patch,
-    # so its members' rep is no longer its own rep
-    r, r2 = next((r, r2) for r in a.reps for r2 in a.reps
-                 if r2 != r and owner[r2] == owner[r] and len(a.members[r]) > 1)
-    # a rep that is its only member and points at another rep of its own
-    # patch: rep_of agrees with itself but names one rep fewer
-    lone, r3 = next((r, r2) for r in a.reps for r2 in a.reps
-                    if r2 != r and owner[r2] == owner[r] and a.members[r] == [r])
-    # a vertex that points at a rep of another patch
-    x, far = next((x, r) for x in range(n) for r in a.reps if owner[r] != owner[x])
-    return {
-        # a non-rep made its own rep: rep_of agrees with itself but names one
-        # rep more
-        "non_rep_made_rep": (4 * 10, 10),
-        "rep_of_not_a_rep": (4 * v, w),
-        "rep_not_its_own": (4 * r, r2),
-        "lone_rep_dropped": (4 * lone, r3),
-        "rep_outside_patch": (4 * x, far),
-    }
-
-
-@pytest.mark.parametrize("case", ["non_rep_made_rep", "rep_of_not_a_rep", "rep_not_its_own",
-                                  "lone_rep_dropped", "rep_outside_patch"])
-def test_inconsistent_assignment_rejected(sphere50_system, case):
-    # ids in range and a valid CRC, but rep_of contradicts itself or the
-    # stored rep count: such a file once loaded and then failed in route()
-    # with a RuntimeError or a KeyError, or would shift every later node id
+def _assignment_edit(system, case: str) -> bytes:
+    """The system's file with one vertex moved to another cell of its own
+    patch, under a valid CRC."""
+    import itertools
     import struct
 
-    offset, value = _assignment_edits(sphere50_system)[case]
-    sections = _sections(serialize(sphere50_system))
+    a, n = system.assignment, system.P.n
+    assert a.rep_of[10] != 10
+    used = set(a.cell_of.values())
+    free = next(c for c in itertools.count() if (a.cell_of[10][0], c) not in used)
+    # a rep that is its cell's only member, and another rep of its patch
+    lone, r2 = next((r, r2) for r in a.reps for r2 in a.reps
+                    if r2 != r and a.cell_of[r2][0] == a.cell_of[r][0] and a.members[r] == [r])
+    # a non-rep and a higher rep of its patch: moved into that rep's cell, the
+    # non-rep takes its place, and its own cell keeps its rep
+    v, r3 = next((v, r) for v in range(n) if a.rep_of[v] != v for r in a.reps
+                 if r > v and a.cell_of[r][0] == a.cell_of[v][0])
+    vertex, cell = {
+        # a non-rep moved to an unused cell label of its patch: one rep more
+        "non_rep_made_rep": (10, free),
+        # a lone rep moved into an occupied cell of its patch: one rep fewer
+        "lone_rep_dropped": (lone, a.cell_of[r2][1]),
+        "rep_replaced": (v, a.cell_of[r3][1]),
+    }[case]
+    sections = _sections(serialize(system))
     payload = bytearray(dict(sections)[4])
-    struct.pack_into("<I", payload, offset, value)
-    bad = _container([(t, bytes(payload) if t == 4 else p) for t, p in sections])
+    struct.pack_into("<I", payload, 4 * vertex, cell)
+    return _container([(t, bytes(payload) if t == 4 else p) for t, p in sections])
+
+
+@pytest.mark.parametrize("case", ["non_rep_made_rep", "lone_rep_dropped"])
+def test_inconsistent_assignment_rejected(sphere50_system, case):
+    # ids in range and a valid CRC, but the cells name a different number of
+    # reps than the stored count, which would shift every later node id
     with pytest.raises(InconsistentAssignment):
-        deserialize(bad)
+        deserialize(_assignment_edit(sphere50_system, case))
+
+
+def test_cell_edit_keeping_the_count_loads(sphere50_system):
+    # the reps are derived from the cells, so no stored assignment can name
+    # a rep that is not its own or that lies outside its members' patch
+    built = sphere50_system.assignment
+    loaded = deserialize(_assignment_edit(sphere50_system, "rep_replaced"))
+    a, owner = loaded.assignment, loaded.decomp.owner_of_vertex
+    assert len(a.reps) == len(built.reps) and a.reps != built.reps
+    for v, rep in a.rep_of.items():
+        assert a.rep_of[rep] == rep and owner[rep] == owner[v] and v in a.members[rep]
 
 
 def test_loaded_json_and_int_keys(sphere50_system):
@@ -412,14 +415,14 @@ def test_version_mismatch_rejected(tetra_system):
         deserialize(_with_version(serialize(tetra_system), 999))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_version_1_rejected(tetra_system, version):
     # version 1 stored guiding planes and vertex tables, version 2 the patch
     # planes and vertex owners, version 3 rep nodes, 2D node positions,
     # labels and patch seed faces, version 4 a pair's edge once per face
     # that holds it, the representatives, their projections and delta,
     # version 5 the landmarks, homes and landmark next-hop maps and its ids
-    # as i64; none has a reader
+    # as i64, version 6 each vertex's representative; none has a reader
     with pytest.raises(FormatVersionMismatch):
         deserialize(_with_version(serialize(tetra_system), version))
 
