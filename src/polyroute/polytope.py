@@ -163,6 +163,8 @@ def load_off(text: str | bytes) -> TriangulatedPolytope:
         raise ParseError(f"bad counts line: {exc}") from None
     if nv < 4:
         raise ParseError("a polytope needs at least 4 vertices")
+    if nf < 0 or 3 * nv + 4 * nf > len(tokens) - 4:
+        raise ParseError(f"counts of {nv} vertices and {nf} faces exceed the input")
     verts = np.empty((nv, 3), dtype=np.float64)
     for i in range(nv):
         try:

@@ -13,8 +13,11 @@ degenerate events and never silently truncate a route.
 
 The header holds O(1) words besides the trace (`legs`, `events`) and the
 greedy fallback's visited set. The per-hop arithmetic runs on Python floats
-with the `geometry` kernel, never on numpy arrays. Each leg plane is built
-from the mesh's float rows as a unit normal and offset with the bits of
+with the `geometry` kernel, never on numpy arrays. Only the tracing loop of
+`step` builds a leg plane, on the hop that first reads it (at the leg's
+source, or where a re-aim happens), so a leg that ends with a hop to an
+adjacent arrival vertex or the destination builds none. The plane is a unit
+normal and offset from the mesh's float rows with the bits of
 `Plane.through_points_orthogonal_to`; it is evaluated only at the vertices
 the tracer reads (the bits of `Plane.signed_distance`), and each of those
 distances once per step: crossings and look-aheads take the values their
@@ -75,7 +78,7 @@ class Target:
     point: list[float]  # aim point: vertex position or lifted Steiner point
     arrival: tuple[int, ...]  # vertices that complete the leg
     vertex: int = -1  # vertex-kind target
-    node: int = -1  # spanner node the leg heads for (-1 for plain cell legs)
+    node: int = -1  # spanner node the leg heads for (Steiner targets only)
 
 
 @dataclass
@@ -96,7 +99,8 @@ class PacketHeader:
     dest_vertex: int
     dest_label: NodeLabel
     pseudo: Target | None = None
-    plane: tuple | None = None  # ((n0, n1, n2), offset) of the leg plane
+    # ((n0, n1, n2), offset) of the leg plane; None until the tracer first reads it
+    plane: tuple | None = None
     tz_word: str = "local"
     hop_count: int = 0
     # tracer state; carried with the packet so forwarding stays one-pass
@@ -150,29 +154,25 @@ def make_packet(s: int, t: int, system: RoutingSystem) -> PacketHeader:
     return header
 
 
-def _vertex_target(P, vertex: int, node: int = -1) -> Target:
+def _vertex_target(P, vertex: int) -> Target:
     return Target(kind="vertex", point=P.vertex_rows[vertex], arrival=(vertex,),
-                  vertex=vertex, node=node)
+                  vertex=vertex)
 
 
 def _node_target(system: RoutingSystem, node_id: int) -> Target:
     node = system.graph.nodes[node_id]
     if node.kind == "rep":
-        return _vertex_target(system.P, node.vertex, node_id)
+        return _vertex_target(system.P, node.vertex)
     point, arrival = system.node_aims[node_id]
     return Target(kind="steiner", point=point, arrival=arrival, node=node_id)
 
 
-def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
-             target: Target, gamma_normal: np.ndarray) -> None:
-    P = system.P
+def _set_leg(v: int, header: PacketHeader, target: Target,
+             gamma_normal: np.ndarray) -> None:
+    """Start a leg from v; `step` builds its plane when it first traces it."""
     header.pseudo = target
     header.gamma_normal = gamma_normal
-    if norm(sub(target.point, P.vertex_rows[v])) <= P.snap:
-        header.plane = None
-        header.front = None
-    else:
-        _aim(v, header, P)
+    header.plane = None
     header.fallback = False
     header.fallback_seen = set()
     header.legs.append({
@@ -183,13 +183,6 @@ def _set_leg(v: int, header: PacketHeader, system: RoutingSystem,
         "kind": target.kind,
         "tz": header.tz_word,
     })
-
-
-def _aim(v: int, header: PacketHeader, P) -> None:
-    """Install the guiding plane from vertex v to the aim point, orthogonal
-    to the sketch face the leg runs in, and restart the trace."""
-    header.plane = _leg_plane(P.vertex_rows[v], header.pseudo.point, header.gamma_normal)
-    header.front = None
 
 
 def _leg_plane(a, b, n) -> tuple[tuple[float, float, float], float]:
@@ -239,19 +232,19 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             # a local leg in v's own patch: to v's representative, from a
             # representative to its cell member t, or to t's representative
             owner = int(system.decomp.owner_of_vertex[v])
-            dest, node = -1, -1
+            dest = -1
             if a.rep_of[v] != v:
                 dest = a.rep_of[v]
             elif a.rep_of[header.dest_vertex] == v:
                 dest = header.dest_vertex
             elif label.patch == owner:
-                dest, node = system.graph.nodes[label.node].vertex, label.node
+                dest = system.graph.nodes[label.node].vertex
             if dest < 0:
                 nxt = _consult_node(table.g_node, v, label, header, system)
             else:
                 entry = table.entries[("v", dest)]
                 header.tz_word = "local"
-                _set_leg(v, header, system, _vertex_target(system.P, entry.dest, node),
+                _set_leg(v, header, _vertex_target(system.P, entry.dest),
                          system.decomp.patches[owner].gamma.normal)
                 nxt = None
         if nxt is not None:
@@ -275,14 +268,11 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     whose balls name another hop is refused).
     Returns v to signal an immediate re-switch, None when a leg was set.
     """
-    node = system.graph.nodes[node_id]
     target_node = label.node
-    shared = set(node.patches) & set(system.graph.nodes[target_node].patches)
-    if target_node == node_id or shared:
-        face = min(shared) if shared else min(node.patches)
+    if label.patch in system.graph.nodes[node_id].patches:
         header.tz_word = "local"
-        _set_leg(v, header, system, _node_target(system, target_node),
-                 system.decomp.patches[face].gamma.normal)
+        _set_leg(v, header, _node_target(system, target_node),
+                 system.decomp.patches[label.patch].gamma.normal)
         return None
     w = tz_next_hop(system.scheme, node_id, target_node)
     key = (min(node_id, w), max(node_id, w))
@@ -294,7 +284,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
-    _set_leg(v, header, system, tgt, system.decomp.patches[face].gamma.normal)
+    _set_leg(v, header, tgt, system.decomp.patches[face].gamma.normal)
     return None
 
 
@@ -517,12 +507,18 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         )
         return finish(best, "General")
 
-    if header.plane is None and not header.fallback:
-        # degenerate leg (target collapses onto the source); greedy it
-        header.fallback = True
-        header.fallback_seen.add(current)
     snap = P.snap
     while not header.fallback:
+        if header.plane is None:
+            # a leg's first trace, or a re-aim, builds the plane from here; a
+            # degenerate leg (the aim point collapses onto current) is greedied
+            row, aim = P.vertex_rows[current], target.point
+            if norm(sub(aim, row)) <= snap:
+                header.fallback = True
+                header.fallback_seen.add(current)
+                break
+            header.plane = _leg_plane(row, aim, header.gamma_normal)
+            header.front = None
         if header.front is None or (
             isinstance(header.front, _VertexFront) and header.front.vertex == current
         ):
@@ -539,7 +535,7 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         if header.reaim_count < 8:
             header.reaim_count += 1
             header.events.append(f"reaim@{current}")
-            _aim(current, header, P)
+            header.plane = None
             continue
         header.fallback = True
         header.fallback_seen.add(current)

@@ -6,7 +6,7 @@ same-patch representative, plus its compact-routing tables over the spanner
 (stored once in the shared scheme and attributed to the representative, or
 to both marked vertices for a Steiner node); marked vertices hold relay
 entries for the Steiner nodes on their edge. An entry is just (kind, dest):
-the router builds each leg's guiding plane at the forwarding vertex.
+the router builds a leg's guiding plane on the hop that first reads it.
 
 The .prt format (version 7; magic PRT1, little-endian length-prefixed
 sections, CRC32 trailer, u32 ids) stores only what cannot be derived: eps,

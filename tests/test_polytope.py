@@ -10,6 +10,7 @@ from polyroute.polytope import (
     NonConvex,
     NonTriangular,
     NotClosed,
+    ParseError,
     compute_theta_m,
     dual_graph,
     from_arrays,
@@ -87,6 +88,25 @@ def test_open_mesh_rejected():
 """
     with pytest.raises(NotClosed):
         load_off(text)
+
+
+def test_negative_face_count_rejected():
+    with pytest.raises(ParseError):
+        load_off(TETRA_OFF.replace("4 4 6", "4 -1 0"))
+
+
+def test_counts_beyond_the_body_rejected_before_allocating():
+    # a 10**7-vertex header would take 240 MB of coordinates; the 4-vertex
+    # body below it cannot hold them, so nothing that size is allocated
+    text = TETRA_OFF.replace("4 4 6", f"{10**7} 4 6")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            load_off(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_dual_graph_tetra_is_k4(tetra):

@@ -61,35 +61,73 @@ def test_make_packet_rejects_unknown(sphere50_system):
         make_packet(0, 5000, sphere50_system)
 
 
-def _assert_plane_guides_leg(system, header, v):
-    # the installed plane holds the forwarding vertex and the aim point, and
-    # contains the normal of the sketch face the leg runs in
-    if header.plane is None:  # the aim point coincides with v
-        assert np.linalg.norm(header.pseudo.point - system.P.vertices[v]) < 1e-9
-        return
-    tol = 1e-9 * system.P.diameter()
-    normal, offset = header.plane
-    assert abs(dot(system.P.vertex_rows[v], normal) - offset) <= tol
-    assert abs(dot(header.pseudo.point, normal) - offset) <= tol
-    assert abs(dot(normal, header.gamma_normal)) <= 1e-9
+def _record_planes(monkeypatch) -> list:
+    """Log, in call order, ("build", plane) for every leg plane the router
+    builds and ("read", plane) for every vertex distance to a plane it takes."""
+    log = []
+    leg_plane, sig_of = router._leg_plane, router._sig_of
+
+    def building(a, b, n):
+        plane = leg_plane(a, b, n)
+        log.append(("build", plane))
+        return plane
+
+    def reading(P, header, v):
+        log.append(("read", header.plane))
+        return sig_of(P, header, v)
+
+    monkeypatch.setattr(router, "_leg_plane", building)
+    monkeypatch.setattr(router, "_sig_of", reading)
+    return log
 
 
-def test_installed_planes_contain_vertex_and_aim(sphere50_system):
+def test_installed_planes_contain_vertex_and_aim(sphere50_system, monkeypatch):
+    # a plane built in a step holds the forwarding vertex and the aim point,
+    # and contains the normal of the sketch face the leg runs in
     system = sphere50_system
-    legs = 0
+    log = _record_planes(monkeypatch)
+    tol = 1e-9 * system.P.diameter()
+    planes = 0
     for s, t in random_pairs(system.P.n, 150, seed=8):
         header = make_packet(s, t, system)
-        _assert_plane_guides_leg(system, header, s)
         current = s
         while current != t:
             before = len(header.legs)
+            log.clear()
             nxt, _case = step(current, header, system)
             if len(header.legs) != before:
                 assert header.legs[-1]["source"] == current
-                _assert_plane_guides_leg(system, header, current)
-                legs += 1
+            for normal, offset in (plane for kind, plane in log if kind == "build"):
+                assert abs(dot(system.P.vertex_rows[current], normal) - offset) <= tol
+                assert abs(dot(header.pseudo.point, normal) - offset) <= tol
+                assert abs(dot(normal, header.gamma_normal)) <= 1e-9
+                planes += 1
             current = nxt
-    assert legs > 100
+    assert planes > 50
+
+
+def test_leg_planes_are_built_where_they_are_read(sphere50_system, monkeypatch):
+    # only the tracer builds a leg plane, once in a step that then reads it;
+    # the many legs that end with a hop to an adjacent arrival vertex or the
+    # destination, or collapse in a switch, build none
+    system = sphere50_system
+    log = _record_planes(monkeypatch)
+    planes = legs = 0
+    for s, t in random_pairs(system.P.n, 300, seed=0):
+        log.clear()
+        header = make_packet(s, t, system)
+        planes += sum(kind == "build" for kind, _plane in log)
+        current = s
+        while current != t:
+            log.clear()
+            current, _case = step(current, header, system)
+            builds = [i for i, (kind, _plane) in enumerate(log) if kind == "build"]
+            assert len(builds) <= 1
+            for i in builds:
+                assert ("read", log[i][1]) in log[i + 1:]
+            planes += len(builds)
+        legs += len(header.legs)
+    assert 0 < planes < legs / 4
 
 
 def test_tetra_all_pairs_single_hop(tetra_system):
