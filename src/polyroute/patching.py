@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SNAP_EPS, Plane, dot, norm, plane_frame, transform
+from .geometry import SNAP_EPS, Plane, dot, dot2, norm2, plane_frame, transform
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
@@ -176,61 +176,61 @@ def _make_patch(P: TriangulatedPolytope, pid: int, seed: int, faces: list[int],
 
 
 def _clip_halfplane(
-    poly: np.ndarray, owners: np.ndarray, a: np.ndarray, c: float, owner: int,
-    snap: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sutherland-Hodgman clip of a convex polygon by {p : a.p <= c}.
+    poly: list[tuple[float, float]], owners: list[int], a: tuple[float, float], c: float,
+    owner: int, snap: float,
+) -> tuple[list[tuple[float, float]], list[int]]:
+    """Sutherland-Hodgman clip of a convex polygon, a list of float pairs, by
+    {p : a.p <= c}.
 
     owners[i] labels the edge poly[i] -> poly[i+1]; the closing edge created
     by the cut inherits `owner`. Each output vertex carries the owner of the
     edge that starts at it.
     """
-    k = len(poly)
-    if k == 0:
+    vals = [dot2(p, a) - c for p in poly]
+    if all(v <= snap for v in vals):
         return poly, owners
-    vals = dot(poly, a) - c
-    if (vals <= snap).all():
-        return poly, owners
-    out_pts: list[np.ndarray] = []
+    out_pts: list[tuple[float, float]] = []
     out_own: list[int] = []
+    k = len(poly)
     for i in range(k):
         j = (i + 1) % k
-        vi, vj = float(vals[i]), float(vals[j])
+        vi, vj = vals[i], vals[j]
         inside_i = vi <= snap
         inside_j = vj <= snap
         if inside_i and inside_j:
             out_pts.append(poly[j])
-            out_own.append(int(owners[j]))
-        elif inside_i and not inside_j:
+            out_own.append(owners[j])
+        elif inside_i or inside_j:
             t = vi / (vi - vj)
-            out_pts.append(poly[i] + t * (poly[j] - poly[i]))
-            out_own.append(owner)  # cut edge runs along the clip line
-        elif not inside_i and inside_j:
-            t = vi / (vi - vj)
-            out_pts.append(poly[i] + t * (poly[j] - poly[i]))
-            out_own.append(int(owners[i]))  # remainder of the original edge
-            out_pts.append(poly[j])
-            out_own.append(int(owners[j]))
+            (xi, yi), (xj, yj) = poly[i], poly[j]
+            out_pts.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+            if inside_i:
+                out_own.append(owner)  # cut edge runs along the clip line
+            else:
+                out_own.append(owners[i])  # remainder of the original edge
+                out_pts.append(poly[j])
+                out_own.append(owners[j])
     return _dedup_polygon(out_pts, out_own, snap)
 
 
 def _dedup_polygon(
-    pts: list[np.ndarray], own: list[int], snap: float
-) -> tuple[np.ndarray, np.ndarray]:
-    keep_pts: list[np.ndarray] = []
+    pts: list[tuple[float, float]], own: list[int], snap: float
+) -> tuple[list[tuple[float, float]], list[int]]:
+    keep_pts: list[tuple[float, float]] = []
     keep_own: list[int] = []
-    for p, o in zip(pts, own):
-        if keep_pts and norm(p - keep_pts[-1]) <= snap:
+    for (x, y), o in zip(pts, own):
+        if keep_pts and norm2((x - keep_pts[-1][0], y - keep_pts[-1][1])) <= snap:
             keep_own[-1] = o  # zero-length edge collapses; keep outgoing owner
             continue
-        keep_pts.append(p)
+        keep_pts.append((x, y))
         keep_own.append(o)
-    if len(keep_pts) > 1 and norm(keep_pts[0] - keep_pts[-1]) <= snap:
+    if len(keep_pts) > 1 and norm2((keep_pts[0][0] - keep_pts[-1][0],
+                                    keep_pts[0][1] - keep_pts[-1][1])) <= snap:
         keep_pts.pop()
         keep_own.pop()
     if len(keep_pts) < 3:
-        return np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
-    return np.asarray(keep_pts), np.asarray(keep_own, dtype=np.int64)
+        return [], []
+    return keep_pts, keep_own
 
 
 def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
@@ -240,8 +240,13 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
     With fewer than four patches the intersection is unbounded; affected
     faces are truncated by a working square of half side _SKETCH_BOUND
     times the mesh diameter and flagged.
+
+    Per patch, the other planes' in-plane half-planes come from one column
+    `dot` over all patch normals; the polygon is clipped as float pairs and
+    becomes the face's arrays at the end.
     """
-    offsets = [p.gamma.offset() for p in decomp.patches]
+    normals = tuple(np.stack([p.gamma.normal for p in decomp.patches]).T.copy())
+    offsets = np.array([p.gamma.offset() for p in decomp.patches])
     half = _SKETCH_BOUND * max(P.diameter(), 1e-12)
     snap = P.snap
 
@@ -252,32 +257,31 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
         square = center2d + half * np.array(
             [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
         )
-        poly = square
-        owners = np.full(4, NO_NEIGHBOR, dtype=np.int64)
+        poly = [tuple(p) for p in square.tolist()]
+        owners = [NO_NEIGHBOR] * 4
         o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
-        for j, other in enumerate(decomp.patches):
+        a2s = zip(dot(normals, u).tolist(), dot(normals, v).tolist())
+        c2s = (offsets - dot(normals, o)).tolist()
+        for j, (a2, c2) in enumerate(zip(a2s, c2s)):
             if j == patch.id:
                 continue
-            nj = other.gamma.normal
-            a2 = (dot(nj, u), dot(nj, v))
-            c2 = offsets[j] - dot(nj, o)
-            if norm(a2) <= SNAP_EPS:
+            if norm2(a2) <= SNAP_EPS:
                 # plane j parallel to this one; either redundant or empty
                 if -c2 > snap:
-                    poly = np.zeros((0, 2))
-                    owners = np.zeros(0, dtype=np.int64)
+                    poly = []
                     break
                 continue
             poly, owners = _clip_halfplane(poly, owners, a2, c2, j, snap)
-            if len(poly) == 0:
+            if not poly:
                 break
-        if len(poly) == 0:
+        if not poly:
             raise UnboundedSketch(
                 f"sketch face of patch {patch.id} vanished; supporting planes are degenerate"
             )
-        truncated = bool((owners == NO_NEIGHBOR).any())
+        truncated = NO_NEIGHBOR in owners
         any_truncated |= truncated
-        faces.append(SketchFace(patch.id, poly, owners, truncated))
+        faces.append(SketchFace(patch.id, np.array(poly), np.array(owners, dtype=np.int64),
+                                truncated))
     return Sketch(faces=faces, truncated=any_truncated)
 
 

@@ -18,6 +18,12 @@ face keeps one unfolding tree (`_Unfolded`): a node per path, holding the
 composed map and the face's polygon, bounding circle and representatives
 already unfolded. Every cone of every representative of that face walks
 and grows the same tree, so each composition is paid for once.
+
+The placement runs on Python floats: polygons and representatives are kept
+as x and y coordinate lists, maps as tuples, and the `dot2`/`map2` kernels
+of `geometry` do their arithmetic, with the bits of the array kernel. Numpy
+is left to the angles (`arctan2`, `hypot`), whose numpy results differ from
+`math`'s, and to the Steiner lift, which casts all points in capped blocks.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .geometry import cross, dot, norm, transform, unfold_rotation
+from .geometry import cross, dot, dot2, map2, norm, norm2, sub, transform, unfold_rotation
 from .patching import NO_NEIGHBOR, PatchDecomposition, Projection, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -170,10 +176,11 @@ class _FaceMaps:
     with a neighbour face, in edge order, that face and the 2D rigid map
     (matrix rows, translation) carrying its frame into this face's frame
     after unfolding. `edges` holds, per polygon edge, its start point and
-    edge vector and the edge vector's squared length. Maps, points and
-    vectors other than `poly` are tuples of Python floats."""
+    edge vector and the edge vector's squared length. `poly` is the pair of
+    the polygon's x and y coordinate lists; maps, points and vectors are
+    tuples of Python floats."""
 
-    poly: np.ndarray
+    poly: tuple[list[float], list[float]]
     neighbors: np.ndarray
     hops: list[tuple[int, tuple, tuple]]
     center: tuple[float, float] = (0.0, 0.0)
@@ -212,8 +219,8 @@ def _build_face_maps(
         for k in range(kk):
             (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
             seg = (b0 - a0, b1 - a1)
-            edges.append(((a0, a1), seg, dot(seg, seg)))
-        maps[f.patch_id] = _FaceMaps(f.polygon2d, f.neighbor_patch, hops,
+            edges.append(((a0, a1), seg, dot2(seg, seg)))
+        maps[f.patch_id] = _FaceMaps(tuple(f.polygon2d.T.tolist()), f.neighbor_patch, hops,
                                      center=center, radius=radius, edges=edges)
     return maps
 
@@ -225,9 +232,11 @@ class _Unfolded:
     on the path alone, not on the apex or the cone, so all cones of all
     representatives of a start face share one tree. A node keeps what the
     cone tests read, unfolded and as Python floats: its bounding-circle
-    centre, and from their first use on, its polygon and its representatives
-    (empty at the root). Child i, across the face's i-th hop, is unfolded on
-    first use."""
+    centre, and from their first use on, its polygon (x and y coordinate
+    lists) and its representatives (float pairs; empty at the root). Maps
+    compose with `dot2` and carry the coordinate lists with `map2`, so no
+    node costs a numpy call. Child i, across the face's i-th hop, is
+    unfolded on first use."""
 
     __slots__ = ("fm", "pid", "m2", "t2", "center", "poly", "reps", "children")
 
@@ -243,33 +252,23 @@ class _Unfolded:
         self.children: list[_Unfolded | None] = [None] * len(fm.hops)
 
     def unfold(self, i: int, face_maps: dict[int, _FaceMaps]) -> _Unfolded:
-        nb, em, et = self.fm.hops[i]
-        cols = tuple(zip(*em))
-        nm = tuple(tuple(dot(row, col) for col in cols) for row in self.m2)  # m2 @ em
-        nt = self._map(et)
+        nb, ((a, b), (c, d)), et = self.fm.hops[i]
+        r0, r1 = self.m2
+        # m2 @ em, then m2 et + t2
+        nm = ((dot2(r0, (a, c)), dot2(r0, (b, d))), (dot2(r1, (a, c)), dot2(r1, (b, d))))
+        nt = (dot2(et, r0) + self.t2[0], dot2(et, r1) + self.t2[1])
         fm = face_maps[nb]
-        node = self.children[i] = _Unfolded(
-            fm, nb, nm, nt, center=tuple(dot(row, fm.center) + t for row, t in zip(nm, nt)))
+        center = (dot2(nm[0], fm.center) + nt[0], dot2(nm[1], fm.center) + nt[1])
+        node = self.children[i] = _Unfolded(fm, nb, nm, nt, center=center)
         return node
 
-    def _map(self, pts):
-        """This node's map applied to one point (a float pair) or to the rows
-        of an (n, 2) array (a pair of coordinate arrays)."""
-        (r0, r1), (t0, t1) = self.m2, self.t2
-        return dot(pts, r0) + t0, dot(pts, r1) + t1
-
     def unfold_poly(self) -> tuple[list[float], list[float]]:
-        xs, ys = self._map(self.fm.poly)
-        self.poly = (xs.tolist(), ys.tolist())
+        self.poly = map2(self.m2, self.t2, *self.fm.poly)
         return self.poly
 
-    def unfold_reps(self, reps2d: dict[int, np.ndarray]) -> list:
-        pts = reps2d.get(self.pid)
-        if pts is None or not len(pts):
-            self.reps = []
-        else:
-            xs, ys = self._map(pts)
-            self.reps = list(zip(xs.tolist(), ys.tolist()))
+    def unfold_reps(self, reps_xy: dict[int, tuple[list[float], list[float]]]) -> list:
+        xs, ys = reps_xy.get(self.pid, ((), ()))
+        self.reps = list(zip(*map2(self.m2, self.t2, xs, ys)))
         return self.reps
 
 
@@ -354,11 +353,11 @@ def _nearest_boundary_point_in_wedge(
         # closest point of the clipped subsegment to the apex; when the apex
         # itself lies on the subsegment (corner apex), fall back to the
         # interval endpoints so a degenerate zero-length relay is never made
-        t_star = 0.0 if denom <= 1e-300 else dot((ax - a0, ay - a1), (s0, s1)) / denom
+        t_star = 0.0 if denom <= 1e-300 else dot2((ax - a0, ay - a1), (s0, s1)) / denom
         t_star = min(max(t_star, t0), t1)
         for t in (t_star, t0, t1):
             q = (a0 + t * s0, a1 + t * s1)
-            dist = norm((q[0] - ax, q[1] - ay))
+            dist = norm2((q[0] - ax, q[1] - ay))
             if dist > snap and (best is None or dist < best[0]):
                 best = (dist, q, i)
     if best is None:
@@ -372,20 +371,22 @@ def _extended_cone_hits_rep(
     d1: tuple[float, float],
     d2: tuple[float, float],
     face_maps: dict[int, _FaceMaps],
-    reps2d: dict[int, np.ndarray],
+    reps_xy: dict[int, tuple[list[float], list[float]]],
     snap: float,
 ) -> bool:
     """BFS over sketch faces, unfolding each onto the start face's plane, and
     report whether the open cone contains a representative projection of any
-    other face. Each face is visited at most once per cone; the unfolded
-    faces come from (and grow) the start face's unfolding tree `root`."""
+    other face; `reps_xy` holds each face's representatives as x and y
+    coordinate lists. Each face is visited at most once per cone; the
+    unfolded faces come from (and grow) the start face's unfolding tree
+    `root`."""
     ax, ay = apex
     (d1x, d1y), (d2x, d2y) = d1, d2
     visited = {root.pid}
     queue: deque[_Unfolded] = deque([root])
     while queue:
         node = queue.popleft()
-        reps = node.reps if node.reps is not None else node.unfold_reps(reps2d)
+        reps = node.reps if node.reps is not None else node.unfold_reps(reps_xy)
         if reps and _reps_in_open_wedge(reps, apex, d1, d2, snap):
             return True
         for i, (nb, _em, _et) in enumerate(node.fm.hops):
@@ -420,6 +421,8 @@ def place_steiner_points(
     extension reaches another face's rep gets a Steiner node at the nearest
     boundary point of the face inside the cone, shared with the abutting
     face. The cones of all reps of a face trace one shared unfolding tree.
+    No placement reads a lift, so the Steiner nodes are lifted together
+    after the last cone.
 
     Rep nodes come first, with ids in the order of `assignment.reps`; a rep
     sits at its vertex's projection in its patch. Returns the nodes and, per
@@ -430,43 +433,39 @@ def place_steiner_points(
     snap = P.snap
     face_maps = _build_face_maps(decomp, sketch)
     trees: dict[int, _Unfolded] = {}
-    lifter = _SteinerLift(P, decomp)
 
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]].uv[n.vertex]} for n in nodes]
-    reps2d = {
-        pid: np.stack([projections[pid].uv[r] for r in rs]) if rs else np.zeros((0, 2))
-        for pid, rs in assignment.patch_reps.items()
-    }
-    have_other_reps = {
-        pid: any(len(reps2d.get(q, ())) > 0 for q in reps2d if q != pid)
-        for pid in reps2d
-    }
+    # each face's reps as x and y coordinate lists, the one home of their
+    # positions in the placement
+    reps_xy: dict[int, tuple[list[float], list[float]]] = {}
+    for pid, rs in assignment.patch_reps.items():
+        uv = [projections[pid].uv[r].tolist() for r in rs]
+        reps_xy[pid] = ([x for x, _y in uv], [y for _x, y in uv])
+    if sum(1 for xs, _ys in reps_xy.values() if xs) < 2:
+        return nodes, positions  # no cone can reach another face's rep
 
     # nodes already registered per face, to refuse coincident duplicates
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for pos in positions:
         for pid, uv in pos.items():
             occupied_pos.setdefault(pid, []).append(tuple(uv.tolist()))
-    reps = list(nodes)  # Steiner nodes are appended to `nodes` below
-    last_rep = {n.patches[0]: n.id for n in reps}
-    for node in reps:
+    last_rep = {n.patches[0]: n.id for n in nodes}
+    steiner: list[tuple[int, int, np.ndarray]] = []  # (face, abutting face, sketch point)
+    for node in nodes:
         pid = node.patches[0]
-        if not have_other_reps.get(pid, False):
-            continue
         fm = face_maps[pid]
-        apex = positions[node.id][pid]
-        apex_xy = tuple(apex.tolist())
+        apex_xy = ax, ay = tuple(positions[node.id][pid].tolist())
         root = trees.get(pid) or _unfolding_root(fm, pid)
         # a face's tree is kept only until its last rep's cones are traced
         if node.id == last_rep[pid]:
             trees.pop(pid, None)
         else:
             trees[pid] = root
-        others = reps2d[pid]
-        rel = others - apex
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
+        xs, ys = reps_xy[pid]
+        rx, ry = np.subtract(xs, ax), np.subtract(ys, ay)
+        dist = np.hypot(rx, ry)
+        ang = np.mod(np.arctan2(ry, rx), 2.0 * math.pi).tolist()
         occupied = set()
         for d, a, lo_k in zip(dist.tolist(), ang, fan.indices_of(ang)):
             if d <= snap:
@@ -480,7 +479,7 @@ def place_steiner_points(
             if c in occupied:
                 continue
             d1, d2 = wedges[c]
-            if not _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps2d, snap):
+            if not _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps_xy, snap):
                 continue
             found = _nearest_boundary_point_in_wedge(fm.edges, apex_xy, d1, d2, snap)
             if found is None:
@@ -489,20 +488,23 @@ def place_steiner_points(
             nb = int(fm.neighbors[edge_idx])
             if nb == NO_NEIGHBOR:
                 continue
-            patch = decomp.patches[pid]
-            q3 = patch.to_3d(q2)
+            q3 = decomp.patches[pid].to_3d(q2)
             q2_nb = decomp.patches[nb].to_2d(q3)
             if (_crowded(q2, occupied_pos.get(pid, ()), snap)
                     or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
                 # an existing node already sits there and serves as the relay
                 continue
-            lift, marked = lifter.lift(q3, pid)
-            sn = SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
-                             lift3d=lift, marked=marked)
-            nodes.append(sn)
+            steiner.append((pid, nb, q3))
             positions.append({pid: q2, nb: q2_nb})
             occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
             occupied_pos.setdefault(nb, []).append(tuple(q2_nb.tolist()))
+    if steiner:
+        lifts = _SteinerLift(P).lift(
+            np.array([q3 for _pid, _nb, q3 in steiner]),
+            np.array([decomp.patches[pid].gamma.normal for pid, _nb, _q3 in steiner]))
+        for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
+            nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
+                                     lift3d=lift, marked=marked))
     return nodes, positions
 
 
@@ -524,10 +526,15 @@ def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
     box = 4.0 * snap * (1.0 + 1e-9)
     qx, qy = q.tolist()
     return any(
-        norm((qx - px, qy - py)) <= 4.0 * snap
+        norm2((qx - px, qy - py)) <= 4.0 * snap
         for px, py in occupied
         if abs(qx - px) <= box and abs(qy - py) <= box
     )
+
+
+# point-face pairs per lift block: each array of a block holds at most 2^13
+# values (64 KB), whatever the number of faces; 2^14 casts slower on fine200
+_LIFT_PAIRS = 1 << 13
 
 
 class _SteinerLift:
@@ -535,13 +542,17 @@ class _SteinerLift:
     the reversed projection direction (the inward normal of the point's
     patch) against all faces, then snap to the nearest point of the nearest
     edge of the face that was hit. What does not depend on the point (the
-    triangle corners, edge vectors and inside thresholds, and per patch the
-    face-normal products with the ray direction) is computed once; the
-    arrays are kept as contiguous columns."""
+    triangle corners, edge vectors and inside thresholds, and the face
+    normals) is computed once, as contiguous columns.
 
-    def __init__(self, P: TriangulatedPolytope, decomp: PatchDecomposition) -> None:
+    `lift` takes a batch of points and casts them in blocks, each a (points,
+    faces) array of at most `_LIFT_PAIRS` entries: max(1, _LIFT_PAIRS // F)
+    points per block. The arithmetic is the kernel's, elementwise over
+    point-face pairs, and a row's hit is its first minimum distance, so a
+    point lifts to the same bits in any block, alone or in the whole batch."""
+
+    def __init__(self, P: TriangulatedPolytope) -> None:
         self.P = P
-        self.decomp = decomp
         self.snap = P.snap
         self.normals = tuple(P.face_normals.T.copy())
         tri = P.vertices[P.faces]  # (F, 3, 3)
@@ -551,63 +562,75 @@ class _SteinerLift:
             e = tri[:, (k + 1) % 3] - u
             thr = -self.snap * np.maximum(1.0, norm(e))
             self.sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
-        self._denom: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.block = max(1, _LIFT_PAIRS // P.num_faces)
 
-    def lift(self, point: np.ndarray, pid: int) -> tuple[np.ndarray, tuple[int, int]]:
+    def lift(self, points: np.ndarray, inward: np.ndarray
+             ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+        """The lift and the marked vertices of each row of `points` (B, 3),
+        cast along minus the same row of `inward`."""
+        out = []
+        for lo in range(0, len(points), self.block):
+            out += self._lift_block(points[lo:lo + self.block], inward[lo:lo + self.block])
+        return out
+
+    def _lift_block(self, points: np.ndarray, inward: np.ndarray
+                    ) -> list[tuple[np.ndarray, tuple[int, int]]]:
         P, snap = self.P, self.snap
-        inward = self.decomp.patches[pid].gamma.normal
-        if pid not in self._denom:
-            denom = dot(self.normals, inward)
-            self._denom[pid] = (denom, np.abs(denom) > 1e-15)
-        denom, hit = self._denom[pid]
-        numer = dot(self.normals, point) - P.face_offsets
+        p = tuple(points.T[:, :, None])  # per coordinate, a (B, 1) column
+        d = tuple(inward.T[:, :, None])
+        denom = dot(self.normals, d)
+        numer = dot(self.normals, p) - P.face_offsets
         with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(hit, numer / denom, np.inf)
-            finite = np.isfinite(ts)
-            t = np.where(finite, ts, 0.0)
-            q = [point[c] - t * inward[c] for c in range(3)]  # ray hits, per coordinate
-        inside = finite.copy()
+            ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
+            inside = np.isfinite(ts)
+            t = np.where(inside, ts, 0.0)
+            q = [p[c] - t * d[c] for c in range(3)]  # ray hits, per coordinate
         for u, e, thr in self.sides:
             w = (q[0] - u[0], q[1] - u[1], q[2] - u[2])
             inside &= dot(cross(e, w), self.normals) >= thr
-        ok = inside & (ts >= -snap)
-        if not ok.any():
-            # ray missed (heavily truncated sketch); fall back to a global search
-            return _nearest_edge_point(P, point, range(P.num_faces))
-        fi = int(np.flatnonzero(ok)[np.argmin(ts[ok])])
-        return _nearest_edge_point(P, np.array([q[0][fi], q[1][fi], q[2][fi]]), [fi])
+        ts = np.where(inside & (ts >= -snap), ts, np.inf)
+        hits = np.argmin(ts, axis=1).tolist()
+        out = []
+        for r, fi in enumerate(hits):
+            if ts[r, fi] == np.inf:
+                # ray missed (heavily truncated sketch); fall back to a global search
+                out.append(_nearest_edge_point(P, points[r].tolist(), range(P.num_faces)))
+            else:
+                out.append(_nearest_edge_point(
+                    P, (float(q[0][r, fi]), float(q[1][r, fi]), float(q[2][r, fi])), [fi]))
+        return out
 
 
 def _nearest_edge_point(
-    P: TriangulatedPolytope, q: np.ndarray, face_ids,
+    P: TriangulatedPolytope, q, face_ids,
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """The nearest point to q on an edge of the given faces, and the marked
-    vertices of that edge: the endpoint the point snaps to, twice, or else
-    both endpoints."""
-    snap = P.snap
+    """The nearest point to q (three floats) on an edge of the given faces,
+    and the marked vertices of that edge: the endpoint the point snaps to,
+    twice, or else both endpoints. The arithmetic runs on the mesh's float
+    rows."""
+    snap, rows = P.snap, P.vertex_rows
     best = None
     for fi in face_ids:
-        f = P.faces[fi].tolist()
+        f = P.face_rows[fi]
         for k in range(3):
             u, v = f[k], f[(k + 1) % 3]
-            a, b = P.vertices[u], P.vertices[v]
-            seg = b - a
+            a = rows[u]
+            seg = sub(rows[v], a)
             denom = dot(seg, seg)
-            t = 0.0 if denom <= 1e-300 else dot(q - a, seg) / denom
+            t = 0.0 if denom <= 1e-300 else dot(sub(q, a), seg) / denom
             t = min(max(t, 0.0), 1.0)
-            w = a + t * seg
-            d = norm(w - q)
+            w = (a[0] + t * seg[0], a[1] + t * seg[1], a[2] + t * seg[2])
+            d = norm(sub(w, q))
             if best is None or d < best[0]:
-                best = (d, w, (min(u, v), max(u, v)), t)
-    _d, w, edge, t = best
-    a, b = P.vertices[edge[0]], P.vertices[edge[1]]
-    if norm(w - a) <= snap:
-        marked = (edge[0], edge[0])
-    elif norm(w - b) <= snap:
-        marked = (edge[1], edge[1])
+                best = (d, w, (min(u, v), max(u, v)))
+    _d, w, (lo, hi) = best
+    if norm(sub(w, rows[lo])) <= snap:
+        marked = (lo, lo)
+    elif norm(sub(w, rows[hi])) <= snap:
+        marked = (hi, hi)
     else:
-        marked = edge
-    return w, marked
+        marked = (lo, hi)
+    return np.array(w), marked
 
 
 def _nodes_by_face(nodes: list[SpannerNode]) -> dict[int, list[int]]:

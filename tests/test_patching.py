@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyroute.cli import generate_mesh
-from polyroute.geometry import snap
-from polyroute.patching import NO_NEIGHBOR, build_sketch, compute_patches, project_patch
+from polyroute.geometry import dot, norm, snap
+from polyroute.patching import (
+    NO_NEIGHBOR,
+    _clip_halfplane,
+    build_sketch,
+    compute_patches,
+    project_patch,
+)
 
 
 def test_cube_patches_merge_coplanar_pairs(cube):
@@ -144,3 +152,86 @@ def test_projection_displacement_bound():
             proj = project_patch(mesh, patch)
             for d in proj.displacement.values():
                 assert d <= diam * math.sin(delta) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the float-pair clip gives the bits of the numpy formulation it replaced
+
+
+def _numpy_clip_halfplane(poly, owners, a, c, owner, snap):
+    # the array formulation: poly is a (k, 2) array, owners a (k,) array
+    k = len(poly)
+    if k == 0:
+        return poly, owners
+    vals = dot(poly, a) - c
+    if (vals <= snap).all():
+        return poly, owners
+    out_pts, out_own = [], []
+    for i in range(k):
+        j = (i + 1) % k
+        vi, vj = float(vals[i]), float(vals[j])
+        inside_i, inside_j = vi <= snap, vj <= snap
+        if inside_i and inside_j:
+            out_pts.append(poly[j])
+            out_own.append(int(owners[j]))
+        elif inside_i and not inside_j:
+            t = vi / (vi - vj)
+            out_pts.append(poly[i] + t * (poly[j] - poly[i]))
+            out_own.append(owner)
+        elif not inside_i and inside_j:
+            t = vi / (vi - vj)
+            out_pts.append(poly[i] + t * (poly[j] - poly[i]))
+            out_own.append(int(owners[i]))
+            out_pts.append(poly[j])
+            out_own.append(int(owners[j]))
+    return _numpy_dedup_polygon(out_pts, out_own, snap)
+
+
+def _numpy_dedup_polygon(pts, own, snap):
+    keep_pts, keep_own = [], []
+    for p, o in zip(pts, own):
+        if keep_pts and norm(p - keep_pts[-1]) <= snap:
+            keep_own[-1] = o
+            continue
+        keep_pts.append(p)
+        keep_own.append(o)
+    if len(keep_pts) > 1 and norm(keep_pts[0] - keep_pts[-1]) <= snap:
+        keep_pts.pop()
+        keep_own.pop()
+    if len(keep_pts) < 3:
+        return np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
+    return np.asarray(keep_pts), np.asarray(keep_own, dtype=np.int64)
+
+
+coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    center=st.tuples(coord, coord),
+    radius=st.floats(1e-3, 5.0),
+    turns=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=9, unique=True),
+    owners=st.lists(st.integers(-1, 50), min_size=9, max_size=9),
+    heading=st.floats(0.0, 2.0 * math.pi),
+    through=st.integers(0, 8),
+    shift=st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]),
+    offset=st.floats(-6.0, 6.0),
+    snap_at=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_clip_halfplane_matches_numpy(center, radius, turns, owners, heading, through,
+                                      shift, offset, snap_at):
+    angles = sorted(2.0 * math.pi * t for t in turns)
+    poly = np.array([[center[0] + radius * math.cos(t), center[1] + radius * math.sin(t)]
+                     for t in angles])
+    own = np.array(owners[:len(poly)], dtype=np.int64)
+    a = (math.cos(heading), math.sin(heading))
+    if through < len(poly):
+        # the line runs within a few snaps of a polygon vertex
+        c = dot(poly[through], a) + shift * snap_at
+    else:
+        c = dot(center, a) + offset
+    got_pts, got_own = _clip_halfplane([tuple(p) for p in poly.tolist()], own.tolist(),
+                                       a, c, 99, snap_at)
+    want_pts, want_own = _numpy_clip_halfplane(poly, own, a, c, 99, snap_at)
+    assert np.array(got_pts, dtype=np.float64).reshape(-1, 2).tobytes() == want_pts.tobytes()
+    assert got_own == want_own.tolist()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from polyroute import spanner
 from polyroute.cli import generate_mesh
 from polyroute.geometry import cross, dot, norm
 from polyroute.patching import compute_patches, build_sketch, project_patch
@@ -288,8 +289,10 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     eps = 0.3
     decomp, sketch, assignment, projections = _stage(mesh, eps)
     face_maps = _build_face_maps(decomp, sketch)
-    reps2d = {pid: np.stack([projections[pid].uv[r] for r in rs]) if rs else np.zeros((0, 2))
-              for pid, rs in assignment.patch_reps.items()}
+    # each face's reps as x and y coordinate lists, as the placement keeps them
+    reps_xy = {pid: ([float(projections[pid].uv[r][0]) for r in rs],
+                     [float(projections[pid].uv[r][1]) for r in rs])
+               for pid, rs in assignment.patch_reps.items()}
     snap = mesh.snap
     fan = cone_fan(eps)
     shared = {}
@@ -300,9 +303,9 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
         root = shared.setdefault(pid, _unfolding_root(face_maps[pid], pid))
         for c in range(fan.count):
             d1, d2 = _wedge_dirs(fan, c)
-            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps2d, snap)
+            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap)
             fresh = _extended_cone_hits_rep(_unfolding_root(face_maps[pid], pid), apex,
-                                            d1, d2, face_maps, reps2d, snap)
+                                            d1, d2, face_maps, reps_xy, snap)
             assert got == fresh
             hits += got
     assert hits > 0
@@ -331,21 +334,68 @@ def _all_faces_lift(P, point, inward):
     return _nearest_edge_point(P, qs[fi], [fi])
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_steiner_lift_matches_all_faces_lift(seed):
-    mesh = generate_mesh("sphere", 100, seed)
-    decomp, sketch, assignment, projections = _stage(mesh, 0.4)
-    nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, 0.4)
-    steiner = [n for n in nodes if n.kind == "steiner"]
-    assert steiner
-    lifter = _SteinerLift(mesh, decomp)
-    for n in steiner:
-        pid = n.patches[0]
+@pytest.mark.parametrize("n, seed, eps", [(100, 1, 0.4), (100, 2, 0.4), (100, 3, 0.4),
+                                          (600, 0, 0.8)])
+def test_steiner_lift_matches_all_faces_lift(n, seed, eps):
+    # the placement's lifts, batched in capped blocks, equal a lift of each
+    # point alone over (F, 3) arrays; at n = 600 the points span several
+    # blocks
+    mesh = generate_mesh("sphere", n, seed)
+    decomp, sketch, assignment, projections = _stage(mesh, eps)
+    nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, eps)
+    steiner = [node for node in nodes if node.kind == "steiner"]
+    lifter = _SteinerLift(mesh)
+    assert len(steiner) > (lifter.block if n == 600 else 0)
+    points, inward = [], []
+    for node in steiner:
+        patch = decomp.patches[node.patches[0]]
         # the sketch point the build lifted, by the build's own call
-        q3 = decomp.patches[pid].to_3d(positions[n.id][pid])
-        lift, marked = _all_faces_lift(mesh, q3, decomp.patches[pid].gamma.normal)
-        assert lift.tobytes() == n.lift3d.tobytes()
-        assert marked == n.marked
-        again, marked_again = lifter.lift(q3, pid)
-        assert again.tobytes() == lift.tobytes()
-        assert marked_again == marked
+        points.append(patch.to_3d(positions[node.id][patch.id]))
+        inward.append(patch.gamma.normal)
+    again = lifter.lift(np.array(points), np.array(inward))
+    for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
+        want, want_marked = _all_faces_lift(mesh, q3, normal)
+        assert want.tobytes() == node.lift3d.tobytes() == lift.tobytes()
+        assert want_marked == node.marked == marked
+
+
+def test_lift_blocks_stay_within_the_cap(monkeypatch):
+    # no (points, faces) array of the lift holds more than _LIFT_PAIRS values
+    mesh = generate_mesh("sphere", 600, 0)
+    decomp, sketch, assignment, projections = _stage(mesh, 0.8)
+    blocks = []
+    lift_block = _SteinerLift._lift_block
+
+    def recording(self, points, inward):
+        blocks.append(len(points))
+        return lift_block(self, points, inward)
+
+    monkeypatch.setattr(_SteinerLift, "_lift_block", recording)
+    nodes, _positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, 0.8)
+    assert len(blocks) > 1 and sum(blocks) == sum(n.kind == "steiner" for n in nodes)
+    assert all(0 < b * mesh.num_faces <= spanner._LIFT_PAIRS for b in blocks)
+
+
+def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
+    # a point beside the polytope, cast along its patch normal, meets no
+    # face; it lifts to the nearest edge point over all faces, and the
+    # points around it in its block lift as they would alone
+    mesh = generate_mesh("sphere", 100, 1)
+    decomp, _sketch, _assignment, _projections = _stage(mesh, 0.4)
+    patch = decomp.patches[0]
+    far = patch.frame_origin + 3.0 * patch.frame_u
+    near = mesh.vertices[mesh.faces[patch.rep_face]].mean(axis=0)
+    searched = []
+    nearest = spanner._nearest_edge_point
+
+    def recording(P, q, face_ids):
+        searched.append(len(face_ids))
+        return nearest(P, q, face_ids)
+
+    monkeypatch.setattr(spanner, "_nearest_edge_point", recording)
+    lifts = _SteinerLift(mesh).lift(np.array([near, far, near]),
+                                    np.array([patch.gamma.normal] * 3))
+    assert searched == [1, mesh.num_faces, 1]
+    for (got, got_marked), point in zip(lifts, (near, far, near)):
+        want, want_marked = _all_faces_lift(mesh, point, patch.gamma.normal)
+        assert got.tobytes() == want.tobytes() and got_marked == want_marked
