@@ -334,29 +334,38 @@ def _all_faces_lift(P, point, inward):
     return _nearest_edge_point(P, qs[fi], [fi])
 
 
-@pytest.mark.parametrize("n, seed, eps", [(100, 1, 0.4), (100, 2, 0.4), (100, 3, 0.4),
-                                          (600, 0, 0.8)])
-def test_steiner_lift_matches_all_faces_lift(n, seed, eps):
+def _check_steiner_lift(n, seed, eps):
     # the placement's lifts, batched in capped blocks, equal a lift of each
-    # point alone over (F, 3) arrays; at n = 600 the points span several
-    # blocks
+    # point alone over (F, 3) arrays
     mesh = generate_mesh("sphere", n, seed)
     decomp, sketch, assignment, projections = _stage(mesh, eps)
     nodes, positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, eps)
     steiner = [node for node in nodes if node.kind == "steiner"]
-    lifter = _SteinerLift(mesh)
-    assert len(steiner) > (lifter.block if n == 600 else 0)
+    assert steiner
     points, inward = [], []
     for node in steiner:
         patch = decomp.patches[node.patches[0]]
         # the sketch point the build lifted, by the build's own call
         points.append(patch.to_3d(positions[node.id][patch.id]))
         inward.append(patch.gamma.normal)
+    lifter = _SteinerLift(mesh)
     again = lifter.lift(np.array(points), np.array(inward))
     for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
         want, want_marked = _all_faces_lift(mesh, q3, normal)
         assert want.tobytes() == node.lift3d.tobytes() == lift.tobytes()
         assert want_marked == node.marked == marked
+    return len(steiner), lifter.block
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_steiner_lift_matches_all_faces_lift(seed):
+    _check_steiner_lift(100, seed, 0.4)
+
+
+def test_steiner_lift_over_several_blocks_matches_all_faces_lift():
+    # at n = 600 the points span several blocks
+    count, block = _check_steiner_lift(600, 0, 0.8)
+    assert count > block
 
 
 def test_lift_blocks_stay_within_the_cap(monkeypatch):
