@@ -8,12 +8,11 @@ are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
 Every dot product, norm and cross product of the system (outside the
 reference oracle, the mesh generator and the convexity check on load) is
 computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic summed left to right, over
-Python floats for one vector or over numpy columns for a batch. `dot2`,
-`norm2` and `map2` compute the same terms in the same order on float pairs
-and coordinate lists, for the preprocessing loops that would otherwise pay
-`dot`'s type dispatch or a numpy call per polygon. Elementwise
-float arithmetic rounds the same in both, so one row, any subset of rows
-and the whole batch give the same bits, whatever the BLAS library or its
+Python floats for one vector or over numpy columns for a batch. `map2`
+computes `transform`'s terms in the same order on coordinate lists, for the
+preprocessing loops that would otherwise pay a numpy call per polygon.
+Elementwise float arithmetic rounds the same in both, so one row, any
+subset of rows and the whole batch give the same bits, whatever the BLAS library or its
 thread count. Forwarding decisions are sign tests of such values, so
 routes and `.prt` bytes depend on it.
 """
@@ -34,8 +33,6 @@ __all__ = [
     "cross",
     "sub",
     "transform",
-    "dot2",
-    "norm2",
     "map2",
     "Plane",
     "corner_angle",
@@ -109,17 +106,6 @@ def transform(m, points) -> np.ndarray:
     an (n, len(m)) array for a batch."""
     out = [dot(points, row) for row in m]
     return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
-
-
-def dot2(a, b) -> float:
-    """`dot` of two 2-vectors given as float pairs, a0*b0 + a1*b1, with no
-    dispatch on the argument types."""
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def norm2(a) -> float:
-    """`norm` of a 2-vector given as a float pair."""
-    return math.sqrt(dot2(a, a))
 
 
 def map2(m, t, xs, ys) -> tuple[list[float], list[float]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SNAP_EPS, Plane, dot, dot2, norm2, plane_frame, transform
+from .geometry import SNAP_EPS, Plane, dot, norm, plane_frame, transform
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
@@ -186,7 +186,7 @@ def _clip_halfplane(
     by the cut inherits `owner`. Each output vertex carries the owner of the
     edge that starts at it.
     """
-    vals = [dot2(p, a) - c for p in poly]
+    vals = [dot(p, a) - c for p in poly]
     if all(v <= snap for v in vals):
         return poly, owners
     out_pts: list[tuple[float, float]] = []
@@ -219,12 +219,12 @@ def _dedup_polygon(
     keep_pts: list[tuple[float, float]] = []
     keep_own: list[int] = []
     for (x, y), o in zip(pts, own):
-        if keep_pts and norm2((x - keep_pts[-1][0], y - keep_pts[-1][1])) <= snap:
+        if keep_pts and norm((x - keep_pts[-1][0], y - keep_pts[-1][1])) <= snap:
             keep_own[-1] = o  # zero-length edge collapses; keep outgoing owner
             continue
         keep_pts.append((x, y))
         keep_own.append(o)
-    if len(keep_pts) > 1 and norm2((keep_pts[0][0] - keep_pts[-1][0],
+    if len(keep_pts) > 1 and norm((keep_pts[0][0] - keep_pts[-1][0],
                                     keep_pts[0][1] - keep_pts[-1][1])) <= snap:
         keep_pts.pop()
         keep_own.pop()
@@ -265,7 +265,7 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
         for j, (a2, c2) in enumerate(zip(a2s, c2s)):
             if j == patch.id:
                 continue
-            if norm2(a2) <= SNAP_EPS:
+            if norm(a2) <= SNAP_EPS:
                 # plane j parallel to this one; either redundant or empty
                 if -c2 > snap:
                     poly = []

@@ -20,7 +20,7 @@ already unfolded. Every cone of every representative of that face walks
 and grows the same tree, so each composition is paid for once.
 
 The placement runs on Python floats: polygons and representatives are kept
-as x and y coordinate lists, maps as tuples, and the `dot2`/`map2` kernels
+as x and y coordinate lists, maps as tuples, and the `dot`/`map2` kernels
 of `geometry` do their arithmetic, with the bits of the array kernel. Numpy
 is left to the angles (`arctan2`, `hypot`), whose numpy results differ from
 `math`'s, and to the Steiner lift, which casts all points in capped blocks.
@@ -36,7 +36,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .geometry import cross, dot, dot2, map2, norm, norm2, sub, transform, unfold_rotation
+from .geometry import cross, dot, map2, norm, sub, transform, unfold_rotation
 from .patching import NO_NEIGHBOR, PatchDecomposition, Projection, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -219,7 +219,7 @@ def _build_face_maps(
         for k in range(kk):
             (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
             seg = (b0 - a0, b1 - a1)
-            edges.append(((a0, a1), seg, dot2(seg, seg)))
+            edges.append(((a0, a1), seg, dot(seg, seg)))
         maps[f.patch_id] = _FaceMaps(tuple(f.polygon2d.T.tolist()), f.neighbor_patch, hops,
                                      center=center, radius=radius, edges=edges)
     return maps
@@ -234,7 +234,7 @@ class _Unfolded:
     cone tests read, unfolded and as Python floats: its bounding-circle
     centre, and from their first use on, its polygon (x and y coordinate
     lists) and its representatives (float pairs; empty at the root). Maps
-    compose with `dot2` and carry the coordinate lists with `map2`, so no
+    compose with `dot` and carry the coordinate lists with `map2`, so no
     node costs a numpy call. Child i, across the face's i-th hop, is
     unfolded on first use."""
 
@@ -255,10 +255,10 @@ class _Unfolded:
         nb, ((a, b), (c, d)), et = self.fm.hops[i]
         r0, r1 = self.m2
         # m2 @ em, then m2 et + t2
-        nm = ((dot2(r0, (a, c)), dot2(r0, (b, d))), (dot2(r1, (a, c)), dot2(r1, (b, d))))
-        nt = (dot2(et, r0) + self.t2[0], dot2(et, r1) + self.t2[1])
+        nm = ((dot(r0, (a, c)), dot(r0, (b, d))), (dot(r1, (a, c)), dot(r1, (b, d))))
+        nt = (dot(et, r0) + self.t2[0], dot(et, r1) + self.t2[1])
         fm = face_maps[nb]
-        center = (dot2(nm[0], fm.center) + nt[0], dot2(nm[1], fm.center) + nt[1])
+        center = (dot(nm[0], fm.center) + nt[0], dot(nm[1], fm.center) + nt[1])
         node = self.children[i] = _Unfolded(fm, nb, nm, nt, center=center)
         return node
 
@@ -353,11 +353,11 @@ def _nearest_boundary_point_in_wedge(
         # closest point of the clipped subsegment to the apex; when the apex
         # itself lies on the subsegment (corner apex), fall back to the
         # interval endpoints so a degenerate zero-length relay is never made
-        t_star = 0.0 if denom <= 1e-300 else dot2((ax - a0, ay - a1), (s0, s1)) / denom
+        t_star = 0.0 if denom <= 1e-300 else dot((ax - a0, ay - a1), (s0, s1)) / denom
         t_star = min(max(t_star, t0), t1)
         for t in (t_star, t0, t1):
             q = (a0 + t * s0, a1 + t * s1)
-            dist = norm2((q[0] - ax, q[1] - ay))
+            dist = norm((q[0] - ax, q[1] - ay))
             if dist > snap and (best is None or dist < best[0]):
                 best = (dist, q, i)
     if best is None:
@@ -499,8 +499,8 @@ def place_steiner_points(
             occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
             occupied_pos.setdefault(nb, []).append(tuple(q2_nb.tolist()))
     if steiner:
-        lifts = _SteinerLift(P).lift(
-            np.array([q3 for _pid, _nb, q3 in steiner]),
+        lifts = _lift_steiner(
+            P, np.array([q3 for _pid, _nb, q3 in steiner]),
             np.array([decomp.patches[pid].gamma.normal for pid, _nb, _q3 in steiner]))
         for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
             nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
@@ -526,7 +526,7 @@ def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
     box = 4.0 * snap * (1.0 + 1e-9)
     qx, qy = q.tolist()
     return any(
-        norm2((qx - px, qy - py)) <= 4.0 * snap
+        norm((qx - px, qy - py)) <= 4.0 * snap
         for px, py in occupied
         if abs(qx - px) <= box and abs(qy - py) <= box
     )
@@ -537,68 +537,64 @@ def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
 _LIFT_PAIRS = 1 << 13
 
 
-class _SteinerLift:
-    """Maps sketch-boundary points back onto the polytope: cast a ray along
-    the reversed projection direction (the inward normal of the point's
-    patch) against all faces, then snap to the nearest point of the nearest
-    edge of the face that was hit. What does not depend on the point (the
-    triangle corners, edge vectors and inside thresholds, and the face
-    normals) is computed once, as contiguous columns.
+def _lift_steiner(P: TriangulatedPolytope, points: np.ndarray, inward: np.ndarray
+                  ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """Maps sketch-boundary points back onto the polytope: the lift and the
+    marked vertices of each row of `points` (B, 3). Each point's ray runs
+    along minus the same row of `inward` (the inward normal of the point's
+    patch) against all faces, then snaps to the nearest point of the nearest
+    edge of the face it hit. What does not depend on the point (the triangle
+    corners, edge vectors and inside thresholds, and the face normals) is
+    computed once, as contiguous columns.
 
-    `lift` takes a batch of points and casts them in blocks, each a (points,
-    faces) array of at most `_LIFT_PAIRS` entries: max(1, _LIFT_PAIRS // F)
-    points per block. The arithmetic is the kernel's, elementwise over
-    point-face pairs, and a row's hit is its first minimum distance, so a
-    point lifts to the same bits in any block, alone or in the whole batch."""
+    The points are cast in blocks, each a (points, faces) array of at most
+    `_LIFT_PAIRS` entries: max(1, _LIFT_PAIRS // F) points per block. The
+    arithmetic is the kernel's, elementwise over point-face pairs, and a
+    row's hit is its first minimum distance, so a point lifts to the same
+    bits in any block, alone or in the whole batch."""
+    normals = tuple(P.face_normals.T.copy())
+    tri = P.vertices[P.faces]  # (F, 3, 3)
+    sides = []
+    for k in range(3):
+        u = tri[:, k]
+        e = tri[:, (k + 1) % 3] - u
+        thr = -P.snap * np.maximum(1.0, norm(e))
+        sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
+    block = max(1, _LIFT_PAIRS // P.num_faces)
+    out = []
+    for lo in range(0, len(points), block):
+        out += _lift_block(P, normals, sides, points[lo:lo + block], inward[lo:lo + block])
+    return out
 
-    def __init__(self, P: TriangulatedPolytope) -> None:
-        self.P = P
-        self.snap = P.snap
-        self.normals = tuple(P.face_normals.T.copy())
-        tri = P.vertices[P.faces]  # (F, 3, 3)
-        self.sides = []
-        for k in range(3):
-            u = tri[:, k]
-            e = tri[:, (k + 1) % 3] - u
-            thr = -self.snap * np.maximum(1.0, norm(e))
-            self.sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
-        self.block = max(1, _LIFT_PAIRS // P.num_faces)
 
-    def lift(self, points: np.ndarray, inward: np.ndarray
-             ) -> list[tuple[np.ndarray, tuple[int, int]]]:
-        """The lift and the marked vertices of each row of `points` (B, 3),
-        cast along minus the same row of `inward`."""
-        out = []
-        for lo in range(0, len(points), self.block):
-            out += self._lift_block(points[lo:lo + self.block], inward[lo:lo + self.block])
-        return out
-
-    def _lift_block(self, points: np.ndarray, inward: np.ndarray
-                    ) -> list[tuple[np.ndarray, tuple[int, int]]]:
-        P, snap = self.P, self.snap
-        p = tuple(points.T[:, :, None])  # per coordinate, a (B, 1) column
-        d = tuple(inward.T[:, :, None])
-        denom = dot(self.normals, d)
-        numer = dot(self.normals, p) - P.face_offsets
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
-            inside = np.isfinite(ts)
-            t = np.where(inside, ts, 0.0)
-            q = [p[c] - t * d[c] for c in range(3)]  # ray hits, per coordinate
-        for u, e, thr in self.sides:
-            w = (q[0] - u[0], q[1] - u[1], q[2] - u[2])
-            inside &= dot(cross(e, w), self.normals) >= thr
-        ts = np.where(inside & (ts >= -snap), ts, np.inf)
-        hits = np.argmin(ts, axis=1).tolist()
-        out = []
-        for r, fi in enumerate(hits):
-            if ts[r, fi] == np.inf:
-                # ray missed (heavily truncated sketch); fall back to a global search
-                out.append(_nearest_edge_point(P, points[r].tolist(), range(P.num_faces)))
-            else:
-                out.append(_nearest_edge_point(
-                    P, (float(q[0][r, fi]), float(q[1][r, fi]), float(q[2][r, fi])), [fi]))
-        return out
+def _lift_block(P: TriangulatedPolytope, normals: tuple, sides: list,
+                points: np.ndarray, inward: np.ndarray
+                ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """`_lift_steiner` for one block of points."""
+    snap = P.snap
+    p = tuple(points.T[:, :, None])  # per coordinate, a (B, 1) column
+    d = tuple(inward.T[:, :, None])
+    denom = dot(normals, d)
+    numer = dot(normals, p) - P.face_offsets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
+        inside = np.isfinite(ts)
+        t = np.where(inside, ts, 0.0)
+        q = [p[c] - t * d[c] for c in range(3)]  # ray hits, per coordinate
+    for u, e, thr in sides:
+        w = (q[0] - u[0], q[1] - u[1], q[2] - u[2])
+        inside &= dot(cross(e, w), normals) >= thr
+    ts = np.where(inside & (ts >= -snap), ts, np.inf)
+    hits = np.argmin(ts, axis=1).tolist()
+    out = []
+    for r, fi in enumerate(hits):
+        if ts[r, fi] == np.inf:
+            # ray missed (heavily truncated sketch); fall back to a global search
+            out.append(_nearest_edge_point(P, points[r].tolist(), range(P.num_faces)))
+        else:
+            out.append(_nearest_edge_point(
+                P, (float(q[0][r, fi]), float(q[1][r, fi]), float(q[2][r, fi])), [fi]))
+    return out
 
 
 def _nearest_edge_point(

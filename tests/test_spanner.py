@@ -13,9 +13,9 @@ from polyroute.geometry import cross, dot, norm
 from polyroute.patching import compute_patches, build_sketch, project_patch
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
-    _SteinerLift,
     _build_face_maps,
     _extended_cone_hits_rep,
+    _lift_steiner,
     _nearest_edge_point,
     _polygon_meets_wedge,
     _unfolding_root,
@@ -348,13 +348,12 @@ def _check_steiner_lift(n, seed, eps):
         # the sketch point the build lifted, by the build's own call
         points.append(patch.to_3d(positions[node.id][patch.id]))
         inward.append(patch.gamma.normal)
-    lifter = _SteinerLift(mesh)
-    again = lifter.lift(np.array(points), np.array(inward))
+    again = _lift_steiner(mesh, np.array(points), np.array(inward))
     for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
         want, want_marked = _all_faces_lift(mesh, q3, normal)
         assert want.tobytes() == node.lift3d.tobytes() == lift.tobytes()
         assert want_marked == node.marked == marked
-    return len(steiner), lifter.block
+    return len(steiner)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -362,27 +361,21 @@ def test_steiner_lift_matches_all_faces_lift(seed):
     _check_steiner_lift(100, seed, 0.4)
 
 
-def test_steiner_lift_over_several_blocks_matches_all_faces_lift():
-    # at n = 600 the points span several blocks
-    count, block = _check_steiner_lift(600, 0, 0.8)
-    assert count > block
-
-
-def test_lift_blocks_stay_within_the_cap(monkeypatch):
-    # no (points, faces) array of the lift holds more than _LIFT_PAIRS values
-    mesh = generate_mesh("sphere", 600, 0)
-    decomp, sketch, assignment, projections = _stage(mesh, 0.8)
+def test_steiner_lift_over_several_blocks_matches_all_faces_lift(monkeypatch):
+    # at n = 600 the points span several blocks, and no (points, faces)
+    # array of the lift holds more than _LIFT_PAIRS values
     blocks = []
-    lift_block = _SteinerLift._lift_block
+    lift_block = spanner._lift_block
 
-    def recording(self, points, inward):
-        blocks.append(len(points))
-        return lift_block(self, points, inward)
+    def recording(P, normals, sides, points, inward):
+        blocks.append((len(points), P.num_faces))
+        return lift_block(P, normals, sides, points, inward)
 
-    monkeypatch.setattr(_SteinerLift, "_lift_block", recording)
-    nodes, _positions = place_steiner_points(mesh, decomp, sketch, assignment, projections, 0.8)
-    assert len(blocks) > 1 and sum(blocks) == sum(n.kind == "steiner" for n in nodes)
-    assert all(0 < b * mesh.num_faces <= spanner._LIFT_PAIRS for b in blocks)
+    monkeypatch.setattr(spanner, "_lift_block", recording)
+    count = _check_steiner_lift(600, 0, 0.8)
+    # the build's lift and the check's own, each over all the points
+    assert len(blocks) > 2 and sum(b for b, _f in blocks) == 2 * count
+    assert all(0 < b * f <= spanner._LIFT_PAIRS for b, f in blocks)
 
 
 def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
@@ -402,8 +395,8 @@ def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
         return nearest(P, q, face_ids)
 
     monkeypatch.setattr(spanner, "_nearest_edge_point", recording)
-    lifts = _SteinerLift(mesh).lift(np.array([near, far, near]),
-                                    np.array([patch.gamma.normal] * 3))
+    lifts = _lift_steiner(mesh, np.array([near, far, near]),
+                          np.array([patch.gamma.normal] * 3))
     assert searched == [1, mesh.num_faces, 1]
     for (got, got_marked), point in zip(lifts, (near, far, near)):
         want, want_marked = _all_faces_lift(mesh, point, patch.gamma.normal)
