@@ -2,17 +2,25 @@
 
 The accepted input is a closed, consistently oriented triangle mesh whose
 vertices all lie on the inner side of every face plane, up to a slack of
-1e-9 + 1e-7 * max|coordinate|.
+1e-9 + 1e-7 * max|coordinate|. A mesh whose faces all point inward (negative
+signed volume) is flipped first.
 Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) and the
-edge-length table are built once at load time, in time linear in the face
-count; the structure is immutable afterwards. The two all-pairs passes
-(convexity against every face plane, and the diameter) run over fixed blocks
-of rows, so no step holds more than O(n + F) memory per block.
+edge-length table are built once at load time from one sort of the
+half-edges, which pairs each with its twin (the reverse half-edge), and the
+structure is immutable afterwards. What each check refuses: `ParseError` a
+repeated half-edge (a face against the orientation of its neighbours) or a
+zero-area face; `NotClosed` a half-edge without a twin (an open mesh, or a
+face that repeats a vertex), an Euler characteristic other than 2 (e.g.
+two disjoint shells), a vertex no face references, or a vertex whose faces
+form more than one fan (non-manifold); `NonConvex` a vertex outside a face
+plane. Once every half-edge is unique and has its twin, each edge bounds
+exactly two faces. The two all-pairs passes (convexity against every face
+plane, and the diameter) run over fixed blocks of rows, so no step holds
+more than O(n + F) memory per block.
 """
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -207,106 +215,94 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope
     faces = np.asarray(faces, dtype=np.int64)
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise NonTriangular("faces array must be (F, 3)")
-    faces = _orient_outward(vertices, faces)
+    # signed volume decides global orientation; all-inward meshes are flipped
+    v = vertices[faces]
+    if float(dot(cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) < 0:
+        faces = faces[:, ::-1].copy()
     P = TriangulatedPolytope(vertices=vertices, faces=faces)
     _build_adjacency(P)
     _check_convex(P)
     return P
 
 
-def _orient_outward(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    directed = set()
-    for a, b, c in faces.tolist():
-        for e in ((a, b), (b, c), (c, a)):
-            if e in directed:
-                raise ParseError("inconsistent face orientation (repeated half-edge)")
-            directed.add(e)
-    for u, v in directed:
-        if (v, u) not in directed:
-            raise NotClosed(f"edge ({u}, {v}) is not shared by two faces")
-    # signed volume decides global orientation; all-inward meshes are flipped
-    v = vertices[faces]
-    vol = float(dot(cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) / 6.0
-    if vol < 0:
-        faces = faces[:, ::-1].copy()
-    return faces
+def _twins(n: int, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Half-edge 3f+k runs from corner k of face f to corner k+1. One stable
+    argsort of the keys tail*n + head refuses a repeated half-edge and one
+    without its reverse (a self-loop, from a face that repeats a vertex,
+    counts as one); returns each half-edge's twin, its tail and head, and
+    the sort order."""
+    tail = faces.ravel()
+    head = faces[:, [1, 2, 0]].ravel()
+    keys = tail * n + head
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ParseError("inconsistent face orientation (repeated half-edge)")
+    reverse = head * n + tail
+    at = np.minimum(np.searchsorted(ranked, reverse), len(ranked) - 1)
+    lost = (ranked[at] != reverse) | (tail == head)
+    if lost.any():
+        h = int(np.argmax(lost))
+        raise NotClosed(f"edge ({tail[h]}, {head[h]}) is not shared by two faces")
+    return order[at], tail, head, order
 
 
 def _build_adjacency(P: TriangulatedPolytope) -> None:
-    faces = P.face_rows = P.faces.tolist()
+    P.face_rows = P.faces.tolist()
     P.vertex_rows = P.vertices.tolist()
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, (a, b, c) in enumerate(faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_faces.setdefault(key, []).append(fi)
-    for key, fl in edge_faces.items():
-        if len(fl) != 2:
-            raise NotClosed(f"edge {key} bounds {len(fl)} faces")
-    P.edge_adjacency = {k: (fl[0], fl[1]) for k, fl in edge_faces.items()}
-    P.edge_lengths = _edge_lengths(P)
+    twin, tail, head, order = _twins(P.n, P.faces)
+    # an edge's key is first met at the lower of its two half-edges
+    first = np.flatnonzero(np.arange(len(twin)) < twin)
+    lo = np.minimum(tail[first], head[first])
+    hi = np.maximum(tail[first], head[first])
+    keys = list(zip(lo.tolist(), hi.tolist()))
+    P.edge_adjacency = dict(zip(keys, zip((first // 3).tolist(), (twin[first] // 3).tolist())))
+    # the kernel's norm over the columns of all edges, with the bits of
+    # `norm(sub(vertex_rows[u], vertex_rows[v]))` either way round (a - b is
+    # exactly -(b - a), and the kernel's sums do not depend on the batch)
+    V = P.vertices
+    P.edge_lengths = dict(zip(keys, norm([V[lo, k] - V[hi, k] for k in range(3)]).tolist()))
 
     euler = P.n - len(P.edge_adjacency) + len(P.faces)
     if euler != 2:
         raise NotClosed(f"Euler characteristic is {euler}, expected 2")
 
-    nbrs: dict[int, set[int]] = {i: set() for i in range(P.n)}
-    for (u, v) in P.edge_adjacency:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    P.neighbors = {v: sorted(s) for v, s in nbrs.items()}
+    # in sort order, each vertex's outgoing half-edges are one run, by head
+    bounds = np.searchsorted(tail[order], np.arange(P.n + 1)).tolist()
+    heads = head[order].tolist()
+    P.neighbors = {v: heads[bounds[v]:bounds[v + 1]] for v in range(P.n)}
 
-    P.vertex_fan = _vertex_fans(P, faces)
+    P.vertex_fan = _vertex_fans(twin, order, bounds)
 
-    first = P.vertices[P.faces[:, 0]]
-    normals = cross(P.vertices[P.faces[:, 1]] - first, P.vertices[P.faces[:, 2]] - first)
+    corner = P.vertices[P.faces[:, 0]]
+    normals = cross(P.vertices[P.faces[:, 1]] - corner, P.vertices[P.faces[:, 2]] - corner)
     norms = norm(normals)
     if (norms <= SNAP_EPS).any():
         raise ParseError("degenerate (zero-area) face")
     P.face_normals = np.stack(normals, axis=1) / norms[:, None]
-    P.face_offsets = dot(P.face_normals, first)
+    P.face_offsets = dot(P.face_normals, corner)
 
 
-def _edge_lengths(P: TriangulatedPolytope) -> dict[tuple[int, int], float]:
-    """The length of every edge: `norm` over the columns of all edges at
-    once, which has the bits of `norm(sub(vertex_rows[u], vertex_rows[v]))`
-    either way round (a - b is exactly -(b - a), and the kernel's sums do
-    not depend on the batch)."""
-    keys = P.edge_adjacency
-    ends = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                       count=2 * len(keys)).reshape(-1, 2)
-    V = P.vertices
-    lengths = norm([V[ends[:, 0], k] - V[ends[:, 1], k] for k in range(3)])
-    return dict(zip(keys, lengths.tolist()))
-
-
-def _vertex_fans(P: TriangulatedPolytope, faces: list[list[int]]) -> dict[int, list[int]]:
+def _vertex_fans(twin: np.ndarray, order: np.ndarray, bounds: list[int]) -> dict[int, list[int]]:
     """The faces around each vertex in walking order, from its lowest-index
-    face. One pass over the faces finds every start face and counts each
-    vertex's faces; each walk crosses the radial edge (v, next) until it is
-    back at the start. With every half-edge present once and reversed once
-    (checked before), the walk is a cycle, so a fan that misses some of the
-    vertex's faces marks a non-manifold vertex (two cones meeting there)."""
-    start = [-1] * P.n
-    count = [0] * P.n
-    for fi, f in enumerate(faces):
-        for v in f:
-            if start[v] < 0:
-                start[v] = fi
-            count[v] += 1
+    face: succ(h) = next(twin(h)) is the vertex's outgoing half-edge in the
+    face across h, and the walk starts at the lowest outgoing one. succ is
+    a permutation, so the walk is a cycle; a fan that misses some of the
+    vertex's outgoing half-edges marks a non-manifold vertex (two cones
+    meeting there)."""
+    count = np.diff(bounds)
+    if (count == 0).any():
+        raise NotClosed(f"vertex {int(np.argmin(count))} is not referenced by any face")
+    start = np.minimum.reduceat(order, bounds[:-1]).tolist()
+    succ = (twin + np.array([1, 1, -2])[twin % 3]).tolist()
+    count = count.tolist()
     fans = {}
-    for v in range(P.n):
-        if start[v] < 0:
-            raise NotClosed(f"vertex {v} is not referenced by any face")
-        fan = [start[v]]
-        current = start[v]
-        while True:
-            f = faces[current]
-            nxt = P.other_face(current, v, f[(f.index(v) + 1) % 3])
-            if nxt == start[v]:
-                break
-            fan.append(nxt)
-            current = nxt
+    for v, h0 in enumerate(start):
+        fan = [h0 // 3]
+        h = succ[h0]
+        while h != h0:
+            fan.append(h // 3)
+            h = succ[h]
         if len(fan) != count[v]:
             raise NotClosed(f"non-manifold fan at vertex {v}")
         fans[v] = fan

@@ -1,4 +1,4 @@
-"""Greedy local routing over the precomputed tables.
+"""Greedy local routing over the precomputed assignment and spanner scheme.
 
 A route is a chain of legs. Each leg steers toward a pseudo-destination (a
 representative, a cell member, or the marked edge of a Steiner relay) along
@@ -10,6 +10,12 @@ be re-derived from scratch. If the trace degenerates (grazing planes), the
 leg is re-aimed through the current vertex once per incident and, failing
 that, finished by distance-greedy hops; both paths are recorded as
 degenerate events and never silently truncate a route.
+
+A local leg (to v's representative, from a representative to its cell
+member, or to the destination's representative in v's patch) is read off
+the representative assignment; a global one takes the compact-routing next
+hop of v's spanner node. No per-vertex table is read: `RoutingSystem.tables`
+only lists, for reports, the entries these decisions stand for.
 
 The header holds O(1) words besides the trace (`legs`, `events`) and the
 greedy fallback's visited set. The per-hop arithmetic runs on Python floats
@@ -209,8 +215,9 @@ def _plane_words(plane: Plane) -> tuple[tuple[float, float, float], float]:
 
 
 def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
-    """Consult the tables at v and install the next leg (possibly several
-    times in a row when legs collapse to the current vertex)."""
+    """Decide at v from the assignment or the scheme and install the next
+    leg (possibly several times in a row when legs collapse to the current
+    vertex)."""
     a = system.assignment
     while True:
         header.switch_budget -= 1
@@ -219,7 +226,6 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
         if v == header.dest_vertex:
             return
         label = header.dest_label
-        table = system.tables[v]
         prev_target = header.pseudo
 
         if (prev_target is not None and prev_target.kind == "steiner"
@@ -240,11 +246,10 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             elif label.patch == owner:
                 dest = system.graph.nodes[label.node].vertex
             if dest < 0:
-                nxt = _consult_node(table.g_node, v, label, header, system)
+                nxt = _consult_node(system.graph.node_of_vertex[v], v, label, header, system)
             else:
-                entry = table.entries[("v", dest)]
                 header.tz_word = "local"
-                _set_leg(v, header, _vertex_target(system.P, entry.dest),
+                _set_leg(v, header, _vertex_target(system.P, dest),
                          system.decomp.patches[owner].gamma.normal)
                 nxt = None
         if nxt is not None:

@@ -5,8 +5,10 @@ representative); a representative holds one entry per cell member and per
 same-patch representative, plus its compact-routing tables over the spanner
 (stored once in the shared scheme and attributed to the representative, or
 to both marked vertices for a Steiner node); marked vertices hold relay
-entries for the Steiner nodes on their edge. An entry is just (kind, dest):
-the router builds a leg's guiding plane on the hop that first reads it.
+entries for the Steiner nodes on their edge. An entry is just (kind, dest).
+The router reads no table (it takes the same legs from the assignment and
+the scheme), so `RoutingSystem.tables` builds them on first read, for
+reports only.
 
 The .prt format (version 7; magic PRT1, little-endian length-prefixed
 sections, CRC32 trailer, u32 ids) stores only what cannot be derived: eps,
@@ -175,10 +177,20 @@ class RoutingSystem:
     # per Steiner node id: its aim point as a float row and its marked
     # vertices, ascending (None for rep nodes, which aim at their vertex)
     node_aims: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
+    _tables: dict | None = field(default=None, repr=False, compare=False)
 
     def is_empty(self) -> bool:
         return self.P is None
+
+    @property
+    def tables(self) -> dict[int, RoutingTable]:
+        """The per-vertex tables, built on first read and kept: they are for
+        reports only (entry counts, `to_json`), since forwarding reads the
+        assignment and the spanner directly."""
+        if self._tables is None:
+            self._tables = {} if self.is_empty() else build_tables(
+                self.P, self.decomp, self.assignment, self.graph)
+        return self._tables
 
     def label_of_vertex(self, t: int) -> NodeLabel:
         """The label a packet for t carries: t's representative node, that
@@ -274,10 +286,9 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
 
 def _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:
     """The tail shared by `preprocess_mesh` and `deserialize`: derive the
-    sketch face of every spanner edge (so of every scheme next hop), the
-    Steiner nodes' aim points and arrival vertices, and the per-vertex
-    tables from the stored data, so a loaded system equals the built one by
-    construction."""
+    sketch face of every spanner edge (so of every scheme next hop) and the
+    Steiner nodes' aim points and arrival vertices from the stored data, so
+    a loaded system equals the built one by construction."""
     return RoutingSystem(
         P=P, eps=eps, metrics=metrics, decomp=decomp,
         assignment=assignment, graph=graph, scheme=scheme,
@@ -285,7 +296,6 @@ def _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme) -> RoutingS
         node_aims=[None if nd.kind == "rep"
                    else (nd.lift3d.tolist(), tuple(sorted(set(nd.marked))))
                    for nd in graph.nodes],
-        tables=build_tables(P, decomp, assignment, graph),
     )
 
 

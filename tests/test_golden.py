@@ -12,9 +12,10 @@ import hashlib
 
 import numpy as np
 
+from polyroute import tables
 from polyroute.cli import generate_mesh
 from polyroute.router import RoutingError, route
-from polyroute.tables import preprocess_mesh, serialize
+from polyroute.tables import deserialize, preprocess_mesh, serialize
 
 from conftest import random_pairs
 
@@ -49,6 +50,22 @@ def _routes_digest(system, count: int) -> str:
 
 def test_sphere50_route_digest(sphere50_system):
     assert _routes_digest(sphere50_system, 300) == ROUTES_SHA256
+
+
+def test_loaded_system_routes_without_tables(sphere50_system, monkeypatch):
+    # forwarding reads the assignment and the scheme, never a per-vertex
+    # table; the tables are built on first read, for reports only
+    blob = serialize(sphere50_system)
+
+    def refuse(*args):
+        raise AssertionError("build_tables called on the load or route path")
+
+    monkeypatch.setattr(tables, "build_tables", refuse)
+    loaded = deserialize(blob)
+    assert _routes_digest(loaded, 300) == ROUTES_SHA256
+    monkeypatch.undo()
+    assert loaded.tables == sphere50_system.tables
+    assert loaded.total_entries() == 19984
 
 
 def test_hull600_route_digest():

@@ -1,10 +1,13 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyroute.cli import generate_mesh
+from polyroute.cli import convex_hull_mesh, generate_mesh
 from polyroute.geometry import DegenerateFace, corner_angle, norm, sub
 from polyroute.polytope import (
     NonConvex,
@@ -217,6 +220,66 @@ def _reference_fans(P):
 def test_vertex_fans_match_reference_scan(tetra, cube, octa, sphere50, hulls300):
     for P in [tetra, cube, octa, sphere50, *hulls300]:
         assert list(P.vertex_fan.items()) == list(_reference_fans(P).items())
+
+
+def _reference_layer(P):
+    # the dict-based construction: one edge -> faces map filled face by
+    # face, the neighbour sets from its keys, the lengths over its keys' ends
+    edge_faces = {}
+    for fi, (a, b, c) in enumerate(P.faces.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(fi)
+    assert all(len(fl) == 2 for fl in edge_faces.values())
+    edges = {k: (fl[0], fl[1]) for k, fl in edge_faces.items()}
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(-1, 2)
+    V = P.vertices
+    lengths = dict(zip(edges, norm([V[ends[:, 0], k] - V[ends[:, 1], k]
+                                    for k in range(3)]).tolist()))
+    nbrs = {i: set() for i in range(P.n)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return edges, lengths, {v: sorted(s) for v, s in nbrs.items()}, _reference_fans(P)
+
+
+def _assert_layer_matches_reference(P):
+    got = (P.edge_adjacency, P.edge_lengths, P.neighbors, P.vertex_fan)
+    for mine, ref in zip(got, _reference_layer(P)):
+        assert list(mine.items()) == list(ref.items())
+
+
+def test_mesh_layer_matches_reference(tetra, cube, octa, sphere50, hulls300):
+    for P in [tetra, cube, octa, sphere50, *hulls300]:
+        _assert_layer_matches_reference(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80))
+def test_mesh_layer_matches_reference_on_random_hulls(seed, n):
+    # each hull also given with every face reversed, so the inward -> flip
+    # path builds the layer from the same faces
+    P = convex_hull_mesh(np.random.default_rng(seed).normal(size=(n, 3)))
+    for faces in (P.faces, P.faces[:, ::-1]):
+        Q = from_arrays(P.vertices, faces)
+        assert np.array_equal(Q.faces, P.faces)
+        _assert_layer_matches_reference(Q)
+
+
+def test_flipped_face_rejected(tetra):
+    # one reversed face repeats the half-edges of its three neighbours
+    faces = tetra.faces.copy()
+    faces[0] = faces[0, ::-1]
+    with pytest.raises(ParseError, match="repeated half-edge"):
+        from_arrays(tetra.vertices, faces)
+
+
+def test_two_disjoint_tetrahedra_rejected(tetra):
+    # every half-edge has its reverse, but V - E + F = 8 - 12 + 8 = 4
+    verts = np.vstack([tetra.vertices, tetra.vertices + 10.0])
+    faces = np.vstack([tetra.faces, tetra.faces + tetra.n])
+    with pytest.raises(NotClosed, match="Euler characteristic is 4"):
+        from_arrays(verts, faces)
 
 
 def test_unreferenced_vertex_rejected():

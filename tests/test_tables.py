@@ -76,6 +76,7 @@ def test_empty_system_is_bare_header():
     assert len(blob) == 16
     again = deserialize(blob)
     assert again.is_empty()
+    assert again.tables == {} and RoutingSystem().tables == {}
 
 
 def test_roundtrip_bit_exact(sphere50_system):

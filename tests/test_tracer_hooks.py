@@ -24,6 +24,8 @@ def test_tracer_hooks_resolve_and_trace(tetra):
         system = polyroute.preprocess_mesh(mesh, 0.5)
         loaded = polyroute.deserialize(polyroute.serialize(system))
         trace = polyroute.route(0, 3, loaded)
+        # the tables are built on first read only, for reports
+        loaded.total_entries()
     finally:
         tracer.on = False
         tracer.uninstall()
