@@ -1,5 +1,5 @@
-"""3D/2D primitives: the dot/norm/cross kernel, planes, corner angles, and
-the rigid rotation that unfolds one plane onto another about a shared edge.
+"""3D/2D primitives: the dot/norm/cross kernel, the small-matrix maps
+`transform` and `map2`, planes and corner angles.
 
 All points and vectors are numpy float64 arrays of shape (3,). Coincidence
 tests use one snap rule: at length scale s two things coincide when they
@@ -36,8 +36,6 @@ __all__ = [
     "map2",
     "Plane",
     "corner_angle",
-    "RigidMap",
-    "plane_frame",
 ]
 
 
@@ -205,50 +203,3 @@ def corner_angle(face: np.ndarray, at: int) -> float:
         raise DegenerateFace("face is near-collinear")
     cosang = dot(a, b) / (n1 * n2)
     return math.acos(min(1.0, max(-1.0, cosang)))
-
-
-@dataclass(frozen=True)
-class RigidMap:
-    """Orientation-preserving isometry x -> rotation @ x + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return transform(self.rotation, np.asarray(points, dtype=np.float64)) + self.translation
-
-
-def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    c = math.cos(angle)
-    s = math.sin(angle)
-    cc = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-            [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-            [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-        ]
-    )
-
-
-def unfold_rotation(
-    n_target: np.ndarray, n_source: np.ndarray, edge_p0: np.ndarray, edge_p1: np.ndarray
-) -> RigidMap:
-    """Rotation about the line p0-p1 carrying the plane with normal n_source
-    onto the plane with normal n_target. Both normals must be orthogonal to
-    the edge direction (planes through the edge)."""
-    axis = _unit(np.asarray(edge_p1, dtype=np.float64) - np.asarray(edge_p0, dtype=np.float64))
-    ns = np.asarray(n_source, dtype=np.float64)
-    nt = np.asarray(n_target, dtype=np.float64)
-    angle = math.atan2(dot(cross(ns, nt), axis), dot(ns, nt))
-    rot = _rotation_about_axis(axis, angle)
-    p0 = np.asarray(edge_p0, dtype=np.float64)
-    return RigidMap(rot, p0 - transform(rot, p0))
-
-
-def plane_frame(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal in-plane basis (origin, u, v) with u x v = plane normal."""
-    u = _unit(plane.dir1)
-    v = np.array(cross(plane.normal, u))
-    return plane.anchor, u, v

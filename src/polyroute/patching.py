@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SNAP_EPS, Plane, dot, norm, plane_frame, transform
+from .geometry import SNAP_EPS, Plane, cross, dot, norm, transform
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
@@ -83,7 +83,6 @@ class PatchDecomposition:
 class Projection:
     patch_id: int
     uv: dict[int, np.ndarray]
-    displacement: dict[int, float]
 
 
 @dataclass
@@ -92,9 +91,6 @@ class SketchFace:
     polygon2d: np.ndarray  # (k, 2) convex, counterclockwise in the patch frame
     neighbor_patch: np.ndarray  # (k,) patch id across edge i->i+1, or NO_NEIGHBOR
     truncated: bool
-
-    def polygon3d(self, patch: Patch) -> np.ndarray:
-        return patch.to_3d(self.polygon2d)
 
 
 @dataclass
@@ -168,10 +164,11 @@ def _make_patch(P: TriangulatedPolytope, pid: int, seed: int, faces: list[int],
                 vertices: set[int]) -> Patch:
     a, b, c = P.vertices[P.faces[seed]]
     gamma = Plane(a, b - a, c - a)
-    origin, u, v = plane_frame(gamma)
+    # an orthonormal frame with u x v = normal: u along dir1, v = normal x u
+    u = gamma.dir1 / norm(gamma.dir1)
     return Patch(
         id=pid, faces=faces, rep_face=seed, gamma=gamma, vertices=vertices,
-        frame_origin=origin, frame_u=u, frame_v=v,
+        frame_origin=gamma.anchor, frame_u=u, frame_v=np.array(cross(gamma.normal, u)),
     )
 
 
@@ -293,8 +290,4 @@ def project_patch(P: TriangulatedPolytope, patch: Patch) -> Projection:
     dist = patch.gamma.signed_distance(pts)
     foot = pts - dist[:, None] * patch.gamma.normal[None, :]
     uv = patch.to_2d(foot)
-    return Projection(
-        patch_id=patch.id,
-        uv={vid: uv[i] for i, vid in enumerate(ids)},
-        displacement={vid: abs(float(dist[i])) for i, vid in enumerate(ids)},
-    )
+    return Projection(patch_id=patch.id, uv={vid: uv[i] for i, vid in enumerate(ids)})

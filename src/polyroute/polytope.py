@@ -8,15 +8,16 @@ Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) and the
 edge-length table are built once at load time from one sort of the
 half-edges, which pairs each with its twin (the reverse half-edge), and the
 structure is immutable afterwards. What each check refuses: `ParseError` a
-repeated half-edge (a face against the orientation of its neighbours) or a
-zero-area face; `NotClosed` a half-edge without a twin (an open mesh, or a
-face that repeats a vertex), an Euler characteristic other than 2 (e.g.
-two disjoint shells), a vertex no face references, or a vertex whose faces
-form more than one fan (non-manifold); `NonConvex` a vertex outside a face
-plane. Once every half-edge is unique and has its twin, each edge bounds
-exactly two faces. The two all-pairs passes (convexity against every face
-plane, and the diameter) run over fixed blocks of rows, so no step holds
-more than O(n + F) memory per block.
+non-finite vertex coordinate, a repeated half-edge (a face against the
+orientation of its neighbours) or a zero-area face; `NotClosed` a
+half-edge without a twin (an open mesh, or a face that repeats a vertex),
+an Euler characteristic other than 2 (e.g. two disjoint shells), a vertex
+no face references, or a vertex whose faces form more than one fan
+(non-manifold); `NonConvex` a vertex outside a face plane. Once every
+half-edge is unique and has its twin, each edge bounds exactly two faces.
+The two all-pairs passes (convexity against every face plane, and the
+diameter) run over fixed blocks of rows, so no step holds more than
+O(n + F) memory per block.
 """
 from __future__ import annotations
 
@@ -179,8 +180,6 @@ def load_off(text: str | bytes) -> TriangulatedPolytope:
             verts[i] = [float(take("coordinate")) for _ in range(3)]
         except ValueError as exc:
             raise ParseError(f"bad vertex {i}: {exc}") from None
-    if not np.isfinite(verts).all():
-        raise ParseError("non-finite vertex coordinate")
     faces = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
         try:
@@ -213,6 +212,8 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope
     """Validate raw vertex/face arrays and build the adjacency indices."""
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
+    if not np.isfinite(vertices).all():
+        raise ParseError("non-finite vertex coordinate")
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise NonTriangular("faces array must be (F, 3)")
     # signed volume decides global orientation; all-inward meshes are flipped

@@ -12,18 +12,20 @@ Theta-graph has the pair; the compact routing scheme runs on it and a hop's
 face is its edge's face.
 
 A cone's extension is traced by a breadth-first search over the sketch
-faces, each unfolded into the start face's plane. The 2D map that unfolds a
-face depends only on the search path from the start face, so each start
-face keeps one unfolding tree (`_Unfolded`): a node per path, holding the
-composed map and the face's polygon, bounding circle and representatives
-already unfolded. Every cone of every representative of that face walks
-and grows the same tree, so each composition is paid for once.
+faces, each unfolded into the start face's plane by 2D maps, one per
+shared edge (`_FaceMaps`). The 2D map that unfolds a face depends only on
+the search path from the start face, so each start face keeps one
+unfolding tree (`_Unfolded`): a node per path, holding the composed map
+and the face's polygon, bounding circle and representatives already
+unfolded. Every cone of every representative of that face walks and grows
+the same tree, so each composition is paid for once.
 
 The placement runs on Python floats: polygons and representatives are kept
 as x and y coordinate lists, maps as tuples, and the `dot`/`map2` kernels
 of `geometry` do their arithmetic, with the bits of the array kernel. Numpy
 is left to the angles (`arctan2`, `hypot`), whose numpy results differ from
-`math`'s, and to the Steiner lift, which casts all points in capped blocks.
+`math`'s, to the patch frame maps (`Patch.to_2d`, `to_3d`) and to the
+Steiner lift, which casts all points in capped blocks.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .geometry import cross, dot, map2, norm, sub, transform, unfold_rotation
+from .geometry import cross, dot, map2, norm, sub
 from .patching import NO_NEIGHBOR, PatchDecomposition, Projection, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -175,7 +177,13 @@ class _FaceMaps:
     """Per sketch face: polygon, per-edge neighbour, and `hops`: per edge
     with a neighbour face, in edge order, that face and the 2D rigid map
     (matrix rows, translation) carrying its frame into this face's frame
-    after unfolding. `edges` holds, per polygon edge, its start point and
+    after unfolding. Unfolding turns the neighbour about the shared edge
+    until its normal meets this face's; both frames have u x v = normal, so
+    in frame coordinates it is a proper rigid motion of the plane, which
+    the edge's corners in the neighbour's frame and their images here fix.
+    The hop map is built from them: a rotation turning the edge vector
+    there onto the one here, then the translation putting the first corner
+    on its image. `edges` holds, per polygon edge, its start point and
     edge vector and the edge vector's squared length. `poly` is the pair of
     the polygon's x and y coordinate lists; maps, points and vectors are
     tuples of Python floats."""
@@ -196,30 +204,26 @@ def _build_face_maps(
     for f in sketch.faces:
         patch = decomp.patches[f.patch_id]
         hops: list[tuple[int, tuple, tuple]] = []
-        poly3 = f.polygon3d(patch)
-        kk = len(f.polygon2d)
-        for k in range(kk):
-            j = int(f.neighbor_patch[k])
-            if j == NO_NEIGHBOR or j not in by_pid:
-                continue
-            nb_patch = decomp.patches[j]
-            A, B = poly3[k], poly3[(k + 1) % kk]
-            rigid = unfold_rotation(patch.gamma.normal, nb_patch.gamma.normal, A, B)
-            # express the composite (unfold then change frame) as 2D affine:
-            # column j of m2 is the rotated j-th frame axis of the neighbour
-            turned = transform(rigid.rotation, np.stack([nb_patch.frame_u, nb_patch.frame_v]))
-            m2 = tuple(tuple(transform(turned, axis).tolist())
-                       for axis in (patch.frame_u, patch.frame_v))
-            t2 = tuple(patch.to_2d(rigid.apply(nb_patch.frame_origin)).tolist())
-            hops.append((j, m2, t2))
-        center = tuple(f.polygon2d.mean(axis=0).tolist())
-        radius = float(norm(f.polygon2d - center).max())
         edges = []
         corners = f.polygon2d.tolist()
+        poly3 = patch.to_3d(f.polygon2d)
+        kk = len(corners)
         for k in range(kk):
             (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
             seg = (b0 - a0, b1 - a1)
             edges.append(((a0, a1), seg, dot(seg, seg)))
+            j = int(f.neighbor_patch[k])
+            if j == NO_NEIGHBOR or j not in by_pid:
+                continue
+            # the proper motion sending the edge's corners p, q in j's frame onto a, b
+            p, q = decomp.patches[j].to_2d(poly3[[k, (k + 1) % kk]]).tolist()
+            en = (q[0] - p[0], q[1] - p[1])
+            s = norm(seg) * norm(en)
+            c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
+            m2 = ((c, -sn), (sn, c))
+            hops.append((j, m2, (a0 - dot(m2[0], p), a1 - dot(m2[1], p))))
+        center = tuple(f.polygon2d.mean(axis=0).tolist())
+        radius = float(norm(f.polygon2d - center).max())
         maps[f.patch_id] = _FaceMaps(tuple(f.polygon2d.T.tolist()), f.neighbor_patch, hops,
                                      center=center, radius=radius, edges=edges)
     return maps

@@ -21,13 +21,14 @@ with the calls the build uses (`build_decomposition`,
 cell), `rep_nodes`, `spanner_graph`, `landmark_trees` for the landmarks,
 homes and both tree directions, `ball_maps`, then the tail of
 `preprocess_mesh`), so a loaded system equals the built one. A file whose
-checksum holds is still refused with `IdOutOfRange` for an id past what it
-indexes, `InconsistentAssignment` for cells that name a different number
-of reps than the count, `NonCanonicalEdge` for an edge stored reversed or
-twice, `DisconnectedSpanner` for edges that leave the spanner
-disconnected, `NonCanonicalBall` for ball records out of (x, t) order,
-repeated or with x == t, `NonSpannerHop` for a ball next hop off the
-spanner (so every scheme next hop is a spanner edge), and
+checksum holds is still refused with `ParseError` for a non-finite vertex
+coordinate (and with any other refusal of `from_arrays`), `IdOutOfRange`
+for an id past what it indexes, `InconsistentAssignment` for cells that
+name a different number of reps than the count, `NonCanonicalEdge` for an
+edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
+the spanner disconnected, `NonCanonicalBall` for ball records out of
+(x, t) order, repeated or with x == t, `NonSpannerHop` for a ball next hop
+off the spanner (so every scheme next hop is a spanner edge), and
 `MalformedSection` for bytes past a section's last record or after the
 last section, or an unknown or repeated tag. Versions 1 to 6 are refused
 with `FormatVersionMismatch`.
@@ -158,9 +159,6 @@ class RoutingTable:
     entries: dict = field(default_factory=dict)
     g_node: int = -1
 
-    def local_entry_count(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class RoutingSystem:
@@ -200,13 +198,21 @@ class RoutingSystem:
 
     def total_entries(self) -> int:
         """Entry count for the amortized-size law: local plane entries plus
-        scheme entries, Steiner-node tables counted at both marked vertices."""
-        total = sum(t.local_entry_count() for t in self.tables.values())
-        if self.scheme is None or self.graph is None:
-            return total
+        scheme entries, Steiner-node tables counted at both marked vertices.
+        The local entries of `tables` are counted without building them:
+        per non-rep one TO_MY_REP and one REP_TO_MEMBER at its rep, per
+        patch of r reps r(r - 1) REP_TO_REP_SAME_PATCH, and per Steiner node
+        one MARKED_RELAY at each of its distinct marked vertices."""
+        if self.is_empty():
+            return 0
+        a = self.assignment
+        total = 2 * (self.P.n - len(a.reps))
+        total += sum(len(reps) * (len(reps) - 1) for reps in a.patch_reps.values())
         for node in self.graph.nodes:
-            copies = 1 if node.kind == "rep" else 2
-            total += copies * self.scheme.entries_at(node.id)
+            if node.kind == "rep":
+                total += self.scheme.entries_at(node.id)
+            else:
+                total += len(set(node.marked)) + 2 * self.scheme.entries_at(node.id)
         return total
 
     def summary(self) -> dict:

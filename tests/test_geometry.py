@@ -17,9 +17,7 @@ from polyroute.geometry import (
     dot,
     map2,
     norm,
-    plane_frame,
     transform,
-    unfold_rotation,
 )
 from polyroute.patching import Patch
 from polyroute.router import PacketHeader, _plane_words, _sig_of
@@ -74,11 +72,12 @@ def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
     # same bits alone, in any subset of rows and in the whole batch
     try:
         plane = Plane(corners[0], corners[1] - corners[0], corners[2] - corners[0])
-        origin, u, v = plane_frame(plane)
     except GeometryError:
         assume(False)
+    u = plane.dir1 / norm(plane.dir1)
     patch = Patch(id=0, faces=[], rep_face=0, gamma=plane, vertices=set(),
-                  frame_origin=origin, frame_u=u, frame_v=v)
+                  frame_origin=plane.anchor, frame_u=u,
+                  frame_v=np.array(cross(plane.normal, u)))
 
     def evaluate(x):
         return [dot(x, other), norm(x), np.stack(np.broadcast_arrays(*cross(x, other)), axis=-1),
@@ -115,58 +114,8 @@ def test_map2_matches_transform_bitwise(points, m, t):
     assert _bits(np.stack([xs, ys], axis=-1)) == _bits(want)
 
 
-def test_unfold_coplanar_is_identity():
-    g = np.array([[1.0, 0, 0], [1, 1, 0], [0, 1, 0]])
-    up = np.array([0.0, 0, 1])
-    rm = unfold_rotation(up, up, g[0], g[1])
-    assert np.allclose(rm.apply(g), g, atol=1e-12)
-
-
-def test_unfold_cube_halves():
-    # the bottom face z=0 and the side face x=1 of the unit cube share the
-    # edge (1,0,0)-(1,1,0); unfolding the side face by its outward normal
-    # lays it flat beyond that edge
-    rm = unfold_rotation(np.array([0.0, 0, -1]), np.array([1.0, 0, 0]),
-                         np.array([1.0, 0, 0]), np.array([1.0, 1, 0]))
-    image = rm.apply(np.array([1.0, 0, 1]))
-    assert np.allclose(image, [2, 0, 0], atol=1e-12)
-    # edge fixed pointwise
-    assert np.allclose(rm.apply(np.array([1.0, 0, 0])), [1, 0, 0], atol=1e-12)
-    assert np.allclose(rm.apply(np.array([1.0, 1, 0])), [1, 1, 0], atol=1e-12)
-
-
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)
 points = st.tuples(coords, coords, coords).map(np.array)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    f=st.tuples(points, points, points),
-    apex=points,
-)
-def test_unfold_is_isometry(f, apex):
-    f = np.stack(f)
-    if np.linalg.norm(np.cross(f[1] - f[0], f[2] - f[0])) < 1e-3:
-        return
-    if any(np.linalg.norm(apex - v) < 1e-3 for v in f):
-        return
-    g = np.stack([f[1], f[0], apex])
-    if np.linalg.norm(np.cross(g[1] - g[0], g[2] - g[0])) < 1e-3:
-        return
-    nf = np.cross(f[1] - f[0], f[2] - f[0])
-    nf /= np.linalg.norm(nf)
-    ng = np.cross(g[1] - g[0], g[2] - g[0])
-    ng /= np.linalg.norm(ng)
-    rm = unfold_rotation(nf, ng, f[0], f[1])
-    img = rm.apply(g)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d0 = np.linalg.norm(g[i] - g[j])
-            d1 = np.linalg.norm(img[i] - img[j])
-            assert d1 == pytest.approx(d0, rel=1e-9, abs=1e-9)
-    # the shared edge is fixed pointwise and the image is coplanar with f
-    assert np.allclose(img[:2], g[:2], rtol=0.0, atol=1e-9)
-    assert abs(float((img[2] - f[0]) @ nf)) < 1e-6
 
 
 @settings(max_examples=200, deadline=None)

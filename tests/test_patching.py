@@ -115,7 +115,7 @@ def test_projection_identity_on_plane(tetra):
     patch = decomp.patches[0]
     proj = project_patch(tetra, patch)
     for v in tetra.faces[patch.rep_face]:
-        assert proj.displacement[int(v)] == pytest.approx(0.0, abs=1e-12)
+        assert patch.gamma.signed_distance(tetra.vertices[v]) == pytest.approx(0.0, abs=1e-12)
         back = patch.to_3d(proj.uv[int(v)])
         assert np.allclose(back, tetra.vertices[v], atol=1e-12)
 
@@ -125,7 +125,8 @@ def test_projection_coplanar_cube_patch(cube):
     for patch in decomp.patches:
         proj = project_patch(cube, patch)
         assert len(proj.uv) == 4
-        assert all(d == pytest.approx(0.0, abs=1e-12) for d in proj.displacement.values())
+        dist = np.abs(patch.gamma.signed_distance(cube.vertices[sorted(proj.uv)]))
+        assert dist.max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_orthogonality(sphere50):
@@ -149,9 +150,8 @@ def test_projection_displacement_bound():
         decomp = compute_patches(mesh, delta)
         diam = mesh.diameter()
         for patch in decomp.patches:
-            proj = project_patch(mesh, patch)
-            for d in proj.displacement.values():
-                assert d <= diam * math.sin(delta) + 1e-9
+            dist = np.abs(patch.gamma.signed_distance(mesh.vertices[sorted(patch.vertices)]))
+            assert dist.max() <= diam * math.sin(delta) + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ def _fake_projection(points, patch_id=0):
     return Projection(
         patch_id=patch_id,
         uv={i: np.asarray(p, dtype=float) for i, p in enumerate(points)},
-        displacement={i: 0.0 for i in range(len(points))},
     )
 
 

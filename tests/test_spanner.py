@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 from polyroute import spanner
 from polyroute.cli import generate_mesh
 from polyroute.geometry import cross, dot, norm
-from polyroute.patching import compute_patches, build_sketch, project_patch
+from polyroute.patching import NO_NEIGHBOR, compute_patches, build_sketch, project_patch
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
     _build_face_maps,
@@ -279,6 +279,94 @@ def test_polygon_meets_wedge_matches_numpy(center, radius, turns, apex, eps, con
     fast = _polygon_meets_wedge((poly[:, 0].tolist(), poly[:, 1].tolist()), apex, d1, d2, snap)
     slow = _numpy_polygon_meets_wedge(poly, np.array(apex), np.array(d1), np.array(d2), snap)
     assert fast == slow
+
+
+def _reference_hop(patch, nb_patch, A, B):
+    # the 3D construction the hop maps replaced: rotate the neighbour's plane
+    # about the shared edge A-B onto this face's plane (axis-angle, the angle
+    # from atan2 of the two normals), then express the composite in the two
+    # patch frames as a 2D map (m2, t2)
+    axis = (B - A) / np.linalg.norm(B - A)
+    ns, nt = nb_patch.gamma.normal, patch.gamma.normal
+    angle = math.atan2(float(np.cross(ns, nt) @ axis), float(ns @ nt))
+    x, y, z = axis
+    c, s, cc = math.cos(angle), math.sin(angle), 1.0 - math.cos(angle)
+    rot = np.array([[c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
+                    [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
+                    [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc]])
+    axes = np.stack([patch.frame_u, patch.frame_v])
+    m2 = axes @ rot @ np.stack([nb_patch.frame_u, nb_patch.frame_v], axis=1)
+    t2 = patch.to_2d(rot @ (nb_patch.frame_origin - A) + A)
+    return m2, t2
+
+
+def _hops_by_edge(decomp, sketch):
+    # per face, its hops next to the edges (k, neighbour) they cross
+    face_maps = _build_face_maps(decomp, sketch)
+    by_pid = {f.patch_id: f for f in sketch.faces}
+    for f in sketch.faces:
+        kk = len(f.polygon2d)
+        crossed = [(k, int(j)) for k, j in enumerate(f.neighbor_patch.tolist())
+                   if j != NO_NEIGHBOR and j in by_pid]
+        hops = face_maps[f.patch_id].hops
+        assert [j for _k, j in crossed] == [j for j, _m2, _t2 in hops]
+        for (k, j), (_j, m2, t2) in zip(crossed, hops):
+            yield f, by_pid[j], k, (k + 1) % kk, np.array(m2), np.array(t2)
+
+
+@pytest.mark.parametrize("shape, n, seed", [("sphere", 50, 0), ("sphere", 200, 1), ("cube", 0, 0)],
+                         ids=["sphere50", "hull200", "cube"])
+def test_hop_maps_unfold_across_the_shared_edge(shape, n, seed):
+    # each hop map is a rotation plus translation that sends the shared
+    # edge's corners in the neighbour's frame onto this face's corners and
+    # lays the neighbour's polygon on the far side of that edge; it agrees
+    # with the 3D unfolding rotation it replaced
+    mesh = generate_mesh(shape, n, seed)
+    decomp, sketch, _assignment, _projections = _stage(mesh, 0.3)
+    scale = max(1.0, mesh.diameter())
+    count = 0
+    for f, g, k, k1, m2, t2 in _hops_by_edge(decomp, sketch):
+        patch, nb_patch = decomp.patches[f.patch_id], decomp.patches[g.patch_id]
+        (c, msn), (sn, c2) = m2
+        assert c2 == c and msn == -sn
+        assert abs(c * c + sn * sn - 1.0) <= 1e-12
+        a, b = f.polygon2d[k], f.polygon2d[k1]
+        poly3 = patch.to_3d(f.polygon2d)
+        p, q = nb_patch.to_2d(poly3[[k, k1]])
+        assert np.abs(m2 @ p + t2 - a).max() <= 1e-12 * scale
+        assert np.abs(m2 @ q + t2 - b).max() <= 1e-12 * scale
+        # signed distances left of a -> b: f's polygon (counterclockwise)
+        # lies left, the unfolded neighbour right
+        e = (b - a) / np.linalg.norm(b - a)
+
+        def left(pts):
+            return e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+
+        assert left(f.polygon2d).min() >= -1e-9 * scale
+        unfolded = left(g.polygon2d @ m2.T + t2)
+        assert unfolded.max() <= 1e-9 * scale and unfolded.min() < -1e-9 * scale
+        ref_m2, ref_t2 = _reference_hop(patch, nb_patch, poly3[k], poly3[k1])
+        assert np.abs(m2 - ref_m2).max() <= 1e-10
+        assert np.abs(t2 - ref_t2).max() <= 1e-10
+        count += 1
+    assert count > 0
+
+
+def test_hop_map_lays_the_cube_side_flat_beyond_the_bottom():
+    # the bottom face z=0 and the side face x=1 of the unit cube share the
+    # edge (1,0,0)-(1,1,0); unfolded into the bottom's frame, the side's
+    # corner (1,0,1) lands at (2,0,0)
+    cube = generate_mesh("cube")
+    decomp, sketch, _assignment, _projections = _stage(cube, 0.3)
+    normals = [tuple(p.gamma.normal.round(12) + 0.0) for p in decomp.patches]
+    bottom, side = normals.index((0.0, 0.0, -1.0)), normals.index((1.0, 0.0, 0.0))
+    hops = [(m2, t2) for f, g, _k, _k1, m2, t2 in _hops_by_edge(decomp, sketch)
+            if (f.patch_id, g.patch_id) == (bottom, side)]
+    assert len(hops) == 1
+    m2, t2 = hops[0]
+    corner = decomp.patches[side].to_2d(np.array([1.0, 0.0, 1.0]))
+    want = decomp.patches[bottom].to_2d(np.array([2.0, 0.0, 0.0]))
+    assert np.abs(m2 @ corner + t2 - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mesh_seed, n", [(None, 50), (5, 200)])

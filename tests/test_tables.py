@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
+from polyroute.polytope import ParseError, from_arrays
 from polyroute import tables
 from polyroute.tables import (
     ChecksumMismatch,
@@ -52,22 +55,22 @@ def test_lone_rep_has_only_global_entries(tetra_system):
     assert found
 
 
-def test_entry_counts_match_enumeration(tetra_system):
-    system = tetra_system
-    a = system.assignment
-    expected = 0
-    for v in range(system.P.n):
-        r = a.rep_of[v]
-        if r != v:
-            expected += 1  # ToMyRep
-        else:
-            expected += len(a.members[v]) - 1  # RepToMember
-            owner = int(system.decomp.owner_of_vertex[v])
-            expected += len(a.patch_reps[owner]) - 1  # RepToRepSamePatch
+@pytest.mark.parametrize("name", ["tetra_system", "sphere50_system"], ids=["tetra", "sphere50"])
+def test_entry_counts_match_enumeration(request, monkeypatch, name):
+    # total_entries counts the local entries in closed form, without the
+    # tables; the count equals the entries the tables hold
+    system = dataclasses.replace(request.getfixturevalue(name), _tables=None)
+
+    def refuse(*args):
+        raise AssertionError("total_entries built the per-vertex tables")
+
+    with monkeypatch.context() as m:
+        m.setattr(tables, "build_tables", refuse)
+        got = system.total_entries()
+    expected = sum(len(t.entries) for t in system.tables.values())
     for node in system.graph.nodes:
-        if node.kind == "steiner":
-            expected += len(set(node.marked))  # MarkedRelay at each marked vertex
-    got = sum(t.local_entry_count() for t in system.tables.values())
+        copies = 1 if node.kind == "rep" else 2  # a Steiner node at both marked vertices
+        expected += copies * system.scheme.entries_at(node.id)
     assert got == expected
 
 
@@ -240,6 +243,22 @@ def test_out_of_range_ids_rejected(sphere50_system, case):
     bad = _container([(t, bytes(payload) if t == tag else p) for t, p in sections])
     with pytest.raises(IdOutOfRange):
         deserialize(bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_vertex_rejected(sphere50_system, value):
+    import struct
+
+    # the first coordinate of vertex 0, after the mesh section's two counts
+    sections = _sections(serialize(sphere50_system))
+    payload = bytearray(dict(sections)[2])
+    struct.pack_into("<d", payload, 8, value)
+    with pytest.raises(ParseError, match="non-finite vertex coordinate"):
+        deserialize(_container([(t, bytes(payload) if t == 2 else p) for t, p in sections]))
+    vertices = sphere50_system.P.vertices.copy()
+    vertices[0, 0] = value
+    with pytest.raises(ParseError, match="non-finite vertex coordinate"):
+        from_arrays(vertices, sphere50_system.P.faces)
 
 
 def _assignment_edit(system, case: str) -> bytes:
