@@ -6,10 +6,13 @@ depend only on the graph, so they are derived wherever the graph is.
 
 The ball rule: x holds an exact entry for t iff d(x, t) < r(t), t's least
 landmark distance, where d(a, b) is the float that a Dijkstra search from a
-computes; the next hop is x's predecessor in t's tree. `tz_preprocess`
+computes, and x and t share no sketch face; the next hop is x's
+predecessor in t's tree. A pair that shares a face is routed by a direct
+plane entry on the polytope, so it gets no ball entry and a landmark keeps
+no first hop toward it (`prune_intra_face`). `tz_preprocess`
 builds the balls from cut-off searches of at most `_BLOCK` sources each, so
 no stage holds an N x N array, and they equal an all-pairs search's bit for
-bit.
+bit, less the same-face pairs.
 
 A packet for target t moves by three rules evaluated at the current node x:
 exact entry for t if x is inside t's ball, first-hop lookup if x is t's
@@ -36,7 +39,6 @@ __all__ = [
     "tz_preprocess",
     "tz_next_hop",
     "tz_route_nodes",
-    "prune_first_hops",
     "prune_intra_face",
     "materialize_plane_entries",
 ]
@@ -62,8 +64,8 @@ class LandmarkScheme:
     """The first four fields come from `landmark_trees`: the home landmark
     of each node, and per landmark the next hop toward it from each node and
     its first hop toward each node (-1 at the landmark itself, and where
-    pruned). Only the balls, `exact_next` (per node: target -> next hop),
-    are stored."""
+    pruned). Only the balls, `exact_next` (per node: target -> next hop,
+    same-face targets left out), are stored."""
     landmarks: list[int]
     home: list[int]
     to_landmark: dict[int, list[int]]
@@ -137,10 +139,11 @@ def landmark_trees(graph: SpannerGraph, mat) -> tuple:
 def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     """Build the landmark scheme on a connected spanner graph: the landmark
     half from `landmark_trees`, and the balls, where x holds an exact entry
-    for t iff d(x, t) < r(t) = min over landmarks A of d(A, t), its next hop
-    x's predecessor in the tree rooted at t. Here d(a, b) is the float
-    distance that a Dijkstra search from a computes, so d(x, t) may differ
-    from d(t, x) in the last bits; the rule reads d(x, t).
+    for t iff d(x, t) < r(t) = min over landmarks A of d(A, t) and x and t
+    share no sketch face, its next hop x's predecessor in the tree rooted at
+    t. Here d(a, b) is the float distance that a Dijkstra search from a
+    computes, so d(x, t) may differ from d(t, x) in the last bits; the rule
+    reads d(x, t).
 
     No search runs from every source. The targets, in order of r, are
     searched from in blocks of `_BLOCK`, each search cut off at the block's
@@ -148,7 +151,9 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     next hops: x is in the ball if d(t, x)*(1 + band) < r(t), out of it if
     d(t, x) > r(t)*(1 + band) (past the cut-off included), and otherwise
     borderline, decided by d(x, t): read from x's row of `landmark_trees`
-    for a landmark x, else from a cut-off search from x.
+    for a landmark x, else from a cut-off search from x. The pairs that
+    share a face (a node's faces are its first and its last patch) are
+    dropped first, so none of them is searched for.
 
     The band is safe. Rounding is monotone and the weights are nonnegative,
     so by induction along any x -> t path Q the computed d(x, t) is at most
@@ -186,7 +191,10 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
         i, x = np.nonzero(inside | (dist <= hi[block, None]))
         found.append(np.stack([x, block[i], pred[i, x], inside[i, x]]))
     x, t, hop, keep = np.concatenate(found, axis=1)
-    keep = keep.astype(bool)
+    # the same-face pairs go: neither of x's two faces is one of t's
+    faces = np.array([(n.patches[0], n.patches[-1]) for n in graph.nodes])
+    apart = (faces[x][:, :, None] != faces[t][:, None, :]).all(axis=(1, 2))
+    x, t, hop, keep = x[apart], t[apart], hop[apart], keep[apart].astype(bool)
     # the borderline pairs, decided by d(x, t) from x's side
     bx, bt = x[~keep], t[~keep]
     d = np.empty(len(bx))
@@ -252,22 +260,15 @@ def tz_route_nodes(scheme: LandmarkScheme, s: int, t: int) -> list[int]:
     return walk
 
 
-def prune_first_hops(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkScheme:
+def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkScheme:
     """Set to -1 each landmark's first hop toward the nodes that share a
-    sketch face with it; loading prunes these, as its balls come pruned."""
+    sketch face with it; those pairs are routed by direct plane entries on
+    the polytope instead, and the balls leave them out already. Build and
+    load both call this."""
     for ell, row in scheme.first_hop.items():
         for t in _same_face(graph, ell):
             row[t] = -1
     return scheme
-
-
-def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkScheme:
-    """Drop table entries whose source and target nodes share a sketch face;
-    those pairs are routed by direct plane entries on the polytope instead."""
-    for x, table in scheme.exact_next.items():
-        for t in _same_face(graph, x):
-            table.pop(t, None)
-    return prune_first_hops(scheme, graph)
 
 
 def materialize_plane_entries(graph: SpannerGraph) -> dict[tuple[int, int], int]:

@@ -1,7 +1,8 @@
-"""3D/2D primitives: the dot/norm/cross kernel, the small-matrix maps
-`transform` and `map2`, planes and corner angles.
+"""3D/2D primitives: the dot/norm/cross/sub kernel, the 2D rigid map
+`map2`, planes and corner angles.
 
-All points and vectors are numpy float64 arrays of shape (3,). Coincidence
+Points and vectors are numpy float64 arrays of shape (3,) or rows of
+Python floats; a batch is an (n, 3) array or a tuple of columns. Coincidence
 tests use one snap rule: at length scale s two things coincide when they
 are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
 
@@ -9,8 +10,9 @@ Every dot product, norm and cross product of the system (outside the
 reference oracle, the mesh generator and the convexity check on load) is
 computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic summed left to right, over
 Python floats for one vector or over numpy columns for a batch. `map2`
-computes `transform`'s terms in the same order on coordinate lists, for the
-preprocessing loops that would otherwise pay a numpy call per polygon.
+maps coordinate lists with the same left-to-right terms, and so do the
+patch frame maps (`patching.Patch.to_2d`, `to_3d`) on float rows or
+columns, so the preprocessing loops pay no numpy call per point.
 Elementwise float arithmetic rounds the same in both, so one row, any
 subset of rows and the whole batch give the same bits, whatever the BLAS library or its
 thread count. Forwarding decisions are sign tests of such values, so
@@ -32,7 +34,6 @@ __all__ = [
     "norm",
     "cross",
     "sub",
-    "transform",
     "map2",
     "Plane",
     "corner_angle",
@@ -93,23 +94,16 @@ def cross(a, b):
 
 
 def sub(a, b) -> tuple[float, float, float]:
-    """The difference a - b of two 3-vectors given as rows of floats, as a
-    tuple; each component rounds as numpy's elementwise subtraction does."""
+    """The difference a - b of two 3-vectors given as rows of floats (or as
+    tuples of coordinate columns), as a tuple; each component rounds as
+    numpy's elementwise subtraction does."""
     return a[0] - b[0], a[1] - b[1], a[2] - b[2]
-
-
-def transform(m, points) -> np.ndarray:
-    """points @ m.T for the rows of a small matrix m (any sequence of 2- or
-    3-vectors), each output coordinate one `dot`: a vector for one point,
-    an (n, len(m)) array for a batch."""
-    out = [dot(points, row) for row in m]
-    return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
 
 
 def map2(m, t, xs, ys) -> tuple[list[float], list[float]]:
     """The 2D rigid map p -> m p + t over points given as their x and their
-    y coordinate lists, with the bits of `transform(m, points) + t`: each
-    output coordinate is x*row[0] + y*row[1], then plus the translation."""
+    y coordinate lists: each output coordinate is x*row[0] + y*row[1], then
+    plus the translation, so a point gets the bits of `dot(row, p) + t`."""
     (r00, r01), (r10, r11) = m
     t0, t1 = t
     return ([x * r00 + y * r01 + t0 for x, y in zip(xs, ys)],

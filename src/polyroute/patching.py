@@ -11,6 +11,10 @@ face assignment alone by `build_decomposition`. The sketch face of
 each patch is computed explicitly by clipping a large in-plane square
 against every other patch's half-space, which also yields the
 abutting-patch label of every boundary edge.
+
+A patch's frame (origin and unit axes) is float 3-tuples, and its maps
+`to_2d` and `to_3d` take and return float rows, or for a batch tuples of
+coordinate columns; `project_patch` gives each vertex as a float pair.
 """
 from __future__ import annotations
 
@@ -20,14 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SNAP_EPS, Plane, cross, dot, norm, transform
+from .geometry import SNAP_EPS, Plane, cross, dot, norm, sub
 from .polytope import TriangulatedPolytope, dual_graph
 
 __all__ = [
     "UnboundedSketch",
     "Patch",
     "PatchDecomposition",
-    "Projection",
     "SketchFace",
     "Sketch",
     "compute_patches",
@@ -53,19 +56,23 @@ class Patch:
     rep_face: int
     gamma: Plane
     vertices: set[int]
-    frame_origin: np.ndarray = field(repr=False)
-    frame_u: np.ndarray = field(repr=False)
-    frame_v: np.ndarray = field(repr=False)
+    frame_origin: tuple[float, float, float] = field(repr=False)
+    frame_u: tuple[float, float, float] = field(repr=False)
+    frame_v: tuple[float, float, float] = field(repr=False)
 
-    def to_2d(self, points: np.ndarray) -> np.ndarray:
-        """Frame coordinates of one point or of each row of an (n, 3) array;
-        a row gets the same bits either way."""
-        rel = np.asarray(points, dtype=np.float64) - self.frame_origin
-        return transform((self.frame_u, self.frame_v), rel)
+    def to_2d(self, p) -> tuple:
+        """Frame coordinates (p - origin) . u and (p - origin) . v of a float
+        row p, or of each point of a tuple of coordinate columns; a point
+        gets the same bits either way."""
+        rel = sub(p, self.frame_origin)
+        return dot(rel, self.frame_u), dot(rel, self.frame_v)
 
-    def to_3d(self, uv: np.ndarray) -> np.ndarray:
-        axes = np.stack([self.frame_u, self.frame_v], axis=1)
-        return self.frame_origin + transform(axes, np.asarray(uv, dtype=np.float64))
+    def to_3d(self, q) -> tuple:
+        """The point origin + (x*u + y*v) of frame coordinates q = (x, y),
+        floats or columns."""
+        x, y = q
+        o, u, v = self.frame_origin, self.frame_u, self.frame_v
+        return tuple(o[k] + (x * u[k] + y * v[k]) for k in range(3))
 
 
 @dataclass
@@ -80,17 +87,10 @@ class PatchDecomposition:
 
 
 @dataclass
-class Projection:
-    patch_id: int
-    uv: dict[int, np.ndarray]
-
-
-@dataclass
 class SketchFace:
     patch_id: int
     polygon2d: np.ndarray  # (k, 2) convex, counterclockwise in the patch frame
     neighbor_patch: np.ndarray  # (k,) patch id across edge i->i+1, or NO_NEIGHBOR
-    truncated: bool
 
 
 @dataclass
@@ -165,10 +165,10 @@ def _make_patch(P: TriangulatedPolytope, pid: int, seed: int, faces: list[int],
     a, b, c = P.vertices[P.faces[seed]]
     gamma = Plane(a, b - a, c - a)
     # an orthonormal frame with u x v = normal: u along dir1, v = normal x u
-    u = gamma.dir1 / norm(gamma.dir1)
+    u = tuple((gamma.dir1 / norm(gamma.dir1)).tolist())
     return Patch(
         id=pid, faces=faces, rep_face=seed, gamma=gamma, vertices=vertices,
-        frame_origin=gamma.anchor, frame_u=u, frame_v=np.array(cross(gamma.normal, u)),
+        frame_origin=tuple(gamma.anchor.tolist()), frame_u=u, frame_v=cross(gamma.normal, u),
     )
 
 
@@ -248,13 +248,10 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
     snap = P.snap
 
     faces: list[SketchFace] = []
-    any_truncated = False
     for patch in decomp.patches:
-        center2d = patch.to_2d(P.vertices[P.faces[patch.rep_face]].mean(axis=0))
-        square = center2d + half * np.array(
-            [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
-        )
-        poly = [tuple(p) for p in square.tolist()]
+        cx, cy = patch.to_2d(P.vertices[P.faces[patch.rep_face]].mean(axis=0).tolist())
+        poly = [(cx - half, cy - half), (cx + half, cy - half), (cx + half, cy + half),
+                (cx - half, cy + half)]
         owners = [NO_NEIGHBOR] * 4
         o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
         a2s = zip(dot(normals, u).tolist(), dot(normals, v).tolist())
@@ -275,19 +272,16 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
             raise UnboundedSketch(
                 f"sketch face of patch {patch.id} vanished; supporting planes are degenerate"
             )
-        truncated = NO_NEIGHBOR in owners
-        any_truncated |= truncated
-        faces.append(SketchFace(patch.id, np.array(poly), np.array(owners, dtype=np.int64),
-                                truncated))
-    return Sketch(faces=faces, truncated=any_truncated)
+        faces.append(SketchFace(patch.id, np.array(poly), np.array(owners, dtype=np.int64)))
+    return Sketch(faces=faces, truncated=any(NO_NEIGHBOR in f.neighbor_patch for f in faces))
 
 
-def project_patch(P: TriangulatedPolytope, patch: Patch) -> Projection:
+def project_patch(P: TriangulatedPolytope, patch: Patch) -> dict[int, tuple[float, float]]:
     """Orthogonal projection of every patch vertex onto the supporting plane,
-    expressed in the patch's 2D frame."""
+    expressed in the patch's 2D frame: vertex -> (u, v)."""
     ids = sorted(patch.vertices)
     pts = P.vertices[ids]
     dist = patch.gamma.signed_distance(pts)
     foot = pts - dist[:, None] * patch.gamma.normal[None, :]
-    uv = patch.to_2d(foot)
-    return Projection(patch_id=patch.id, uv={vid: uv[i] for i, vid in enumerate(ids)})
+    us, vs = patch.to_2d(tuple(foot.T))
+    return dict(zip(ids, zip(us.tolist(), vs.tolist())))

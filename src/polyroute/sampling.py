@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patching import PatchDecomposition, Projection
+from .patching import PatchDecomposition
 
 __all__ = ["Grid", "RepresentativeAssignment", "assemble_assignment", "build_grid",
            "select_representatives"]
@@ -24,14 +24,13 @@ _BOUNDARY_REL = 1e-12
 
 @dataclass
 class Grid:
-    patch_id: int
     origin: np.ndarray
     cell_w: float
     cell_h: float
     rows: int
     cols: int
 
-    def cell_of(self, p: np.ndarray) -> int:
+    def cell_of(self, p) -> int:
         col = self._axis_index(float(p[0]) - float(self.origin[0]), self.cell_w, self.cols)
         row = self._axis_index(float(p[1]) - float(self.origin[1]), self.cell_h, self.rows)
         return row * self.cols + col
@@ -57,15 +56,16 @@ class RepresentativeAssignment:
     patch_reps: dict[int, list[int]]
 
 
-def build_grid(projection: Projection, eps: float) -> Grid:
-    """Square grid over the bounding rectangle of the projected points with
-    ceil(sqrt(1/eps)) cells per side (a 1 x ceil(1/eps) strip if the points
-    are degenerate along one axis)."""
+def build_grid(uv: dict[int, tuple[float, float]], eps: float) -> Grid:
+    """Square grid over the bounding rectangle of the projected points
+    (`project_patch`'s vertex -> (u, v)) with ceil(sqrt(1/eps)) cells per
+    side (a 1 x ceil(1/eps) strip if the points are degenerate along one
+    axis)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if not projection.uv:
+    if not uv:
         raise ValueError("projection is empty")
-    pts = np.stack(list(projection.uv.values()))
+    pts = np.array(list(uv.values()))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     extent = hi - lo
@@ -79,20 +79,21 @@ def build_grid(projection: Projection, eps: float) -> Grid:
         rows = cols = side
     cell_w = float(extent[0]) / cols if extent[0] > 0 else 0.0
     cell_h = float(extent[1]) / rows if extent[1] > 0 else 0.0
-    return Grid(projection.patch_id, lo, cell_w, cell_h, rows, cols)
+    return Grid(lo, cell_w, cell_h, rows, cols)
 
 
 def select_representatives(
     grids: dict[int, Grid],
-    projections: dict[int, Projection],
+    projections: dict[int, dict[int, tuple[float, float]]],
     decomp: PatchDecomposition,
 ) -> RepresentativeAssignment:
-    """Put every vertex in its grid cell of its owning patch; the reps and
-    the rest follow from the cells (`assemble_assignment`)."""
+    """Put every vertex in its grid cell of its owning patch, from the
+    patches' projections (`project_patch`); the reps and the rest follow
+    from the cells (`assemble_assignment`)."""
     owner = decomp.owner_of_vertex.tolist()
     cell = [0] * len(owner)
     for pid, proj in projections.items():
-        for v, uv in proj.uv.items():
+        for v, uv in proj.items():
             if owner[v] == pid:
                 cell[v] = grids[pid].cell_of(uv)
     return assemble_assignment(cell, owner, decomp.count)

@@ -21,11 +21,12 @@ unfolded. Every cone of every representative of that face walks and grows
 the same tree, so each composition is paid for once.
 
 The placement runs on Python floats: polygons and representatives are kept
-as x and y coordinate lists, maps as tuples, and the `dot`/`map2` kernels
-of `geometry` do their arithmetic, with the bits of the array kernel. Numpy
-is left to the angles (`arctan2`, `hypot`), whose numpy results differ from
-`math`'s, to the patch frame maps (`Patch.to_2d`, `to_3d`) and to the
-Steiner lift, which casts all points in capped blocks.
+as x and y coordinate lists, points and maps as tuples, and the `dot`/`map2`
+kernels of `geometry` and the patch frame maps (`Patch.to_2d`, `to_3d`) do
+their arithmetic, with the bits of the array kernel. Numpy is left to the
+angles (`arctan2`, `hypot`), whose numpy results differ from `math`'s, to
+the Steiner lift, which casts all points in capped blocks, and to
+`build_theta_graph`.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import geometry
 from .geometry import cross, dot, map2, norm, sub
-from .patching import NO_NEIGHBOR, PatchDecomposition, Projection, Sketch
+from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
 
@@ -131,12 +132,12 @@ class SpannerGraph:
 
 
 def build_theta_graph(
-    points: np.ndarray, eps: float, node_ids: list[int] | None = None,
+    points, eps: float, node_ids: list[int] | None = None,
 ) -> list[tuple[int, int, float]]:
-    """Theta-graph edges over 2D points: per node and per nonempty cone, one
-    edge to the point whose projection on the cone bisector is nearest the
-    apex. Returns undirected deduplicated (i, j, weight) with i < j in
-    node_ids terms."""
+    """Theta-graph edges over 2D points (float pairs or a (k, 2) array): per
+    node and per nonempty cone, one edge to the point whose projection on
+    the cone bisector is nearest the apex. Returns undirected deduplicated
+    (i, j, weight) with i < j in node_ids terms."""
     pts = np.asarray(points, dtype=np.float64)
     k = len(pts)
     if node_ids is None:
@@ -206,7 +207,7 @@ def _build_face_maps(
         hops: list[tuple[int, tuple, tuple]] = []
         edges = []
         corners = f.polygon2d.tolist()
-        poly3 = patch.to_3d(f.polygon2d)
+        poly3 = [patch.to_3d(c) for c in corners]
         kk = len(corners)
         for k in range(kk):
             (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
@@ -216,7 +217,8 @@ def _build_face_maps(
             if j == NO_NEIGHBOR or j not in by_pid:
                 continue
             # the proper motion sending the edge's corners p, q in j's frame onto a, b
-            p, q = decomp.patches[j].to_2d(poly3[[k, (k + 1) % kk]]).tolist()
+            to_2d = decomp.patches[j].to_2d
+            p, q = to_2d(poly3[k]), to_2d(poly3[(k + 1) % kk])
             en = (q[0] - p[0], q[1] - p[1])
             s = norm(seg) * norm(en)
             c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
@@ -329,7 +331,7 @@ def _polygon_meets_wedge(poly: tuple[list[float], list[float]], apex, d1, d2,
 
 def _nearest_boundary_point_in_wedge(
     edges: list, apex: tuple[float, float], d1, d2, snap: float
-) -> tuple[np.ndarray, int] | None:
+) -> tuple[tuple[float, float], int] | None:
     """Closest point to the apex on the polygon boundary restricted to the
     closed wedge; `edges` is the face's `_FaceMaps.edges`. Returns (point,
     edge index) or None."""
@@ -366,7 +368,7 @@ def _nearest_boundary_point_in_wedge(
                 best = (dist, q, i)
     if best is None:
         return None
-    return np.array(best[1]), best[2]
+    return best[1], best[2]
 
 
 def _extended_cone_hits_rep(
@@ -417,9 +419,9 @@ def place_steiner_points(
     decomp: PatchDecomposition,
     sketch: Sketch,
     assignment: RepresentativeAssignment,
-    projections: dict[int, Projection],
+    projections: dict[int, dict[int, tuple[float, float]]],
     eps: float,
-) -> tuple[list[SpannerNode], list[dict[int, np.ndarray]]]:
+) -> tuple[list[SpannerNode], list[dict[int, tuple[float, float]]]]:
     """Create rep nodes for every representative vertex, then walk each rep's
     cones: a cone with no same-face rep in its relative interior whose
     extension reaches another face's rep gets a Steiner node at the nearest
@@ -430,8 +432,8 @@ def place_steiner_points(
 
     Rep nodes come first, with ids in the order of `assignment.reps`; a rep
     sits at its vertex's projection in its patch. Returns the nodes and, per
-    node id, its 2D position in the frame of each of its patches; the
-    positions are needed only to build the Theta-graphs."""
+    node id, its 2D position (a float pair) in the frame of each of its
+    patches; the positions are needed only to build the Theta-graphs."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
@@ -439,13 +441,13 @@ def place_steiner_points(
     trees: dict[int, _Unfolded] = {}
 
     nodes = rep_nodes(P, decomp, assignment.reps)
-    positions = [{n.patches[0]: projections[n.patches[0]].uv[n.vertex]} for n in nodes]
+    positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
     # each face's reps as x and y coordinate lists, the one home of their
     # positions in the placement
     reps_xy: dict[int, tuple[list[float], list[float]]] = {}
     for pid, rs in assignment.patch_reps.items():
-        uv = [projections[pid].uv[r].tolist() for r in rs]
-        reps_xy[pid] = ([x for x, _y in uv], [y for _x, y in uv])
+        uv = projections[pid]
+        reps_xy[pid] = ([uv[r][0] for r in rs], [uv[r][1] for r in rs])
     if sum(1 for xs, _ys in reps_xy.values() if xs) < 2:
         return nodes, positions  # no cone can reach another face's rep
 
@@ -453,13 +455,13 @@ def place_steiner_points(
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for pos in positions:
         for pid, uv in pos.items():
-            occupied_pos.setdefault(pid, []).append(tuple(uv.tolist()))
+            occupied_pos.setdefault(pid, []).append(uv)
     last_rep = {n.patches[0]: n.id for n in nodes}
-    steiner: list[tuple[int, int, np.ndarray]] = []  # (face, abutting face, sketch point)
+    steiner: list[tuple[int, int, tuple]] = []  # (face, abutting face, sketch point)
     for node in nodes:
         pid = node.patches[0]
         fm = face_maps[pid]
-        apex_xy = ax, ay = tuple(positions[node.id][pid].tolist())
+        apex_xy = ax, ay = positions[node.id][pid]
         root = trees.get(pid) or _unfolding_root(fm, pid)
         # a face's tree is kept only until its last rep's cones are traced
         if node.id == last_rep[pid]:
@@ -500,8 +502,8 @@ def place_steiner_points(
                 continue
             steiner.append((pid, nb, q3))
             positions.append({pid: q2, nb: q2_nb})
-            occupied_pos.setdefault(pid, []).append(tuple(q2.tolist()))
-            occupied_pos.setdefault(nb, []).append(tuple(q2_nb.tolist()))
+            occupied_pos.setdefault(pid, []).append(q2)
+            occupied_pos.setdefault(nb, []).append(q2_nb)
     if steiner:
         lifts = _lift_steiner(
             P, np.array([q3 for _pid, _nb, q3 in steiner]),
@@ -524,11 +526,11 @@ def rep_nodes(P: TriangulatedPolytope, decomp: PatchDecomposition,
     ]
 
 
-def _crowded(q: np.ndarray, occupied: list, snap: float) -> bool:
-    """Whether a registered node lies within 4*snap of q. The box test only
-    skips points whose distance is certainly above 4*snap."""
+def _crowded(q: tuple[float, float], occupied: list, snap: float) -> bool:
+    """Whether a registered node lies within 4*snap of the float pair q. The
+    box test only skips points whose distance is certainly above 4*snap."""
     box = 4.0 * snap * (1.0 + 1e-9)
-    qx, qy = q.tolist()
+    qx, qy = q
     return any(
         norm((qx - px, qy - py)) <= 4.0 * snap
         for px, py in occupied
@@ -655,7 +657,7 @@ def spanner_graph(nodes: list[SpannerNode],
 
 
 def assemble_global_spanner(nodes: list[SpannerNode],
-                            positions: list[dict[int, np.ndarray]],
+                            positions: list[dict[int, tuple[float, float]]],
                             eps: float) -> SpannerGraph:
     """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph;
     `positions` is the second result of `place_steiner_points`. A pair that
@@ -667,7 +669,7 @@ def assemble_global_spanner(nodes: list[SpannerNode],
         ids = per_face[pid]
         if len(ids) < 2:
             continue
-        pts = np.stack([positions[i][pid] for i in ids])
+        pts = [positions[i][pid] for i in ids]
         for a, b, w in build_theta_graph(pts, eps, node_ids=ids):
             edges.setdefault((a, b), (a, b, w, pid))
     g = spanner_graph(nodes, list(edges.values()))
@@ -683,7 +685,7 @@ def build_spanner(
     decomp: PatchDecomposition,
     sketch: Sketch,
     assignment: RepresentativeAssignment,
-    projections: dict[int, Projection],
+    projections: dict[int, dict[int, tuple[float, float]]],
     eps: float,
 ) -> SpannerGraph:
     nodes, positions = place_steiner_points(P, decomp, sketch, assignment, projections, eps)

@@ -67,7 +67,6 @@ from .compact_routing import (
     ball_maps,
     landmark_trees,
     materialize_plane_entries,
-    prune_first_hops,
     prune_intra_face,
     spanner_csr,
     tz_preprocess,
@@ -516,7 +515,7 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     for tag, r in payloads.items():
         if r.pos != len(r.buf):
             raise MalformedSection(f"section {tag} holds bytes past its last record")
-    scheme = prune_first_hops(LandmarkScheme(*trees, exact_next=ball_maps(N, x, t, hop)), graph)
+    scheme = prune_intra_face(LandmarkScheme(*trees, exact_next=ball_maps(N, x, t, hop)), graph)
 
     return _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
 

@@ -2,6 +2,7 @@
 line. The route sweeps (sphere hulls n in {50,100,300}, 1000 seeded pairs,
 eps in {0.2, 0.4}) are shared module fixtures; criterion 1/2 assert the
 routing budget, criterion 3 the oracle budget."""
+import dataclasses
 import itertools
 import math
 import time
@@ -19,7 +20,7 @@ from polyroute.oracle import (
 )
 from polyroute.patching import compute_patches
 from polyroute.router import route
-from polyroute.spanner import build_theta_graph
+from polyroute.spanner import build_theta_graph, spanner_graph
 from polyroute.tables import (
     RoutingSystem,
     deserialize,
@@ -186,7 +187,11 @@ def test_criterion_5_scheme_stretch():
     worst = 0.0
     for g in graphs:
         assert g.num_nodes <= 200
-        scheme = tz_preprocess(g)
+        # every node on a face of its own, so that no pair is left out of
+        # the balls as a same-face pair (routing takes those by plane
+        # entries): the scheme over the whole graph
+        scheme = tz_preprocess(spanner_graph(
+            [dataclasses.replace(nd, patches=(nd.id,)) for nd in g.nodes], g.edges))
         wdict = {}
         rows, cols, wts = [], [], []
         for u, v, w, _f in g.edges:
@@ -261,7 +266,7 @@ def test_criterion_7_patch_flattening(sweep_systems, oracle16, oracle_mu):
                 if p == q:
                     continue
                 d_hat = graph.distance(p, q)
-                flat = float(np.linalg.norm(proj.uv[p] - proj.uv[q]))
+                flat = float(np.linalg.norm(np.subtract(proj[p], proj[q])))
                 assert d_hat >= flat - 1e-9
                 assert flat >= d_hat / (1.0 + 2.0 * delta) * (1.0 - mu) - 1e-9
                 checked += 1

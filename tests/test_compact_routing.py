@@ -106,13 +106,16 @@ def share_face(g, x, t):
 
 
 def assert_matches_reference(g):
-    """The derived landmark half and the balls equal the reference's."""
+    """The derived landmark half equals the reference's, and the balls equal
+    the reference's without the pairs that share a face."""
     scheme = tz_preprocess(g)
     landmarks, home, exact_next, to_landmark_next, full_next = reference_scheme(g)
     N = g.num_nodes
     assert scheme.landmarks == landmarks
     assert scheme.home == [home[u] for u in range(N)]
-    assert scheme.exact_next == exact_next
+    assert scheme.exact_next == {
+        x: {t: hop for t, hop in table.items() if not share_face(g, x, t)}
+        for x, table in exact_next.items()}
     assert {u: {ell: scheme.to_landmark[ell][u] for ell in landmarks if ell != u}
             for u in range(N)} == to_landmark_next
     assert all(scheme.to_landmark[ell][ell] == -1 for ell in landmarks)
@@ -332,45 +335,51 @@ def test_prune_same_face_entries():
     # first half of a path shares patch 7, second half shares patch 9
     patch_of = {i: (7 if i < 4 else 9) for i in range(8)}
     g = synthetic_graph(8, [(i, i + 1, 1.0) for i in range(7)], patch_of=patch_of)
-    scheme = tz_preprocess(g)
+    # the balls by their distance rule alone, from the reference
+    full = reference_scheme(g)[2]
 
-    def same_face_entries():
+    def same_face_entries(balls):
         return [
             (x, t)
-            for x, table in scheme.exact_next.items()
+            for x, table in balls.items()
             for t in table
             if set(g.nodes[x].patches) & set(g.nodes[t].patches)
         ]
 
     cross_before = [
         (x, t)
-        for x, table in scheme.exact_next.items()
+        for x, table in full.items()
         for t in table
         if not (set(g.nodes[x].patches) & set(g.nodes[t].patches))
     ]
-    assert same_face_entries()
+    assert same_face_entries(full)
+    scheme = tz_preprocess(g)
+    assert same_face_entries(scheme.exact_next) == []
     prune_intra_face(scheme, g)
-    assert same_face_entries() == []
+    assert same_face_entries(scheme.exact_next) == []
     for ell, row in scheme.first_hop.items():
         for t, hop in enumerate(row):
             assert (hop < 0) == share_face(g, ell, t)
-    # cross-face entries survive the prune
+    # cross-face entries survive the mask and the prune
     for x, t in cross_before:
         assert t in scheme.exact_next[x]
 
 
 def test_prune_matches_shared_patch_rule(sphere50_system):
-    # Steiner nodes lie on two sketch faces; the prune drops exactly the
-    # entries whose two nodes share a face, as a patch-set intersection does
+    # Steiner nodes lie on two sketch faces; the balls leave out, and the
+    # prune then drops the first hops of, exactly the pairs whose two nodes
+    # share a face, as a patch-set intersection does
     g = sphere50_system.graph
     assert any(len(n.patches) == 2 for n in g.nodes)
+    full = reference_scheme(g)[2]
     scheme = tz_preprocess(g)
 
     want = [{x: {t: hop for t, hop in table.items() if not share_face(g, x, t)}
-             for x, table in scheme.exact_next.items()},
+             for x, table in full.items()},
             {ell: [-1 if share_face(g, ell, t) else hop for t, hop in enumerate(row)]
              for ell, row in scheme.first_hop.items()}]
-    assert want[0] != scheme.exact_next and want[1] != scheme.first_hop
+    assert want[0] != full and want[1] != scheme.first_hop
+    assert scheme.exact_next == want[0]
     prune_intra_face(scheme, g)
     assert [scheme.exact_next, scheme.first_hop] == want
     # after the prune: no first hop toward a node that shares a face with

@@ -17,7 +17,6 @@ from polyroute.geometry import (
     dot,
     map2,
     norm,
-    transform,
 )
 from polyroute.patching import Patch
 from polyroute.router import PacketHeader, _plane_words, _sig_of
@@ -57,6 +56,47 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+def _transform(m, points) -> np.ndarray:
+    # the numpy small-matrix map, reference for `map2` and the frame maps:
+    # points @ m.T, each output coordinate one `dot`
+    out = [dot(points, row) for row in m]
+    return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
+
+
+def _numpy_to_2d(patch, points) -> np.ndarray:
+    # the reference Patch.to_2d on numpy arrays, for a point or an (n, 3) array
+    rel = np.asarray(points, dtype=np.float64) - np.array(patch.frame_origin)
+    return _transform((np.array(patch.frame_u), np.array(patch.frame_v)), rel)
+
+
+def _numpy_to_3d(patch, uv) -> np.ndarray:
+    # the reference Patch.to_3d on numpy arrays, for a point or an (n, 2) array
+    axes = np.stack([patch.frame_u, patch.frame_v], axis=1)
+    return np.array(patch.frame_origin) + _transform(axes, np.asarray(uv, dtype=np.float64))
+
+
+def _patch_on(corners) -> Patch:
+    # a patch on the plane through three corners, framed as `_make_patch` does
+    try:
+        plane = Plane(corners[0], corners[1] - corners[0], corners[2] - corners[0])
+    except GeometryError:
+        assume(False)
+    u = tuple((plane.dir1 / norm(plane.dir1)).tolist())
+    return Patch(id=0, faces=[], rep_face=0, gamma=plane, vertices=set(),
+                 frame_origin=tuple(plane.anchor.tolist()), frame_u=u,
+                 frame_v=cross(plane.normal, u))
+
+
+def _frame_maps(patch, x):
+    # to_2d of a float row or of an (n, 3) array's columns, and to_3d of its
+    # first two coordinates, stacked as arrays
+    if x.ndim == 1:
+        to2, to3 = patch.to_2d(x.tolist()), patch.to_3d(x[:2].tolist())
+    else:
+        to2, to3 = patch.to_2d(tuple(x.T)), patch.to_3d(tuple(x[:, :2].T))
+    return np.stack(to2, axis=-1), np.stack(to3, axis=-1)
+
+
 finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
 
 
@@ -68,20 +108,15 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
     data=st.data(),
 )
 def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
-    # the kernel, Patch.to_2d and Plane.signed_distance give each row the
-    # same bits alone, in any subset of rows and in the whole batch
-    try:
-        plane = Plane(corners[0], corners[1] - corners[0], corners[2] - corners[0])
-    except GeometryError:
-        assume(False)
-    u = plane.dir1 / norm(plane.dir1)
-    patch = Patch(id=0, faces=[], rep_face=0, gamma=plane, vertices=set(),
-                  frame_origin=plane.anchor, frame_u=u,
-                  frame_v=np.array(cross(plane.normal, u)))
+    # the kernel, Patch.to_2d, Patch.to_3d and Plane.signed_distance give
+    # each row the same bits alone, in any subset of rows and in the whole
+    # batch; the frame maps take a lone row as floats and a batch as columns
+    patch = _patch_on(corners)
+    plane = patch.gamma
 
     def evaluate(x):
         return [dot(x, other), norm(x), np.stack(np.broadcast_arrays(*cross(x, other)), axis=-1),
-                patch.to_2d(x), plane.signed_distance(x)]
+                *_frame_maps(patch, x), plane.signed_distance(x)]
 
     full = evaluate(rows)
     subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True))
@@ -107,11 +142,29 @@ wide = st.floats(-1e6, 1e6, allow_nan=False, width=64)
     t=hnp.arrays(np.float64, (2,), elements=wide),
 )
 def test_map2_matches_transform_bitwise(points, m, t):
-    # map2 on coordinate lists gives the bits of transform on arrays
+    # map2 on coordinate lists gives the bits of the numpy map on arrays
     mt, tt = tuple(map(tuple, m.tolist())), tuple(t.tolist())
     xs, ys = map2(mt, tt, points[:, 0].tolist(), points[:, 1].tolist())
-    want = transform(m, points) + t
+    want = _transform(m, points) + t
     assert _bits(np.stack([xs, ys], axis=-1)) == _bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)), elements=wide),
+    corners=hnp.arrays(np.float64, (3, 3), elements=finite),
+)
+def test_frame_maps_match_numpy_reference_bitwise(rows, corners):
+    # the float-row frame maps give the bits of the numpy maps they
+    # replaced, on each float row and on the columns of the whole batch
+    patch = _patch_on(corners)
+    want = _numpy_to_2d(patch, rows), _numpy_to_3d(patch, rows[:, :2])
+    assert [_bits(got) for got in _frame_maps(patch, rows)] == [_bits(w) for w in want]
+    for i, row in enumerate(rows):
+        assert _bits(np.array(patch.to_2d(row.tolist()))) == _bits(want[0][i])
+        assert _bits(np.array(patch.to_3d(row[:2].tolist()))) == _bits(want[1][i])
+        assert _bits(np.array(patch.to_2d(row))) == _bits(_numpy_to_2d(patch, row))
+        assert _bits(np.array(patch.to_3d(row[:2]))) == _bits(_numpy_to_3d(patch, row[:2]))
 
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)

@@ -68,7 +68,7 @@ def test_sketch_tetra_faces_are_the_faces(tetra):
     assert not sketch.truncated
     for f, patch in zip(sketch.faces, decomp.patches):
         # each sketch face is the original triangle
-        tri2 = patch.to_2d(tetra.vertices[tetra.faces[patch.rep_face]])
+        tri2 = [patch.to_2d(p) for p in tetra.vertices[tetra.faces[patch.rep_face]].tolist()]
         assert len(f.polygon2d) == 3
         got = {tuple(np.round(p, 9)) for p in f.polygon2d}
         want = {tuple(np.round(p, 9)) for p in tri2}
@@ -116,7 +116,7 @@ def test_projection_identity_on_plane(tetra):
     proj = project_patch(tetra, patch)
     for v in tetra.faces[patch.rep_face]:
         assert patch.gamma.signed_distance(tetra.vertices[v]) == pytest.approx(0.0, abs=1e-12)
-        back = patch.to_3d(proj.uv[int(v)])
+        back = patch.to_3d(proj[int(v)])
         assert np.allclose(back, tetra.vertices[v], atol=1e-12)
 
 
@@ -124,8 +124,8 @@ def test_projection_coplanar_cube_patch(cube):
     decomp = compute_patches(cube, 0.1)
     for patch in decomp.patches:
         proj = project_patch(cube, patch)
-        assert len(proj.uv) == 4
-        dist = np.abs(patch.gamma.signed_distance(cube.vertices[sorted(proj.uv)]))
+        assert len(proj) == 4
+        dist = np.abs(patch.gamma.signed_distance(cube.vertices[sorted(proj)]))
         assert dist.max() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -133,8 +133,8 @@ def test_projection_orthogonality(sphere50):
     decomp = compute_patches(sphere50, 0.4)
     for patch in decomp.patches[:8]:
         proj = project_patch(sphere50, patch)
-        for v, uv in proj.uv.items():
-            foot = patch.to_3d(uv)
+        for v, uv in proj.items():
+            foot = np.array(patch.to_3d(uv))
             seg = sphere50.vertices[v] - foot
             if np.linalg.norm(seg) < 1e-12:
                 continue

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
-from polyroute.patching import compute_patches, project_patch, Projection
+from polyroute.patching import compute_patches, project_patch
 from polyroute.sampling import build_grid, select_representatives
 
 
-def _fake_projection(points, patch_id=0):
-    return Projection(
-        patch_id=patch_id,
-        uv={i: np.asarray(p, dtype=float) for i, p in enumerate(points)},
-    )
+def _fake_projection(points):
+    # vertex -> (u, v) float pair, as `project_patch` returns it
+    return {i: (float(p[0]), float(p[1])) for i, p in enumerate(points)}
 
 
 def test_eps_one_single_cell():

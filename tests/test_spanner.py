@@ -294,9 +294,9 @@ def _reference_hop(patch, nb_patch, A, B):
     rot = np.array([[c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
                     [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
                     [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc]])
-    axes = np.stack([patch.frame_u, patch.frame_v])
-    m2 = axes @ rot @ np.stack([nb_patch.frame_u, nb_patch.frame_v], axis=1)
-    t2 = patch.to_2d(rot @ (nb_patch.frame_origin - A) + A)
+    axes = np.array([patch.frame_u, patch.frame_v])
+    m2 = axes @ rot @ np.array([nb_patch.frame_u, nb_patch.frame_v]).T
+    t2 = np.array(patch.to_2d(rot @ (np.array(nb_patch.frame_origin) - A) + A))
     return m2, t2
 
 
@@ -331,8 +331,8 @@ def test_hop_maps_unfold_across_the_shared_edge(shape, n, seed):
         assert c2 == c and msn == -sn
         assert abs(c * c + sn * sn - 1.0) <= 1e-12
         a, b = f.polygon2d[k], f.polygon2d[k1]
-        poly3 = patch.to_3d(f.polygon2d)
-        p, q = nb_patch.to_2d(poly3[[k, k1]])
+        poly3 = [np.array(patch.to_3d(c)) for c in f.polygon2d.tolist()]
+        p, q = (np.array(nb_patch.to_2d(poly3[i])) for i in (k, k1))
         assert np.abs(m2 @ p + t2 - a).max() <= 1e-12 * scale
         assert np.abs(m2 @ q + t2 - b).max() <= 1e-12 * scale
         # signed distances left of a -> b: f's polygon (counterclockwise)
@@ -364,8 +364,8 @@ def test_hop_map_lays_the_cube_side_flat_beyond_the_bottom():
             if (f.patch_id, g.patch_id) == (bottom, side)]
     assert len(hops) == 1
     m2, t2 = hops[0]
-    corner = decomp.patches[side].to_2d(np.array([1.0, 0.0, 1.0]))
-    want = decomp.patches[bottom].to_2d(np.array([2.0, 0.0, 0.0]))
+    corner = np.array(decomp.patches[side].to_2d((1.0, 0.0, 1.0)))
+    want = np.array(decomp.patches[bottom].to_2d((2.0, 0.0, 0.0)))
     assert np.abs(m2 @ corner + t2 - want).max() <= 1e-12
 
 
@@ -378,8 +378,8 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     decomp, sketch, assignment, projections = _stage(mesh, eps)
     face_maps = _build_face_maps(decomp, sketch)
     # each face's reps as x and y coordinate lists, as the placement keeps them
-    reps_xy = {pid: ([float(projections[pid].uv[r][0]) for r in rs],
-                     [float(projections[pid].uv[r][1]) for r in rs])
+    reps_xy = {pid: ([projections[pid][r][0] for r in rs],
+                     [projections[pid][r][1] for r in rs])
                for pid, rs in assignment.patch_reps.items()}
     snap = mesh.snap
     fan = cone_fan(eps)
@@ -387,7 +387,7 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     hits = 0
     for r in assignment.reps:
         pid = int(decomp.owner_of_vertex[r])
-        apex = tuple(projections[pid].uv[r].tolist())
+        apex = projections[pid][r]
         root = shared.setdefault(pid, _unfolding_root(face_maps[pid], pid))
         for c in range(fan.count):
             d1, d2 = _wedge_dirs(fan, c)
@@ -434,7 +434,7 @@ def _check_steiner_lift(n, seed, eps):
     for node in steiner:
         patch = decomp.patches[node.patches[0]]
         # the sketch point the build lifted, by the build's own call
-        points.append(patch.to_3d(positions[node.id][patch.id]))
+        points.append(np.array(patch.to_3d(positions[node.id][patch.id])))
         inward.append(patch.gamma.normal)
     again = _lift_steiner(mesh, np.array(points), np.array(inward))
     for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
@@ -473,7 +473,7 @@ def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
     mesh = generate_mesh("sphere", 100, 1)
     decomp, _sketch, _assignment, _projections = _stage(mesh, 0.4)
     patch = decomp.patches[0]
-    far = patch.frame_origin + 3.0 * patch.frame_u
+    far = np.array(patch.frame_origin) + 3.0 * np.array(patch.frame_u)
     near = mesh.vertices[mesh.faces[patch.rep_face]].mean(axis=0)
     searched = []
     nearest = spanner._nearest_edge_point
