@@ -224,15 +224,14 @@ def ball_maps(num_nodes: int, x, t, hop) -> dict[int, dict[int, int]]:
             for node in range(num_nodes)}
 
 
-def tz_next_hop(scheme: LandmarkScheme, current: int, target: int) -> int:
-    """Stateless next-hop rule toward target's home landmark,
-    `scheme.home[target]`."""
+def tz_next_hop(scheme: LandmarkScheme, current: int, target: int, home: int) -> int:
+    """Stateless next-hop rule at `current` toward target, whose home
+    landmark `home` the caller knows from target's label."""
     if target == current:
         return current
     hop = scheme.exact_next[current].get(target)
     if hop is not None:
         return hop
-    home = scheme.home[target]
     if current != home:
         return scheme.to_landmark[home][current]
     # descent from the target's home landmark: every subsequent node is
@@ -255,7 +254,7 @@ def tz_route_nodes(scheme: LandmarkScheme, s: int, t: int) -> list[int]:
     while cur != t:
         if len(walk) > max_hops:
             raise RuntimeError(f"scheme walk exceeded {max_hops} hops")
-        cur = tz_next_hop(scheme, cur, t)
+        cur = tz_next_hop(scheme, cur, t, scheme.home[t])
         walk.append(cur)
     return walk
 

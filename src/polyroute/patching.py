@@ -183,7 +183,8 @@ def _clip_halfplane(
     by the cut inherits `owner`. Each output vertex carries the owner of the
     edge that starts at it.
     """
-    vals = [dot(p, a) - c for p in poly]
+    ax, ay = a
+    vals = [x * ax + y * ay - c for x, y in poly]  # `dot(p, a) - c`, same terms
     if all(v <= snap for v in vals):
         return poly, owners
     out_pts: list[tuple[float, float]] = []

@@ -17,18 +17,19 @@ the representative assignment; a global one takes the compact-routing next
 hop of v's spanner node. No per-vertex table is read: `RoutingSystem.tables`
 only lists, for reports, the entries these decisions stand for.
 
-The header holds O(1) words besides the trace (`legs`, `events`) and the
-greedy fallback's visited set. The per-hop arithmetic runs on Python floats
-with the `geometry` kernel, never on numpy arrays. Only the tracing loop of
-`step` builds a leg plane, on the hop that first reads it (at the leg's
-source, or where a re-aim happens), so a leg that ends with a hop to an
-adjacent arrival vertex or the destination builds none. The plane is a unit
-normal and offset from the mesh's float rows with the bits of
-`Plane.through_points_orthogonal_to`; it is evaluated only at the vertices
-the tracer reads (the bits of `Plane.signed_distance`), and each of those
-distances once per step: crossings and look-aheads take the values their
-callers hold. Edge lengths, for crossing snaps, ties and the trace, come
-from the mesh's one edge-length table.
+The header holds O(1) words of forwarding state; the router knows the
+destination by its label alone, and the trace lives in `RouteTrace` alone.
+The per-hop arithmetic runs on Python floats with the `geometry` kernel,
+never on numpy arrays. Only the tracing loop of `step` builds a leg plane,
+on the hop that first reads it (at the leg's source, or where a re-aim
+happens), so a leg that ends with a hop to an adjacent arrival vertex or
+the destination builds none. The plane is a unit normal and offset from the
+mesh's float rows with the bits of `Plane.through_points_orthogonal_to`; it
+is evaluated only at the vertices the tracer reads (the bits of
+`Plane.signed_distance`), and each of those distances once per step:
+crossings and look-aheads take the values their callers hold. Edge lengths,
+for crossing snaps, ties and the trace, come from the mesh's one
+edge-length table.
 """
 from __future__ import annotations
 
@@ -107,28 +108,26 @@ class PacketHeader:
     pseudo: Target | None = None
     # ((n0, n1, n2), offset) of the leg plane; None until the tracer first reads it
     plane: tuple | None = None
-    tz_word: str = "local"
-    hop_count: int = 0
     # tracer state; carried with the packet so forwarding stays one-pass
     front: object | None = None
     gamma_normal: np.ndarray | None = None
-    fallback: bool = False
-    fallback_seen: set = field(default_factory=set)
+    # hop at which the leg fell back to greedy hops; -1 while it is traced
+    fallback_from: int = -1
     reaim_count: int = 0
-    events: list = field(default_factory=list)
-    legs: list = field(default_factory=list)
     switch_budget: int = 0
 
 
 @dataclass
 class RouteTrace:
+    """A route's record, started as `RouteTrace(s, t, [s])`: `make_packet`
+    and `step` append the legs and events, and `step` each hop."""
     source: int
     dest: int
     vertices: list[int]
-    cases: list[str]
-    lengths: list[float]
-    events: list[str]
-    legs: list[dict]
+    cases: list[str] = field(default_factory=list)
+    lengths: list[float] = field(default_factory=list)
+    events: list[str] = field(default_factory=list)
+    legs: list[dict] = field(default_factory=list)
 
     @property
     def total_length(self) -> float:
@@ -148,7 +147,8 @@ class RouteTrace:
         return "\n".join(lines) + "\n"
 
 
-def make_packet(s: int, t: int, system: RoutingSystem) -> PacketHeader:
+def make_packet(s: int, t: int, system: RoutingSystem, trace: RouteTrace) -> PacketHeader:
+    """The header of a packet from s to t, its first leg set and recorded."""
     P = system.P
     if not (0 <= s < P.n) or not (0 <= t < P.n):
         raise UnknownVertex(f"vertex out of range: s={s}, t={t}")
@@ -156,7 +156,7 @@ def make_packet(s: int, t: int, system: RoutingSystem) -> PacketHeader:
         raise TrivialRoute("source equals destination")
     header = PacketHeader(dest_vertex=t, dest_label=system.label_of_vertex(t))
     header.switch_budget = 8 * (system.graph.num_nodes + 4)
-    _pseudo_switch(s, header, system)
+    _pseudo_switch(s, header, trace, system)
     return header
 
 
@@ -173,21 +173,21 @@ def _node_target(system: RoutingSystem, node_id: int) -> Target:
     return Target(kind="steiner", point=point, arrival=arrival, node=node_id)
 
 
-def _set_leg(v: int, header: PacketHeader, target: Target,
-             gamma_normal: np.ndarray) -> None:
-    """Start a leg from v; `step` builds its plane when it first traces it."""
+def _set_leg(v: int, header: PacketHeader, trace: RouteTrace, target: Target,
+             gamma_normal: np.ndarray, tz: str) -> None:
+    """Start a leg from v, read off the assignment (`tz` 'local') or the scheme
+    ('global'), and record it; `step` builds its plane when it first traces it."""
     header.pseudo = target
     header.gamma_normal = gamma_normal
     header.plane = None
-    header.fallback = False
-    header.fallback_seen = set()
-    header.legs.append({
-        "start_hop": header.hop_count,
+    header.fallback_from = -1
+    trace.legs.append({
+        "start_hop": trace.hops,
         "source": v,
         "target_point": target.point,
         "target_vertex": target.vertex,
         "kind": target.kind,
-        "tz": header.tz_word,
+        "tz": tz,
     })
 
 
@@ -214,10 +214,11 @@ def _plane_words(plane: Plane) -> tuple[tuple[float, float, float], float]:
     return tuple(plane.normal.tolist()), plane.offset()
 
 
-def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
+def _pseudo_switch(v: int, header: PacketHeader, trace: RouteTrace,
+                   system: RoutingSystem) -> None:
     """Decide at v from the assignment or the scheme and install the next
     leg (possibly several times in a row when legs collapse to the current
-    vertex)."""
+    vertex). Of the destination, only its label is read."""
     a = system.assignment
     while True:
         header.switch_budget -= 1
@@ -233,24 +234,24 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
             # marked-vertex relay: continue the spanner walk on behalf of the
             # Steiner node whose edge this vertex bounds
             s_node = prev_target.node
-            nxt = _consult_node(s_node, v, label, header, system)
+            nxt = _consult_node(s_node, v, label, header, trace, system)
         else:
             # a local leg in v's own patch: to v's representative, from a
-            # representative to its cell member t, or to t's representative
+            # representative to t in its cell (the label's), or to t's rep
             owner = int(system.decomp.owner_of_vertex[v])
             dest = -1
             if a.rep_of[v] != v:
                 dest = a.rep_of[v]
-            elif a.rep_of[header.dest_vertex] == v:
+            elif a.cell_of[v] == (label.patch, label.cell):
                 dest = header.dest_vertex
             elif label.patch == owner:
                 dest = system.graph.nodes[label.node].vertex
             if dest < 0:
-                nxt = _consult_node(system.graph.node_of_vertex[v], v, label, header, system)
+                nxt = _consult_node(system.graph.node_of_vertex[v], v, label, header,
+                                    trace, system)
             else:
-                header.tz_word = "local"
-                _set_leg(v, header, _vertex_target(system.P, dest),
-                         system.decomp.patches[owner].gamma.normal)
+                _set_leg(v, header, trace, _vertex_target(system.P, dest),
+                         system.decomp.patches[owner].gamma.normal, "local")
                 nxt = None
         if nxt is not None:
             continue
@@ -264,7 +265,7 @@ def _pseudo_switch(v: int, header: PacketHeader, system: RoutingSystem) -> None:
 
 
 def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
-                  system: RoutingSystem):
+                  trace: RouteTrace, system: RoutingSystem):
     """Spanner-level decision at the node owned by (or relayed through) v.
 
     Same-face targets get a direct leg (their scheme entries are pruned);
@@ -275,21 +276,19 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     """
     target_node = label.node
     if label.patch in system.graph.nodes[node_id].patches:
-        header.tz_word = "local"
-        _set_leg(v, header, _node_target(system, target_node),
-                 system.decomp.patches[label.patch].gamma.normal)
+        _set_leg(v, header, trace, _node_target(system, target_node),
+                 system.decomp.patches[label.patch].gamma.normal, "local")
         return None
-    w = tz_next_hop(system.scheme, node_id, target_node)
+    w = tz_next_hop(system.scheme, node_id, target_node, label.home)
     key = (min(node_id, w), max(node_id, w))
     face = system.hop_faces[key]
-    header.tz_word = "global"
     tgt = _node_target(system, w)
     P = system.P
-    if norm(sub(tgt.point, P.vertex_rows[v])) <= P.snap and v in tgt.arrival:
+    if v in tgt.arrival and norm(sub(tgt.point, P.vertex_rows[v])) <= P.snap:
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
-    _set_leg(v, header, tgt, system.decomp.patches[face].gamma.normal)
+    _set_leg(v, header, trace, tgt, system.decomp.patches[face].gamma.normal, "global")
     return None
 
 
@@ -458,24 +457,27 @@ def _start_trace(P, header, current: int, snap: float):
     return _look_ahead(P, header, current, f, b, c, sb, sc, snap)
 
 
-def _greedy_step(P, header, current: int):
+def _greedy_step(P, header, trace: RouteTrace, current: int):
     """Distance-greedy fallback toward the pseudo-destination; refuses to
-    revisit a vertex so a stuck leg fails loudly instead of cycling."""
+    revisit a vertex of the leg's greedy part (the trace's vertices from the
+    hop it fell back at), so a stuck leg fails loudly instead of cycling."""
     goal = header.pseudo.point
     ranked = sorted(
         P.neighbors[current],
         key=lambda w: (norm(sub(P.vertex_rows[w], goal)), w),
     )
+    tried = trace.vertices[header.fallback_from:]
     for w in ranked:
-        if w not in header.fallback_seen:
-            header.fallback_seen.add(w)
+        if w not in tried:
             return w
     raise NoExitFace(f"greedy fallback exhausted the neighbourhood of {current}")
 
 
-def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int, str]:
-    """One forwarding decision; returns the next vertex (always a mesh
-    neighbour of `current`) and the case label for the trace."""
+def step(current: int, header: PacketHeader, trace: RouteTrace,
+         system: RoutingSystem) -> tuple[int, str]:
+    """One forwarding decision at `current`, the trace's last vertex.
+    Appends the hop to `trace` (and any leg or event it sets) and returns
+    the next vertex (always a mesh neighbour of `current`) and its case."""
     P = system.P
     # a switch never ends at a vertex (other than the destination) that
     # completes the new leg, so one switch settles the pseudo-destination
@@ -483,9 +485,10 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         current != header.dest_vertex and current in header.pseudo.arrival
     )
     if switched:
-        _pseudo_switch(current, header, system)
+        _pseudo_switch(current, header, trace, system)
     if current == header.dest_vertex:
         raise RoutingError("step called at the destination")
+    neighbors = P.neighbors[current]
 
     def finish(nxt: int, case: str) -> tuple[int, str]:
         # table consultations and the very first hop relabel plain forwards;
@@ -493,12 +496,15 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         if case == "General":
             if switched:
                 case = "PseudoSwitch"
-            elif header.hop_count == 0:
+            elif trace.hops == 0:
                 case = "FirstHop"
-        header.hop_count += 1
+        if nxt not in neighbors:
+            raise RoutingError(f"non-local forward {current}->{nxt}")
+        trace.vertices.append(nxt)
+        trace.cases.append(case)
+        trace.lengths.append(P.edge_length(current, nxt))
         return nxt, case
 
-    neighbors = P.neighbors[current]
     if header.dest_vertex in neighbors:
         return finish(header.dest_vertex, "General")
     target = header.pseudo
@@ -513,14 +519,13 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
         return finish(best, "General")
 
     snap = P.snap
-    while not header.fallback:
+    while header.fallback_from < 0:
         if header.plane is None:
             # a leg's first trace, or a re-aim, builds the plane from here; a
             # degenerate leg (the aim point collapses onto current) is greedied
             row, aim = P.vertex_rows[current], target.point
             if norm(sub(aim, row)) <= snap:
-                header.fallback = True
-                header.fallback_seen.add(current)
+                header.fallback_from = trace.hops
                 break
             header.plane = _leg_plane(row, aim, header.gamma_normal)
             header.front = None
@@ -539,38 +544,25 @@ def step(current: int, header: PacketHeader, system: RoutingSystem) -> tuple[int
             return finish(nxt, case)
         if header.reaim_count < 8:
             header.reaim_count += 1
-            header.events.append(f"reaim@{current}")
+            trace.events.append(f"reaim@{current}")
             header.plane = None
             continue
-        header.fallback = True
-        header.fallback_seen.add(current)
-        header.events.append(f"fallback@{current}")
-    return finish(_greedy_step(P, header, current), "General")
+        header.fallback_from = trace.hops
+        trace.events.append(f"fallback@{current}")
+    return finish(_greedy_step(P, header, trace, current), "General")
 
 
 def route(s: int, t: int, system: RoutingSystem) -> RouteTrace:
     """Simulate local forwarding from s to t; every consecutive pair in the
     returned trace is an edge of the polytope."""
-    P = system.P
-    header = make_packet(s, t, system)
-    limit = max(4, HOP_LIMIT_PER_VERTEX * P.n)
-    vertices = [s]
-    cases: list[str] = []
-    lengths: list[float] = []
+    trace = RouteTrace(s, t, [s])
+    header = make_packet(s, t, system, trace)
+    limit = max(4, HOP_LIMIT_PER_VERTEX * system.P.n)
     current = s
     while current != t:
-        if len(lengths) >= limit:
+        if trace.hops >= limit:
             raise HopLimitExceeded(
                 f"route {s}->{t} exceeded {limit} hops at vertex {current}"
             )
-        nxt, case = step(current, header, system)
-        if nxt not in P.neighbors[current]:
-            raise RoutingError(f"non-local forward {current}->{nxt}")
-        vertices.append(nxt)
-        cases.append(case)
-        lengths.append(P.edge_length(current, nxt))
-        current = nxt
-    return RouteTrace(
-        source=s, dest=t, vertices=vertices, cases=cases, lengths=lengths,
-        events=list(header.events), legs=list(header.legs),
-    )
+        current, _case = step(current, header, trace, system)
+    return trace

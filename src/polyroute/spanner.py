@@ -240,9 +240,9 @@ class _Unfolded:
     cone tests read, unfolded and as Python floats: its bounding-circle
     centre, and from their first use on, its polygon (x and y coordinate
     lists) and its representatives (float pairs; empty at the root). Maps
-    compose with `dot` and carry the coordinate lists with `map2`, so no
-    node costs a numpy call. Child i, across the face's i-th hop, is
-    unfolded on first use."""
+    compose in plain float arithmetic, with `dot`'s terms in `dot`'s order,
+    and carry the coordinate lists with `map2`, so no node costs a numpy
+    call. Child i, across the face's i-th hop, is unfolded on first use."""
 
     __slots__ = ("fm", "pid", "m2", "t2", "center", "poly", "reps", "children")
 
@@ -258,13 +258,15 @@ class _Unfolded:
         self.children: list[_Unfolded | None] = [None] * len(fm.hops)
 
     def unfold(self, i: int, face_maps: dict[int, _FaceMaps]) -> _Unfolded:
-        nb, ((a, b), (c, d)), et = self.fm.hops[i]
-        r0, r1 = self.m2
-        # m2 @ em, then m2 et + t2
-        nm = ((dot(r0, (a, c)), dot(r0, (b, d))), (dot(r1, (a, c)), dot(r1, (b, d))))
-        nt = (dot(et, r0) + self.t2[0], dot(et, r1) + self.t2[1])
+        nb, ((a, b), (c, d)), (ex, ey) = self.fm.hops[i]
+        (p, q), (r, s) = self.m2
+        # m2 @ em, then m2 et + t2; each sum has `dot`'s terms in its order
+        nm = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
+        nt = (ex * p + ey * q + self.t2[0], ex * r + ey * s + self.t2[1])
         fm = face_maps[nb]
-        center = (dot(nm[0], fm.center) + nt[0], dot(nm[1], fm.center) + nt[1])
+        (m00, m01), (m10, m11) = nm
+        cx, cy = fm.center
+        center = (m00 * cx + m01 * cy + nt[0], m10 * cx + m11 * cy + nt[1])
         node = self.children[i] = _Unfolded(fm, nb, nm, nt, center=center)
         return node
 

@@ -14,6 +14,7 @@ from polyroute.oracle import build_subdivision_graph, oracle_slack
 from polyroute.router import (
     HopLimitExceeded,
     PacketHeader,
+    RouteTrace,
     Target,
     TrivialRoute,
     UnknownVertex,
@@ -36,7 +37,7 @@ def test_make_packet_non_rep_targets_its_rep(sphere50_system):
     system = sphere50_system
     non_rep = next(v for v in range(system.P.n) if system.assignment.rep_of[v] != v)
     t = (non_rep + 7) % system.P.n
-    header = make_packet(non_rep, t, system)
+    header = make_packet(non_rep, t, system, RouteTrace(non_rep, t, [non_rep]))
     assert header.pseudo.kind == "vertex"
     assert header.pseudo.vertex == system.assignment.rep_of[non_rep]
 
@@ -47,18 +48,18 @@ def test_make_packet_rep_to_member(sphere50_system):
         (r, m) for r, m in system.assignment.members.items() if len(m) > 1
     )
     t = next(v for v in members if v != rep)
-    header = make_packet(rep, t, system)
+    header = make_packet(rep, t, system, RouteTrace(rep, t, [rep]))
     assert header.pseudo.vertex == t
 
 
 def test_make_packet_rejects_trivial(sphere50_system):
     with pytest.raises(TrivialRoute):
-        make_packet(3, 3, sphere50_system)
+        make_packet(3, 3, sphere50_system, RouteTrace(3, 3, [3]))
 
 
 def test_make_packet_rejects_unknown(sphere50_system):
     with pytest.raises(UnknownVertex):
-        make_packet(0, 5000, sphere50_system)
+        make_packet(0, 5000, sphere50_system, RouteTrace(0, 5000, [0]))
 
 
 def _record_planes(monkeypatch) -> list:
@@ -89,14 +90,15 @@ def test_installed_planes_contain_vertex_and_aim(sphere50_system, monkeypatch):
     tol = 1e-9 * system.P.diameter()
     planes = 0
     for s, t in random_pairs(system.P.n, 150, seed=8):
-        header = make_packet(s, t, system)
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, system, trace)
         current = s
         while current != t:
-            before = len(header.legs)
+            before = len(trace.legs)
             log.clear()
-            nxt, _case = step(current, header, system)
-            if len(header.legs) != before:
-                assert header.legs[-1]["source"] == current
+            nxt, _case = step(current, header, trace, system)
+            if len(trace.legs) != before:
+                assert trace.legs[-1]["source"] == current
             for normal, offset in (plane for kind, plane in log if kind == "build"):
                 assert abs(dot(system.P.vertex_rows[current], normal) - offset) <= tol
                 assert abs(dot(header.pseudo.point, normal) - offset) <= tol
@@ -115,18 +117,19 @@ def test_leg_planes_are_built_where_they_are_read(sphere50_system, monkeypatch):
     planes = legs = 0
     for s, t in random_pairs(system.P.n, 300, seed=0):
         log.clear()
-        header = make_packet(s, t, system)
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, system, trace)
         planes += sum(kind == "build" for kind, _plane in log)
         current = s
         while current != t:
             log.clear()
-            current, _case = step(current, header, system)
+            current, _case = step(current, header, trace, system)
             builds = [i for i, (kind, _plane) in enumerate(log) if kind == "build"]
             assert len(builds) <= 1
             for i in builds:
                 assert ("read", log[i][1]) in log[i + 1:]
             planes += len(builds)
-        legs += len(header.legs)
+        legs += len(trace.legs)
     assert 0 < planes < legs / 4
 
 
@@ -169,7 +172,7 @@ def test_step_forwards_to_edge_of_continuing_crossing(octa_system):
     n /= np.linalg.norm(n)
     plane = Plane.from_normal(mesh.vertices[p1], n)
     header = _hand_header(octa_system, t, plane)
-    nxt, case = step(p1, header, octa_system)
+    nxt, case = step(p1, header, RouteTrace(p1, t, [p1]), octa_system)
     assert nxt == p2
     assert case == "FirstHop"
 
@@ -185,7 +188,7 @@ def test_step_tie_goes_to_predecessor(octa_system):
     up = _vid(mesh, [0, 1, 0])
     zp = _vid(mesh, [0, 0, 1])
     header = _hand_header(octa_system, t, plane, aim_point=[-0.2, 0.7, 0.7])
-    nxt, case = step(p1, header, octa_system)
+    nxt, case = step(p1, header, RouteTrace(p1, t, [p1]), octa_system)
     assert case == "TieBreak"
     exit_face = next(
         fi for fi in mesh.vertex_fan[p1]
@@ -354,7 +357,7 @@ def _header_numbers(value) -> int:
     return 1
 
 
-HEADER_WORDS = 27  # the widest header seen on both meshes below
+HEADER_WORDS = 25  # the widest header seen on both meshes below
 
 
 @pytest.fixture(scope="module")
@@ -364,20 +367,71 @@ def hull600_system():
 
 @pytest.mark.parametrize("which", ["sphere50_system", "hull600_system"])
 def test_header_words_do_not_grow_with_n(which, request):
-    # every field but the trace records `legs` and `events` is O(1) words,
-    # with one bound for n = 50 and n = 600
+    # every header field is O(1) words, with one bound for n = 50 and
+    # n = 600; the trace lives in the RouteTrace alone
     system = request.getfixturevalue(which)
     widest = 0
     for s, t in random_pairs(system.P.n, 100, seed=4):
-        header = make_packet(s, t, system)
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, system, trace)
         current = s
         while current != t:
-            current, _case = step(current, header, system)
-            assert not header.fallback_seen
-            widest = max(widest, sum(
-                _header_numbers(getattr(header, f.name)) for f in dataclasses.fields(header)
-                if f.name not in ("legs", "events")))
+            current, _case = step(current, header, trace, system)
+            assert header.fallback_from < 0
+            widest = max(widest, _header_numbers(header))
     assert widest == HEADER_WORDS
+
+
+def test_hand_driven_trace_equals_routes(sphere50_system):
+    # make_packet and step fill the trace themselves, so driving them by hand
+    # records what route returns, on the golden pairs
+    system = sphere50_system
+    for s, t in random_pairs(system.P.n, 300, seed=0):
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, system, trace)
+        current = s
+        while current != t:
+            current, _case = step(current, header, trace, system)
+        assert trace == route(s, t, system)
+
+
+class _Refusing:
+    def __getitem__(self, key):
+        raise AssertionError(f"scheme.home[{key}] read while forwarding")
+
+
+class _ReadLog:
+    def __init__(self, table):
+        self.table, self.keys = table, []
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return self.table[key]
+
+
+def test_step_knows_the_destination_from_its_label(sphere50_system, monkeypatch):
+    # once the packet is made, forwarding reads no home landmark off the
+    # scheme (the label carries it) and, of the assignment's representatives,
+    # only that of the vertex it forwards from
+    system = sphere50_system
+    rep_reads = global_legs = 0
+    for s, t in random_pairs(system.P.n, 300, seed=0):
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, system, trace)
+        first_legs = len(trace.legs)
+        rep_of = _ReadLog(system.assignment.rep_of)
+        with monkeypatch.context() as m:
+            m.setattr(system.scheme, "home", _Refusing())
+            m.setattr(system.assignment, "rep_of", rep_of)
+            current = s
+            while current != t:
+                rep_of.keys.clear()
+                nxt, _case = step(current, header, trace, system)
+                assert set(rep_of.keys) <= {current}, (s, t, current)
+                rep_reads += len(rep_of.keys)
+                current = nxt
+        global_legs += sum(leg["tz"] == "global" for leg in trace.legs[first_legs:])
+    assert rep_reads > 100 and global_legs > 900
 
 
 def test_tracer_reads_only_the_fan_and_one_face_beyond(sphere50_system, monkeypatch):
@@ -394,11 +448,12 @@ def test_tracer_reads_only_the_fan_and_one_face_beyond(sphere50_system, monkeypa
     monkeypatch.setattr(router, "_sig_of", recording)
     steps = 0
     for s, t in random_pairs(mesh.n, 100, seed=6):
-        header = make_packet(s, t, sphere50_system)
+        trace = RouteTrace(s, t, [s])
+        header = make_packet(s, t, sphere50_system, trace)
         current = s
         while current != t:
             reads.clear()
-            nxt, _case = step(current, header, sphere50_system)
+            nxt, _case = step(current, header, trace, sphere50_system)
             fan = mesh.vertex_fan[current]
             beyond = {mesh.other_face(f, *edge) for f in fan
                       for edge in itertools.combinations(mesh.face_rows[f], 2)}
