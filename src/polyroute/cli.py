@@ -205,6 +205,13 @@ def cmd_bench(args) -> int:
         "mean_ratio": report.mean_ratio,
         "violations": len(report.violations),
     }
+    if report.rows:
+        # route time counts the route calls alone; the oracle is not timed
+        seconds = [r.route_s for r in report.rows]
+        p50, p95 = np.percentile([r.ratio for r in report.rows], [50, 95]).tolist()
+        summary.update(route_ms_p50=float(np.median(seconds)) * 1e3,
+                       us_per_hop=sum(seconds) / sum(r.hops for r in report.rows) * 1e6,
+                       stretch_p50=p50, stretch_p95=p95)
     print(json.dumps(summary) if args.json else
           " ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
     return EXIT_BOUND if report.violations else EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +146,8 @@ class StretchRow:
     oracle_len: float
     euclid: float
     bound: float
+    hops: int
+    route_s: float  # wall time of the route call alone
 
     @property
     def ratio(self) -> float:
@@ -207,7 +210,8 @@ def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],
                   m: int = 16) -> StretchReport:
     """Route every pair on the system's polytope, compare against the
     subdivided geodesic, and check the analytic bound
-    (8+eps)/sin(theta_m) * (D_hat + d) * (1 + mu)."""
+    (8+eps)/sin(theta_m) * (D_hat + d) * (1 + mu). Each row times its route
+    call alone, not the oracle."""
     from .router import route as _route
 
     P = system.P
@@ -219,9 +223,12 @@ def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],
     factor = (8.0 + eps) / math.sin(theta_m)
     rows = []
     for i, (s, t) in enumerate(pairs):
+        start = time.perf_counter()
         trace = _route(s, t, system)
+        route_s = time.perf_counter() - start
         oracle_len = graph.distance(s, t)
         euclid = float(np.linalg.norm(P.vertices[s] - P.vertices[t]))
         bound = factor * (d_hat + oracle_len) * (1.0 + mu)
-        rows.append(StretchRow(i, s, t, trace.total_length, oracle_len, euclid, bound))
+        rows.append(StretchRow(i, s, t, trace.total_length, oracle_len, euclid, bound,
+                               trace.hops, route_s))
     return StretchReport(rows=rows, eps=eps, theta_m=theta_m, D_hat=d_hat, mu=mu, m=m)

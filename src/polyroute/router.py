@@ -19,20 +19,25 @@ only lists, for reports, the entries these decisions stand for.
 
 The header holds O(1) words of forwarding state; the router knows the
 destination by its label alone, and the trace lives in `RouteTrace` alone.
-The per-hop arithmetic runs on Python floats with the `geometry` kernel,
-never on numpy arrays. Only the tracing loop of `step` builds a leg plane,
-on the hop that first reads it (at the leg's source, or where a re-aim
-happens), so a leg that ends with a hop to an adjacent arrival vertex or
-the destination builds none. The plane is a unit normal and offset from the
-mesh's float rows with the bits of `Plane.through_points_orthogonal_to`; it
-is evaluated only at the vertices the tracer reads (the bits of
-`Plane.signed_distance`), and each of those distances once per step:
-crossings and look-aheads take the values their callers hold. Edge lengths,
-for crossing snaps, ties and the trace, come from the mesh's one
-edge-length table.
+The per-hop arithmetic runs on Python floats, never on numpy arrays. Only
+the tracing loop of `step` builds a leg plane, on the hop that first reads
+it (at the leg's source, or where a re-aim happens), so a leg that ends
+with a hop to an adjacent arrival vertex or the destination builds none.
+The plane is a unit normal and offset from the mesh's float rows and the
+leg's sketch-face normal (a float row, converted once per leg) with the
+bits of `Plane.through_points_orthogonal_to`; it is evaluated only at the
+vertices the tracer reads, and each of those distances once: crossings and
+look-aheads take the values their callers hold, and an edge front carries
+the distances of its edge's two ends across steps. Plane distances,
+crossing snaps and branch scores are the `geometry` kernel's terms in the
+kernel's order, written out in `_sig_of`, `_cross_point` and `_start_trace`,
+so a traced hop makes no kernel call and has the kernel's bits. Edge
+lengths, for crossing snaps, ties and the trace, and the faces across an
+edge are read from the mesh's tables.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +97,8 @@ class Target:
 class _EdgeFront:
     other: int  # crossing edge is (current, other)
     face: int  # face the curve continues into
+    s_current: float  # plane distances of current and other, carried from
+    s_other: float  # the look-ahead that set the front
 
 
 @dataclass
@@ -110,7 +117,7 @@ class PacketHeader:
     plane: tuple | None = None
     # tracer state; carried with the packet so forwarding stays one-pass
     front: object | None = None
-    gamma_normal: np.ndarray | None = None
+    gamma_normal: list | None = None  # float row of the leg's sketch-face normal
     # hop at which the leg fell back to greedy hops; -1 while it is traced
     fallback_from: int = -1
     reaim_count: int = 0
@@ -178,7 +185,7 @@ def _set_leg(v: int, header: PacketHeader, trace: RouteTrace, target: Target,
     """Start a leg from v, read off the assignment (`tz` 'local') or the scheme
     ('global'), and record it; `step` builds its plane when it first traces it."""
     header.pseudo = target
-    header.gamma_normal = gamma_normal
+    header.gamma_normal = gamma_normal.tolist()
     header.plane = None
     header.fallback_from = -1
     trace.legs.append({
@@ -297,25 +304,31 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
 
 
 def _sig_of(P, header: PacketHeader, v: int) -> float:
-    """Signed distance of vertex v to the leg plane."""
-    normal, offset = header.plane
-    return dot(P.vertex_rows[v], normal) - offset
+    """Signed distance of vertex v to the leg plane: `dot`'s terms in `dot`'s
+    order, less the offset, so `Plane.signed_distance`'s bits."""
+    x, y, z = P.vertex_rows[v]
+    (n0, n1, n2), offset = header.plane
+    return x * n0 + y * n1 + z * n2 - offset
 
 
 def _cross_point(P, u: int, v: int, su: float,
                  sv: float) -> tuple[tuple[float, float, float], int]:
     """Crossing of the guiding plane with edge (u, v), whose endpoints lie at
     plane distances su and sv; returns the point and the endpoint index (u
-    or v) if the crossing snaps to one, else -1."""
-    a, b = P.vertex_rows[u], P.vertex_rows[v]
+    or v) if the crossing snaps to one, else -1. The snap tests are
+    `norm(sub(q, a)) <= geometry.snap(edge length)` written out."""
+    ax, ay, az = P.vertex_rows[u]
+    bx, by, bz = P.vertex_rows[v]
     t = su / (su - sv)
-    q = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
-    snap = geometry.snap(P.edge_length(u, v))
-    if norm(sub(q, a)) <= snap:
-        return q, u
-    if norm(sub(q, b)) <= snap:
-        return q, v
-    return q, -1
+    qx, qy, qz = ax + t * (bx - ax), ay + t * (by - ay), az + t * (bz - az)
+    snap = geometry.snap(P.edge_lengths[(u, v) if u < v else (v, u)])
+    dx, dy, dz = qx - ax, qy - ay, qz - az
+    if math.sqrt(dx * dx + dy * dy + dz * dz) <= snap:
+        return (qx, qy, qz), u
+    dx, dy, dz = qx - bx, qy - by, qz - bz
+    if math.sqrt(dx * dx + dy * dy + dz * dz) <= snap:
+        return (qx, qy, qz), v
+    return (qx, qy, qz), -1
 
 
 def _third_vertex(P, face: int, u: int, v: int) -> int:
@@ -339,7 +352,8 @@ def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int,
     endpoints lie at plane distances s1 and s2. Decide between the edge
     endpoints by where the curve continues in the face beyond; a hit on
     that face's far vertex falls to the distance tie rule."""
-    f3 = P.other_face(exit_face, a1, a2)
+    f1, f2 = P.edge_adjacency[(a1, a2) if a1 < a2 else (a2, a1)]
+    f3 = f2 if f1 == exit_face else f1
     c = _third_vertex(P, f3, a1, a2)
 
     def tie():
@@ -358,7 +372,8 @@ def _look_ahead(P, header, w: int, exit_face: int, a1: int, a2: int,
         return near, "VertexHit", _VertexFront(near, exit_face, w)
     if hit == c:
         return tie()
-    return near, "General", _EdgeFront(c, P.other_face(f3, near, c))
+    f1, f2 = P.edge_adjacency[(near, c) if near < c else (c, near)]
+    return near, "General", _EdgeFront(c, f2 if f1 == f3 else f1, sn, sc)
 
 
 def _trace_edge_front(P, header, current: int, snap: float):
@@ -366,10 +381,7 @@ def _trace_edge_front(P, header, current: int, snap: float):
     crossing until it exits through an opposite edge, hits a vertex, or the
     fan is exhausted (None -> re-aim)."""
     front: _EdgeFront = header.front
-    u = front.other
-    face = front.face
-    sw = _sig_of(P, header, current)
-    su = _sig_of(P, header, u)
+    u, face, sw, su = front.other, front.face, front.s_current, front.s_other
     for _ in range(len(P.vertex_fan[current]) + 4):
         fa = P.face_rows[face]
         if current not in fa or u not in fa:
@@ -393,7 +405,8 @@ def _trace_edge_front(P, header, current: int, snap: float):
                 return z, "VertexHit", _VertexFront(z, face, current)
             if hit == current:
                 return None
-            face = P.other_face(face, current, z)
+            f1, f2 = P.edge_adjacency[(current, z) if current < z else (z, current)]
+            face = f2 if f1 == face else f1
             u, su = z, sz
             continue
         return None
@@ -403,18 +416,21 @@ def _trace_edge_front(P, header, current: int, snap: float):
 def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: int,
                        snap: float):
     """Continuations of the curve out of a vertex it passes through: either a
-    crossing inside an incident face or a run along an incident edge."""
+    crossing inside an incident face or a run along an incident edge. Each
+    candidate leads with the point its initial direction from `at` heads
+    for."""
     cands = []
     seen_runs = set()
     pos = P.vertex_rows
     sig = {w: _sig_of(P, header, w) for w in P.neighbors[at]}
     for f in P.vertex_fan[at]:
-        b, c = [x for x in P.face_rows[f] if x != at]
+        x, y, z = P.face_rows[f]
+        b, c = (y, z) if x == at else (x, z) if y == at else (x, y)
         sb, sc = sig[b], sig[c]
         for vtx, sv in ((b, sb), (c, sc)):
             if abs(sv) <= snap and vtx != exclude_vertex and vtx not in seen_runs:
                 seen_runs.add(vtx)
-                cands.append((sub(pos[vtx], pos[at]), vtx, "run", f))
+                cands.append((pos[vtx], vtx, "run", f))
         if f == exclude_face:
             continue
         if abs(sb) > snap and abs(sc) > snap and sb * sc < 0.0:
@@ -422,38 +438,41 @@ def _branch_candidates(P, header, at: int, exclude_face: int, exclude_vertex: in
             if hit >= 0:
                 if hit != exclude_vertex and hit not in seen_runs:
                     seen_runs.add(hit)
-                    cands.append((sub(pos[hit], pos[at]), hit, "run", f))
+                    cands.append((pos[hit], hit, "run", f))
                 continue
-            cands.append((sub(q, pos[at]), -1, "cross", f, b, c, sb, sc))
+            cands.append((q, -1, "cross", f, b, c, sb, sc))
     return cands
 
 
 def _start_trace(P, header, current: int, snap: float):
     """Leg start or vertex passage: choose the branch whose initial direction
-    best aligns with the pseudo-destination and take the first move."""
-    front = header.front
-    exclude_face = -1
-    exclude_vertex = -1
-    if isinstance(front, _VertexFront):
-        exclude_face = front.via_face
-        exclude_vertex = front.back_vertex
+    best aligns with the pseudo-destination and take the first move. The
+    score is `dot(d, goal) / norm(d)` (-2 for d = 0) with the unit goal
+    direction, written out."""
+    front = header.front  # None, or the _VertexFront of the passage
+    exclude_face = -1 if front is None else front.via_face
+    exclude_vertex = -1 if front is None else front.back_vertex
     cands = _branch_candidates(P, header, current, exclude_face, exclude_vertex, snap)
     if not cands:
         return None
-    goal = sub(header.pseudo.point, P.vertex_rows[current])
-    gn = norm(goal)
-    goal = tuple(g / gn for g in goal) if gn > 0 else goal
+    ox, oy, oz = P.vertex_rows[current]
+    px, py, pz = header.pseudo.point
+    gx, gy, gz = px - ox, py - oy, pz - oz
+    gn = math.sqrt(gx * gx + gy * gy + gz * gz)
+    if gn > 0:
+        gx, gy, gz = gx / gn, gy / gn, gz / gn
 
     def score(cand):
-        d = cand[0]
-        nn = norm(d)
-        return dot(d, goal) / nn if nn > 0 else -2.0
+        x, y, z = cand[0]
+        dx, dy, dz = x - ox, y - oy, z - oz
+        nn = math.sqrt(dx * dx + dy * dy + dz * dz)
+        return (dx * gx + dy * gy + dz * gz) / nn if nn > 0 else -2.0
 
     best = max(cands, key=score)
     if best[2] == "run":
         vtx, f = best[1], best[3]
         return vtx, "VertexHit", _VertexFront(vtx, f, current)
-    _d, _v, _k, f, b, c, sb, sc = best
+    _q, _v, _k, f, b, c, sb, sc = best
     return _look_ahead(P, header, current, f, b, c, sb, sc, snap)
 
 
@@ -502,7 +521,7 @@ def step(current: int, header: PacketHeader, trace: RouteTrace,
             raise RoutingError(f"non-local forward {current}->{nxt}")
         trace.vertices.append(nxt)
         trace.cases.append(case)
-        trace.lengths.append(P.edge_length(current, nxt))
+        trace.lengths.append(P.edge_lengths[(current, nxt) if current < nxt else (nxt, current)])
         return nxt, case
 
     if header.dest_vertex in neighbors:
@@ -529,15 +548,13 @@ def step(current: int, header: PacketHeader, trace: RouteTrace,
                 break
             header.plane = _leg_plane(row, aim, header.gamma_normal)
             header.front = None
-        if header.front is None or (
-            isinstance(header.front, _VertexFront) and header.front.vertex == current
-        ):
-            result = _start_trace(P, header, current, snap)
-        elif isinstance(header.front, _VertexFront):
-            vf: _VertexFront = header.front
-            result = (vf.vertex, "VertexHit", vf)
-        else:
+        front = header.front
+        if isinstance(front, _EdgeFront):
             result = _trace_edge_front(P, header, current, snap)
+        elif front is None or front.vertex == current:
+            result = _start_trace(P, header, current, snap)
+        else:
+            result = (front.vertex, "VertexHit", front)
         if result is not None:
             nxt, case, front = result
             header.front = front

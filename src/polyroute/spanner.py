@@ -387,16 +387,20 @@ def _extended_cone_hits_rep(
     other face; `reps_xy` holds each face's representatives as x and y
     coordinate lists. Each face is visited at most once per cone; the
     unfolded faces come from (and grow) the start face's unfolding tree
-    `root`."""
+    `root`.
+
+    A face's reps are tested when its polygon test passes and it joins the
+    queue, so the search stops as soon as a queued face holds a rep in the
+    cone. That is the answer of testing them when it leaves the queue: the
+    answer is an OR over the set of faces the full BFS queues, rep tests
+    never change that set or the order it is queued in, and the root, which
+    is queued without a polygon test, has no reps to test."""
     ax, ay = apex
     (d1x, d1y), (d2x, d2y) = d1, d2
     visited = {root.pid}
     queue: deque[_Unfolded] = deque([root])
     while queue:
         node = queue.popleft()
-        reps = node.reps if node.reps is not None else node.unfold_reps(reps_xy)
-        if reps and _reps_in_open_wedge(reps, apex, d1, d2, snap):
-            return True
         for i, (nb, _em, _et) in enumerate(node.fm.hops):
             if nb in visited:
                 continue
@@ -407,6 +411,9 @@ def _extended_cone_hits_rep(
             if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
                 continue
             if _polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2, snap):
+                reps = child.reps if child.reps is not None else child.unfold_reps(reps_xy)
+                if reps and _reps_in_open_wedge(reps, apex, d1, d2, snap):
+                    return True
                 visited.add(nb)
                 queue.append(child)
     return False

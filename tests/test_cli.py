@@ -126,6 +126,19 @@ def test_bench_tetra_all_ratios_one(tetra_prt, capsys):
         assert float(line.split(",")[-1]) == pytest.approx(1.0)
 
 
+def test_bench_json_reports_route_time(tetra_prt, capsys):
+    # the summary on stderr adds route time and stretch percentiles; the CSV
+    # on stdout keeps its columns
+    rc = main(["bench", tetra_prt, "--pairs", "20", "--seed", "0", "--subdiv", "0", "--json"])
+    assert rc == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("pair_id,s,t,route_len,oracle_len,euclid,bound,ratio\n")
+    summary = json.loads(captured.err.strip().splitlines()[-1])
+    for key in ("route_ms_p50", "us_per_hop", "stretch_p50", "stretch_p95"):
+        assert summary[key] > 0, key
+    assert summary["stretch_p50"] <= summary["stretch_p95"]
+
+
 def test_bench_deterministic(tetra_prt, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

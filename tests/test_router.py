@@ -1,15 +1,16 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyroute import router
+from polyroute import geometry, router
 from polyroute.cli import generate_mesh
-from polyroute.geometry import GeometryError, Plane, cross, dot, norm
+from polyroute.geometry import GeometryError, Plane, cross, dot, norm, sub
 from polyroute.oracle import build_subdivision_graph, oracle_slack
 from polyroute.router import (
     HopLimitExceeded,
@@ -18,8 +19,11 @@ from polyroute.router import (
     Target,
     TrivialRoute,
     UnknownVertex,
+    _EdgeFront,
+    _cross_point,
     _leg_plane,
     _plane_words,
+    _sig_of,
     make_packet,
     route,
     step,
@@ -357,7 +361,8 @@ def _header_numbers(value) -> int:
     return 1
 
 
-HEADER_WORDS = 25  # the widest header seen on both meshes below
+HEADER_WORDS = 27  # the widest header seen on both meshes below; an edge front
+# carries the plane distances of its two vertices
 
 
 @pytest.fixture(scope="module")
@@ -529,3 +534,79 @@ def test_routing_constructs_no_plane(sphere50_system, monkeypatch):
         legs += len(route(s, t, sphere50_system).legs)
     assert legs > 300
     assert not constructed
+
+
+coords = st.floats(-100, 100, allow_nan=False)
+rows3 = st.tuples(coords, coords, coords)
+# plane distances of an edge's ends: a tiny one puts the crossing within the
+# snap of that end
+distances = st.builds(lambda m, k: m * k, st.sampled_from([1e-15, 1e-12, 1e-10, 2e-9, 1e-8, 1e-3, 1.0]),
+                      st.floats(0.5, 2.0))
+
+
+def _bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(rows3, min_size=2, max_size=8), a=rows3, b=rows3, n=unit_vectors,
+       su=distances, sv=distances, flip=st.booleans())
+@example(rows=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], a=(0.0, 0.0, 0.0), b=(0.0, 1.0, 0.0),
+         n=(0.0, 0.0, 1.0), su=1e-12, sv=1.0, flip=False)
+@example(rows=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], a=(0.0, 0.0, 0.0), b=(0.0, 1.0, 0.0),
+         n=(0.0, 0.0, 1.0), su=1.0, sv=1e-12, flip=True)
+# the crossing 3e-9 from an end of a unit edge, just past its 2e-9 snap
+@example(rows=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], a=(0.0, 0.0, 0.0), b=(0.0, 1.0, 0.0),
+         n=(0.0, 0.0, 1.0), su=3e-9, sv=1.0, flip=False)
+def test_tracer_arithmetic_has_kernel_bits(rows, a, b, n, su, sv, flip):
+    # the tracer writes out the kernel's terms: its plane distance has the
+    # bits of Plane.signed_distance, and its crossing point and snap
+    # decisions are those of `norm(sub(q, end)) <= geometry.snap(edge length)`
+    try:
+        plane = Plane.through_points_orthogonal_to(np.array(a), np.array(b), np.array(n))
+    except GeometryError:
+        return
+    header = PacketHeader(dest_vertex=0, dest_label=None)
+    header.plane = _plane_words(plane)
+    mesh = SimpleNamespace(vertex_rows=[list(r) for r in rows],
+                           edge_lengths={(0, 1): norm(sub(rows[0], rows[1]))})
+    got = [_sig_of(mesh, header, i) for i in range(len(rows))]
+    assert _bits(got) == _bits(plane.signed_distance(np.array(rows)))
+
+    su, sv = (su, -sv) if not flip else (-su, sv)
+    snap = geometry.snap(mesh.edge_lengths[(0, 1)])
+    for u, v, s_u, s_v in ((0, 1, su, sv), (1, 0, sv, su)):
+        a_row, b_row = rows[u], rows[v]
+        t = s_u / (s_u - s_v)
+        q = tuple(a_row[k] + t * (b_row[k] - a_row[k]) for k in range(3))
+        hit = (u if norm(sub(q, a_row)) <= snap else
+               v if norm(sub(q, b_row)) <= snap else -1)
+        got_q, got_hit = _cross_point(mesh, u, v, s_u, s_v)
+        assert _bits(got_q) == _bits(q) and got_hit == hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(0, 49), t=st.integers(0, 49), n=unit_vectors)
+def test_fronts_carry_fresh_distances(sphere50_system, s, t, n):
+    # on a hand-set leg with any sketch normal, every edge front a step
+    # sets holds the plane distances of its two vertices, bit for bit
+    system = sphere50_system
+    P = system.P
+    if s == t:
+        return
+    header = PacketHeader(dest_vertex=t, dest_label=system.label_of_vertex(t))
+    header.switch_budget = 100
+    header.pseudo = Target(kind="vertex", point=P.vertex_rows[t], arrival=(t,), vertex=t)
+    header.gamma_normal = list(n)
+    trace = RouteTrace(s, t, [s])
+    current = s
+    try:
+        while current != t and trace.hops < 4 * P.n:
+            before = header.front
+            current, _case = step(current, header, trace, system)
+            front = header.front
+            if front is not before and isinstance(front, _EdgeFront):
+                fresh = (_sig_of(P, header, current), _sig_of(P, header, front.other))
+                assert _bits((front.s_current, front.s_other)) == _bits(fresh)
+    except (GeometryError, router.RoutingError):
+        return

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -397,6 +398,54 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
             assert got == fresh
             hits += got
     assert hits > 0
+
+
+def _reference_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
+    """The cone search that tests a face's reps when it leaves the BFS queue."""
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    visited = {root.pid}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        reps = node.reps if node.reps is not None else node.unfold_reps(reps_xy)
+        if reps and spanner._reps_in_open_wedge(reps, apex, d1, d2, snap):
+            return True
+        for i, (nb, _em, _et) in enumerate(node.fm.hops):
+            if nb in visited:
+                continue
+            child = node.children[i] or node.unfold(i, face_maps)
+            cx, cy = child.center[0] - ax, child.center[1] - ay
+            radius = child.fm.radius
+            if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
+                continue
+            if _polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2, snap):
+                visited.add(nb)
+                queue.append(child)
+    return False
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("eps", [0.3, 0.4])
+def test_cone_search_matches_dequeue_time_reference(n, eps, monkeypatch):
+    # testing reps when a face is queued answers every (rep, cone) call of
+    # the placement as testing them when it leaves the queue
+    mesh = generate_mesh("sphere", n, 0)
+    decomp, sketch, assignment, projections = _stage(mesh, eps)
+    search = spanner._extended_cone_hits_rep
+    answers = []
+
+    def checked(root, apex, d1, d2, face_maps, reps_xy, snap):
+        got = search(root, apex, d1, d2, face_maps, reps_xy, snap)
+        want = _reference_cone_hits_rep(_unfolding_root(root.fm, root.pid), apex, d1, d2,
+                                        face_maps, reps_xy, snap)
+        assert got == want, (root.pid, apex, d1, d2)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(spanner, "_extended_cone_hits_rep", checked)
+    place_steiner_points(mesh, decomp, sketch, assignment, projections, eps)
+    assert True in answers and False in answers
 
 
 def _all_faces_lift(P, point, inward):
