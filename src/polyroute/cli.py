@@ -143,6 +143,7 @@ def cmd_preprocess(args) -> int:
         "D_hat": estimate_D(mesh, args.eps),
         "wall_time_s": round(wall, 4),
         "out": out,
+        "stats": system.stats,
     })
     if args.json_tables:
         with open(args.json_tables, "w", encoding="utf-8") as fh:

@@ -221,6 +221,7 @@ def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],
     theta_m = system.metrics.theta_m
     d_hat = estimate_D(P, eps)
     factor = (8.0 + eps) / math.sin(theta_m)
+    P.snap  # the routes read it; a loaded mesh computes it, and its diameter, once
     rows = []
     for i, (s, t) in enumerate(pairs):
         start = time.perf_counter()

@@ -25,12 +25,23 @@ as x and y coordinate lists, points and maps as tuples, and the `dot`/`map2`
 kernels of `geometry` and the patch frame maps (`Patch.to_2d`, `to_3d`) do
 their arithmetic, with the bits of the array kernel. Numpy is left to the
 angles (`arctan2`, `hypot`), whose numpy results differ from `math`'s, to
-the Steiner lift, which casts all points in capped blocks, and to
-`build_theta_graph`.
+the Steiner lift, which casts all points in capped blocks, and to the Theta
+pass.
+
+The Theta pass (`_theta_edges`) builds the Theta-graphs of all faces at
+once: the same-face pairs of all faces, in capped blocks of whole rows (a
+row is one node of one face), get their distances, angles, cones and
+bisector projections in one numpy pass, and each (row, cone) minimum is
+picked by an integer group key. `np.cos` only orders the candidates: a
+(row, cone) whose runner-up lies within the row's snap of its minimum is
+decided again with `math.cos`, on (projection, node id, j) tuples, so the
+picks are those of a per-row loop with `math.cos`. `build_theta_graph` is
+the pass over one face.
 """
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -78,19 +89,18 @@ class ConeFan:
     width: float
 
     def index_of(self, angle: float) -> int:
-        return self.indices_of((angle,))[0]
+        return int(self.indices_of((angle,))[0])
 
-    def indices_of(self, angles) -> list[int]:
-        """`index_of` over a sequence of angles, in one loop."""
-        two_pi, width, count = 2.0 * math.pi, self.width, self.count
-        out = []
-        for angle in angles:
-            a = angle % two_pi
-            raw = int(a // width) % count
-            if a - raw * width <= _CONE_BOUNDARY:
-                raw = (raw - 1) % count
-            out.append(raw)
-        return out
+    def indices_of(self, angles) -> np.ndarray:
+        """`index_of` over an array of angles, as an int array. `np.mod` and
+        `//` on float arrays are Python's `%` and `//` on floats, so each
+        entry is the cone of its angle alone. An angle is reduced mod 2*pi
+        even when it comes from `np.mod(..., 2*pi)`, which can round a tiny
+        negative angle up to exactly 2*pi: reduced, it is 0, on cone 0's
+        lower ray, so in the last cone."""
+        a = np.mod(np.asarray(angles, dtype=np.float64), 2.0 * math.pi)
+        raw = (a // self.width).astype(np.int64) % self.count
+        return np.where(a - raw * self.width <= _CONE_BOUNDARY, (raw - 1) % self.count, raw)
 
     def bisector(self, k: int) -> float:
         return (k + 0.5) * self.width
@@ -137,36 +147,130 @@ def build_theta_graph(
     """Theta-graph edges over 2D points (float pairs or a (k, 2) array): per
     node and per nonempty cone, one edge to the point whose projection on
     the cone bisector is nearest the apex. Returns undirected deduplicated
-    (i, j, weight) with i < j in node_ids terms."""
-    pts = np.asarray(points, dtype=np.float64)
-    k = len(pts)
-    if node_ids is None:
-        node_ids = list(range(k))
-    if k <= 1:
+    (i, j, weight) with i < j in node_ids terms, ascending; the one-face
+    call of `_theta_edges`."""
+    if len(points) <= 1:
         return []
+    ids = list(range(len(points))) if node_ids is None else node_ids
+    return [(u, v, w) for u, v, w, _f in _theta_edges([(0, ids, points)], eps)]
+
+
+# node pairs per Theta block: each array of a block holds at most 2^14
+# values (128 KB), however large the faces
+_THETA_PAIRS = 1 << 14
+
+
+def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
+    """The union of the Theta-graphs of `faces`, a list of (face, node ids,
+    points) with at least two nodes each, in ascending face order: each node
+    pair once, as (u, v, weight, face) with u < v, from the lowest face whose
+    Theta-graph holds it, ordered by face and then by pair.
+
+    A row is one node of one face, paired with every node of the face,
+    itself included. The rows run in blocks of whole rows, each of at most
+    `_THETA_PAIRS` pairs (or one row, if longer), through `_theta_block`.
+    A row's picks depend on that row alone, so they are the same in any
+    block."""
+    if not faces:
+        return []
+    sizes = np.array([len(ids) for _f, ids, _pts in faces], dtype=np.int64)
+    ids = np.array([i for _f, ids, _pts in faces for i in ids], dtype=np.int64)
+    pts = np.concatenate([np.asarray(p, dtype=np.float64) for _f, _ids, p in faces])
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's face's first row
+    lens = np.repeat(sizes, sizes)
+    ends = np.cumsum(lens)
     fan = cone_fan(eps)
-    bisectors = [fan.bisector(c) for c in range(fan.count)]
+    picks = []
+    r0 = 0
+    while r0 < len(ids):
+        done = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + _THETA_PAIRS, side="right")))
+        picks.append(_theta_block(fan, pts, ids, first, lens, r0, r1))
+        r0 = r1
+    row, j, w = (np.concatenate(col) for col in zip(*picks))
+    face = np.repeat(np.arange(len(faces)), sizes)[row]
+    # pair keys by id rank, so that keys order as the id pairs do
+    uniq, rank = np.unique(ids, return_inverse=True)
+    lo, hi = np.minimum(rank[row], rank[j]), np.maximum(rank[row], rank[j])
+    key = lo * len(uniq) + hi
+    order = np.lexsort((key, face))
+    _keys, first_seen = np.unique(key[order], return_index=True)
+    sel = order[np.sort(first_seen)]
+    # object arrays hand out one int object per id and per face, not one per edge
+    uniq = np.array(uniq.tolist(), dtype=object)
+    pids = np.array([f for f, _ids, _pts in faces], dtype=object)
+    return list(zip(uniq[lo[sel]].tolist(), uniq[hi[sel]].tolist(), w[sel].tolist(),
+                    pids[face[sel]].tolist()))
+
+
+def _theta_block(fan: ConeFan, pts: np.ndarray, ids: np.ndarray, first: np.ndarray,
+                 lens: np.ndarray, r0: int, r1: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Theta picks of rows r0..r1-1 (`pts` and `ids` per row, and per
+    row its face's first row and its pair count), as arrays of rows, point
+    rows j and distances: per (row, nonempty cone), the point whose
+    projection on the cone bisector is nearest the apex, among the points
+    farther than the row's snap from it (`geometry.snap` of its longest
+    distance); a tie on the projection goes to the lower node id, then the
+    lower j.
+
+    Distances, angles and cones have the bits of a per-row numpy pass
+    (`np.hypot`, `np.arctan2`, `np.mod`, `ConeFan.indices_of`). The
+    projections, d * cos(angle - bisector), are taken with `np.cos`, which
+    may differ from `math.cos` in the last bits, so they only order the
+    candidates; each (row, cone) minimum is taken over the integer key
+    row * count + cone. Both cosines lie within a few ulp of the true one,
+    so for |projection| <= d <= the row's longest distance D the two
+    projections differ by less than 1e-15 * D, and a candidate more than the
+    row's snap, 1e-9 * (1 + D), above the `np.cos` minimum is above the
+    `math.cos` minimum too. A (row, cone) with a runner-up within the snap
+    of its minimum is decided by `_break_ties` with `math.cos`; any other
+    takes its `np.cos` minimum."""
+    lens = lens[r0:r1]
+    seg = np.cumsum(lens) - lens  # each row's first pair in the block
+    row = np.repeat(np.arange(r0, r1), lens)
+    j = np.repeat(first[r0:r1] - seg, lens) + np.arange(len(row))
+    rel = pts[j] - pts[row]
+    d = np.hypot(rel[:, 0], rel[:, 1])
+    a = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)
+    snap = np.repeat(geometry.snap(np.maximum.reduceat(d, seg)), lens)
+    keep = np.flatnonzero(d > snap)  # never the row's own node
+    row, j, d, a, snap = row[keep], j[keep], d[keep], a[keep], snap[keep]
+    if not len(keep):
+        return row, j, d
+    cone = fan.indices_of(a)
+    key = (row - r0) * fan.count + cone
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    group = np.repeat(np.arange(len(heads)), np.diff(np.r_[heads, len(key)]))
+    bisectors = (np.arange(fan.count) + 0.5) * fan.width
+    proj = (d * np.cos(a - bisectors[cone]))[order]
+    near = proj <= np.minimum.reduceat(proj, heads)[group] + snap[order]
+    rivals = np.bincount(group[near], minlength=len(heads))[group]
+    pick = order[near & (rivals == 1)]
+    tied = near & (rivals > 1)
+    if tied.any():
+        cand = order[tied]
+        pick = np.concatenate([pick, _break_ties(fan, key[tied], cand, ids[j[cand]],
+                                                 j[cand], d[cand], a[cand], cone[cand])])
+    return row[pick], j[pick], d[pick]
+
+
+def _break_ties(fan: ConeFan, keys, cand, ids, j, d, a, cone) -> list[int]:
+    """Per (row, cone) key, the candidate of `cand` whose (d * math.cos(a -
+    bisector), node id, j) is least; the other arguments are the candidates'
+    keys, node ids, point rows, distances, angles and cones, in `cand`
+    order."""
+    best: dict[int, tuple[tuple, int]] = {}
     cos = math.cos
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(k):
-        rel = pts - pts[i]
-        dist_arr = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
-        snap = geometry.snap(float(dist_arr.max()))
-        dist = dist_arr.tolist()
-        best: dict[int, tuple[float, int, int]] = {}
-        for j, (d, a, c) in enumerate(zip(dist, ang, fan.indices_of(ang))):
-            if j == i or d <= snap:
-                continue
-            cand = (d * cos(a - bisectors[c]), node_ids[j], j)
-            held = best.get(c)
-            if held is None or cand < held:
-                best[c] = cand
-        for _proj, j_id, j in best.values():
-            a, b = node_ids[i], j_id
-            key = (min(a, b), max(a, b))
-            edges.setdefault(key, dist[j])
-    return [(a, b, w) for (a, b), w in sorted(edges.items())]
+    for g, c_i, nid, jj, dd, aa, c in zip(keys.tolist(), cand.tolist(), ids.tolist(),
+                                          j.tolist(), d.tolist(), a.tolist(), cone.tolist()):
+        t = (dd * cos(aa - fan.bisector(c)), nid, jj)
+        held = best.get(g)
+        if held is None or t < held[0]:
+            best[g] = (t, c_i)
+    return [c_i for _t, c_i in best.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +534,38 @@ def place_steiner_points(
     assignment: RepresentativeAssignment,
     projections: dict[int, dict[int, tuple[float, float]]],
     eps: float,
+    stats: dict | None = None,
 ) -> tuple[list[SpannerNode], list[dict[int, tuple[float, float]]]]:
     """Create rep nodes for every representative vertex, then walk each rep's
     cones: a cone with no same-face rep in its relative interior whose
     extension reaches another face's rep gets a Steiner node at the nearest
     boundary point of the face inside the cone, shared with the abutting
-    face. The cones of all reps of a face trace one shared unfolding tree.
-    No placement reads a lift, so the Steiner nodes are lifted together
-    after the last cone.
+    face, unless a node already sits within 4*snap of it on either face.
+    The cones of all reps of a face trace one shared unfolding tree. No
+    placement reads a lift, so the Steiner nodes are lifted together after
+    the last cone.
+
+    An empty cone gets a relay when four tests all hold: a boundary point
+    lies in it, its edge has an abutting face, neither face is crowded
+    there, and the extended cone reaches another face's rep. Each is a pure
+    test of the positions placed so far (the unfolding tree is only a
+    cache), so the extension search, by far the dearest, runs last, and
+    only for the cones the other three leave; the placement is that of any
+    order of the four.
 
     Rep nodes come first, with ids in the order of `assignment.reps`; a rep
     sits at its vertex's projection in its patch. Returns the nodes and, per
     node id, its 2D position (a float pair) in the frame of each of its
-    patches; the positions are needed only to build the Theta-graphs."""
+    patches; the positions are needed only to build the Theta-graphs.
+    `stats`, when given, gets the counts `empty_cones`, `cone_searches` and
+    `steiner_nodes` and the seconds `cone_search_s` and `steiner_lift_s`."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
     face_maps = _build_face_maps(decomp, sketch)
     trees: dict[int, _Unfolded] = {}
+    empty = searches = 0
+    search_s = lift_s = 0.0
 
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
@@ -457,45 +575,31 @@ def place_steiner_points(
     for pid, rs in assignment.patch_reps.items():
         uv = projections[pid]
         reps_xy[pid] = ([uv[r][0] for r in rs], [uv[r][1] for r in rs])
-    if sum(1 for xs, _ys in reps_xy.values() if xs) < 2:
-        return nodes, positions  # no cone can reach another face's rep
-
+    steiner: list[tuple[int, int, tuple]] = []  # (face, abutting face, sketch point)
+    # with reps on fewer than two faces no cone can reach another face's rep
+    apexes = nodes if sum(1 for xs, _ys in reps_xy.values() if xs) >= 2 else []
     # nodes already registered per face, to refuse coincident duplicates
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for pos in positions:
         for pid, uv in pos.items():
             occupied_pos.setdefault(pid, []).append(uv)
     last_rep = {n.patches[0]: n.id for n in nodes}
-    steiner: list[tuple[int, int, tuple]] = []  # (face, abutting face, sketch point)
-    for node in nodes:
+    for node in apexes:
         pid = node.patches[0]
         fm = face_maps[pid]
-        apex_xy = ax, ay = positions[node.id][pid]
+        apex_xy = positions[node.id][pid]
         root = trees.get(pid) or _unfolding_root(fm, pid)
         # a face's tree is kept only until its last rep's cones are traced
         if node.id == last_rep[pid]:
             trees.pop(pid, None)
         else:
             trees[pid] = root
-        xs, ys = reps_xy[pid]
-        rx, ry = np.subtract(xs, ax), np.subtract(ys, ay)
-        dist = np.hypot(rx, ry)
-        ang = np.mod(np.arctan2(ry, rx), 2.0 * math.pi).tolist()
-        occupied = set()
-        for d, a, lo_k in zip(dist.tolist(), ang, fan.indices_of(ang)):
-            if d <= snap:
-                continue
-            # relative-interior test: discount points sitting on a bounding ray
-            frac = (a - lo_k * fan.width) % (2.0 * math.pi)
-            on_ray = min(frac, fan.width - frac) * d <= snap
-            if not on_ray:
-                occupied.add(lo_k)
+        occupied = _occupied_cones(fan, reps_xy[pid], apex_xy, snap)
         for c in range(fan.count):
             if c in occupied:
                 continue
+            empty += 1
             d1, d2 = wedges[c]
-            if not _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps_xy, snap):
-                continue
             found = _nearest_boundary_point_in_wedge(fm.edges, apex_xy, d1, d2, snap)
             if found is None:
                 continue
@@ -509,18 +613,48 @@ def place_steiner_points(
                     or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
                 # an existing node already sits there and serves as the relay
                 continue
+            searches += 1
+            start = time.perf_counter()
+            hit = _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps_xy, snap)
+            search_s += time.perf_counter() - start
+            if not hit:
+                continue
             steiner.append((pid, nb, q3))
             positions.append({pid: q2, nb: q2_nb})
             occupied_pos.setdefault(pid, []).append(q2)
             occupied_pos.setdefault(nb, []).append(q2_nb)
     if steiner:
+        start = time.perf_counter()
         lifts = _lift_steiner(
             P, np.array([q3 for _pid, _nb, q3 in steiner]),
             np.array([decomp.patches[pid].gamma.normal for pid, _nb, _q3 in steiner]))
+        lift_s = time.perf_counter() - start
         for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
             nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
                                      lift3d=lift, marked=marked))
+    if stats is not None:
+        stats.update(empty_cones=empty, cone_searches=searches, steiner_nodes=len(steiner),
+                     cone_search_s=search_s, steiner_lift_s=lift_s)
     return nodes, positions
+
+
+def _occupied_cones(fan: ConeFan, reps: tuple[list[float], list[float]], apex,
+                    snap: float) -> set[int]:
+    """The cones around `apex` with a point of `reps` (x and y coordinate
+    lists) in their relative interior: farther than snap from the apex and
+    from both bounding rays."""
+    ax, ay = apex
+    rx, ry = np.subtract(reps[0], ax), np.subtract(reps[1], ay)
+    dist = np.hypot(rx, ry)
+    ang = np.mod(np.arctan2(ry, rx), 2.0 * math.pi)
+    occupied = set()
+    for d, a, lo_k in zip(dist.tolist(), ang.tolist(), fan.indices_of(ang).tolist()):
+        if d <= snap:
+            continue
+        frac = (a - lo_k * fan.width) % (2.0 * math.pi)
+        if min(frac, fan.width - frac) * d > snap:
+            occupied.add(lo_k)
+    return occupied
 
 
 def rep_nodes(P: TriangulatedPolytope, decomp: PatchDecomposition,
@@ -667,25 +801,27 @@ def spanner_graph(nodes: list[SpannerNode],
 
 def assemble_global_spanner(nodes: list[SpannerNode],
                             positions: list[dict[int, tuple[float, float]]],
-                            eps: float) -> SpannerGraph:
+                            eps: float, stats: dict | None = None) -> SpannerGraph:
     """Per-face Theta-graphs over rep+steiner nodes, unioned into one graph;
     `positions` is the second result of `place_steiner_points`. A pair that
     two faces' Theta-graphs both hold (both its nodes lie on both faces) is
-    kept once, from the lower face."""
+    kept once, from the lower face. All faces run through one Theta pass
+    (`_theta_edges`). `stats`, when given, gets the pass's node pair count
+    (`theta_pairs`, each node with each node of its face, itself
+    included) and its seconds (`theta_pass_s`)."""
+    start = time.perf_counter()
     per_face = _nodes_by_face(nodes)
-    edges: dict[tuple[int, int], tuple[int, int, float, int]] = {}
-    for pid in sorted(per_face):
-        ids = per_face[pid]
-        if len(ids) < 2:
-            continue
-        pts = [positions[i][pid] for i in ids]
-        for a, b, w in build_theta_graph(pts, eps, node_ids=ids):
-            edges.setdefault((a, b), (a, b, w, pid))
-    g = spanner_graph(nodes, list(edges.values()))
-    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    faces = [(pid, ids, [positions[i][pid] for i in ids])
+             for pid, ids in sorted(per_face.items()) if len(ids) >= 2]
+    edges = _theta_edges(faces, eps)
+    g = spanner_graph(nodes, edges)
+    ends = np.array([(u, v) for u, v, _w, _f in edges], dtype=np.int64).reshape(-1, 2)
     links = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
                        shape=(len(nodes), len(nodes)))
     g.connected = connected_components(links, directed=False)[0] <= 1
+    if stats is not None:
+        stats["theta_pairs"] = sum(len(ids) ** 2 for _f, ids, _p in faces)
+        stats["theta_pass_s"] = time.perf_counter() - start
     return g
 
 
@@ -696,9 +832,18 @@ def build_spanner(
     assignment: RepresentativeAssignment,
     projections: dict[int, dict[int, tuple[float, float]]],
     eps: float,
+    stats: dict | None = None,
 ) -> SpannerGraph:
-    nodes, positions = place_steiner_points(P, decomp, sketch, assignment, projections, eps)
-    return assemble_global_spanner(nodes, positions, eps)
+    """The Steiner placement and the Theta pass; `stats`, when given, gets
+    the counts and seconds of both, and the placement's own seconds, less
+    its cone searches and lift, as `steiner_placement_s`."""
+    start = time.perf_counter()
+    nodes, positions = place_steiner_points(P, decomp, sketch, assignment, projections, eps,
+                                            stats)
+    if stats is not None:
+        stats["steiner_placement_s"] = (time.perf_counter() - start - stats["cone_search_s"]
+                                        - stats["steiner_lift_s"])
+    return assemble_global_spanner(nodes, positions, eps, stats)
 
 
 def dump_spanner(g: SpannerGraph) -> str:

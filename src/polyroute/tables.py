@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -174,6 +175,9 @@ class RoutingSystem:
     # per Steiner node id: its aim point as a float row and its marked
     # vertices, ascending (None for rep nodes, which aim at their vertex)
     node_aims: list = field(default_factory=list)
+    # build stage seconds (keys ending in `_s`) and counts, filled by
+    # `preprocess_mesh`; not written to `.prt`, so empty after a load
+    stats: dict = field(default_factory=dict, repr=False, compare=False)
     _tables: dict | None = field(default=None, repr=False, compare=False)
 
     def is_empty(self) -> bool:
@@ -267,16 +271,27 @@ def build_tables(
 def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     """Run the full preprocessing pipeline and return the routing system;
     eps is both the patches' normal-angle spread and the sampling and cone
-    parameter."""
+    parameter. The system's `stats` get each stage's `perf_counter`
+    seconds (`theta_m_s`, `patches_s`, `sketch_s`, `representatives_s`,
+    the spanner's `steiner_placement_s`, `cone_search_s`, `steiner_lift_s`
+    and `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`) and the
+    spanner's counts (`empty_cones`, `cone_searches`, `steiner_nodes`,
+    `theta_pairs`)."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    stats: dict = {}
+    start = t = time.perf_counter()
     metrics = compute_theta_m(P)
+    t = _lap(stats, "theta_m_s", t)
     decomp = compute_patches(P, eps)
+    t = _lap(stats, "patches_s", t)
     sketch = build_sketch(P, decomp)
+    t = _lap(stats, "sketch_s", t)
     projections = {p.id: project_patch(P, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
-    graph = build_spanner(P, decomp, sketch, assignment, projections, eps)
+    t = _lap(stats, "representatives_s", t)
+    graph = build_spanner(P, decomp, sketch, assignment, projections, eps, stats)
     if not graph.connected:
         hint = (
             "larger" if decomp.count * 2 > P.n else "smaller"
@@ -285,8 +300,21 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
             f"global spanner is disconnected ({decomp.count} patches over "
             f"{P.n} vertices); retry with a {hint} epsilon"
         )
+    t = time.perf_counter()
     scheme = prune_intra_face(tz_preprocess(graph), graph)
-    return _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
+    t = _lap(stats, "scheme_s", t)
+    system = _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
+    _lap(stats, "derive_s", t)
+    _lap(stats, "total_s", start)
+    system.stats = stats
+    return system
+
+
+def _lap(stats: dict, name: str, start: float) -> float:
+    """Store the seconds since `start` as `stats[name]`; returns the time."""
+    now = time.perf_counter()
+    stats[name] = now - start
+    return now
 
 
 def _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme) -> RoutingSystem:

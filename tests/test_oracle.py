@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
+from polyroute import router
 from polyroute.oracle import (
     build_subdivision_graph,
     edge_dijkstra,
@@ -12,6 +13,7 @@ from polyroute.oracle import (
     stretch_sweep,
     subdivided_geodesic,
 )
+from polyroute.tables import deserialize, serialize
 
 from conftest import random_pairs
 
@@ -110,6 +112,23 @@ def test_stretch_sweep_sphere_no_violations(sphere50_system):
     report = stretch_sweep(sphere50_system, pairs, m=8)
     assert report.violations == []
     assert report.mu >= 0.0
+
+
+def test_stretch_sweep_times_routes_after_the_diameter(sphere50_system, monkeypatch):
+    # a loaded mesh computes its diameter, for the snap, on first use; the
+    # sweep pays for it before its first timed route
+    system = deserialize(serialize(sphere50_system))
+    assert system.P._diameter is None
+    cached = []
+    route = router.route
+
+    def recording(s, t, system):
+        cached.append(system.P._diameter is not None)
+        return route(s, t, system)
+
+    monkeypatch.setattr(router, "route", recording)
+    stretch_sweep(system, random_pairs(50, 3, seed=0), m=4)
+    assert cached == [True] * 3
 
 
 def test_report_csv_shape(sphere50_system):

@@ -15,10 +15,14 @@ from polyroute.patching import NO_NEIGHBOR, compute_patches, build_sketch, proje
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
     _build_face_maps,
+    _crowded,
     _extended_cone_hits_rep,
     _lift_steiner,
+    _nearest_boundary_point_in_wedge,
     _nearest_edge_point,
+    _occupied_cones,
     _polygon_meets_wedge,
+    _theta_edges,
     _unfolding_root,
     _wedge_dirs,
     assemble_global_spanner,
@@ -27,6 +31,7 @@ from polyroute.spanner import (
     cone_fan,
     dump_spanner,
     place_steiner_points,
+    rep_nodes,
 )
 
 from conftest import routed_graph_positions
@@ -48,6 +53,47 @@ def _graph_distances(edges, n):
     cols = [v for u, v, w in edges] + [u for u, v, w in edges]
     wts = [w for u, v, w in edges] * 2
     return dijkstra(csr_matrix((wts, (rows, cols)), shape=(n, n)), directed=False)
+
+
+def _reference_cone(fan, angle):
+    # the cone of one angle, by Python float arithmetic
+    a = angle % (2.0 * math.pi)
+    raw = int(a // fan.width) % fan.count
+    if a - raw * fan.width <= spanner._CONE_BOUNDARY:
+        raw = (raw - 1) % fan.count
+    return raw
+
+
+def _reference_theta_graph(points, eps, node_ids=None):
+    """The Theta-graph row by row: per node, the numpy distances and angles
+    to all points of the face, then per cone the least (d * math.cos(angle -
+    bisector), node id, j)."""
+    pts = np.asarray(points, dtype=np.float64)
+    k = len(pts)
+    if node_ids is None:
+        node_ids = list(range(k))
+    if k <= 1:
+        return []
+    fan = cone_fan(eps)
+    edges = {}
+    for i in range(k):
+        rel = pts - pts[i]
+        dist_arr = np.hypot(rel[:, 0], rel[:, 1])
+        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
+        snap = spanner.geometry.snap(float(dist_arr.max()))
+        dist = dist_arr.tolist()
+        best = {}
+        for j, (d, a) in enumerate(zip(dist, ang)):
+            if j == i or d <= snap:
+                continue
+            c = _reference_cone(fan, a)
+            cand = (d * math.cos(a - fan.bisector(c)), node_ids[j], j)
+            if c not in best or cand < best[c]:
+                best[c] = cand
+        for _proj, j_id, j in best.values():
+            a, b = node_ids[i], j_id
+            edges.setdefault((min(a, b), max(a, b)), dist[j])
+    return [(a, b, w) for (a, b), w in sorted(edges.items())]
 
 
 def test_cone_fan_counts():
@@ -166,7 +212,7 @@ def test_edges_are_lowest_face_union_of_theta_graphs(sphere50_system):
     for pid in sorted(g.per_face_nodes):
         ids = g.per_face_nodes[pid]
         pts = np.stack([positions[i][pid] for i in ids])
-        for u, v, w in build_theta_graph(pts, system.eps, node_ids=ids):
+        for u, v, w in _reference_theta_graph(pts, system.eps, node_ids=ids):
             recurring += (u, v) in want
             want.setdefault((u, v), (u, v, w, pid))
     assert recurring, "no pair lies on two faces; the case is not exercised"
@@ -282,6 +328,97 @@ def test_polygon_meets_wedge_matches_numpy(center, radius, turns, apex, eps, con
     assert fast == slow
 
 
+@st.composite
+def _theta_faces(draw):
+    # one to three faces of a Theta pass, whose node ids are distinct within
+    # a face, neither 0..k-1 nor ascending, and shared between faces; each
+    # face has random points, points on the bounding rays of its first
+    # point's cones and mirror pairs about their bisectors, and points
+    # within a snap of another
+    eps = draw(st.sampled_from([0.2, 0.4, 0.8, math.pi / 2]))
+    fan = cone_fan(eps)
+    scale = draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    faces = []
+    for pid in sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=3))):
+        pts = [(x * scale, y * scale)
+               for x, y in draw(st.lists(st.tuples(unit, unit), min_size=2, max_size=12))]
+        ax, ay = pts[0]
+        for c in draw(st.lists(st.integers(0, fan.count - 1), max_size=4)):
+            r = draw(st.floats(0.1, 1.0)) * scale
+            off = draw(st.floats(0.01, 0.49)) * fan.width
+            for t in (c * fan.width, fan.bisector(c) - off, fan.bisector(c) + off):
+                pts.append((ax + r * math.cos(t), ay + r * math.sin(t)))
+            # a hair below the apex's ray 0, at an angle np.mod may round to 2*pi
+            pts.append((ax + r, math.nextafter(ay, -math.inf)))
+        for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+            pts.append((pts[i][0] + 1e-11 * scale, pts[i][1]))
+        ids = draw(st.lists(st.integers(0, 40), min_size=len(pts), max_size=len(pts),
+                            unique=True))
+        faces.append((pid, ids, pts))
+    return eps, faces
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_theta_faces(), cap=st.sampled_from([None, 1, 5, 64]))
+def test_theta_pass_matches_per_row_reference(case, cap):
+    # the one array pass over all faces gives, edge for edge and weight for
+    # weight, the lowest-face union of the per-row Theta-graphs, in any
+    # blocking of its rows; no block holds more than the cap of pairs
+    # unless it is a single longer row
+    eps, faces = case
+    want = {}
+    for pid, ids, pts in faces:
+        for u, v, w in _reference_theta_graph(pts, eps, ids):
+            want.setdefault((u, v), (u, v, w, pid))
+    blocks = []
+    theta_block = spanner._theta_block
+
+    def recording(fan, pts, ids, first, lens, r0, r1):
+        blocks.append((int(lens[r0:r1].sum()), r1 - r0))
+        return theta_block(fan, pts, ids, first, lens, r0, r1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spanner, "_theta_block", recording)
+        if cap is not None:
+            mp.setattr(spanner, "_THETA_PAIRS", cap)
+        got = _theta_edges(faces, eps)
+    assert got == list(want.values())
+    assert sum(p for p, _r in blocks) == sum(len(ids) ** 2 for _f, ids, _p in faces)
+    cap = spanner._THETA_PAIRS if cap is None else cap
+    assert all(p <= cap or rows == 1 for p, rows in blocks)
+
+
+def test_theta_pass_without_pairs_has_no_edges():
+    # no face with two nodes, or two nodes within a snap of each other
+    assert _theta_edges([], 0.4) == []
+    assert build_theta_graph([(1.0, 2.0), (1.0, 2.0 + 1e-12)], 0.4) == []
+
+
+def test_theta_mirror_pairs_are_decided_by_math_cos(monkeypatch):
+    # two points mirrored about each cone's bisector, at one distance from
+    # the apex, tie in np.cos to within the snap; math.cos decides each such
+    # (row, cone), and the result is the per-row reference's
+    eps = 0.4
+    fan = cone_fan(eps)
+    pts = [(0.0, 0.0)]
+    for c in range(fan.count):
+        for t in (fan.bisector(c) - 0.3 * fan.width, fan.bisector(c) + 0.3 * fan.width):
+            pts.append((math.cos(t), math.sin(t)))
+    ids = [3 * i + 7 for i in range(len(pts))][::-1]
+    decided = []
+    break_ties = spanner._break_ties
+
+    def recording(fan, keys, *rest):
+        decided.extend(keys.tolist())
+        return break_ties(fan, keys, *rest)
+
+    monkeypatch.setattr(spanner, "_break_ties", recording)
+    assert build_theta_graph(pts, eps, ids) == _reference_theta_graph(pts, eps, ids)
+    # the apex row (row 0) has a tie in every cone
+    assert set(range(fan.count)) <= set(decided)
+
+
 def _reference_hop(patch, nb_patch, A, B):
     # the 3D construction the hop maps replaced: rotate the neighbour's plane
     # about the shared edge A-B onto this face's plane (axis-angle, the angle
@@ -378,10 +515,7 @@ def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
     eps = 0.3
     decomp, sketch, assignment, projections = _stage(mesh, eps)
     face_maps = _build_face_maps(decomp, sketch)
-    # each face's reps as x and y coordinate lists, as the placement keeps them
-    reps_xy = {pid: ([projections[pid][r][0] for r in rs],
-                     [projections[pid][r][1] for r in rs])
-               for pid, rs in assignment.patch_reps.items()}
+    reps_xy = _reps_xy(assignment, projections)
     snap = mesh.snap
     fan = cone_fan(eps)
     shared = {}
@@ -425,27 +559,112 @@ def _reference_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
     return False
 
 
+def _reps_xy(assignment, projections):
+    # each face's reps as x and y coordinate lists, as the placement keeps them
+    return {pid: ([projections[pid][r][0] for r in rs], [projections[pid][r][1] for r in rs])
+            for pid, rs in assignment.patch_reps.items()}
+
+
 @pytest.mark.parametrize("n", [50, 100, 200])
 @pytest.mark.parametrize("eps", [0.3, 0.4])
-def test_cone_search_matches_dequeue_time_reference(n, eps, monkeypatch):
-    # testing reps when a face is queued answers every (rep, cone) call of
-    # the placement as testing them when it leaves the queue
+def test_cone_search_matches_dequeue_time_reference(n, eps):
+    # testing reps when a face is queued answers every (rep, empty cone) as
+    # testing them when it leaves the queue; the cones of a face share one
+    # tree, as in the placement
     mesh = generate_mesh("sphere", n, 0)
     decomp, sketch, assignment, projections = _stage(mesh, eps)
-    search = spanner._extended_cone_hits_rep
+    face_maps = _build_face_maps(decomp, sketch)
+    reps_xy = _reps_xy(assignment, projections)
+    fan, snap = cone_fan(eps), mesh.snap
+    trees = {}
     answers = []
-
-    def checked(root, apex, d1, d2, face_maps, reps_xy, snap):
-        got = search(root, apex, d1, d2, face_maps, reps_xy, snap)
-        want = _reference_cone_hits_rep(_unfolding_root(root.fm, root.pid), apex, d1, d2,
-                                        face_maps, reps_xy, snap)
-        assert got == want, (root.pid, apex, d1, d2)
-        answers.append(got)
-        return got
-
-    monkeypatch.setattr(spanner, "_extended_cone_hits_rep", checked)
-    place_steiner_points(mesh, decomp, sketch, assignment, projections, eps)
+    for r in assignment.reps:
+        pid = int(decomp.owner_of_vertex[r])
+        apex = projections[pid][r]
+        root = trees.setdefault(pid, _unfolding_root(face_maps[pid], pid))
+        occupied = _occupied_cones(fan, reps_xy[pid], apex, snap)
+        for c in sorted(set(range(fan.count)) - occupied):
+            d1, d2 = _wedge_dirs(fan, c)
+            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap)
+            want = _reference_cone_hits_rep(_unfolding_root(face_maps[pid], pid), apex, d1, d2,
+                                            face_maps, reps_xy, snap)
+            assert got == want, (pid, apex, c)
+            answers.append(got)
     assert True in answers and False in answers
+
+
+def _search_first_placement(P, decomp, sketch, assignment, projections, eps):
+    """The Steiner placement that runs the extension search first on every
+    empty cone, then the boundary point, abutting face and crowding tests."""
+    fan, snap = cone_fan(eps), P.snap
+    face_maps = _build_face_maps(decomp, sketch)
+    nodes = rep_nodes(P, decomp, assignment.reps)
+    positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
+    reps_xy = _reps_xy(assignment, projections)
+    if sum(1 for xs, _ys in reps_xy.values() if xs) < 2:
+        return nodes, positions
+    occupied_pos = {}
+    for pos in positions:
+        for pid, uv in pos.items():
+            occupied_pos.setdefault(pid, []).append(uv)
+    steiner = []
+    for node in list(nodes):
+        pid = node.patches[0]
+        fm = face_maps[pid]
+        apex = positions[node.id][pid]
+        occupied = _occupied_cones(fan, reps_xy[pid], apex, snap)
+        for c in range(fan.count):
+            if c in occupied:
+                continue
+            d1, d2 = _wedge_dirs(fan, c)
+            if not _reference_cone_hits_rep(_unfolding_root(fm, pid), apex, d1, d2, face_maps,
+                                            reps_xy, snap):
+                continue
+            found = _nearest_boundary_point_in_wedge(fm.edges, apex, d1, d2, snap)
+            if found is None:
+                continue
+            q2, edge_idx = found
+            nb = int(fm.neighbors[edge_idx])
+            if nb == NO_NEIGHBOR:
+                continue
+            q3 = decomp.patches[pid].to_3d(q2)
+            q2_nb = decomp.patches[nb].to_2d(q3)
+            if (_crowded(q2, occupied_pos.get(pid, ()), snap)
+                    or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
+                continue
+            steiner.append((pid, nb, q3))
+            positions.append({pid: q2, nb: q2_nb})
+            occupied_pos.setdefault(pid, []).append(q2)
+            occupied_pos.setdefault(nb, []).append(q2_nb)
+    if steiner:
+        lifts = _lift_steiner(P, np.array([q3 for _pid, _nb, q3 in steiner]),
+                              np.array([decomp.patches[pid].gamma.normal
+                                        for pid, _nb, _q3 in steiner]))
+        for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
+            nodes.append(spanner.SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
+                                             lift3d=lift, marked=marked))
+    return nodes, positions
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("eps", [0.3, 0.4])
+def test_placement_matches_search_first_reference(n, eps):
+    # the extension search last, only on cones the other three tests leave,
+    # places the nodes of the search-first order, bit for bit
+    mesh = generate_mesh("sphere", n, 0)
+    stage = _stage(mesh, eps)
+    stats = {}
+    nodes, positions = place_steiner_points(mesh, *stage, eps, stats)
+    want_nodes, want_positions = _search_first_placement(mesh, *stage, eps)
+
+    def fields(ns):
+        return [(nd.id, nd.kind, nd.patches, nd.vertex, nd.marked, nd.lift3d.tobytes())
+                for nd in ns]
+
+    assert fields(nodes) == fields(want_nodes)
+    assert positions == want_positions
+    assert stats["steiner_nodes"] == sum(nd.kind == "steiner" for nd in nodes) > 0
+    assert stats["steiner_nodes"] <= stats["cone_searches"] < stats["empty_cones"]
 
 
 def _all_faces_lift(P, point, inward):

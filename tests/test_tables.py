@@ -97,6 +97,26 @@ def _same_bits(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+STAGES = ("theta_m_s", "patches_s", "sketch_s", "representatives_s", "steiner_placement_s",
+          "cone_search_s", "steiner_lift_s", "theta_pass_s", "scheme_s", "derive_s")
+
+
+def test_preprocess_fills_stage_stats(sphere50_system):
+    # per-stage seconds that add up to no more than the whole build, and
+    # the spanner's counts, which the graph confirms; a load has none
+    stats = sphere50_system.stats
+    g = sphere50_system.graph
+    assert set(stats) == set(STAGES) | {"total_s", "empty_cones", "cone_searches",
+                                        "steiner_nodes", "theta_pairs"}
+    assert all(stats[k] >= 0.0 for k in STAGES)
+    assert sum(stats[k] for k in STAGES) <= stats["total_s"]
+    assert stats["steiner_nodes"] == sum(n.kind == "steiner" for n in g.nodes)
+    assert stats["empty_cones"] >= stats["cone_searches"] >= stats["steiner_nodes"] > 0
+    assert stats["theta_pairs"] == sum(len(ids) ** 2 for ids in g.per_face_nodes.values()
+                                       if len(ids) > 1)
+    assert deserialize(serialize(sphere50_system)).stats == {}
+
+
 def test_loaded_system_equals_built(sphere50_system):
     from dataclasses import fields
 
