@@ -138,10 +138,6 @@ class TriangulatedPolytope:
         v = self.vertices[self.faces]
         return float(0.5 * norm(cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])).sum())
 
-    def other_face(self, f: int, u: int, v: int) -> int:
-        a, b = self.edge_adjacency[(min(u, v), max(u, v))]
-        return b if a == f else a
-
 
 @dataclass(frozen=True)
 class PolytopeMetrics:

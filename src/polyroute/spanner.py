@@ -25,8 +25,8 @@ as x and y coordinate lists, points and maps as tuples, and the `dot`/`map2`
 kernels of `geometry` and the patch frame maps (`Patch.to_2d`, `to_3d`) do
 their arithmetic, with the bits of the array kernel. Numpy is left to the
 angles (`arctan2`, `hypot`), whose numpy results differ from `math`'s, to
-the Steiner lift, which casts all points in capped blocks, and to the Theta
-pass.
+the Steiner lift, which tests all points against per-face bounding spheres
+in capped blocks and casts the pairs that pass, and to the Theta pass.
 
 The Theta pass (`_theta_edges`) builds the Theta-graphs of all faces at
 once: the same-face pairs of all faces, in capped blocks of whole rows (a
@@ -40,6 +40,7 @@ the pass over one face.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from collections import deque
@@ -50,7 +51,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .geometry import cross, dot, map2, norm, sub
+from .geometry import cross, dot, map2, norm
 from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
@@ -557,8 +558,9 @@ def place_steiner_points(
     sits at its vertex's projection in its patch. Returns the nodes and, per
     node id, its 2D position (a float pair) in the frame of each of its
     patches; the positions are needed only to build the Theta-graphs.
-    `stats`, when given, gets the counts `empty_cones`, `cone_searches` and
-    `steiner_nodes` and the seconds `cone_search_s` and `steiner_lift_s`."""
+    `stats`, when given, gets the counts `empty_cones`, `cone_searches`,
+    `steiner_nodes` and `lift_pairs` (the (point, face) pairs the lift's
+    exact cast ran on) and the seconds `cone_search_s` and `steiner_lift_s`."""
     fan = cone_fan(eps)
     wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
@@ -566,6 +568,7 @@ def place_steiner_points(
     trees: dict[int, _Unfolded] = {}
     empty = searches = 0
     search_s = lift_s = 0.0
+    lift_pairs = 0
 
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
@@ -625,7 +628,7 @@ def place_steiner_points(
             occupied_pos.setdefault(nb, []).append(q2_nb)
     if steiner:
         start = time.perf_counter()
-        lifts = _lift_steiner(
+        lifts, lift_pairs = _lift_steiner(
             P, np.array([q3 for _pid, _nb, q3 in steiner]),
             np.array([decomp.patches[pid].gamma.normal for pid, _nb, _q3 in steiner]))
         lift_s = time.perf_counter() - start
@@ -634,7 +637,7 @@ def place_steiner_points(
                                      lift3d=lift, marked=marked))
     if stats is not None:
         stats.update(empty_cones=empty, cone_searches=searches, steiner_nodes=len(steiner),
-                     cone_search_s=search_s, steiner_lift_s=lift_s)
+                     lift_pairs=lift_pairs, cone_search_s=search_s, steiner_lift_s=lift_s)
     return nodes, positions
 
 
@@ -681,27 +684,36 @@ def _crowded(q: tuple[float, float], occupied: list, snap: float) -> bool:
     )
 
 
-# point-face pairs per lift block: each array of a block holds at most 2^13
-# values (64 KB), whatever the number of faces; 2^14 casts slower on fine200
-_LIFT_PAIRS = 1 << 13
+# point-face pairs per lift block: each array of the pre-test, and of the
+# exact cast, holds at most 2^14 values (128 KB), or one point's F if F is
+# larger; 2^13 and 2^15 lift 6-18% slower at n = 1,600 and no faster on the
+# three benchmark workloads (min of 20 interleaved lifts, 2-core VM)
+_LIFT_PAIRS = 1 << 14
+
+# a bound, relative to the magnitudes it involves, on each chain of float
+# roundings that `_face_spheres` covers (a few units of 2^-53 each)
+_ROUNDING = 2.0 ** -44
 
 
 def _lift_steiner(P: TriangulatedPolytope, points: np.ndarray, inward: np.ndarray
-                  ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+                  ) -> tuple[list[tuple[np.ndarray, tuple[int, int]]], int]:
     """Maps sketch-boundary points back onto the polytope: the lift and the
-    marked vertices of each row of `points` (B, 3). Each point's ray runs
-    along minus the same row of `inward` (the inward normal of the point's
-    patch) against all faces, then snaps to the nearest point of the nearest
-    edge of the face it hit. What does not depend on the point (the triangle
-    corners, edge vectors and inside thresholds, and the face normals) is
-    computed once, as contiguous columns.
+    marked vertices of each row of `points` (B, 3), and the number of
+    (point, face) pairs the exact cast ran on. Each point's ray runs along
+    minus the same row of `inward` (the unit inward normal of the point's
+    patch). Its hit is the first minimum distance ts, in ascending face id,
+    over the faces that accept the ray: ts >= -snap and the hit within
+    snap*max(1, |e|) of each edge e's inner side. The hit snaps to the
+    nearest point of its face's edges, and a point that no face accepts to
+    the nearest edge point over all faces (`_nearest_edge_point`).
 
-    The points are cast in blocks, each a (points, faces) array of at most
-    `_LIFT_PAIRS` entries: max(1, _LIFT_PAIRS // F) points per block. The
-    arithmetic is the kernel's, elementwise over point-face pairs, and a
-    row's hit is its first minimum distance, so a point lifts to the same
-    bits in any block, alone or in the whole batch."""
-    normals = tuple(P.face_normals.T.copy())
+    Only a face whose bounding sphere (`_face_spheres`) meets the point's
+    line can accept the ray, so the exact cast runs on the pairs that pass
+    that pre-test alone. The pre-test takes blocks of max(1, _LIFT_PAIRS //
+    F) points, and the cast runs of whole points with at most `_LIFT_PAIRS`
+    pairs (or one point's). Every step is elementwise per pair, so a point
+    lifts to the same bits in any block, alone or in the whole batch, and
+    with or without the pre-test."""
     tri = P.vertices[P.faces]  # (F, 3, 3)
     sides = []
     for k in range(3):
@@ -709,73 +721,156 @@ def _lift_steiner(P: TriangulatedPolytope, points: np.ndarray, inward: np.ndarra
         e = tri[:, (k + 1) % 3] - u
         thr = -P.snap * np.maximum(1.0, norm(e))
         sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
-    block = max(1, _LIFT_PAIRS // P.num_faces)
-    out = []
-    for lo in range(0, len(points), block):
-        out += _lift_block(P, normals, sides, points[lo:lo + block], inward[lo:lo + block])
-    return out
+    normals = tuple(P.face_normals.T.copy())
+    spheres = _face_spheres(P, float(norm(points).max()))
+    starts = range(0, len(points), max(1, _LIFT_PAIRS // P.num_faces))
+    kept = [_sphere_pairs(spheres, points[lo:lo + starts.step], inward[lo:lo + starts.step])
+            for lo in starts]
+    rows = np.concatenate([r + lo for lo, (r, _f) in zip(starts, kept)])
+    faces = np.concatenate([f for _r, f in kept])
+    # cast whole points, at most _LIFT_PAIRS pairs at a time (or one point's)
+    at = np.searchsorted(rows, np.arange(len(points) + 1)).tolist()
+    out, lo = [], 0
+    while lo < len(points):
+        hi = max(lo + 1, bisect.bisect_right(at, at[lo] + _LIFT_PAIRS) - 1)
+        out += _lift_block(P, normals, sides, points[lo:hi], inward[lo:hi],
+                           rows[at[lo]:at[hi]] - lo, faces[at[lo]:at[hi]])
+        lo = hi
+    return out, len(rows)
 
 
-def _lift_block(P: TriangulatedPolytope, normals: tuple, sides: list,
-                points: np.ndarray, inward: np.ndarray
-                ) -> list[tuple[np.ndarray, tuple[int, int]]]:
-    """`_lift_steiner` for one block of points."""
-    snap = P.snap
+def _face_spheres(P: TriangulatedPolytope, reach: float) -> tuple[tuple, np.ndarray]:
+    """Each face's bounding sphere for the lift's pre-test: its centre
+    columns and its squared radius, such that every hit the face accepts
+    lies within the radius of the centre, for rays from points at most
+    `reach` from the origin.
+
+    Take any centre c (here the float centroid), and let the face have
+    corners v_k, edges e_k = v_(k+1) - v_k, twice its area 2A (the norm
+    of the cross product of two edges) and rho = max_k |v_k - c|. Up to
+    rounding, edge k's side test reads (e_k x (q - v_k)) . n >= -snap *
+    max(1, |e_k|), and its left side is 2A times the barycentric coordinate
+    l_k of q (across from edge k), so l_k >= -eta_k with eta_k = snap *
+    max(1, |e_k|) / 2A. As the l_k sum to 1, sum |l_k| <= 1 + 2 sum eta_k,
+    and q - c = sum l_k (v_k - c) gives
+
+        |q - c| <= (1 + 2 sum_k eta_k) rho.
+
+    Rounding adds three terms, each a chain of a few roundings of unit
+    2^-53 that `_ROUNDING` (g) bounds relative to its magnitudes. The side
+    test's products and the tilt of the float normal n (the cross product's
+    rounding over 2A, at most g (1 + |e_0| |e_2| / 2A) =: gamma) move each
+    side value by at most gamma |e_k| |q - v_k|, with |q - v_k| <= X + rho
+    for X = |q - c|. The hit lies off the face's true plane by at most
+    gamma (X + rho), plus the rounding of t and of q = p - t d, which with
+    the distance from q to the line's exact point at t is below
+    g (|p| + |c| + rho + X). With theta = gamma (1 + 2 (|e_0| + |e_1| +
+    |e_2|) rho / 2A) + g, both q and that exact point satisfy
+
+        X (1 - theta) <= (1 + 2 sum_k eta_k + theta) rho + g (reach + |c| + rho).
+
+    Where theta >= 1/2 (a face too thin to bound) the radius is infinite
+    and the face is always kept. A last factor 1 + 2^-40 covers the
+    rounding of the radius itself; `_sphere_pairs` covers that of the
+    pre-test."""
+    tri = P.vertices[P.faces]  # (F, 3, 3)
+    lengths = [norm(tri[:, (k + 1) % 3] - tri[:, k]) for k in range(3)]
+    centre = tri.sum(axis=1) / 3.0
+    rho = np.max([norm(tri[:, k] - centre) for k in range(3)], axis=0)
+    twice_area = norm(cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
+    eta = P.snap * sum(np.maximum(1.0, lk) for lk in lengths) / twice_area
+    gamma = _ROUNDING * (1.0 + lengths[0] * lengths[2] / twice_area)
+    theta = gamma * (1.0 + 2.0 * (lengths[0] + lengths[1] + lengths[2]) * rho
+                     / twice_area) + _ROUNDING
+    radius = (((1.0 + 2.0 * eta + theta) * rho + _ROUNDING * (reach + norm(centre) + rho))
+              / (1.0 - theta) * (1.0 + 2.0 ** -40))
+    radius = np.where(theta < 0.5, radius, np.inf)
+    return tuple(centre.T.copy()), radius * radius
+
+
+def _sphere_pairs(spheres: tuple, points: np.ndarray, inward: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-test: the (point, face) pairs, as row and face indices in
+    (point, face) order, whose face sphere meets the line through the point
+    along its `inward` row d: |c - p|^2 - ((c - p) . d)^2 <= r^2, with the
+    slack `_ROUNDING` |c - p|^2 for the rounding of both sides and of
+    |d| = 1. It holds (points, faces) arrays."""
+    centre, r2 = spheres
     p = tuple(points.T[:, :, None])  # per coordinate, a (B, 1) column
-    d = tuple(inward.T[:, :, None])
-    denom = dot(normals, d)
-    numer = dot(normals, p) - P.face_offsets
+    w = [centre[c] - p[c] for c in range(3)]
+    far = dot(w, w)
+    along = dot(w, tuple(inward.T[:, :, None]))
+    keep = np.flatnonzero(far - along * along <= r2 + far * _ROUNDING)
+    return np.divmod(keep, len(r2))
+
+
+def _lift_block(P: TriangulatedPolytope, normals: tuple, sides: list, points: np.ndarray,
+                inward: np.ndarray, rows: np.ndarray, faces: np.ndarray
+                ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """`_lift_steiner` for a run of points, given the (point, face) pairs
+    the pre-test kept for them as row and face indices in (point, face)
+    order."""
+    snap = P.snap
+    p = [points[rows, c] for c in range(3)]
+    d = [inward[rows, c] for c in range(3)]
+    n = [col[faces] for col in normals]
+    denom = dot(n, d)
+    numer = dot(n, p) - P.face_offsets[faces]
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = np.where(np.abs(denom) > 1e-15, numer / denom, np.inf)
         inside = np.isfinite(ts)
         t = np.where(inside, ts, 0.0)
         q = [p[c] - t * d[c] for c in range(3)]  # ray hits, per coordinate
     for u, e, thr in sides:
-        w = (q[0] - u[0], q[1] - u[1], q[2] - u[2])
-        inside &= dot(cross(e, w), normals) >= thr
+        w = (q[0] - u[0][faces], q[1] - u[1][faces], q[2] - u[2][faces])
+        inside &= dot(cross((e[0][faces], e[1][faces], e[2][faces]), w), n) >= thr[faces]
     ts = np.where(inside & (ts >= -snap), ts, np.inf)
-    hits = np.argmin(ts, axis=1).tolist()
-    out = []
-    for r, fi in enumerate(hits):
-        if ts[r, fi] == np.inf:
-            # ray missed (heavily truncated sketch); fall back to a global search
-            out.append(_nearest_edge_point(P, points[r].tolist(), range(P.num_faces)))
-        else:
-            out.append(_nearest_edge_point(
-                P, (float(q[0][r, fi]), float(q[1][r, fi]), float(q[2][r, fi])), [fi]))
-    return out
+    # per point, its least ts and, among equal ones, its lowest face
+    order = np.lexsort((ts, rows))
+    first = order[np.diff(rows[order], prepend=-1) != 0]
+    first = first[ts[first] < np.inf]
+    hit = dict(zip(rows[first].tolist(), _nearest_edge_point(
+        P, np.stack([q[c][first] for c in range(3)], axis=1), faces[first, None])))
+    all_faces = np.arange(P.num_faces)[None, :]
+    # a ray that no face accepts (heavily truncated sketch) snaps over all faces
+    return [hit[r] if r in hit else _nearest_edge_point(P, points[r:r + 1], all_faces)[0]
+            for r in range(len(points))]
 
 
-def _nearest_edge_point(
-    P: TriangulatedPolytope, q, face_ids,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """The nearest point to q (three floats) on an edge of the given faces,
-    and the marked vertices of that edge: the endpoint the point snaps to,
-    twice, or else both endpoints. The arithmetic runs on the mesh's float
-    rows."""
-    snap, rows = P.snap, P.vertex_rows
-    best = None
-    for fi in face_ids:
-        f = P.face_rows[fi]
-        for k in range(3):
-            u, v = f[k], f[(k + 1) % 3]
-            a = rows[u]
-            seg = sub(rows[v], a)
-            denom = dot(seg, seg)
-            t = 0.0 if denom <= 1e-300 else dot(sub(q, a), seg) / denom
-            t = min(max(t, 0.0), 1.0)
-            w = (a[0] + t * seg[0], a[1] + t * seg[1], a[2] + t * seg[2])
-            d = norm(sub(w, q))
-            if best is None or d < best[0]:
-                best = (d, w, (min(u, v), max(u, v)))
-    _d, w, (lo, hi) = best
-    if norm(sub(w, rows[lo])) <= snap:
-        marked = (lo, lo)
-    elif norm(sub(w, rows[hi])) <= snap:
-        marked = (hi, hi)
-    else:
-        marked = (lo, hi)
-    return np.array(w), marked
+def _nearest_edge_point(P: TriangulatedPolytope, q: np.ndarray, faces: np.ndarray
+                        ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """For each row of q (m, 3), the nearest point to it on an edge of the
+    faces in the same row of `faces` (m, j), and the marked vertices of that
+    edge: the endpoint the point snaps to, twice, or else both endpoints.
+    The edges are tried in (face, k) order, edge k of a face running from
+    its corner k to corner k + 1, and the first nearest wins. The arithmetic
+    is the kernel's, elementwise over columns of (m, 3j) pairs; the clamp of
+    the edge parameter to [0, 1] keeps Python's min(max(t, 0.0), 1.0), so a
+    -0.0 keeps its bit."""
+    V = P.vertices
+    tri = P.faces[faces]  # (m, j, 3)
+    tail = tri.reshape(len(q), 3 * faces.shape[1])
+    head = tri[:, :, [1, 2, 0]].reshape(tail.shape)
+    a = [V[tail, c] for c in range(3)]
+    seg = [V[head, c] - a[c] for c in range(3)]
+    qc = [q[:, c, None] for c in range(3)]
+    denom = dot(seg, seg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom <= 1e-300, 0.0,
+                     dot([qc[c] - a[c] for c in range(3)], seg) / denom)
+    t = np.where(t < 0.0, 0.0, t)
+    t = np.where(t > 1.0, 1.0, t)
+    w = [a[c] + t * seg[c] for c in range(3)]
+    best = np.argmin(norm([w[c] - qc[c] for c in range(3)]), axis=1)
+    rows = np.arange(len(q))
+    w = [col[rows, best] for col in w]
+    u, v = tail[rows, best], head[rows, best]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    near_lo = norm([w[c] - V[lo, c] for c in range(3)]) <= P.snap
+    near_hi = norm([w[c] - V[hi, c] for c in range(3)]) <= P.snap
+    marked = zip(lo.tolist(), hi.tolist(), near_lo.tolist(), near_hi.tolist())
+    return [(np.array(point), (lo, lo) if at_lo else (hi, hi) if at_hi else (lo, hi))
+            for point, (lo, hi, at_lo, at_hi) in zip(np.stack(w, axis=1).tolist(), marked)]
 
 
 def _nodes_by_face(nodes: list[SpannerNode]) -> dict[int, list[int]]:

@@ -28,10 +28,12 @@ name a different number of reps than the count, `NonCanonicalEdge` for an
 edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
 the spanner disconnected, `NonCanonicalBall` for ball records out of
 (x, t) order, repeated or with x == t, `NonSpannerHop` for a ball next hop
-off the spanner (so every scheme next hop is a spanner edge), and
+off the spanner (so every scheme next hop is a spanner edge),
 `MalformedSection` for bytes past a section's last record or after the
-last section, or an unknown or repeated tag. Versions 1 to 6 are refused
-with `FormatVersionMismatch`.
+last section, or an unknown or repeated tag, and `ImplausibleValue` for
+eps outside (0, 1), an edge weight that is not finite or not above
+`geometry.SNAP_EPS`, or a non-finite Steiner lift. Versions 1 to 6 are
+refused with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import SNAP_EPS
 from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, from_arrays
 from .patching import (
     PatchDecomposition,
@@ -84,6 +87,7 @@ __all__ = [
     "NonCanonicalBall",
     "NonSpannerHop",
     "MalformedSection",
+    "ImplausibleValue",
     "EntryKind",
     "RoutingEntry",
     "RoutingTable",
@@ -138,6 +142,14 @@ class NonSpannerHop(SerializationError):
 class MalformedSection(SerializationError):
     """Bytes past a section's last record or after the last section, or an
     unknown or repeated section tag."""
+
+
+class ImplausibleValue(SerializationError):
+    """A stored value the build cannot produce: eps outside (0, 1), an edge
+    weight that is not finite or not above `geometry.SNAP_EPS`, or a
+    non-finite Steiner lift. The Theta pass joins only nodes farther apart
+    than their row's snap, `geometry.snap` of a length, which is at least
+    SNAP_EPS, so every built weight exceeds it."""
 
 
 class EntryKind(Enum):
@@ -485,6 +497,8 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
             raise TruncatedStream(f"missing section {tag}")
     r = payloads[_SEC_META]
     eps = r.f64()
+    if not 0.0 < eps < 1.0:
+        raise ImplausibleValue(f"eps {eps} is outside (0, 1)")
 
     r = payloads[_SEC_MESH]
     n = r.u32()
@@ -513,6 +527,8 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     rec = payloads[_SEC_NODES].records(_NODE_REC)
     for name, count in (("patch_a", decomp.count), ("patch_b", decomp.count), ("marked", n)):
         _check_ids(rec[name], count, f"Steiner node {name}")
+    if not np.isfinite(rec["lift3d"]).all():
+        raise ImplausibleValue("a Steiner lift is not finite")
     for pa, pb, lift3d, (mx, my) in zip(rec["patch_a"].tolist(), rec["patch_b"].tolist(),
                                          rec["lift3d"].astype(np.float64),
                                          rec["marked"].tolist()):
@@ -522,6 +538,9 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     rec = payloads[_SEC_EDGES].records(_EDGE_REC)
     for name, count in (("u", N), ("v", N), ("face", decomp.count)):
         _check_ids(rec[name], count, f"edge {name}")
+    weight = rec["weight"]
+    if not (np.isfinite(weight) & (weight > SNAP_EPS)).all():
+        raise ImplausibleValue("an edge weight is not finite or not above the snap floor")
     u, v = rec["u"].astype(np.int64), rec["v"].astype(np.int64)
     edge_keys = np.sort(u * N + v)
     if (u >= v).any() or (np.diff(edge_keys) == 0).any():

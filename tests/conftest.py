@@ -50,6 +50,12 @@ def sphere50_system(sphere50):
     return preprocess_mesh(sphere50, 0.3)
 
 
+def other_face(P, f, u, v):
+    """The face across edge (u, v) from face f."""
+    a, b = P.edge_adjacency[(min(u, v), max(u, v))]
+    return b if a == f else a
+
+
 def random_pairs(n, count, seed=0):
     rng = np.random.default_rng(seed)
     pairs = []

@@ -76,6 +76,7 @@ def test_preprocess_summary(tetra_off, tmp_path, capsys):
     assert doc["wall_time_s"] >= 0
     assert doc["stats"]["total_s"] <= doc["wall_time_s"] + 1e-4
     assert doc["stats"]["theta_pairs"] > 0
+    assert doc["stats"]["lift_pairs"] >= doc["stats"]["steiner_nodes"]
 
 
 def test_preprocess_cube_six_patches(tmp_path, capsys):

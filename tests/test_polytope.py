@@ -21,6 +21,8 @@ from polyroute.polytope import (
     save_off,
 )
 
+from conftest import other_face
+
 TETRA_OFF = """OFF
 4 4 6
 1 1 1
@@ -208,7 +210,7 @@ def _reference_fans(P):
         fan = [start]
         while True:
             f = faces[fan[-1]]
-            nxt = P.other_face(fan[-1], v, f[(f.index(v) + 1) % 3])
+            nxt = other_face(P, fan[-1], v, f[(f.index(v) + 1) % 3])
             if nxt == start:
                 break
             assert nxt not in fan

@@ -30,7 +30,7 @@ from polyroute.router import (
 )
 from polyroute.tables import preprocess_mesh
 
-from conftest import random_pairs
+from conftest import other_face, random_pairs
 
 
 def _vid(mesh, point):
@@ -460,7 +460,7 @@ def test_tracer_reads_only_the_fan_and_one_face_beyond(sphere50_system, monkeypa
             reads.clear()
             nxt, _case = step(current, header, trace, sphere50_system)
             fan = mesh.vertex_fan[current]
-            beyond = {mesh.other_face(f, *edge) for f in fan
+            beyond = {other_face(mesh, f, *edge) for f in fan
                       for edge in itertools.combinations(mesh.face_rows[f], 2)}
             allowed = {v for f in set(fan) | beyond for v in mesh.face_rows[f]}
             assert set(reads) <= allowed, (s, t, current)

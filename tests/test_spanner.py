@@ -3,15 +3,16 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from polyroute import spanner
-from polyroute.cli import generate_mesh
-from polyroute.geometry import cross, dot, norm
+from polyroute.cli import convex_hull_mesh, generate_mesh
+from polyroute.geometry import GeometryError, cross, dot, norm, sub
 from polyroute.patching import NO_NEIGHBOR, compute_patches, build_sketch, project_patch
+from polyroute.polytope import PolytopeError
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
     _build_face_maps,
@@ -19,7 +20,6 @@ from polyroute.spanner import (
     _extended_cone_hits_rep,
     _lift_steiner,
     _nearest_boundary_point_in_wedge,
-    _nearest_edge_point,
     _occupied_cones,
     _polygon_meets_wedge,
     _theta_edges,
@@ -637,9 +637,9 @@ def _search_first_placement(P, decomp, sketch, assignment, projections, eps):
             occupied_pos.setdefault(pid, []).append(q2)
             occupied_pos.setdefault(nb, []).append(q2_nb)
     if steiner:
-        lifts = _lift_steiner(P, np.array([q3 for _pid, _nb, q3 in steiner]),
-                              np.array([decomp.patches[pid].gamma.normal
-                                        for pid, _nb, _q3 in steiner]))
+        lifts, _pairs = _lift_steiner(P, np.array([q3 for _pid, _nb, q3 in steiner]),
+                                      np.array([decomp.patches[pid].gamma.normal
+                                                for pid, _nb, _q3 in steiner]))
         for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
             nodes.append(spanner.SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
                                              lift3d=lift, marked=marked))
@@ -667,8 +667,37 @@ def test_placement_matches_search_first_reference(n, eps):
     assert stats["steiner_nodes"] <= stats["cone_searches"] < stats["empty_cones"]
 
 
-def _all_faces_lift(P, point, inward):
-    # the lift with every array rebuilt per call, over (F, 3) arrays
+def _reference_nearest_edge_point(P, q, face_ids):
+    # the snap on float rows, one edge at a time in (face, k) order, with
+    # Python's clamp and the first nearest edge
+    snap, rows = P.snap, P.vertex_rows
+    best = None
+    for fi in face_ids:
+        f = P.face_rows[fi]
+        for k in range(3):
+            u, v = f[k], f[(k + 1) % 3]
+            a = rows[u]
+            seg = sub(rows[v], a)
+            denom = dot(seg, seg)
+            t = 0.0 if denom <= 1e-300 else dot(sub(q, a), seg) / denom
+            t = min(max(t, 0.0), 1.0)
+            w = (a[0] + t * seg[0], a[1] + t * seg[1], a[2] + t * seg[2])
+            d = norm(sub(w, q))
+            if best is None or d < best[0]:
+                best = (d, w, (min(u, v), max(u, v)))
+    _d, w, (lo, hi) = best
+    if norm(sub(w, rows[lo])) <= snap:
+        marked = (lo, lo)
+    elif norm(sub(w, rows[hi])) <= snap:
+        marked = (hi, hi)
+    else:
+        marked = (lo, hi)
+    return np.array(w), marked
+
+
+def _all_faces_cast(P, point, inward):
+    # the exact cast of one point over (F, 3) arrays, every array rebuilt
+    # per call: which faces accept the ray, their distances and their hits
     snap = P.snap
     denom = dot(P.face_normals, inward)
     numer = dot(P.face_normals, point) - P.face_offsets
@@ -683,11 +712,15 @@ def _all_faces_lift(P, point, inward):
         v = tri[:, (k + 1) % 3]
         side = dot(np.stack(cross(v - u, qs - u), axis=1), P.face_normals)
         inside &= side >= -snap * np.maximum(1.0, norm(v - u))
-    ok = inside & np.isfinite(ts) & (ts >= -snap)
+    return inside & np.isfinite(ts) & (ts >= -snap), ts, qs
+
+
+def _all_faces_lift(P, point, inward):
+    ok, ts, qs = _all_faces_cast(P, point, inward)
     if not ok.any():
-        return _nearest_edge_point(P, point, range(P.num_faces))
+        return _reference_nearest_edge_point(P, point, range(P.num_faces))
     fi = int(np.flatnonzero(ok)[np.argmin(ts[ok])])
-    return _nearest_edge_point(P, qs[fi], [fi])
+    return _reference_nearest_edge_point(P, qs[fi], [fi])
 
 
 def _check_steiner_lift(n, seed, eps):
@@ -704,7 +737,8 @@ def _check_steiner_lift(n, seed, eps):
         # the sketch point the build lifted, by the build's own call
         points.append(np.array(patch.to_3d(positions[node.id][patch.id])))
         inward.append(patch.gamma.normal)
-    again = _lift_steiner(mesh, np.array(points), np.array(inward))
+    again, pairs = _lift_steiner(mesh, np.array(points), np.array(inward))
+    assert len(steiner) <= pairs < len(steiner) * mesh.num_faces
     for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
         want, want_marked = _all_faces_lift(mesh, q3, normal)
         assert want.tobytes() == node.lift3d.tobytes() == lift.tobytes()
@@ -718,26 +752,38 @@ def test_steiner_lift_matches_all_faces_lift(seed):
 
 
 def test_steiner_lift_over_several_blocks_matches_all_faces_lift(monkeypatch):
-    # at n = 600 the points span several blocks, and no (points, faces)
-    # array of the lift holds more than _LIFT_PAIRS values
-    blocks = []
-    lift_block = spanner._lift_block
+    # at n = 600 the points span several pre-test blocks, and no (points,
+    # faces) array of the pre-test holds more than _LIFT_PAIRS values; the
+    # exact cast takes whole points, at most _LIFT_PAIRS pairs at a time,
+    # in one run under the default cap and in several under a cap of 2^11
+    sphere_pairs, lift_block = spanner._sphere_pairs, spanner._lift_block
+    for cap in (spanner._LIFT_PAIRS, 1 << 11):
+        monkeypatch.setattr(spanner, "_LIFT_PAIRS", cap)
+        tests, casts = [], []
 
-    def recording(P, normals, sides, points, inward):
-        blocks.append((len(points), P.num_faces))
-        return lift_block(P, normals, sides, points, inward)
+        def recording_test(spheres, points, inward):
+            tests.append((len(points), len(spheres[1])))
+            return sphere_pairs(spheres, points, inward)
 
-    monkeypatch.setattr(spanner, "_lift_block", recording)
-    count = _check_steiner_lift(600, 0, 0.8)
-    # the build's lift and the check's own, each over all the points
-    assert len(blocks) > 2 and sum(b for b, _f in blocks) == 2 * count
-    assert all(0 < b * f <= spanner._LIFT_PAIRS for b, f in blocks)
+        def recording_cast(P, normals, sides, points, inward, rows, faces):
+            casts.append((len(points), len(rows)))
+            return lift_block(P, normals, sides, points, inward, rows, faces)
+
+        monkeypatch.setattr(spanner, "_sphere_pairs", recording_test)
+        monkeypatch.setattr(spanner, "_lift_block", recording_cast)
+        count = _check_steiner_lift(600, 0, 0.8)
+        # the build's lift and the check's own, each over all the points
+        assert len(tests) > 2 and sum(b for b, _f in tests) == 2 * count
+        assert all(0 < b * f <= cap for b, f in tests)
+        assert sum(b for b, _k in casts) == 2 * count
+        assert all(k <= cap for _b, k in casts)
+        assert len(casts) == 2 if cap > 1 << 11 else len(casts) > 2
 
 
 def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
     # a point beside the polytope, cast along its patch normal, meets no
-    # face; it lifts to the nearest edge point over all faces, and the
-    # points around it in its block lift as they would alone
+    # face sphere; it lifts to the nearest edge point over all faces, and
+    # the points around it in its block lift as they would alone
     mesh = generate_mesh("sphere", 100, 1)
     decomp, _sketch, _assignment, _projections = _stage(mesh, 0.4)
     patch = decomp.patches[0]
@@ -746,14 +792,150 @@ def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
     searched = []
     nearest = spanner._nearest_edge_point
 
-    def recording(P, q, face_ids):
-        searched.append(len(face_ids))
-        return nearest(P, q, face_ids)
+    def recording(P, q, faces):
+        searched.append(faces)
+        return nearest(P, q, faces)
 
     monkeypatch.setattr(spanner, "_nearest_edge_point", recording)
-    lifts = _lift_steiner(mesh, np.array([near, far, near]),
-                          np.array([patch.gamma.normal] * 3))
-    assert searched == [1, mesh.num_faces, 1]
+    lifts, _pairs = _lift_steiner(mesh, np.array([near, far, near]),
+                                  np.array([patch.gamma.normal] * 3))
+    # the two hits in one batch, each on its face's three edges, then the
+    # miss on every edge of every face
+    assert [f.shape for f in searched] == [(2, 1), (1, mesh.num_faces)]
+    assert searched[1].tolist() == [list(range(mesh.num_faces))]
     for (got, got_marked), point in zip(lifts, (near, far, near)):
         want, want_marked = _all_faces_lift(mesh, point, patch.gamma.normal)
         assert got.tobytes() == want.tobytes() and got_marked == want_marked
+
+
+def _check_lift_rays(mesh, points, inward):
+    # every face the exact cast accepts passes the pre-test, and the batch
+    # lifts each ray as the all-faces lift does alone
+    points, inward = np.array(points), np.array(inward)
+    spheres = spanner._face_spheres(mesh, float(norm(points).max()))
+    rows, faces = spanner._sphere_pairs(spheres, points, inward)
+    lifts, pairs = _lift_steiner(mesh, points, inward)
+    assert pairs == len(rows)
+    for r, (point, d, (lift, marked)) in enumerate(zip(points, inward, lifts)):
+        accepted = set(np.flatnonzero(_all_faces_cast(mesh, point, d)[0]).tolist())
+        assert accepted <= set(faces[rows == r].tolist())
+        want, want_marked = _all_faces_lift(mesh, point, d)
+        assert lift.tobytes() == want.tobytes() and marked == want_marked
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def _corner_ray(mesh, f, k, frac):
+    # a ray along face f's normal through a point past its corner k, away
+    # from the centroid, by frac of what the side tests let through
+    tri = mesh.vertices[mesh.faces[f]]
+    c = tri.sum(axis=0) / 3.0
+    lengths = [float(np.linalg.norm(tri[(j + 1) % 3] - tri[j])) for j in range(3)]
+    twice_area = float(np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])))
+    eta = min(mesh.snap * max(1.0, x) / twice_area for x in lengths)
+    q = tri[k] + 3.0 * frac * eta * (tri[k] - c)
+    return q + 0.5 * mesh.face_normals[f], mesh.face_normals[f]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 40),
+       stretch=st.tuples(*[st.floats(0.05, 20.0)] * 3),
+       shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       kinds=st.lists(st.sampled_from(["random", "vertex", "edge", "along_edge", "corner"]),
+                      min_size=1, max_size=8))
+def test_lift_pretest_keeps_every_accepting_face(seed, n, stretch, shift, kinds):
+    # random hulls (points on a stretched, shifted sphere), random rays,
+    # rays through a vertex, across or along an edge, where several faces
+    # accept and the face-id tie rule decides, and rays just past a face's
+    # corner, within the side tests' snap
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * stretch + shift
+    try:
+        mesh = convex_hull_mesh(pts)
+    except (PolytopeError, GeometryError, ValueError):
+        assume(False)
+    scale = float(np.ptp(mesh.vertices, axis=0).max())
+    points, inward = [], []
+    for kind in kinds:
+        d = _unit(rng.normal(size=3))
+        f = int(rng.integers(mesh.num_faces))
+        u, v = (mesh.vertices[i] for i in mesh.faces[f][:2])
+        if kind == "random":
+            p = mesh.vertices.mean(axis=0) + scale * rng.uniform(-1.0, 1.0, size=3)
+        elif kind == "vertex":
+            p = u + scale * rng.uniform(0.1, 2.0) * d
+        elif kind == "edge":
+            p = (u + v) / 2.0 + scale * rng.uniform(0.1, 2.0) * d
+        elif kind == "along_edge":
+            d = _unit(u - v)
+            p = u + scale * rng.uniform(0.0, 1.0) * d
+        else:
+            p, d = _corner_ray(mesh, f, int(rng.integers(3)), rng.uniform(0.0, 0.99))
+        points.append(p)
+        inward.append(d)
+    _check_lift_rays(mesh, points, inward)
+
+
+@pytest.mark.parametrize("case", ["corner", "grazing"])
+def test_lift_pretest_keeps_pinned_rays(case):
+    # corner: the hit lies past face 0's farthest corner by half of what the
+    # side tests let through, so farther from the centroid than any corner;
+    # grazing: a ray a hundredth of the snap below edge 0, perpendicular to
+    # it, enters one of its faces and leaves by the other within the snap
+    mesh = generate_mesh("sphere", 100, 1)
+    if case == "corner":
+        tri = mesh.vertices[mesh.faces[0]]
+        c = tri.sum(axis=0) / 3.0
+        k = int(np.argmax(np.linalg.norm(tri - c, axis=1)))
+        p, d = _corner_ray(mesh, 0, k, 0.5)
+        ok, ts, qs = _all_faces_cast(mesh, p, d)
+        assert ok[0] and np.linalg.norm(qs[0] - c) > np.linalg.norm(tri - c, axis=1).max()
+    else:
+        (a, b), (f, g) = next(iter(mesh.edge_adjacency.items()))
+        u, v = mesh.vertices[a], mesh.vertices[b]
+        up = _unit(mesh.face_normals[f] + mesh.face_normals[g])
+        d = _unit(np.cross(u - v, up))
+        p = (u + v) / 2.0 - 0.01 * mesh.snap * up + 0.5 * d
+        ok, ts, qs = _all_faces_cast(mesh, p, d)
+        assert set(np.flatnonzero(ok).tolist()) == {f, g}
+        assert abs(ts[f] - ts[g]) <= mesh.snap
+    _check_lift_rays(mesh, [p], [d])
+
+
+@pytest.mark.parametrize("kind", ["vertex", "random", "edge"])
+def test_nearest_edge_point_matches_row_reference(kind):
+    # the column snap over batches of points, each on its own faces, equals
+    # the loop on float rows, bit for bit, marks included
+    mesh = generate_mesh("sphere", 50, 0)
+    rng = np.random.default_rng(7)
+    faces = rng.integers(mesh.num_faces, size=(40, 3))
+    ends = mesh.vertices[mesh.faces[faces[:, 0]]]
+    if kind == "vertex":
+        q = ends[:, 0]
+    elif kind == "edge":
+        q = ends[:, 0] + rng.uniform(0.0, 1.0, size=(40, 1)) * (ends[:, 1] - ends[:, 0])
+    else:
+        q = rng.normal(size=(40, 3))
+    got = spanner._nearest_edge_point(mesh, q, faces)
+    for qi, fi, (lift, marked) in zip(q, faces, got):
+        want, want_marked = _reference_nearest_edge_point(mesh, qi, fi.tolist())
+        assert lift.tobytes() == want.tobytes() and marked == want_marked
+
+
+def test_nearest_edge_point_keeps_a_negative_zero():
+    # at the tail of an edge whose direction is all negative, the edge
+    # parameter is -0.0; Python's max(-0.0, 0.0) keeps it, and so the tail's
+    # -0.0 coordinate turns +0.0 in a + t * seg
+    from types import SimpleNamespace
+
+    V = np.array([[1.0, -0.0, 0.0], [0.0, -1.0, -0.0], [0.0, 0.0, 1.0]])
+    P = SimpleNamespace(vertices=V, faces=np.array([[0, 1, 2]]), snap=1e-9,
+                        vertex_rows=V.tolist(), face_rows=[[0, 1, 2]])
+    [(lift, marked)] = spanner._nearest_edge_point(P, V[:1], np.array([[0]]))
+    want, want_marked = _reference_nearest_edge_point(P, V[0], [0])
+    assert lift.tobytes() == want.tobytes() and marked == want_marked == (0, 0)
+    assert not np.signbit(lift[1])

@@ -107,11 +107,14 @@ def test_preprocess_fills_stage_stats(sphere50_system):
     stats = sphere50_system.stats
     g = sphere50_system.graph
     assert set(stats) == set(STAGES) | {"total_s", "empty_cones", "cone_searches",
-                                        "steiner_nodes", "theta_pairs"}
+                                        "steiner_nodes", "lift_pairs", "theta_pairs"}
     assert all(stats[k] >= 0.0 for k in STAGES)
     assert sum(stats[k] for k in STAGES) <= stats["total_s"]
     assert stats["steiner_nodes"] == sum(n.kind == "steiner" for n in g.nodes)
     assert stats["empty_cones"] >= stats["cone_searches"] >= stats["steiner_nodes"] > 0
+    # the pre-test leaves each Steiner point its hit face and drops most faces
+    assert (stats["steiner_nodes"] <= stats["lift_pairs"]
+            < stats["steiner_nodes"] * sphere50_system.P.num_faces // 4)
     assert stats["theta_pairs"] == sum(len(ids) ** 2 for ids in g.per_face_nodes.values()
                                        if len(ids) > 1)
     assert deserialize(serialize(sphere50_system)).stats == {}
@@ -438,6 +441,63 @@ def test_disconnected_edge_section_rejected(sphere50_system):
     payload = np.uint32(len(kept)).tobytes() + kept.tobytes()
     with pytest.raises(DisconnectedSpanner):
         deserialize(_container([(t, payload if t == 6 else p) for t, p in sections]))
+
+
+def _load_in_child(blob: bytes) -> str:
+    """The name of the error `deserialize` raises on blob, or "loaded", from
+    a child process with 2 GB of address space and 60 s: an abort or a hang
+    fails the test instead of killing the runner."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from polyroute.tables import deserialize\n"
+            "try:\n"
+            "    deserialize(sys.stdin.buffer.read())\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "else:\n"
+            "    print('loaded')\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True,
+                          timeout=60, preexec_fn=cap, env=env)
+    assert done.returncode == 0, done.stderr.decode()[-2000:]
+    return done.stdout.decode().strip()
+
+
+# (section, byte offset, value) of a stored float the build cannot produce:
+# the first edge's weight (after the section's count and the record's u and
+# v), eps, and the first Steiner node's lift (after its two patches)
+_IMPLAUSIBLE = {
+    "weight_minus_one": (6, 12, -1.0),
+    "weight_minus_tiny": (6, 12, -1e-300),
+    "weight_nan": (6, 12, float("nan")),
+    "weight_inf": (6, 12, float("inf")),
+    "eps_7.5": (1, 0, 7.5),
+    "eps_nan": (1, 0, float("nan")),
+    "lift_nan": (5, 12, float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IMPLAUSIBLE))
+def test_implausible_values_rejected(sphere50_system, case):
+    # a valid CRC over a value no build writes; before the loader refused
+    # them, a weight of -1.0 aborted the interpreter in the landmark
+    # Dijkstra, -1e-300 hung it, and the others loaded
+    import struct
+
+    tag, offset, value = _IMPLAUSIBLE[case]
+    sections = _sections(serialize(sphere50_system))
+    payload = bytearray(dict(sections)[tag])
+    struct.pack_into("<d", payload, offset, value)
+    bad = _container([(t, bytes(payload) if t == tag else p) for t, p in sections])
+    assert _load_in_child(bad) == "ImplausibleValue"
 
 
 def _with_version(blob: bytes, version: int) -> bytes:
