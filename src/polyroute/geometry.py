@@ -1,5 +1,5 @@
-"""3D/2D primitives: the dot/norm/cross/sub kernel, the 2D rigid map
-`map2`, planes and corner angles.
+"""3D/2D primitives: the dot/norm/cross/sub kernel, planes and corner
+angles.
 
 Points and vectors are numpy float64 arrays of shape (3,) or rows of
 Python floats; a batch is an (n, 3) array or a tuple of columns. Coincidence
@@ -9,10 +9,10 @@ are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
 Every dot product, norm and cross product of the system (outside the
 reference oracle, the mesh generator and the convexity check on load) is
 computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic summed left to right, over
-Python floats for one vector or over numpy columns for a batch. `map2`
-maps coordinate lists with the same left-to-right terms, and so do the
-patch frame maps (`patching.Patch.to_2d`, `to_3d`) on float rows or
-columns, so the preprocessing loops pay no numpy call per point.
+Python floats for one vector or over numpy columns for a batch. The patch
+frame maps (`patching.Patch.to_2d`, `to_3d`) on float rows or columns,
+and the Steiner placement's unfolding maps on columns, write out the same
+left-to-right terms.
 Elementwise float arithmetic rounds the same in both, so one row, any
 subset of rows and the whole batch give the same bits, whatever the BLAS library or its
 thread count. Forwarding decisions are sign tests of such values, so
@@ -34,7 +34,6 @@ __all__ = [
     "norm",
     "cross",
     "sub",
-    "map2",
     "Plane",
     "corner_angle",
 ]
@@ -98,16 +97,6 @@ def sub(a, b) -> tuple[float, float, float]:
     tuples of coordinate columns), as a tuple; each component rounds as
     numpy's elementwise subtraction does."""
     return a[0] - b[0], a[1] - b[1], a[2] - b[2]
-
-
-def map2(m, t, xs, ys) -> tuple[list[float], list[float]]:
-    """The 2D rigid map p -> m p + t over points given as their x and their
-    y coordinate lists: each output coordinate is x*row[0] + y*row[1], then
-    plus the translation, so a point gets the bits of `dot(row, p) + t`."""
-    (r00, r01), (r10, r11) = m
-    t0, t1 = t
-    return ([x * r00 + y * r01 + t0 for x, y in zip(xs, ys)],
-            [x * r10 + y * r11 + t1 for x, y in zip(xs, ys)])
 
 
 def _unit(v) -> np.ndarray:

@@ -14,7 +14,9 @@ abutting-patch label of every boundary edge.
 
 A patch's frame (origin and unit axes) is float 3-tuples, and its maps
 `to_2d` and `to_3d` take and return float rows, or for a batch tuples of
-coordinate columns; `project_patch` gives each vertex as a float pair.
+coordinate columns; `frame_to_2d` and `frame_to_3d` are the same maps for
+a frame given as columns too, one frame per point. `project_patch` gives
+each vertex as a float pair.
 """
 from __future__ import annotations
 
@@ -36,6 +38,8 @@ __all__ = [
     "compute_patches",
     "build_decomposition",
     "build_sketch",
+    "frame_to_2d",
+    "frame_to_3d",
     "project_patch",
 ]
 
@@ -64,15 +68,29 @@ class Patch:
         """Frame coordinates (p - origin) . u and (p - origin) . v of a float
         row p, or of each point of a tuple of coordinate columns; a point
         gets the same bits either way."""
-        rel = sub(p, self.frame_origin)
-        return dot(rel, self.frame_u), dot(rel, self.frame_v)
+        return frame_to_2d((self.frame_origin, self.frame_u, self.frame_v), p)
 
     def to_3d(self, q) -> tuple:
         """The point origin + (x*u + y*v) of frame coordinates q = (x, y),
         floats or columns."""
-        x, y = q
-        o, u, v = self.frame_origin, self.frame_u, self.frame_v
-        return tuple(o[k] + (x * u[k] + y * v[k]) for k in range(3))
+        return frame_to_3d((self.frame_origin, self.frame_u, self.frame_v), q)
+
+
+def frame_to_2d(frame: tuple, p) -> tuple:
+    """`Patch.to_2d` in the frame (origin, u, v), whose vectors are float
+    rows, or tuples of coordinate columns that give each point its own
+    frame."""
+    origin, u, v = frame
+    rel = sub(p, origin)
+    return dot(rel, u), dot(rel, v)
+
+
+def frame_to_3d(frame: tuple, q) -> tuple:
+    """`Patch.to_3d` in the frame (origin, u, v), given as for
+    `frame_to_2d`."""
+    x, y = q
+    o, u, v = frame
+    return tuple(o[k] + (x * u[k] + y * v[k]) for k in range(3))
 
 
 @dataclass

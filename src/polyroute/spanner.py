@@ -13,20 +13,17 @@ face is its edge's face.
 
 A cone's extension is traced by a breadth-first search over the sketch
 faces, each unfolded into the start face's plane by 2D maps, one per
-shared edge (`_FaceMaps`). The 2D map that unfolds a face depends only on
-the search path from the start face, so each start face keeps one
-unfolding tree (`_Unfolded`): a node per path, holding the composed map
-and the face's polygon, bounding circle and representatives already
-unfolded. Every cone of every representative of that face walks and grows
-the same tree, so each composition is paid for once.
-
-The placement runs on Python floats: polygons and representatives are kept
-as x and y coordinate lists, points and maps as tuples, and the `dot`/`map2`
-kernels of `geometry` and the patch frame maps (`Patch.to_2d`, `to_3d`) do
-their arithmetic, with the bits of the array kernel. Numpy is left to the
-angles (`arctan2`, `hypot`), whose numpy results differ from `math`'s, to
-the Steiner lift, which tests all points against per-face bounding spheres
-in capped blocks and casts the pairs that pass, and to the Theta pass.
+shared edge, composed along the search path. `_FaceMaps` holds the sketch
+faces as padded arrays and their hops as CSR arrays, so the placement
+decides every empty cone at once: its nearest boundary point
+(`_boundary_points`) and its extension search (`_search_cones`, all cones a
+BFS level at a time) run over numpy columns in capped blocks, with the
+terms of `geometry.dot` in their order, so every value has the bits of a
+loop over Python floats. The angles keep numpy's `arctan2` and `hypot`,
+whose results differ from `math`'s. Only the crowding rule, which reads the
+relays placed before, runs as a loop. The Steiner lift tests all points
+against per-face bounding spheres in capped blocks and casts the pairs
+that pass.
 
 The Theta pass (`_theta_edges`) builds the Theta-graphs of all faces at
 once: the same-face pairs of all faces, in capped blocks of whole rows (a
@@ -43,7 +40,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +47,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import geometry
-from .geometry import cross, dot, map2, norm
-from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch
+from .geometry import cross, dot, norm
+from .patching import NO_NEIGHBOR, PatchDecomposition, Sketch, frame_to_2d, frame_to_3d
 from .polytope import TriangulatedPolytope
 from .sampling import RepresentativeAssignment
 
@@ -275,120 +271,98 @@ def _break_ties(fan: ConeFan, keys, cand, ids, j, d, a, cone) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# extended-cone tracing over the unfolded sketch
+# the sketch faces as arrays, and the cone tests over all cones at once
 
 
 @dataclass
 class _FaceMaps:
-    """Per sketch face: polygon, per-edge neighbour, and `hops`: per edge
-    with a neighbour face, in edge order, that face and the 2D rigid map
-    (matrix rows, translation) carrying its frame into this face's frame
-    after unfolding. Unfolding turns the neighbour about the shared edge
-    until its normal meets this face's; both frames have u x v = normal, so
-    in frame coordinates it is a proper rigid motion of the plane, which
-    the edge's corners in the neighbour's frame and their images here fix.
-    The hop map is built from them: a rotation turning the edge vector
-    there onto the one here, then the translation putting the first corner
-    on its image. `edges` holds, per polygon edge, its start point and
-    edge vector and the edge vector's squared length. `poly` is the pair of
-    the polygon's x and y coordinate lists; maps, points and vectors are
-    tuples of Python floats."""
+    """The sketch faces as arrays, one row per face in `sketch.faces` order
+    (`row` maps a patch id to its row) and one column per polygon corner,
+    padded to the largest polygon. Per corner: its coordinates (`xs`,
+    `ys`), whether it is a real corner (`corner`), its successor (`nxt`),
+    the edge to that successor (`seg_x`, `seg_y`, and `seg_sq`, its squared
+    length) and the patch across that edge (`neighbors`, NO_NEIGHBOR on
+    padding). Per face: its bounding circle (`cx`, `cy`, the corners' mean,
+    and `radius`). `frames` holds each patch's frame (origin, u, v) by
+    patch id.
 
-    poly: tuple[list[float], list[float]]
+    The hops are CSR arrays: face f's hops are `hop_start[f]` to
+    `hop_start[f + 1] - 1`, one per edge with a neighbour face, in edge
+    order, each holding that face's row (`hop_face`) and the 2D rigid map
+    (`hop_map` rows m00, m01, m10, m11, t0, t1) carrying its frame into f's
+    frame after unfolding. Unfolding turns the neighbour about the shared
+    edge until its normal meets this face's; both frames have u x v =
+    normal, so in frame coordinates it is a proper rigid motion of the
+    plane, which the edge's corners in the neighbour's frame and their
+    images here fix. The hop map is built from them: a rotation turning the
+    edge vector there onto the one here, then the translation putting the
+    first corner on its image."""
+
+    row: dict[int, int]
+    xs: np.ndarray
+    ys: np.ndarray
+    corner: np.ndarray
+    nxt: np.ndarray
+    seg_x: np.ndarray
+    seg_y: np.ndarray
+    seg_sq: np.ndarray
     neighbors: np.ndarray
-    hops: list[tuple[int, tuple, tuple]]
-    center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 0.0
-    edges: list = field(default_factory=list)
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    frames: np.ndarray
+    hop_start: np.ndarray
+    hop_face: np.ndarray
+    hop_map: np.ndarray
 
 
-def _build_face_maps(
-    decomp: PatchDecomposition, sketch: Sketch
-) -> dict[int, _FaceMaps]:
-    by_pid = {f.patch_id: f for f in sketch.faces}
-    maps: dict[int, _FaceMaps] = {}
-    for f in sketch.faces:
-        patch = decomp.patches[f.patch_id]
-        hops: list[tuple[int, tuple, tuple]] = []
-        edges = []
-        corners = f.polygon2d.tolist()
-        poly3 = [patch.to_3d(c) for c in corners]
-        kk = len(corners)
-        for k in range(kk):
-            (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
-            seg = (b0 - a0, b1 - a1)
-            edges.append(((a0, a1), seg, dot(seg, seg)))
-            j = int(f.neighbor_patch[k])
-            if j == NO_NEIGHBOR or j not in by_pid:
-                continue
-            # the proper motion sending the edge's corners p, q in j's frame onto a, b
-            to_2d = decomp.patches[j].to_2d
-            p, q = to_2d(poly3[k]), to_2d(poly3[(k + 1) % kk])
-            en = (q[0] - p[0], q[1] - p[1])
-            s = norm(seg) * norm(en)
-            c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
-            m2 = ((c, -sn), (sn, c))
-            hops.append((j, m2, (a0 - dot(m2[0], p), a1 - dot(m2[1], p))))
-        center = tuple(f.polygon2d.mean(axis=0).tolist())
-        radius = float(norm(f.polygon2d - center).max())
-        maps[f.patch_id] = _FaceMaps(tuple(f.polygon2d.T.tolist()), f.neighbor_patch, hops,
-                                     center=center, radius=radius, edges=edges)
-    return maps
+def _frame_columns(frames: np.ndarray, pids: np.ndarray) -> tuple:
+    """The frames of patches `pids`, from the per-patch (origin, u, v) rows
+    of `frames`, as columns: origin, u and v, each a tuple of coordinate
+    columns, for `frame_to_2d` and `frame_to_3d`."""
+    f = frames[pids]
+    return tuple(tuple(f[:, k, c] for c in range(3)) for k in range(3))
 
 
-class _Unfolded:
-    """A node of a start face's unfolding tree: the sketch face `pid` reached
-    from the start face along one BFS path, with the composed 2D rigid map
-    (m2, t2) carrying its frame into the start face's frame. The map depends
-    on the path alone, not on the apex or the cone, so all cones of all
-    representatives of a start face share one tree. A node keeps what the
-    cone tests read, unfolded and as Python floats: its bounding-circle
-    centre, and from their first use on, its polygon (x and y coordinate
-    lists) and its representatives (float pairs; empty at the root). Maps
-    compose in plain float arithmetic, with `dot`'s terms in `dot`'s order,
-    and carry the coordinate lists with `map2`, so no node costs a numpy
-    call. Child i, across the face's i-th hop, is unfolded on first use."""
-
-    __slots__ = ("fm", "pid", "m2", "t2", "center", "poly", "reps", "children")
-
-    def __init__(self, fm: _FaceMaps, pid: int, m2: tuple, t2: tuple[float, float],
-                 center: tuple[float, float] = (0.0, 0.0)) -> None:
-        self.fm = fm
-        self.pid = pid
-        self.m2 = m2
-        self.t2 = t2
-        self.center = center
-        self.poly: tuple[list[float], list[float]] | None = None
-        self.reps: list | None = None
-        self.children: list[_Unfolded | None] = [None] * len(fm.hops)
-
-    def unfold(self, i: int, face_maps: dict[int, _FaceMaps]) -> _Unfolded:
-        nb, ((a, b), (c, d)), (ex, ey) = self.fm.hops[i]
-        (p, q), (r, s) = self.m2
-        # m2 @ em, then m2 et + t2; each sum has `dot`'s terms in its order
-        nm = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
-        nt = (ex * p + ey * q + self.t2[0], ex * r + ey * s + self.t2[1])
-        fm = face_maps[nb]
-        (m00, m01), (m10, m11) = nm
-        cx, cy = fm.center
-        center = (m00 * cx + m01 * cy + nt[0], m10 * cx + m11 * cy + nt[1])
-        node = self.children[i] = _Unfolded(fm, nb, nm, nt, center=center)
-        return node
-
-    def unfold_poly(self) -> tuple[list[float], list[float]]:
-        self.poly = map2(self.m2, self.t2, *self.fm.poly)
-        return self.poly
-
-    def unfold_reps(self, reps_xy: dict[int, tuple[list[float], list[float]]]) -> list:
-        xs, ys = reps_xy.get(self.pid, ((), ()))
-        self.reps = list(zip(*map2(self.m2, self.t2, xs, ys)))
-        return self.reps
-
-
-def _unfolding_root(fm: _FaceMaps, pid: int) -> _Unfolded:
-    root = _Unfolded(fm, pid, ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
-    root.reps = []  # the search is for the reps of other faces
-    return root
+def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
+    """The face arrays of `sketch`. Each hop map is computed on columns, with
+    the terms of `geometry.dot` and `norm` and of the patch frame maps, over
+    the edge's corners carried to 3D in the face's frame and back to 2D in
+    the neighbour's."""
+    row = {f.patch_id: i for i, f in enumerate(sketch.faces)}
+    sizes = np.array([len(f.polygon2d) for f in sketch.faces])
+    succ = np.arange(1, sizes.max() + 1)
+    corner = succ - 1 < sizes[:, None]
+    nxt = np.where(succ < sizes[:, None], succ, 0)
+    xs, ys = np.zeros(corner.shape), np.zeros(corner.shape)
+    xs[corner], ys[corner] = np.concatenate([f.polygon2d for f in sketch.faces]).T
+    neighbors = np.full(corner.shape, NO_NEIGHBOR)
+    neighbors[corner] = np.concatenate([f.neighbor_patch for f in sketch.faces])
+    centre = np.array([f.polygon2d.mean(axis=0) for f in sketch.faces])
+    rx, ry = xs - centre[:, :1], ys - centre[:, 1:]
+    radius = np.where(corner, np.sqrt(rx * rx + ry * ry), 0.0).max(axis=1)
+    seg_x = np.take_along_axis(xs, nxt, 1) - xs
+    seg_y = np.take_along_axis(ys, nxt, 1) - ys
+    frames = np.array([(p.frame_origin, p.frame_u, p.frame_v) for p in decomp.patches])
+    # the hops: edges whose abutting patch has a sketch face, in (face, edge) order
+    lookup = np.full(len(decomp.patches), -1)
+    lookup[list(row)] = list(row.values())
+    across = np.where(neighbors == NO_NEIGHBOR, -1, lookup[neighbors])
+    f, k = np.nonzero(across >= 0)
+    k1 = nxt[f, k]
+    a, b = (xs[f, k], ys[f, k]), (xs[f, k1], ys[f, k1])
+    # the proper motion sending the edge's corners p, q in j's frame onto a, b
+    here = _frame_columns(frames, np.array(list(row))[f])
+    there = _frame_columns(frames, neighbors[f, k])
+    p = frame_to_2d(there, frame_to_3d(here, a))
+    q = frame_to_2d(there, frame_to_3d(here, b))
+    seg, en = (b[0] - a[0], b[1] - a[1]), (q[0] - p[0], q[1] - p[1])
+    s = norm(seg) * norm(en)
+    c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
+    hop_map = np.array([c, -sn, sn, c, a[0] - dot((c, -sn), p), a[1] - dot((sn, c), p)])
+    return _FaceMaps(row, xs, ys, corner, nxt, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
+                     neighbors, centre[:, 0], centre[:, 1], radius, frames,
+                     np.r_[0, np.cumsum((across >= 0).sum(axis=1))], across[f, k], hop_map)
 
 
 def _wedge_dirs(fan: ConeFan, c: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -396,132 +370,219 @@ def _wedge_dirs(fan: ConeFan, c: int) -> tuple[tuple[float, float], tuple[float,
     return (math.cos(lo), math.sin(lo)), (math.cos(hi), math.sin(hi))
 
 
-def _reps_in_open_wedge(reps: list, apex, d1, d2, snap: float) -> bool:
-    """Whether any point lies in the open wedge (more than snap inside both
-    rays and farther than snap from the apex)."""
-    ax, ay = apex
-    (d1x, d1y), (d2x, d2y) = d1, d2
-    for x, y in reps:
-        rx, ry = x - ax, y - ay
-        if (d1x * ry - d1y * rx > snap and d2x * ry - d2y * rx < -snap
-                and float(np.hypot(rx, ry)) > snap):
-            return True
-    return False
+def _spread(start: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of rows `at` of a CSR array with offsets `start`: per
+    entry, in row and then entry order, its row's position in `at` and its
+    index."""
+    first = start[at]
+    count = start[at + 1] - first
+    own = np.repeat(np.arange(len(at)), count)
+    return own, np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(own))
 
 
-def _polygon_meets_wedge(poly: tuple[list[float], list[float]], apex, d1, d2,
-                         snap: float) -> bool:
-    """Whether a convex polygon, given as its x and its y coordinates, meets
-    the closed wedge at `apex` between the rays `d1` and `d2`, widened by
-    snap. The polygon is clipped to the left of d1, Sutherland-Hodgman
-    style, and the wedge is met iff a clipped point lies right of d2."""
-    ax, ay = apex
-    (d1x, d1y), (d2x, d2y) = d1, d2
-    xs, ys = poly
-    vals = [d1x * (y - ay) - d1y * (x - ax) for x, y in zip(xs, ys)]
-    k = len(xs)
-    for i in range(k):
-        j = i + 1 if i + 1 < k else 0
-        vi, vj = vals[i], vals[j]
-        if vi >= -snap:
-            x, y = xs[i], ys[i]
-            if d2x * (y - ay) - d2y * (x - ax) <= snap:
-                return True
-        if (vi > snap and vj < -snap) or (vi < -snap and vj > snap):
-            t = vi / (vi - vj)
-            xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
-            x, y = xi + t * (xj - xi), yi + t * (yj - yi)
-            if d2x * (y - ay) - d2y * (x - ax) <= snap:
-                return True
-    return False
+# values per array of the cone tests: the boundary pass takes blocks of
+# cones with at most 2^16 (cone, corner, candidate) values, the search
+# blocks of cones with at most 2^16 (cone, face) pairs, and each level of
+# the search runs of queued faces with at most 2^16 (child, corner) values;
+# 2^13 and 2^14 place the Steiner nodes of fine200-sized hulls 10-30%
+# slower, and 2^17 is no faster (min of 5 placements, 2-core VM)
+_CONE_PAIRS = 1 << 16
 
 
-def _nearest_boundary_point_in_wedge(
-    edges: list, apex: tuple[float, float], d1, d2, snap: float
-) -> tuple[tuple[float, float], int] | None:
-    """Closest point to the apex on the polygon boundary restricted to the
-    closed wedge; `edges` is the face's `_FaceMaps.edges`. Returns (point,
-    edge index) or None."""
-    best: tuple[float, tuple[float, float], int] | None = None
-    ax, ay = apex
-    for i, ((a0, a1), (s0, s1), denom) in enumerate(edges):
-        t0, t1 = 0.0, 1.0
-        ok = True
-        for (dx, dy), sgn in ((d1, 1.0), (d2, -1.0)):
-            # sgn * cross(d, s(t) - apex) >= 0
+def _boundary_points(fm: _FaceMaps, rows: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                     dirs: np.ndarray, snap: float) -> tuple[np.ndarray, ...]:
+    """The nearest point to each cone's apex on its face's boundary within
+    the closed cone: per cone (face row `rows`, apex (`ax`, `ay`), wedge rays
+    `dirs` (d1x, d1y, d2x, d2y)), whether there is one, its coordinates and
+    its edge. The cones run in blocks of max(1, _CONE_PAIRS // 3K) for K
+    corners per face (`_boundary_block`); each cone's answer is its own."""
+    step = max(1, _CONE_PAIRS // (3 * fm.xs.shape[1]))
+    parts = [_boundary_block(fm, rows[lo:lo + step], ax[lo:lo + step], ay[lo:lo + step],
+                             dirs[lo:lo + step], snap)
+             for lo in range(0, max(1, len(rows)), step)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _boundary_block(fm: _FaceMaps, rows: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                    dirs: np.ndarray, snap: float) -> tuple[np.ndarray, ...]:
+    """`_boundary_points` of a block of cones, over (cone, edge) arrays.
+    Each edge a + t s, t in [0, 1], is clipped to the wedge: per ray d, with
+    sign +1 for d1 and -1 for d2, c0 = sign * cross(d, a - apex) and dc =
+    sign * cross(d, s); an edge with |dc| <= 1e-300 is dropped if c0 <
+    -snap, and otherwise t_cross = -c0 / dc raises t0 (dc > 0) or lowers t1.
+    Of the clipped edge, the point nearest the apex (its parameter clamped
+    to [t0, t1]) and both ends are candidates, in that order, if farther
+    than snap from the apex (a corner apex never gets a zero-length relay),
+    and the first nearest candidate in (edge, candidate) order wins. The
+    arithmetic is that of a loop over Python floats, term by term; the
+    `np.where` clamps keep Python's max and min, which return their first
+    argument on a tie, so a -0.0 t_cross leaves t0 = 0.0 as it is."""
+    n = len(rows)
+    a0, a1, s0, s1 = fm.xs[rows], fm.ys[rows], fm.seg_x[rows], fm.seg_y[rows]
+    denom = fm.seg_sq[rows]
+    ax, ay = ax[:, None], ay[:, None]
+    ok = fm.corner[rows]
+    t0, t1 = np.zeros(a0.shape), np.ones(a0.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, sgn in ((0, 1.0), (2, -1.0)):
+            dx, dy = dirs[:, k, None], dirs[:, k + 1, None]
             c0 = sgn * (dx * (a1 - ay) - dy * (a0 - ax))
             dc = sgn * (dx * s1 - dy * s0)
-            if abs(dc) <= 1e-300:
-                if c0 < -snap:
-                    ok = False
-                    break
-                continue
+            flat = np.abs(dc) <= 1e-300
+            ok = ok & ~(flat & (c0 < -snap))
             t_cross = -c0 / dc
-            if dc > 0:
-                t0 = max(t0, t_cross)
-            else:
-                t1 = min(t1, t_cross)
-        if not ok or t0 > t1:
-            continue
-        # closest point of the clipped subsegment to the apex; when the apex
-        # itself lies on the subsegment (corner apex), fall back to the
-        # interval endpoints so a degenerate zero-length relay is never made
-        t_star = 0.0 if denom <= 1e-300 else dot((ax - a0, ay - a1), (s0, s1)) / denom
-        t_star = min(max(t_star, t0), t1)
-        for t in (t_star, t0, t1):
-            q = (a0 + t * s0, a1 + t * s1)
-            dist = norm((q[0] - ax, q[1] - ay))
-            if dist > snap and (best is None or dist < best[0]):
-                best = (dist, q, i)
-    if best is None:
-        return None
-    return best[1], best[2]
+            t0 = np.where(~flat & (dc > 0) & (t_cross > t0), t_cross, t0)
+            t1 = np.where(~flat & (dc < 0) & (t_cross < t1), t_cross, t1)
+        t = np.where(denom <= 1e-300, 0.0, ((ax - a0) * s0 + (ay - a1) * s1) / denom)
+    ok &= ~(t0 > t1)
+    t = np.where(t0 > t, t0, t)
+    t = np.where(t1 < t, t1, t)
+    ts = np.stack([t, t0, t1], axis=2)
+    qx, qy = a0[:, :, None] + ts * s0[:, :, None], a1[:, :, None] + ts * s1[:, :, None]
+    rx, ry = qx - ax[:, :, None], qy - ay[:, :, None]
+    dist = np.sqrt(rx * rx + ry * ry)
+    width = 3 * a0.shape[1]
+    dist = np.where(ok[:, :, None] & (dist > snap), dist, np.inf).reshape(n, width)
+    best = dist.argmin(axis=1)
+    at = np.arange(n)
+    return (np.isfinite(dist[at, best]), qx.reshape(n, width)[at, best],
+            qy.reshape(n, width)[at, best], best // 3)
 
 
-def _extended_cone_hits_rep(
-    root: _Unfolded,
-    apex: tuple[float, float],
-    d1: tuple[float, float],
-    d2: tuple[float, float],
-    face_maps: dict[int, _FaceMaps],
-    reps_xy: dict[int, tuple[list[float], list[float]]],
-    snap: float,
-) -> bool:
-    """BFS over sketch faces, unfolding each onto the start face's plane, and
-    report whether the open cone contains a representative projection of any
-    other face; `reps_xy` holds each face's representatives as x and y
-    coordinate lists. Each face is visited at most once per cone; the
-    unfolded faces come from (and grow) the start face's unfolding tree
-    `root`.
+def _search_cones(fm: _FaceMaps, reps: tuple, rows: np.ndarray, ax: np.ndarray,
+                  ay: np.ndarray, dirs: np.ndarray, snap: float) -> tuple[np.ndarray, int]:
+    """Whether each cone's extension, traced over the sketch faces unfolded
+    into its face's plane, holds a representative of another face in its
+    open wedge; the cones are given as for `_boundary_points`, and `reps`
+    holds each face's reps as CSR arrays (offsets per face row, x, y).
+    Returns the answers and the number of (cone, unfolded face) pairs
+    tested. The cones run in blocks of max(1, _CONE_PAIRS // F) for F faces
+    (`_search_block`); each cone's answer is its own."""
+    step = max(1, _CONE_PAIRS // len(fm.row))
+    parts = [_search_block(fm, reps, rows[lo:lo + step], ax[lo:lo + step], ay[lo:lo + step],
+                           dirs[lo:lo + step], snap)
+             for lo in range(0, max(1, len(rows)), step)]
+    return np.concatenate([h for h, _p in parts]), sum(p for _h, p in parts)
 
-    A face's reps are tested when its polygon test passes and it joins the
-    queue, so the search stops as soon as a queued face holds a rep in the
-    cone. That is the answer of testing them when it leaves the queue: the
-    answer is an OR over the set of faces the full BFS queues, rep tests
-    never change that set or the order it is queued in, and the root, which
-    is queued without a polygon test, has no reps to test."""
-    ax, ay = apex
-    (d1x, d1y), (d2x, d2y) = d1, d2
-    visited = {root.pid}
-    queue: deque[_Unfolded] = deque([root])
-    while queue:
-        node = queue.popleft()
-        for i, (nb, _em, _et) in enumerate(node.fm.hops):
-            if nb in visited:
-                continue
-            child = node.children[i] or node.unfold(i, face_maps)
-            # bounding-circle reject before the exact polygon clip
-            cx, cy = child.center[0] - ax, child.center[1] - ay
-            radius = child.fm.radius
-            if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
-                continue
-            if _polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2, snap):
-                reps = child.reps if child.reps is not None else child.unfold_reps(reps_xy)
-                if reps and _reps_in_open_wedge(reps, apex, d1, d2, snap):
-                    return True
-                visited.add(nb)
-                queue.append(child)
-    return False
+
+def _search_block(fm: _FaceMaps, reps: tuple, rows: np.ndarray, ax: np.ndarray,
+                  ay: np.ndarray, dirs: np.ndarray, snap: float) -> tuple[np.ndarray, int]:
+    """`_search_cones` for a block of cones: a breadth-first search per
+    cone, all cones a level at a time. The search of one cone starts at its
+    face, with the identity map; a face leaving the queue offers each of its
+    hops' faces not yet visited, unfolded by the composed map. A child
+    whose bounding circle misses the wedge, or whose polygon does not meet
+    it (`_expand`), is dropped; of the rest, per face, the first in queue
+    order joins the queue and is visited. The cone's answer is True as soon
+    as a face that joins holds a rep in the open wedge. That is the answer
+    of testing a face's reps when it leaves the queue: it is an OR over the
+    faces the full search queues, rep tests never change that set, and the
+    start face, queued without a test, is not searched for reps.
+
+    The frontier is a level of the queue, in queue order: per queued face
+    its cone, its face row and its composed map (m00, m01, m10, m11, t0,
+    t1). Each (cone, face) is visited once, so the frontier and the visited
+    mask hold at most `_CONE_PAIRS` entries (or one cone's), and a level
+    is expanded in runs of queued faces whose children hold at most
+    `_CONE_PAIRS` corner values (or one face's)."""
+    n, width = len(rows), fm.xs.shape[1]
+    visited = np.zeros((n, len(fm.row)), dtype=bool)
+    visited[np.arange(n), rows] = True
+    hit = np.zeros(n, dtype=bool)
+    one, zero = np.ones(n), np.zeros(n)
+    front = [np.arange(n), rows, one, zero, zero, one, zero, zero]
+    tested = 0
+    while len(front[0]):
+        ends = np.cumsum(fm.hop_start[front[1] + 1] - fm.hop_start[front[1]])
+        parts, lo = [], 0
+        while lo < len(ends):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _CONE_PAIRS // width,
+                                                 side="right")))
+            kept, count = _expand(fm, reps, [col[lo:hi] for col in front], visited, hit,
+                                  ax, ay, dirs, snap)
+            parts.append(kept)
+            tested += count
+            lo = hi
+        front = [np.concatenate(col) for col in zip(*parts)]
+        live = ~hit[front[0]]
+        front = [col[live] for col in front]
+    return hit, tested
+
+
+def _expand(fm: _FaceMaps, reps: tuple, front: list, visited: np.ndarray, hit: np.ndarray,
+            ax: np.ndarray, ay: np.ndarray, dirs: np.ndarray, snap: float
+            ) -> tuple[list, int]:
+    """One level of `_search_block` for a run of queued faces `front`: the
+    children that join the queue, as frontier columns, and the number of
+    (cone, child) pairs tested; marks the children visited, and the cones
+    whose children hold a rep in the open wedge in `hit`.
+
+    A child's map composes its parent's map (p, q; r, s), (t0, t1) with the
+    hop's (a, b; c, d), (ex, ey) as (p*a + q*c, p*b + q*d; r*a + s*c, r*b +
+    s*d), (ex*p + ey*q + t0, ex*r + ey*s + t1), and a point maps as x*m00 +
+    y*m01 + t0, x*m10 + y*m11 + t1: the terms of `geometry.dot`, so every
+    unfolding has the bits of a float loop over the search path.
+    A child whose bounding circle lies wholly beyond either ray is dropped
+    before the polygon clip. The clip keeps the polygon left of d1 (within
+    snap) in Sutherland-Hodgman style, and the wedge is met iff a kept
+    corner or cut point lies right of d2 (within snap). A rep is in the
+    open wedge if it lies more than snap inside both rays and farther than
+    snap from the apex (`np.hypot`)."""
+    cone, face, m00, m01, m10, m11, t0, t1 = front
+    par, h = _spread(fm.hop_start, face)
+    child, c = fm.hop_face[h], cone[par]
+    fresh = np.flatnonzero(~visited[c, child])
+    par, h, child, c = par[fresh], h[fresh], child[fresh], c[fresh]
+    p, q, r, s, u0, u1 = m00[par], m01[par], m10[par], m11[par], t0[par], t1[par]
+    a, b, cc, d, ex, ey = fm.hop_map[:, h]
+    m = (p * a + q * cc, p * b + q * d, r * a + s * cc, r * b + s * d)
+    t = (ex * p + ey * q + u0, ex * r + ey * s + u1)
+    d1x, d1y, d2x, d2y = dirs[c].T
+    kx = m[0] * fm.cx[child] + m[1] * fm.cy[child] + t[0] - ax[c]
+    ky = m[2] * fm.cx[child] + m[3] * fm.cy[child] + t[1] - ay[c]
+    radius = fm.radius[child]
+    near = np.flatnonzero(~((d1x * ky - d1y * kx < -radius) | (d2x * ky - d2y * kx > radius)))
+    meets = _meets_wedge(fm, child[near], [v[near] for v in m], [v[near] for v in t],
+                         ax[c[near]], ay[c[near]], dirs[c[near]], snap)
+    joins = near[meets]
+    # per (cone, face), the first child in queue order
+    _keys, first = np.unique(c[joins] * len(fm.row) + child[joins], return_index=True)
+    joins = joins[np.sort(first)]
+    child, c = child[joins], c[joins]
+    m, t = [v[joins] for v in m], [v[joins] for v in t]
+    visited[c, child] = True
+    own, i = _spread(reps[0], child)
+    rx = reps[1][i] * m[0][own] + reps[2][i] * m[1][own] + t[0][own] - ax[c[own]]
+    ry = reps[1][i] * m[2][own] + reps[2][i] * m[3][own] + t[1][own] - ay[c[own]]
+    d1x, d1y, d2x, d2y = dirs[c[own]].T
+    inside = ((d1x * ry - d1y * rx > snap) & (d2x * ry - d2y * rx < -snap)
+              & (np.hypot(rx, ry) > snap))
+    hit[c[own[inside]]] = True
+    return [c, child, *m, *t], len(par)
+
+
+def _meets_wedge(fm: _FaceMaps, faces: np.ndarray, m: list, t: list, ax: np.ndarray,
+                 ay: np.ndarray, dirs: np.ndarray, snap: float) -> np.ndarray:
+    """Whether each face row of `faces`, mapped by its map (`m`, `t` as
+    columns), meets the closed wedge at its apex between its rays, widened
+    by snap: `_expand`'s polygon clip, over (face, corner) arrays."""
+    xs, ys = fm.xs[faces], fm.ys[faces]
+    x = xs * m[0][:, None] + ys * m[1][:, None] + t[0][:, None]
+    y = xs * m[2][:, None] + ys * m[3][:, None] + t[1][:, None]
+    ax, ay = ax[:, None], ay[:, None]
+    d1x, d1y, d2x, d2y = (col[:, None] for col in dirs.T)
+    vals = d1x * (y - ay) - d1y * (x - ax)
+    nxt = fm.nxt[faces]
+    vj = np.take_along_axis(vals, nxt, 1)
+    meets = (vals >= -snap) & (d2x * (y - ay) - d2y * (x - ax) <= snap)
+    cut = ((vals > snap) & (vj < -snap)) | ((vals < -snap) & (vj > snap))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = vals / (vals - vj)
+        cx = x + f * (np.take_along_axis(x, nxt, 1) - x)
+        cy = y + f * (np.take_along_axis(y, nxt, 1) - y)
+        meets |= cut & (d2x * (cy - ay) - d2y * (cx - ax) <= snap)
+    return (meets & fm.corner[faces]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -542,90 +603,68 @@ def place_steiner_points(
     extension reaches another face's rep gets a Steiner node at the nearest
     boundary point of the face inside the cone, shared with the abutting
     face, unless a node already sits within 4*snap of it on either face.
-    The cones of all reps of a face trace one shared unfolding tree. No
-    placement reads a lift, so the Steiner nodes are lifted together after
-    the last cone.
+    No placement reads a lift, so the Steiner nodes are lifted together
+    after the last cone.
 
     An empty cone gets a relay when four tests all hold: a boundary point
-    lies in it, its edge has an abutting face, neither face is crowded
-    there, and the extended cone reaches another face's rep. Each is a pure
-    test of the positions placed so far (the unfolding tree is only a
-    cache), so the extension search, by far the dearest, runs last, and
-    only for the cones the other three leave; the placement is that of any
-    order of the four.
+    lies in it, its edge has an abutting face, the extended cone reaches
+    another face's rep, and neither face is crowded there. The first three
+    are pure functions of the rep and the cone, so one array pass decides
+    them for all empty cones at once (`_cone_tests`: `_boundary_points`,
+    then `_search_cones` for the cones with a boundary point and an
+    abutting face), and the frame maps carry the points to 3D and into the
+    abutting face's frame (`frame_to_3d`, `frame_to_2d` on columns). Only
+    the crowding test reads the nodes placed so far, so a loop applies it
+    alone, to the cones the pass leaves, in (rep, cone) order.
 
     Rep nodes come first, with ids in the order of `assignment.reps`; a rep
     sits at its vertex's projection in its patch. Returns the nodes and, per
     node id, its 2D position (a float pair) in the frame of each of its
     patches; the positions are needed only to build the Theta-graphs.
-    `stats`, when given, gets the counts `empty_cones`, `cone_searches`,
-    `steiner_nodes` and `lift_pairs` (the (point, face) pairs the lift's
-    exact cast ran on) and the seconds `cone_search_s` and `steiner_lift_s`."""
+    `stats`, when given, gets the counts `empty_cones`, `cone_searches`
+    (the cones the search decided: every empty cone with a boundary point
+    and an abutting face, crowded or not), `search_pairs` (the (cone,
+    unfolded face) pairs it tested), `steiner_nodes` and `lift_pairs` (the
+    (point, face) pairs the lift's exact cast ran on) and the seconds
+    `cone_search_s` and `steiner_lift_s`."""
     fan = cone_fan(eps)
-    wedges = [_wedge_dirs(fan, c) for c in range(fan.count)]
     snap = P.snap
-    face_maps = _build_face_maps(decomp, sketch)
-    trees: dict[int, _Unfolded] = {}
-    empty = searches = 0
-    search_s = lift_s = 0.0
-    lift_pairs = 0
-
+    fm = _build_face_maps(decomp, sketch)
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
-    # each face's reps as x and y coordinate lists, the one home of their
-    # positions in the placement
-    reps_xy: dict[int, tuple[list[float], list[float]]] = {}
-    for pid, rs in assignment.patch_reps.items():
-        uv = projections[pid]
-        reps_xy[pid] = ([uv[r][0] for r in rs], [uv[r][1] for r in rs])
-    steiner: list[tuple[int, int, tuple]] = []  # (face, abutting face, sketch point)
+    reps = _face_reps(fm, assignment, projections)
     # with reps on fewer than two faces no cone can reach another face's rep
-    apexes = nodes if sum(1 for xs, _ys in reps_xy.values() if xs) >= 2 else []
-    # nodes already registered per face, to refuse coincident duplicates
+    apexes = nodes if np.count_nonzero(np.diff(reps[0])) >= 2 else []
+    tests = _cone_tests(fm, reps, fan, apexes, positions, snap)
+    relay = tests.searched[tests.hit]
+    pids, nbs, q2 = tests.pid[relay], tests.nb[relay], (tests.qx[relay], tests.qy[relay])
+    q3 = frame_to_3d(_frame_columns(fm.frames, pids), q2)
+    q2_nb = frame_to_2d(_frame_columns(fm.frames, nbs), q3)
+
+    # the crowding test, in (rep, cone) order, against the nodes placed so
+    # far; a relay with no other rep or relay near it on either face passes
     occupied_pos: dict[int, list[tuple[float, float]]] = {}
     for pos in positions:
         for pid, uv in pos.items():
             occupied_pos.setdefault(pid, []).append(uv)
-    last_rep = {n.patches[0]: n.id for n in nodes}
-    for node in apexes:
-        pid = node.patches[0]
-        fm = face_maps[pid]
-        apex_xy = positions[node.id][pid]
-        root = trees.get(pid) or _unfolding_root(fm, pid)
-        # a face's tree is kept only until its last rep's cones are traced
-        if node.id == last_rep[pid]:
-            trees.pop(pid, None)
-        else:
-            trees[pid] = root
-        occupied = _occupied_cones(fan, reps_xy[pid], apex_xy, snap)
-        for c in range(fan.count):
-            if c in occupied:
-                continue
-            empty += 1
-            d1, d2 = wedges[c]
-            found = _nearest_boundary_point_in_wedge(fm.edges, apex_xy, d1, d2, snap)
-            if found is None:
-                continue
-            q2, edge_idx = found
-            nb = int(fm.neighbors[edge_idx])
-            if nb == NO_NEIGHBOR:
-                continue
-            q3 = decomp.patches[pid].to_3d(q2)
-            q2_nb = decomp.patches[nb].to_2d(q3)
-            if (_crowded(q2, occupied_pos.get(pid, ()), snap)
-                    or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
-                # an existing node already sits there and serves as the relay
-                continue
-            searches += 1
-            start = time.perf_counter()
-            hit = _extended_cone_hits_rep(root, apex_xy, d1, d2, face_maps, reps_xy, snap)
-            search_s += time.perf_counter() - start
-            if not hit:
-                continue
-            steiner.append((pid, nb, q3))
-            positions.append({pid: q2, nb: q2_nb})
-            occupied_pos.setdefault(pid, []).append(q2)
-            occupied_pos.setdefault(nb, []).append(q2_nb)
+    alone = _alone(np.concatenate([[n.patches[0] for n in nodes], pids, nbs]),
+                   np.concatenate([[positions[n.id][n.patches[0]][0] for n in nodes], q2[0],
+                                   q2_nb[0]]), _crowd_box(snap))
+    alone = alone[len(nodes):len(nodes) + len(pids)] & alone[len(nodes) + len(pids):]
+    steiner: list[tuple[int, int, tuple]] = []  # (face, abutting face, sketch point)
+    for pid, nb, q, q_nb, p3, free in zip(
+            pids.tolist(), nbs.tolist(), zip(*(c.tolist() for c in q2)),
+            zip(*(c.tolist() for c in q2_nb)), zip(*(c.tolist() for c in q3)), alone.tolist()):
+        if not free and (_crowded(q, occupied_pos.get(pid, ()), snap)
+                         or _crowded(q_nb, occupied_pos.get(nb, ()), snap)):
+            # an existing node already sits there and serves as the relay
+            continue
+        steiner.append((pid, nb, p3))
+        positions.append({pid: q, nb: q_nb})
+        occupied_pos.setdefault(pid, []).append(q)
+        occupied_pos.setdefault(nb, []).append(q_nb)
+    lift_s = 0.0
+    lift_pairs = 0
     if steiner:
         start = time.perf_counter()
         lifts, lift_pairs = _lift_steiner(
@@ -636,28 +675,103 @@ def place_steiner_points(
             nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
                                      lift3d=lift, marked=marked))
     if stats is not None:
-        stats.update(empty_cones=empty, cone_searches=searches, steiner_nodes=len(steiner),
-                     lift_pairs=lift_pairs, cone_search_s=search_s, steiner_lift_s=lift_s)
+        stats.update(empty_cones=len(tests.cone), cone_searches=len(tests.searched),
+                     search_pairs=tests.search_pairs, steiner_nodes=len(steiner),
+                     lift_pairs=lift_pairs, cone_search_s=tests.search_s, steiner_lift_s=lift_s)
     return nodes, positions
 
 
-def _occupied_cones(fan: ConeFan, reps: tuple[list[float], list[float]], apex,
-                    snap: float) -> set[int]:
-    """The cones around `apex` with a point of `reps` (x and y coordinate
-    lists) in their relative interior: farther than snap from the apex and
-    from both bounding rays."""
-    ax, ay = apex
-    rx, ry = np.subtract(reps[0], ax), np.subtract(reps[1], ay)
+@dataclass
+class _ConeTests:
+    """The order-free tests of every (rep, empty cone), in rep and then cone
+    order: per cone its apex (the rep's node id), cone index and face (patch
+    id); whether a boundary point lies in it (`found`), the nearest one
+    (`qx`, `qy`), its edge and the patch across that edge (`nb`). The cones
+    with a boundary point and an abutting face are searched: `searched`
+    holds their indices and `hit` their answers. Then the (cone, unfolded
+    face) pairs the search tested and its seconds."""
+
+    apex: np.ndarray
+    cone: np.ndarray
+    pid: np.ndarray
+    found: np.ndarray
+    qx: np.ndarray
+    qy: np.ndarray
+    edge: np.ndarray
+    nb: np.ndarray
+    searched: np.ndarray
+    hit: np.ndarray
+    search_pairs: int
+    search_s: float
+
+
+def _cone_tests(fm: _FaceMaps, reps: tuple, fan: ConeFan, apexes: list[SpannerNode],
+                positions: list[dict[int, tuple[float, float]]], snap: float) -> _ConeTests:
+    """The cone tests of the empty cones of the rep nodes `apexes` (node ids
+    0, 1, ... in order), each at its position on its face; `reps` is as from
+    `_face_reps`."""
+    pids = np.array([n.patches[0] for n in apexes], dtype=np.int64)
+    rows = np.array([fm.row[pid] for pid in pids.tolist()], dtype=np.int64)
+    ax, ay = np.array([positions[n.id][n.patches[0]] for n in apexes]).reshape(-1, 2).T
+    apex, cone = np.divmod(np.flatnonzero(~_occupied_cones(fan, reps, rows, ax, ay, snap)),
+                           fan.count)
+    rows, ax, ay = rows[apex], ax[apex], ay[apex]
+    dirs = np.array([sum(_wedge_dirs(fan, c), ()) for c in range(fan.count)])[cone]
+    found, qx, qy, edge = _boundary_points(fm, rows, ax, ay, dirs, snap)
+    nb = fm.neighbors[rows, edge]
+    searched = np.flatnonzero(found & (nb != NO_NEIGHBOR))
+    start = time.perf_counter()
+    hit, pairs = _search_cones(fm, reps, rows[searched], ax[searched], ay[searched],
+                               dirs[searched], snap)
+    return _ConeTests(apex, cone, pids[apex], found, qx, qy, edge, nb, searched, hit, pairs,
+                      time.perf_counter() - start)
+
+
+def _face_reps(fm: _FaceMaps, assignment: RepresentativeAssignment,
+               projections: dict[int, dict[int, tuple[float, float]]]) -> tuple:
+    """Each face's reps, at their projections, as CSR arrays over the face
+    rows of `fm`: the offsets, then the x and the y coordinates."""
+    per_row = [[projections[pid][r] for r in assignment.patch_reps.get(pid, ())]
+               for pid in fm.row]
+    xy = np.array([uv for uvs in per_row for uv in uvs]).reshape(-1, 2)
+    return np.r_[0, np.cumsum([len(uvs) for uvs in per_row])], xy[:, 0], xy[:, 1]
+
+
+def _occupied_cones(fan: ConeFan, reps: tuple, rows: np.ndarray, ax: np.ndarray,
+                    ay: np.ndarray, snap: float) -> np.ndarray:
+    """Per apex (face row `rows`, point (`ax`, `ay`)), the cones with a rep
+    of its face (`reps`, as from `_face_reps`) in their relative interior:
+    farther than snap from the apex and from both bounding rays, as an
+    (apexes, cones) mask. The rep's distance and angle are those of
+    `np.hypot` and `np.arctan2` (reduced by `np.mod`, Python's %), and its
+    offset from the nearer ray is min(frac, width - frac), where np.where
+    keeps Python's min."""
+    own, i = _spread(reps[0], rows)
+    rx, ry = reps[1][i] - ax[own], reps[2][i] - ay[own]
     dist = np.hypot(rx, ry)
     ang = np.mod(np.arctan2(ry, rx), 2.0 * math.pi)
-    occupied = set()
-    for d, a, lo_k in zip(dist.tolist(), ang.tolist(), fan.indices_of(ang).tolist()):
-        if d <= snap:
-            continue
-        frac = (a - lo_k * fan.width) % (2.0 * math.pi)
-        if min(frac, fan.width - frac) * d > snap:
-            occupied.add(lo_k)
+    lo_k = fan.indices_of(ang)
+    frac = np.mod(ang - lo_k * fan.width, 2.0 * math.pi)
+    inner = np.where(fan.width - frac < frac, fan.width - frac, frac)
+    inside = (dist > snap) & (inner * dist > snap)
+    occupied = np.zeros((len(rows), fan.count), dtype=bool)
+    occupied[own[inside], lo_k[inside]] = True
     return occupied
+
+
+def _alone(face: np.ndarray, x: np.ndarray, box: float) -> np.ndarray:
+    """Whether each point, given by its face and x coordinate, has no other
+    point of its face within `box` (`_crowd_box`) in x: then `_crowded` is
+    False for it against any set of those points. Sorted by (face, x), a
+    point's nearest x on its face is a neighbour in that order, as float
+    subtraction is monotone."""
+    order = np.lexsort((x, face))
+    f, xs = face[order], x[order]
+    near = (f[1:] == f[:-1]) & (xs[1:] - xs[:-1] <= box)
+    close = np.zeros(len(x), dtype=bool)
+    close[order[1:][near]] = True
+    close[order[:-1][near]] = True
+    return ~close
 
 
 def rep_nodes(P: TriangulatedPolytope, decomp: PatchDecomposition,
@@ -672,10 +786,16 @@ def rep_nodes(P: TriangulatedPolytope, decomp: PatchDecomposition,
     ]
 
 
+def _crowd_box(snap: float) -> float:
+    """The half side of `_crowded`'s box: a point farther than this from q
+    in x or in y is more than 4*snap from it, whatever the rounding."""
+    return 4.0 * snap * (1.0 + 1e-9)
+
+
 def _crowded(q: tuple[float, float], occupied: list, snap: float) -> bool:
     """Whether a registered node lies within 4*snap of the float pair q. The
     box test only skips points whose distance is certainly above 4*snap."""
-    box = 4.0 * snap * (1.0 + 1e-9)
+    box = _crowd_box(snap)
     qx, qy = q
     return any(
         norm((qx - px, qy - py)) <= 4.0 * snap

@@ -21,8 +21,9 @@ with the calls the build uses (`build_decomposition`,
 cell), `rep_nodes`, `spanner_graph`, `landmark_trees` for the landmarks,
 homes and both tree directions, `ball_maps`, then the tail of
 `preprocess_mesh`), so a loaded system equals the built one. A file whose
-checksum holds is still refused with `ParseError` for a non-finite vertex
-coordinate (and with any other refusal of `from_arrays`), `IdOutOfRange`
+checksum holds is still refused with `CorruptMesh` for a mesh that
+`from_arrays` refuses (a non-finite vertex coordinate, a mesh that is not
+convex, ...; the `PolytopeError` is its cause), `IdOutOfRange`
 for an id past what it indexes, `InconsistentAssignment` for cells that
 name a different number of reps than the count, `NonCanonicalEdge` for an
 edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
@@ -47,7 +48,8 @@ from enum import Enum
 import numpy as np
 
 from .geometry import SNAP_EPS
-from .polytope import TriangulatedPolytope, PolytopeMetrics, compute_theta_m, from_arrays
+from .polytope import (PolytopeError, PolytopeMetrics, TriangulatedPolytope, compute_theta_m,
+                       from_arrays)
 from .patching import (
     PatchDecomposition,
     build_decomposition,
@@ -87,6 +89,7 @@ __all__ = [
     "NonCanonicalBall",
     "NonSpannerHop",
     "MalformedSection",
+    "CorruptMesh",
     "ImplausibleValue",
     "EntryKind",
     "RoutingEntry",
@@ -142,6 +145,12 @@ class NonSpannerHop(SerializationError):
 class MalformedSection(SerializationError):
     """Bytes past a section's last record or after the last section, or an
     unknown or repeated section tag."""
+
+
+class CorruptMesh(SerializationError):
+    """The stored mesh is refused by `polytope.from_arrays` (not finite,
+    not closed, not triangular or not convex); the `PolytopeError` is the
+    cause. A file is refused as a file, whatever part of it is wrong."""
 
 
 class ImplausibleValue(SerializationError):
@@ -286,9 +295,10 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     parameter. The system's `stats` get each stage's `perf_counter`
     seconds (`theta_m_s`, `patches_s`, `sketch_s`, `representatives_s`,
     the spanner's `steiner_placement_s`, `cone_search_s`, `steiner_lift_s`
-    and `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`) and the
-    spanner's counts (`empty_cones`, `cone_searches`, `steiner_nodes`,
-    `theta_pairs`)."""
+    and `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`), the
+    spanner's counts (`empty_cones`, `cone_searches`, `search_pairs`,
+    `steiner_nodes`, `lift_pairs`, `theta_pairs`) and the counts of
+    `patches`, `reps`, spanner `edges` and `landmarks`."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     stats: dict = {}
@@ -318,6 +328,8 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     system = _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
     _lap(stats, "derive_s", t)
     _lap(stats, "total_s", start)
+    stats.update(patches=decomp.count, reps=len(assignment.reps), edges=len(graph.edges),
+                 landmarks=len(scheme.landmarks))
     system.stats = stats
     return system
 
@@ -435,6 +447,14 @@ def serialize(system: RoutingSystem) -> bytes:
 
 
 def deserialize(data: bytes) -> RoutingSystem:
+    """The system stored in `data` (see the module docstring for what is
+    refused). Its `stats` get the load's `perf_counter` seconds: `mesh_s`
+    (the mesh section and `from_arrays`), `decomposition_s` (the patches,
+    the assignment and the spanner's nodes and edges), `landmark_trees_s`,
+    `balls_s` (the ball records, their checks and the pruned balls),
+    `derive_s` (theta_m and the derived tail) and `total_s`, which also
+    holds the header and checksum."""
+    start = time.perf_counter()
     if len(data) < 16:
         raise TruncatedStream("shorter than the fixed header")
     body, trailer = data[:-4], data[-4:]
@@ -459,7 +479,11 @@ def deserialize(data: bytes) -> RoutingSystem:
         raise MalformedSection("bytes after the last section")
     if not payloads:
         return RoutingSystem()
-    return _reassemble(payloads)
+    stats: dict = {}
+    system = _reassemble(payloads, stats)
+    _lap(stats, "total_s", start)
+    system.stats = stats
+    return system
 
 
 def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
@@ -491,7 +515,7 @@ def _check_ids(ids, count: int, what: str) -> None:
         raise IdOutOfRange(f"{what} id out of range [0, {count})")
 
 
-def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
+def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     for tag in _SECTIONS:
         if tag not in payloads:
             raise TruncatedStream(f"missing section {tag}")
@@ -500,13 +524,18 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     if not 0.0 < eps < 1.0:
         raise ImplausibleValue(f"eps {eps} is outside (0, 1)")
 
+    clock = time.perf_counter()
     r = payloads[_SEC_MESH]
     n = r.u32()
     nf = r.u32()
     verts = r.f64s(3 * n).reshape(n, 3)
     faces = r.u32s(3 * nf).reshape(nf, 3)
     _check_ids(faces, n, "mesh vertex")
-    P = from_arrays(verts, faces)
+    try:
+        P = from_arrays(verts, faces)
+    except PolytopeError as exc:
+        raise CorruptMesh(f"the stored mesh is refused: {exc}") from exc
+    clock = _lap(stats, "mesh_s", clock)
 
     patch_of_face = payloads[_SEC_PATCHES].u32s(nf)
     present = np.unique(patch_of_face)
@@ -546,8 +575,10 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
     if (u >= v).any() or (np.diff(edge_keys) == 0).any():
         raise NonCanonicalEdge("an edge is stored reversed or more than once")
     graph = spanner_graph(nodes, rec.tolist())
+    clock = _lap(stats, "decomposition_s", clock)
     # the landmark half; a spanner the edges leave disconnected is refused here
     *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
+    clock = _lap(stats, "landmark_trees_s", clock)
 
     ball = payloads[_SEC_SCHEME].records(_BALL_REC)
     for name in ("x", "t", "next"):
@@ -563,8 +594,10 @@ def _reassemble(payloads: dict[int, _Reader]) -> RoutingSystem:
         if r.pos != len(r.buf):
             raise MalformedSection(f"section {tag} holds bytes past its last record")
     scheme = prune_intra_face(LandmarkScheme(*trees, exact_next=ball_maps(N, x, t, hop)), graph)
-
-    return _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
+    clock = _lap(stats, "balls_s", clock)
+    system = _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
+    _lap(stats, "derive_s", clock)
+    return system
 
 
 def to_json(system: RoutingSystem) -> str:

@@ -15,11 +15,12 @@ from polyroute.geometry import (
     corner_angle,
     cross,
     dot,
-    map2,
     norm,
 )
 from polyroute.patching import Patch
 from polyroute.router import PacketHeader, _plane_words, _sig_of
+
+from conftest import map2
 
 
 def test_corner_angles_equilateral():
@@ -142,7 +143,8 @@ wide = st.floats(-1e6, 1e6, allow_nan=False, width=64)
     t=hnp.arrays(np.float64, (2,), elements=wide),
 )
 def test_map2_matches_transform_bitwise(points, m, t):
-    # map2 on coordinate lists gives the bits of the numpy map on arrays
+    # map2 (the reference cone search's map, in conftest) on coordinate
+    # lists gives the bits of the numpy map on arrays
     mt, tt = tuple(map(tuple, m.tolist())), tuple(t.tolist())
     xs, ys = map2(mt, tt, points[:, 0].tolist(), points[:, 1].tolist())
     want = _transform(m, points) + t

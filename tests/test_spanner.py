@@ -1,5 +1,7 @@
 import math
 from collections import deque
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +19,8 @@ from polyroute.sampling import build_grid, select_representatives
 from polyroute.spanner import (
     _build_face_maps,
     _crowded,
-    _extended_cone_hits_rep,
     _lift_steiner,
-    _nearest_boundary_point_in_wedge,
-    _occupied_cones,
-    _polygon_meets_wedge,
     _theta_edges,
-    _unfolding_root,
     _wedge_dirs,
     assemble_global_spanner,
     build_spanner,
@@ -34,7 +31,7 @@ from polyroute.spanner import (
     rep_nodes,
 )
 
-from conftest import routed_graph_positions
+from conftest import map2, routed_graph_positions
 
 
 def _stage(mesh, eps, delta=None):
@@ -271,6 +268,216 @@ def test_dump_spanner_format(tetra_system):
 
 
 # ---------------------------------------------------------------------------
+# the per-cone loops on Python floats that the placement's array pass
+# replaced, kept as references for its bits
+
+
+@dataclass
+class _ReferenceFaceMaps:
+    """One sketch face as the per-cone loops read it: its polygon as x and y
+    coordinate lists, the patch across each edge, its hops (per edge with a
+    neighbour face, in edge order, that face and the 2D map (m2, t2) as
+    float tuples), its bounding circle (the corners' mean and the radius)
+    and, per edge, its start point, edge vector and squared length."""
+
+    poly: tuple
+    neighbors: np.ndarray
+    hops: list
+    center: tuple
+    radius: float
+    edges: list
+
+
+def _reference_face_maps(decomp, sketch):
+    """Each sketch face's `_ReferenceFaceMaps` by patch id, one edge at a
+    time with the float-row frame maps and kernel."""
+    by_pid = {f.patch_id: f for f in sketch.faces}
+    maps = {}
+    for f in sketch.faces:
+        patch = decomp.patches[f.patch_id]
+        hops, edges = [], []
+        corners = f.polygon2d.tolist()
+        poly3 = [patch.to_3d(c) for c in corners]
+        kk = len(corners)
+        for k in range(kk):
+            (a0, a1), (b0, b1) = corners[k], corners[(k + 1) % kk]
+            seg = (b0 - a0, b1 - a1)
+            edges.append(((a0, a1), seg, dot(seg, seg)))
+            j = int(f.neighbor_patch[k])
+            if j == NO_NEIGHBOR or j not in by_pid:
+                continue
+            to_2d = decomp.patches[j].to_2d
+            p, q = to_2d(poly3[k]), to_2d(poly3[(k + 1) % kk])
+            en = (q[0] - p[0], q[1] - p[1])
+            s = norm(seg) * norm(en)
+            c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
+            m2 = ((c, -sn), (sn, c))
+            hops.append((j, m2, (a0 - dot(m2[0], p), a1 - dot(m2[1], p))))
+        center = tuple(f.polygon2d.mean(axis=0).tolist())
+        radius = float(norm(f.polygon2d - center).max())
+        maps[f.patch_id] = _ReferenceFaceMaps(tuple(f.polygon2d.T.tolist()), f.neighbor_patch,
+                                              hops, center, radius, edges)
+    return maps
+
+
+class _ReferenceUnfolded:
+    """A node of a start face's unfolding tree: the face `pid` reached along
+    one BFS path, with the composed map (m2, t2) into the start face's
+    frame, its unfolded bounding-circle centre and, from their first use,
+    its unfolded polygon and reps. Child i, across the face's i-th hop, is
+    unfolded on first use; maps compose with `dot`'s terms in its order."""
+
+    def __init__(self, fm, pid, m2, t2, center=(0.0, 0.0)):
+        self.fm, self.pid, self.m2, self.t2, self.center = fm, pid, m2, t2, center
+        self.poly = None
+        self.reps = None
+        self.children = [None] * len(fm.hops)
+
+    def unfold(self, i, face_maps):
+        nb, ((a, b), (c, d)), (ex, ey) = self.fm.hops[i]
+        (p, q), (r, s) = self.m2
+        nm = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
+        nt = (ex * p + ey * q + self.t2[0], ex * r + ey * s + self.t2[1])
+        fm = face_maps[nb]
+        (m00, m01), (m10, m11) = nm
+        cx, cy = fm.center
+        center = (m00 * cx + m01 * cy + nt[0], m10 * cx + m11 * cy + nt[1])
+        node = self.children[i] = _ReferenceUnfolded(fm, nb, nm, nt, center=center)
+        return node
+
+    def unfold_poly(self):
+        self.poly = map2(self.m2, self.t2, *self.fm.poly)
+        return self.poly
+
+    def unfold_reps(self, reps_xy):
+        xs, ys = reps_xy.get(self.pid, ((), ()))
+        self.reps = list(zip(*map2(self.m2, self.t2, xs, ys)))
+        return self.reps
+
+
+def _reference_unfolding_root(fm, pid):
+    root = _ReferenceUnfolded(fm, pid, ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
+    root.reps = []  # the search is for the reps of other faces
+    return root
+
+
+def _reference_reps_in_open_wedge(reps, apex, d1, d2, snap):
+    # any point more than snap inside both rays and farther than snap from
+    # the apex
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    for x, y in reps:
+        rx, ry = x - ax, y - ay
+        if (d1x * ry - d1y * rx > snap and d2x * ry - d2y * rx < -snap
+                and float(np.hypot(rx, ry)) > snap):
+            return True
+    return False
+
+
+def _reference_polygon_meets_wedge(poly, apex, d1, d2, snap):
+    # the polygon (x and y lists) clipped to the left of d1, Sutherland-
+    # Hodgman style; the wedge is met iff a clipped point lies right of d2
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    xs, ys = poly
+    vals = [d1x * (y - ay) - d1y * (x - ax) for x, y in zip(xs, ys)]
+    k = len(xs)
+    for i in range(k):
+        j = i + 1 if i + 1 < k else 0
+        vi, vj = vals[i], vals[j]
+        if vi >= -snap:
+            x, y = xs[i], ys[i]
+            if d2x * (y - ay) - d2y * (x - ax) <= snap:
+                return True
+        if (vi > snap and vj < -snap) or (vi < -snap and vj > snap):
+            t = vi / (vi - vj)
+            xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
+            x, y = xi + t * (xj - xi), yi + t * (yj - yi)
+            if d2x * (y - ay) - d2y * (x - ax) <= snap:
+                return True
+    return False
+
+
+def _reference_nearest_boundary_point_in_wedge(edges, apex, d1, d2, snap):
+    # the closest point to the apex on the face boundary within the closed
+    # wedge, as (point, edge index), or None
+    best = None
+    ax, ay = apex
+    for i, ((a0, a1), (s0, s1), denom) in enumerate(edges):
+        t0, t1 = 0.0, 1.0
+        ok = True
+        for (dx, dy), sgn in ((d1, 1.0), (d2, -1.0)):
+            c0 = sgn * (dx * (a1 - ay) - dy * (a0 - ax))
+            dc = sgn * (dx * s1 - dy * s0)
+            if abs(dc) <= 1e-300:
+                if c0 < -snap:
+                    ok = False
+                    break
+                continue
+            t_cross = -c0 / dc
+            if dc > 0:
+                t0 = max(t0, t_cross)
+            else:
+                t1 = min(t1, t_cross)
+        if not ok or t0 > t1:
+            continue
+        t_star = 0.0 if denom <= 1e-300 else dot((ax - a0, ay - a1), (s0, s1)) / denom
+        t_star = min(max(t_star, t0), t1)
+        for t in (t_star, t0, t1):
+            q = (a0 + t * s0, a1 + t * s1)
+            dist = norm((q[0] - ax, q[1] - ay))
+            if dist > snap and (best is None or dist < best[0]):
+                best = (dist, q, i)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _reference_extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
+    """The cone search that tests a face's reps when it joins the BFS queue,
+    each face visited once per cone."""
+    ax, ay = apex
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    visited = {root.pid}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for i, (nb, _em, _et) in enumerate(node.fm.hops):
+            if nb in visited:
+                continue
+            child = node.children[i] or node.unfold(i, face_maps)
+            cx, cy = child.center[0] - ax, child.center[1] - ay
+            radius = child.fm.radius
+            if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
+                continue
+            if _reference_polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2,
+                                              snap):
+                reps = child.reps if child.reps is not None else child.unfold_reps(reps_xy)
+                if reps and _reference_reps_in_open_wedge(reps, apex, d1, d2, snap):
+                    return True
+                visited.add(nb)
+                queue.append(child)
+    return False
+
+
+def _reference_occupied_cones(fan, reps, apex, snap):
+    # the cones with a rep (x and y lists) farther than snap from the apex
+    # and from both bounding rays
+    ax, ay = apex
+    rx, ry = np.subtract(reps[0], ax), np.subtract(reps[1], ay)
+    dist = np.hypot(rx, ry)
+    ang = np.mod(np.arctan2(ry, rx), 2.0 * math.pi)
+    occupied = set()
+    for d, a, lo_k in zip(dist.tolist(), ang.tolist(), fan.indices_of(ang).tolist()):
+        if d <= snap:
+            continue
+        frac = (a - lo_k * fan.width) % (2.0 * math.pi)
+        if min(frac, fan.width - frac) * d > snap:
+            occupied.add(lo_k)
+    return occupied
+
+
+# ---------------------------------------------------------------------------
 # the fast spanner construction gives the bits of the plain numpy formulation
 
 
@@ -323,9 +530,21 @@ def test_polygon_meets_wedge_matches_numpy(center, radius, turns, apex, eps, con
         # on the ray
         vx, vy = poly[on_ray]
         apex = (vx - back * d1[0], vy - back * d1[1])
-    fast = _polygon_meets_wedge((poly[:, 0].tolist(), poly[:, 1].tolist()), apex, d1, d2, snap)
+    fast = _reference_polygon_meets_wedge((poly[:, 0].tolist(), poly[:, 1].tolist()), apex,
+                                          d1, d2, snap)
     slow = _numpy_polygon_meets_wedge(poly, np.array(apex), np.array(d1), np.array(d2), snap)
-    assert fast == slow
+    # the batched clip, on the polygon padded with two junk corners and
+    # mapped by the identity
+    k = len(poly)
+    face = SimpleNamespace(xs=np.r_[poly[:, 0], 1e3, -1e3][None],
+                           ys=np.r_[poly[:, 1], 1e3, 0.0][None],
+                           nxt=np.r_[np.roll(np.arange(k), -1), 0, 0][None],
+                           corner=(np.arange(k + 2) < k)[None])
+    one, zero = np.ones(1), np.zeros(1)
+    batched = spanner._meets_wedge(face, np.array([0]), [one, zero, zero, one], [zero, zero],
+                                   np.array([apex[0]]), np.array([apex[1]]),
+                                   np.array([[*d1, *d2]]), snap)
+    assert fast == slow == bool(batched[0])
 
 
 @st.composite
@@ -439,17 +658,24 @@ def _reference_hop(patch, nb_patch, A, B):
 
 
 def _hops_by_edge(decomp, sketch):
-    # per face, its hops next to the edges (k, neighbour) they cross
-    face_maps = _build_face_maps(decomp, sketch)
+    # per face, its hops from the CSR arrays next to the edges (k,
+    # neighbour) they cross; the arrays hold the bits of the per-edge float
+    # construction
+    fm = _build_face_maps(decomp, sketch)
+    ref = _reference_face_maps(decomp, sketch)
     by_pid = {f.patch_id: f for f in sketch.faces}
     for f in sketch.faces:
         kk = len(f.polygon2d)
         crossed = [(k, int(j)) for k, j in enumerate(f.neighbor_patch.tolist())
                    if j != NO_NEIGHBOR and j in by_pid]
-        hops = face_maps[f.patch_id].hops
-        assert [j for _k, j in crossed] == [j for j, _m2, _t2 in hops]
-        for (k, j), (_j, m2, t2) in zip(crossed, hops):
-            yield f, by_pid[j], k, (k + 1) % kk, np.array(m2), np.array(t2)
+        i = fm.row[f.patch_id]
+        hops = range(fm.hop_start[i], fm.hop_start[i + 1])
+        got = [(sketch.faces[fm.hop_face[h]].patch_id, tuple(fm.hop_map[:, h].tolist()))
+               for h in hops]
+        assert got == [(j, (*m2[0], *m2[1], *t2)) for j, m2, t2 in ref[f.patch_id].hops]
+        assert [j for _k, j in crossed] == [j for j, _m in got]
+        for (k, j), (_j, m) in zip(crossed, got):
+            yield f, by_pid[j], k, (k + 1) % kk, np.array(m[:4]).reshape(2, 2), np.array(m[4:])
 
 
 @pytest.mark.parametrize("shape, n, seed", [("sphere", 50, 0), ("sphere", 200, 1), ("cube", 0, 0)],
@@ -507,33 +733,6 @@ def test_hop_map_lays_the_cube_side_flat_beyond_the_bottom():
     assert np.abs(m2 @ corner + t2 - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mesh_seed, n", [(None, 50), (5, 200)])
-def test_shared_unfolding_tree_matches_fresh_tree(sphere50, mesh_seed, n):
-    # one tree shared by every (rep, cone) of a face answers as a tree built
-    # afresh for each cone
-    mesh = sphere50 if mesh_seed is None else generate_mesh("sphere", n, mesh_seed)
-    eps = 0.3
-    decomp, sketch, assignment, projections = _stage(mesh, eps)
-    face_maps = _build_face_maps(decomp, sketch)
-    reps_xy = _reps_xy(assignment, projections)
-    snap = mesh.snap
-    fan = cone_fan(eps)
-    shared = {}
-    hits = 0
-    for r in assignment.reps:
-        pid = int(decomp.owner_of_vertex[r])
-        apex = projections[pid][r]
-        root = shared.setdefault(pid, _unfolding_root(face_maps[pid], pid))
-        for c in range(fan.count):
-            d1, d2 = _wedge_dirs(fan, c)
-            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap)
-            fresh = _extended_cone_hits_rep(_unfolding_root(face_maps[pid], pid), apex,
-                                            d1, d2, face_maps, reps_xy, snap)
-            assert got == fresh
-            hits += got
-    assert hits > 0
-
-
 def _reference_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
     """The cone search that tests a face's reps when it leaves the BFS queue."""
     ax, ay = apex
@@ -543,7 +742,7 @@ def _reference_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
     while queue:
         node = queue.popleft()
         reps = node.reps if node.reps is not None else node.unfold_reps(reps_xy)
-        if reps and spanner._reps_in_open_wedge(reps, apex, d1, d2, snap):
+        if reps and _reference_reps_in_open_wedge(reps, apex, d1, d2, snap):
             return True
         for i, (nb, _em, _et) in enumerate(node.fm.hops):
             if nb in visited:
@@ -553,7 +752,8 @@ def _reference_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap):
             radius = child.fm.radius
             if d1x * cy - d1y * cx < -radius or d2x * cy - d2y * cx > radius:
                 continue
-            if _polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2, snap):
+            if _reference_polygon_meets_wedge(child.poly or child.unfold_poly(), apex, d1, d2,
+                                              snap):
                 visited.add(nb)
                 queue.append(child)
     return False
@@ -565,39 +765,56 @@ def _reps_xy(assignment, projections):
             for pid, rs in assignment.patch_reps.items()}
 
 
-@pytest.mark.parametrize("n", [50, 100, 200])
-@pytest.mark.parametrize("eps", [0.3, 0.4])
-def test_cone_search_matches_dequeue_time_reference(n, eps):
-    # testing reps when a face is queued answers every (rep, empty cone) as
-    # testing them when it leaves the queue; the cones of a face share one
-    # tree, as in the placement
-    mesh = generate_mesh("sphere", n, 0)
-    decomp, sketch, assignment, projections = _stage(mesh, eps)
-    face_maps = _build_face_maps(decomp, sketch)
-    reps_xy = _reps_xy(assignment, projections)
+def _empty_cones(mesh, stage, eps):
+    """Every (rep, empty cone) of the stage's reps, in rep and then cone
+    order, by the float references: (face, apex, cone) per cone, and the
+    search's inputs as columns."""
+    decomp, _sketch, assignment, projections = stage
+    fm = _build_face_maps(decomp, _sketch)
     fan, snap = cone_fan(eps), mesh.snap
-    trees = {}
-    answers = []
+    reps_xy = _reps_xy(assignment, projections)
+    cones = []
     for r in assignment.reps:
         pid = int(decomp.owner_of_vertex[r])
         apex = projections[pid][r]
-        root = trees.setdefault(pid, _unfolding_root(face_maps[pid], pid))
-        occupied = _occupied_cones(fan, reps_xy[pid], apex, snap)
-        for c in sorted(set(range(fan.count)) - occupied):
-            d1, d2 = _wedge_dirs(fan, c)
-            got = _extended_cone_hits_rep(root, apex, d1, d2, face_maps, reps_xy, snap)
-            want = _reference_cone_hits_rep(_unfolding_root(face_maps[pid], pid), apex, d1, d2,
-                                            face_maps, reps_xy, snap)
-            assert got == want, (pid, apex, c)
-            answers.append(got)
+        occupied = _reference_occupied_cones(fan, reps_xy[pid], apex, snap)
+        cones += [(pid, apex, c) for c in range(fan.count) if c not in occupied]
+    rows = np.array([fm.row[pid] for pid, _apex, _c in cones], dtype=np.int64)
+    ax, ay = np.array([apex for _pid, apex, _c in cones]).reshape(-1, 2).T
+    dirs = np.array([sum(_wedge_dirs(fan, c), ()) for _pid, _apex, c in cones]).reshape(-1, 4)
+    return cones, fm, spanner._face_reps(fm, assignment, projections), rows, ax, ay, dirs
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("eps", [0.3, 0.4])
+def test_cone_search_matches_dequeue_time_reference(n, eps):
+    # the batched search answers every (rep, empty cone), with or without a
+    # boundary point, as the search that tests reps when a face leaves the
+    # queue, on a fresh tree per cone
+    mesh = generate_mesh("sphere", n, 0)
+    stage = _stage(mesh, eps)
+    decomp, sketch, assignment, projections = stage
+    face_maps = _reference_face_maps(decomp, sketch)
+    reps_xy = _reps_xy(assignment, projections)
+    fan, snap = cone_fan(eps), mesh.snap
+    cones, fm, reps, rows, ax, ay, dirs = _empty_cones(mesh, stage, eps)
+    got, pairs = spanner._search_cones(fm, reps, rows, ax, ay, dirs, snap)
+    answers = []
+    for (pid, apex, c), hit in zip(cones, got.tolist()):
+        d1, d2 = _wedge_dirs(fan, c)
+        want = _reference_cone_hits_rep(_reference_unfolding_root(face_maps[pid], pid), apex,
+                                        d1, d2, face_maps, reps_xy, snap)
+        assert hit == want, (pid, apex, c)
+        answers.append(hit)
     assert True in answers and False in answers
+    assert pairs >= len(cones)
 
 
 def _search_first_placement(P, decomp, sketch, assignment, projections, eps):
     """The Steiner placement that runs the extension search first on every
     empty cone, then the boundary point, abutting face and crowding tests."""
     fan, snap = cone_fan(eps), P.snap
-    face_maps = _build_face_maps(decomp, sketch)
+    face_maps = _reference_face_maps(decomp, sketch)
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
     reps_xy = _reps_xy(assignment, projections)
@@ -612,15 +829,15 @@ def _search_first_placement(P, decomp, sketch, assignment, projections, eps):
         pid = node.patches[0]
         fm = face_maps[pid]
         apex = positions[node.id][pid]
-        occupied = _occupied_cones(fan, reps_xy[pid], apex, snap)
+        occupied = _reference_occupied_cones(fan, reps_xy[pid], apex, snap)
         for c in range(fan.count):
             if c in occupied:
                 continue
             d1, d2 = _wedge_dirs(fan, c)
-            if not _reference_cone_hits_rep(_unfolding_root(fm, pid), apex, d1, d2, face_maps,
-                                            reps_xy, snap):
+            if not _reference_cone_hits_rep(_reference_unfolding_root(fm, pid), apex, d1, d2,
+                                            face_maps, reps_xy, snap):
                 continue
-            found = _nearest_boundary_point_in_wedge(fm.edges, apex, d1, d2, snap)
+            found = _reference_nearest_boundary_point_in_wedge(fm.edges, apex, d1, d2, snap)
             if found is None:
                 continue
             q2, edge_idx = found
@@ -665,6 +882,250 @@ def test_placement_matches_search_first_reference(n, eps):
     assert positions == want_positions
     assert stats["steiner_nodes"] == sum(nd.kind == "steiner" for nd in nodes) > 0
     assert stats["steiner_nodes"] <= stats["cone_searches"] < stats["empty_cones"]
+
+
+def _check_cone_tests(mesh, eps):
+    """The placement's array pass against the per-cone float references on
+    every (rep, empty cone) of the mesh: the empty cones, the boundary
+    point's bits, its edge, the abutting face and the search's answer; the
+    face arrays against the reference face maps. Returns the answers of
+    the cones searched."""
+    stage = _stage(mesh, eps)
+    decomp, sketch, assignment, projections = stage
+    fan, snap = cone_fan(eps), mesh.snap
+    fm = _build_face_maps(decomp, sketch)
+    ref = _reference_face_maps(decomp, sketch)
+    for pid, i in fm.row.items():
+        k = int(fm.corner[i].sum())
+        want = ref[pid]
+        assert fm.corner[i, :k].all() and not fm.corner[i, k:].any()
+        assert (fm.xs[i, :k].tolist(), fm.ys[i, :k].tolist()) == (list(want.poly[0]),
+                                                                  list(want.poly[1]))
+        assert [((a0, a1), (s0, s1), sq) for a0, a1, s0, s1, sq in zip(
+            fm.xs[i, :k].tolist(), fm.ys[i, :k].tolist(), fm.seg_x[i, :k].tolist(),
+            fm.seg_y[i, :k].tolist(), fm.seg_sq[i, :k].tolist())] == want.edges
+        assert fm.neighbors[i, :k].tolist() == want.neighbors.tolist()
+        assert (float(fm.cx[i]), float(fm.cy[i]), float(fm.radius[i])) == (*want.center,
+                                                                             want.radius)
+    reps_xy = _reps_xy(assignment, projections)
+    nodes = rep_nodes(mesh, decomp, assignment.reps)
+    positions = [{nd.patches[0]: projections[nd.patches[0]][nd.vertex]} for nd in nodes]
+    tests = spanner._cone_tests(fm, spanner._face_reps(fm, assignment, projections), fan,
+                                nodes, positions, snap)
+    hit = dict(zip(tests.searched.tolist(), tests.hit.tolist()))
+    got = []
+    for i, (apex, c, found, x, y, edge, nb) in enumerate(zip(
+            tests.apex.tolist(), tests.cone.tolist(), tests.found.tolist(), tests.qx.tolist(),
+            tests.qy.tolist(), tests.edge.tolist(), tests.nb.tolist())):
+        got.append((apex, c, (x.hex(), y.hex(), edge, nb, hit.get(i)) if found else None))
+    want = []
+    for nd in nodes:
+        pid = nd.patches[0]
+        apex = positions[nd.id][pid]
+        occupied = _reference_occupied_cones(fan, reps_xy[pid], apex, snap)
+        for c in sorted(set(range(fan.count)) - occupied):
+            d1, d2 = _wedge_dirs(fan, c)
+            found = _reference_nearest_boundary_point_in_wedge(ref[pid].edges, apex, d1, d2,
+                                                               snap)
+            if found is None:
+                want.append((nd.id, c, None))
+                continue
+            (x, y), edge = found
+            nb = int(ref[pid].neighbors[edge])
+            answer = None if nb == NO_NEIGHBOR else _reference_extended_cone_hits_rep(
+                _reference_unfolding_root(ref[pid], pid), apex, d1, d2, ref, reps_xy, snap)
+            want.append((nd.id, c, (x.hex(), y.hex(), edge, nb, answer)))
+    assert got == want
+    return tests.hit.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 200), seed=st.integers(0, 2 ** 32 - 1), eps=st.sampled_from([0.3, 0.4]))
+def test_cone_tests_match_per_cone_references(n, seed, eps):
+    try:
+        mesh = generate_mesh("sphere", n, seed)
+    except (PolytopeError, GeometryError, ValueError):
+        assume(False)
+    _check_cone_tests(mesh, eps)
+
+
+# the hulls that raise DisconnectedSpanner (sphere, n, seed, eps), on which
+# searches answer False
+_CUT_OFF_HULLS = ([(100, 19, 0.4), (50, 26, 0.3)]
+                  + [(20, s, 0.3) for s in (3, 11, 15, 17, 23, 40, 51, 53, 84, 85, 92)]
+                  + [(20, s, 0.4) for s in (46, 60, 62, 97)])
+
+
+def test_cone_tests_match_per_cone_references_on_cut_off_hulls():
+    answers = []
+    for n, seed, eps in _CUT_OFF_HULLS:
+        answers += _check_cone_tests(generate_mesh("sphere", n, seed), eps)
+    assert True in answers and False in answers
+
+
+def test_boundary_pass_on_an_edge_along_a_wedge_ray():
+    # `gen sphere --n 20 --seed 15` at eps 0.3: sketch face 14's edge 0 runs
+    # from its rep at the origin along cone 0's lower ray, off it by a cross
+    # term of 1e-16, whose sign clips the edge to the apex; the array pass
+    # decides it as the float loop does
+    mesh = generate_mesh("sphere", 20, 15)
+    decomp, sketch, assignment, projections = _stage(mesh, 0.3)
+    fm = _build_face_maps(decomp, sketch)
+    i = fm.row[14]
+    (r,) = assignment.patch_reps[14]
+    assert projections[14][r] == (0.0, 0.0)
+    d1, _d2 = _wedge_dirs(cone_fan(0.3), 0)
+    cross_term = d1[0] * fm.seg_y[i, 0] - d1[1] * fm.seg_x[i, 0]
+    assert 0.0 < abs(cross_term) < 1e-15 and fm.seg_x[i, 0] > 1.0
+    _check_cone_tests(mesh, 0.3)
+
+
+def _one_face(corners, neighbors=None, hops=()):
+    """Face arrays of synthetic faces: `corners` is a list of polygons (lists
+    of float pairs), `hops` per face a list of (face row, (m00, m01, m10,
+    m11, t0, t1))."""
+    k = max(len(c) for c in corners)
+    xs, ys = np.zeros((len(corners), k)), np.zeros((len(corners), k))
+    corner = np.zeros((len(corners), k), dtype=bool)
+    nxt = np.zeros((len(corners), k), dtype=np.int64)
+    for i, poly in enumerate(corners):
+        xs[i, :len(poly)], ys[i, :len(poly)] = np.array(poly, dtype=np.float64).T
+        corner[i, :len(poly)] = True
+        nxt[i, :len(poly)] = np.roll(np.arange(len(poly)), -1)
+    seg_x, seg_y = np.take_along_axis(xs, nxt, 1) - xs, np.take_along_axis(ys, nxt, 1) - ys
+    centre = np.array([np.array(poly).mean(axis=0) for poly in corners])
+    radius = np.array([float(norm(np.array(poly) - c).max()) for poly, c in zip(corners, centre)])
+    hops = list(hops) or [[] for _ in corners]
+    return spanner._FaceMaps(
+        {i: i for i in range(len(corners))}, xs, ys, corner, nxt, seg_x, seg_y,
+        seg_x * seg_x + seg_y * seg_y,
+        np.where(corner, 0, NO_NEIGHBOR) if neighbors is None else neighbors,
+        centre[:, 0], centre[:, 1], radius, np.zeros((len(corners), 3, 3)),
+        np.r_[0, np.cumsum([len(h) for h in hops])],
+        np.array([f for h in hops for f, _m in h], dtype=np.int64),
+        np.array([m for h in hops for _f, m in h], dtype=np.float64).reshape(-1, 6).T.copy())
+
+
+def _boundary_case(fm, apex, c, fan, snap):
+    # the array pass and the float loop on one cone of face 0
+    d1, d2 = _wedge_dirs(fan, c)
+    found, x, y, edge = spanner._boundary_points(fm, np.array([0]), np.array([apex[0]]),
+                                                 np.array([apex[1]]), np.array([[*d1, *d2]]),
+                                                 snap)
+    edges = [((a0, a1), (s0, s1), sq) for a0, a1, s0, s1, sq in zip(
+        fm.xs[0].tolist(), fm.ys[0].tolist(), fm.seg_x[0].tolist(), fm.seg_y[0].tolist(),
+        fm.seg_sq[0].tolist())][:int(fm.corner[0].sum())]
+    want = _reference_nearest_boundary_point_in_wedge(edges, apex, d1, d2, snap)
+    got = ((float(x[0]), float(y[0])), int(edge[0])) if found[0] else None
+    assert repr(got) == repr(want)
+    return got
+
+
+def test_boundary_pass_keeps_pythons_max_on_a_negative_zero():
+    # the edge from (-0.0, 0) to (0.5, 1) starts on cone 0's lower ray, so
+    # t_cross is -0.0 / 1 = -0.0; Python's max(0.0, -0.0) keeps 0.0, and the
+    # apex (-1, 0) lies behind the edge's start, so the nearest point is at
+    # t0 and its x is -0.0 + t0 * 0.5: 0.0 for t0 = 0.0, -0.0 for -0.0
+    fan, snap = cone_fan(math.pi / 2), 1e-9
+    fm = _one_face([[(-0.0, 0.0), (0.5, 1.0), (3.0, 1.0)]])
+    got = _boundary_case(fm, (-1.0, 0.0), 0, fan, snap)
+    assert got[1] == 0 and got[0] == (0.0, 0.0) and math.copysign(1.0, got[0][0]) == 1.0
+    # np.maximum keeps the -0.0 in this case, so it would give the other bit
+    assert math.copysign(1.0, float(np.maximum(0.0, -0.0 / 1.0))) == -1.0
+
+
+@pytest.mark.parametrize("below", [0.0, 0.5e-9, 2e-9])
+def test_boundary_pass_on_edges_exactly_along_a_wedge_ray(below):
+    # edges exactly parallel to cone 0's lower ray (|dc| = 0): on the ray or
+    # within snap below it the edge stays, farther below it is dropped
+    fan, snap = cone_fan(math.pi / 2), 1e-9
+    fm = _one_face([[(1.0, -below), (2.0, -below), (2.0, 1.0), (1.0, 1.0)]])
+    got = _boundary_case(fm, (0.0, 0.0), 0, fan, snap)
+    assert got[1] == (0 if below < snap else 3)
+
+
+def test_search_dedupes_a_face_before_testing_its_reps():
+    # faces 1 and 2 both abut the start face 0, and face 3 abuts both; in
+    # BFS level 2 face 3 is reached through face 1 first, where its rep lies
+    # below the wedge, and then through face 2, whose map lifts the rep into
+    # it. The first path visits face 3, so the second is never tested and
+    # the answer is False, as in the float loop
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    shift = [(x + 2.0, y) for x, y in square]
+    ident, up = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0, 0.0, 0.5)
+    hops = [[(1, (1.0, 0.0, 0.0, 1.0, 1.0, 0.0)), (2, (1.0, 0.0, 0.0, 1.0, 1.0, 0.0))],
+            [(3, ident)], [(3, up)], []]
+    fm = _one_face([square, square, square, shift], hops=hops)
+    reps = (np.array([0, 0, 0, 0, 1]), np.array([2.5]), np.array([0.2]))
+    fan, snap = cone_fan(math.pi / 2), 1e-9
+    apex, (d1, d2) = (0.5, 0.5), _wedge_dirs(fan, 0)
+    hit, pairs = spanner._search_cones(fm, reps, np.array([0]), np.array([0.5]),
+                                       np.array([0.5]), np.array([[*d1, *d2]]), snap)
+    # the float loop on the same faces
+    ref = {i: _ReferenceFaceMaps((fm.xs[i, :4].tolist(), fm.ys[i, :4].tolist()), None,
+                                 [(f, (m[:2], m[2:4]), m[4:]) for f, m in hops[i]],
+                                 (float(fm.cx[i]), float(fm.cy[i])), float(fm.radius[i]), [])
+           for i in range(4)}
+    reps_xy = {3: ([2.5], [0.2])}
+    want = _reference_extended_cone_hits_rep(_reference_unfolding_root(ref[0], 0), apex, d1, d2,
+                                             ref, reps_xy, snap)
+    assert hit.tolist() == [want] == [False]
+    assert pairs == 4  # faces 1 and 2, then face 3 twice
+    # through face 2 alone the rep lies in the wedge
+    ref[1].hops = []
+    assert _reference_extended_cone_hits_rep(_reference_unfolding_root(ref[0], 0), apex, d1,
+                                             d2, ref, reps_xy, snap)
+
+
+def test_rep_distance_keeps_numpy_hypot():
+    # the search measures a rep's distance with np.hypot on arrays, which
+    # gives the bits of np.hypot on the float loop's scalars; math.hypot
+    # may round differently on some hosts, so neither path uses it
+    rng = np.random.default_rng(11)
+    rx, ry = rng.normal(size=(2, 50_000)) * np.exp(rng.uniform(-20, 5, size=(2, 50_000)))
+    arrays = np.hypot(rx, ry)
+    scalars = [float(np.hypot(x, y)) for x, y in zip(rx.tolist(), ry.tolist())]
+    assert arrays.tolist() == scalars
+
+
+def test_cone_tests_over_several_blocks_match_one_block(monkeypatch):
+    # no (cones, corners) block of the boundary pass, (cones, faces) block
+    # of the search or (children, corners) run of a search level holds more
+    # than _CONE_PAIRS values, every cone is decided once, and a small cap
+    # splits the pass into several blocks with the same placement
+    mesh = generate_mesh("sphere", 200, 0)
+    stage = _stage(mesh, 0.3)
+    want_nodes, want_positions = place_steiner_points(mesh, *stage, 0.3)
+    boundary, search, meets = spanner._boundary_block, spanner._search_block, spanner._meets_wedge
+    for cap, several in ((spanner._CONE_PAIRS, False), (1 << 9, True)):
+        monkeypatch.setattr(spanner, "_CONE_PAIRS", cap)
+        bounds, searches, clips = [], [], []
+
+        def recording_boundary(fm, rows, *args):
+            bounds.append((len(rows), 3 * fm.xs.shape[1]))
+            return boundary(fm, rows, *args)
+
+        def recording_search(fm, reps, rows, *args):
+            searches.append((len(rows), len(fm.row)))
+            return search(fm, reps, rows, *args)
+
+        def recording_meets(fm, faces, *args):
+            clips.append((len(faces), fm.xs.shape[1]))
+            return meets(fm, faces, *args)
+
+        monkeypatch.setattr(spanner, "_boundary_block", recording_boundary)
+        monkeypatch.setattr(spanner, "_search_block", recording_search)
+        monkeypatch.setattr(spanner, "_meets_wedge", recording_meets)
+        stats = {}
+        nodes, positions = place_steiner_points(mesh, *stage, 0.3, stats)
+        assert [(nd.kind, nd.patches, nd.marked, nd.lift3d.tobytes()) for nd in nodes] == [
+            (nd.kind, nd.patches, nd.marked, nd.lift3d.tobytes()) for nd in want_nodes]
+        assert positions == want_positions
+        assert sum(b for b, _k in bounds) == stats["empty_cones"]
+        assert sum(b for b, _f in searches) == stats["cone_searches"]
+        assert all(b * k <= cap for b, k in bounds + searches + clips)
+        if several:
+            assert len(bounds) > 2 and len(searches) > 2
 
 
 def _reference_nearest_edge_point(P, q, face_ids):

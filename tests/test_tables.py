@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
-from polyroute.polytope import ParseError, from_arrays
+from polyroute.polytope import NonConvex, ParseError, from_arrays
 from polyroute import tables
 from polyroute.tables import (
     ChecksumMismatch,
+    CorruptMesh,
     EntryKind,
     FormatVersionMismatch,
     IdOutOfRange,
@@ -103,21 +104,40 @@ STAGES = ("theta_m_s", "patches_s", "sketch_s", "representatives_s", "steiner_pl
 
 def test_preprocess_fills_stage_stats(sphere50_system):
     # per-stage seconds that add up to no more than the whole build, and
-    # the spanner's counts, which the graph confirms; a load has none
+    # the spanner's and the system's counts, which the system confirms
     stats = sphere50_system.stats
     g = sphere50_system.graph
     assert set(stats) == set(STAGES) | {"total_s", "empty_cones", "cone_searches",
-                                        "steiner_nodes", "lift_pairs", "theta_pairs"}
+                                        "search_pairs", "steiner_nodes", "lift_pairs",
+                                        "theta_pairs", "patches", "reps", "edges", "landmarks"}
     assert all(stats[k] >= 0.0 for k in STAGES)
     assert sum(stats[k] for k in STAGES) <= stats["total_s"]
     assert stats["steiner_nodes"] == sum(n.kind == "steiner" for n in g.nodes)
     assert stats["empty_cones"] >= stats["cone_searches"] >= stats["steiner_nodes"] > 0
+    # each searched cone tests at least the first face it unfolds
+    assert stats["search_pairs"] >= stats["cone_searches"]
+    assert (stats["patches"], stats["reps"], stats["edges"], stats["landmarks"]) == (
+        sphere50_system.decomp.count, len(sphere50_system.assignment.reps), len(g.edges),
+        len(sphere50_system.scheme.landmarks))
     # the pre-test leaves each Steiner point its hit face and drops most faces
     assert (stats["steiner_nodes"] <= stats["lift_pairs"]
             < stats["steiner_nodes"] * sphere50_system.P.num_faces // 4)
     assert stats["theta_pairs"] == sum(len(ids) ** 2 for ids in g.per_face_nodes.values()
                                        if len(ids) > 1)
-    assert deserialize(serialize(sphere50_system)).stats == {}
+
+
+LOAD_STAGES = ("mesh_s", "decomposition_s", "landmark_trees_s", "balls_s", "derive_s")
+
+
+def test_deserialize_fills_load_stage_stats(sphere50_system):
+    # a load's stage seconds add up to no more than the whole load, and
+    # timing it leaves the bytes as they were
+    blob = serialize(sphere50_system)
+    loaded = deserialize(blob)
+    assert set(loaded.stats) == set(LOAD_STAGES) | {"total_s"}
+    assert all(loaded.stats[k] >= 0.0 for k in LOAD_STAGES)
+    assert sum(loaded.stats[k] for k in LOAD_STAGES) <= loaded.stats["total_s"]
+    assert serialize(loaded) == blob
 
 
 def test_loaded_system_equals_built(sphere50_system):
@@ -276,12 +296,43 @@ def test_non_finite_vertex_rejected(sphere50_system, value):
     sections = _sections(serialize(sphere50_system))
     payload = bytearray(dict(sections)[2])
     struct.pack_into("<d", payload, 8, value)
-    with pytest.raises(ParseError, match="non-finite vertex coordinate"):
+    # a file, refused as a file, from the mesh's own refusal
+    with pytest.raises(CorruptMesh, match="non-finite vertex coordinate") as refused:
         deserialize(_container([(t, bytes(payload) if t == 2 else p) for t, p in sections]))
+    assert isinstance(refused.value.__cause__, ParseError)
     vertices = sphere50_system.P.vertices.copy()
     vertices[0, 0] = value
     with pytest.raises(ParseError, match="non-finite vertex coordinate"):
         from_arrays(vertices, sphere50_system.P.faces)
+
+
+def _non_convex_file(system) -> bytes:
+    """The system's file with vertex 0 pushed outward to twice its distance
+    from the centroid, under a valid CRC."""
+    import struct
+
+    sections = _sections(serialize(system))
+    payload = bytearray(dict(sections)[2])
+    P = system.P
+    pushed = P.vertices.mean(axis=0) + 2.0 * (P.vertices[0] - P.vertices.mean(axis=0))
+    struct.pack_into("<3d", payload, 8, *pushed.tolist())
+    return _container([(t, bytes(payload) if t == 2 else p) for t, p in sections])
+
+
+def test_non_convex_mesh_is_refused_as_a_corrupt_file(sphere50_system, tmp_path, capsys):
+    # through the API, a SerializationError caused by NonConvex; through
+    # `polyroute route`, the exit code of every other bad file
+    from polyroute.cli import EXIT_IO, main
+
+    bad = _non_convex_file(sphere50_system)
+    with pytest.raises(CorruptMesh) as refused:
+        deserialize(bad)
+    assert isinstance(refused.value, SerializationError)
+    assert isinstance(refused.value.__cause__, NonConvex)
+    path = tmp_path / "non_convex.prt"
+    path.write_bytes(bad)
+    assert main(["route", str(path), "--from", "0", "--to", "1"]) == EXIT_IO
+    assert "stored mesh is refused" in capsys.readouterr().err
 
 
 def _assignment_edit(system, case: str) -> bytes:
