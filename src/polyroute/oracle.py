@@ -18,6 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from .compact_routing import spanner_csr
 from .polytope import TriangulatedPolytope
 from .tables import RoutingSystem
 
@@ -34,13 +35,10 @@ __all__ = [
 
 
 def build_edge_graph(P: TriangulatedPolytope) -> csr_matrix:
-    rows, cols, data = [], [], []
-    for (u, v) in P.edges():
-        w = P.edge_length(u, v)
-        rows += [u, v]
-        cols += [v, u]
-        data += [w, w]
-    return csr_matrix((data, (rows, cols)), shape=(P.n, P.n))
+    """The symmetric adjacency matrix of the mesh edges, weighted by their
+    lengths."""
+    ends = np.array(list(P.edge_lengths), dtype=np.int64).reshape(-1, 2)
+    return spanner_csr(P.n, ends[:, 0], ends[:, 1], np.array(list(P.edge_lengths.values())))
 
 
 def edge_dijkstra(P: TriangulatedPolytope, s: int, t: int) -> float:
@@ -75,48 +73,27 @@ class SubdivisionGraph:
 
 
 def build_subdivision_graph(P: TriangulatedPolytope, m: int) -> SubdivisionGraph:
+    """Node n + i*m + j is the j-th of the m nodes on edge i, in sorted edge
+    order. Each face's ids are its corners, then the m nodes of each edge k
+    (corner k to k + 1), and every pair of them is an edge of the graph."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    edge_list = sorted(P.edges())
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    n = P.n
-    points = [P.vertices]
-    if m > 0:
-        fracs = (np.arange(1, m + 1) / (m + 1.0))[None, :, None]
-        a = P.vertices[[e[0] for e in edge_list]][:, None, :]
-        b = P.vertices[[e[1] for e in edge_list]][:, None, :]
-        points.append((a + fracs * (b - a)).reshape(-1, 3))
-    pts = np.concatenate(points, axis=0)
-
-    def edge_nodes(u: int, v: int) -> list[int]:
-        key = (min(u, v), max(u, v))
-        base = n + edge_index[key] * m
-        return list(range(base, base + m))
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for f in P.faces:
-        ids = [int(f[0]), int(f[1]), int(f[2])]
-        if m > 0:
-            for k in range(3):
-                ids += edge_nodes(int(f[k]), int(f[(k + 1) % 3]))
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        iu, ju = np.triu_indices(len(ids_arr), k=1)
-        rows.append(ids_arr[iu])
-        cols.append(ids_arr[ju])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
+    edges = np.array(sorted(P.edges()), dtype=np.int64).reshape(-1, 2)
+    fracs = (np.arange(1, m + 1) / (m + 1.0))[None, :, None]
+    a, b = P.vertices[edges[:, 0]][:, None, :], P.vertices[edges[:, 1]][:, None, :]
+    pts = np.concatenate([P.vertices, (a + fracs * (b - a)).reshape(-1, 3)])
+    tail, head = P.faces, P.faces[:, [1, 2, 0]]
+    k = np.searchsorted(edges[:, 0] * P.n + edges[:, 1],
+                        np.minimum(tail, head) * P.n + np.maximum(tail, head))
+    ids = np.concatenate([tail, (P.n + (k * m)[:, :, None] + np.arange(m)).reshape(len(k), -1)],
+                         axis=1)
+    iu, ju = np.triu_indices(ids.shape[1], k=1)
+    r, c = ids[:, iu].ravel(), ids[:, ju].ravel()
     # pairs on a shared mesh edge appear in both incident faces; csr would
     # sum duplicates, so keep each undirected pair once
-    key = np.minimum(r, c) * np.int64(len(pts)) + np.maximum(r, c)
-    _uniq, first = np.unique(key, return_index=True)
-    r = r[first]
-    c = c[first]
-    w = np.linalg.norm(pts[r] - pts[c], axis=1)
-    r2 = np.concatenate([r, c])
-    c2 = np.concatenate([c, r])
-    w2 = np.concatenate([w, w])
-    matrix = csr_matrix((w2, (r2, c2)), shape=(len(pts), len(pts)))
+    _uniq, first = np.unique(np.minimum(r, c) * len(pts) + np.maximum(r, c), return_index=True)
+    r, c = r[first], c[first]
+    matrix = spanner_csr(len(pts), r, c, np.linalg.norm(pts[r] - pts[c], axis=1))
     return SubdivisionGraph(P=P, m=m, points=pts, matrix=matrix)
 
 

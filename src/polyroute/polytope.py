@@ -7,14 +7,17 @@ signed volume) is flipped first.
 Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) and the
 edge-length table are built once at load time from one sort of the
 half-edges, which pairs each with its twin (the reverse half-edge), and the
-structure is immutable afterwards. What each check refuses: `ParseError` a
-non-finite vertex coordinate, a repeated half-edge (a face against the
-orientation of its neighbours) or a zero-area face; `NotClosed` a
-half-edge without a twin (an open mesh, or a face that repeats a vertex),
-an Euler characteristic other than 2 (e.g. two disjoint shells), a vertex
-no face references, or a vertex whose faces form more than one fan
-(non-manifold); `NonConvex` a vertex outside a face plane. Once every
-half-edge is unique and has its twin, each edge bounds exactly two faces.
+structure is immutable afterwards. What each check refuses: `ParseError` an
+OFF token that does not parse (naming its vertex or face), a non-finite
+vertex coordinate, a face id outside [0, n) or a face that repeats a
+vertex (`from_arrays` is the one gate on face rows), a repeated half-edge
+(a face against the orientation of its neighbours) or a zero-area face;
+`NonTriangular` a face of other than three vertices; `NotClosed` a
+half-edge without a twin (an open mesh), an Euler characteristic other
+than 2 (e.g. two disjoint shells), a vertex no face references, or a
+vertex whose faces form more than one fan (non-manifold); `NonConvex` a
+vertex outside a face plane. Once every half-edge is unique and has its
+twin, each edge bounds exactly two faces.
 The two all-pairs passes (convexity against every face plane, and the
 diameter) run over fixed blocks of rows, so no step holds more than
 O(n + F) memory per block.
@@ -145,73 +148,65 @@ class PolytopeMetrics:
 
 
 def load_off(text: str | bytes) -> TriangulatedPolytope:
-    """Parse and validate an OFF mesh; raises on malformed or non-convex input."""
+    """Parse an OFF mesh and validate it with `from_arrays`. The text is
+    tokenized once (a `#` comments out the rest of its line), and the vertex
+    and face blocks parse as one float64 and one int64 array of (size, i,
+    j, k) rows, with the bits of `float` and `int` on each token."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    tokens = _tokenize_off(text)
-    it = iter(tokens)
-
-    def take(what: str) -> str:
-        try:
-            return next(it)
-        except StopIteration:
-            raise ParseError(f"unexpected end of input while reading {what}") from None
-
-    header = take("header")
+    tokens = " ".join(line.split("#", 1)[0] for line in text.splitlines()).split()
+    header = tokens[0] if tokens else ""
     if header.upper() != "OFF":
         raise ParseError(f"expected OFF header, got {header!r}")
     try:
-        nv = int(take("vertex count"))
-        nf = int(take("face count"))
-        int(take("edge count"))  # edge count is informational in OFF
+        nv, nf, _edges = map(int, tokens[1:4])  # the edge count is informational in OFF
     except ValueError as exc:
         raise ParseError(f"bad counts line: {exc}") from None
     if nv < 4:
         raise ParseError("a polytope needs at least 4 vertices")
     if nf < 0 or 3 * nv + 4 * nf > len(tokens) - 4:
         raise ParseError(f"counts of {nv} vertices and {nf} faces exceed the input")
-    verts = np.empty((nv, 3), dtype=np.float64)
-    for i in range(nv):
-        try:
-            verts[i] = [float(take("coordinate")) for _ in range(3)]
-        except ValueError as exc:
-            raise ParseError(f"bad vertex {i}: {exc}") from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        try:
-            k = int(take("face size"))
-        except ValueError as exc:
-            raise ParseError(f"bad face {i}: {exc}") from None
-        if k != 3:
-            raise NonTriangular(f"face {i} has {k} vertices; only triangles are accepted")
-        try:
-            idx = [int(take("face index")) for _ in range(3)]
-        except ValueError as exc:
-            raise ParseError(f"bad face {i}: {exc}") from None
-        if any(j < 0 or j >= nv for j in idx):
-            raise ParseError(f"face {i} references vertex out of range")
-        if len(set(idx)) != 3:
-            raise ParseError(f"face {i} repeats a vertex")
-        faces[i] = idx
-    return from_arrays(verts, faces)
+    verts = _parse_rows(tokens[4:4 + 3 * nv], np.float64, "vertex", 3)
+    rows = _parse_rows(tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf], np.int64, "face", 4)
+    bad = np.flatnonzero(rows[:, 0] != 3)
+    if len(bad):
+        raise NonTriangular(f"face {bad[0]} has {rows[bad[0], 0]} vertices; "
+                            "only triangles are accepted")
+    return from_arrays(verts, rows[:, 1:])
 
 
-def _tokenize_off(text: str) -> list[str]:
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    return tokens
+def _parse_rows(tokens: list[str], dtype, what: str, width: int) -> np.ndarray:
+    """`tokens` as rows of `width` values of `dtype`. Only if the block
+    fails to parse are its tokens tried one by one, so that the
+    `ParseError` names the row of the first bad one (an int past int64
+    included)."""
+    try:
+        return np.array(tokens, dtype=dtype).reshape(-1, width)
+    except (ValueError, OverflowError):
+        for i, token in enumerate(tokens):
+            try:
+                np.array(token, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"bad {what} {i // width}: {exc}") from None
+        raise
 
 
 def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope:
-    """Validate raw vertex/face arrays and build the adjacency indices."""
+    """Validate raw vertex/face arrays and build the adjacency indices. The
+    one gate on face rows: the first face (in face order) with an id
+    outside [0, n) or a repeated vertex is refused with `ParseError`."""
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
     if not np.isfinite(vertices).all():
         raise ParseError("non-finite vertex coordinate")
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise NonTriangular("faces array must be (F, 3)")
+    out = ((faces < 0) | (faces >= len(vertices))).any(axis=1)
+    bad = out | (faces == faces[:, [1, 2, 0]]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"face {i} " + ("references vertex out of range" if out[i]
+                                         else "repeats a vertex"))
     # signed volume decides global orientation; all-inward meshes are flipped
     v = vertices[faces]
     if float(dot(cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) < 0:
@@ -225,9 +220,8 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope
 def _twins(n: int, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Half-edge 3f+k runs from corner k of face f to corner k+1. One stable
     argsort of the keys tail*n + head refuses a repeated half-edge and one
-    without its reverse (a self-loop, from a face that repeats a vertex,
-    counts as one); returns each half-edge's twin, its tail and head, and
-    the sort order."""
+    without its reverse; returns each half-edge's twin, its tail and head,
+    and the sort order."""
     tail = faces.ravel()
     head = faces[:, [1, 2, 0]].ravel()
     keys = tail * n + head
@@ -237,7 +231,7 @@ def _twins(n: int, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise ParseError("inconsistent face orientation (repeated half-edge)")
     reverse = head * n + tail
     at = np.minimum(np.searchsorted(ranked, reverse), len(ranked) - 1)
-    lost = (ranked[at] != reverse) | (tail == head)
+    lost = ranked[at] != reverse
     if lost.any():
         h = int(np.argmax(lost))
         raise NotClosed(f"edge ({tail[h]}, {head[h]}) is not shared by two faces")

@@ -37,7 +37,6 @@ the pass over one face.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -157,6 +156,20 @@ def build_theta_graph(
 _THETA_PAIRS = 1 << 14
 
 
+def _runs(sizes, cap: int) -> list[tuple[int, int]]:
+    """The capped blocks of every array pass: runs [lo, hi) of consecutive
+    rows, each as long as it can be with `sizes` summing to at most `cap`,
+    or a single larger row on its own. No rows make the one empty run
+    (0, 0), so that a pass over nothing still yields its empty columns."""
+    at = np.r_[0, np.cumsum(sizes)]
+    runs, lo = [], 0
+    while lo < len(at) - 1:
+        hi = max(lo + 1, int(np.searchsorted(at, at[lo] + cap, side="right")) - 1)
+        runs.append((lo, hi))
+        lo = hi
+    return runs or [(0, 0)]
+
+
 def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
     """The union of the Theta-graphs of `faces`, a list of (face, node ids,
     points) with at least two nodes each, in ascending face order: each node
@@ -165,7 +178,7 @@ def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
 
     A row is one node of one face, paired with every node of the face,
     itself included. The rows run in blocks of whole rows, each of at most
-    `_THETA_PAIRS` pairs (or one row, if longer), through `_theta_block`.
+    `_THETA_PAIRS` pairs or one longer row (`_runs`), through `_theta_block`.
     A row's picks depend on that row alone, so they are the same in any
     block."""
     if not faces:
@@ -175,15 +188,9 @@ def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
     pts = np.concatenate([np.asarray(p, dtype=np.float64) for _f, _ids, p in faces])
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's face's first row
     lens = np.repeat(sizes, sizes)
-    ends = np.cumsum(lens)
     fan = cone_fan(eps)
-    picks = []
-    r0 = 0
-    while r0 < len(ids):
-        done = int(ends[r0 - 1]) if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(ends, done + _THETA_PAIRS, side="right")))
-        picks.append(_theta_block(fan, pts, ids, first, lens, r0, r1))
-        r0 = r1
+    picks = [_theta_block(fan, pts, ids, first, lens, r0, r1)
+             for r0, r1 in _runs(lens, _THETA_PAIRS)]
     row, j, w = (np.concatenate(col) for col in zip(*picks))
     face = np.repeat(np.arange(len(faces)), sizes)[row]
     # pair keys by id rank, so that keys order as the id pairs do
@@ -276,8 +283,8 @@ def _break_ties(fan: ConeFan, keys, cand, ids, j, d, a, cone) -> list[int]:
 
 @dataclass
 class _FaceMaps:
-    """The sketch faces as arrays, one row per face in `sketch.faces` order
-    (`row` maps a patch id to its row) and one column per polygon corner,
+    """The sketch faces as arrays, one row per face, whose row is its patch
+    id (`build_sketch` makes face i for patch i), and one column per corner,
     padded to the largest polygon. Per corner: its coordinates (`xs`,
     `ys`), whether it is a real corner (`corner`), its successor (`nxt`),
     the edge to that successor (`seg_x`, `seg_y`, and `seg_sq`, its squared
@@ -298,7 +305,6 @@ class _FaceMaps:
     edge vector there onto the one here, then the translation putting the
     first corner on its image."""
 
-    row: dict[int, int]
     xs: np.ndarray
     ys: np.ndarray
     corner: np.ndarray
@@ -329,7 +335,6 @@ def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
     the terms of `geometry.dot` and `norm` and of the patch frame maps, over
     the edge's corners carried to 3D in the face's frame and back to 2D in
     the neighbour's."""
-    row = {f.patch_id: i for i, f in enumerate(sketch.faces)}
     sizes = np.array([len(f.polygon2d) for f in sketch.faces])
     succ = np.arange(1, sizes.max() + 1)
     corner = succ - 1 < sizes[:, None]
@@ -344,15 +349,13 @@ def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
     seg_x = np.take_along_axis(xs, nxt, 1) - xs
     seg_y = np.take_along_axis(ys, nxt, 1) - ys
     frames = np.array([(p.frame_origin, p.frame_u, p.frame_v) for p in decomp.patches])
-    # the hops: edges whose abutting patch has a sketch face, in (face, edge) order
-    lookup = np.full(len(decomp.patches), -1)
-    lookup[list(row)] = list(row.values())
-    across = np.where(neighbors == NO_NEIGHBOR, -1, lookup[neighbors])
-    f, k = np.nonzero(across >= 0)
+    # the hops: edges with an abutting face, in (face, edge) order
+    across = neighbors != NO_NEIGHBOR
+    f, k = np.nonzero(across)
     k1 = nxt[f, k]
     a, b = (xs[f, k], ys[f, k]), (xs[f, k1], ys[f, k1])
     # the proper motion sending the edge's corners p, q in j's frame onto a, b
-    here = _frame_columns(frames, np.array(list(row))[f])
+    here = _frame_columns(frames, f)
     there = _frame_columns(frames, neighbors[f, k])
     p = frame_to_2d(there, frame_to_3d(here, a))
     q = frame_to_2d(there, frame_to_3d(here, b))
@@ -360,9 +363,9 @@ def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
     s = norm(seg) * norm(en)
     c, sn = dot(en, seg) / s, (en[0] * seg[1] - en[1] * seg[0]) / s
     hop_map = np.array([c, -sn, sn, c, a[0] - dot((c, -sn), p), a[1] - dot((sn, c), p)])
-    return _FaceMaps(row, xs, ys, corner, nxt, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
+    return _FaceMaps(xs, ys, corner, nxt, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
                      neighbors, centre[:, 0], centre[:, 1], radius, frames,
-                     np.r_[0, np.cumsum((across >= 0).sum(axis=1))], across[f, k], hop_map)
+                     np.r_[0, np.cumsum(across.sum(axis=1))], neighbors[f, k], hop_map)
 
 
 def _wedge_dirs(fan: ConeFan, c: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -394,12 +397,11 @@ def _boundary_points(fm: _FaceMaps, rows: np.ndarray, ax: np.ndarray, ay: np.nda
     """The nearest point to each cone's apex on its face's boundary within
     the closed cone: per cone (face row `rows`, apex (`ax`, `ay`), wedge rays
     `dirs` (d1x, d1y, d2x, d2y)), whether there is one, its coordinates and
-    its edge. The cones run in blocks of max(1, _CONE_PAIRS // 3K) for K
-    corners per face (`_boundary_block`); each cone's answer is its own."""
-    step = max(1, _CONE_PAIRS // (3 * fm.xs.shape[1]))
-    parts = [_boundary_block(fm, rows[lo:lo + step], ax[lo:lo + step], ay[lo:lo + step],
-                             dirs[lo:lo + step], snap)
-             for lo in range(0, max(1, len(rows)), step)]
+    its edge. The cones run in blocks of at most `_CONE_PAIRS` (cone,
+    corner, candidate) values, 3K per cone for K corners per face
+    (`_boundary_block`); each cone's answer is its own."""
+    parts = [_boundary_block(fm, rows[lo:hi], ax[lo:hi], ay[lo:hi], dirs[lo:hi], snap)
+             for lo, hi in _runs(np.full(len(rows), 3 * fm.xs.shape[1]), _CONE_PAIRS)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -456,12 +458,10 @@ def _search_cones(fm: _FaceMaps, reps: tuple, rows: np.ndarray, ax: np.ndarray,
     open wedge; the cones are given as for `_boundary_points`, and `reps`
     holds each face's reps as CSR arrays (offsets per face row, x, y).
     Returns the answers and the number of (cone, unfolded face) pairs
-    tested. The cones run in blocks of max(1, _CONE_PAIRS // F) for F faces
-    (`_search_block`); each cone's answer is its own."""
-    step = max(1, _CONE_PAIRS // len(fm.row))
-    parts = [_search_block(fm, reps, rows[lo:lo + step], ax[lo:lo + step], ay[lo:lo + step],
-                           dirs[lo:lo + step], snap)
-             for lo in range(0, max(1, len(rows)), step)]
+    tested. The cones run in blocks of at most `_CONE_PAIRS` (cone, face)
+    pairs (`_search_block`); each cone's answer is its own."""
+    parts = [_search_block(fm, reps, rows[lo:hi], ax[lo:hi], ay[lo:hi], dirs[lo:hi], snap)
+             for lo, hi in _runs(np.full(len(rows), len(fm.xs)), _CONE_PAIRS)]
     return np.concatenate([h for h, _p in parts]), sum(p for _h, p in parts)
 
 
@@ -486,24 +486,20 @@ def _search_block(fm: _FaceMaps, reps: tuple, rows: np.ndarray, ax: np.ndarray,
     is expanded in runs of queued faces whose children hold at most
     `_CONE_PAIRS` corner values (or one face's)."""
     n, width = len(rows), fm.xs.shape[1]
-    visited = np.zeros((n, len(fm.row)), dtype=bool)
+    visited = np.zeros((n, len(fm.xs)), dtype=bool)
     visited[np.arange(n), rows] = True
     hit = np.zeros(n, dtype=bool)
     one, zero = np.ones(n), np.zeros(n)
     front = [np.arange(n), rows, one, zero, zero, one, zero, zero]
     tested = 0
     while len(front[0]):
-        ends = np.cumsum(fm.hop_start[front[1] + 1] - fm.hop_start[front[1]])
-        parts, lo = [], 0
-        while lo < len(ends):
-            done = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + _CONE_PAIRS // width,
-                                                 side="right")))
+        parts = []
+        for lo, hi in _runs(fm.hop_start[front[1] + 1] - fm.hop_start[front[1]],
+                            _CONE_PAIRS // width):
             kept, count = _expand(fm, reps, [col[lo:hi] for col in front], visited, hit,
                                   ax, ay, dirs, snap)
             parts.append(kept)
             tested += count
-            lo = hi
         front = [np.concatenate(col) for col in zip(*parts)]
         live = ~hit[front[0]]
         front = [col[live] for col in front]
@@ -547,7 +543,7 @@ def _expand(fm: _FaceMaps, reps: tuple, front: list, visited: np.ndarray, hit: n
                          ax[c[near]], ay[c[near]], dirs[c[near]], snap)
     joins = near[meets]
     # per (cone, face), the first child in queue order
-    _keys, first = np.unique(c[joins] * len(fm.row) + child[joins], return_index=True)
+    _keys, first = np.unique(c[joins] * len(fm.xs) + child[joins], return_index=True)
     joins = joins[np.sort(first)]
     child, c = child[joins], c[joins]
     m, t = [v[joins] for v in m], [v[joins] for v in t]
@@ -711,11 +707,10 @@ def _cone_tests(fm: _FaceMaps, reps: tuple, fan: ConeFan, apexes: list[SpannerNo
     0, 1, ... in order), each at its position on its face; `reps` is as from
     `_face_reps`."""
     pids = np.array([n.patches[0] for n in apexes], dtype=np.int64)
-    rows = np.array([fm.row[pid] for pid in pids.tolist()], dtype=np.int64)
     ax, ay = np.array([positions[n.id][n.patches[0]] for n in apexes]).reshape(-1, 2).T
-    apex, cone = np.divmod(np.flatnonzero(~_occupied_cones(fan, reps, rows, ax, ay, snap)),
+    apex, cone = np.divmod(np.flatnonzero(~_occupied_cones(fan, reps, pids, ax, ay, snap)),
                            fan.count)
-    rows, ax, ay = rows[apex], ax[apex], ay[apex]
+    rows, ax, ay = pids[apex], ax[apex], ay[apex]
     dirs = np.array([sum(_wedge_dirs(fan, c), ()) for c in range(fan.count)])[cone]
     found, qx, qy, edge = _boundary_points(fm, rows, ax, ay, dirs, snap)
     nb = fm.neighbors[rows, edge]
@@ -723,7 +718,7 @@ def _cone_tests(fm: _FaceMaps, reps: tuple, fan: ConeFan, apexes: list[SpannerNo
     start = time.perf_counter()
     hit, pairs = _search_cones(fm, reps, rows[searched], ax[searched], ay[searched],
                                dirs[searched], snap)
-    return _ConeTests(apex, cone, pids[apex], found, qx, qy, edge, nb, searched, hit, pairs,
+    return _ConeTests(apex, cone, rows, found, qx, qy, edge, nb, searched, hit, pairs,
                       time.perf_counter() - start)
 
 
@@ -732,7 +727,7 @@ def _face_reps(fm: _FaceMaps, assignment: RepresentativeAssignment,
     """Each face's reps, at their projections, as CSR arrays over the face
     rows of `fm`: the offsets, then the x and the y coordinates."""
     per_row = [[projections[pid][r] for r in assignment.patch_reps.get(pid, ())]
-               for pid in fm.row]
+               for pid in range(len(fm.xs))]
     xy = np.array([uv for uvs in per_row for uv in uvs]).reshape(-1, 2)
     return np.r_[0, np.cumsum([len(uvs) for uvs in per_row])], xy[:, 0], xy[:, 1]
 
@@ -829,11 +824,11 @@ def _lift_steiner(P: TriangulatedPolytope, points: np.ndarray, inward: np.ndarra
 
     Only a face whose bounding sphere (`_face_spheres`) meets the point's
     line can accept the ray, so the exact cast runs on the pairs that pass
-    that pre-test alone. The pre-test takes blocks of max(1, _LIFT_PAIRS //
-    F) points, and the cast runs of whole points with at most `_LIFT_PAIRS`
-    pairs (or one point's). Every step is elementwise per pair, so a point
-    lifts to the same bits in any block, alone or in the whole batch, and
-    with or without the pre-test."""
+    that pre-test alone. The pre-test takes blocks of points with at most
+    `_LIFT_PAIRS` (point, face) pairs, and the cast runs of whole points
+    with at most `_LIFT_PAIRS` pairs that pass (both `_runs`). Every step is
+    elementwise per pair, so a point lifts to the same bits in any block,
+    alone or in the whole batch, and with or without the pre-test."""
     tri = P.vertices[P.faces]  # (F, 3, 3)
     sides = []
     for k in range(3):
@@ -843,19 +838,16 @@ def _lift_steiner(P: TriangulatedPolytope, points: np.ndarray, inward: np.ndarra
         sides.append((tuple(u.T.copy()), tuple(e.T.copy()), thr))
     normals = tuple(P.face_normals.T.copy())
     spheres = _face_spheres(P, float(norm(points).max()))
-    starts = range(0, len(points), max(1, _LIFT_PAIRS // P.num_faces))
-    kept = [_sphere_pairs(spheres, points[lo:lo + starts.step], inward[lo:lo + starts.step])
-            for lo in starts]
-    rows = np.concatenate([r + lo for lo, (r, _f) in zip(starts, kept)])
+    blocks = _runs(np.full(len(points), P.num_faces), _LIFT_PAIRS)
+    kept = [_sphere_pairs(spheres, points[lo:hi], inward[lo:hi]) for lo, hi in blocks]
+    rows = np.concatenate([r + lo for (lo, _hi), (r, _f) in zip(blocks, kept)])
     faces = np.concatenate([f for _r, f in kept])
     # cast whole points, at most _LIFT_PAIRS pairs at a time (or one point's)
-    at = np.searchsorted(rows, np.arange(len(points) + 1)).tolist()
-    out, lo = [], 0
-    while lo < len(points):
-        hi = max(lo + 1, bisect.bisect_right(at, at[lo] + _LIFT_PAIRS) - 1)
+    at = np.searchsorted(rows, np.arange(len(points) + 1))
+    out = []
+    for lo, hi in _runs(np.diff(at), _LIFT_PAIRS):
         out += _lift_block(P, normals, sides, points[lo:hi], inward[lo:hi],
                            rows[at[lo]:at[hi]] - lo, faces[at[lo]:at[hi]])
-        lo = hi
     return out, len(rows)
 
 
@@ -993,25 +985,17 @@ def _nearest_edge_point(P: TriangulatedPolytope, q: np.ndarray, faces: np.ndarra
             for point, (lo, hi, at_lo, at_hi) in zip(np.stack(w, axis=1).tolist(), marked)]
 
 
-def _nodes_by_face(nodes: list[SpannerNode]) -> dict[int, list[int]]:
-    """The ids of the nodes on each sketch face, ascending."""
+def spanner_graph(nodes: list[SpannerNode],
+                  edges: list[tuple[int, int, float, int]]) -> SpannerGraph:
+    """The graph of the given nodes and edges with its per-face index (the
+    ids of the nodes on each sketch face, ascending) and its per-vertex
+    index; construction and `.prt` loading both end here."""
     per_face: dict[int, list[int]] = {}
     for n in nodes:
         for pid in n.patches:
             per_face.setdefault(pid, []).append(n.id)
-    return per_face
-
-
-def spanner_graph(nodes: list[SpannerNode],
-                  edges: list[tuple[int, int, float, int]]) -> SpannerGraph:
-    """The graph of the given nodes and edges with its per-face and
-    per-vertex indices; construction and `.prt` loading both end here."""
-    return SpannerGraph(
-        nodes=nodes,
-        edges=edges,
-        per_face_nodes=_nodes_by_face(nodes),
-        node_of_vertex={n.vertex: n.id for n in nodes if n.kind == "rep"},
-    )
+    return SpannerGraph(nodes=nodes, edges=edges, per_face_nodes=per_face,
+                        node_of_vertex={n.vertex: n.id for n in nodes if n.kind == "rep"})
 
 
 def assemble_global_spanner(nodes: list[SpannerNode],
@@ -1025,12 +1009,11 @@ def assemble_global_spanner(nodes: list[SpannerNode],
     (`theta_pairs`, each node with each node of its face, itself
     included) and its seconds (`theta_pass_s`)."""
     start = time.perf_counter()
-    per_face = _nodes_by_face(nodes)
+    g = spanner_graph(nodes, [])
     faces = [(pid, ids, [positions[i][pid] for i in ids])
-             for pid, ids in sorted(per_face.items()) if len(ids) >= 2]
-    edges = _theta_edges(faces, eps)
-    g = spanner_graph(nodes, edges)
-    ends = np.array([(u, v) for u, v, _w, _f in edges], dtype=np.int64).reshape(-1, 2)
+             for pid, ids in sorted(g.per_face_nodes.items()) if len(ids) >= 2]
+    g.edges = _theta_edges(faces, eps)
+    ends = np.array([(u, v) for u, v, _w, _f in g.edges], dtype=np.int64).reshape(-1, 2)
     links = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
                        shape=(len(nodes), len(nodes)))
     g.connected = connected_components(links, directed=False)[0] <= 1

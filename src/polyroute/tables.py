@@ -23,16 +23,16 @@ homes and both tree directions, `ball_maps`, then the tail of
 `preprocess_mesh`), so a loaded system equals the built one. A file whose
 checksum holds is still refused with `CorruptMesh` for a mesh that
 `from_arrays` refuses (a non-finite vertex coordinate, a mesh that is not
-convex, ...; the `PolytopeError` is its cause), `IdOutOfRange`
-for an id past what it indexes, `InconsistentAssignment` for cells that
-name a different number of reps than the count, `NonCanonicalEdge` for an
-edge stored reversed or twice, `DisconnectedSpanner` for edges that leave
-the spanner disconnected, `NonCanonicalBall` for ball records out of
-(x, t) order, repeated or with x == t, `NonSpannerHop` for a ball next hop
-off the spanner (so every scheme next hop is a spanner edge),
-`MalformedSection` for bytes past a section's last record or after the
-last section, or an unknown or repeated tag, and `ImplausibleValue` for
-eps outside (0, 1), an edge weight that is not finite or not above
+convex, ...; the `PolytopeError` is its cause), `IdOutOfRange` for an id
+past what it indexes, `InconsistentAssignment` for cells that name a
+different number of reps than the count, `NonCanonicalEdge` for an edge
+stored reversed or twice, `DisconnectedEdges` (a `DisconnectedSpanner` too)
+for edges that leave the spanner disconnected, `NonCanonicalBall` for ball
+records out of (x, t) order, repeated or with x == t, `NonSpannerHop` for a
+ball next hop off the spanner (so every scheme next hop is a spanner edge),
+`MalformedSection` for bytes past a section's last record or after the last
+section, or an unknown or repeated tag, and `ImplausibleValue` for eps
+outside (0, 1), an edge weight that is not finite or not above
 `geometry.SNAP_EPS`, or a non-finite Steiner lift. Versions 1 to 6 are
 refused with `FormatVersionMismatch`.
 """
@@ -90,6 +90,7 @@ __all__ = [
     "NonSpannerHop",
     "MalformedSection",
     "CorruptMesh",
+    "DisconnectedEdges",
     "ImplausibleValue",
     "EntryKind",
     "RoutingEntry",
@@ -151,6 +152,11 @@ class CorruptMesh(SerializationError):
     """The stored mesh is refused by `polytope.from_arrays` (not finite,
     not closed, not triangular or not convex); the `PolytopeError` is the
     cause. A file is refused as a file, whatever part of it is wrong."""
+
+
+class DisconnectedEdges(SerializationError, DisconnectedSpanner):
+    """The stored edges leave the spanner disconnected; the
+    `DisconnectedSpanner` is the cause."""
 
 
 class ImplausibleValue(SerializationError):
@@ -577,7 +583,10 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     graph = spanner_graph(nodes, rec.tolist())
     clock = _lap(stats, "decomposition_s", clock)
     # the landmark half; a spanner the edges leave disconnected is refused here
-    *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
+    try:
+        *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
+    except DisconnectedSpanner as exc:
+        raise DisconnectedEdges(f"the stored edges are refused: {exc}") from exc
     clock = _lap(stats, "landmark_trees_s", clock)
 
     ball = payloads[_SEC_SCHEME].records(_BALL_REC)

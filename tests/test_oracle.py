@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from polyroute.cli import generate_mesh
 from polyroute import router
 from polyroute.oracle import (
+    build_edge_graph,
     build_subdivision_graph,
     edge_dijkstra,
     estimate_D,
@@ -16,6 +18,75 @@ from polyroute.oracle import (
 from polyroute.tables import deserialize, serialize
 
 from conftest import random_pairs
+
+
+def _reference_edge_graph(P):
+    # one (u, v) and one (v, u) entry per mesh edge, in edge order
+    rows, cols, data = [], [], []
+    for (u, v) in P.edges():
+        w = P.edge_length(u, v)
+        rows += [u, v]
+        cols += [v, u]
+        data += [w, w]
+    return csr_matrix((data, (rows, cols)), shape=(P.n, P.n))
+
+
+def _reference_subdivision_graph(P, m):
+    # the points, then per face its corners and m nodes per edge, each face's
+    # pairs once in triu order, each node pair kept from its first face
+    edge_list = sorted(P.edges())
+    edge_index = {e: i for i, e in enumerate(edge_list)}
+    n = P.n
+    points = [P.vertices]
+    if m > 0:
+        fracs = (np.arange(1, m + 1) / (m + 1.0))[None, :, None]
+        a = P.vertices[[e[0] for e in edge_list]][:, None, :]
+        b = P.vertices[[e[1] for e in edge_list]][:, None, :]
+        points.append((a + fracs * (b - a)).reshape(-1, 3))
+    pts = np.concatenate(points, axis=0)
+
+    def edge_nodes(u, v):
+        base = n + edge_index[(min(u, v), max(u, v))] * m
+        return list(range(base, base + m))
+
+    rows, cols = [], []
+    for f in P.faces:
+        ids = [int(f[0]), int(f[1]), int(f[2])]
+        if m > 0:
+            for k in range(3):
+                ids += edge_nodes(int(f[k]), int(f[(k + 1) % 3]))
+        ids_arr = np.asarray(ids, dtype=np.int64)
+        iu, ju = np.triu_indices(len(ids_arr), k=1)
+        rows.append(ids_arr[iu])
+        cols.append(ids_arr[ju])
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    key = np.minimum(r, c) * np.int64(len(pts)) + np.maximum(r, c)
+    _uniq, first = np.unique(key, return_index=True)
+    r, c = r[first], c[first]
+    w = np.linalg.norm(pts[r] - pts[c], axis=1)
+    matrix = csr_matrix((np.concatenate([w, w]), (np.concatenate([r, c]), np.concatenate([c, r]))),
+                        shape=(len(pts), len(pts)))
+    return pts, matrix
+
+
+def _csr_arrays(g):
+    return [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.indices, g.data)]
+
+
+@pytest.mark.parametrize("n", [20, 50, 300])
+def test_edge_graph_matches_reference_loop(n, tetra, cube, octa):
+    for P in (tetra, cube, octa, generate_mesh("sphere", n, 0)):
+        assert _csr_arrays(build_edge_graph(P)) == _csr_arrays(_reference_edge_graph(P))
+
+
+@pytest.mark.parametrize("n, ms", [(20, (0, 4, 16, 64)), (50, (0, 4, 16)), (300, (0, 4, 16))])
+def test_subdivision_graph_matches_reference_loop(n, ms, tetra, cube, octa):
+    for P in (tetra, cube, octa, generate_mesh("sphere", n, 0)):
+        for m in ms:
+            g = build_subdivision_graph(P, m)
+            pts, matrix = _reference_subdivision_graph(P, m)
+            assert g.points.tobytes() == pts.tobytes()
+            assert _csr_arrays(g.matrix) == _csr_arrays(matrix)
 
 
 def test_adjacent_vertices_edge_length(octa):

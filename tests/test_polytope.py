@@ -188,6 +188,78 @@ def test_off_roundtrip(sphere50):
     assert np.array_equal(again.faces, sphere50.faces)
 
 
+def test_off_with_comments_and_crlf_matches_plain(octa):
+    text = save_off(octa)
+    noisy = "# an octahedron\r\n" + text.replace("\n", "  # a comment\r\n", 3)
+    again, plain = load_off(noisy), load_off(text)
+    assert again.vertices.tobytes() == plain.vertices.tobytes()
+    assert np.array_equal(again.faces, plain.faces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120),
+       scale=st.sampled_from([1.0, 1e3, 1e6]))
+def test_off_roundtrip_is_bit_exact_on_random_hulls(seed, n, scale):
+    # numpy's string parse of the %.17g tokens has the bits of float()
+    P = convex_hull_mesh(np.random.default_rng(seed).normal(size=(n, 3)) * scale)
+    again = load_off(save_off(P))
+    assert again.vertices.tobytes() == P.vertices.tobytes()
+    assert again.faces.tobytes() == P.faces.tobytes()
+
+
+def _edited_off(P, vertex: str | None = None, face: str | None = None) -> str:
+    """The OFF text of P with the line of vertex 0 or of face 2 replaced."""
+    lines = save_off(P).splitlines()
+    if vertex is not None:
+        lines[2] = vertex
+    if face is not None:
+        lines[2 + P.n + 2] = face
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("vertex, face, match", [
+    ("0 1 x", None, "bad vertex 0: could not convert string to float: 'x'"),
+    (None, "3 0 1 y", "bad face 2: invalid literal for int"),
+    (None, f"3 0 1 {2**63}", "bad face 2: .*too large"),
+    (None, "3 0 1 99", "face 2 references vertex out of range"),
+    (None, "3 0 1 -1", "face 2 references vertex out of range"),
+    (None, "3 0 1 1", "face 2 repeats a vertex"),
+], ids=["float", "int", "int64_overflow", "id_past_n", "negative_id", "repeated_id"])
+def test_load_off_refuses_bad_tokens_and_face_ids(octa, vertex, face, match):
+    with pytest.raises(ParseError, match=match):
+        load_off(_edited_off(octa, vertex, face))
+
+
+def test_load_off_names_the_first_non_triangular_face(octa):
+    with pytest.raises(NonTriangular, match="face 2 has 4 vertices"):
+        load_off(_edited_off(octa, face="4 0 1 2 3"))
+
+
+@pytest.mark.parametrize("rows, match", [
+    ({2: [0, 1, 99]}, "face 2 references vertex out of range"),
+    ({2: [0, 1, -1]}, "face 2 references vertex out of range"),
+    ({2: [0, 1, 1]}, "face 2 repeats a vertex"),
+    ({1: [3, 3, 3], 2: [0, 1, 99]}, "face 1 repeats a vertex"),
+    ({1: [0, 1, 99], 2: [0, 1, 1]}, "face 1 references vertex out of range"),
+], ids=["id_past_n", "negative_id", "repeated_id", "repeat_first", "range_first"])
+def test_from_arrays_gates_face_rows(octa, rows, match):
+    # the first bad face in face order, with no IndexError and no NotClosed
+    # (a -1 would wrap to the last vertex)
+    faces = octa.faces.copy()
+    for i, row in rows.items():
+        faces[i] = row
+    with pytest.raises(ParseError, match=match):
+        from_arrays(octa.vertices, faces)
+
+
+def test_from_arrays_refuses_a_uint64_id_past_int64(octa):
+    # it wraps to a negative int64 id, which the gate refuses
+    faces = octa.faces.astype(np.uint64)
+    faces[2, 2] = 2**63
+    with pytest.raises(ParseError, match="face 2 references vertex out of range"):
+        from_arrays(octa.vertices, faces)
+
+
 def test_vertex_fans_are_cyclic(sphere50):
     for v in range(sphere50.n):
         fan = sphere50.vertex_fan[v]

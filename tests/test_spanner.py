@@ -608,6 +608,25 @@ def test_theta_pass_matches_per_row_reference(case, cap):
     assert all(p <= cap or rows == 1 for p, rows in blocks)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=30), cap=st.integers(1, 100),
+       size=st.integers(1, 40), count=st.integers(0, 30))
+def test_runs_are_the_greedy_capped_blocks(sizes, cap, size, count):
+    # the runs cover the rows in order, each as long as it can be with its
+    # sizes summing to at most cap, or one larger row alone; rows of one
+    # size run in steps of max(1, cap // size), as the fixed-step blocks did
+    runs = spanner._runs(np.array(sizes, dtype=np.int64), cap)
+    assert [lo for lo, _hi in runs] == [0] + [hi for _lo, hi in runs[:-1]]
+    assert runs[-1][1] == len(sizes)
+    for lo, hi in runs:
+        assert sum(sizes[lo:hi]) <= cap or hi == lo + 1
+        assert hi == len(sizes) or sum(sizes[lo:hi + 1]) > cap
+        assert hi > lo or not sizes
+    step = max(1, cap // size)
+    assert spanner._runs(np.full(count, size), cap) == (
+        [(lo, min(lo + step, count)) for lo in range(0, count, step)] or [(0, 0)])
+
+
 def test_theta_pass_without_pairs_has_no_edges():
     # no face with two nodes, or two nodes within a snap of each other
     assert _theta_edges([], 0.4) == []
@@ -668,7 +687,7 @@ def _hops_by_edge(decomp, sketch):
         kk = len(f.polygon2d)
         crossed = [(k, int(j)) for k, j in enumerate(f.neighbor_patch.tolist())
                    if j != NO_NEIGHBOR and j in by_pid]
-        i = fm.row[f.patch_id]
+        i = f.patch_id
         hops = range(fm.hop_start[i], fm.hop_start[i + 1])
         got = [(sketch.faces[fm.hop_face[h]].patch_id, tuple(fm.hop_map[:, h].tolist()))
                for h in hops]
@@ -779,7 +798,7 @@ def _empty_cones(mesh, stage, eps):
         apex = projections[pid][r]
         occupied = _reference_occupied_cones(fan, reps_xy[pid], apex, snap)
         cones += [(pid, apex, c) for c in range(fan.count) if c not in occupied]
-    rows = np.array([fm.row[pid] for pid, _apex, _c in cones], dtype=np.int64)
+    rows = np.array([pid for pid, _apex, _c in cones], dtype=np.int64)
     ax, ay = np.array([apex for _pid, apex, _c in cones]).reshape(-1, 2).T
     dirs = np.array([sum(_wedge_dirs(fan, c), ()) for _pid, _apex, c in cones]).reshape(-1, 4)
     return cones, fm, spanner._face_reps(fm, assignment, projections), rows, ax, ay, dirs
@@ -895,9 +914,9 @@ def _check_cone_tests(mesh, eps):
     fan, snap = cone_fan(eps), mesh.snap
     fm = _build_face_maps(decomp, sketch)
     ref = _reference_face_maps(decomp, sketch)
-    for pid, i in fm.row.items():
+    for i in range(len(fm.xs)):  # a face's row is its patch id
         k = int(fm.corner[i].sum())
-        want = ref[pid]
+        want = ref[i]
         assert fm.corner[i, :k].all() and not fm.corner[i, k:].any()
         assert (fm.xs[i, :k].tolist(), fm.ys[i, :k].tolist()) == (list(want.poly[0]),
                                                                   list(want.poly[1]))
@@ -971,7 +990,7 @@ def test_boundary_pass_on_an_edge_along_a_wedge_ray():
     mesh = generate_mesh("sphere", 20, 15)
     decomp, sketch, assignment, projections = _stage(mesh, 0.3)
     fm = _build_face_maps(decomp, sketch)
-    i = fm.row[14]
+    i = 14
     (r,) = assignment.patch_reps[14]
     assert projections[14][r] == (0.0, 0.0)
     d1, _d2 = _wedge_dirs(cone_fan(0.3), 0)
@@ -997,8 +1016,7 @@ def _one_face(corners, neighbors=None, hops=()):
     radius = np.array([float(norm(np.array(poly) - c).max()) for poly, c in zip(corners, centre)])
     hops = list(hops) or [[] for _ in corners]
     return spanner._FaceMaps(
-        {i: i for i in range(len(corners))}, xs, ys, corner, nxt, seg_x, seg_y,
-        seg_x * seg_x + seg_y * seg_y,
+        xs, ys, corner, nxt, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
         np.where(corner, 0, NO_NEIGHBOR) if neighbors is None else neighbors,
         centre[:, 0], centre[:, 1], radius, np.zeros((len(corners), 3, 3)),
         np.r_[0, np.cumsum([len(h) for h in hops])],
@@ -1106,7 +1124,7 @@ def test_cone_tests_over_several_blocks_match_one_block(monkeypatch):
             return boundary(fm, rows, *args)
 
         def recording_search(fm, reps, rows, *args):
-            searches.append((len(rows), len(fm.row)))
+            searches.append((len(rows), len(fm.xs)))
             return search(fm, reps, rows, *args)
 
         def recording_meets(fm, faces, *args):

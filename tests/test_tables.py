@@ -479,9 +479,12 @@ def test_bad_ball_records_rejected(sphere50_system, case, error):
         deserialize(_container([(t, payload if t == 7 else p) for t, p in sections]))
 
 
-def test_disconnected_edge_section_rejected(sphere50_system):
+def test_disconnected_edge_section_rejected(sphere50_system, tmp_path):
     # every edge of one node stripped and the CRC recomputed: the landmark
-    # half cannot be derived, and the file once loaded on its stored tables
+    # half cannot be derived, and the file once loaded on its stored tables;
+    # it is refused as a file, a SerializationError from the
+    # DisconnectedSpanner, so `route` exits with EXIT_IO like any bad file
+    from polyroute.cli import EXIT_IO, main
     from polyroute.spanner import DisconnectedSpanner
 
     sections = _sections(serialize(sphere50_system))
@@ -490,8 +493,15 @@ def test_disconnected_edge_section_rejected(sphere50_system):
     kept = rec[(rec["u"] != node) & (rec["v"] != node)]
     assert 0 < len(kept) < len(rec)
     payload = np.uint32(len(kept)).tobytes() + kept.tobytes()
-    with pytest.raises(DisconnectedSpanner):
-        deserialize(_container([(t, payload if t == 6 else p) for t, p in sections]))
+    bad = _container([(t, payload if t == 6 else p) for t, p in sections])
+    with pytest.raises(tables.DisconnectedEdges) as refused:
+        deserialize(bad)
+    assert isinstance(refused.value, DisconnectedSpanner)
+    assert isinstance(refused.value, tables.SerializationError)
+    assert type(refused.value.__cause__) is DisconnectedSpanner
+    path = tmp_path / "disconnected.prt"
+    path.write_bytes(bad)
+    assert main(["route", str(path), "--from", "0", "--to", "1"]) == EXIT_IO
 
 
 def _load_in_child(blob: bytes) -> str:
