@@ -193,10 +193,13 @@ def _parse_rows(tokens: list[str], dtype, what: str, width: int) -> np.ndarray:
 
 def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope:
     """Validate raw vertex/face arrays and build the adjacency indices. The
-    one gate on face rows: the first face (in face order) with an id
-    outside [0, n) or a repeated vertex is refused with `ParseError`."""
+    one gate on input: a vertex array that is not (n, 3) or not finite, and
+    the first face (in face order) with an id outside [0, n) or a repeated
+    vertex, are refused with `ParseError`."""
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
+    if vertices.ndim != 2 or vertices.shape[1] != 3:
+        raise ParseError(f"vertices array must be (n, 3), not {vertices.shape}")
     if not np.isfinite(vertices).all():
         raise ParseError("non-finite vertex coordinate")
     if faces.ndim != 2 or faces.shape[1] != 3:

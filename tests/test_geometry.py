@@ -143,8 +143,8 @@ wide = st.floats(-1e6, 1e6, allow_nan=False, width=64)
     t=hnp.arrays(np.float64, (2,), elements=wide),
 )
 def test_map2_matches_transform_bitwise(points, m, t):
-    # map2 (the reference cone search's map, in conftest) on coordinate
-    # lists gives the bits of the numpy map on arrays
+    # map2 (in conftest) on coordinate lists gives the bits of the numpy
+    # map on arrays
     mt, tt = tuple(map(tuple, m.tolist())), tuple(t.tolist())
     xs, ys = map2(mt, tt, points[:, 0].tolist(), points[:, 1].tolist())
     want = _transform(m, points) + t

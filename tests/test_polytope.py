@@ -252,6 +252,14 @@ def test_from_arrays_gates_face_rows(octa, rows, match):
         from_arrays(octa.vertices, faces)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (12,), (4, 4)],
+                         ids=["two_columns", "flat", "four_columns"])
+def test_from_arrays_refuses_a_vertex_array_not_n_by_3(tetra, shape):
+    # refused at the gate, not by the kernel's unpack as a bare ValueError
+    with pytest.raises(ParseError, match=r"vertices array must be \(n, 3\)"):
+        from_arrays(np.resize(tetra.vertices, shape), tetra.faces)
+
+
 def test_from_arrays_refuses_a_uint64_id_past_int64(octa):
     # it wraps to a negative int64 id, which the gate refuses
     faces = octa.faces.astype(np.uint64)
