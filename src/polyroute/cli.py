@@ -200,7 +200,6 @@ def cmd_bench(args) -> int:
         "pairs": len(pairs),
         "seed": args.seed,
         "subdiv": args.subdiv,
-        "mu": report.mu,
         "D_hat": report.D_hat,
         "max_ratio": report.max_ratio,
         "mean_ratio": report.mean_ratio,

@@ -23,18 +23,20 @@ homes and both tree directions, `ball_maps`, then the tail of
 `preprocess_mesh`), so a loaded system equals the built one. A file whose
 checksum holds is still refused with `CorruptMesh` for a mesh that
 `from_arrays` refuses (a non-finite vertex coordinate, a mesh that is not
-convex, ...; the `PolytopeError` is its cause), `IdOutOfRange` for an id
-past what it indexes, `InconsistentAssignment` for cells that name a
-different number of reps than the count, `NonCanonicalEdge` for an edge
-stored reversed or twice, `DisconnectedEdges` (a `DisconnectedSpanner` too)
-for edges that leave the spanner disconnected, `NonCanonicalBall` for ball
-records out of (x, t) order, repeated or with x == t, `NonSpannerHop` for a
-ball next hop off the spanner (so every scheme next hop is a spanner edge),
-`MalformedSection` for bytes past a section's last record or after the last
-section, or an unknown or repeated tag, and `ImplausibleValue` for eps
-outside (0, 1), an edge weight that is not finite or not above
-`geometry.SNAP_EPS`, or a non-finite Steiner lift. Versions 1 to 6 are
-refused with `FormatVersionMismatch`.
+convex, ...; the `PolytopeError` is its cause) or whose derived patch
+planes or angles raise a `GeometryError` (a sliver face; that error is the
+cause), `IdOutOfRange` for an id past what it indexes,
+`InconsistentAssignment` for cells that name a different number of reps
+than the count, `NonCanonicalEdge` for an edge stored reversed or twice,
+`DisconnectedEdges` (a `DisconnectedSpanner` too) for edges that leave the
+spanner disconnected, `NonCanonicalBall` for ball records out of (x, t)
+order, repeated or with x == t, `NonSpannerHop` for a ball next hop off the
+spanner (so every scheme next hop is a spanner edge), `MalformedSection`
+for bytes past a section's last record or after the last section, or an
+unknown or repeated tag, and `ImplausibleValue` for eps outside (0, 1), an
+edge weight that is not finite or not above `geometry.SNAP_EPS`, or a
+non-finite Steiner lift. Versions 1 to 6 are refused with
+`FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import SNAP_EPS
+from .geometry import SNAP_EPS, GeometryError
 from .polytope import (PolytopeError, PolytopeMetrics, TriangulatedPolytope, compute_theta_m,
                        from_arrays)
 from .patching import (
@@ -150,7 +152,9 @@ class MalformedSection(SerializationError):
 
 class CorruptMesh(SerializationError):
     """The stored mesh is refused by `polytope.from_arrays` (not finite,
-    not closed, not triangular or not convex); the `PolytopeError` is the
+    not closed, not triangular or not convex), or a derivation from it
+    raises a `GeometryError` (a sliver face that `from_arrays` accepts but
+    no patch plane or corner angle can be built on); that error is the
     cause. A file is refused as a file, whatever part of it is wrong."""
 
 
@@ -300,11 +304,10 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     eps is both the patches' normal-angle spread and the sampling and cone
     parameter. The system's `stats` get each stage's `perf_counter`
     seconds (`theta_m_s`, `patches_s`, `sketch_s`, `representatives_s`,
-    the spanner's `steiner_placement_s`, `cone_search_s`, `steiner_lift_s`
-    and `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`), the
-    spanner's counts (`empty_cones`, `cone_searches`, `search_pairs`,
-    `steiner_nodes`, `lift_pairs`, `theta_pairs`) and the counts of
-    `patches`, `reps`, spanner `edges` and `landmarks`."""
+    the spanner's `steiner_placement_s`, `steiner_lift_s` and
+    `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`), the spanner's
+    counts (`empty_cones`, `steiner_nodes`, `lift_pairs`, `theta_pairs`)
+    and the counts of `patches`, `reps`, spanner `edges` and `landmarks`."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     stats: dict = {}
@@ -486,7 +489,10 @@ def deserialize(data: bytes) -> RoutingSystem:
     if not payloads:
         return RoutingSystem()
     stats: dict = {}
-    system = _reassemble(payloads, stats)
+    try:
+        system = _reassemble(payloads, stats)
+    except GeometryError as exc:
+        raise CorruptMesh(f"the stored mesh is refused: {exc}") from exc
     _lap(stats, "total_s", start)
     system.stats = stats
     return system

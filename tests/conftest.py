@@ -5,16 +5,6 @@ from polyroute.cli import generate_mesh
 from polyroute.tables import preprocess_mesh
 
 
-def map2(m, t, xs, ys) -> tuple[list[float], list[float]]:
-    """The 2D rigid map p -> m p + t over points given as their x and their
-    y coordinate lists, each output coordinate x*row[0] + y*row[1], then
-    plus the translation: the terms of `geometry.dot(row, p) + t`."""
-    (r00, r01), (r10, r11) = m
-    t0, t1 = t
-    return ([x * r00 + y * r01 + t0 for x, y in zip(xs, ys)],
-            [x * r10 + y * r11 + t1 for x, y in zip(xs, ys)])
-
-
 @pytest.fixture(scope="session")
 def tetra():
     return generate_mesh("tetra")

@@ -130,8 +130,8 @@ def test_bench_tetra_all_ratios_one(tetra_prt, capsys):
 
 
 def test_bench_json_reports_route_time(tetra_prt, capsys):
-    # the summary on stderr adds route time and stretch percentiles; the CSV
-    # on stdout keeps its columns
+    # the summary on stderr adds route time and stretch percentiles and
+    # holds no oracle slack; the CSV on stdout keeps its columns
     rc = main(["bench", tetra_prt, "--pairs", "20", "--seed", "0", "--subdiv", "0", "--json"])
     assert rc == EXIT_OK
     captured = capsys.readouterr()
@@ -140,6 +140,7 @@ def test_bench_json_reports_route_time(tetra_prt, capsys):
     for key in ("route_ms_p50", "us_per_hop", "stretch_p50", "stretch_p95"):
         assert summary[key] > 0, key
     assert summary["stretch_p50"] <= summary["stretch_p95"]
+    assert "mu" not in summary
 
 
 def test_bench_deterministic(tetra_prt, tmp_path):

@@ -20,8 +20,6 @@ from polyroute.geometry import (
 from polyroute.patching import Patch
 from polyroute.router import PacketHeader, _plane_words, _sig_of
 
-from conftest import map2
-
 
 def test_corner_angles_equilateral():
     tri = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]])
@@ -58,7 +56,7 @@ def _bits(x) -> bytes:
 
 
 def _transform(m, points) -> np.ndarray:
-    # the numpy small-matrix map, reference for `map2` and the frame maps:
+    # the numpy small-matrix map, reference for the frame maps:
     # points @ m.T, each output coordinate one `dot`
     out = [dot(points, row) for row in m]
     return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
@@ -134,21 +132,6 @@ def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
 
 
 wide = st.floats(-1e6, 1e6, allow_nan=False, width=64)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    points=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)), elements=wide),
-    m=hnp.arrays(np.float64, (2, 2), elements=wide),
-    t=hnp.arrays(np.float64, (2,), elements=wide),
-)
-def test_map2_matches_transform_bitwise(points, m, t):
-    # map2 (in conftest) on coordinate lists gives the bits of the numpy
-    # map on arrays
-    mt, tt = tuple(map(tuple, m.tolist())), tuple(t.tolist())
-    xs, ys = map2(mt, tt, points[:, 0].tolist(), points[:, 1].tolist())
-    want = _transform(m, points) + t
-    assert _bits(np.stack([xs, ys], axis=-1)) == _bits(want)
 
 
 @settings(max_examples=150, deadline=None)

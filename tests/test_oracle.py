@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from polyroute.cli import generate_mesh
-from polyroute import router
+from polyroute import oracle, router
 from polyroute.oracle import (
     build_edge_graph,
     build_subdivision_graph,
@@ -182,7 +182,35 @@ def test_stretch_sweep_sphere_no_violations(sphere50_system):
     pairs = random_pairs(50, 60, seed=11)
     report = stretch_sweep(sphere50_system, pairs, m=8)
     assert report.violations == []
-    assert report.mu >= 0.0
+
+
+def test_stretch_sweep_bound_is_euclidean(sphere50_system):
+    # the bound reads |st|, which is <= d(s, t) <= oracle_len, so it is
+    # certain and never looser than one that reads the oracle; on a mesh
+    # edge the oracle's path through the edge's nodes can sum to an ulp
+    # below |st|, hence the rounding margin
+    report = stretch_sweep(sphere50_system, random_pairs(50, 40, seed=5), m=4)
+    factor = (8.0 + report.eps) / math.sin(report.theta_m)
+    vertices = sphere50_system.P.vertices
+    for row in report.rows:
+        euclid = float(np.linalg.norm(vertices[row.s] - vertices[row.t]))
+        assert row.euclid == euclid
+        assert row.bound == factor * (report.D_hat + euclid)
+        assert row.bound <= factor * (report.D_hat + row.oracle_len) * (1.0 + 1e-12)
+
+
+def test_stretch_sweep_builds_one_subdivision_graph(sphere50_system, monkeypatch):
+    # one graph, at m; no second, finer graph
+    built = []
+    build = oracle.build_subdivision_graph
+
+    def counting(P, m):
+        built.append(m)
+        return build(P, m)
+
+    monkeypatch.setattr(oracle, "build_subdivision_graph", counting)
+    stretch_sweep(sphere50_system, random_pairs(50, 10, seed=0), m=4)
+    assert built == [4]
 
 
 def test_stretch_sweep_times_routes_after_the_diameter(sphere50_system, monkeypatch):

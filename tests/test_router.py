@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polyroute import geometry, router
 from polyroute.cli import generate_mesh
 from polyroute.geometry import GeometryError, Plane, cross, dot, norm, sub
-from polyroute.oracle import build_subdivision_graph, oracle_slack
 from polyroute.router import (
     HopLimitExceeded,
     PacketHeader,
@@ -230,13 +229,12 @@ def test_hop_limit_raises(sphere50_system, monkeypatch):
 
 
 def test_zigzag_leg_bound(sphere50_system):
-    # per-leg length <= geodesic * (1+2*delta) * (1+mu) / sin(theta_m)
+    # per-leg length <= |ab| * (1+2*delta) / sin(theta_m); |ab| <= d(a, b),
+    # so a leg within this is certainly within the geodesic bound
     system = sphere50_system
     mesh = system.P
-    graph = build_subdivision_graph(mesh, 8)
     pairs = random_pairs(mesh.n, 60, seed=3)
-    mu = oracle_slack(mesh, pairs, 8, base_graph=graph, sample=16)
-    factor = (1 + 2 * system.eps) * (1 + mu) / math.sin(system.metrics.theta_m)
+    factor = (1 + 2 * system.eps) / math.sin(system.metrics.theta_m)
     checked = 0
     for s, t in pairs:
         trace = route(s, t, system)
@@ -255,8 +253,8 @@ def test_zigzag_leg_bound(sphere50_system):
                 continue
             if seg == 0.0 or a == b:
                 continue
-            geo = graph.distance(a, b)
-            assert seg <= factor * geo + 1e-9
+            euclid = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
+            assert seg <= factor * euclid + 1e-9
             checked += 1
     assert checked > 20
 

@@ -332,6 +332,35 @@ def test_non_convex_mesh_is_refused_as_a_corrupt_file(sphere50_system, tmp_path,
     assert "stored mesh is refused" in capsys.readouterr().err
 
 
+def test_sliver_face_is_refused_as_a_corrupt_file(tetra_system, tmp_path, capsys):
+    # vertex 2 moved to 8e-10 from the midpoint of edge (0, 1), away from
+    # vertex 3: `from_arrays` accepts the mesh, but face (0, 1, 2) has no
+    # patch plane, and the GeometryError is the cause of the refusal
+    import struct
+
+    from polyroute.cli import EXIT_IO, main
+    from polyroute.geometry import GeometryError
+
+    v = tetra_system.P.vertices
+    mid = (v[0] + v[1]) / 2.0
+    along = (v[1] - v[0]) / np.linalg.norm(v[1] - v[0])
+    away = mid - v[3]
+    away -= (away @ along) * along
+    moved = mid + 8e-10 * away / np.linalg.norm(away)
+    from_arrays(np.vstack([v[:2], moved, v[3:]]), tetra_system.P.faces)
+    sections = _sections(serialize(tetra_system))
+    payload = bytearray(dict(sections)[2])
+    struct.pack_into("<3d", payload, 8 + 24 * 2, *moved.tolist())
+    bad = _container([(t, bytes(payload) if t == 2 else p) for t, p in sections])
+    with pytest.raises(CorruptMesh, match="stored mesh is refused") as refused:
+        deserialize(bad)
+    assert isinstance(refused.value.__cause__, GeometryError)
+    path = tmp_path / "sliver.prt"
+    path.write_bytes(bad)
+    assert main(["route", str(path), "--from", "0", "--to", "1"]) == EXIT_IO
+    assert "stored mesh is refused" in capsys.readouterr().err
+
+
 def _assignment_edit(system, case: str) -> bytes:
     """The system's file with one vertex moved to another cell of its own
     patch, under a valid CRC."""
