@@ -4,21 +4,24 @@ balls), and each landmark's shortest-path tree, read both ways: the next hop
 toward it from every node and its first hop toward every node. The trees
 depend only on the graph, so they are derived wherever the graph is.
 
-The ball rule: x holds an exact entry for t iff d(x, t) < r(t), t's least
-landmark distance, where d(a, b) is the float that a Dijkstra search from a
-computes, and x and t share no sketch face; the next hop is x's
-predecessor in t's tree. A pair that shares a face is routed by a direct
-plane entry on the polytope, so it gets no ball entry and a landmark keeps
-no first hop toward it (`prune_intra_face`). `tz_preprocess`
-builds the balls from cut-off searches of at most `_BLOCK` sources each, so
-no stage holds an N x N array, and they equal an all-pairs search's bit for
-bit, less the same-face pairs.
+The ball rule: x holds an exact entry for t iff x is not a landmark,
+d(t, x) < r(t), t's least landmark distance, where d(a, b) is the float
+that a Dijkstra search from a computes, and x and t share no sketch face;
+the next hop is x's predecessor in t's tree. This is Thorup and Zwick's
+ball of t, the nodes nearer t than any landmark is, read from t's own
+search. A pair that shares a face is routed by a direct plane entry on the
+polytope, so it gets no ball entry and a landmark keeps no first hop toward
+it (`prune_intra_face`). `tz_preprocess` builds the balls from cut-off
+searches of at most `_BLOCK` sources each, so no stage holds an N x N array,
+and they equal an all-pairs search's bit for bit, less the same-face pairs.
 
 A packet for target t moves by three rules evaluated at the current node x:
 exact entry for t if x is inside t's ball, first-hop lookup if x is t's
-home landmark, otherwise one hop toward t's home landmark. Ball membership is
-closed under shortest-path prefixes toward t and under descent from t's home
-landmark, so the walk never stalls and its length is at most
+home landmark, otherwise one hop toward t's home landmark. An entry's next
+hop p has d(t, p) <= d(t, x), so p is t, holds an entry for t, is a
+landmark, or shares a face with t; and in exact arithmetic no landmark is
+nearer t than r(t), and every node below t's home landmark on its path to t
+is. So the walk never stalls and its length is at most
 2*d(t, home(t)) + d(x, t) <= 3*d(x, t).
 """
 from __future__ import annotations
@@ -139,36 +142,25 @@ def landmark_trees(graph: SpannerGraph, mat) -> tuple:
 def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     """Build the landmark scheme on a connected spanner graph: the landmark
     half from `landmark_trees`, and the balls, where x holds an exact entry
-    for t iff d(x, t) < r(t) = min over landmarks A of d(A, t) and x and t
-    share no sketch face, its next hop x's predecessor in the tree rooted at
-    t. Here d(a, b) is the float distance that a Dijkstra search from a
-    computes, so d(x, t) may differ from d(t, x) in the last bits; the rule
-    reads d(x, t).
+    for t iff x is not a landmark, d(t, x) < r(t) = min over landmarks A of
+    d(A, t), and x and t share no sketch face; its next hop is x's
+    predecessor in the tree rooted at t. Here d(a, b) is the float distance
+    that a Dijkstra search from a computes.
 
     No search runs from every source. The targets, in order of r, are
     searched from in blocks of `_BLOCK`, each search cut off at the block's
-    largest r*(1 + band), band = 4*N*eps_mach. t's row gives d(t, x) and the
-    next hops: x is in the ball if d(t, x)*(1 + band) < r(t), out of it if
-    d(t, x) > r(t)*(1 + band) (past the cut-off included), and otherwise
-    borderline, decided by d(x, t): read from x's row of `landmark_trees`
-    for a landmark x, else from a cut-off search from x. The pairs that
-    share a face (a node's faces are its first and its last patch) are
-    dropped first, so none of them is searched for.
+    largest r, and t's row gives both d(t, x) and the next hops. A search
+    cut off at a limit gives each node within it the full search's
+    distance, since every relaxation it skips exceeds the limit. The pairs
+    that share a face (a node's faces are its first and its last patch) are
+    then dropped from t's results.
 
-    The band is safe. Rounding is monotone and the weights are nonnegative,
-    so by induction along any x -> t path Q the computed d(x, t) is at most
-    S(Q), the float sum of Q's weights from x onward; and d(x, t) is S(P)
-    for its own tree path P. A left-to-right sum of k <= N - 1 nonnegative
-    terms is within a factor 1 +- gamma of its exact value, gamma =
-    (N-2)u / (1 - (N-2)u), u = eps_mach / 2 (no underflow). With D the
-    exact distance and Q a shortest simple path, D(1 - gamma) <= d(x, t) <=
-    S(Q) <= D(1 + gamma), and so for d(t, x); so each of the two is at most
-    (1 + gamma) / (1 - gamma) <= 1 + 3Nu times the other (N < 2^40). Both
-    tests round their product twice, which leaves a factor of at least
-    (1 + 8Nu)(1 - u)^2 >= 1 + 5Nu: a sure x has d(x, t) < r(t), a sure-out
-    x has d(x, t) > r(t). A search cut off at a limit gives each node within
-    it the full search's distance, since every relaxation it skips exceeds
-    the limit."""
+    The rule reads t's side, the side the next hops come from. So the ball
+    is closed under prefixes of t's tree in floating point: for x's parent
+    p, d(t, p) <= d(t, x), since rounding is monotone and the weights are
+    nonnegative. A landmark x is left out because r(t) <= d(x, t) by the
+    definition of r, so read from its own side it is never nearer t than
+    r(t)."""
     from scipy.sparse.csgraph import dijkstra
 
     N = graph.num_nodes
@@ -176,40 +168,23 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     mat = spanner_csr(N, rec["u"], rec["v"], rec["w"])
     landmarks, home, to_landmark, first_hop, lm_dist = landmark_trees(graph, mat)
     r = lm_dist.min(axis=0)
-    scale = 1.0 + 4 * N * np.finfo(float).eps
-    hi = r * scale
     # a target at distance 0 from a landmark has an empty ball
     targets = np.argsort(r, kind="stable")
     targets = targets[r[targets] > 0]
-    found = [np.empty((4, 0), np.int64)]  # rows: x, t, next hop, sure
+    found = [np.empty((3, 0), np.int64)]  # rows: x, t, next hop
     for lo in range(0, len(targets), _BLOCK):
         block = targets[lo:lo + _BLOCK]
-        dist, pred = dijkstra(mat, directed=True, indices=block, limit=hi[block].max(),
+        dist, pred = dijkstra(mat, directed=True, indices=block, limit=r[block].max(),
                               return_predecessors=True)
         dist[np.arange(len(block)), block] = np.inf  # t holds no entry for itself
-        inside = dist * scale < r[block, None]
-        i, x = np.nonzero(inside | (dist <= hi[block, None]))
-        found.append(np.stack([x, block[i], pred[i, x], inside[i, x]]))
-    x, t, hop, keep = np.concatenate(found, axis=1)
+        dist[:, landmarks] = np.inf  # nor does a landmark
+        i, x = np.nonzero(dist < r[block, None])
+        found.append(np.stack([x, block[i], pred[i, x]]))
+    x, t, hop = np.concatenate(found, axis=1)
     # the same-face pairs go: neither of x's two faces is one of t's
     faces = np.array([(n.patches[0], n.patches[-1]) for n in graph.nodes])
     apart = (faces[x][:, :, None] != faces[t][:, None, :]).all(axis=(1, 2))
-    x, t, hop, keep = x[apart], t[apart], hop[apart], keep[apart].astype(bool)
-    # the borderline pairs, decided by d(x, t) from x's side
-    bx, bt = x[~keep], t[~keep]
-    d = np.empty(len(bx))
-    row = np.full(N, -1)
-    row[landmarks] = np.arange(len(landmarks))
-    on_lm = row[bx] >= 0
-    d[on_lm] = lm_dist[row[bx[on_lm]], bt[on_lm]]
-    sources = np.unique(bx[~on_lm])
-    for lo in range(0, len(sources), _BLOCK):
-        block = sources[lo:lo + _BLOCK]
-        sel = np.isin(bx, block)
-        dist = dijkstra(mat, directed=True, indices=block, limit=r[bt[sel]].max())
-        d[sel] = dist[np.searchsorted(block, bx[sel]), bt[sel]]
-    keep[~keep] = d < r[bt]
-    x, t, hop = x[keep], t[keep], hop[keep]
+    x, t, hop = x[apart], t[apart], hop[apart]
     order = np.lexsort((t, x))
     return LandmarkScheme(landmarks, home, to_landmark, first_hop,
                           ball_maps(N, x[order], t[order], hop[order]))

@@ -45,8 +45,9 @@ def edge_dijkstra(P: TriangulatedPolytope, s: int, t: int) -> float:
     """Length of the shortest s-t path restricted to mesh edges."""
     if s == t:
         return 0.0
-    g = build_edge_graph(P)
-    d = _csgraph_dijkstra(g, directed=False, indices=[s])[0]
+    # the matrix is symmetric, so the directed search finds the same
+    # distances, faster
+    d = _csgraph_dijkstra(build_edge_graph(P), directed=True, indices=[s])[0]
     return float(d[t])
 
 
@@ -62,10 +63,10 @@ class SubdivisionGraph:
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def distances_from(self, s: int) -> np.ndarray:
+        # `matrix` is symmetric, so the directed search finds the same
+        # distances, faster
         if s not in self._dist_cache:
-            self._dist_cache[s] = _csgraph_dijkstra(
-                self.matrix, directed=False, indices=[s]
-            )[0]
+            self._dist_cache[s] = _csgraph_dijkstra(self.matrix, directed=True, indices=[s])[0]
         return self._dist_cache[s]
 
     def distance(self, s: int, t: int) -> float:

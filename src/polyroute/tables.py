@@ -30,13 +30,13 @@ cause), `IdOutOfRange` for an id past what it indexes,
 than the count, `NonCanonicalEdge` for an edge stored reversed or twice,
 `DisconnectedEdges` (a `DisconnectedSpanner` too) for edges that leave the
 spanner disconnected, `NonCanonicalBall` for ball records out of (x, t)
-order, repeated or with x == t, `NonSpannerHop` for a ball next hop off the
-spanner (so every scheme next hop is a spanner edge), `MalformedSection`
-for bytes past a section's last record or after the last section, or an
-unknown or repeated tag, and `ImplausibleValue` for eps outside (0, 1), an
-edge weight that is not finite or not above `geometry.SNAP_EPS`, or a
-non-finite Steiner lift. Versions 1 to 6 are refused with
-`FormatVersionMismatch`.
+order, repeated, with x == t or held by a landmark x (landmarks hold no
+ball), `NonSpannerHop` for a ball next hop off the spanner (so every scheme
+next hop is a spanner edge), `MalformedSection` for bytes past a section's
+last record or after the last section, or an unknown or repeated tag, and
+`ImplausibleValue` for eps outside (0, 1), an edge weight that is not finite
+or not above `geometry.SNAP_EPS`, or a non-finite Steiner lift. Versions 1
+to 6 are refused with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -138,7 +138,8 @@ class NonCanonicalEdge(SerializationError):
 
 
 class NonCanonicalBall(SerializationError):
-    """A ball record is out of (x, t) order, repeated, or has x == t."""
+    """A ball record is out of (x, t) order, repeated, has x == t, or is
+    held by a landmark x (no build writes one)."""
 
 
 class NonSpannerHop(SerializationError):
@@ -599,8 +600,9 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     for name in ("x", "t", "next"):
         _check_ids(ball[name], N, f"ball {name}")
     x, t, hop = (ball[name].astype(np.int64) for name in ("x", "t", "next"))
-    if (np.diff(x * N + t) <= 0).any() or (x == t).any():
-        raise NonCanonicalBall("a ball record is out of (x, t) order, repeated, or x == t")
+    if (np.diff(x * N + t) <= 0).any() or (x == t).any() or np.isin(x, trees[0]).any():
+        raise NonCanonicalBall("a ball record is out of (x, t) order, repeated, has x == t, "
+                               "or is held by a landmark")
     pair = np.minimum(x, hop) * N + np.maximum(x, hop)
     at = np.minimum(np.searchsorted(edge_keys, pair), len(edge_keys) - 1)
     if len(pair) and (edge_keys[at] != pair).any():

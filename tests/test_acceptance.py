@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
 from polyroute.compact_routing import tz_preprocess, tz_route_nodes
@@ -257,8 +258,12 @@ def test_criterion_7_patch_flattening(sweep_systems, oracle16):
                 p, q = int(p), int(q)
                 if p == q:
                     continue
-                d_hat = graph.distance(p, q)
                 flat = float(np.linalg.norm(np.subtract(proj[p], proj[q])))
+                # one search, cut off just past the largest d_hat that the
+                # second check passes: a d_hat past the limit reads inf and
+                # fails that check, as its finite value would
+                limit = (1.0 + 2.0 * delta) * (flat + 1e-9) * (1.0 + 1e-12)
+                d_hat = float(dijkstra(graph.matrix, directed=True, indices=p, limit=limit)[q])
                 assert d_hat >= flat - 1e-9
                 assert flat >= d_hat / (1.0 + 2.0 * delta) - 1e-9
                 worst = max(worst, d_hat / (1.0 + 2.0 * delta) / flat)

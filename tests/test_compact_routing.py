@@ -94,8 +94,10 @@ def reference_scheme(g):
                 first = up[first]
             landmark_full_next[ell][u] = first
     exact_next = {u: {} for u in nodes}
-    inside = dist < set_dist[None, :]
+    # x is in t's ball if t's row puts it nearer than r(t); landmarks hold none
+    inside = (dist < set_dist[:, None]).T
     np.fill_diagonal(inside, False)
+    inside[lm] = False
     for x, t in zip(*np.nonzero(inside)):
         exact_next[int(x)][int(t)] = int(pred[t, x])
     return landmarks, home, exact_next, to_landmark_next, landmark_full_next
@@ -214,8 +216,7 @@ def with_hubs(core_nodes, edges, anchor, hubs, leaves=3):
 
 def record_searches(monkeypatch):
     """Record every Dijkstra search run from here on as (sources, whether it
-    returns predecessors, distances returned); the searches from members of
-    borderline pairs are those without predecessors."""
+    returns predecessors, distances returned)."""
     searches, real = [], scipy.sparse.csgraph.dijkstra
 
     def search(*args, **kwargs):
@@ -229,11 +230,18 @@ def record_searches(monkeypatch):
     return searches
 
 
-def member_searches(searches):
-    return [node for sources, with_pred, _size in searches if not with_pred for node in sources]
+def assert_hops_stay_in_ball(g, scheme):
+    """Every ball entry's next hop p is t, holds an entry for t, is a
+    landmark, or shares a face with t: t's tree closes the ball under
+    prefixes in floating point."""
+    landmarks = set(scheme.landmarks)
+    for x, table in scheme.exact_next.items():
+        for t, p in table.items():
+            assert (p == t or t in scheme.exact_next[p] or p in landmarks
+                    or share_face(g, p, t))
 
 
-def test_balls_read_the_last_bit_from_the_member_side(monkeypatch):
+def test_balls_read_the_last_bit_from_the_target_side(monkeypatch):
     # t = 0. Landmark x = 3 lies on the path t-b-a-x with weights 1, 1e-16,
     # 1e-16: summed from x the tiny weights add up and round 1 up an ulp,
     # summed from t they vanish. Node y = 6 lies on t-c-e-y with the same
@@ -250,18 +258,22 @@ def test_balls_read_the_last_bit_from_the_member_side(monkeypatch):
     r = d[scheme.landmarks, t].min()
     assert r == d[x, t] == 1.0 + 2 ** -52 and d[t, x] == 1.0
     assert d[y, t] == 1.0 and d[t, y] == r
-    # x is at r, so outside t's ball though t's search puts it nearer; y is
-    # inside though t's search puts it at r: both are resolved from their
-    # own side, y by a search from y
+    # t's search puts x nearer than r, but x is a landmark, so it holds no
+    # entry; it puts y at r, so y is outside though y's own search puts it
+    # nearer; y's neighbour e = 5 is inside. Every search is from a target
+    # or a landmark and returns predecessors
     searches = record_searches(monkeypatch)
     scheme = tz_preprocess(g)
     assert t not in scheme.exact_next[x]
-    assert scheme.exact_next[y][t] == 5
-    assert y in member_searches(searches) and x not in member_searches(searches)
+    assert t not in scheme.exact_next[y] and scheme.exact_next[5][t] == 4
+    assert scheme.exact_next[2][t] == 1 and scheme.exact_next[1][t] == t
+    assert searches and all(with_pred for _sources, with_pred, _size in searches)
+    assert tz_route_nodes(scheme, y, t) == [y, 5, 4, t]
+    assert_hops_stay_in_ball(g, scheme)
     assert_matches_reference(g)
 
 
-def test_balls_with_exact_ties_search_from_the_member(monkeypatch):
+def test_balls_with_exact_ties_read_the_target_row(monkeypatch):
     # integer weights: the landmark ell = 0 and the plain node x = 4 are
     # both 2 from t = 2 on the path ell-p-t-q-x, so x ties r(t) exactly
     ell, t, x = 0, 2, 4
@@ -275,7 +287,8 @@ def test_balls_with_exact_ties_search_from_the_member(monkeypatch):
     scheme = tz_preprocess(g)
     assert t not in scheme.exact_next[x]
     assert scheme.exact_next[1][t] == t and scheme.exact_next[3][t] == t
-    assert x in member_searches(searches)
+    assert searches and all(with_pred for _sources, with_pred, _size in searches)
+    assert_hops_stay_in_ball(g, scheme)
     assert_matches_reference(g)
 
 
@@ -283,16 +296,32 @@ _WEIGHTS = st.one_of(st.sampled_from([1e-16, 1e-8, 0.5, 1.0, 2.0, 10.0]),
                      st.floats(-16.0, 1.0).map(lambda e: 10.0 ** e))
 
 
+@st.composite
+def random_graphs(draw):
+    """A random spanning tree plus random chords, weights from 1e-16 to 10:
+    ties, last-bit asymmetries and landmarks at exactly r(t) all occur."""
+    n = draw(st.integers(2, 60), label="n")
+    edges = [(i, draw(st.integers(0, i - 1)), draw(_WEIGHTS)) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS),
+                           max_size=2 * n), label="chords")
+    return synthetic_graph(n, [e for e in edges if e[0] != e[1]])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_balls_match_reference_on_random_graphs(data):
-    # a random spanning tree plus random chords, weights from 1e-16 to 10:
-    # ties, last-bit asymmetries and landmarks at exactly r(t) all occur
-    n = data.draw(st.integers(2, 60), label="n")
-    edges = [(i, data.draw(st.integers(0, i - 1)), data.draw(_WEIGHTS)) for i in range(1, n)]
-    edges += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS),
-                                max_size=2 * n), label="chords")
-    assert_matches_reference(synthetic_graph(n, [e for e in edges if e[0] != e[1]]))
+@given(random_graphs())
+def test_balls_match_reference_on_random_graphs(g):
+    assert_matches_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_ball_hops_stay_in_the_ball_on_random_graphs(g):
+    assert_hops_stay_in_ball(g, tz_preprocess(g))
+
+
+def test_ball_hops_stay_in_the_ball_on_sphere50(sphere50_system):
+    # Steiner nodes lie on two faces, so same-face hops occur here
+    assert_hops_stay_in_ball(sphere50_system.graph, sphere50_system.scheme)
 
 
 def test_ball_searches_stay_within_a_block(monkeypatch):

@@ -127,6 +127,24 @@ def test_m_zero_equals_edge_graph(sphere50):
         assert graph.distance(s, t) == pytest.approx(edge_dijkstra(sphere50, s, t))
 
 
+@pytest.mark.parametrize("m, stride", [(0, 1), (4, 1), (16, 24)])
+def test_directed_searches_equal_undirected(sphere50, m, stride):
+    # the oracle searches its symmetric matrices as directed graphs; from
+    # every source (every 24th at m = 16) the distances are the undirected
+    # search's, bit for bit, and so are edge_dijkstra's
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = build_subdivision_graph(sphere50, m)
+    sources = range(0, len(graph.points), stride)
+    want = dijkstra(graph.matrix, directed=False, indices=list(sources))
+    got = np.array([graph.distances_from(s) for s in sources])
+    assert np.array_equal(got, want)
+    if m == 0:
+        edges = dijkstra(build_edge_graph(sphere50), directed=False)
+        assert [edge_dijkstra(sphere50, s, t) for s in range(sphere50.n)
+                for t in range(sphere50.n)] == edges.ravel().tolist()
+
+
 def test_estimate_D_formula(cube):
     assert cube.surface_area() == pytest.approx(6.0)
     want = math.sqrt(2 * 6.0 * 0.1 ** 3) * 1.2

@@ -480,10 +480,14 @@ def _balls(system) -> np.ndarray:
 
 @pytest.mark.parametrize("case, error", [
     ("unsorted", NonCanonicalBall), ("repeated", NonCanonicalBall),
-    ("own_target", NonCanonicalBall), ("not_a_neighbour", NonSpannerHop)])
+    ("own_target", NonCanonicalBall), ("held_by_landmark", NonCanonicalBall),
+    ("not_a_neighbour", NonSpannerHop)])
 def test_bad_ball_records_rejected(sphere50_system, case, error):
     # ids in range and a valid CRC, but the ball records are out of order,
-    # name a node's own id as its target, or a next hop off the spanner
+    # name a node's own id as its target, are held by a landmark (no build
+    # writes one), or name a next hop off the spanner
+    import struct
+
     g = sphere50_system.graph
     rec = _balls(sphere50_system)
     x = int(rec[0]["x"])
@@ -495,12 +499,21 @@ def test_bad_ball_records_rejected(sphere50_system, case, error):
     elif case == "own_target":
         assert rec[0]["t"] > x  # so the records stay in order
         rec[0]["t"] = x
+    elif case == "held_by_landmark":
+        # a record (ell, t, hop) put in (x, t) order, its hop a neighbour
+        ell = sphere50_system.scheme.landmarks[0]
+        assert not (rec["x"] == ell).any()
+        hop = next(v if u == ell else u for u, v, _w, _f in g.edges if ell in (u, v))
+        t = next(t for t in range(g.num_nodes) if t not in (ell, hop))
+        keys = rec["x"].astype(np.int64) * g.num_nodes + rec["t"]
+        rec = np.insert(rec, np.searchsorted(keys, ell * g.num_nodes + t),
+                        np.array((ell, t, hop), dtype=rec.dtype))
     else:
         nbrs = {v for u, v, _w, _f in g.edges if u == x} | {
             u for u, v, _w, _f in g.edges if v == x}
         rec[0]["next"] = min(set(range(g.num_nodes)) - nbrs - {x})
     sections = _sections(serialize(sphere50_system))
-    payload = dict(sections)[7][:4] + rec.tobytes()
+    payload = struct.pack("<I", len(rec)) + rec.tobytes()
     with pytest.raises(error):
         deserialize(_container([(t, payload if t == 7 else p) for t, p in sections]))
 
