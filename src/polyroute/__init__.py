@@ -26,8 +26,6 @@ from .tables import (
 )
 from .router import route, make_packet, step, RouteTrace
 from .oracle import (
-    edge_dijkstra,
-    subdivided_geodesic,
     build_subdivision_graph,
     estimate_D,
     stretch_sweep,
@@ -62,8 +60,6 @@ __all__ = [
     "make_packet",
     "step",
     "RouteTrace",
-    "edge_dijkstra",
-    "subdivided_geodesic",
     "build_subdivision_graph",
     "estimate_D",
     "stretch_sweep",

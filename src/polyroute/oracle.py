@@ -1,10 +1,11 @@
 """Brute-force distance oracles used to verify stretch claims.
 
-edge_dijkstra restricts paths to the vertex-edge graph (an upper bound on
-the geodesic). subdivided_geodesic refines it: every mesh edge gains m
-evenly spaced extra nodes and every face contributes the complete visibility
-graph on its boundary nodes, so the value is non-increasing in m and
-converges to the true surface geodesic from above. estimate_D is a
+A `SubdivisionGraph` gives surface distances from above: every mesh edge
+gains m evenly spaced extra nodes and every face contributes the complete
+visibility graph on its boundary nodes, so a distance is non-increasing in
+m and converges to the true surface geodesic. At m = 0 it is the mesh's
+edge graph, whose distances are paths restricted to mesh edges. Build one
+graph per mesh and read many distances from it. estimate_D is a
 deterministic surrogate for the equal-area geodesic-cell diagonal bound.
 """
 from __future__ import annotations
@@ -25,30 +26,10 @@ from .tables import RoutingSystem
 __all__ = [
     "SubdivisionGraph",
     "StretchReport",
-    "build_edge_graph",
-    "edge_dijkstra",
     "build_subdivision_graph",
-    "subdivided_geodesic",
     "estimate_D",
     "stretch_sweep",
 ]
-
-
-def build_edge_graph(P: TriangulatedPolytope) -> csr_matrix:
-    """The symmetric adjacency matrix of the mesh edges, weighted by their
-    lengths."""
-    ends = np.array(list(P.edge_lengths), dtype=np.int64).reshape(-1, 2)
-    return spanner_csr(P.n, ends[:, 0], ends[:, 1], np.array(list(P.edge_lengths.values())))
-
-
-def edge_dijkstra(P: TriangulatedPolytope, s: int, t: int) -> float:
-    """Length of the shortest s-t path restricted to mesh edges."""
-    if s == t:
-        return 0.0
-    # the matrix is symmetric, so the directed search finds the same
-    # distances, faster
-    d = _csgraph_dijkstra(build_edge_graph(P), directed=True, indices=[s])[0]
-    return float(d[t])
 
 
 @dataclass
@@ -96,13 +77,6 @@ def build_subdivision_graph(P: TriangulatedPolytope, m: int) -> SubdivisionGraph
     r, c = r[first], c[first]
     matrix = spanner_csr(len(pts), r, c, np.linalg.norm(pts[r] - pts[c], axis=1))
     return SubdivisionGraph(P=P, m=m, points=pts, matrix=matrix)
-
-
-def subdivided_geodesic(P: TriangulatedPolytope, s: int, t: int, m: int) -> float:
-    """Approximate geodesic distance from above; non-increasing in m."""
-    if s == t:
-        return 0.0
-    return build_subdivision_graph(P, m).distance(s, t)
 
 
 def estimate_D(P: TriangulatedPolytope, eps: float) -> float:
@@ -180,7 +154,6 @@ def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],
     theta_m = system.metrics.theta_m
     d_hat = estimate_D(P, eps)
     factor = (8.0 + eps) / math.sin(theta_m)
-    P.snap  # the routes read it; a loaded mesh computes it, and its diameter, once
     rows = []
     for i, (s, t) in enumerate(pairs):
         start = time.perf_counter()

@@ -4,8 +4,11 @@ projections onto the supporting planes.
 
 A patch is grown by breadth-first traversal of the face-adjacency graph; a
 face joins while the patch's normal-angle ranges against the +x and +z axes
-both stay within delta (the pairwise condition, tracked as a running
-min/max per axis). Everything else about a patch (its seed face, plane,
+both stay within delta, tracked as a running min/max per axis. So the rule
+bounds each of the two axis-angle spreads, a box of side delta in those two
+angles; it does not bound the angle between two normals of a patch, since
+mirror normals (a, +b, c) and (a, -b, c) have equal angles to +x and to +z.
+Everything else about a patch (its seed face, plane,
 frame and vertex set, and which patch owns each vertex) is derived from the
 face assignment alone by `build_decomposition`. The sketch face of
 each patch is computed explicitly by clipping a large in-plane square
@@ -124,7 +127,9 @@ def _normal_axis_angles(P: TriangulatedPolytope) -> tuple[np.ndarray, np.ndarray
 
 
 def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition:
-    """Greedy BFS partition of the faces into delta-patches.
+    """Greedy BFS partition of the faces into patches whose face normals
+    spread by at most delta in their angle to +x and, separately, in their
+    angle to +z (not a bound on the angle between two of the normals).
 
     Deterministic: each patch is seeded at the lowest-index unassigned face
     and neighbours are visited in sorted order, so each seed is the lowest

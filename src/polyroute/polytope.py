@@ -2,8 +2,11 @@
 
 The accepted input is a closed, consistently oriented triangle mesh whose
 vertices all lie on the inner side of every face plane, up to a slack of
-1e-9 + 1e-7 * max|coordinate|. A mesh whose faces all point inward (negative
-signed volume) is flipped first.
+1e-9 + 1e-7 * L, where L (`P.scale`) is the diagonal of the vertices'
+bounding box. A mesh whose faces all point inward (negative signed volume)
+is flipped first. L and the mesh-scale snap, `geometry.snap(L)` (`P.snap`),
+are fixed when the mesh is made, so no later reader computes a length of
+the whole mesh.
 Adjacency indices (edge -> faces, neighbours, cyclic vertex fans) and the
 edge-length table are built once at load time from one sort of the
 half-edges, which pairs each with its twin (the reverse half-edge), and the
@@ -19,8 +22,9 @@ vertex whose faces form more than one fan (non-manifold); `NonConvex` a
 vertex outside a face plane. Once every half-edge is unique and has its
 twin, each edge bounds exactly two faces.
 The two all-pairs passes (convexity against every face plane, and the
-diameter) run over fixed blocks of rows, so no step holds more than
-O(n + F) memory per block.
+diameter, which only the sketch's working square and `validate` read) run
+over fixed blocks of rows, so no step holds more than O(n + F) memory per
+block.
 """
 from __future__ import annotations
 
@@ -80,11 +84,15 @@ class TriangulatedPolytope:
     (u, v) with u < v to the pair of incident face indices. vertex_rows and
     face_rows are vertices and faces as Python lists, and edge_lengths maps
     each edge_adjacency key to the edge's length as a float, for per-hop
-    arithmetic.
+    arithmetic. scale is L, the diagonal of the vertices' bounding box, and
+    snap the mesh-scale snap distance `geometry.snap(scale)`, which every
+    coincidence test at the scale of the whole mesh uses.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
+    scale: float
+    snap: float
     edge_adjacency: dict = field(default_factory=dict)
     vertex_fan: dict = field(default_factory=dict)
     neighbors: dict = field(default_factory=dict)
@@ -93,8 +101,6 @@ class TriangulatedPolytope:
     edge_lengths: dict = field(default_factory=dict)
     face_normals: np.ndarray | None = None
     face_offsets: np.ndarray | None = None
-    _diameter: float | None = field(default=None, repr=False)
-    _snap: float | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -115,27 +121,16 @@ class TriangulatedPolytope:
         return self.edge_lengths[(u, v) if u < v else (v, u)]
 
     def diameter(self) -> float:
-        """Max pairwise vertex distance, cached. Each block of rows is set
+        """Max pairwise vertex distance, O(n^2). Each block of rows is set
         only against the vertices from its own first row on (d2 is
         symmetric), so memory stays O(_BLOCK * n); d2 is the kernel's
         `dot` of each difference with itself, over contiguous columns."""
-        if self._diameter is None:
-            cols = [self.vertices[:, k].copy() for k in range(3)]
-            best = 0.0
-            for i in range(0, self.n, _BLOCK):
-                d = [c[i:i + _BLOCK, None] - c[None, i:] for c in cols]
-                best = max(best, float(dot(d, d).max()))
-            self._diameter = math.sqrt(best)
-        return self._diameter
-
-    @property
-    def snap(self) -> float:
-        """The mesh-scale snap distance, `geometry.snap` of the diameter:
-        every coincidence test at the scale of the whole mesh uses it.
-        Cached with the diameter."""
-        if self._snap is None:
-            self._snap = geometry.snap(self.diameter())
-        return self._snap
+        cols = [self.vertices[:, k].copy() for k in range(3)]
+        best = 0.0
+        for i in range(0, self.n, _BLOCK):
+            d = [c[i:i + _BLOCK, None] - c[None, i:] for c in cols]
+            best = max(best, float(dot(d, d).max()))
+        return math.sqrt(best)
 
     def surface_area(self) -> float:
         v = self.vertices[self.faces]
@@ -202,6 +197,7 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope
         raise ParseError(f"vertices array must be (n, 3), not {vertices.shape}")
     if not np.isfinite(vertices).all():
         raise ParseError("non-finite vertex coordinate")
+    scale = norm(np.ptp(vertices, axis=0))
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise NonTriangular("faces array must be (F, 3)")
     out = ((faces < 0) | (faces >= len(vertices))).any(axis=1)
@@ -214,7 +210,8 @@ def from_arrays(vertices: np.ndarray, faces: np.ndarray) -> TriangulatedPolytope
     v = vertices[faces]
     if float(dot(cross(v[:, 0], v[:, 1]), v[:, 2]).sum()) < 0:
         faces = faces[:, ::-1].copy()
-    P = TriangulatedPolytope(vertices=vertices, faces=faces)
+    P = TriangulatedPolytope(vertices=vertices, faces=faces, scale=scale,
+                             snap=geometry.snap(scale))
     _build_adjacency(P)
     _check_convex(P)
     return P
@@ -308,8 +305,7 @@ def _check_convex(P: TriangulatedPolytope) -> None:
     # memory; col_max[f] is the largest distance of any vertex to face f.
     # The one BLAS product left in the system: it only decides accept or
     # reject, and the kernel's elementwise form costs 2-3x as much here.
-    scale = float(np.abs(P.vertices).max())
-    thr = SNAP_EPS + SNAP_EPS * scale * 100.0
+    thr = SNAP_EPS + SNAP_EPS * P.scale * 100.0
     col_max = np.full(P.num_faces, -np.inf)
     for i in range(0, P.n, _BLOCK):
         dists = P.vertices[i:i + _BLOCK] @ P.face_normals.T

@@ -30,11 +30,9 @@ The Theta pass (`_theta_edges`) builds the Theta-graphs of all faces at
 once: the same-face pairs of all faces, in capped blocks of whole rows (a
 row is one node of one face), get their distances, angles, cones and
 bisector projections in one numpy pass, and each (row, cone) minimum is
-picked by an integer group key. `np.cos` only orders the candidates: a
-(row, cone) whose runner-up lies within the row's snap of its minimum is
-decided again with `math.cos`, on (projection, node id, j) tuples, so the
-picks are those of a per-row loop with `math.cos`. `build_theta_graph` is
-the pass over one face.
+picked by an integer group key, once: the least `np.cos` projection, a tie
+going to the lower node id, then the lower j. `build_theta_graph` is the
+pass over one face.
 """
 from __future__ import annotations
 
@@ -98,9 +96,6 @@ class ConeFan:
         a = np.mod(np.asarray(angles, dtype=np.float64), 2.0 * math.pi)
         raw = (a // self.width).astype(np.int64) % self.count
         return np.where(a - raw * self.width <= _CONE_BOUNDARY, (raw - 1) % self.count, raw)
-
-    def bisector(self, k: int) -> float:
-        return (k + 0.5) * self.width
 
     def bounds(self, k: int) -> tuple[float, float]:
         return k * self.width, (k + 1) * self.width
@@ -219,18 +214,11 @@ def _theta_block(fan: ConeFan, pts: np.ndarray, ids: np.ndarray, first: np.ndarr
     distance); a tie on the projection goes to the lower node id, then the
     lower j.
 
-    Distances, angles and cones have the bits of a per-row numpy pass
-    (`np.hypot`, `np.arctan2`, `np.mod`, `ConeFan.indices_of`). The
-    projections, d * cos(angle - bisector), are taken with `np.cos`, which
-    may differ from `math.cos` in the last bits, so they only order the
-    candidates; each (row, cone) minimum is taken over the integer key
-    row * count + cone. Both cosines lie within a few ulp of the true one,
-    so for |projection| <= d <= the row's longest distance D the two
-    projections differ by less than 1e-15 * D, and a candidate more than the
-    row's snap, 1e-9 * (1 + D), above the `np.cos` minimum is above the
-    `math.cos` minimum too. A (row, cone) with a runner-up within the snap
-    of its minimum is decided by `_break_ties` with `math.cos`; any other
-    takes its `np.cos` minimum."""
+    Distances, angles, cones and the projections d * cos(angle - bisector)
+    have the bits of a per-row numpy pass (`np.hypot`, `np.arctan2`,
+    `np.mod`, `ConeFan.indices_of`, `np.cos`); each (row, cone) minimum is
+    taken over the integer key row * count + cone, and only the groups with
+    more than one candidate at the minimum are sorted by node id and j."""
     lens = lens[r0:r1]
     seg = np.cumsum(lens) - lens  # each row's first pair in the block
     row = np.repeat(np.arange(r0, r1), lens)
@@ -240,7 +228,7 @@ def _theta_block(fan: ConeFan, pts: np.ndarray, ids: np.ndarray, first: np.ndarr
     a = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)
     snap = np.repeat(geometry.snap(np.maximum.reduceat(d, seg)), lens)
     keep = np.flatnonzero(d > snap)  # never the row's own node
-    row, j, d, a, snap = row[keep], j[keep], d[keep], a[keep], snap[keep]
+    row, j, d, a = row[keep], j[keep], d[keep], a[keep]
     if not len(keep):
         return row, j, d
     cone = fan.indices_of(a)
@@ -251,31 +239,15 @@ def _theta_block(fan: ConeFan, pts: np.ndarray, ids: np.ndarray, first: np.ndarr
     group = np.repeat(np.arange(len(heads)), np.diff(np.r_[heads, len(key)]))
     bisectors = (np.arange(fan.count) + 0.5) * fan.width
     proj = (d * np.cos(a - bisectors[cone]))[order]
-    near = proj <= np.minimum.reduceat(proj, heads)[group] + snap[order]
-    rivals = np.bincount(group[near], minlength=len(heads))[group]
-    pick = order[near & (rivals == 1)]
-    tied = near & (rivals > 1)
+    least = proj == np.minimum.reduceat(proj, heads)[group]
+    rivals = np.bincount(group[least], minlength=len(heads))[group]
+    pick = order[least & (rivals == 1)]
+    tied = least & (rivals > 1)
     if tied.any():
-        cand = order[tied]
-        pick = np.concatenate([pick, _break_ties(fan, key[tied], cand, ids[j[cand]],
-                                                 j[cand], d[cand], a[cand], cone[cand])])
+        cand, tkey = order[tied], key[tied]  # tkey ascends
+        cand = cand[np.lexsort((j[cand], ids[j[cand]], tkey))]
+        pick = np.concatenate([pick, cand[np.r_[True, tkey[1:] != tkey[:-1]]]])
     return row[pick], j[pick], d[pick]
-
-
-def _break_ties(fan: ConeFan, keys, cand, ids, j, d, a, cone) -> list[int]:
-    """Per (row, cone) key, the candidate of `cand` whose (d * math.cos(a -
-    bisector), node id, j) is least; the other arguments are the candidates'
-    keys, node ids, point rows, distances, angles and cones, in `cand`
-    order."""
-    best: dict[int, tuple[tuple, int]] = {}
-    cos = math.cos
-    for g, c_i, nid, jj, dd, aa, c in zip(keys.tolist(), cand.tolist(), ids.tolist(),
-                                          j.tolist(), d.tolist(), a.tolist(), cone.tolist()):
-        t = (dd * cos(aa - fan.bisector(c)), nid, jj)
-        held = best.get(g)
-        if held is None or t < held[0]:
-            best[g] = (t, c_i)
-    return [c_i for _t, c_i in best.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
 from polyroute.compact_routing import tz_preprocess, tz_route_nodes
-from polyroute.oracle import (
-    build_subdivision_graph,
-    edge_dijkstra,
-    estimate_D,
-)
+from polyroute.oracle import build_subdivision_graph, estimate_D
 from polyroute.patching import compute_patches
 from polyroute.router import route
 from polyroute.spanner import build_theta_graph, spanner_graph
@@ -348,7 +344,7 @@ def test_criterion_10_oracle_sandwich():
         graphs = {m: build_subdivision_graph(mesh, m) for m in (0, 4, 16, 64)}
         for s, t in pairs:
             euclid = float(np.linalg.norm(mesh.vertices[s] - mesh.vertices[t]))
-            upper = edge_dijkstra(mesh, s, t)
+            upper = graphs[0].distance(s, t)
             prev = math.inf
             for m in (0, 4, 16, 64):
                 d = graphs[m].distance(s, t)

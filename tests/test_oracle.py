@@ -6,16 +6,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from polyroute.cli import generate_mesh
-from polyroute import oracle, router
-from polyroute.oracle import (
-    build_edge_graph,
-    build_subdivision_graph,
-    edge_dijkstra,
-    estimate_D,
-    stretch_sweep,
-    subdivided_geodesic,
-)
-from polyroute.tables import deserialize, serialize
+from polyroute import oracle
+from polyroute.oracle import build_subdivision_graph, estimate_D, stretch_sweep
 
 from conftest import random_pairs
 
@@ -75,8 +67,10 @@ def _csr_arrays(g):
 
 @pytest.mark.parametrize("n", [20, 50, 300])
 def test_edge_graph_matches_reference_loop(n, tetra, cube, octa):
+    # the m = 0 graph is the mesh's edge graph, weighted by the edge lengths
     for P in (tetra, cube, octa, generate_mesh("sphere", n, 0)):
-        assert _csr_arrays(build_edge_graph(P)) == _csr_arrays(_reference_edge_graph(P))
+        graph = build_subdivision_graph(P, 0)
+        assert _csr_arrays(graph.matrix) == _csr_arrays(_reference_edge_graph(P))
 
 
 @pytest.mark.parametrize("n, ms", [(20, (0, 4, 16, 64)), (50, (0, 4, 16)), (300, (0, 4, 16))])
@@ -90,48 +84,52 @@ def test_subdivision_graph_matches_reference_loop(n, ms, tetra, cube, octa):
 
 
 def test_adjacent_vertices_edge_length(octa):
+    graph = build_subdivision_graph(octa, 0)
     for (u, v) in octa.edges():
-        assert edge_dijkstra(octa, u, v) == pytest.approx(octa.edge_length(u, v))
+        assert graph.distance(u, v) == pytest.approx(octa.edge_length(u, v))
 
 
 def test_octa_antipodal_edge_distance(octa):
     s = int(np.argmax(octa.vertices[:, 0]))
     t = int(np.argmin(octa.vertices[:, 0]))
-    assert edge_dijkstra(octa, s, t) == pytest.approx(2 * math.sqrt(2))
+    assert build_subdivision_graph(octa, 0).distance(s, t) == pytest.approx(2 * math.sqrt(2))
 
 
 def test_same_vertex_zero(octa):
-    assert edge_dijkstra(octa, 2, 2) == 0.0
-    assert subdivided_geodesic(octa, 2, 2, 8) == 0.0
+    for m in (0, 8):
+        assert build_subdivision_graph(octa, m).distance(2, 2) == 0.0
 
 
 def test_same_face_pairs_exact(tetra):
     for m in (0, 3, 9):
+        graph = build_subdivision_graph(tetra, m)
         for u, v in itertools.combinations(range(4), 2):
-            want = tetra.edge_length(u, v)
-            assert subdivided_geodesic(tetra, u, v, m) == pytest.approx(want)
+            assert graph.distance(u, v) == pytest.approx(tetra.edge_length(u, v))
 
 
 def test_cube_opposite_corners_geodesic(cube):
     v = cube.vertices
     s = int(np.argmin(v.sum(axis=1)))
     t = int(np.argmax(v.sum(axis=1)))
-    got = subdivided_geodesic(cube, s, t, 32)
+    got = build_subdivision_graph(cube, 32).distance(s, t)
     assert got >= math.sqrt(5) - 1e-12
     assert got <= math.sqrt(5) * 1.01
 
 
 def test_m_zero_equals_edge_graph(sphere50):
+    from scipy.sparse.csgraph import dijkstra
+
     graph = build_subdivision_graph(sphere50, 0)
+    edges = dijkstra(_reference_edge_graph(sphere50), directed=False)
     for s, t in random_pairs(sphere50.n, 25, seed=2):
-        assert graph.distance(s, t) == pytest.approx(edge_dijkstra(sphere50, s, t))
+        assert graph.distance(s, t) == edges[s, t]
 
 
 @pytest.mark.parametrize("m, stride", [(0, 1), (4, 1), (16, 24)])
 def test_directed_searches_equal_undirected(sphere50, m, stride):
     # the oracle searches its symmetric matrices as directed graphs; from
     # every source (every 24th at m = 16) the distances are the undirected
-    # search's, bit for bit, and so are edge_dijkstra's
+    # search's, bit for bit
     from scipy.sparse.csgraph import dijkstra
 
     graph = build_subdivision_graph(sphere50, m)
@@ -139,10 +137,6 @@ def test_directed_searches_equal_undirected(sphere50, m, stride):
     want = dijkstra(graph.matrix, directed=False, indices=list(sources))
     got = np.array([graph.distances_from(s) for s in sources])
     assert np.array_equal(got, want)
-    if m == 0:
-        edges = dijkstra(build_edge_graph(sphere50), directed=False)
-        assert [edge_dijkstra(sphere50, s, t) for s in range(sphere50.n)
-                for t in range(sphere50.n)] == edges.ravel().tolist()
 
 
 def test_estimate_D_formula(cube):
@@ -166,7 +160,7 @@ def test_sandwich_and_monotonicity(sphere50):
     graphs = {m: build_subdivision_graph(sphere50, m) for m in (0, 4, 16)}
     for s, t in pairs:
         euclid = float(np.linalg.norm(sphere50.vertices[s] - sphere50.vertices[t]))
-        upper = edge_dijkstra(sphere50, s, t)
+        upper = graphs[0].distance(s, t)
         prev = math.inf
         for m in (0, 4, 16):
             d = graphs[m].distance(s, t)
@@ -229,23 +223,6 @@ def test_stretch_sweep_builds_one_subdivision_graph(sphere50_system, monkeypatch
     monkeypatch.setattr(oracle, "build_subdivision_graph", counting)
     stretch_sweep(sphere50_system, random_pairs(50, 10, seed=0), m=4)
     assert built == [4]
-
-
-def test_stretch_sweep_times_routes_after_the_diameter(sphere50_system, monkeypatch):
-    # a loaded mesh computes its diameter, for the snap, on first use; the
-    # sweep pays for it before its first timed route
-    system = deserialize(serialize(sphere50_system))
-    assert system.P._diameter is None
-    cached = []
-    route = router.route
-
-    def recording(s, t, system):
-        cached.append(system.P._diameter is not None)
-        return route(s, t, system)
-
-    monkeypatch.setattr(router, "route", recording)
-    stretch_sweep(system, random_pairs(50, 3, seed=0), m=4)
-    assert cached == [True] * 3
 
 
 def test_report_csv_shape(sphere50_system):

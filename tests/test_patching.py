@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyroute.cli import generate_mesh
-from polyroute.geometry import dot, norm, snap
+from polyroute.geometry import SNAP_EPS, dot, norm
 from polyroute.patching import (
     NO_NEIGHBOR,
     _clip_halfplane,
@@ -93,8 +93,9 @@ def _polygon_area(poly):
 def test_sketch_contains_polytope():
     mesh = generate_mesh("sphere", 100, 3)
     decomp = compute_patches(mesh, 0.5)
-    # the sketch is the intersection of the patches' supporting half-spaces
-    slack = snap(float(np.abs(mesh.vertices).max())) * 100.0
+    # the sketch is the intersection of the patches' supporting half-spaces,
+    # which hold every vertex within the slack the convexity check allows
+    slack = SNAP_EPS + SNAP_EPS * mesh.scale * 100.0
     for patch in decomp.patches:
         assert (patch.gamma.signed_distance(mesh.vertices) <= slack).all()
 

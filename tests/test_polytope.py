@@ -82,6 +82,22 @@ def test_nonconvex_rejected():
         load_off("\n".join(body))
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_dented_cube_rejected_wherever_it_sits(shift):
+    # the unit cube with its top face split at a centre vertex: bulged out
+    # by 1e-5 it loads, sunk by 1e-5 it is refused, and shifted by
+    # (1e4, 0, 0) alike, since the slack follows the bounding box's
+    # diagonal, not the largest coordinate
+    corners = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+    bulged = convex_hull_mesh(np.array(corners + [[0.5, 0.5, 1.0 + 1e-5]]))
+    top = int(np.argmax(bulged.vertices[:, 2]))
+    verts = bulged.vertices + [shift, 0.0, 0.0]
+    assert from_arrays(verts, bulged.faces).n == 9
+    verts[top, 2] = 1.0 - 1e-5
+    with pytest.raises(NonConvex):
+        from_arrays(verts, bulged.faces)
+
+
 def test_open_mesh_rejected():
     text = """OFF
 4 1 3

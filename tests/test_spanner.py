@@ -62,9 +62,9 @@ def _reference_cone(fan, angle):
 
 
 def _reference_theta_graph(points, eps, node_ids=None):
-    """The Theta-graph row by row: per node, the numpy distances and angles
-    to all points of the face, then per cone the least (d * math.cos(angle -
-    bisector), node id, j)."""
+    """The Theta-graph row by row: per node, the numpy distances, angles and
+    bisector projections (`np.cos`) to all points of the face, then per
+    cone the least (projection, node id, j)."""
     pts = np.asarray(points, dtype=np.float64)
     k = len(pts)
     if node_ids is None:
@@ -72,19 +72,21 @@ def _reference_theta_graph(points, eps, node_ids=None):
     if k <= 1:
         return []
     fan = cone_fan(eps)
+    bisectors = (np.arange(fan.count) + 0.5) * fan.width
     edges = {}
     for i in range(k):
         rel = pts - pts[i]
         dist_arr = np.hypot(rel[:, 0], rel[:, 1])
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi).tolist()
+        ang_arr = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)
         snap = spanner.geometry.snap(float(dist_arr.max()))
+        cones = [_reference_cone(fan, a) for a in ang_arr.tolist()]
+        proj = (dist_arr * np.cos(ang_arr - bisectors[cones])).tolist()
         dist = dist_arr.tolist()
         best = {}
-        for j, (d, a) in enumerate(zip(dist, ang)):
+        for j, (d, c, p) in enumerate(zip(dist, cones, proj)):
             if j == i or d <= snap:
                 continue
-            c = _reference_cone(fan, a)
-            cand = (d * math.cos(a - fan.bisector(c)), node_ids[j], j)
+            cand = (p, node_ids[j], j)
             if c not in best or cand < best[c]:
                 best[c] = cand
         for _proj, j_id, j in best.values():
@@ -375,7 +377,8 @@ def _theta_faces(draw):
         for c in draw(st.lists(st.integers(0, fan.count - 1), max_size=4)):
             r = draw(st.floats(0.1, 1.0)) * scale
             off = draw(st.floats(0.01, 0.49)) * fan.width
-            for t in (c * fan.width, fan.bisector(c) - off, fan.bisector(c) + off):
+            mid = (c + 0.5) * fan.width
+            for t in (c * fan.width, mid - off, mid + off):
                 pts.append((ax + r * math.cos(t), ay + r * math.sin(t)))
             # a hair below the apex's ray 0, at an angle np.mod may round to 2*pi
             pts.append((ax + r, math.nextafter(ay, -math.inf)))
@@ -442,28 +445,32 @@ def test_theta_pass_without_pairs_has_no_edges():
     assert build_theta_graph([(1.0, 2.0), (1.0, 2.0 + 1e-12)], 0.4) == []
 
 
-def test_theta_mirror_pairs_are_decided_by_math_cos(monkeypatch):
-    # two points mirrored about each cone's bisector, at one distance from
-    # the apex, tie in np.cos to within the snap; math.cos decides each such
-    # (row, cone), and the result is the per-row reference's
+def test_theta_ties_go_to_the_lower_node_id():
+    # per cone of the apex, three nodes at one point on the cone's bisector
+    # and a mirror pair about it nearer the apex; the three tie exactly in
+    # every term, so the apex row's pick in each cone is decided once, by
+    # the projections and then the node ids, and the result is the per-row
+    # reference's
     eps = 0.4
     fan = cone_fan(eps)
     pts = [(0.0, 0.0)]
     for c in range(fan.count):
-        for t in (fan.bisector(c) - 0.3 * fan.width, fan.bisector(c) + 0.3 * fan.width):
+        mid = (c + 0.5) * fan.width
+        pts += [(2.0 * math.cos(mid), 2.0 * math.sin(mid))] * 3
+        for t in (mid - 0.3 * fan.width, mid + 0.3 * fan.width):
             pts.append((math.cos(t), math.sin(t)))
     ids = [3 * i + 7 for i in range(len(pts))][::-1]
-    decided = []
-    break_ties = spanner._break_ties
-
-    def recording(fan, keys, *rest):
-        decided.extend(keys.tolist())
-        return break_ties(fan, keys, *rest)
-
-    monkeypatch.setattr(spanner, "_break_ties", recording)
     assert build_theta_graph(pts, eps, ids) == _reference_theta_graph(pts, eps, ids)
-    # the apex row (row 0) has a tie in every cone
-    assert set(range(fan.count)) <= set(decided)
+    # with the mirror pairs moved past them, the three coincident nodes are
+    # the nearest in their cone, and the apex row picks the lowest id of
+    # the three
+    far = np.array([(0.0, 0.0)] + [p if i % 5 < 3 else (4.0 * p[0], 4.0 * p[1])
+                                   for i, p in enumerate(pts[1:])])
+    k = len(far)
+    _row, j, _d = spanner._theta_block(fan, far, np.array(ids), np.zeros(k, dtype=np.int64),
+                                       np.full(k, k), 0, 1)
+    assert sorted(ids[i] for i in j.tolist()) == sorted(
+        min(ids[1 + 5 * c:4 + 5 * c]) for c in range(fan.count))
 
 
 def _reps_xy(assignment, projections):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
-from polyroute.polytope import NonConvex, ParseError, from_arrays
-from polyroute import tables
+from polyroute.polytope import NonConvex, ParseError, TriangulatedPolytope, from_arrays
+from polyroute import geometry, tables
+from polyroute.router import route
 from polyroute.tables import (
     ChecksumMismatch,
     CorruptMesh,
@@ -25,6 +26,26 @@ from polyroute.tables import (
     serialize,
     to_json,
 )
+
+from conftest import random_pairs
+
+
+def test_load_and_routes_never_read_the_diameter(sphere50_system, monkeypatch):
+    # the mesh's scale and snap are fixed when the mesh is made, from the
+    # bounding box, so a load and a route do no all-pairs pass; a loaded
+    # mesh has the built one's bits
+    built = sphere50_system
+
+    def refuse(self):
+        raise AssertionError("diameter() read")
+
+    monkeypatch.setattr(TriangulatedPolytope, "diameter", refuse)
+    loaded = deserialize(serialize(built))
+    for s, t in random_pairs(built.P.n, 20, seed=3):
+        assert route(s, t, loaded).vertices[-1] == t
+    assert loaded.P.scale.hex() == built.P.scale.hex()
+    assert loaded.P.snap.hex() == built.P.snap.hex()
+    assert loaded.P.snap == geometry.snap(loaded.P.scale)
 
 
 def test_non_rep_has_exactly_one_plane_entry(sphere50_system):
