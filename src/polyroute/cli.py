@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
     }
     if args.eps is not None:
         decomp = compute_patches(mesh, args.eps)
-        sketch = build_sketch(mesh, decomp)
+        sketch = build_sketch(mesh, decomp, report["diameter"])
         report["patches"] = decomp.count
         # the widest angle between a face normal and its patch's normal
         gammas = np.stack([p.gamma.normal for p in decomp.patches])[decomp.patch_of_face]

@@ -27,7 +27,7 @@ is. So the walk never stalls and its length is at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .spanner import DisconnectedSpanner, SpannerGraph
 
 __all__ = [
     "NodeLabel",
+    "BALL_RECORD",
     "LandmarkScheme",
     "spanner_csr",
     "landmark_trees",
@@ -62,18 +63,28 @@ class NodeLabel:
                 + width(num_patches) + width(num_cells))
 
 
+# node x holds an exact entry for target t, with its next hop; `.prt` stores
+# the balls as these records
+BALL_RECORD = np.dtype([("x", "<u4"), ("t", "<u4"), ("next", "<u4")])
+
+
 @dataclass
 class LandmarkScheme:
     """The first four fields come from `landmark_trees`: the home landmark
     of each node, and per landmark the next hop toward it from each node and
     its first hop toward each node (-1 at the landmark itself, and where
-    pruned). Only the balls, `exact_next` (per node: target -> next hop,
-    same-face targets left out), are stored."""
+    pruned). Only the balls are stored: `balls`, their `BALL_RECORD`s
+    sorted by (x, t), same-face pairs left out. `exact_next` (per node:
+    target -> next hop) is derived from them by `ball_maps`."""
     landmarks: list[int]
     home: list[int]
     to_landmark: dict[int, list[int]]
     first_hop: dict[int, list[int]]
-    exact_next: dict[int, dict[int, int]]
+    balls: np.ndarray
+    exact_next: dict[int, dict[int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.exact_next = ball_maps(len(self.home), self.balls)
 
     def entry_count(self) -> int:
         return sum(self.entries_at(u) for u in range(len(self.home)))
@@ -186,15 +197,17 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     apart = (faces[x][:, :, None] != faces[t][:, None, :]).all(axis=(1, 2))
     x, t, hop = x[apart], t[apart], hop[apart]
     order = np.lexsort((t, x))
-    return LandmarkScheme(landmarks, home, to_landmark, first_hop,
-                          ball_maps(N, x[order], t[order], hop[order]))
+    balls = np.empty(len(order), BALL_RECORD)
+    for name, column in zip(BALL_RECORD.names, (x, t, hop)):
+        balls[name] = column[order]
+    return LandmarkScheme(landmarks, home, to_landmark, first_hop, balls)
 
 
-def ball_maps(num_nodes: int, x, t, hop) -> dict[int, dict[int, int]]:
-    """Per node x, its ball as a map target -> next hop, from the arrays of
-    (x, t, next hop) records sorted by (x, t); build and load both end here."""
-    cut = np.searchsorted(x, np.arange(num_nodes + 1)).tolist()
-    t, hop = t.tolist(), hop.tolist()
+def ball_maps(num_nodes: int, balls: np.ndarray) -> dict[int, dict[int, int]]:
+    """Per node x, its ball as a map target -> next hop, from the
+    `BALL_RECORD`s sorted by (x, t); build and load both end here."""
+    cut = np.searchsorted(balls["x"], np.arange(num_nodes + 1)).tolist()
+    t, hop = balls["t"].tolist(), balls["next"].tolist()
     return {node: dict(zip(t[cut[node]:cut[node + 1]], hop[cut[node]:cut[node + 1]]))
             for node in range(num_nodes)}
 

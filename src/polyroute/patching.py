@@ -137,9 +137,9 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
     """
     if not (0.0 < delta <= math.pi):
         raise ValueError("delta must lie in (0, pi]")
-    theta_x, theta_z = _normal_axis_angles(P)
+    theta_x, theta_z = (a.tolist() for a in _normal_axis_angles(P))
     adj = dual_graph(P)
-    assigned = np.full(P.num_faces, -1, dtype=np.int64)
+    assigned = [-1] * P.num_faces
     pid = -1
     for seed in range(P.num_faces):
         if assigned[seed] >= 0:
@@ -160,7 +160,7 @@ def compute_patches(P: TriangulatedPolytope, delta: float) -> PatchDecomposition
                     lo_x, hi_x, lo_z, hi_z = nlx, nhx, nlz, nhz
                     assigned[nb] = pid
                     queue.append(nb)
-    return build_decomposition(P, assigned)
+    return build_decomposition(P, np.array(assigned, dtype=np.int64))
 
 
 def build_decomposition(P: TriangulatedPolytope, patch_of_face: np.ndarray) -> PatchDecomposition:
@@ -200,7 +200,8 @@ def _clip_halfplane(
     owner: int, snap: float,
 ) -> tuple[list[tuple[float, float]], list[int]]:
     """Sutherland-Hodgman clip of a convex polygon, a list of float pairs, by
-    {p : a.p <= c}.
+    {p : a.p <= c}. `build_sketch` calls it only for a plane with a corner
+    past the snap (or a NaN value); a polygon with none comes back as it is.
 
     owners[i] labels the edge poly[i] -> poly[i+1]; the closing edge created
     by the cut inherits `owner`. Each output vertex carries the owner of the
@@ -239,36 +240,44 @@ def _dedup_polygon(
 ) -> tuple[list[tuple[float, float]], list[int]]:
     keep_pts: list[tuple[float, float]] = []
     keep_own: list[int] = []
+    # edge lengths are the kernel `norm`'s terms, written out
     for (x, y), o in zip(pts, own):
-        if keep_pts and norm((x - keep_pts[-1][0], y - keep_pts[-1][1])) <= snap:
-            keep_own[-1] = o  # zero-length edge collapses; keep outgoing owner
-            continue
+        if keep_pts:
+            dx, dy = x - keep_pts[-1][0], y - keep_pts[-1][1]
+            if math.sqrt(dx * dx + dy * dy) <= snap:
+                keep_own[-1] = o  # zero-length edge collapses; keep outgoing owner
+                continue
         keep_pts.append((x, y))
         keep_own.append(o)
-    if len(keep_pts) > 1 and norm((keep_pts[0][0] - keep_pts[-1][0],
-                                    keep_pts[0][1] - keep_pts[-1][1])) <= snap:
-        keep_pts.pop()
-        keep_own.pop()
+    if len(keep_pts) > 1:
+        dx, dy = keep_pts[0][0] - keep_pts[-1][0], keep_pts[0][1] - keep_pts[-1][1]
+        if math.sqrt(dx * dx + dy * dy) <= snap:
+            keep_pts.pop()
+            keep_own.pop()
     if len(keep_pts) < 3:
         return [], []
     return keep_pts, keep_own
 
 
-def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
+def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition,
+                 diameter: float) -> Sketch:
     """Intersect the patches' supporting half-spaces and return the face of
     the result lying on each supporting plane, as an in-plane polygon.
 
     With fewer than four patches the intersection is unbounded; affected
     faces are truncated by a working square of half side _SKETCH_BOUND
-    times the mesh diameter and flagged.
+    times `diameter`, the mesh's `P.diameter()`, and flagged.
 
     Per patch, the other planes' in-plane half-planes come from one column
     `dot` over all patch normals; the polygon is clipped as float pairs and
-    becomes the face's arrays at the end.
+    becomes the face's arrays at the end. A plane reaches `_clip_halfplane`
+    only if some corner p has not a.p - c <= snap (the clip's own values,
+    so a NaN clips too); most planes cut nothing and cost one pass over
+    the corners that stops at the first one outside.
     """
     normals = tuple(np.stack([p.gamma.normal for p in decomp.patches]).T.copy())
     offsets = np.array([p.gamma.offset() for p in decomp.patches])
-    half = _SKETCH_BOUND * max(P.diameter(), 1e-12)
+    half = _SKETCH_BOUND * max(diameter, 1e-12)
     snap = P.snap
 
     faces: list[SketchFace] = []
@@ -278,18 +287,21 @@ def build_sketch(P: TriangulatedPolytope, decomp: PatchDecomposition) -> Sketch:
                 (cx - half, cy + half)]
         owners = [NO_NEIGHBOR] * 4
         o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
-        a2s = zip(dot(normals, u).tolist(), dot(normals, v).tolist())
         c2s = (offsets - dot(normals, o)).tolist()
-        for j, (a2, c2) in enumerate(zip(a2s, c2s)):
+        for j, (ax, ay, c2) in enumerate(zip(dot(normals, u).tolist(),
+                                             dot(normals, v).tolist(), c2s)):
             if j == patch.id:
                 continue
-            if norm(a2) <= SNAP_EPS:
+            if math.sqrt(ax * ax + ay * ay) <= SNAP_EPS:  # the kernel `norm`'s terms
                 # plane j parallel to this one; either redundant or empty
                 if -c2 > snap:
                     poly = []
                     break
                 continue
-            poly, owners = _clip_halfplane(poly, owners, a2, c2, j, snap)
+            for x, y in poly:
+                if not (x * ax + y * ay - c2 <= snap):
+                    poly, owners = _clip_halfplane(poly, owners, (ax, ay), c2, j, snap)
+                    break
             if not poly:
                 break
         if not poly:

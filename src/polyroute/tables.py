@@ -19,9 +19,9 @@ representative count is kept as a check. `deserialize` derives the rest
 with the calls the build uses (`build_decomposition`,
 `assemble_assignment` for the reps, each the lowest vertex of its (patch,
 cell), `rep_nodes`, `spanner_graph`, `landmark_trees` for the landmarks,
-homes and both tree directions, `ball_maps`, then the tail of
-`preprocess_mesh`), so a loaded system equals the built one. A file whose
-checksum holds is still refused with `CorruptMesh` for a mesh that
+homes and both tree directions, `LandmarkScheme` over the ball records,
+then the tail of `preprocess_mesh`), so a loaded system equals the built
+one. A file whose checksum holds is still refused with `CorruptMesh` for a mesh that
 `from_arrays` refuses (a non-finite vertex coordinate, a mesh that is not
 convex, ...; the `PolytopeError` is its cause) or whose derived patch
 planes or angles raise a `GeometryError` (a sliver face; that error is the
@@ -70,9 +70,9 @@ from .spanner import (
     spanner_graph,
 )
 from .compact_routing import (
+    BALL_RECORD,
     LandmarkScheme,
     NodeLabel,
-    ball_maps,
     landmark_trees,
     materialize_plane_entries,
     prune_intra_face,
@@ -304,11 +304,12 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     """Run the full preprocessing pipeline and return the routing system;
     eps is both the patches' normal-angle spread and the sampling and cone
     parameter. The system's `stats` get each stage's `perf_counter`
-    seconds (`theta_m_s`, `patches_s`, `sketch_s`, `representatives_s`,
-    the spanner's `steiner_placement_s`, `steiner_lift_s` and
-    `theta_pass_s`, `scheme_s`, `derive_s`, and `total_s`), the spanner's
-    counts (`empty_cones`, `steiner_nodes`, `lift_pairs`, `theta_pairs`)
-    and the counts of `patches`, `reps`, spanner `edges` and `landmarks`."""
+    seconds (`theta_m_s`, `patches_s`, `diameter_s`, `sketch_s`,
+    `representatives_s`, the spanner's `steiner_placement_s`,
+    `steiner_lift_s` and `theta_pass_s`, `scheme_s`, `derive_s`, and
+    `total_s`), the spanner's counts (`empty_cones`, `steiner_nodes`,
+    `lift_pairs`, `theta_pairs`) and the counts of `patches`, `reps`,
+    spanner `edges` and `landmarks`."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     stats: dict = {}
@@ -317,7 +318,9 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     t = _lap(stats, "theta_m_s", t)
     decomp = compute_patches(P, eps)
     t = _lap(stats, "patches_s", t)
-    sketch = build_sketch(P, decomp)
+    diameter = P.diameter()
+    t = _lap(stats, "diameter_s", t)
+    sketch = build_sketch(P, decomp, diameter)
     t = _lap(stats, "sketch_s", t)
     projections = {p.id: project_patch(P, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
@@ -386,8 +389,6 @@ _NODE_REC = np.dtype([
     ("patch_a", "<u4"), ("patch_b", "<u4"), ("lift3d", "<f8", (3,)), ("marked", "<u4", (2,)),
 ])
 _EDGE_REC = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
-# node x holds an exact entry for target t, with its next hop
-_BALL_REC = np.dtype([("x", "<u4"), ("t", "<u4"), ("next", "<u4")])
 
 
 class _Writer:
@@ -405,9 +406,10 @@ class _Writer:
     def u32s(self, arr):
         self.buf += np.ascontiguousarray(arr, dtype="<u4").tobytes()
 
-    def records(self, dtype: np.dtype, rows: list[tuple]):
+    def records(self, dtype: np.dtype, rows):
+        """A u32 count, then the rows (tuples, or an array of `dtype`)."""
         self.u32(len(rows))
-        self.buf += np.array(rows, dtype=dtype).tobytes()
+        self.buf += np.asarray(rows, dtype=dtype).tobytes()
 
 
 class _Reader:
@@ -501,8 +503,8 @@ def deserialize(data: bytes) -> RoutingSystem:
 
 def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
     """Each section's payload under its tag, in `_SECTIONS` order; the balls
-    go as (x, t, next) records sorted by (x, t)."""
-    P, a, g, balls = system.P, system.assignment, system.graph, system.scheme.exact_next
+    go as the scheme's records, sorted by (x, t)."""
+    P, a, g = system.P, system.assignment, system.graph
     writers = [_Writer() for _ in _SECTIONS]
     meta, mesh, patches, assign, nodes, edges, scheme = writers
     meta.f64(system.eps)
@@ -516,8 +518,7 @@ def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
     nodes.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
                               for nd in g.nodes if nd.kind == "steiner"])
     edges.records(_EDGE_REC, g.edges)
-    scheme.records(_BALL_REC, [(x, t, balls[x][t]) for x in sorted(balls)
-                               for t in sorted(balls[x])])
+    scheme.records(BALL_RECORD, system.scheme.balls)
     return [(tag, bytes(w.buf)) for tag, w in zip(_SECTIONS, writers)]
 
 
@@ -596,7 +597,7 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
         raise DisconnectedEdges(f"the stored edges are refused: {exc}") from exc
     clock = _lap(stats, "landmark_trees_s", clock)
 
-    ball = payloads[_SEC_SCHEME].records(_BALL_REC)
+    ball = payloads[_SEC_SCHEME].records(BALL_RECORD)
     for name in ("x", "t", "next"):
         _check_ids(ball[name], N, f"ball {name}")
     x, t, hop = (ball[name].astype(np.int64) for name in ("x", "t", "next"))
@@ -610,7 +611,7 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     for tag, r in payloads.items():
         if r.pos != len(r.buf):
             raise MalformedSection(f"section {tag} holds bytes past its last record")
-    scheme = prune_intra_face(LandmarkScheme(*trees, exact_next=ball_maps(N, x, t, hop)), graph)
+    scheme = prune_intra_face(LandmarkScheme(*trees, balls=ball), graph)
     clock = _lap(stats, "balls_s", clock)
     system = _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
     _lap(stats, "derive_s", clock)

@@ -31,6 +31,11 @@ def sphere100():
 
 
 @pytest.fixture(scope="session")
+def hulls300():
+    return [generate_mesh("sphere", 300, seed) for seed in range(5)]
+
+
+@pytest.fixture(scope="session")
 def tetra_system(tetra):
     return preprocess_mesh(tetra, 0.5)
 
@@ -73,7 +78,7 @@ def routed_graph_positions(system):
     from polyroute.patching import build_sketch, project_patch
     from polyroute.spanner import assemble_global_spanner, place_steiner_points
 
-    sketch = build_sketch(system.P, system.decomp)
+    sketch = build_sketch(system.P, system.decomp, system.P.diameter())
     projections = {p.id: project_patch(system.P, p) for p in system.decomp.patches}
     nodes, positions = place_steiner_points(system.P, system.decomp, sketch,
                                             system.assignment, projections, system.eps)

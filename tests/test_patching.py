@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from polyroute.cli import generate_mesh
 from polyroute.geometry import SNAP_EPS, dot, norm
 from polyroute.patching import (
+    _SKETCH_BOUND,
     NO_NEIGHBOR,
+    SketchFace,
+    UnboundedSketch,
     _clip_halfplane,
     build_sketch,
     compute_patches,
@@ -64,7 +67,7 @@ def test_patch_count_scaling_law():
 
 def test_sketch_tetra_faces_are_the_faces(tetra):
     decomp = compute_patches(tetra, 0.01)
-    sketch = build_sketch(tetra, decomp)
+    sketch = build_sketch(tetra, decomp, tetra.diameter())
     assert not sketch.truncated
     for f, patch in zip(sketch.faces, decomp.patches):
         # each sketch face is the original triangle
@@ -77,7 +80,7 @@ def test_sketch_tetra_faces_are_the_faces(tetra):
 
 def test_sketch_cube_faces_are_unit_squares(cube):
     decomp = compute_patches(cube, 0.1)
-    sketch = build_sketch(cube, decomp)
+    sketch = build_sketch(cube, decomp, cube.diameter())
     for f in sketch.faces:
         assert len(f.polygon2d) == 4
         area = _polygon_area(f.polygon2d)
@@ -102,7 +105,7 @@ def test_sketch_contains_polytope():
 
 def test_sketch_neighbors_symmetric(sphere50):
     decomp = compute_patches(sphere50, 0.4)
-    sketch = build_sketch(sphere50, decomp)
+    sketch = build_sketch(sphere50, decomp, sphere50.diameter())
     by_pid = {f.patch_id: f for f in sketch.faces}
     for f in sketch.faces:
         for nb in f.neighbor_patch:
@@ -153,6 +156,75 @@ def test_projection_displacement_bound():
         for patch in decomp.patches:
             dist = np.abs(patch.gamma.signed_distance(mesh.vertices[sorted(patch.vertices)]))
             assert dist.max() <= diam * math.sin(delta) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the sketch that tests a plane before it clips gives the bits of the one
+# that clips by every plane
+
+
+def _reference_sketch(P, decomp, diameter):
+    # every other plane goes through `_clip_halfplane`, and the parallel
+    # test calls the kernel `norm`
+    normals = tuple(np.stack([p.gamma.normal for p in decomp.patches]).T.copy())
+    offsets = np.array([p.gamma.offset() for p in decomp.patches])
+    half = _SKETCH_BOUND * max(diameter, 1e-12)
+    faces = []
+    for patch in decomp.patches:
+        cx, cy = patch.to_2d(P.vertices[P.faces[patch.rep_face]].mean(axis=0).tolist())
+        poly = [(cx - half, cy - half), (cx + half, cy - half), (cx + half, cy + half),
+                (cx - half, cy + half)]
+        owners = [NO_NEIGHBOR] * 4
+        o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
+        a2s = zip(dot(normals, u).tolist(), dot(normals, v).tolist())
+        c2s = (offsets - dot(normals, o)).tolist()
+        for j, (a2, c2) in enumerate(zip(a2s, c2s)):
+            if j == patch.id:
+                continue
+            if norm(a2) <= SNAP_EPS:
+                if -c2 > P.snap:
+                    poly = []
+                    break
+                continue
+            poly, owners = _clip_halfplane(poly, owners, a2, c2, j, P.snap)
+            if not poly:
+                break
+        if not poly:
+            raise UnboundedSketch(patch.id)
+        faces.append(SketchFace(patch.id, np.array(poly), np.array(owners, dtype=np.int64)))
+    return faces, any(NO_NEIGHBOR in f.neighbor_patch for f in faces)
+
+
+def _assert_sketch_is_reference(P, delta):
+    decomp = compute_patches(P, delta)
+    diameter = P.diameter()
+    try:
+        want_faces, want_truncated = _reference_sketch(P, decomp, diameter)
+    except UnboundedSketch:
+        with pytest.raises(UnboundedSketch):
+            build_sketch(P, decomp, diameter)
+        return
+    got = build_sketch(P, decomp, diameter)
+    assert got.truncated == want_truncated
+    assert len(got.faces) == len(want_faces)
+    for f, w in zip(got.faces, want_faces):
+        assert f.patch_id == w.patch_id
+        assert f.polygon2d.tobytes() == w.polygon2d.tobytes()
+        assert f.neighbor_patch.tobytes() == w.neighbor_patch.tobytes()
+
+
+def test_sketch_matches_clip_by_every_plane(tetra, cube, sphere50, hulls300):
+    for P, delta in [(tetra, 0.01), (tetra, 0.5), (cube, 0.1), (sphere50, 0.3),
+                     (sphere50, 0.8)]:
+        _assert_sketch_is_reference(P, delta)
+    for P in hulls300:
+        _assert_sketch_is_reference(P, 0.4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 200), eps=st.floats(0.2, 0.8), seed=st.integers(0, 50))
+def test_sketch_matches_clip_by_every_plane_on_sphere_hulls(n, eps, seed):
+    _assert_sketch_is_reference(generate_mesh("sphere", n, seed), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -291,11 +291,6 @@ def test_vertex_fans_are_cyclic(sphere50):
         assert len(fan) == len(sphere50.neighbors[v])
 
 
-@pytest.fixture(scope="module")
-def hulls300():
-    return [generate_mesh("sphere", 300, seed) for seed in range(5)]
-
-
 def _reference_fans(P):
     # the O(n * F) construction: scan all faces for the vertex's first face,
     # then walk across the radial edge (v, next) back to it

@@ -36,7 +36,7 @@ from conftest import routed_graph_positions
 
 def _stage(mesh, eps, delta=None):
     decomp = compute_patches(mesh, delta if delta is not None else eps)
-    sketch = build_sketch(mesh, decomp)
+    sketch = build_sketch(mesh, decomp, mesh.diameter())
     projections = {p.id: project_patch(mesh, p) for p in decomp.patches}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyroute.cli import generate_mesh
+from polyroute.compact_routing import BALL_RECORD
 from polyroute.polytope import NonConvex, ParseError, TriangulatedPolytope, from_arrays
 from polyroute import geometry, tables
 from polyroute.router import route
@@ -119,8 +120,8 @@ def _same_bits(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-STAGES = ("theta_m_s", "patches_s", "sketch_s", "representatives_s", "steiner_placement_s",
-          "steiner_lift_s", "theta_pass_s", "scheme_s", "derive_s")
+STAGES = ("theta_m_s", "patches_s", "diameter_s", "sketch_s", "representatives_s",
+          "steiner_placement_s", "steiner_lift_s", "theta_pass_s", "scheme_s", "derive_s")
 
 
 def test_preprocess_fills_stage_stats(sphere50_system):
@@ -181,6 +182,8 @@ def test_loaded_system_equals_built(sphere50_system):
     ls, bs = loaded.scheme, built.scheme
     assert (ls.landmarks, ls.home, ls.to_landmark, ls.first_hop, ls.exact_next) == (
         bs.landmarks, bs.home, bs.to_landmark, bs.first_hop, bs.exact_next)
+    assert ls.balls.dtype == bs.balls.dtype == BALL_RECORD
+    assert ls.balls.tobytes() == bs.balls.tobytes()
     assert all(loaded.label_of_vertex(t) == built.label_of_vertex(t)
                for t in range(built.P.n))
     assert to_json(loaded) == to_json(built)
@@ -496,7 +499,21 @@ def test_extra_section_data_rejected(sphere50_system, case):
 
 def _balls(system) -> np.ndarray:
     sections = dict(_sections(serialize(system)))
-    return np.frombuffer(sections[7], dtype=tables._BALL_REC, offset=4).copy()
+    return np.frombuffer(sections[7], dtype=BALL_RECORD, offset=4).copy()
+
+
+def test_ball_section_is_the_sorted_walk_of_the_balls(sphere50_system):
+    # the section written from the scheme's records is the one written by
+    # walking every node's ball map in sorted order
+    import struct
+
+    for system in (sphere50_system, preprocess_mesh(generate_mesh("sphere", 200, 0), 0.3)):
+        balls = system.scheme.exact_next
+        walk = np.array([(x, t, balls[x][t]) for x in sorted(balls) for t in sorted(balls[x])],
+                        dtype=BALL_RECORD)
+        assert len(walk) > 0
+        section = dict(_sections(serialize(system)))[7]
+        assert section == struct.pack("<I", len(walk)) + walk.tobytes()
 
 
 @pytest.mark.parametrize("case, error", [
