@@ -43,23 +43,16 @@ def convex_hull_mesh(points: np.ndarray) -> poly.TriangulatedPolytope:
     return poly.from_arrays(verts, faces)
 
 
+_SOLIDS = {
+    "tetra": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+    "cube": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    "octa": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+}
+
+
 def generate_mesh(shape: str, n: int = 0, seed: int = 0) -> poly.TriangulatedPolytope:
-    if shape == "tetra":
-        pts = np.array(
-            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-        )
-        return convex_hull_mesh(pts)
-    if shape == "cube":
-        corners = np.array(
-            [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-        )
-        return convex_hull_mesh(corners)
-    if shape == "octa":
-        pts = np.array(
-            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-            dtype=np.float64,
-        )
-        return convex_hull_mesh(pts)
+    if shape in _SOLIDS:
+        return convex_hull_mesh(np.array(_SOLIDS[shape], dtype=np.float64))
     if shape == "sphere":
         if n < 4:
             raise ValueError("sphere hulls need at least 4 points")

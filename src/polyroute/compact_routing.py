@@ -111,11 +111,6 @@ def spanner_csr(num_nodes: int, u, v, w):
                       shape=(num_nodes, num_nodes))
 
 
-def _same_face(graph: SpannerGraph, x: int) -> list[int]:
-    """The nodes that share a sketch face with node x, x included."""
-    return [t for pid in graph.nodes[x].patches for t in graph.per_face_nodes[pid]]
-
-
 def landmark_trees(graph: SpannerGraph, mat) -> tuple:
     """The landmark half of the scheme on the spanner graph with adjacency
     `mat` (see `spanner_csr`): the ceil(sqrt(N)) highest-degree nodes as
@@ -150,7 +145,7 @@ def landmark_trees(graph: SpannerGraph, mat) -> tuple:
             dict(zip(landmarks, first.tolist())), dist)
 
 
-def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
+def tz_preprocess(graph: SpannerGraph, stats: dict | None = None) -> LandmarkScheme:
     """Build the landmark scheme on a connected spanner graph: the landmark
     half from `landmark_trees`, and the balls, where x holds an exact entry
     for t iff x is not a landmark, d(t, x) < r(t) = min over landmarks A of
@@ -164,7 +159,8 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     cut off at a limit gives each node within it the full search's
     distance, since every relaxation it skips exceeds the limit. The pairs
     that share a face (a node's faces are its first and its last patch) are
-    then dropped from t's results.
+    then dropped from t's results. `stats`, when given, gets `scheme_reached`,
+    the count of distances the cut-off searches return within their limits.
 
     The rule reads t's side, the side the next hops come from. So the ball
     is closed under prefixes of t's tree in floating point: for x's parent
@@ -175,31 +171,34 @@ def tz_preprocess(graph: SpannerGraph) -> LandmarkScheme:
     from scipy.sparse.csgraph import dijkstra
 
     N = graph.num_nodes
-    rec = np.array(graph.edges, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8"), ("f", "i8")])
-    mat = spanner_csr(N, rec["u"], rec["v"], rec["w"])
+    e = graph.edges
+    mat = spanner_csr(N, e["u"], e["v"], e["weight"])
     landmarks, home, to_landmark, first_hop, lm_dist = landmark_trees(graph, mat)
     r = lm_dist.min(axis=0)
     # a target at distance 0 from a landmark has an empty ball
     targets = np.argsort(r, kind="stable")
     targets = targets[r[targets] > 0]
     found = [np.empty((3, 0), np.int64)]  # rows: x, t, next hop
+    reached = 0
     for lo in range(0, len(targets), _BLOCK):
         block = targets[lo:lo + _BLOCK]
         dist, pred = dijkstra(mat, directed=True, indices=block, limit=r[block].max(),
                               return_predecessors=True)
+        reached += np.count_nonzero(np.isfinite(dist))
         dist[np.arange(len(block)), block] = np.inf  # t holds no entry for itself
         dist[:, landmarks] = np.inf  # nor does a landmark
         i, x = np.nonzero(dist < r[block, None])
         found.append(np.stack([x, block[i], pred[i, x]]))
+    if stats is not None:
+        stats["scheme_reached"] = int(reached)
     x, t, hop = np.concatenate(found, axis=1)
     # the same-face pairs go: neither of x's two faces is one of t's
-    faces = np.array([(n.patches[0], n.patches[-1]) for n in graph.nodes])
-    apart = (faces[x][:, :, None] != faces[t][:, None, :]).all(axis=(1, 2))
+    a, b = np.array([(n.patches[0], n.patches[-1]) for n in graph.nodes]).reshape(-1, 2).T
+    apart = (a[x] != a[t]) & (a[x] != b[t]) & (b[x] != a[t]) & (b[x] != b[t])
     x, t, hop = x[apart], t[apart], hop[apart]
-    order = np.lexsort((t, x))
+    order = np.argsort(x * N + t)  # one key per record
     balls = np.empty(len(order), BALL_RECORD)
-    for name, column in zip(BALL_RECORD.names, (x, t, hop)):
-        balls[name] = column[order]
+    balls["x"], balls["t"], balls["next"] = x[order], t[order], hop[order]
     return LandmarkScheme(landmarks, home, to_landmark, first_hop, balls)
 
 
@@ -253,15 +252,18 @@ def prune_intra_face(scheme: LandmarkScheme, graph: SpannerGraph) -> LandmarkSch
     the polytope instead, and the balls leave them out already. Build and
     load both call this."""
     for ell, row in scheme.first_hop.items():
-        for t in _same_face(graph, ell):
-            row[t] = -1
+        for pid in graph.nodes[ell].patches:
+            for t in graph.per_face_nodes[pid]:
+                row[t] = -1
     return scheme
 
 
-def materialize_plane_entries(graph: SpannerGraph) -> dict[tuple[int, int], int]:
-    """The sketch face of every spanner edge, keyed by its (u, v) node pair,
-    u < v. Every next hop stored in the scheme is a spanner neighbour, so
-    this covers them all. A leg along the hop runs in that face; its guiding
-    plane is orthogonal to the face and is built where the leg starts, so no
-    plane is stored."""
-    return {(u, v): f for u, v, _w, f in graph.edges}
+def materialize_plane_entries(graph: SpannerGraph) -> dict[int, int]:
+    """The sketch face of every spanner edge, keyed by u * N + v for its
+    node pair u < v, N the node count. Every next hop stored in the scheme
+    is a spanner neighbour, so this covers them all. A leg along the hop
+    runs in that face; its guiding plane is orthogonal to the face and is
+    built where the leg starts, so no plane is stored."""
+    e = graph.edges
+    keys = e["u"].astype(np.int64) * graph.num_nodes + e["v"]
+    return dict(zip(keys.tolist(), e["face"].tolist()))

@@ -10,7 +10,6 @@ deterministic surrogate for the equal-area geodesic-cell diagonal bound.
 """
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .compact_routing import spanner_csr
+from .spanner import _THETA_PAIRS, _runs
 from .polytope import TriangulatedPolytope
 from .tables import RoutingSystem
 
@@ -57,26 +57,35 @@ class SubdivisionGraph:
 def build_subdivision_graph(P: TriangulatedPolytope, m: int) -> SubdivisionGraph:
     """Node n + i*m + j is the j-th of the m nodes on edge i, in sorted edge
     order. Each face's ids are its corners, then the m nodes of each edge k
-    (corner k to k + 1), and every pair of them is an edge of the graph."""
+    (corner k to k + 1), and every pair of them is an edge of the graph. The
+    pairs on one mesh edge, which both its faces hold, are taken once per
+    edge and the rest per face, in capped blocks (`spanner._runs`); the
+    matrix is the same in any order of its pairs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     edges = np.array(sorted(P.edges()), dtype=np.int64).reshape(-1, 2)
     fracs = (np.arange(1, m + 1) / (m + 1.0))[None, :, None]
     a, b = P.vertices[edges[:, 0]][:, None, :], P.vertices[edges[:, 1]][:, None, :]
     pts = np.concatenate([P.vertices, (a + fracs * (b - a)).reshape(-1, 3)])
+    inner = P.n + (np.arange(len(edges)) * m)[:, None] + np.arange(m)
     tail, head = P.faces, P.faces[:, [1, 2, 0]]
     k = np.searchsorted(edges[:, 0] * P.n + edges[:, 1],
                         np.minimum(tail, head) * P.n + np.maximum(tail, head))
-    ids = np.concatenate([tail, (P.n + (k * m)[:, :, None] + np.arange(m)).reshape(len(k), -1)],
-                         axis=1)
+    ids = np.concatenate([tail, inner[k].reshape(len(k), -1)], axis=1)
+    # bit k of an id position: it lies on the face's edge k (corner j on
+    # edges j and j - 1); a face keeps the pairs that share no edge
+    on = np.r_[0b101, 0b011, 0b110, np.repeat([0b001, 0b010, 0b100], m)]
     iu, ju = np.triu_indices(ids.shape[1], k=1)
-    r, c = ids[:, iu].ravel(), ids[:, ju].ravel()
-    # pairs on a shared mesh edge appear in both incident faces; csr would
-    # sum duplicates, so keep each undirected pair once
-    _uniq, first = np.unique(np.minimum(r, c) * len(pts) + np.maximum(r, c), return_index=True)
-    r, c = r[first], c[first]
-    matrix = spanner_csr(len(pts), r, c, np.linalg.norm(pts[r] - pts[c], axis=1))
-    return SubdivisionGraph(P=P, m=m, points=pts, matrix=matrix)
+    apart = (on[iu] & on[ju]) == 0
+    r, c, w = [], [], []  # int32 ids, the matrix's index type
+    for rows, iu, ju in ((np.concatenate([edges, inner], axis=1), *np.triu_indices(m + 2, k=1)),
+                         (ids, iu[apart], ju[apart])):
+        for lo, hi in _runs(np.full(len(rows), len(iu)), _THETA_PAIRS):
+            r.append(rows[lo:hi, iu].ravel().astype(np.int32))
+            c.append(rows[lo:hi, ju].ravel().astype(np.int32))
+            w.append(np.linalg.norm(pts[r[-1]] - pts[c[-1]], axis=1))
+    r, c, w = np.concatenate(r), np.concatenate(c), np.concatenate(w)
+    return SubdivisionGraph(P=P, m=m, points=pts, matrix=spanner_csr(len(pts), r, c, w))
 
 
 def estimate_D(P: TriangulatedPolytope, eps: float) -> float:
@@ -127,14 +136,9 @@ class StretchReport:
         return float(np.mean([r.ratio for r in self.rows])) if self.rows else 0.0
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("pair_id,s,t,route_len,oracle_len,euclid,bound,ratio\n")
-        for r in self.rows:
-            out.write(
-                f"{r.pair_id},{r.s},{r.t},{r.route_len:.9g},{r.oracle_len:.9g},"
-                f"{r.euclid:.9g},{r.bound:.9g},{r.ratio:.9g}\n"
-            )
-        return out.getvalue()
+        return "pair_id,s,t,route_len,oracle_len,euclid,bound,ratio\n" + "".join(
+            f"{r.pair_id},{r.s},{r.t},{r.route_len:.9g},{r.oracle_len:.9g},"
+            f"{r.euclid:.9g},{r.bound:.9g},{r.ratio:.9g}\n" for r in self.rows)
 
 
 def stretch_sweep(system: RoutingSystem, pairs: list[tuple[int, int]],

@@ -287,8 +287,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
                  system.decomp.patches[label.patch].gamma.normal, "local")
         return None
     w = tz_next_hop(system.scheme, node_id, target_node, label.home)
-    key = (min(node_id, w), max(node_id, w))
-    face = system.hop_faces[key]
+    face = system.hop_faces[min(node_id, w) * len(system.graph.nodes) + max(node_id, w)]
     tgt = _node_target(system, w)
     P = system.P
     if v in tgt.arrival and norm(sub(tgt.point, P.vertex_rows[v])) <= P.snap:

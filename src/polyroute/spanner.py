@@ -9,9 +9,9 @@ relay per cone, O(1/eps) in all, the count the paper's table-size bound
 takes. Steiner nodes sit on a boundary edge shared by exactly two sketch
 faces and participate in both faces' Theta-graphs, which is what stitches
 the per-face spanners into one global graph. That graph holds each node pair
-once, as (u, v, weight, face) with u < v, from the lowest face whose
-Theta-graph has the pair; the compact routing scheme runs on it and a hop's
-face is its edge's face.
+once, as an `EDGE_RECORD` (u, v, weight, face) with u < v, from the lowest
+face whose Theta-graph has the pair; the compact routing scheme runs on it
+and a hop's face is its edge's face.
 
 No test asks whether the cone's extension across the sketch reaches
 another face's representative; `place_steiner_points` gives the measured
@@ -52,6 +52,7 @@ from .sampling import RepresentativeAssignment
 
 __all__ = [
     "DisconnectedSpanner",
+    "EDGE_RECORD",
     "ConeFan",
     "SpannerNode",
     "SpannerGraph",
@@ -118,12 +119,15 @@ class SpannerNode:
     marked: tuple[int, int] | None = None  # steiner: marked vertices of its lift's edge
 
 
+# a spanner edge: its node pair u < v, its length and the lowest sketch face
+# whose Theta-graph holds the pair; `.prt` stores the edges as these records
+EDGE_RECORD = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
+
+
 @dataclass
 class SpannerGraph:
     nodes: list[SpannerNode]
-    # (u, v, weight, face) with u < v, one per node pair; the face is the
-    # lowest sketch face whose Theta-graph holds the pair
-    edges: list[tuple[int, int, float, int]]
+    edges: np.ndarray  # one EDGE_RECORD array, by face and then by pair, read as columns
     per_face_nodes: dict[int, list[int]]
     node_of_vertex: dict[int, int] = field(default_factory=dict)
     connected: bool = True
@@ -144,7 +148,7 @@ def build_theta_graph(
     if len(points) <= 1:
         return []
     ids = list(range(len(points))) if node_ids is None else node_ids
-    return [(u, v, w) for u, v, w, _f in _theta_edges([(0, ids, points)], eps)]
+    return [(u, v, w) for u, v, w, _f in _theta_edges([(0, ids, points)], eps).tolist()]
 
 
 # node pairs per Theta block: each array of a block holds at most 2^14
@@ -166,10 +170,10 @@ def _runs(sizes, cap: int) -> list[tuple[int, int]]:
     return runs or [(0, 0)]
 
 
-def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
+def _theta_edges(faces: list, eps: float) -> np.ndarray:
     """The union of the Theta-graphs of `faces`, a list of (face, node ids,
     points) with at least two nodes each, in ascending face order: each node
-    pair once, as (u, v, weight, face) with u < v, from the lowest face whose
+    pair once, as an `EDGE_RECORD` with u < v, from the lowest face whose
     Theta-graph holds it, ordered by face and then by pair.
 
     A row is one node of one face, paired with every node of the face,
@@ -178,7 +182,7 @@ def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
     A row's picks depend on that row alone, so they are the same in any
     block."""
     if not faces:
-        return []
+        return np.empty(0, EDGE_RECORD)
     sizes = np.array([len(ids) for _f, ids, _pts in faces], dtype=np.int64)
     ids = np.array([i for _f, ids, _pts in faces for i in ids], dtype=np.int64)
     pts = np.concatenate([np.asarray(p, dtype=np.float64) for _f, _ids, p in faces])
@@ -196,11 +200,10 @@ def _theta_edges(faces: list, eps: float) -> list[tuple[int, int, float, int]]:
     order = np.lexsort((key, face))
     _keys, first_seen = np.unique(key[order], return_index=True)
     sel = order[np.sort(first_seen)]
-    # object arrays hand out one int object per id and per face, not one per edge
-    uniq = np.array(uniq.tolist(), dtype=object)
-    pids = np.array([f for f, _ids, _pts in faces], dtype=object)
-    return list(zip(uniq[lo[sel]].tolist(), uniq[hi[sel]].tolist(), w[sel].tolist(),
-                    pids[face[sel]].tolist()))
+    edges = np.empty(len(sel), EDGE_RECORD)
+    edges["u"], edges["v"], edges["weight"] = uniq[lo[sel]], uniq[hi[sel]], w[sel]
+    edges["face"] = np.array([f for f, _ids, _pts in faces])[face[sel]]
+    return edges
 
 
 def _theta_block(fan: ConeFan, pts: np.ndarray, ids: np.ndarray, first: np.ndarray,
@@ -774,8 +777,7 @@ def _nearest_edge_point(P: TriangulatedPolytope, q: np.ndarray, faces: np.ndarra
             for point, (lo, hi, at_lo, at_hi) in zip(np.stack(w, axis=1).tolist(), marked)]
 
 
-def spanner_graph(nodes: list[SpannerNode],
-                  edges: list[tuple[int, int, float, int]]) -> SpannerGraph:
+def spanner_graph(nodes: list[SpannerNode], edges: np.ndarray) -> SpannerGraph:
     """The graph of the given nodes and edges with its per-face index (the
     ids of the nodes on each sketch face, ascending) and its per-vertex
     index; construction and `.prt` loading both end here."""
@@ -798,12 +800,11 @@ def assemble_global_spanner(nodes: list[SpannerNode],
     (`theta_pairs`, each node with each node of its face, itself
     included) and its seconds (`theta_pass_s`)."""
     start = time.perf_counter()
-    g = spanner_graph(nodes, [])
+    g = spanner_graph(nodes, np.empty(0, EDGE_RECORD))
     faces = [(pid, ids, [positions[i][pid] for i in ids])
              for pid, ids in sorted(g.per_face_nodes.items()) if len(ids) >= 2]
     g.edges = _theta_edges(faces, eps)
-    ends = np.array([(u, v) for u, v, _w, _f in g.edges], dtype=np.int64).reshape(-1, 2)
-    links = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+    links = coo_matrix((np.ones(len(g.edges)), (g.edges["u"], g.edges["v"])),
                        shape=(len(nodes), len(nodes)))
     g.connected = connected_components(links, directed=False)[0] <= 1
     if stats is not None:
@@ -839,6 +840,6 @@ def dump_spanner(g: SpannerGraph) -> str:
         q = n.lift3d
         lines.append(f"node {n.id} {n.kind} {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}")
     lines.append("# edge u v weight face")
-    for u, v, w, f in g.edges:
+    for u, v, w, f in g.edges.tolist():
         lines.append(f"edge {u} {v} {w:.9g} {f}")
     return "\n".join(lines) + "\n"

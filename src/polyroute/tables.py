@@ -12,31 +12,31 @@ reports only.
 
 The .prt format (version 7; magic PRT1, little-endian length-prefixed
 sections, CRC32 trailer, u32 ids) stores only what cannot be derived: eps,
-the mesh, each face's patch, each vertex's grid cell, the Steiner nodes,
-the spanner edges (each pair once, u < v, with weight and face) and the
-scheme's balls as (x, t, next) records sorted by (x, t); the
-representative count is kept as a check. `deserialize` derives the rest
-with the calls the build uses (`build_decomposition`,
-`assemble_assignment` for the reps, each the lowest vertex of its (patch,
-cell), `rep_nodes`, `spanner_graph`, `landmark_trees` for the landmarks,
-homes and both tree directions, `LandmarkScheme` over the ball records,
-then the tail of `preprocess_mesh`), so a loaded system equals the built
-one. A file whose checksum holds is still refused with `CorruptMesh` for a mesh that
-`from_arrays` refuses (a non-finite vertex coordinate, a mesh that is not
-convex, ...; the `PolytopeError` is its cause) or whose derived patch
-planes or angles raise a `GeometryError` (a sliver face; that error is the
-cause), `IdOutOfRange` for an id past what it indexes,
-`InconsistentAssignment` for cells that name a different number of reps
-than the count, `NonCanonicalEdge` for an edge stored reversed or twice,
-`DisconnectedEdges` (a `DisconnectedSpanner` too) for edges that leave the
-spanner disconnected, `NonCanonicalBall` for ball records out of (x, t)
-order, repeated, with x == t or held by a landmark x (landmarks hold no
-ball), `NonSpannerHop` for a ball next hop off the spanner (so every scheme
-next hop is a spanner edge), `MalformedSection` for bytes past a section's
-last record or after the last section, or an unknown or repeated tag, and
-`ImplausibleValue` for eps outside (0, 1), an edge weight that is not finite
-or not above `geometry.SNAP_EPS`, or a non-finite Steiner lift. Versions 1
-to 6 are refused with `FormatVersionMismatch`.
+the mesh, each face's patch, each vertex's grid cell, the Steiner nodes, the
+graph's `spanner.EDGE_RECORD` array as it is (each pair once, u < v, with
+weight and face; a load keeps the array it reads) and the scheme's balls as
+(x, t, next) records sorted by (x, t); the representative count is kept as a
+check. `deserialize` derives the rest with the calls the build uses
+(`build_decomposition`, `assemble_assignment` for the reps, each the lowest
+vertex of its (patch, cell), `rep_nodes`, `spanner_graph`, `landmark_trees`
+for the landmarks, homes and both tree directions, `LandmarkScheme` over the
+ball records, then the tail of `preprocess_mesh`, with its hop faces keyed
+by u * N + v), so a loaded system equals the built one. A file whose checksum
+holds is still refused with `CorruptMesh` for a mesh that `from_arrays` refuses (a
+non-finite vertex coordinate, a mesh that is not convex, ...; the
+`PolytopeError` is its cause) or whose derived patch planes or angles raise
+a `GeometryError` (a sliver face; that error is the cause), `IdOutOfRange`
+for an id past what it indexes, `InconsistentAssignment` for cells that name
+a different number of reps than the count, `NonCanonicalEdge` for an edge
+stored reversed or twice, `DisconnectedEdges` (a `DisconnectedSpanner` too)
+for edges that leave the spanner disconnected, `NonCanonicalBall` for ball
+records out of (x, t) order, repeated, with x == t or held by a landmark x
+(landmarks hold no ball), `NonSpannerHop` for a ball next hop off the
+spanner (so every scheme next hop is a spanner edge), `MalformedSection` for
+bytes past a section's last record or after the last section, or an unknown
+or repeated tag, and `ImplausibleValue` for eps outside (0, 1), an edge
+weight that is not finite or not above `geometry.SNAP_EPS`, or a non-finite
+Steiner lift. Versions 1 to 6 are refused with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -62,6 +62,7 @@ from .patching import (
 from .sampling import (RepresentativeAssignment, assemble_assignment, build_grid,
                        select_representatives)
 from .spanner import (
+    EDGE_RECORD,
     DisconnectedSpanner,
     SpannerGraph,
     SpannerNode,
@@ -203,7 +204,7 @@ class RoutingSystem:
     assignment: RepresentativeAssignment | None = None
     graph: SpannerGraph | None = None
     scheme: LandmarkScheme | None = None
-    hop_faces: dict = field(default_factory=dict)  # (min, max) node pair -> sketch face
+    hop_faces: dict = field(default_factory=dict)  # u * N + v per spanner edge -> its face
     # per Steiner node id: its aim point as a float row and its marked
     # vertices, ascending (None for rep nodes, which aim at their vertex)
     node_aims: list = field(default_factory=list)
@@ -308,8 +309,9 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     `representatives_s`, the spanner's `steiner_placement_s`,
     `steiner_lift_s` and `theta_pass_s`, `scheme_s`, `derive_s`, and
     `total_s`), the spanner's counts (`empty_cones`, `steiner_nodes`,
-    `lift_pairs`, `theta_pairs`) and the counts of `patches`, `reps`,
-    spanner `edges` and `landmarks`."""
+    `lift_pairs`, `theta_pairs`), the scheme's `scheme_reached` (see
+    `tz_preprocess`) and the counts of `patches`, `reps`, spanner `edges`,
+    `landmarks` and `ball_records`."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     stats: dict = {}
@@ -336,13 +338,13 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
             f"{P.n} vertices); retry with a {hint} epsilon"
         )
     t = time.perf_counter()
-    scheme = prune_intra_face(tz_preprocess(graph), graph)
+    scheme = prune_intra_face(tz_preprocess(graph, stats), graph)
     t = _lap(stats, "scheme_s", t)
     system = _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
     _lap(stats, "derive_s", t)
     _lap(stats, "total_s", start)
     stats.update(patches=decomp.count, reps=len(assignment.reps), edges=len(graph.edges),
-                 landmarks=len(scheme.landmarks))
+                 landmarks=len(scheme.landmarks), ball_records=len(scheme.balls))
     system.stats = stats
     return system
 
@@ -388,7 +390,6 @@ _SECTIONS = (_SEC_META, _SEC_MESH, _SEC_PATCHES, _SEC_ASSIGN, _SEC_NODES, _SEC_E
 _NODE_REC = np.dtype([
     ("patch_a", "<u4"), ("patch_b", "<u4"), ("lift3d", "<f8", (3,)), ("marked", "<u4", (2,)),
 ])
-_EDGE_REC = np.dtype([("u", "<u4"), ("v", "<u4"), ("weight", "<f8"), ("face", "<u4")])
 
 
 class _Writer:
@@ -517,7 +518,7 @@ def _write_sections(system: RoutingSystem) -> list[tuple[int, bytes]]:
     assign.u32(len(a.reps))
     nodes.records(_NODE_REC, [(*nd.patches, nd.lift3d, nd.marked)
                               for nd in g.nodes if nd.kind == "steiner"])
-    edges.records(_EDGE_REC, g.edges)
+    edges.records(EDGE_RECORD, g.edges)
     scheme.records(BALL_RECORD, system.scheme.balls)
     return [(tag, bytes(w.buf)) for tag, w in zip(_SECTIONS, writers)]
 
@@ -578,7 +579,7 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
         nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pa, pb),
                                  lift3d=lift3d, marked=(mx, my)))
     N = len(nodes)
-    rec = payloads[_SEC_EDGES].records(_EDGE_REC)
+    rec = payloads[_SEC_EDGES].records(EDGE_RECORD)
     for name, count in (("u", N), ("v", N), ("face", decomp.count)):
         _check_ids(rec[name], count, f"edge {name}")
     weight = rec["weight"]
@@ -588,11 +589,11 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     edge_keys = np.sort(u * N + v)
     if (u >= v).any() or (np.diff(edge_keys) == 0).any():
         raise NonCanonicalEdge("an edge is stored reversed or more than once")
-    graph = spanner_graph(nodes, rec.tolist())
+    graph = spanner_graph(nodes, rec)
     clock = _lap(stats, "decomposition_s", clock)
     # the landmark half; a spanner the edges leave disconnected is refused here
     try:
-        *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, rec["weight"]))
+        *trees, _dist = landmark_trees(graph, spanner_csr(N, u, v, weight))
     except DisconnectedSpanner as exc:
         raise DisconnectedEdges(f"the stored edges are refused: {exc}") from exc
     clock = _lap(stats, "landmark_trees_s", clock)
@@ -650,7 +651,7 @@ def to_json(system: RoutingSystem) -> str:
             }
             for nd in system.graph.nodes
         ],
-        "edges": [[u, v, w, f] for (u, v, w, f) in system.graph.edges],
+        "edges": [list(e) for e in system.graph.edges.tolist()],
         "landmarks": system.scheme.landmarks,
         "tables": {
             str(v): {

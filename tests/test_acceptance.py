@@ -183,7 +183,7 @@ def test_criterion_5_scheme_stretch():
             [dataclasses.replace(nd, patches=(nd.id,)) for nd in g.nodes], g.edges))
         wdict = {}
         rows, cols, wts = [], [], []
-        for u, v, w, _f in g.edges:
+        for u, v, w, _f in g.edges.tolist():
             wdict[(u, v)] = w
             wdict[(v, u)] = w
             rows += [u, v]

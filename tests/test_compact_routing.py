@@ -19,7 +19,7 @@ from polyroute.compact_routing import (
     tz_preprocess,
     tz_route_nodes,
 )
-from polyroute.spanner import DisconnectedSpanner, SpannerNode, spanner_graph
+from polyroute.spanner import EDGE_RECORD, DisconnectedSpanner, SpannerNode, spanner_graph
 
 
 def synthetic_graph(num_nodes, edges, patch_of=None):
@@ -37,22 +37,23 @@ def synthetic_graph(num_nodes, edges, patch_of=None):
     for u, v, w in edges:
         a, b = min(u, v), max(u, v)
         tagged.setdefault((a, b), (a, b, float(w), patch_of[u]))
-    return spanner_graph(nodes, list(tagged.values()))
+    return spanner_graph(nodes, np.array(list(tagged.values()), dtype=EDGE_RECORD))
 
 
 def graph_distances(g):
     n = g.num_nodes
-    if not g.edges:
+    if not len(g.edges):
         return np.zeros((n, n))
-    rows = [u for u, v, w, f in g.edges] + [v for u, v, w, f in g.edges]
-    cols = [v for u, v, w, f in g.edges] + [u for u, v, w, f in g.edges]
-    wts = [w for u, v, w, f in g.edges] * 2
+    edges = g.edges.tolist()
+    rows = [u for u, v, w, f in edges] + [v for u, v, w, f in edges]
+    cols = [v for u, v, w, f in edges] + [u for u, v, w, f in edges]
+    wts = [w for u, v, w, f in edges] * 2
     return dijkstra(csr_matrix((wts, (rows, cols)), shape=(n, n)), directed=False)
 
 
 def walk_length(g, walk):
     wdict = {}
-    for u, v, w, _f in g.edges:
+    for u, v, w, _f in g.edges.tolist():
         wdict[(u, v)] = w
         wdict[(v, u)] = w
     return sum(wdict[(walk[i], walk[i + 1])] for i in range(len(walk) - 1))
@@ -66,9 +67,10 @@ def reference_scheme(g):
     maps not yet pruned."""
     nodes = list(range(g.num_nodes))
     N = len(nodes)
-    us = [u for u, _v, _w, _f in g.edges]
-    vs = [v for _u, v, _w, _f in g.edges]
-    wts = [w for _u, _v, w, _f in g.edges] * 2
+    edges = g.edges.tolist()
+    us = [u for u, _v, _w, _f in edges]
+    vs = [v for _u, v, _w, _f in edges]
+    wts = [w for _u, _v, w, _f in edges] * 2
     mat = csr_matrix((wts, (us + vs, vs + us)), shape=(N, N))
     k = math.ceil(math.sqrt(N))
     degree = np.diff(mat.indptr).tolist()
@@ -430,18 +432,20 @@ def test_total_entries_scaling(sphere50_system, sphere100):
 
 
 def test_hop_faces_are_edge_faces(sphere50_system):
-    # every next hop stored in the scheme is a key of the hop faces, and its
-    # face is its spanner edge's face, a sketch face both endpoints lie on
+    # the hop faces are the edge records' faces keyed u * N + v, and every
+    # next hop stored in the scheme, ball or tree, has its pair's key, whose
+    # face is a sketch face both endpoints lie on
     system = sphere50_system
     g, scheme = system.graph, system.scheme
-    edge_faces = {(u, v): f for u, v, _w, f in g.edges}
-    hops = {(min(x, w), max(x, w)) for x, w in scheme_hops(scheme)}
-    assert hops
-    for key in hops:
-        face = system.hop_faces[key]
-        assert face == edge_faces[key]
-        assert face in g.nodes[key[0]].patches and face in g.nodes[key[1]].patches
+    N = g.num_nodes
+    edge_faces = {u * N + v: f for u, v, _w, f in g.edges.tolist()}
     assert materialize_plane_entries(g) == system.hop_faces == edge_faces
+    assert all(type(k) is int and type(f) is int for k, f in system.hop_faces.items())
+    hops = {(min(x, w), max(x, w)) for x, w in scheme_hops(scheme)}
+    assert len(hops) > N
+    for a, b in hops:
+        face = system.hop_faces[a * N + b]
+        assert face in g.nodes[a].patches and face in g.nodes[b].patches
 
 
 def test_label_bit_length_scaling(sphere50_system):
@@ -470,7 +474,7 @@ def test_next_hops_are_neighbours(sphere50_system):
     g = sphere50_system.graph
     scheme = sphere50_system.scheme
     nbrs = {u: set() for u in range(g.num_nodes)}
-    for u, v, _w, _f in g.edges:
+    for u, v, _w, _f in g.edges.tolist():
         nbrs[u].add(v)
         nbrs[v].add(u)
     hops = scheme_hops(scheme)

@@ -139,6 +139,20 @@ def test_directed_searches_equal_undirected(sphere50, m, stride):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m", [0, 4, 16])
+def test_distances_equal_one_deduplicated_pair_list(sphere50, m):
+    # the pairs taken once per mesh edge and per face, in blocks, give the
+    # distances of the graph built from every face's pairs de-duplicated at
+    # once, bit for bit, from every vertex
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = build_subdivision_graph(sphere50, m)
+    _pts, matrix = _reference_subdivision_graph(sphere50, m)
+    want = dijkstra(matrix, directed=False, indices=list(range(sphere50.n)))
+    got = np.array([graph.distances_from(s) for s in range(sphere50.n)])
+    assert np.array_equal(got, want)
+
+
 def test_estimate_D_formula(cube):
     assert cube.surface_area() == pytest.approx(6.0)
     want = math.sqrt(2 * 6.0 * 0.1 ** 3) * 1.2

@@ -16,6 +16,7 @@ from polyroute.polytope import PolytopeError
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.tables import preprocess_mesh
 from polyroute.spanner import (
+    EDGE_RECORD,
     DisconnectedSpanner,
     _build_face_maps,
     _crowded,
@@ -158,7 +159,7 @@ def test_single_patch_no_steiner(tetra):
     assert all(n.kind == "rep" for n in nodes)
     g = assemble_global_spanner(nodes, positions, 0.5)
     assert g.connected
-    assert all(f == 0 for (_u, _v, _w, f) in g.edges)
+    assert (g.edges["face"] == 0).all()
 
 
 def test_empty_extension_no_steiner(octa):
@@ -176,7 +177,7 @@ def test_assemble_tetra_connected(tetra):
     g = build_spanner(tetra, *_stage(tetra, 0.5), 0.5)
     assert g.connected
     # a path rep -> steiner -> rep exists between abutting rep faces
-    dist = _graph_distances([(u, v, w) for u, v, w, _f in g.edges], g.num_nodes)
+    dist = _graph_distances([(u, v, w) for u, v, w, _f in g.edges.tolist()], g.num_nodes)
     rep_ids = [n.id for n in g.nodes if n.kind == "rep"]
     for a in rep_ids:
         for b in rep_ids:
@@ -194,7 +195,7 @@ def test_steiner_nodes_shared_by_two_faces(sphere50_system):
 
 def test_edges_stay_within_one_face(sphere50_system):
     g = sphere50_system.graph
-    for u, v, w, f in g.edges:
+    for u, v, w, f in g.edges.tolist():
         assert f in g.nodes[u].patches
         assert f in g.nodes[v].patches
         assert w > 0
@@ -215,9 +216,9 @@ def test_edges_are_lowest_face_union_of_theta_graphs(sphere50_system):
             recurring += (u, v) in want
             want.setdefault((u, v), (u, v, w, pid))
     assert recurring, "no pair lies on two faces; the case is not exercised"
-    assert g.edges == list(want.values())
-    assert all(u < v for u, v, _w, _f in g.edges)
-    assert len({(u, v) for u, v, _w, _f in g.edges}) == len(g.edges)
+    assert g.edges.tobytes() == np.array(list(want.values()), dtype=EDGE_RECORD).tobytes()
+    assert (g.edges["u"] < g.edges["v"]).all()
+    assert len({(u, v) for u, v, _w, _f in g.edges.tolist()}) == len(g.edges)
 
 
 def test_per_face_theta_stretch(sphere50_system):
@@ -414,7 +415,8 @@ def test_theta_pass_matches_per_row_reference(case, cap):
         if cap is not None:
             mp.setattr(spanner, "_THETA_PAIRS", cap)
         got = _theta_edges(faces, eps)
-    assert got == list(want.values())
+    assert got.dtype == EDGE_RECORD
+    assert got.tobytes() == np.array(list(want.values()), dtype=EDGE_RECORD).tobytes()
     assert sum(p for p, _r in blocks) == sum(len(ids) ** 2 for _f, ids, _p in faces)
     cap = spanner._THETA_PAIRS if cap is None else cap
     assert all(p <= cap or rows == 1 for p, rows in blocks)
@@ -441,7 +443,8 @@ def test_runs_are_the_greedy_capped_blocks(sizes, cap, size, count):
 
 def test_theta_pass_without_pairs_has_no_edges():
     # no face with two nodes, or two nodes within a snap of each other
-    assert _theta_edges([], 0.4) == []
+    none = _theta_edges([], 0.4)
+    assert none.dtype == EDGE_RECORD and none.shape == (0,)
     assert build_theta_graph([(1.0, 2.0), (1.0, 2.0 + 1e-12)], 0.4) == []
 
 

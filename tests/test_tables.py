@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from polyroute.cli import generate_mesh
-from polyroute.compact_routing import BALL_RECORD
+from polyroute import compact_routing
+from polyroute.compact_routing import BALL_RECORD, spanner_csr
 from polyroute.polytope import NonConvex, ParseError, TriangulatedPolytope, from_arrays
 from polyroute import geometry, tables
 from polyroute.router import route
+from polyroute.spanner import EDGE_RECORD
 from polyroute.tables import (
     ChecksumMismatch,
     CorruptMesh,
@@ -130,7 +133,8 @@ def test_preprocess_fills_stage_stats(sphere50_system):
     stats = sphere50_system.stats
     g = sphere50_system.graph
     assert set(stats) == set(STAGES) | {"total_s", "empty_cones", "steiner_nodes", "lift_pairs",
-                                        "theta_pairs", "patches", "reps", "edges", "landmarks"}
+                                        "theta_pairs", "scheme_reached", "patches", "reps",
+                                        "edges", "landmarks", "ball_records"}
     assert all(stats[k] >= 0.0 for k in STAGES)
     assert sum(stats[k] for k in STAGES) <= stats["total_s"]
     assert stats["steiner_nodes"] == sum(n.kind == "steiner" for n in g.nodes)
@@ -143,6 +147,20 @@ def test_preprocess_fills_stage_stats(sphere50_system):
             < stats["steiner_nodes"] * sphere50_system.P.num_faces // 4)
     assert stats["theta_pairs"] == sum(len(ids) ** 2 for ids in g.per_face_nodes.values()
                                        if len(ids) > 1)
+    scheme = sphere50_system.scheme
+    assert stats["ball_records"] == len(scheme.balls) == sum(map(len, scheme.exact_next.values()))
+    # each block of targets, in order of r, reaches the nodes within its
+    # largest r; read here from one search from every target
+    e = g.edges
+    dist = dijkstra(spanner_csr(g.num_nodes, e["u"], e["v"], e["weight"]), directed=False)
+    r = dist[scheme.landmarks].min(axis=0)
+    targets = np.argsort(r, kind="stable")
+    targets = targets[r[targets] > 0]
+    blocks = [targets[lo:lo + compact_routing._BLOCK]
+              for lo in range(0, len(targets), compact_routing._BLOCK)]
+    assert len(blocks) > 1
+    assert stats["scheme_reached"] == sum(int((dist[b] <= r[b].max()).sum()) for b in blocks)
+    assert stats["ball_records"] < stats["scheme_reached"] < len(targets) * g.num_nodes
 
 
 LOAD_STAGES = ("mesh_s", "decomposition_s", "landmark_trees_s", "balls_s", "derive_s")
@@ -173,7 +191,8 @@ def test_loaded_system_equals_built(sphere50_system):
     for p, q in zip(loaded.graph.nodes, built.graph.nodes):
         for f in fields(SpannerNode):
             assert _same_bits(getattr(p, f.name), getattr(q, f.name)), (p.id, f.name)
-    assert loaded.graph.edges == built.graph.edges
+    assert loaded.graph.edges.dtype == built.graph.edges.dtype == EDGE_RECORD
+    assert loaded.graph.edges.tobytes() == built.graph.edges.tobytes()
     assert loaded.graph.per_face_nodes == built.graph.per_face_nodes
     assert loaded.graph.node_of_vertex == built.graph.node_of_vertex
     la, ba = loaded.assignment, built.assignment
@@ -460,7 +479,7 @@ def test_non_canonical_edges_rejected(sphere50_system, case):
     # or the second edge repeats the first one's pair
     sections = _sections(serialize(sphere50_system))
     payload = dict(sections)[6]
-    rec = np.frombuffer(payload, dtype=tables._EDGE_REC, offset=4).copy()
+    rec = np.frombuffer(payload, dtype=EDGE_RECORD, offset=4).copy()
     if case == "reversed":
         rec[0]["u"], rec[0]["v"] = rec[0]["v"], rec[0]["u"]
     else:
@@ -541,14 +560,14 @@ def test_bad_ball_records_rejected(sphere50_system, case, error):
         # a record (ell, t, hop) put in (x, t) order, its hop a neighbour
         ell = sphere50_system.scheme.landmarks[0]
         assert not (rec["x"] == ell).any()
-        hop = next(v if u == ell else u for u, v, _w, _f in g.edges if ell in (u, v))
+        hop = next(v if u == ell else u for u, v, _w, _f in g.edges.tolist() if ell in (u, v))
         t = next(t for t in range(g.num_nodes) if t not in (ell, hop))
         keys = rec["x"].astype(np.int64) * g.num_nodes + rec["t"]
         rec = np.insert(rec, np.searchsorted(keys, ell * g.num_nodes + t),
                         np.array((ell, t, hop), dtype=rec.dtype))
     else:
-        nbrs = {v for u, v, _w, _f in g.edges if u == x} | {
-            u for u, v, _w, _f in g.edges if v == x}
+        nbrs = {v for u, v, _w, _f in g.edges.tolist() if u == x} | {
+            u for u, v, _w, _f in g.edges.tolist() if v == x}
         rec[0]["next"] = min(set(range(g.num_nodes)) - nbrs - {x})
     sections = _sections(serialize(sphere50_system))
     payload = struct.pack("<I", len(rec)) + rec.tobytes()
@@ -565,7 +584,7 @@ def test_disconnected_edge_section_rejected(sphere50_system, tmp_path):
     from polyroute.spanner import DisconnectedSpanner
 
     sections = _sections(serialize(sphere50_system))
-    rec = np.frombuffer(dict(sections)[6], dtype=tables._EDGE_REC, offset=4)
+    rec = np.frombuffer(dict(sections)[6], dtype=EDGE_RECORD, offset=4)
     node = int(rec[0]["u"])
     kept = rec[(rec["u"] != node) & (rec["v"] != node)]
     assert 0 < len(kept) < len(rec)
