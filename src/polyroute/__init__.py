@@ -15,7 +15,7 @@ from .polytope import (
 )
 from .patching import compute_patches, build_sketch, project_patch
 from .sampling import build_grid, select_representatives
-from .spanner import build_theta_graph, build_spanner, dump_spanner
+from .spanner import build_theta_graph, build_spanner
 from .compact_routing import tz_preprocess, tz_route_nodes
 from .tables import (
     RoutingSystem,
@@ -48,7 +48,6 @@ __all__ = [
     "select_representatives",
     "build_theta_graph",
     "build_spanner",
-    "dump_spanner",
     "tz_preprocess",
     "tz_route_nodes",
     "RoutingSystem",

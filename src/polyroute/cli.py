@@ -19,7 +19,7 @@ from .geometry import dot
 from .oracle import build_subdivision_graph, estimate_D, stretch_sweep
 from .patching import build_sketch, compute_patches
 from .router import HopLimitExceeded, RoutingError, route
-from .spanner import DisconnectedSpanner, dump_spanner
+from .spanner import DisconnectedSpanner
 from .tables import SerializationError, deserialize, preprocess_mesh, serialize, to_json
 
 EXIT_OK = 0
@@ -106,8 +106,7 @@ def cmd_validate(args) -> int:
         sketch = build_sketch(mesh, decomp, report["diameter"])
         report["patches"] = decomp.count
         # the widest angle between a face normal and its patch's normal
-        gammas = np.stack([p.gamma.normal for p in decomp.patches])[decomp.patch_of_face]
-        cosines = np.clip(dot(mesh.face_normals, gammas), -1.0, 1.0)
+        cosines = np.clip(dot(mesh.face_normals, decomp.normal[decomp.patch_of_face]), -1.0, 1.0)
         report["max_normal_cone_width"] = float(np.arccos(cosines).max())
         report["sketch_truncated"] = sketch.truncated
     if args.json:
@@ -127,9 +126,6 @@ def cmd_preprocess(args) -> int:
     out = args.out or "tables.prt"
     with open(out, "wb") as fh:
         fh.write(blob)
-    if args.dump_spanner:
-        with open(args.dump_spanner, "w", encoding="utf-8") as fh:
-            fh.write(dump_spanner(system.graph))
     summary = system.summary()
     summary.update({
         "table_bytes": len(blob),
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.add_argument("--json-tables", help="write a JSON mirror of the tables")
-    p.add_argument("--dump-spanner", help="write the spanner edge list")
     p.set_defaults(func=cmd_preprocess)
 
     r = sub.add_parser("route", help="route one packet")

@@ -8,15 +8,15 @@ are within `snap(s)` = SNAP_EPS * (1 + |s|) of each other.
 
 Every dot product, norm and cross product of the system (outside the
 reference oracle, the mesh generator and the convexity check on load) is
-computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic summed left to right, over
-Python floats for one vector or over numpy columns for a batch. The patch
-frame maps (`patching.Patch.to_2d`, `to_3d`) on float rows or columns,
-and the Steiner placement's unfolding maps on columns, write out the same
-left-to-right terms.
-Elementwise float arithmetic rounds the same in both, so one row, any
-subset of rows and the whole batch give the same bits, whatever the BLAS library or its
-thread count. Forwarding decisions are sign tests of such values, so
-routes and `.prt` bytes depend on it.
+computed by `dot`, `norm` and `cross` below: plain elementwise arithmetic
+summed left to right, over Python floats for one vector or over numpy
+columns for a batch. The patch table (`patching.build_decomposition`)
+takes `Plane`'s terms in one column pass, and the frame maps
+(`patching.frame_to_2d`, `frame_to_3d`) on float rows or columns write out
+the same left-to-right terms. Elementwise float arithmetic rounds the same
+in both, so one row, any subset of rows and the whole batch give the same
+bits, whatever the BLAS library or its thread count. Forwarding decisions
+are sign tests of such values, so routes and `.prt` bytes depend on it.
 """
 from __future__ import annotations
 

@@ -258,7 +258,7 @@ def _pseudo_switch(v: int, header: PacketHeader, trace: RouteTrace,
                                     trace, system)
             else:
                 _set_leg(v, header, trace, _vertex_target(system.P, dest),
-                         system.decomp.patches[owner].gamma.normal, "local")
+                         system.decomp.normal[owner], "local")
                 nxt = None
         if nxt is not None:
             continue
@@ -284,7 +284,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
     target_node = label.node
     if label.patch in system.graph.nodes[node_id].patches:
         _set_leg(v, header, trace, _node_target(system, target_node),
-                 system.decomp.patches[label.patch].gamma.normal, "local")
+                 system.decomp.normal[label.patch], "local")
         return None
     w = tz_next_hop(system.scheme, node_id, target_node, label.home)
     face = system.hop_faces[min(node_id, w) * len(system.graph.nodes) + max(node_id, w)]
@@ -294,7 +294,7 @@ def _consult_node(node_id: int, v: int, label: NodeLabel, header: PacketHeader,
         # zero-length hop in the spanner walk; adopt the node and re-consult
         header.pseudo = tgt
         return v
-    _set_leg(v, header, trace, tgt, system.decomp.patches[face].gamma.normal, "global")
+    _set_leg(v, header, trace, tgt, system.decomp.normal[face], "global")
     return None
 
 

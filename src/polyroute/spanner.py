@@ -63,7 +63,6 @@ __all__ = [
     "spanner_graph",
     "assemble_global_spanner",
     "build_spanner",
-    "dump_spanner",
 ]
 
 
@@ -264,8 +263,7 @@ class _FaceMaps:
     padded to the largest polygon. Per corner: its coordinates (`xs`,
     `ys`), whether it is a real corner (`corner`), the edge to its
     successor (`seg_x`, `seg_y`, and `seg_sq`, its squared length) and the
-    patch across that edge (`neighbors`, NO_NEIGHBOR on padding). `frames`
-    holds each patch's frame (origin, u, v) by patch id."""
+    patch across that edge (`neighbors`, NO_NEIGHBOR on padding)."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -274,18 +272,17 @@ class _FaceMaps:
     seg_y: np.ndarray
     seg_sq: np.ndarray
     neighbors: np.ndarray
-    frames: np.ndarray
 
 
 def _frame_columns(frames: np.ndarray, pids: np.ndarray) -> tuple:
     """The frames of patches `pids`, from the per-patch (origin, u, v) rows
-    of `frames`, as columns: origin, u and v, each a tuple of coordinate
-    columns, for `frame_to_2d` and `frame_to_3d`."""
+    of `frames` (`PatchDecomposition.frame`), as columns: origin, u and v,
+    each a tuple of coordinate columns, for `frame_to_2d` and `frame_to_3d`."""
     f = frames[pids]
     return tuple(tuple(f[:, k, c] for c in range(3)) for k in range(3))
 
 
-def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
+def _build_face_maps(sketch: Sketch) -> _FaceMaps:
     """The face arrays of `sketch`."""
     sizes = np.array([len(f.polygon2d) for f in sketch.faces])
     succ = np.arange(1, sizes.max() + 1)
@@ -297,9 +294,7 @@ def _build_face_maps(decomp: PatchDecomposition, sketch: Sketch) -> _FaceMaps:
     neighbors[corner] = np.concatenate([f.neighbor_patch for f in sketch.faces])
     seg_x = np.take_along_axis(xs, nxt, 1) - xs
     seg_y = np.take_along_axis(ys, nxt, 1) - ys
-    frames = np.array([(p.frame_origin, p.frame_u, p.frame_v) for p in decomp.patches])
-    return _FaceMaps(xs, ys, corner, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
-                     neighbors, frames)
+    return _FaceMaps(xs, ys, corner, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y, neighbors)
 
 
 def _wedge_dirs(fan: ConeFan, c: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -431,7 +426,7 @@ def place_steiner_points(
     the lift's seconds, `steiner_lift_s`."""
     fan = cone_fan(eps)
     snap = P.snap
-    fm = _build_face_maps(decomp, sketch)
+    fm = _build_face_maps(sketch)
     nodes = rep_nodes(P, decomp, assignment.reps)
     positions = [{n.patches[0]: projections[n.patches[0]][n.vertex]} for n in nodes]
     reps = _face_reps(fm, assignment, projections)
@@ -440,8 +435,8 @@ def place_steiner_points(
     tests = _cone_tests(fm, reps, fan, apexes, positions, snap)
     relay = np.flatnonzero(tests.found & (tests.nb != NO_NEIGHBOR))
     pids, nbs, q2 = tests.pid[relay], tests.nb[relay], (tests.qx[relay], tests.qy[relay])
-    q3 = frame_to_3d(_frame_columns(fm.frames, pids), q2)
-    q2_nb = frame_to_2d(_frame_columns(fm.frames, nbs), q3)
+    q3 = frame_to_3d(_frame_columns(decomp.frame, pids), q2)
+    q2_nb = frame_to_2d(_frame_columns(decomp.frame, nbs), q3)
 
     # the crowding test, in (rep, cone) order, against the nodes placed so
     # far; a relay with no other rep or relay near it on either face passes
@@ -471,7 +466,7 @@ def place_steiner_points(
         start = time.perf_counter()
         lifts, lift_pairs = _lift_steiner(
             P, np.array([q3 for _pid, _nb, q3 in steiner]),
-            np.array([decomp.patches[pid].gamma.normal for pid, _nb, _q3 in steiner]))
+            decomp.normal[[pid for pid, _nb, _q3 in steiner]])
         lift_s = time.perf_counter() - start
         for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
             nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
@@ -831,15 +826,3 @@ def build_spanner(
     if stats is not None:
         stats["steiner_placement_s"] = time.perf_counter() - start - stats["steiner_lift_s"]
     return assemble_global_spanner(nodes, positions, eps, stats)
-
-
-def dump_spanner(g: SpannerGraph) -> str:
-    """Edge-list debug dump: node table then weighted edges."""
-    lines = ["# node id kind lift_x lift_y lift_z"]
-    for n in g.nodes:
-        q = n.lift3d
-        lines.append(f"node {n.id} {n.kind} {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}")
-    lines.append("# edge u v weight face")
-    for u, v, w, f in g.edges.tolist():
-        lines.append(f"edge {u} {v} {w:.9g} {f}")
-    return "\n".join(lines) + "\n"

@@ -35,8 +35,10 @@ records out of (x, t) order, repeated, with x == t or held by a landmark x
 spanner (so every scheme next hop is a spanner edge), `MalformedSection` for
 bytes past a section's last record or after the last section, or an unknown
 or repeated tag, and `ImplausibleValue` for eps outside (0, 1), an edge
-weight that is not finite or not above `geometry.SNAP_EPS`, or a non-finite
-Steiner lift. Versions 1 to 6 are refused with `FormatVersionMismatch`.
+weight that is not finite or not above `geometry.SNAP_EPS`, a non-finite
+Steiner lift, or a Steiner node whose two patches are one or whose marked
+pair is neither one vertex twice nor the ends of a mesh edge in ascending
+order. Versions 1 to 6 are refused with `FormatVersionMismatch`.
 """
 from __future__ import annotations
 
@@ -324,7 +326,7 @@ def preprocess_mesh(P: TriangulatedPolytope, eps: float) -> RoutingSystem:
     t = _lap(stats, "diameter_s", t)
     sketch = build_sketch(P, decomp, diameter)
     t = _lap(stats, "sketch_s", t)
-    projections = {p.id: project_patch(P, p) for p in decomp.patches}
+    projections = {pid: project_patch(P, decomp, pid) for pid in range(decomp.count)}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
     t = _lap(stats, "representatives_s", t)
@@ -465,7 +467,7 @@ def deserialize(data: bytes) -> RoutingSystem:
     (the mesh section and `from_arrays`), `decomposition_s` (the patches,
     the assignment and the spanner's nodes and edges), `landmark_trees_s`,
     `balls_s` (the ball records, their checks and the pruned balls),
-    `derive_s` (theta_m and the derived tail) and `total_s`, which also
+    `theta_m_s`, `derive_s` (the derived tail) and `total_s`, which also
     holds the header and checksum."""
     start = time.perf_counter()
     if len(data) < 16:
@@ -576,6 +578,9 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
     for pa, pb, lift3d, (mx, my) in zip(rec["patch_a"].tolist(), rec["patch_b"].tolist(),
                                          rec["lift3d"].astype(np.float64),
                                          rec["marked"].tolist()):
+        if pa == pb or (mx != my and (mx, my) not in P.edge_adjacency):
+            raise ImplausibleValue("a Steiner node's two patches are one, or its marked "
+                                   "pair is neither one vertex nor a mesh edge's ends")
         nodes.append(SpannerNode(id=len(nodes), kind="steiner", patches=(pa, pb),
                                  lift3d=lift3d, marked=(mx, my)))
     N = len(nodes)
@@ -614,7 +619,9 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
             raise MalformedSection(f"section {tag} holds bytes past its last record")
     scheme = prune_intra_face(LandmarkScheme(*trees, balls=ball), graph)
     clock = _lap(stats, "balls_s", clock)
-    system = _derive_rest(P, eps, compute_theta_m(P), decomp, assignment, graph, scheme)
+    metrics = compute_theta_m(P)
+    clock = _lap(stats, "theta_m_s", clock)
+    system = _derive_rest(P, eps, metrics, decomp, assignment, graph, scheme)
     _lap(stats, "derive_s", clock)
     return system
 
@@ -622,9 +629,10 @@ def _reassemble(payloads: dict[int, _Reader], stats: dict) -> RoutingSystem:
 def to_json(system: RoutingSystem) -> str:
     """A human-readable view of a system, for debugging. It is not a mirror of
     the binary format: beside stored data it emits derived tables, each
-    patch's representative face and plane, and the rep nodes."""
+    patch's representative face, normal and frame, and the rep nodes."""
     if system.is_empty():
         return json.dumps({"empty": True})
+    d = system.decomp
     doc = {
         "epsilon": system.eps,
         "mesh": {
@@ -632,15 +640,9 @@ def to_json(system: RoutingSystem) -> str:
             "faces": system.P.faces.tolist(),
         },
         "patches": [
-            {
-                "id": p.id,
-                "rep_face": p.rep_face,
-                "anchor": p.gamma.anchor.tolist(),
-                "dir1": p.gamma.dir1.tolist(),
-                "dir2": p.gamma.dir2.tolist(),
-                "normal": p.gamma.normal.tolist(),
-            }
-            for p in system.decomp.patches
+            {"id": pid, "rep_face": face, "normal": normal, "frame": frame}
+            for pid, (face, normal, frame) in enumerate(zip(
+                d.rep_face.tolist(), d.normal.tolist(), d.frame.tolist()))
         ],
         "representatives": system.assignment.reps,
         "nodes": [

@@ -55,6 +55,18 @@ def sphere50_system(sphere50):
     return preprocess_mesh(sphere50, 0.3)
 
 
+def reference_plane_and_frame(corners):
+    """The per-patch rule the patch table replaced: the `Plane` through a
+    face's corners (a, b, c) as Plane(a, b - a, c - a), and its frame
+    (origin, u, v) as float rows, u = dir1 / |dir1| and v = normal x u."""
+    from polyroute.geometry import Plane, cross, norm
+
+    a, b, c = (np.asarray(x, dtype=np.float64) for x in corners)
+    plane = Plane(a, b - a, c - a)
+    u = tuple((plane.dir1 / norm(plane.dir1)).tolist())
+    return plane, (tuple(plane.anchor.tolist()), u, cross(plane.normal, u))
+
+
 def other_face(P, f, u, v):
     """The face across edge (u, v) from face f."""
     a, b = P.edge_adjacency[(min(u, v), max(u, v))]
@@ -79,7 +91,8 @@ def routed_graph_positions(system):
     from polyroute.spanner import assemble_global_spanner, place_steiner_points
 
     sketch = build_sketch(system.P, system.decomp, system.P.diameter())
-    projections = {p.id: project_patch(system.P, p) for p in system.decomp.patches}
+    projections = {pid: project_patch(system.P, system.decomp, pid)
+                   for pid in range(system.decomp.count)}
     nodes, positions = place_steiner_points(system.P, system.decomp, sketch,
                                             system.assignment, projections, system.eps)
     rebuilt = assemble_global_spanner(nodes, positions, system.eps).edges

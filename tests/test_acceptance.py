@@ -248,7 +248,7 @@ def test_criterion_7_patch_flattening(sweep_systems, oracle16):
         for pid, vs in owners.items():
             if checked >= 500 or len(vs) < 2:
                 continue
-            proj = project_patch(system.P, decomp.patches[pid])
+            proj = project_patch(system.P, decomp, pid)
             for _ in range(min(4, len(vs))):
                 p, q = rng.choice(vs, size=2, replace=False)
                 p, q = int(p), int(q)

@@ -153,14 +153,23 @@ def test_bench_deterministic(tetra_prt, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_spanner_dump_flag(tetra_off, tmp_path):
-    dump = tmp_path / "spanner.txt"
-    rc = main(["preprocess", tetra_off, "--eps", "0.5",
-               "--out", str(tmp_path / "x.prt"), "--dump-spanner", str(dump)])
+def test_json_tables_flag_writes_the_spanner(tetra_off, tmp_path):
+    # --json-tables writes every spanner node and edge at full precision,
+    # and each patch's rep face, normal and frame
+    prt, dump = tmp_path / "x.prt", tmp_path / "tables.json"
+    rc = main(["preprocess", tetra_off, "--eps", "0.5", "--out", str(prt),
+               "--json-tables", str(dump)])
     assert rc == EXIT_OK
-    text = dump.read_text()
-    assert "node 0 rep" in text
-    assert "edge " in text
+    doc = json.loads(dump.read_text())
+    system = deserialize(prt.read_bytes())
+    g = system.graph
+    assert doc["nodes"][0]["kind"] == "rep" and g.edges.size
+    assert [(nd["id"], nd["kind"], nd["lift"]) for nd in doc["nodes"]] == [
+        (nd.id, nd.kind, nd.lift3d.tolist()) for nd in g.nodes]
+    assert doc["edges"] == [list(e) for e in g.edges.tolist()]
+    d = system.decomp
+    assert [(p["rep_face"], p["normal"], p["frame"]) for p in doc["patches"]] == list(
+        zip(d.rep_face.tolist(), d.normal.tolist(), d.frame.tolist()))
 
 
 def test_console_script_smoke(tmp_path):

@@ -11,14 +11,15 @@ from polyroute.geometry import (
     SNAP_EPS,
     DegenerateFace,
     GeometryError,
-    Plane,
     corner_angle,
     cross,
     dot,
     norm,
 )
-from polyroute.patching import Patch
+from polyroute.patching import frame_to_2d, frame_to_3d
 from polyroute.router import PacketHeader, _plane_words, _sig_of
+
+from conftest import reference_plane_and_frame
 
 
 def test_corner_angles_equilateral():
@@ -62,37 +63,35 @@ def _transform(m, points) -> np.ndarray:
     return np.array(out) if isinstance(out[0], float) else np.stack(out, axis=-1)
 
 
-def _numpy_to_2d(patch, points) -> np.ndarray:
-    # the reference Patch.to_2d on numpy arrays, for a point or an (n, 3) array
-    rel = np.asarray(points, dtype=np.float64) - np.array(patch.frame_origin)
-    return _transform((np.array(patch.frame_u), np.array(patch.frame_v)), rel)
+def _numpy_to_2d(frame, points) -> np.ndarray:
+    # the reference frame_to_2d on numpy arrays, for a point or an (n, 3) array
+    origin, u, v = frame
+    rel = np.asarray(points, dtype=np.float64) - np.array(origin)
+    return _transform((np.array(u), np.array(v)), rel)
 
 
-def _numpy_to_3d(patch, uv) -> np.ndarray:
-    # the reference Patch.to_3d on numpy arrays, for a point or an (n, 2) array
-    axes = np.stack([patch.frame_u, patch.frame_v], axis=1)
-    return np.array(patch.frame_origin) + _transform(axes, np.asarray(uv, dtype=np.float64))
+def _numpy_to_3d(frame, uv) -> np.ndarray:
+    # the reference frame_to_3d on numpy arrays, for a point or an (n, 2) array
+    origin, u, v = frame
+    axes = np.stack([u, v], axis=1)
+    return np.array(origin) + _transform(axes, np.asarray(uv, dtype=np.float64))
 
 
-def _patch_on(corners) -> Patch:
-    # a patch on the plane through three corners, framed as `_make_patch` does
+def _plane_on(corners):
+    # the plane through three corners and its frame, as a patch gets them
     try:
-        plane = Plane(corners[0], corners[1] - corners[0], corners[2] - corners[0])
+        return reference_plane_and_frame(corners)
     except GeometryError:
         assume(False)
-    u = tuple((plane.dir1 / norm(plane.dir1)).tolist())
-    return Patch(id=0, faces=[], rep_face=0, gamma=plane, vertices=set(),
-                 frame_origin=tuple(plane.anchor.tolist()), frame_u=u,
-                 frame_v=cross(plane.normal, u))
 
 
-def _frame_maps(patch, x):
-    # to_2d of a float row or of an (n, 3) array's columns, and to_3d of its
-    # first two coordinates, stacked as arrays
+def _frame_maps(frame, x):
+    # frame_to_2d of a float row or of an (n, 3) array's columns, and
+    # frame_to_3d of its first two coordinates, stacked as arrays
     if x.ndim == 1:
-        to2, to3 = patch.to_2d(x.tolist()), patch.to_3d(x[:2].tolist())
+        to2, to3 = frame_to_2d(frame, x.tolist()), frame_to_3d(frame, x[:2].tolist())
     else:
-        to2, to3 = patch.to_2d(tuple(x.T)), patch.to_3d(tuple(x[:, :2].T))
+        to2, to3 = frame_to_2d(frame, tuple(x.T)), frame_to_3d(frame, tuple(x[:, :2].T))
     return np.stack(to2, axis=-1), np.stack(to3, axis=-1)
 
 
@@ -107,15 +106,14 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
     data=st.data(),
 )
 def test_kernel_bits_do_not_depend_on_batch(rows, other, corners, data):
-    # the kernel, Patch.to_2d, Patch.to_3d and Plane.signed_distance give
+    # the kernel, frame_to_2d, frame_to_3d and Plane.signed_distance give
     # each row the same bits alone, in any subset of rows and in the whole
     # batch; the frame maps take a lone row as floats and a batch as columns
-    patch = _patch_on(corners)
-    plane = patch.gamma
+    plane, frame = _plane_on(corners)
 
     def evaluate(x):
         return [dot(x, other), norm(x), np.stack(np.broadcast_arrays(*cross(x, other)), axis=-1),
-                *_frame_maps(patch, x), plane.signed_distance(x)]
+                *_frame_maps(frame, x), plane.signed_distance(x)]
 
     full = evaluate(rows)
     subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True))
@@ -142,14 +140,15 @@ wide = st.floats(-1e6, 1e6, allow_nan=False, width=64)
 def test_frame_maps_match_numpy_reference_bitwise(rows, corners):
     # the float-row frame maps give the bits of the numpy maps they
     # replaced, on each float row and on the columns of the whole batch
-    patch = _patch_on(corners)
-    want = _numpy_to_2d(patch, rows), _numpy_to_3d(patch, rows[:, :2])
-    assert [_bits(got) for got in _frame_maps(patch, rows)] == [_bits(w) for w in want]
+    _plane, frame = _plane_on(corners)
+    want = _numpy_to_2d(frame, rows), _numpy_to_3d(frame, rows[:, :2])
+    assert [_bits(got) for got in _frame_maps(frame, rows)] == [_bits(w) for w in want]
     for i, row in enumerate(rows):
-        assert _bits(np.array(patch.to_2d(row.tolist()))) == _bits(want[0][i])
-        assert _bits(np.array(patch.to_3d(row[:2].tolist()))) == _bits(want[1][i])
-        assert _bits(np.array(patch.to_2d(row))) == _bits(_numpy_to_2d(patch, row))
-        assert _bits(np.array(patch.to_3d(row[:2]))) == _bits(_numpy_to_3d(patch, row[:2]))
+        assert _bits(np.array(frame_to_2d(frame, row.tolist()))) == _bits(want[0][i])
+        assert _bits(np.array(frame_to_3d(frame, row[:2].tolist()))) == _bits(want[1][i])
+        assert _bits(np.array(frame_to_2d(frame, row))) == _bits(_numpy_to_2d(frame, row))
+        assert _bits(np.array(frame_to_3d(frame, row[:2]))) == _bits(
+            _numpy_to_3d(frame, row[:2]))
 
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, width=64)

@@ -15,15 +15,18 @@ from polyroute.patching import (
     _clip_halfplane,
     build_sketch,
     compute_patches,
+    frame_to_2d,
+    frame_to_3d,
     project_patch,
 )
+
+from conftest import reference_plane_and_frame
 
 
 def test_cube_patches_merge_coplanar_pairs(cube):
     decomp = compute_patches(cube, 0.1)
     assert decomp.count == 6
-    sizes = sorted(len(p.faces) for p in decomp.patches)
-    assert sizes == [2] * 6
+    assert np.bincount(decomp.patch_of_face).tolist() == [2] * 6
 
 
 def test_tetra_patches_all_separate(tetra):
@@ -40,16 +43,17 @@ def test_patch_angle_ranges_within_delta(sphere50):
     decomp = compute_patches(sphere50, delta)
     tx = np.arccos(np.clip(sphere50.face_normals[:, 0], -1, 1))
     tz = np.arccos(np.clip(sphere50.face_normals[:, 2], -1, 1))
-    for p in decomp.patches:
-        assert tx[p.faces].max() - tx[p.faces].min() <= delta + 1e-12
-        assert tz[p.faces].max() - tz[p.faces].min() <= delta + 1e-12
+    for pid in range(decomp.count):
+        faces = decomp.patch_of_face == pid
+        assert tx[faces].max() - tx[faces].min() <= delta + 1e-12
+        assert tz[faces].max() - tz[faces].min() <= delta + 1e-12
 
 
 def test_every_face_in_exactly_one_patch(sphere100):
     decomp = compute_patches(sphere100, 0.25)
-    assert (decomp.patch_of_face >= 0).all()
-    counted = sum(len(p.faces) for p in decomp.patches)
-    assert counted == sphere100.num_faces
+    assert len(decomp.patch_of_face) == sphere100.num_faces
+    assert (np.bincount(decomp.patch_of_face, minlength=decomp.count) > 0).all()
+    assert decomp.patch_of_face.max() == decomp.count - 1
 
 
 def test_patch_count_scaling_law():
@@ -69,9 +73,11 @@ def test_sketch_tetra_faces_are_the_faces(tetra):
     decomp = compute_patches(tetra, 0.01)
     sketch = build_sketch(tetra, decomp, tetra.diameter())
     assert not sketch.truncated
-    for f, patch in zip(sketch.faces, decomp.patches):
+    for pid, f in enumerate(sketch.faces):
         # each sketch face is the original triangle
-        tri2 = [patch.to_2d(p) for p in tetra.vertices[tetra.faces[patch.rep_face]].tolist()]
+        frame = decomp.frame[pid].tolist()
+        tri2 = [frame_to_2d(frame, p)
+                for p in tetra.vertices[tetra.faces[decomp.rep_face[pid]]].tolist()]
         assert len(f.polygon2d) == 3
         got = {tuple(np.round(p, 9)) for p in f.polygon2d}
         want = {tuple(np.round(p, 9)) for p in tri2}
@@ -99,8 +105,8 @@ def test_sketch_contains_polytope():
     # the sketch is the intersection of the patches' supporting half-spaces,
     # which hold every vertex within the slack the convexity check allows
     slack = SNAP_EPS + SNAP_EPS * mesh.scale * 100.0
-    for patch in decomp.patches:
-        assert (patch.gamma.signed_distance(mesh.vertices) <= slack).all()
+    for pid in range(decomp.count):
+        assert (dot(mesh.vertices, decomp.normal[pid]) - decomp.offset[pid] <= slack).all()
 
 
 def test_sketch_neighbors_symmetric(sphere50):
@@ -116,34 +122,34 @@ def test_sketch_neighbors_symmetric(sphere50):
 
 def test_projection_identity_on_plane(tetra):
     decomp = compute_patches(tetra, 0.01)
-    patch = decomp.patches[0]
-    proj = project_patch(tetra, patch)
-    for v in tetra.faces[patch.rep_face]:
-        assert patch.gamma.signed_distance(tetra.vertices[v]) == pytest.approx(0.0, abs=1e-12)
-        back = patch.to_3d(proj[int(v)])
+    proj = project_patch(tetra, decomp, 0)
+    for v in tetra.faces[decomp.rep_face[0]]:
+        dist = dot(tetra.vertices[v], decomp.normal[0]) - decomp.offset[0]
+        assert dist == pytest.approx(0.0, abs=1e-12)
+        back = frame_to_3d(decomp.frame[0].tolist(), proj[int(v)])
         assert np.allclose(back, tetra.vertices[v], atol=1e-12)
 
 
 def test_projection_coplanar_cube_patch(cube):
     decomp = compute_patches(cube, 0.1)
-    for patch in decomp.patches:
-        proj = project_patch(cube, patch)
+    for pid in range(decomp.count):
+        proj = project_patch(cube, decomp, pid)
         assert len(proj) == 4
-        dist = np.abs(patch.gamma.signed_distance(cube.vertices[sorted(proj)]))
+        dist = np.abs(dot(cube.vertices[sorted(proj)], decomp.normal[pid]) - decomp.offset[pid])
         assert dist.max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_orthogonality(sphere50):
     decomp = compute_patches(sphere50, 0.4)
-    for patch in decomp.patches[:8]:
-        proj = project_patch(sphere50, patch)
+    for pid in range(8):
+        proj = project_patch(sphere50, decomp, pid)
         for v, uv in proj.items():
-            foot = np.array(patch.to_3d(uv))
+            foot = np.array(frame_to_3d(decomp.frame[pid].tolist(), uv))
             seg = sphere50.vertices[v] - foot
             if np.linalg.norm(seg) < 1e-12:
                 continue
             # projection segment is parallel to the patch normal
-            cross = np.cross(seg, patch.gamma.normal)
+            cross = np.cross(seg, decomp.normal[pid])
             assert np.linalg.norm(cross) <= 1e-9 * np.linalg.norm(seg)
 
 
@@ -153,9 +159,53 @@ def test_projection_displacement_bound():
         delta = 0.3
         decomp = compute_patches(mesh, delta)
         diam = mesh.diameter()
-        for patch in decomp.patches:
-            dist = np.abs(patch.gamma.signed_distance(mesh.vertices[sorted(patch.vertices)]))
+        for pid in range(decomp.count):
+            ids = sorted(project_patch(mesh, decomp, pid))
+            dist = np.abs(dot(mesh.vertices[ids], decomp.normal[pid]) - decomp.offset[pid])
             assert dist.max() <= diam * math.sin(delta) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the patch table gives the bits of the per-patch rule it replaced: a
+# `Plane` through each patch's lowest face, its frame, and the projection of
+# the vertex set of the patch's faces
+
+
+def _assert_table_is_per_patch_rule(P, delta):
+    decomp = compute_patches(P, delta)
+    corners = P.faces.tolist()
+    faces = [[] for _ in range(decomp.count)]
+    owner = [decomp.count] * P.n
+    for fi, pid in enumerate(decomp.patch_of_face.tolist()):
+        faces[pid].append(fi)
+        for v in corners[fi]:
+            owner[v] = min(owner[v], pid)
+    assert decomp.owner_of_vertex.tolist() == owner
+    assert decomp.rep_face.tolist() == [fs[0] for fs in faces]
+    for pid, fs in enumerate(faces):
+        plane, frame = reference_plane_and_frame(P.vertices[P.faces[fs[0]]])
+        assert decomp.normal[pid].tobytes() == plane.normal.tobytes()
+        assert decomp.offset[pid].tobytes() == np.float64(plane.offset()).tobytes()
+        assert decomp.frame[pid].tobytes() == np.array(frame).tobytes()
+        ids = sorted({v for f in fs for v in corners[f]})
+        pts = P.vertices[ids]
+        foot = pts - plane.signed_distance(pts)[:, None] * plane.normal[None, :]
+        want = np.stack(frame_to_2d(frame, tuple(foot.T)), axis=1)
+        got = project_patch(P, decomp, pid)
+        assert list(got) == ids
+        assert np.array(list(got.values())).tobytes() == want.tobytes()
+
+
+def test_patch_table_matches_per_patch_rule(tetra, cube, octa):
+    for P, delta in [(tetra, 0.01), (tetra, 0.5), (cube, 0.1), (cube, 0.8), (octa, 0.3),
+                     (octa, math.pi)]:
+        _assert_table_is_per_patch_rule(P, delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 200), eps=st.floats(0.2, 0.8), seed=st.integers(0, 50))
+def test_patch_table_matches_per_patch_rule_on_sphere_hulls(n, eps, seed):
+    _assert_table_is_per_patch_rule(generate_mesh("sphere", n, seed), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +216,20 @@ def test_projection_displacement_bound():
 def _reference_sketch(P, decomp, diameter):
     # every other plane goes through `_clip_halfplane`, and the parallel
     # test calls the kernel `norm`
-    normals = tuple(np.stack([p.gamma.normal for p in decomp.patches]).T.copy())
-    offsets = np.array([p.gamma.offset() for p in decomp.patches])
+    normals = tuple(decomp.normal.T.copy())
     half = _SKETCH_BOUND * max(diameter, 1e-12)
     faces = []
-    for patch in decomp.patches:
-        cx, cy = patch.to_2d(P.vertices[P.faces[patch.rep_face]].mean(axis=0).tolist())
+    for pid in range(decomp.count):
+        o, u, v = decomp.frame[pid].tolist()
+        center = P.vertices[P.faces[decomp.rep_face[pid]]].mean(axis=0).tolist()
+        cx, cy = frame_to_2d((o, u, v), center)
         poly = [(cx - half, cy - half), (cx + half, cy - half), (cx + half, cy + half),
                 (cx - half, cy + half)]
         owners = [NO_NEIGHBOR] * 4
-        o, u, v = patch.frame_origin, patch.frame_u, patch.frame_v
         a2s = zip(dot(normals, u).tolist(), dot(normals, v).tolist())
-        c2s = (offsets - dot(normals, o)).tolist()
+        c2s = (decomp.offset - dot(normals, o)).tolist()
         for j, (a2, c2) in enumerate(zip(a2s, c2s)):
-            if j == patch.id:
+            if j == pid:
                 continue
             if norm(a2) <= SNAP_EPS:
                 if -c2 > P.snap:
@@ -190,8 +240,8 @@ def _reference_sketch(P, decomp, diameter):
             if not poly:
                 break
         if not poly:
-            raise UnboundedSketch(patch.id)
-        faces.append(SketchFace(patch.id, np.array(poly), np.array(owners, dtype=np.int64)))
+            raise UnboundedSketch(pid)
+        faces.append(SketchFace(pid, np.array(poly), np.array(owners, dtype=np.int64)))
     return faces, any(NO_NEIGHBOR in f.neighbor_patch for f in faces)
 
 

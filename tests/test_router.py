@@ -278,7 +278,7 @@ def test_plane_adherence(sphere50_system):
             owner = int(system.decomp.owner_of_vertex[a])
             plane = Plane.through_points_orthogonal_to(
                 mesh.vertices[a], target_pt,
-                system.decomp.patches[owner].gamma.normal,
+                system.decomp.normal[owner],
             )
             sig = plane.signed_distance(mesh.vertices)
             for v in trace.vertices[lo:hi]:

@@ -42,7 +42,7 @@ def test_boundary_tie_goes_lower():
 
 def _assignment_for(mesh, eps, delta=None):
     decomp = compute_patches(mesh, delta if delta is not None else eps)
-    projections = {p.id: project_patch(mesh, p) for p in decomp.patches}
+    projections = {pid: project_patch(mesh, decomp, pid) for pid in range(decomp.count)}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     return decomp, select_representatives(grids, projections, decomp)
 
@@ -72,8 +72,8 @@ def test_every_vertex_has_exactly_one_rep(sphere100):
         assert assign.rep_of[r] == r
         # v and its representative lie on the same patch
         assert decomp.owner_of_vertex[v] == decomp.owner_of_vertex[r]
-        patch = decomp.patches[decomp.owner_of_vertex[v]]
-        assert v in patch.vertices and r in patch.vertices
+        patch = project_patch(sphere100, decomp, int(decomp.owner_of_vertex[v]))
+        assert v in patch and r in patch
 
 
 def test_empty_cells_have_no_rep(sphere50):

@@ -11,7 +11,8 @@ from scipy.sparse.csgraph import dijkstra
 from polyroute import spanner
 from polyroute.cli import convex_hull_mesh, generate_mesh
 from polyroute.geometry import GeometryError, cross, dot, norm, sub
-from polyroute.patching import NO_NEIGHBOR, compute_patches, build_sketch, project_patch
+from polyroute.patching import (NO_NEIGHBOR, build_sketch, compute_patches, frame_to_2d,
+                                frame_to_3d, project_patch)
 from polyroute.polytope import PolytopeError
 from polyroute.sampling import build_grid, select_representatives
 from polyroute.tables import preprocess_mesh
@@ -27,7 +28,6 @@ from polyroute.spanner import (
     build_spanner,
     build_theta_graph,
     cone_fan,
-    dump_spanner,
     place_steiner_points,
     rep_nodes,
 )
@@ -38,7 +38,7 @@ from conftest import routed_graph_positions
 def _stage(mesh, eps, delta=None):
     decomp = compute_patches(mesh, delta if delta is not None else eps)
     sketch = build_sketch(mesh, decomp, mesh.diameter())
-    projections = {p.id: project_patch(mesh, p) for p in decomp.patches}
+    projections = {pid: project_patch(mesh, decomp, pid) for pid in range(decomp.count)}
     grids = {pid: build_grid(proj, eps) for pid, proj in projections.items()}
     assignment = select_representatives(grids, projections, decomp)
     return decomp, sketch, assignment, projections
@@ -251,23 +251,6 @@ def test_node_edge_count_scaling():
             g = build_spanner(mesh, *_stage(mesh, eps), eps)
             assert g.num_nodes <= 2.0 * c_nodes * min(mesh.n, 1.0 / eps ** 3)
             assert len(g.edges) <= 2.0 * c_edges * min(mesh.n / eps, 1.0 / eps ** 4)
-
-
-def test_dump_spanner_format(tetra_system):
-    text = dump_spanner(tetra_system.graph)
-    lines = text.strip().split("\n")
-    nodes = [l for l in lines if l.startswith("node ")]
-    edges = [l for l in lines if l.startswith("edge ")]
-    assert len(nodes) == tetra_system.graph.num_nodes
-    assert len(edges) == len(tetra_system.graph.edges)
-    for l, node in zip(nodes, tetra_system.graph.nodes):
-        parts = l.split()
-        assert parts[:3] == ["node", str(node.id), node.kind]
-        assert [float(x) for x in parts[3:]] == pytest.approx(node.lift3d.tolist())
-    for l in edges:
-        parts = l.split()
-        assert len(parts) == 5
-        assert float(parts[3]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +497,8 @@ def _per_cone_placement(P, decomp, sketch, assignment, projections, eps):
             nb = int(fm.neighbors[edge_idx])
             if nb == NO_NEIGHBOR:
                 continue
-            q3 = decomp.patches[pid].to_3d(q2)
-            q2_nb = decomp.patches[nb].to_2d(q3)
+            q3 = frame_to_3d(decomp.frame[pid].tolist(), q2)
+            q2_nb = frame_to_2d(decomp.frame[nb].tolist(), q3)
             if (_crowded(q2, occupied_pos.get(pid, ()), snap)
                     or _crowded(q2_nb, occupied_pos.get(nb, ()), snap)):
                 continue
@@ -525,7 +508,7 @@ def _per_cone_placement(P, decomp, sketch, assignment, projections, eps):
             occupied_pos.setdefault(nb, []).append(q2_nb)
     if steiner:
         lifts, _pairs = _lift_steiner(P, np.array([q3 for _pid, _nb, q3 in steiner]),
-                                      np.array([decomp.patches[pid].gamma.normal
+                                      np.array([decomp.normal[pid]
                                                 for pid, _nb, _q3 in steiner]))
         for (pid, nb, _q3), (lift, marked) in zip(steiner, lifts):
             nodes.append(spanner.SpannerNode(id=len(nodes), kind="steiner", patches=(pid, nb),
@@ -562,7 +545,7 @@ def _check_cone_tests(mesh, eps):
     stage = _stage(mesh, eps)
     decomp, sketch, assignment, projections = stage
     fan, snap = cone_fan(eps), mesh.snap
-    fm = _build_face_maps(decomp, sketch)
+    fm = _build_face_maps(sketch)
     ref = _reference_face_maps(sketch)
     for i in range(len(fm.xs)):  # a face's row is its patch id
         k = int(fm.corner[i].sum())
@@ -643,7 +626,7 @@ def test_boundary_pass_on_an_edge_along_a_wedge_ray():
     # decides it as the float loop does
     mesh = generate_mesh("sphere", 20, 15)
     decomp, sketch, assignment, projections = _stage(mesh, 0.3)
-    fm = _build_face_maps(decomp, sketch)
+    fm = _build_face_maps(sketch)
     i = 14
     (r,) = assignment.patch_reps[14]
     assert projections[14][r] == (0.0, 0.0)
@@ -667,8 +650,7 @@ def _one_face(corners, neighbors=None):
     seg_x, seg_y = np.take_along_axis(xs, nxt, 1) - xs, np.take_along_axis(ys, nxt, 1) - ys
     return spanner._FaceMaps(
         xs, ys, corner, seg_x, seg_y, seg_x * seg_x + seg_y * seg_y,
-        np.where(corner, 0, NO_NEIGHBOR) if neighbors is None else neighbors,
-        np.zeros((len(corners), 3, 3)))
+        np.where(corner, 0, NO_NEIGHBOR) if neighbors is None else neighbors)
 
 
 def _boundary_case(fm, apex, c, fan, snap):
@@ -815,10 +797,10 @@ def _check_steiner_lift(n, seed, eps):
     assert steiner
     points, inward = [], []
     for node in steiner:
-        patch = decomp.patches[node.patches[0]]
+        pid = node.patches[0]
         # the sketch point the build lifted, by the build's own call
-        points.append(np.array(patch.to_3d(positions[node.id][patch.id])))
-        inward.append(patch.gamma.normal)
+        points.append(np.array(frame_to_3d(decomp.frame[pid].tolist(), positions[node.id][pid])))
+        inward.append(decomp.normal[pid])
     again, pairs = _lift_steiner(mesh, np.array(points), np.array(inward))
     assert len(steiner) <= pairs < len(steiner) * mesh.num_faces
     for node, q3, normal, (lift, marked) in zip(steiner, points, inward, again):
@@ -868,9 +850,10 @@ def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
     # the points around it in its block lift as they would alone
     mesh = generate_mesh("sphere", 100, 1)
     decomp, _sketch, _assignment, _projections = _stage(mesh, 0.4)
-    patch = decomp.patches[0]
-    far = np.array(patch.frame_origin) + 3.0 * np.array(patch.frame_u)
-    near = mesh.vertices[mesh.faces[patch.rep_face]].mean(axis=0)
+    origin, u, _v = decomp.frame[0]
+    normal = decomp.normal[0]
+    far = origin + 3.0 * u
+    near = mesh.vertices[mesh.faces[decomp.rep_face[0]]].mean(axis=0)
     searched = []
     nearest = spanner._nearest_edge_point
 
@@ -880,13 +863,13 @@ def test_lift_falls_back_to_all_faces_when_the_ray_misses(monkeypatch):
 
     monkeypatch.setattr(spanner, "_nearest_edge_point", recording)
     lifts, _pairs = _lift_steiner(mesh, np.array([near, far, near]),
-                                  np.array([patch.gamma.normal] * 3))
+                                  np.array([normal] * 3))
     # the two hits in one batch, each on its face's three edges, then the
     # miss on every edge of every face
     assert [f.shape for f in searched] == [(2, 1), (1, mesh.num_faces)]
     assert searched[1].tolist() == [list(range(mesh.num_faces))]
     for (got, got_marked), point in zip(lifts, (near, far, near)):
-        want, want_marked = _all_faces_lift(mesh, point, patch.gamma.normal)
+        want, want_marked = _all_faces_lift(mesh, point, normal)
         assert got.tobytes() == want.tobytes() and got_marked == want_marked
 
 

@@ -17,6 +17,7 @@ from polyroute.tables import (
     EntryKind,
     FormatVersionMismatch,
     IdOutOfRange,
+    ImplausibleValue,
     InconsistentAssignment,
     MalformedSection,
     NonCanonicalBall,
@@ -163,7 +164,8 @@ def test_preprocess_fills_stage_stats(sphere50_system):
     assert stats["ball_records"] < stats["scheme_reached"] < len(targets) * g.num_nodes
 
 
-LOAD_STAGES = ("mesh_s", "decomposition_s", "landmark_trees_s", "balls_s", "derive_s")
+LOAD_STAGES = ("mesh_s", "decomposition_s", "landmark_trees_s", "balls_s", "theta_m_s",
+               "derive_s")
 
 
 def test_deserialize_fills_load_stage_stats(sphere50_system):
@@ -180,6 +182,7 @@ def test_deserialize_fills_load_stage_stats(sphere50_system):
 def test_loaded_system_equals_built(sphere50_system):
     from dataclasses import fields
 
+    from polyroute.patching import PatchDecomposition
     from polyroute.router import route
     from polyroute.spanner import SpannerNode
 
@@ -207,11 +210,10 @@ def test_loaded_system_equals_built(sphere50_system):
                for t in range(built.P.n))
     assert to_json(loaded) == to_json(built)
     assert loaded.P.snap.hex() == built.P.snap.hex()
-    assert np.array_equal(loaded.decomp.owner_of_vertex, built.decomp.owner_of_vertex)
-    for p, q in zip(loaded.decomp.patches, built.decomp.patches):
-        assert (p.faces, p.rep_face, p.vertices) == (q.faces, q.rep_face, q.vertices)
-        for attr in ("anchor", "dir1", "dir2", "normal"):
-            assert np.array_equal(getattr(p.gamma, attr), getattr(q.gamma, attr))
+    for f in fields(PatchDecomposition):
+        got, want = getattr(loaded.decomp, f.name), getattr(built.decomp, f.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
     n = built.P.n
     for s in range(n):
         for t in range(n):
@@ -402,6 +404,44 @@ def test_sliver_face_is_refused_as_a_corrupt_file(tetra_system, tmp_path, capsys
     path.write_bytes(bad)
     assert main(["route", str(path), "--from", "0", "--to", "1"]) == EXIT_IO
     assert "stored mesh is refused" in capsys.readouterr().err
+
+
+def _steiner_edit(system, case: str) -> bytes:
+    """The system's file with one Steiner record edited to what no build
+    writes, under a valid CRC: its second patch set to its first, or its
+    marked pair (an edge's ends) reversed or moved off the mesh edges."""
+    import struct
+
+    P = system.P
+    sections = _sections(serialize(system))
+    payload = bytearray(dict(sections)[5])
+    rec = np.frombuffer(bytes(payload[4:]), dtype=tables._NODE_REC)
+    if case == "patches_equal":
+        struct.pack_into("<I", payload, 4 + 4, int(rec["patch_a"][0]))
+    else:
+        i = next(i for i, (x, y) in enumerate(rec["marked"].tolist()) if x != y)
+        x, y = rec["marked"][i].tolist()
+        z = next(z for z in range(x + 1, P.n) if (x, z) not in P.edge_adjacency)
+        struct.pack_into("<2I", payload, 4 + rec.itemsize * i + 32,
+                         *((y, x) if case == "marked_reversed" else (x, z)))
+    return _container([(t, bytes(payload) if t == 5 else p) for t, p in sections])
+
+
+@pytest.mark.parametrize("case", ["patches_equal", "marked_reversed", "marked_not_an_edge"])
+def test_steiner_records_no_build_writes_are_refused(sphere50_system, tmp_path, capsys, case):
+    # a build writes two distinct patches, and a marked pair that is one
+    # vertex twice or a mesh edge's ends in ascending order; before the
+    # loader refused the others, a patch_b equal to patch_a loaded with the
+    # node twice in its face's node list
+    from polyroute.cli import EXIT_IO, main
+
+    bad = _steiner_edit(sphere50_system, case)
+    with pytest.raises(ImplausibleValue, match="Steiner node"):
+        deserialize(bad)
+    path = tmp_path / "steiner.prt"
+    path.write_bytes(bad)
+    assert main(["route", str(path), "--from", "0", "--to", "1"]) == EXIT_IO
+    assert "Steiner node" in capsys.readouterr().err
 
 
 def _assignment_edit(system, case: str) -> bytes:
